@@ -27,6 +27,7 @@ from .reports import (
     decompose_text,
 )
 from .search import single_fold_search, verify_minimal_stretch_argument
+from .spectral import RootIsolationError
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -59,7 +60,11 @@ def cmd_certify(args) -> int:
     if not g.is_self_map:
         print("error: certify needs a self-map", file=sys.stderr)
         return EXIT_PRECONDITION
-    report = certify_map(g, args.pnp_bound, args.pnp_period)
+    try:
+        report = certify_map(g, args.pnp_bound, args.pnp_period)
+    except RootIsolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     sys.stdout.write(certify_text(report))
     _write_json(args.json, certify_json(report))
     return 0 if report.verdict == "PRINCIPAL" else EXIT_VERIFICATION

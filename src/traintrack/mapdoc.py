@@ -35,7 +35,8 @@ def _token_column(raw: str, token: str) -> int:
 def parse_map_document(text: str) -> GraphMap:
     """Parse a self-map document; errors carry line and column."""
     vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
+    vertices_line = 1
+    edges: list[tuple[str, str, str, int]] = []
     images: dict[str, tuple[str, ...]] = {}
     image_lines: dict[str, int] = {}
     in_map = False
@@ -52,10 +53,16 @@ def parse_map_document(text: str) -> GraphMap:
                 if len(parts) < 2:
                     raise ParseError("vertices line needs at least one name", lineno)
                 vertices = parts[1:]
+                vertices_line = lineno
+                for k, name in enumerate(vertices):
+                    if name in vertices[:k]:
+                        raise ParseError(f"duplicate vertex {name!r}", lineno)
             elif parts[0] == "edge":
                 if len(parts) != 6 or parts[2] != "=" or parts[4] != "->":
                     raise ParseError("expected: edge NAME = V -> W", lineno)
-                edges.append((parts[1], parts[3], parts[5]))
+                if any(parts[1] == name for name, _, _, _ in edges):
+                    raise ParseError(f"duplicate edge {parts[1]!r}", lineno)
+                edges.append((parts[1], parts[3], parts[5], lineno))
             elif parts[0] == "map":
                 in_map = True
             else:
@@ -75,14 +82,14 @@ def parse_map_document(text: str) -> GraphMap:
         raise ParseError("missing map section", len(text.splitlines()) or 1)
 
     vindex = {name: i for i, name in enumerate(vertices)}
-    for name, u, w in edges:
+    for name, u, w, lineno in edges:
         for v in (u, w):
             if v not in vindex:
-                raise ParseError(f"undeclared vertex {v!r} on edge {name!r}", 1)
+                raise ParseError(f"undeclared vertex {v!r} on edge {name!r}", lineno)
     graph = OrientedGraph(
         vertex_names=tuple(vertices),
-        edge_names=tuple(name for name, _, _ in edges),
-        ends=tuple((vindex[u], vindex[w]) for _, u, w in edges),
+        edge_names=tuple(name for name, _, _, _ in edges),
+        ends=tuple((vindex[u], vindex[w]) for _, u, w, _ in edges),
     )
 
     edge_names = set(graph.edge_names)
@@ -120,7 +127,7 @@ def parse_map_document(text: str) -> GraphMap:
                 )
     for v in range(graph.n_vertices):
         if v not in vmap:
-            raise ParseError(f"vertex {vertices[v]!r} is isolated", 1)
+            raise ParseError(f"vertex {vertices[v]!r} is isolated", vertices_line)
 
     try:
         return GraphMap(

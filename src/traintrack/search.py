@@ -35,8 +35,21 @@ from .whitehead import PrincipalReport, Relabeling, is_principal
 
 
 def _enumerate_degree_graphs(degrees: tuple[int, ...]):
-    """All loopy multigraphs on len(degrees) vertices with the exact degree
-    sequence, as sorted edge tuples ((u, v) with u <= v; loops count twice)."""
+    """Loopy multigraphs on len(degrees) vertices with the exact degree
+    sequence, as sorted edge tuples ((u, v) with u <= v; loops count twice),
+    with the symmetry among vertices 1..m-1 of equal degree broken.
+
+    Pruning rule: for consecutive vertices j, j+1 (j >= 1) of equal degree,
+    the number of edges from vertex 0 to j is at least the number to j+1.
+    The slots (0, j) are filled first and in order of j, so the rule caps
+    each count by the previous one and pruned subtrees are never entered.
+
+    Completeness: every labelled graph with this degree sequence becomes one
+    that obeys the rule after a permutation of vertices 1..m-1 preserving
+    degrees (sort each run of equal degrees by multiplicity to vertex 0,
+    largest first).  So every isomorphism class, and every class up to
+    permutations fixing vertex 0, keeps at least one labelled member.
+    """
     m = len(degrees)
     slots = [(u, v) for u in range(m) for v in range(u, m)]
     # vertices still reachable from slot idx onwards, and the remaining
@@ -53,13 +66,21 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
         capacity[idx] = cap
     out: list[tuple[tuple[int, int], ...]] = []
 
-    def rec(idx: int, residual: tuple[int, ...], chosen: tuple[tuple[int, int], ...]):
+    def rec(
+        idx: int,
+        residual: tuple[int, ...],
+        chosen: tuple[tuple[int, int], ...],
+        previous: int,
+    ):
+        # previous: the count chosen at slot idx - 1
         if idx == len(slots):
             if all(r == 0 for r in residual):
                 out.append(chosen)
             return
         u, v = slots[idx]
         cap = residual[u] // 2 if u == v else min(residual[u], residual[v])
+        if u == 0 and v >= 2 and degrees[v] == degrees[v - 1]:
+            cap = min(cap, previous)
         res = list(residual)
         for count in range(cap + 1):
             if count:
@@ -74,9 +95,9 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
                     ok = False
                     break
             if ok:
-                rec(idx + 1, tuple(res), chosen + ((u, v),) * count)
+                rec(idx + 1, tuple(res), chosen + ((u, v),) * count, count)
 
-    rec(0, tuple(degrees), ())
+    rec(0, tuple(degrees), (), 0)
     return out
 
 
@@ -198,35 +219,76 @@ def trivalent_universe() -> tuple[OrientedGraph, ...]:
 # -- graph isomorphisms ---------------------------------------------------------
 
 
+def _multiplicities(graph: OrientedGraph) -> list[list[int]]:
+    """Symmetric matrix of edge counts between vertex pairs (loops on the
+    diagonal, counted once)."""
+    m = graph.n_vertices
+    mult = [[0] * m for _ in range(m)]
+    for u, w in graph.ends:
+        mult[u][w] += 1
+        if u != w:
+            mult[w][u] += 1
+    return mult
+
+
+def _vertex_bijections(source: OrientedGraph, target: OrientedGraph):
+    """Vertex bijections (as image tuples, in lexicographic order) that carry
+    every source edge multiplicity onto the target's, by backtracking.
+
+    Vertex v is assigned after 0..v-1, only to an unused target vertex of the
+    same valence, and only if the loops at v and the edges from v to every
+    placed vertex match those at the image.  A complete assignment has then
+    matched every vertex pair, so the multiset of source edge ends maps onto
+    the target's; a partial one that fails a pair has no completion that
+    matches it, so nothing is lost by pruning there.
+    """
+    m = source.n_vertices
+    sv = [source.valence(v) for v in range(m)]
+    tv = [target.valence(w) for w in range(m)]
+    smult = _multiplicities(source)
+    tmult = _multiplicities(target)
+    image = [0] * m
+    used = [False] * m
+
+    def extend(v: int):
+        if v == m:
+            yield tuple(image)
+            return
+        row = smult[v]
+        for w in range(m):
+            if used[w] or tv[w] != sv[v]:
+                continue
+            trow = tmult[w]
+            if trow[w] != row[v] or any(trow[image[u]] != row[u] for u in range(v)):
+                continue
+            image[v] = w
+            used[w] = True
+            yield from extend(v + 1)
+            used[w] = False
+
+    yield from extend(0)
+
+
 def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Relabeling]:
     """All label-level isomorphisms: vertex bijection plus signed edge
-    bijection (parallel edges permute, loops may flip)."""
+    bijection (parallel edges permute, loops may flip).
+
+    Each vertex bijection found by the backtracking of ``_vertex_bijections``
+    is expanded into every signed edge bijection over it.
+    """
     m = source.n_vertices
     if target.n_vertices != m or target.n_edges != source.n_edges:
         return []
-    sv = [source.valence(v) for v in range(m)]
-    tv = [target.valence(v) for v in range(m)]
-    if sorted(sv) != sorted(tv):
-        return []
     out: list[Relabeling] = []
-    candidates = [[w for w in range(m) if tv[w] == sv[v]] for v in range(m)]
     target_buckets: dict[tuple[int, int], list[int]] = {}
     for j in range(target.n_edges):
         u, w = target.ends[j]
         target_buckets.setdefault(tuple(sorted((u, w))), []).append(j)
-    for image in itertools.product(*candidates):
-        if len(set(image)) != m:
-            continue
+    for image in _vertex_bijections(source, target):
         needed: dict[tuple[int, int], list[int]] = {}
         for i in range(source.n_edges):
             u, w = source.ends[i]
             needed.setdefault(tuple(sorted((image[u], image[w]))), []).append(i)
-        if any(
-            len(target_buckets.get(key, ())) != len(srcs) for key, srcs in needed.items()
-        ) or len(needed) != len(
-            {k for k in target_buckets if target_buckets[k]}
-        ):
-            continue
         per_slot_options: list[list[tuple[int, ...]]] = []
         slot_sources: list[list[int]] = []
         feasible = True

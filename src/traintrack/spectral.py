@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import mpmath
 import sympy
+from mpmath.libmp import NoConvergence
 
 from .graphs import GraphMap, GraphStructureError
 
@@ -271,14 +272,26 @@ def _square_free_part(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
+class RootIsolationError(ArithmeticError):
+    """The numerical root finder did not converge, so no spectral verdict
+    could be reached.  Deliberately not a ``GraphStructureError``: callers
+    that treat those as a negative answer must not swallow it."""
+
+
 def _all_roots(p: IntPolynomial, dps: int = 30) -> list[complex]:
     """Distinct roots of ``p`` (square-free reduced first, so repeated roots
-    do not stall the solver)."""
+    do not stall the solver).  Raises ``RootIsolationError`` when the solver
+    does not converge."""
     p = _square_free_part(p)
     with mpmath.workdps(dps):
-        roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(p.coefficients)], maxsteps=200, extraprec=120
-        )
+        try:
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(p.coefficients)], maxsteps=200, extraprec=120
+            )
+        except NoConvergence as exc:
+            raise RootIsolationError(
+                f"root finder did not converge on {p.pretty()} at {dps} digits"
+            ) from exc
         return [complex(r) for r in roots]
 
 

@@ -51,6 +51,47 @@ def test_certify_parse_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # undeclared vertex: the offending edge line
+        ("vertices v0 v1\nedge a = v0 -> v1\nedge b = v1 -> vX\n\nmap\na -> a\nb -> b\n",
+         3, "undeclared vertex 'vX'"),
+        # isolated vertex: the vertices line
+        ("# header\n\nvertices v0 v1 v9\nedge a = v0 -> v1\nedge b = v1 -> v0\n\nmap\n"
+         "a -> a\nb -> b\n", 3, "vertex 'v9' is isolated"),
+        ("vertices v0 v0\nedge a = v0 -> v0\n\nmap\na -> a\n", 1, "duplicate vertex 'v0'"),
+        ("vertices v0 v1\nedge a = v0 -> v1\nedge a = v1 -> v0\n\nmap\na -> a\n",
+         3, "duplicate edge 'a'"),
+    ],
+)
+def test_certify_parse_error_line(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.map"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["certify", str(path)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"line {line}," in stderr
+    assert message in stderr
+
+
+def test_certify_root_finder_failure(reference_file, capsys, monkeypatch):
+    from mpmath.libmp import NoConvergence
+
+    import traintrack.spectral
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("Didn't converge")
+
+    monkeypatch.setattr(traintrack.spectral.mpmath, "polyroots", no_convergence)
+    code = main(["certify", reference_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "root finder did not converge" in captured.err
+    assert "verdict" not in captured.out
+
+
 def test_decompose_reference(reference_file, tmp_path, capsys):
     out_json = tmp_path / "decomp.json"
     code = main(["decompose", reference_file, "--json", str(out_json)])

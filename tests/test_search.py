@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
 from traintrack.folds import apply_fold, stallings_decompose
-from traintrack.graphs import compose
+from traintrack.graphs import GraphStructureError, OrientedGraph, compose
 from traintrack.search import (
     build_universe,
     graph_isomorphisms,
@@ -17,7 +18,9 @@ from traintrack.search import (
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
     _is_connected_edges,
+    _vertex_bijections,
 )
+from traintrack.whitehead import Relabeling
 
 # frozen universe sizes (rank: iso classes), cross-checked below with networkx
 GOLDEN_UNIVERSE_SIZES = {3: 5, 4: 30, 5: 193}
@@ -95,6 +98,40 @@ def test_universe_pairwise_non_isomorphic_rank5():
         _canonical_multigraph(7, _normalized_edges(g)) for g in universe.graphs
     }
     assert len(canons) == GOLDEN_UNIVERSE_SIZES[5]
+    # independent of the canonical form: VF2 on every pair
+    nx = pytest.importorskip("networkx")
+    multigraphs = []
+    for graph in universe.graphs:
+        g = nx.MultiGraph()
+        g.add_nodes_from(range(graph.n_vertices))
+        g.add_edges_from(graph.ends)
+        multigraphs.append(g)
+    for a, b in itertools.combinations(multigraphs, 2):
+        assert not nx.is_isomorphic(a, b)
+
+
+# sha256 of repr(tuple(g.ends for g in graphs)), first 16 hex digits, as the
+# unpruned enumeration produced them: pins both the classes and their order
+GOLDEN_UNIVERSE_DIGESTS = {
+    3: "fe1bc314f4abe1d0",
+    4: "acf314c806504c45",
+    5: "f14ac890f50b5ede",
+    "trivalent": "923d1706b86ebfe0",
+}
+
+
+def _ends_digest(graphs) -> str:
+    text = repr(tuple(g.ends for g in graphs))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_universe_pinned(rank):
+    assert _ends_digest(build_universe(rank).graphs) == GOLDEN_UNIVERSE_DIGESTS[rank]
+
+
+def test_trivalent_universe_pinned():
+    assert _ends_digest(trivalent_universe()) == GOLDEN_UNIVERSE_DIGESTS["trivalent"]
 
 
 def test_trivalent_universe():
@@ -114,6 +151,154 @@ def test_graph_isomorphisms_roundtrip(gmap):
     assert any(rel.signed_images == identity for rel in autos)
     for rel in autos:
         assert rel.as_graph_map().is_isomorphism()
+
+
+def _product_scan_isomorphisms(source, target) -> list[Relabeling]:
+    """Reference: every valence-compatible vertex tuple, filtered to the
+    bijections whose edge-end multiset matches, then signed expansion."""
+    m = source.n_vertices
+    if target.n_vertices != m or target.n_edges != source.n_edges:
+        return []
+    sv = [source.valence(v) for v in range(m)]
+    tv = [target.valence(v) for v in range(m)]
+    if sorted(sv) != sorted(tv):
+        return []
+    out: list[Relabeling] = []
+    candidates = [[w for w in range(m) if tv[w] == sv[v]] for v in range(m)]
+    target_buckets: dict[tuple[int, int], list[int]] = {}
+    for j in range(target.n_edges):
+        u, w = target.ends[j]
+        target_buckets.setdefault(tuple(sorted((u, w))), []).append(j)
+    for image in itertools.product(*candidates):
+        if len(set(image)) != m:
+            continue
+        needed: dict[tuple[int, int], list[int]] = {}
+        for i in range(source.n_edges):
+            u, w = source.ends[i]
+            needed.setdefault(tuple(sorted((image[u], image[w]))), []).append(i)
+        if any(
+            len(target_buckets.get(key, ())) != len(srcs) for key, srcs in needed.items()
+        ) or len(needed) != len({k for k in target_buckets if target_buckets[k]}):
+            continue
+        per_slot_options: list[list[tuple[int, ...]]] = []
+        slot_sources: list[list[int]] = []
+        feasible = True
+        for key, srcs in sorted(needed.items()):
+            bucket = target_buckets[key]
+            opts: list[tuple[int, ...]] = []
+            for perm in itertools.permutations(bucket):
+                value_choices: list[list[int]] = []
+                ok = True
+                for i, j in zip(srcs, perm):
+                    u, w = source.ends[i]
+                    p, q = image[u], image[w]
+                    tu, tw = target.ends[j]
+                    if p == q and tu == tw and p == tu:
+                        value_choices.append([j + 1, -(j + 1)])
+                    elif (p, q) == (tu, tw):
+                        value_choices.append([j + 1])
+                    elif (p, q) == (tw, tu):
+                        value_choices.append([-(j + 1)])
+                    else:
+                        ok = False
+                        break
+                if ok:
+                    opts.extend(itertools.product(*value_choices))
+            if not opts:
+                feasible = False
+                break
+            per_slot_options.append(opts)
+            slot_sources.append(srcs)
+        if not feasible:
+            continue
+        for combo in itertools.product(*per_slot_options):
+            signed = [0] * source.n_edges
+            for srcs, values in zip(slot_sources, combo):
+                for i, val in zip(srcs, values):
+                    signed[i] = val
+            try:
+                out.append(Relabeling(source, target, tuple(signed)))
+            except GraphStructureError:
+                continue
+    return out
+
+
+def _fold_targets(rank: int):
+    """(fold target, graph) for every fold the single-fold search makes."""
+    for graph in build_universe(rank).graphs:
+        v4 = max(range(graph.n_vertices), key=graph.valence)
+        for e1, e0 in itertools.permutations(graph.directions_at(v4), 2):
+            if abs(e1) != abs(e0):
+                yield apply_fold(graph, e1, e0, "proper_full").target, graph
+
+
+def _assert_same_isomorphisms(source, target):
+    fast = graph_isomorphisms(source, target)
+    slow = _product_scan_isomorphisms(source, target)
+    assert [r.signed_images for r in fast] == [r.signed_images for r in slow]
+    return len(fast)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_graph_isomorphisms_match_product_scan(rank):
+    pairs = list(_fold_targets(rank))
+    found = sum(_assert_same_isomorphisms(t, g) for t, g in pairs)
+    assert found > 0
+    # fold targets against other graphs of the universe, mostly non-isomorphic
+    graphs = build_universe(rank).graphs
+    for k, (t, _g) in enumerate(pairs[:40]):
+        _assert_same_isomorphisms(t, graphs[k % len(graphs)])
+
+
+def _edge_end_multiset(graph, image=None):
+    image = image or range(graph.n_vertices)
+    return sorted(tuple(sorted((image[u], image[w]))) for u, w in graph.ends)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_vertex_bijections_match_brute_force(rank):
+    # the pruned bijections are exactly the permutations that carry the
+    # source edge ends onto the target's, in lexicographic order
+    graphs = build_universe(rank).graphs
+    pairs = list(_fold_targets(rank))
+    pairs += [(t, graphs[k % len(graphs)]) for k, (t, _g) in enumerate(pairs[:40])]
+    for source, target in pairs:
+        want = _edge_end_multiset(target)
+        brute = [
+            image
+            for image in itertools.permutations(range(source.n_vertices))
+            if _edge_end_multiset(source, image) == want
+        ]
+        assert list(_vertex_bijections(source, target)) == brute
+
+
+def test_graph_isomorphisms_match_product_scan_rank5_slice():
+    pairs = list(itertools.islice(_fold_targets(5), 0, 1200, 20))
+    assert len(pairs) == 60
+    assert sum(_assert_same_isomorphisms(t, g) for t, g in pairs) > 0
+
+
+def test_graph_isomorphisms_mismatched_shapes(gmap):
+    graph = gmap.source  # 3 vertices, 5 edges, valences (3, 3, 4)
+    other_valences = OrientedGraph(
+        vertex_names=("p", "q", "r"),
+        edge_names=tuple("abcde"),
+        ends=((0, 0), (0, 0), (0, 1), (1, 2), (1, 2)),
+    )  # valences (5, 3, 2)
+    fewer_edges = OrientedGraph(
+        vertex_names=("p", "q", "r"),
+        edge_names=tuple("abcd"),
+        ends=((0, 1), (1, 2), (2, 0), (0, 0)),
+    )
+    for source, target in [
+        (graph, other_valences),
+        (other_valences, graph),
+        (graph, fewer_edges),
+        (fewer_edges, graph),
+        (graph, build_universe(4).graphs[0]),
+    ]:
+        assert graph_isomorphisms(source, target) == []
+        assert _product_scan_isomorphisms(source, target) == []
 
 
 def test_single_fold_search_rank3(gmap):
@@ -144,11 +329,21 @@ def test_search_determinism(gmap):
     assert [r.map for r in plain.survivors] == [r.map for r in shuffled.survivors]
 
 
-def test_search_parallel_agrees(gmap):
-    serial = single_fold_search(3)
-    parallel = single_fold_search(3, jobs=2)
+def _assert_parallel_agrees(rank):
+    serial = single_fold_search(rank)
+    parallel = single_fold_search(rank, jobs=2)
     assert [r.map for r in serial.survivors] == [r.map for r in parallel.survivors]
-    assert serial.candidates == parallel.candidates
+    for field in ("candidates", "tt_count", "irreducible_count", "fic_count",
+                  "principal_count", "class_count"):
+        assert getattr(serial, field) == getattr(parallel, field)
+
+
+def test_search_parallel_agrees():
+    _assert_parallel_agrees(3)
+
+
+def test_search_parallel_agrees_rank4():
+    _assert_parallel_agrees(4)
 
 
 def test_survivor_audits_and_roundtrip():
