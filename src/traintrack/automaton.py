@@ -14,6 +14,13 @@ the red direction, and the sorted turn tuple.  The fold transport is
 edge-local: the folded direction is renamed onto the target direction inside
 every turn, the fresh turn crossed by the folded edge-path is added as the
 new red edge, and the moved direction becomes the new red vertex.
+
+Fold transport commutes with signed relabelings, so the build works per
+relabeling class: one scan of the signed permutations over a class
+representative gives the whole orbit, the stabiliser, and a table from
+permutations to node ids.  Folds are transported at the representatives
+only; every other node's fold edges are the representative's, pushed
+through a relabeling carrying the representative onto it.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ def apply_signed(sigma: tuple[int, ...], d: int) -> int:
 
 def compose_signed(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     """Apply t, then s."""
-    return tuple(apply_signed(s, t[i]) for i in range(len(t)))
+    return tuple(s[x - 1] if x > 0 else -s[-x - 1] for x in t)
 
 
 def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
@@ -69,15 +76,22 @@ def _canonical_turns(turns) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(t), max(t)) for t in turns))
 
 
+def _direction_table(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """``table[d] == apply_signed(sigma, d)`` for every direction d; negative
+    directions index from the end."""
+    return (0,) + sigma + tuple(-x for x in reversed(sigma))
+
+
 def relabel_key(key: NodeKey, sigma: tuple[int, ...]) -> NodeKey:
     groups, red, turns = key
-    new_groups = _canonical_groups(
-        tuple(apply_signed(sigma, d) for d in g) for g in groups
-    )
-    new_turns = _canonical_turns(
-        (apply_signed(sigma, t[0]), apply_signed(sigma, t[1])) for t in turns
-    )
-    return (new_groups, apply_signed(sigma, red), new_turns)
+    image = _direction_table(sigma)
+    new_groups = tuple(sorted(tuple(sorted([image[d] for d in g])) for g in groups))
+    new_turns = []
+    for a, b in turns:
+        x, y = image[a], image[b]
+        new_turns.append((x, y) if x < y else (y, x))
+    new_turns.sort()
+    return (new_groups, image[red], tuple(new_turns))
 
 
 def key_from_structure(structure: LttStructure) -> NodeKey:
@@ -103,15 +117,6 @@ def graph_from_groups(
         vertex_names=tuple(f"u{gi}" for gi in range(len(groups))),
         edge_names=edge_names,
         ends=tuple((at[i + 1], at[-(i + 1)]) for i in range(n)),
-    )
-
-
-def structure_from_key(key: NodeKey) -> LttStructure:
-    groups, red, turns = key
-    return LttStructure(
-        graph=graph_from_groups(groups),
-        red_vertices=frozenset((red,)),
-        turns=frozenset(turns),
     )
 
 
@@ -292,7 +297,8 @@ class Automaton:
 
     nodes: list[NodeKey]
     node_index: dict[NodeKey, int]
-    fold_edges: list[FoldEdge]
+    fold_edges: list[FoldEdge]  # grouped by source, in fold_candidates order
+    fold_offsets: list[int]  # node i's fold edges are fold_edges[off[i]:off[i + 1]]
     class_of: list[int]
     class_members: list[list[int]]
     class_rep: list[int]
@@ -307,7 +313,7 @@ class Automaton:
         return len(self.class_members)
 
     def out_folds(self, node_id: int) -> list[FoldEdge]:
-        return [e for e in self.fold_edges if e.source == node_id]
+        return self.fold_edges[self.fold_offsets[node_id] : self.fold_offsets[node_id + 1]]
 
     def loop_sccs(self) -> list[int]:
         """Indices of class-level components containing a directed fold loop."""
@@ -335,15 +341,70 @@ class Automaton:
 
 
 def build_automaton(rank: int = 3, reference: GraphMap | None = None) -> Automaton:
-    """Enumerate nodes and fold edges, group nodes into relabeling classes,
-    and compute the class-level strongly connected components."""
+    """Enumerate nodes, group them into relabeling classes, derive the fold
+    edges by equivariance, and compute the class-level strongly connected
+    components.
+
+    Each class is found from its representative (its first node) by one
+    scan of the signed permutations, giving the orbit, the stabiliser and a
+    table ``id_of[c][k]``: the node ``sigma_k . rep``.  ``rep_word`` comes
+    from a depth-first walk over the group generators, looked up in that
+    table.  Folds are transported at the representatives only: a fold
+    (e1, e0) from ``rep`` into ``w . rep'`` becomes, at ``sigma . rep``, the
+    fold (sigma e1, sigma e0) into ``(sigma w) . rep'``.  Each node's edges
+    are sorted into ``fold_candidates`` order, and ``fold_offsets`` indexes
+    them by source for ``Automaton.out_folds``.
+    """
     if rank != 3:
         raise GraphStructureError("the automaton is implemented for rank 3")
     nodes = enumerate_nodes(rank)
     node_index = {key: i for i, key in enumerate(nodes)}
 
-    fold_edges = []
+    # relabeling classes: one orbit scan per representative
+    n_labels = len(RANK3_EDGE_NAMES)
+    identity = tuple(range(1, n_labels + 1))
+    sigmas = list(signed_permutations(n_labels))
+    sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
+    # gen_step[g][k]: the index of generator g composed after sigmas[k]
+    gen_step = [
+        [sigma_index[compose_signed(gen, sigma)] for sigma in sigmas]
+        for gen in _group_generators(n_labels)
+    ]
+    class_of = [-1] * len(nodes)
+    class_members: list[list[int]] = []
+    class_rep: list[int] = []
+    rep_word: list[tuple[int, ...]] = [identity] * len(nodes)
+    rep_stabilizer: list[list[tuple[int, ...]]] = []
+    id_of: list[list[int]] = []
     for i, key in enumerate(nodes):
+        if class_of[i] != -1:
+            continue
+        cid = len(class_members)
+        row = [node_index[relabel_key(key, sigma)] for sigma in sigmas]
+        for j in row:
+            class_of[j] = cid
+        # the generator walk of the orbit search, on group elements
+        reached = {i}
+        frontier = [sigma_index[identity]]
+        while frontier:
+            k = frontier.pop()
+            for step in gen_step:
+                nk = step[k]
+                j = row[nk]
+                if j not in reached:
+                    reached.add(j)
+                    rep_word[j] = sigmas[nk]
+                    frontier.append(nk)
+        id_of.append(row)
+        class_members.append(sorted(reached))
+        class_rep.append(i)
+        rep_stabilizer.append([s for s, j in zip(sigmas, row) if j == i])
+
+    # fold edges at the representatives: (e1, e0, target class, target word)
+    rep_folds: list[list[tuple[int, int, int, tuple[int, ...]]]] = []
+    for rep in class_rep:
+        key = nodes[rep]
+        out_edges = []
         for e1, e0 in fold_candidates(key):
             out = transport(key, e1, e0)
             if out is None:
@@ -351,46 +412,21 @@ def build_automaton(rank: int = 3, reference: GraphMap | None = None) -> Automat
             j = node_index.get(out)
             if j is None:
                 raise GraphStructureError("fold transport left the node set")
-            fold_edges.append(FoldEdge(i, j, e1, e0))
+            out_edges.append((e1, e0, class_of[j], rep_word[j]))
+        rep_folds.append(out_edges)
 
-    # relabeling classes by orbit search
-    n_labels = len(RANK3_EDGE_NAMES)
-    identity = tuple(range(1, n_labels + 1))
-    class_of = [-1] * len(nodes)
-    class_members: list[list[int]] = []
-    class_rep: list[int] = []
-    rep_word: list[tuple[int, ...]] = [identity] * len(nodes)
-    for i, key in enumerate(nodes):
-        if class_of[i] != -1:
-            continue
-        cid = len(class_members)
-        members = [i]
-        class_of[i] = cid
-        rep_word[i] = identity
-        frontier = [(key, identity)]
-        while frontier:
-            cur, word = frontier.pop()
-            for gen in _group_generators(n_labels):
-                nxt = relabel_key(cur, gen)
-                j = node_index[nxt]
-                if class_of[j] == -1:
-                    class_of[j] = cid
-                    members.append(j)
-                    nw = compose_signed(gen, word)
-                    rep_word[j] = nw
-                    frontier.append((nxt, nw))
-        class_members.append(sorted(members))
-        class_rep.append(i)
-
-    rep_stabilizer: list[list[tuple[int, ...]]] = []
-    for cid, rep in enumerate(class_rep):
-        key = nodes[rep]
-        stab = [
-            sigma
-            for sigma in signed_permutations(n_labels)
-            if relabel_key(key, sigma) == key
-        ]
-        rep_stabilizer.append(stab)
+    # each node's edges: its representative's, pushed through rep_word
+    fold_edges: list[FoldEdge] = []
+    fold_offsets = [0]
+    for i in range(len(nodes)):
+        sigma = rep_word[i]
+        image = _direction_table(sigma)
+        pushed = sorted(
+            (image[e1], image[e0], id_of[c][sigma_index[tuple(image[x] for x in w)]])
+            for e1, e0, c, w in rep_folds[class_of[i]]
+        )
+        fold_edges.extend(FoldEdge(i, j, e1, e0) for e1, e0, j in pushed)
+        fold_offsets.append(len(fold_edges))
 
     quotient_edges: dict[tuple[int, int], int] = {}
     for e in fold_edges:
@@ -415,6 +451,7 @@ def build_automaton(rank: int = 3, reference: GraphMap | None = None) -> Automat
         nodes=nodes,
         node_index=node_index,
         fold_edges=fold_edges,
+        fold_offsets=fold_offsets,
         class_of=class_of,
         class_members=class_members,
         class_rep=class_rep,
@@ -478,18 +515,6 @@ def loop_to_map(automaton: Automaton, loop: DirectedLoop) -> GraphMap:
     closing = Relabeling(current, graph, loop.closing)
     seq = push_permutations(steps + [closing])
     return seq.composed_map()
-
-
-def loop_fold_sequence(automaton: Automaton, loop: DirectedLoop) -> FoldSequence:
-    graph = graph_from_groups(automaton.nodes[loop.node_ids[0]][0])
-    steps = []
-    current = graph
-    for e1, e0 in loop.folds:
-        move = apply_fold(current, e1, e0, "proper_full")
-        steps.append(move)
-        current = move.target
-    closing = Relabeling(current, graph, loop.closing)
-    return push_permutations(steps + [closing])
 
 
 def rotate_loop(automaton: Automaton, loop: DirectedLoop) -> DirectedLoop:
@@ -616,16 +641,12 @@ class NodeOneAnalysis:
         return self.loops_checked == self.loops_reducible
 
 
-def _graph_class_key(groups) -> tuple:
-    """Canonical form of the underlying labeled graph modulo relabelings."""
-    best = None
-    for sigma in signed_permutations(len(RANK3_EDGE_NAMES)):
-        cand = _canonical_groups(
-            tuple(apply_signed(sigma, d) for d in g) for g in groups
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
+    """Canonical form of a node's underlying labeled graph modulo
+    relabelings: the least graph over its relabeling class, which is the
+    node's orbit and so projects onto every relabeled copy of the graph."""
+    members = automaton.class_members[automaton.class_of[node_id]]
+    return min(automaton.nodes[j][0] for j in members)
 
 
 def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnalysis:
@@ -696,11 +717,9 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
     protected, signs_ok = _protected_labels(automaton, residual_classes)
 
     entering = [e for e in automaton.fold_edges if e.target == automaton.node_one]
-    graph_keys = {
-        _graph_class_key(automaton.nodes[automaton.node_one][0]),
-    }
+    graph_keys = {_graph_class_key(automaton, automaton.node_one)}
     for e in entering:
-        graph_keys.add(_graph_class_key(automaton.nodes[e.source][0]))
+        graph_keys.add(_graph_class_key(automaton, e.source))
 
     return NodeOneAnalysis(
         node_one_class=node_one_class,

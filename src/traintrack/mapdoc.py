@@ -17,7 +17,7 @@ then printing a canonical document is the identity.
 
 from __future__ import annotations
 
-from .graphs import GraphMap, GraphStructureError, OrientedGraph
+from .graphs import GraphMap, GraphStructureError, OrientedGraph, check_path
 
 
 class ParseError(ValueError):
@@ -111,6 +111,10 @@ def parse_map_document(text: str) -> GraphMap:
                     image_lines[name],
                 )
             dirs.append(graph.direction_of(token))
+        try:
+            check_path(graph, tuple(dirs))
+        except GraphStructureError as exc:
+            raise ParseError(f"{exc} in image of {name!r}", image_lines[name]) from exc
         dir_images.append(tuple(dirs))
 
     # The vertex map is forced by the images: each vertex must go where the

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from traintrack.automaton import (
+    RANK3_EDGE_NAMES,
+    _graph_class_key,
+    _group_generators,
     apply_signed,
     compose_signed,
     decomposition_to_loop,
@@ -22,11 +25,13 @@ from traintrack.automaton import (
     rotate_loop,
     transport,
 )
+from traintrack.catalog import single_fold_map
 from traintrack.certify import taken_turn_closure
+from traintrack.digraph import strongly_connected_components
 from traintrack.folds import stallings_decompose
 from traintrack.graphs import periodic_directions
 from traintrack.spectral import is_irreducible, transition_matrix
-from traintrack.whitehead import ltt_structure
+from traintrack.whitehead import is_principal, ltt_structure, signed_permutations
 
 # frozen counts from the enumeration, cross-checked by the orbit sums below
 GOLDEN_LABELED_GRAPHS = 2000
@@ -87,8 +92,6 @@ def test_transport_matches_direct_computation_on_reference(automaton, gmap):
 
 
 def test_node_set_closed_under_relabeling(automaton):
-    from traintrack.whitehead import signed_permutations
-
     rng = random.Random(5)
     sigmas = rng.sample(list(signed_permutations(5)), 6)
     for key in rng.sample(automaton.nodes, 60):
@@ -165,8 +168,6 @@ def test_node_one_analysis(automaton):
 
 def test_signed_permutation_algebra():
     rng = random.Random(0)
-    from traintrack.whitehead import signed_permutations
-
     sigmas = rng.sample(list(signed_permutations(5)), 10)
     for s in sigmas:
         assert compose_signed(s, invert_signed(s)) == (1, 2, 3, 4, 5)
@@ -209,3 +210,161 @@ def test_graph_from_groups_reconstruction(automaton):
         assert graph.valence_profile() == (3, 3, 4)
         assert graph.rank() == 3
         assert graph.is_connected()
+
+
+# -- the brute-force build, kept as an oracle for the equivariant one ---------
+
+
+def _direct_compose(s, t):
+    return tuple(apply_signed(s, t[i]) for i in range(len(t)))
+
+
+def _direct_relabel_key(key, sigma):
+    groups, red, turns = key
+    new_groups = tuple(
+        sorted(tuple(sorted(apply_signed(sigma, d) for d in g)) for g in groups)
+    )
+    new_turns = tuple(
+        sorted(
+            (min(x, y), max(x, y))
+            for x, y in ((apply_signed(sigma, a), apply_signed(sigma, b)) for a, b in turns)
+        )
+    )
+    return (new_groups, apply_signed(sigma, red), new_turns)
+
+
+def _scan_graph_class_key(groups):
+    """The least relabeled copy of a direction partition, over all 3,840
+    signed permutations."""
+    return min(
+        tuple(sorted(tuple(sorted(apply_signed(sigma, d) for d in g)) for g in groups))
+        for sigma in signed_permutations(len(RANK3_EDGE_NAMES))
+    )
+
+
+def _brute_force_build():
+    """Every field of the automaton the direct way: transport at every node,
+    classes by a generator walk over keys, and stabilisers by a scan of all
+    signed permutations."""
+    nodes = enumerate_nodes(3)
+    node_index = {key: i for i, key in enumerate(nodes)}
+    fold_edges = []
+    for i, key in enumerate(nodes):
+        for e1, e0 in fold_candidates(key):
+            out = transport(key, e1, e0)
+            if out is not None:
+                fold_edges.append((i, node_index[out], e1, e0))
+
+    n_labels = len(RANK3_EDGE_NAMES)
+    identity = tuple(range(1, n_labels + 1))
+    class_of = [-1] * len(nodes)
+    class_members, class_rep = [], []
+    rep_word = [identity] * len(nodes)
+    for i, key in enumerate(nodes):
+        if class_of[i] != -1:
+            continue
+        cid = len(class_members)
+        members = [i]
+        class_of[i] = cid
+        frontier = [(key, identity)]
+        while frontier:
+            cur, word = frontier.pop()
+            for gen in _group_generators(n_labels):
+                nxt = _direct_relabel_key(cur, gen)
+                j = node_index[nxt]
+                if class_of[j] == -1:
+                    class_of[j] = cid
+                    members.append(j)
+                    rep_word[j] = _direct_compose(gen, word)
+                    frontier.append((nxt, rep_word[j]))
+        class_members.append(sorted(members))
+        class_rep.append(i)
+    rep_stabilizer = [
+        [
+            sigma
+            for sigma in signed_permutations(n_labels)
+            if _direct_relabel_key(nodes[rep], sigma) == nodes[rep]
+        ]
+        for rep in class_rep
+    ]
+
+    quotient_edges = {}
+    for source, target, _e1, _e0 in fold_edges:
+        pair = (class_of[source], class_of[target])
+        quotient_edges[pair] = quotient_edges.get(pair, 0) + 1
+    adjacency = {}
+    for c1, c2 in quotient_edges:
+        adjacency.setdefault(c1, []).append(c2)
+    sccs = strongly_connected_components(len(class_members), adjacency)
+    node_one = node_index[key_from_structure(ltt_structure(single_fold_map()))]
+    return {
+        "nodes": nodes,
+        "node_index": node_index,
+        "fold_edges": fold_edges,
+        "class_of": class_of,
+        "class_members": class_members,
+        "class_rep": class_rep,
+        "rep_word": rep_word,
+        "rep_stabilizer": rep_stabilizer,
+        "quotient_edges": quotient_edges,
+        "sccs": sccs,
+        "node_one": node_one,
+    }
+
+
+def test_equivariant_build_matches_brute_force(automaton):
+    oracle = _brute_force_build()
+    observed = {name: getattr(automaton, name) for name in oracle}
+    observed["fold_edges"] = [(e.source, e.target, e.e1, e.e0) for e in automaton.fold_edges]
+    for name, want in oracle.items():
+        assert observed[name] == want, name
+    # the class-level adjacency (and so the SCC order) follows edge order
+    assert list(automaton.quotient_edges) == list(oracle["quotient_edges"])
+    # out_folds(i) == [e for e in fold_edges if e.source == i], in one pass
+    by_source = [[] for _ in automaton.nodes]
+    for e in automaton.fold_edges:
+        by_source[e.source].append(e)
+    for i, edges in enumerate(by_source):
+        assert automaton.out_folds(i) == edges
+
+
+def test_graph_class_key_matches_permutation_scan(automaton):
+    entering = {e.source for e in automaton.fold_edges if e.target == automaton.node_one}
+    assert len(entering) == 4
+    for node_id in sorted(entering | {automaton.node_one}):
+        assert _graph_class_key(automaton, node_id) == _scan_graph_class_key(
+            automaton.nodes[node_id][0]
+        )
+
+
+def test_relabel_key_matches_direct_action(automaton):
+    rng = random.Random(13)
+    sigmas = rng.sample(list(signed_permutations(5)), 20)
+    for key in rng.sample(automaton.nodes, 50):
+        for sigma in sigmas:
+            assert relabel_key(key, sigma) == _direct_relabel_key(key, sigma)
+
+
+def test_length_one_loops_match_single_fold_search(automaton):
+    """At rank 3 the single-fold search finds one principal class; so do the
+    length-1 loops of the automaton, counted over whole relabeling orbits."""
+    loops = enumerate_loops(automaton, 1)
+    assert len(loops) == 18
+    principal = []
+    for loop in loops:
+        m = loop_to_map(automaton, loop)
+        if is_irreducible(transition_matrix(m)) and is_principal(
+            m, 3, length_bound=30
+        ).is_principal:
+            principal.append(loop)
+    assert len(principal) == 1
+    node_one_class = automaton.class_of[automaton.node_one]
+    assert automaton.class_of[principal[0].node_ids[0]] == node_one_class
+
+    def orbit(loop):
+        return len(automaton.class_members[automaton.class_of[loop.node_ids[0]]])
+
+    # one loop per (exact node, fold, closing relabeling)
+    assert sum(orbit(lp) for lp in loops) == 26880
+    # one relabeling orbit of principal maps
+    assert sum(orbit(lp) for lp in principal) == 3840

@@ -63,6 +63,9 @@ def test_certify_parse_error(tmp_path):
         ("vertices v0 v0\nedge a = v0 -> v0\n\nmap\na -> a\n", 1, "duplicate vertex 'v0'"),
         ("vertices v0 v1\nedge a = v0 -> v1\nedge a = v1 -> v0\n\nmap\na -> a\n",
          3, "duplicate edge 'a'"),
+        # image that is not a path: its own map line
+        ("vertices v0 v1\nedge a = v0 -> v1\nedge b = v1 -> v0\n\nmap\nb -> b\na -> a a\n",
+         7, "path breaks at a -> a in image of 'a'"),
     ],
 )
 def test_certify_parse_error_line(tmp_path, capsys, text, line, message):
