@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .digraph import strongly_connected_components
+from .digraph import connected_components, strongly_connected_components
 from .folds import FoldSequence, apply_fold, push_permutations, stallings_decompose
 from .graphs import (
     GraphMap,
@@ -40,6 +40,9 @@ from .spectral import transition_matrix
 from .whitehead import (
     LttStructure,
     Relabeling,
+    apply_signed,
+    compose_signed,
+    invert_signed,
     ltt_structure,
     signed_permutations,
 )
@@ -49,23 +52,7 @@ RANK3_EDGE_NAMES = ("a", "b", "c", "d", "e")
 NodeKey = tuple  # (groups, red, turns), all plain nested tuples
 
 
-# -- signed permutation action ------------------------------------------------
-
-
-def apply_signed(sigma: tuple[int, ...], d: int) -> int:
-    return sigma[d - 1] if d > 0 else -sigma[-d - 1]
-
-
-def compose_signed(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply t, then s."""
-    return tuple(s[x - 1] if x > 0 else -s[-x - 1] for x in t)
-
-
-def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(s)
-    for i, x in enumerate(s):
-        out[abs(x) - 1] = (i + 1) if x > 0 else -(i + 1)
-    return tuple(out)
+# -- node keys and the signed permutation action ---------------------------------
 
 
 def _canonical_groups(groups) -> tuple[tuple[int, ...], ...]:
@@ -214,25 +201,12 @@ def enumerate_labeled_graphs(edge_names: tuple[str, ...] = RANK3_EDGE_NAMES):
             counts[v] += 1
         if sorted(counts) != [3, 3, 4]:
             continue
+        if len(connected_components(range(3), ends)) != 1:
+            continue
         groups_raw = {0: [], 1: [], 2: []}
         for i, (u, v) in enumerate(ends):
             groups_raw[u].append(i + 1)
             groups_raw[v].append(-(i + 1))
-        # connectivity over the three vertices
-        adj = {0: set(), 1: set(), 2: set()}
-        for u, v in ends:
-            adj[u].add(v)
-            adj[v].add(u)
-        comp = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        if len(comp) != 3:
-            continue
         key = _canonical_groups(groups_raw.values())
         if key not in seen:
             seen.add(key)
@@ -604,18 +578,15 @@ def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop
         folds.append((e1, e0))
         node_ids.append(automaton.node_index[out])
         key = out
-    closing_candidates = automaton.permutations_between(node_ids[-1], node_ids[0])
-    # The decomposition's own relabeling, pushed through the alphabet match.
+    # The decomposition's own relabeling, pushed through the alphabet match,
+    # must close the walk: it is the one known to recompose to the input, so
+    # no other closing relabeling is tried.
     target_sigma = compose_signed(
         match, compose_signed(seq.final.signed_images, invert_signed(match))
     )
-    if target_sigma in closing_candidates or relabel_key(key, target_sigma) == relabel_key(
-        start_key, match
-    ):
-        return DirectedLoop(tuple(node_ids), tuple(folds), target_sigma)
-    if closing_candidates:
-        return DirectedLoop(tuple(node_ids), tuple(folds), closing_candidates[0])
-    return None
+    if relabel_key(key, target_sigma) != automaton.nodes[node_ids[0]]:
+        return None
+    return DirectedLoop(tuple(node_ids), tuple(folds), target_sigma)
 
 
 # -- analysis of the loop component -------------------------------------------------

@@ -13,11 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .digraph import condensation_reachability, strongly_connected_components
+from .digraph import (
+    condensation_reachability,
+    connected_components,
+    strongly_connected_components,
+)
 from .graphs import (
     GraphMap,
     GraphStructureError,
+    common_prefix_length,
     direction_map,
+    eventual_images,
     is_tight,
     iterate_map,
     make_turn,
@@ -77,20 +83,10 @@ def taken_turn_closure(g: GraphMap) -> TurnClosure:
 
 
 def illegal_turns(g: GraphMap) -> frozenset[tuple[int, int]]:
-    """Nondegenerate turns some power of Dg collapses to a degenerate pair."""
-    if not g.is_self_map:
-        raise GraphStructureError("illegal turns require a self-map")
-    dg = direction_map(g)
-    bound = (2 * g.source.n_edges) ** 2
-    out = set()
-    for turn in g.source.all_turns():
-        d1, d2 = turn
-        for _ in range(bound):
-            d1, d2 = dg[d1], dg[d2]
-            if d1 == d2:
-                out.add(turn)
-                break
-    return frozenset(out)
+    """Nondegenerate turns some power of Dg collapses to a degenerate pair:
+    the pairs of distinct directions in one gate."""
+    image = eventual_images(g)
+    return frozenset(t for t in g.source.all_turns() if image[t[0]] == image[t[1]])
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def is_expanding(g: GraphMap) -> bool:
 def expanding_edges(matrix: IntegerMatrix) -> tuple[int, ...]:
     """Indices of edges with unbounded iterated image length."""
     n = matrix.dimension
-    edges = {i: [j for j in range(n) if matrix.rows[i][j] > 0] for i in range(n)}
+    edges = matrix.adjacency()
     comps = strongly_connected_components(n, edges)
     comp_of, reach = condensation_reachability(n, edges, comps)
     growing = set()
@@ -189,17 +185,6 @@ def default_period_bound(g: GraphMap) -> int:
     return math.lcm(*lengths) if lengths else 1
 
 
-def _strip_common_prefix(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return a[k:], b[k:]
-
-
 def pnp_bounded_search(
     g: GraphMap, length_bound: int = 50, period_bound: int | None = None
 ) -> PnpSearchResult:
@@ -231,7 +216,8 @@ def pnp_bounded_search(
             step += 1
             alpha = tighten_dirs(g.image_of_path(state[0]))
             beta = tighten_dirs(g.image_of_path(state[1]))
-            state = _strip_common_prefix(alpha, beta)
+            k = common_prefix_length(alpha, beta)
+            state = (alpha[k:], beta[k:])
             if not state[0] or not state[1]:
                 break  # one leg swallowed; no candidate at this tip
             if max(len(state[0]), len(state[1])) > length_bound:
@@ -258,24 +244,8 @@ def local_whitehead_connected(g: GraphMap) -> dict[int, bool]:
     closure = taken_turn_closure(g)
     out = {}
     for v in range(g.source.n_vertices):
-        ds = g.source.directions_at(v)
-        adj: dict[int, set[int]] = {d: set() for d in ds}
-        for t in closure.turns:
-            if g.source.initial_vertex(t[0]) == v:
-                adj[t[0]].add(t[1])
-                adj[t[1]].add(t[0])
-        if not ds:
-            out[v] = False
-            continue
-        seen = {ds[0]}
-        frontier = [ds[0]]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        out[v] = len(seen) == len(ds)
+        turns = [t for t in closure.turns if g.source.initial_vertex(t[0]) == v]
+        out[v] = len(connected_components(g.source.directions_at(v), turns)) == 1
     return out
 
 

@@ -18,6 +18,7 @@ from .graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
+    common_prefix_length,
     compose,
     identity_map,
     reverse_path,
@@ -259,7 +260,7 @@ def stallings_decompose(g: GraphMap) -> FoldSequence:
         d1, d2 = pair
         g1 = residual.image_of_direction(d1)
         g2 = residual.image_of_direction(d2)
-        ell = _common_prefix_length(g1, g2)
+        ell = common_prefix_length(g1, g2)
         try:
             if ell == len(g1) == len(g2):
                 e0, e1 = (d1, d2) if abs(d1) < abs(d2) else (d2, d1)
@@ -291,15 +292,6 @@ def _first_foldable_pair(m: GraphMap) -> tuple[int, int] | None:
             if m.image_of_direction(d1)[0] == m.image_of_direction(d2)[0]:
                 return d1, d2
     return None
-
-
-def _common_prefix_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return k
 
 
 def _factor_residual(m: GraphMap, move: FoldMove, ell: int) -> GraphMap:
@@ -341,9 +333,6 @@ def _factor_residual(m: GraphMap, move: FoldMove, ell: int) -> GraphMap:
 
 
 # -- permutation pushing and rotation ----------------------------------------
-
-
-FoldStep = FoldMove  # alias for readability in interleaved paths
 
 
 def _swap_relabeling_fold(rel: Relabeling, move: FoldMove) -> tuple[FoldMove, Relabeling]:

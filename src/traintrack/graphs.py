@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .digraph import connected_components
+
 
 class GraphStructureError(ValueError):
     """A graph, path, or map violates a structural precondition."""
@@ -26,10 +28,6 @@ def reverse(direction: int) -> int:
 def make_turn(d1: int, d2: int) -> tuple[int, int]:
     """Canonical (sorted) form of the unordered pair {d1, d2}."""
     return (d1, d2) if d1 <= d2 else (d2, d1)
-
-
-def is_degenerate(turn: tuple[int, int]) -> bool:
-    return turn[0] == turn[1]
 
 
 @dataclass(frozen=True)
@@ -112,23 +110,7 @@ class OrientedGraph:
     # -- global invariants ---------------------------------------------
 
     def components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n_vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for d in self.directions_at(v):
-                    w = self.terminal_vertex(d)
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
+        return connected_components(range(self.n_vertices), self.ends)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -236,6 +218,16 @@ def tighten_dirs(dirs: tuple[int, ...]) -> tuple[int, ...]:
         else:
             stack.append(d)
     return tuple(stack)
+
+
+def common_prefix_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Number of leading directions two paths share."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
 
 
 def is_tight(dirs: tuple[int, ...]) -> bool:
@@ -383,64 +375,41 @@ def direction_map(g: GraphMap) -> dict[int, int]:
     return {d: g.image_of_direction(d)[0] for d in g.source.directions()}
 
 
+def eventual_images(g: GraphMap) -> dict[int, int]:
+    """Each direction's image under Dg**N, where N is the number of
+    directions and Dg is the direction map.
+
+    Dg is a self-map of a finite set of N directions, so every direction
+    enters a cycle of Dg within N - 1 steps, and Dg**N sends every direction
+    onto a cycle.  Dg permutes the cycle directions, so no power of it
+    identifies two of them.  Hence two directions collapse under some power
+    of Dg exactly when their N-th images are equal, and the N-th images are
+    exactly the periodic directions.
+    """
+    if not g.is_self_map:
+        raise GraphStructureError("direction-map dynamics require a self-map")
+    dg = direction_map(g)
+    images = {d: d for d in dg}
+    for _ in range(len(dg)):
+        images = {d: dg[x] for d, x in images.items()}
+    return images
+
+
 def periodic_directions(g: GraphMap) -> frozenset[int]:
     """Directions lying on cycles of the direction map's functional graph."""
-    if not g.is_self_map:
-        raise GraphStructureError("periodic_directions requires a self-map")
-    dg = direction_map(g)
-    periodic: set[int] = set()
-    for d in g.source.directions():
-        seen = {d}
-        x = d
-        while True:
-            x = dg[x]
-            if x == d:
-                periodic.add(d)
-                break
-            if x in seen:
-                break
-            seen.add(x)
-    return frozenset(periodic)
-
-
-def _pair_collapses(dg: dict[int, int], d1: int, d2: int, bound: int) -> bool:
-    """Whether some iterate of the direction map makes {d1, d2} degenerate."""
-    for _ in range(bound):
-        if d1 == d2:
-            return True
-        d1, d2 = dg[d1], dg[d2]
-    return d1 == d2
+    return frozenset(eventual_images(g).values())
 
 
 def gates(g: GraphMap) -> tuple[frozenset[int], ...]:
     """Partition of directions by the illegal-turn equivalence relation.
 
     Two directions at a vertex are equivalent when some power of the
-    direction map sends them to a degenerate pair.  Orbits of pairs live in
-    a set of size at most ``|directions|**2``, which bounds the iteration.
+    direction map sends them to a degenerate pair, that is, when their
+    eventual images agree.
     """
-    if not g.is_self_map:
-        raise GraphStructureError("gates requires a self-map")
-    ds = g.source.directions()
-    dg = direction_map(g)
-    bound = len(ds) ** 2
-    parent = {d: d for d in ds}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d1, d2 in itertools.combinations(ds, 2):
-        if g.source.initial_vertex(d1) != g.source.initial_vertex(d2):
-            continue
-        if _pair_collapses(dg, d1, d2, bound):
-            parent[find(d1)] = find(d2)
-
-    classes: dict[int, set[int]] = {}
-    for d in ds:
-        classes.setdefault(find(d), set()).add(d)
+    classes: dict[tuple[int, int], set[int]] = {}
+    for d, image in eventual_images(g).items():
+        classes.setdefault((g.source.initial_vertex(d), image), set()).add(d)
     return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
 
 

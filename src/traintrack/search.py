@@ -17,6 +17,7 @@ from functools import lru_cache
 from multiprocessing import Pool
 
 from .certify import is_train_track
+from .digraph import connected_components
 from .folds import apply_fold
 from .graphs import GraphMap, GraphStructureError, OrientedGraph, compose
 from .spectral import (
@@ -101,22 +102,6 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
     return out
 
 
-def _is_connected_edges(m: int, edges) -> bool:
-    adj = {v: set() for v in range(m)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == m
-
-
 def _refine_colors(m: int, edges, initial: list[int]) -> list[int]:
     """Iterated neighborhood refinement of a vertex coloring."""
     mult: dict[tuple[int, int], int] = {}
@@ -198,7 +183,7 @@ def _build_universe_cached(rank: int) -> SearchUniverse:
     degrees = (4,) + (3,) * (m - 1)
     seen = set()
     for edges in _enumerate_degree_graphs(degrees):
-        if not _is_connected_edges(m, edges):
+        if len(connected_components(range(m), edges)) != 1:
             continue
         seen.add(_canonical_multigraph(m, edges))
     graphs = tuple(_graph_from_edges(m, canon) for canon in sorted(seen))
@@ -210,7 +195,7 @@ def trivalent_universe() -> tuple[OrientedGraph, ...]:
     m = 4
     seen = set()
     for edges in _enumerate_degree_graphs((3, 3, 3, 3)):
-        if not _is_connected_edges(m, edges):
+        if len(connected_components(range(m), edges)) != 1:
             continue
         seen.add(_canonical_multigraph(m, edges, fixed=()))
     return tuple(_graph_from_edges(m, canon) for canon in sorted(seen))

@@ -17,6 +17,7 @@ import mpmath
 import sympy
 from mpmath.libmp import NoConvergence
 
+from .digraph import condensation_reachability, strongly_connected_components
 from .graphs import GraphMap, GraphStructureError
 
 
@@ -45,19 +46,6 @@ class IntPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPolynomial":
-        cs = tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        return IntPolynomial(cs if cs else (0,))
-
-    def strip_zero_roots(self) -> tuple["IntPolynomial", int]:
-        """Remove x**k factors; returns (reduced polynomial, k)."""
-        k = 0
-        cs = self.coefficients
-        while cs[0] == 0:
-            cs = cs[1:]
-            k += 1
-        return IntPolynomial(cs), k
 
     def pretty(self) -> str:
         terms = []
@@ -131,8 +119,9 @@ class IntegerMatrix:
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.dimension))
 
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
+    def adjacency(self) -> dict[int, list[int]]:
+        """The digraph of positive entries: i -> j when entry (i, j) > 0."""
+        return {i: [j for j, x in enumerate(row) if x > 0] for i, row in enumerate(self.rows)}
 
 
 def identity_matrix(n: int) -> IntegerMatrix:
@@ -352,41 +341,30 @@ def minimal_polynomial_degree(p: IntPolynomial, root_interval: tuple[Fraction, F
 # -- matrix classification ---------------------------------------------------
 
 
-def _reachability(matrix: IntegerMatrix) -> list[set[int]]:
-    n = matrix.dimension
-    adj = [{j for j in range(n) if matrix.rows[i][j] > 0} for i in range(n)]
-    reach = []
-    for i in range(n):
-        seen = set(adj[i])
-        frontier = list(seen)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        reach.append(seen)
-    return reach
-
-
 def is_irreducible(matrix: IntegerMatrix) -> bool:
-    """Strong connectivity of the positive-entry digraph."""
-    reach = _reachability(matrix)
-    n = matrix.dimension
-    return all(j in reach[i] for i in range(n) for j in range(n))
+    """Strong connectivity of the positive-entry digraph: every index reaches
+    every index, itself included, by a nonempty path.  So a 1x1 matrix is
+    irreducible only when its entry is positive."""
+    edges = matrix.adjacency()
+    components = strongly_connected_components(matrix.dimension, edges)
+    return len(components) <= 1 and all(edges.values())
 
 
 def invariant_edge_set(matrix: IntegerMatrix) -> tuple[int, ...] | None:
     """A nonempty proper index set closed under the digraph, if one exists.
 
-    Witnesses reducibility: rows in the set only reach the set.
+    Witnesses reducibility: rows in the set only reach the set.  The set
+    returned is everything reachable from the first index that does not
+    reach all indices.
     """
-    reach = _reachability(matrix)
     n = matrix.dimension
+    edges = matrix.adjacency()
+    components = strongly_connected_components(n, edges)
+    comp_of, reach = condensation_reachability(n, edges, components)
     for i in range(n):
-        closed = reach[i] | {i}
+        closed = tuple(v for v in range(n) if comp_of[v] in reach[comp_of[i]])
         if len(closed) < n:
-            return tuple(sorted(closed))
+            return closed
     return None
 
 

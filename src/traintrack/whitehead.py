@@ -20,6 +20,7 @@ from .certify import (
     fic_check,
     taken_turn_closure,
 )
+from .digraph import connected_components
 from .graphs import (
     GraphMap,
     GraphStructureError,
@@ -43,26 +44,9 @@ class WhiteheadGraph:
     edges: frozenset[tuple[int, int]]
 
     def components(self) -> list[frozenset[int]]:
-        adj: dict[int, set[int]] = {d: set() for d in self.directions}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        out = []
-        seen: set[int] = set()
-        for d in sorted(self.directions):
-            if d in seen:
-                continue
-            comp = {d}
-            frontier = [d]
-            while frontier:
-                x = frontier.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        return [
+            frozenset(c) for c in connected_components(sorted(self.directions), self.edges)
+        ]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -147,10 +131,6 @@ class PrincipalReport:
     index: Fraction | None
     is_principal: bool
 
-    @property
-    def index_expected(self) -> Fraction:
-        return Fraction(3, 2) - (self.triangle_count_expected + 3) // 2
-
 
 def is_principal(
     g: GraphMap, rank: int | None = None, length_bound: int = 50, period_bound: int | None = None
@@ -198,10 +178,6 @@ class LttStructure:
                 raise GraphStructureError("turn directions at different vertices")
 
     @property
-    def purple_vertices(self) -> frozenset[int]:
-        return frozenset(self.graph.directions()) - self.red_vertices
-
-    @property
     def purple_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(
             t for t in self.turns if t[0] not in self.red_vertices and t[1] not in self.red_vertices
@@ -210,11 +186,6 @@ class LttStructure:
     @property
     def red_edges(self) -> frozenset[tuple[int, int]]:
         return self.turns - self.purple_edges
-
-    def stable_component_at(self, vertex: int) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
-        ds = frozenset(self.graph.directions_at(vertex)) - self.red_vertices
-        edges = frozenset(t for t in self.purple_edges if t[0] in ds)
-        return ds, edges
 
     def exact_key(self):
         """Identity up to label-preserving isomorphism: the grouping of
@@ -238,7 +209,32 @@ def ltt_structure(g: GraphMap) -> LttStructure:
     return LttStructure(g.source, red, frozenset(closure.turns))
 
 
-# -- relabelings -------------------------------------------------------------
+# -- signed permutations and relabelings ---------------------------------------
+
+
+def signed_permutations(n: int):
+    """All signed permutations of n labels (2**n n! of them)."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(p * s for p, s in zip(perm, signs))
+
+
+def apply_signed(sigma: tuple[int, ...], d: int) -> int:
+    """The direction ``sigma`` sends ``d`` to; ``sigma[i]`` is the signed
+    image of edge ``i``, and reversal commutes with the action."""
+    return sigma[d - 1] if d > 0 else -sigma[-d - 1]
+
+
+def compose_signed(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply t, then s."""
+    return tuple(s[x - 1] if x > 0 else -s[-x - 1] for x in t)
+
+
+def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(s)
+    for i, x in enumerate(s):
+        out[abs(x) - 1] = (i + 1) if x > 0 else -(i + 1)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -280,8 +276,7 @@ class Relabeling:
         return tuple(assignment[v] for v in range(self.source.n_vertices))
 
     def apply_direction(self, d: int) -> int:
-        s = self.signed_images[abs(d) - 1]
-        return s if d > 0 else -s
+        return apply_signed(self.signed_images, d)
 
     def apply_turn(self, t: tuple[int, int]) -> tuple[int, int]:
         return make_turn(self.apply_direction(t[0]), self.apply_direction(t[1]))
@@ -298,19 +293,14 @@ class Relabeling:
         )
 
     def inverse(self) -> "Relabeling":
-        inv = [0] * self.source.n_edges
-        for i, s in enumerate(self.signed_images):
-            inv[abs(s) - 1] = (i + 1) if s > 0 else -(i + 1)
-        return Relabeling(self.target, self.source, tuple(inv))
+        return Relabeling(self.target, self.source, invert_signed(self.signed_images))
 
     def after(self, other: "Relabeling") -> "Relabeling":
         """The composite self∘other."""
         if other.target != self.source:
             raise GraphStructureError("relabelings do not compose")
         return Relabeling(
-            other.source,
-            self.target,
-            tuple(self.apply_direction(s) for s in other.signed_images),
+            other.source, self.target, compose_signed(self.signed_images, other.signed_images)
         )
 
     def is_permutation(self) -> bool:
@@ -336,12 +326,10 @@ def relabeled_graph(graph: OrientedGraph, sigma: tuple[int, ...]) -> OrientedGra
     ``sigma[i]`` is the signed new index of old edge ``i``: the edge that was
     labeled i now carries label abs(sigma[i]) - 1, reversed when negative.
     """
-    n = graph.n_edges
-    ends = [None] * n
-    for i, s in enumerate(sigma):
-        u, v = graph.ends[i]
-        ends[abs(s) - 1] = (u, v) if s > 0 else (v, u)
-    return OrientedGraph(graph.vertex_names, graph.edge_names, tuple(ends))
+    ends = tuple(
+        (graph.initial_vertex(d), graph.terminal_vertex(d)) for d in invert_signed(sigma)
+    )
+    return OrientedGraph(graph.vertex_names, graph.edge_names, ends)
 
 
 def relabeling_map(graph: OrientedGraph, sigma: tuple[int, ...]) -> Relabeling:
@@ -366,13 +354,6 @@ def relabel_map(g: GraphMap, sigma: tuple[int, ...]) -> GraphMap:
     return compose(rel.as_graph_map(), compose(g, rel.inverse().as_graph_map()))
 
 
-def signed_permutations(n: int):
-    """All signed permutations of n labels (2**n n! of them)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(p * s for p, s in zip(perm, signs))
-
-
 def ltt_isomorphic(
     g1: LttStructure, g2: LttStructure, upto: str = "exact"
 ) -> tuple[int, ...] | None:
@@ -394,9 +375,7 @@ def ltt_isomorphic(
         return None
     key2 = g2.exact_key()
     for sigma in signed_permutations(n):
-        rel_red = frozenset(
-            (sigma[d - 1] if d > 0 else -sigma[-d - 1]) for d in g1.red_vertices
-        )
+        rel_red = frozenset(apply_signed(sigma, d) for d in g1.red_vertices)
         if rel_red != g2.red_vertices:
             continue
         if relabel_structure(g1, sigma).exact_key() == key2:

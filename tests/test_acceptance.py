@@ -27,7 +27,11 @@ from traintrack.folds import (
 from traintrack.graphs import iterate_map, make_turn, periodic_directions
 from traintrack.mapdoc import parse_map_document
 from traintrack.reports import certify_map
-from traintrack.search import single_fold_search, verify_minimal_stretch_argument
+from traintrack.search import (
+    _conjugate_by_relabeling,
+    single_fold_search,
+    verify_minimal_stretch_argument,
+)
 from traintrack.spectral import char_poly, is_irreducible, transition_matrix
 from traintrack.whitehead import ideal_whitehead, is_principal
 
@@ -127,6 +131,7 @@ def test_criterion_4_automaton_soundness(automaton, gmap):
     loop = decomposition_to_loop(automaton, seq)
     assert loop is not None
     assert loop_to_map(automaton, loop).edge_images == gmap.edge_images
+    assert _conjugate_by_relabeling(loop_to_map(automaton, loop), gmap)
 
     # (ii) exactly one class-level component contains directed loops, and it
     # carries a loop composing to a map passing the full irreducibility

@@ -8,15 +8,12 @@ from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     _graph_class_key,
     _group_generators,
-    apply_signed,
-    compose_signed,
     decomposition_to_loop,
     enumerate_labeled_graphs,
     enumerate_loops,
     enumerate_nodes,
     fold_candidates,
     graph_from_groups,
-    invert_signed,
     key_from_structure,
     loop_to_map,
     node_one_analysis,
@@ -28,16 +25,30 @@ from traintrack.automaton import (
 from traintrack.catalog import single_fold_map
 from traintrack.certify import taken_turn_closure
 from traintrack.digraph import strongly_connected_components
-from traintrack.folds import stallings_decompose
+from traintrack.folds import compose_power, rotate, stallings_decompose
 from traintrack.graphs import periodic_directions
+from traintrack.search import _conjugate_by_relabeling
 from traintrack.spectral import is_irreducible, transition_matrix
-from traintrack.whitehead import is_principal, ltt_structure, signed_permutations
+from traintrack.whitehead import (
+    apply_signed,
+    compose_signed,
+    invert_signed,
+    is_principal,
+    ltt_structure,
+    signed_permutations,
+)
 
 # frozen counts from the enumeration, cross-checked by the orbit sums below
 GOLDEN_LABELED_GRAPHS = 2000
 GOLDEN_NODES = 24000
 GOLDEN_FOLD_EDGES = 86400
 GOLDEN_CLASSES = 17
+
+
+def _assert_recomposes(automaton, loop, g):
+    """The loop composes to the decomposed map, up to relabeling conjugacy."""
+    assert loop is not None
+    assert _conjugate_by_relabeling(loop_to_map(automaton, loop), g)
 
 
 def test_enumeration_counts(automaton):
@@ -85,7 +96,7 @@ def test_transport_matches_direct_computation_on_reference(automaton, gmap):
     # one fold around the reference loop equals the structure of the rotated map
     seq = stallings_decompose(gmap)
     loop = decomposition_to_loop(automaton, seq)
-    assert loop is not None
+    _assert_recomposes(automaton, loop, gmap)
     key0 = automaton.nodes[loop.node_ids[0]]
     out = transport(key0, *loop.folds[0])
     assert out == automaton.nodes[loop.node_ids[1]]
@@ -116,16 +127,28 @@ def test_single_loop_component(automaton):
 def test_reference_loop_roundtrip(automaton, gmap):
     seq = stallings_decompose(gmap)
     loop = decomposition_to_loop(automaton, seq)
-    assert loop is not None
+    _assert_recomposes(automaton, loop, gmap)
     assert len(loop.folds) == 1
     rebuilt = loop_to_map(automaton, loop)
     assert rebuilt.edge_images == gmap.edge_images
     assert rebuilt.source.edge_names == gmap.source.edge_names
 
 
+def test_power_decompositions_locate_recomposing_loops(automaton, gmap):
+    seq = stallings_decompose(gmap)
+    for power in (1, 2, 3):
+        powered = compose_power(seq, power)
+        for j in range(len(powered) + 1):
+            rotated = rotate(powered, j)
+            loop = decomposition_to_loop(automaton, rotated)
+            _assert_recomposes(automaton, loop, rotated.composed_map())
+            assert len(loop.folds) == power
+
+
 def test_loop_rotation_is_sound(automaton, gmap):
     seq = stallings_decompose(gmap)
     loop = decomposition_to_loop(automaton, seq)
+    _assert_recomposes(automaton, loop, gmap)
     rotated = rotate_loop(automaton, loop)
     m = loop_to_map(automaton, rotated)
     assert is_irreducible(transition_matrix(m))

@@ -1,0 +1,56 @@
+from __future__ import annotations
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from traintrack.digraph import connected_components
+from traintrack.graphs import OrientedGraph
+from traintrack.whitehead import WhiteheadGraph
+
+
+@st.composite
+def _vertex_lists_and_edges(draw):
+    vertices = draw(st.lists(st.integers(-6, 6), unique=True, max_size=9))
+    if not vertices:
+        return vertices, []
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    return vertices, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vertex_lists_and_edges())
+def test_components_match_networkx(case):
+    vertices, edges = case
+    g = nx.MultiGraph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    components = connected_components(vertices, edges)
+    assert sorted(map(sorted, components)) == sorted(map(sorted, nx.connected_components(g)))
+    # ordered by first vertex in the given vertex order
+    firsts = [min(c, key=vertices.index) for c in components]
+    assert firsts == sorted(firsts, key=vertices.index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=8)
+    .map(lambda ends: (m, ends))
+))
+def test_graph_and_whitehead_components_match_networkx(case):
+    m, ends = case
+    graph = OrientedGraph(
+        tuple(f"v{i}" for i in range(m)), tuple(f"e{i}" for i in range(len(ends))), tuple(ends)
+    )
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(m))
+    g.add_edges_from(ends)
+    want = sorted(map(sorted, nx.connected_components(g)))
+    assert sorted(map(sorted, graph.components())) == want
+    assert graph.is_connected() == (len(want) <= 1)
+    # the same pattern read as a Whitehead graph on directions 1..m
+    wg = WhiteheadGraph(
+        "local", 0, frozenset(range(1, m + 1)), frozenset((u + 1, v + 1) for u, v in ends)
+    )
+    assert sorted(map(sorted, wg.components())) == [[v + 1 for v in c] for c in want]

@@ -185,7 +185,7 @@ def test_compose_power_order_of_relabeling(gmap):
     # with the identity relabeling
     seq = stallings_decompose(gmap)
     sigma = seq.final.signed_images
-    from traintrack.automaton import compose_signed
+    from traintrack.whitehead import compose_signed
 
     acc = sigma
     order = 1

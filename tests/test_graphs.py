@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traintrack.catalog import rose_graph, single_fold_graph
+from traintrack.certify import illegal_turns
+from traintrack.folds import apply_fold
 from traintrack.graphs import (
     GraphMap,
     GraphStructureError,
+    OrientedGraph,
     compose,
     direction_map,
     gates,
@@ -20,6 +26,7 @@ from traintrack.graphs import (
     suppress_bivalent_map,
     tighten,
 )
+from traintrack.search import build_universe, graph_isomorphisms
 
 
 def random_tight_path(graph, rng, max_len=8):
@@ -218,3 +225,127 @@ def test_suppress_bivalent_map_conjugates():
     assert smoothed.source.n_edges == 2
     # the merged petal maps over itself then the other petal
     assert smoothed.edge_images == ((1, 2), (2,))
+
+
+# -- direction-map dynamics against the direct computations they replaced -----
+
+
+def _walk_periodic_directions(g):
+    """Directions that return to themselves along the direction map."""
+    dg = direction_map(g)
+    periodic = set()
+    for d in g.source.directions():
+        seen = {d}
+        x = d
+        while True:
+            x = dg[x]
+            if x == d:
+                periodic.add(d)
+                break
+            if x in seen:
+                break
+            seen.add(x)
+    return frozenset(periodic)
+
+
+def _collapses_within(dg, d1, d2, bound):
+    for _ in range(bound):
+        if d1 == d2:
+            return True
+        d1, d2 = dg[d1], dg[d2]
+    return d1 == d2
+
+
+def _union_find_gates(g):
+    """Union-find over the same-vertex pairs that some iterate of the
+    direction map collapses, with iterates bounded by |directions|**2."""
+    ds = g.source.directions()
+    dg = direction_map(g)
+    bound = len(ds) ** 2
+    parent = {d: d for d in ds}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for d1, d2 in itertools.combinations(ds, 2):
+        if g.source.initial_vertex(d1) != g.source.initial_vertex(d2):
+            continue
+        if _collapses_within(dg, d1, d2, bound):
+            parent[find(d1)] = find(d2)
+    classes = {}
+    for d in ds:
+        classes.setdefault(find(d), set()).add(d)
+    return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
+
+
+def _iterated_illegal_turns(g):
+    """Turns whose two directions meet within (2n)**2 steps of Dg."""
+    dg = direction_map(g)
+    bound = (2 * g.source.n_edges) ** 2
+    out = set()
+    for turn in g.source.all_turns():
+        d1, d2 = turn
+        for _ in range(bound):
+            d1, d2 = dg[d1], dg[d2]
+            if d1 == d2:
+                out.add(turn)
+                break
+    return frozenset(out)
+
+
+def _assert_dynamics_match(g):
+    assert periodic_directions(g) == _walk_periodic_directions(g)
+    # equal tuples: the same gates in the same order
+    assert gates(g) == _union_find_gates(g)
+    assert illegal_turns(g) == _iterated_illegal_turns(g)
+
+
+def _single_fold_candidates(rank):
+    """Every (proper full fold at the valence-4 vertex, isomorphism back)
+    map of the single-fold search at this rank."""
+    for graph in build_universe(rank).graphs:
+        v4 = max(range(graph.n_vertices), key=graph.valence)
+        for e1, e0 in itertools.permutations(graph.directions_at(v4), 2):
+            if abs(e1) == abs(e0):
+                continue
+            move = apply_fold(graph, e1, e0, "proper_full")
+            for sigma in graph_isomorphisms(move.target, graph):
+                yield compose(sigma.as_graph_map(), move.map)
+
+
+def test_dynamics_match_direct_computation_on_single_fold_candidates():
+    count = 0
+    for rank in (3, 4):
+        for h in _single_fold_candidates(rank):
+            _assert_dynamics_match(h)
+            count += 1
+    assert count == 260 + 1424
+
+
+def test_dynamics_match_direct_computation_on_fixtures(gmap, psi, doubling_control, block_map):
+    rose = rose_graph(("x", "y", "z"))
+    collapse = GraphMap(rose, rose, (0,), ((2,), (1,), (1,)))
+    # directions at both vertices reach the loop x: the gates still split
+    # by vertex
+    barbell = OrientedGraph(("p", "q"), ("x", "y", "z"), ((0, 0), (0, 1), (1, 1)))
+    squash = GraphMap(barbell, barbell, (0, 0), ((1,), (1,), (1, 1)))
+    assert len(gates(squash)) == 4
+    for g in (gmap, psi, doubling_control, block_map, collapse, squash):
+        _assert_dynamics_match(g)
+        _assert_dynamics_match(identity_map(g.source))
+        _assert_dynamics_match(iterate_map(g, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dynamics_match_direct_computation_on_random_rose_maps(data):
+    n = data.draw(st.integers(1, 4))
+    rose = rose_graph(tuple("abcd"[:n]))
+    letters = st.sampled_from(rose.directions())
+    images = tuple(
+        tuple(data.draw(st.lists(letters, min_size=1, max_size=3))) for _ in range(n)
+    )
+    _assert_dynamics_match(GraphMap(rose, rose, (0,), images))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traintrack.graphs import identity_map
 from traintrack.spectral import (
@@ -203,3 +205,78 @@ def test_stretch_factors_in_search_are_perron(gmap):
     for report in summary.survivors:
         spectral = classify_matrix(transition_matrix(report.map))
         assert spectral.perron_number is not None and spectral.perron_number.is_perron
+
+
+# -- reachability against the per-index search it replaced ---------------------
+
+
+def _per_index_reach(matrix):
+    """Indices reachable from each index by a nonempty path, one search per
+    index."""
+    n = matrix.dimension
+    adj = [{j for j in range(n) if matrix.rows[i][j] > 0} for i in range(n)]
+    reach = []
+    for i in range(n):
+        seen = set(adj[i])
+        frontier = list(seen)
+        while frontier:
+            v = frontier.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        reach.append(seen)
+    return reach
+
+
+def _reach_is_irreducible(matrix):
+    reach = _per_index_reach(matrix)
+    n = matrix.dimension
+    return all(j in reach[i] for i in range(n) for j in range(n))
+
+
+def _reach_invariant_edge_set(matrix):
+    reach = _per_index_reach(matrix)
+    n = matrix.dimension
+    for i in range(n):
+        closed = reach[i] | {i}
+        if len(closed) < n:
+            return tuple(sorted(closed))
+    return None
+
+
+def _assert_reachability_matches(matrix):
+    assert is_irreducible(matrix) == _reach_is_irreducible(matrix)
+    assert invariant_edge_set(matrix) == _reach_invariant_edge_set(matrix)
+
+
+@st.composite
+def _nonnegative_matrices(draw):
+    n = draw(st.integers(1, 7))
+    # sparse entries, so reducible and irreducible patterns both occur
+    entry = st.sampled_from((0, 0, 0, 1, 2))
+    return IntegerMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nonnegative_matrices())
+def test_reachability_matches_per_index_search(matrix):
+    _assert_reachability_matches(matrix)
+
+
+def test_reachability_edge_cases(gmap, psi, block_map):
+    # a single strongly connected component without a cycle is reducible
+    zero = IntegerMatrix(((0,),))
+    assert not is_irreducible(zero)
+    assert invariant_edge_set(zero) is None
+    assert is_irreducible(IntegerMatrix(((3,),)))
+    for matrix in (
+        zero,
+        IntegerMatrix(((0, 1), (0, 0))),
+        IntegerMatrix(((0, 1), (1, 0))),
+        identity_matrix(4),
+        transition_matrix(gmap),
+        transition_matrix(psi),
+        transition_matrix(block_map),
+    ):
+        _assert_reachability_matches(matrix)

@@ -17,6 +17,7 @@ from traintrack.whitehead import (
     ltt_to_dot,
     relabel_map,
     relabel_structure,
+    relabeled_graph,
     relabeling_map,
     signed_permutations,
     stable_whitehead,
@@ -134,7 +135,7 @@ def test_relabel_equivariance(gmap):
 
 
 def test_relabel_action_property(gmap):
-    from traintrack.automaton import compose_signed
+    from traintrack.whitehead import compose_signed
 
     s = ltt_structure(gmap)
     rng = random.Random(7)
@@ -143,6 +144,30 @@ def test_relabel_action_property(gmap):
         combined = relabel_structure(s, compose_signed(sig, tau))
         stepwise = relabel_structure(relabel_structure(s, tau), sig)
         assert combined.exact_key() == stepwise.exact_key()
+
+
+def test_relabelings_match_direct_definitions(gmap):
+    """Relabeling arithmetic against its edge-by-edge definitions."""
+    graph = gmap.source
+    rng = random.Random(17)
+    for sigma, tau in zip(rng.sample(ALL_SIGMAS, 20), rng.sample(ALL_SIGMAS, 20)):
+        ends = [None] * graph.n_edges
+        for i, s in enumerate(sigma):
+            u, v = graph.ends[i]
+            ends[abs(s) - 1] = (u, v) if s > 0 else (v, u)
+        assert relabeled_graph(graph, sigma).ends == tuple(ends)
+        rel = relabeling_map(graph, sigma)
+        for d in graph.directions():
+            image = rel.signed_images[abs(d) - 1]
+            assert rel.apply_direction(d) == (image if d > 0 else -image)
+            assert rel.inverse().apply_direction(rel.apply_direction(d)) == d
+        # tau after sigma, both as relabelings out of the relabeled graphs
+        rel2 = relabeling_map(rel.target, tau)
+        composite = rel2.after(rel)
+        assert composite.signed_images == tuple(
+            rel2.apply_direction(s) for s in rel.signed_images
+        )
+        assert composite.as_graph_map() == compose(rel2.as_graph_map(), rel.as_graph_map())
 
 
 def test_relabel_functorial_on_maps(gmap):
