@@ -29,12 +29,15 @@ from .spectral import (
 )
 from .certify import (
     FicReport,
+    MapAnalysis,
     PnpSearchResult,
     TtCertificate,
+    WhiteheadGraph,
     fic_check,
     illegal_turns,
     is_expanding,
     is_train_track,
+    local_whitehead,
     pnp_bounded_search,
     taken_turn_closure,
 )
@@ -42,10 +45,8 @@ from .whitehead import (
     IdealWhiteheadGraph,
     LttStructure,
     Relabeling,
-    WhiteheadGraph,
     ideal_whitehead,
     is_principal,
-    local_whitehead,
     ltt_isomorphic,
     ltt_structure,
     relabel_map,

@@ -37,6 +37,7 @@ from .graphs import (
     suppress_bivalent_map,
 )
 from .spectral import transition_matrix
+from .certify import MapAnalysis
 from .whitehead import (
     LttStructure,
     Relabeling,
@@ -416,7 +417,7 @@ def build_automaton(rank: int = 3, reference: GraphMap | None = None) -> Automat
         from .catalog import single_fold_map
 
         reference = single_fold_map()
-    ref_key = key_from_structure(ltt_structure(reference))
+    ref_key = key_from_structure(ltt_structure(MapAnalysis(reference)))
     node_one = node_index.get(ref_key)
     if node_one is None:
         raise GraphStructureError("reference structure is not an automaton node")
@@ -553,40 +554,26 @@ def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop
     if any(move.kind != "proper_full" for move in seq.moves):
         return None
     try:
-        start_structure = ltt_structure(seq.composed_map())
-        start_key = key_from_structure(start_structure)
+        start_key = key_from_structure(ltt_structure(MapAnalysis(seq.composed_map())))
     except GraphStructureError:
         return None
-    # Map the sequence's labels onto the automaton alphabet.
-    match = None
-    for sigma in signed_permutations(base.n_edges):
-        cand = relabel_key(start_key, sigma)
-        if cand in automaton.node_index:
-            match = sigma
-            break
-    if match is None:
+    # The node set is closed under relabeling, so when no node carries the
+    # sequence's own labels, no relabeling of them is a node either.
+    if start_key not in automaton.node_index:
         return None
-    node_ids = [automaton.node_index[relabel_key(start_key, match)]]
-    folds = []
-    key = relabel_key(start_key, match)
+    node_ids = [automaton.node_index[start_key]]
+    key = start_key
     for move in seq.moves:
-        e1 = apply_signed(match, move.e1)
-        e0 = apply_signed(match, move.e0)
-        out = transport(key, e1, e0)
-        if out is None or out not in automaton.node_index:
+        key = transport(key, move.e1, move.e0)
+        if key is None or key not in automaton.node_index:
             return None
-        folds.append((e1, e0))
-        node_ids.append(automaton.node_index[out])
-        key = out
-    # The decomposition's own relabeling, pushed through the alphabet match,
-    # must close the walk: it is the one known to recompose to the input, so
-    # no other closing relabeling is tried.
-    target_sigma = compose_signed(
-        match, compose_signed(seq.final.signed_images, invert_signed(match))
-    )
-    if relabel_key(key, target_sigma) != automaton.nodes[node_ids[0]]:
+        node_ids.append(automaton.node_index[key])
+    # The decomposition's own relabeling must close the walk: it is the one
+    # known to recompose to the input, so no other closing relabeling is tried.
+    closing = seq.final.signed_images
+    if relabel_key(key, closing) != start_key:
         return None
-    return DirectedLoop(tuple(node_ids), tuple(folds), target_sigma)
+    return DirectedLoop(tuple(node_ids), tuple((m.e1, m.e0) for m in seq.moves), closing)
 
 
 # -- analysis of the loop component -------------------------------------------------

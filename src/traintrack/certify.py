@@ -4,14 +4,16 @@ A self-map is a train track map when every power is tight, which for tight
 edge images reduces to a finite check: close the set of turns taken inside
 edge images under the direction map and intersect with the illegal turns.
 This module also houses the expanding test, a bounded search for periodic
-Nielsen paths, and the full-irreducibility criterion that combines them with
-the spectral classification and local Whitehead connectivity.
+Nielsen paths, local Whitehead graphs, and the full-irreducibility criterion
+that combines them with the spectral classification.  ``MapAnalysis`` holds
+one map's certificates, each derived once, for every step that reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .digraph import (
     condensation_reachability,
@@ -34,6 +36,7 @@ from .graphs import (
 )
 from .spectral import (
     IntegerMatrix,
+    SpectralReport,
     classify_matrix,
     invariant_edge_set,
     transition_matrix,
@@ -149,6 +152,57 @@ def expanding_edges(matrix: IntegerMatrix) -> tuple[int, ...]:
     )
 
 
+# -- the per-map analysis ------------------------------------------------------
+
+
+class MapAnalysis:
+    """A self-map and its certificates, each computed the first time it is
+    read and kept.
+
+    ``tt``, ``matrix``, ``spectral``, ``expanding``, ``periodic``, ``pnp``
+    and ``fic`` are the results of ``is_train_track``, ``transition_matrix``,
+    ``classify_matrix``, ``is_expanding``, ``periodic_directions``,
+    ``pnp_bounded_search`` and ``fic_check``.  Every step after the train
+    track certificate takes the analysis, so a map is certified once however
+    many steps ask.  ``length_bound`` and ``period_bound`` bound the
+    periodic-Nielsen-path search; a period bound of None means
+    :func:`default_period_bound`.
+    """
+
+    def __init__(self, g: GraphMap, length_bound: int = 50, period_bound: int | None = None):
+        self.map = g
+        self.length_bound = length_bound
+        self.period_bound = period_bound
+
+    @cached_property
+    def tt(self) -> TtCertificate:
+        return is_train_track(self.map)
+
+    @cached_property
+    def matrix(self) -> IntegerMatrix:
+        return transition_matrix(self.map)
+
+    @cached_property
+    def spectral(self) -> SpectralReport:
+        return classify_matrix(self.matrix)
+
+    @cached_property
+    def expanding(self) -> bool:
+        return is_expanding(self.map)
+
+    @cached_property
+    def periodic(self) -> frozenset[int]:
+        return periodic_directions(self.map)
+
+    @cached_property
+    def pnp(self) -> PnpSearchResult:
+        return pnp_bounded_search(self)
+
+    @cached_property
+    def fic(self) -> FicReport:
+        return fic_check(self)
+
+
 # -- bounded periodic-Nielsen-path search -----------------------------------
 
 
@@ -185,10 +239,8 @@ def default_period_bound(g: GraphMap) -> int:
     return math.lcm(*lengths) if lengths else 1
 
 
-def pnp_bounded_search(
-    g: GraphMap, length_bound: int = 50, period_bound: int | None = None
-) -> PnpSearchResult:
-    """Search for a periodic Nielsen path up to explicit bounds.
+def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
+    """Search for a periodic Nielsen path up to the analysis's bounds.
 
     Candidates have the form reverse(alpha) . beta with both legs tight,
     meeting at an illegal turn.  For each illegal tip, the pair of legs is
@@ -198,17 +250,15 @@ def pnp_bounded_search(
     length bound, a swallowed leg, or an over-long period stop the tip.
 
     A "none-up-to-bound" verdict is not a proof of absence; the bounds used
-    are part of the result.
+    are part of the result.  The map must be an expanding train track map.
     """
-    tt = is_train_track(g)
-    if not tt.is_train_track:
-        raise GraphStructureError("periodic path search requires a train track map")
-    if not is_expanding(g):
-        raise GraphStructureError("periodic path search requires an expanding map")
+    if not (a.tt.is_train_track and a.expanding):
+        raise GraphStructureError("periodic path search requires an expanding train track map")
+    g, length_bound, period_bound = a.map, a.length_bound, a.period_bound
     if period_bound is None:
         period_bound = default_period_bound(g)
 
-    for tip in sorted(tt.illegal):
+    for tip in sorted(a.tt.illegal):
         state = ((tip[0],), (tip[1],))
         seen: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {state: 0}
         step = 0
@@ -239,14 +289,38 @@ def pnp_bounded_search(
 # -- full irreducibility criterion -------------------------------------------
 
 
-def local_whitehead_connected(g: GraphMap) -> dict[int, bool]:
-    """Connectivity of the turn graph on the directions at each vertex."""
-    closure = taken_turn_closure(g)
-    out = {}
-    for v in range(g.source.n_vertices):
-        turns = [t for t in closure.turns if g.source.initial_vertex(t[0]) == v]
-        out[v] = len(connected_components(g.source.directions_at(v), turns)) == 1
-    return out
+@dataclass(frozen=True)
+class WhiteheadGraph:
+    """Turn-incidence graph at a vertex; ``kind`` is "local" or "stable"."""
+
+    kind: str
+    vertex: int
+    directions: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+    def components(self) -> list[frozenset[int]]:
+        return [
+            frozenset(c) for c in connected_components(sorted(self.directions), self.edges)
+        ]
+
+    def is_connected(self) -> bool:
+        return len(self.components()) <= 1
+
+    def is_triangle(self) -> bool:
+        return len(self.directions) == 3 and len(self.edges) == 3
+
+
+def local_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
+    """One vertex per direction at ``vertex``; edges are the turns taken by
+    some power of the train track map."""
+    graph = a.map.source
+    if not (0 <= vertex < graph.n_vertices):
+        raise GraphStructureError("unknown vertex")
+    if not a.tt.is_train_track:
+        raise GraphStructureError("local Whitehead graph requires a train track map")
+    ds = frozenset(graph.directions_at(vertex))
+    edges = frozenset(t for t in a.tt.closure.turns if t[0] in ds)
+    return WhiteheadGraph("local", vertex, ds, edges)
 
 
 @dataclass(frozen=True)
@@ -273,30 +347,25 @@ class FicReport:
         )
 
 
-def fic_check(
-    g: GraphMap, length_bound: int = 50, period_bound: int | None = None
-) -> FicReport:
+def fic_check(a: MapAnalysis) -> FicReport:
     """Bounded-PNP-clean, irreducible, PF, and connected local Whitehead
-    graphs; each conjunct reported separately, failures enumerated."""
-    tt = is_train_track(g)
-    pnp = None
-    pnp_clean = False
-    if tt.is_train_track:
-        try:
-            pnp = pnp_bounded_search(g, length_bound, period_bound)
-            pnp_clean = pnp.clean
-        except GraphStructureError:
-            pnp = None
-    matrix = transition_matrix(g)
-    report = classify_matrix(matrix)
-    by_vertex = local_whitehead_connected(g) if tt.is_train_track else {}
+    graphs; each conjunct reported separately, failures enumerated.  The
+    search runs on expanding train track maps only."""
+    train_track = a.tt.is_train_track
+    pnp = a.pnp if train_track and a.expanding else None
+    spectral = a.spectral
+    by_vertex = (
+        {v: local_whitehead(a, v).is_connected() for v in range(a.map.source.n_vertices)}
+        if train_track
+        else {}
+    )
     return FicReport(
-        train_track=tt.is_train_track,
-        pnp_clean=pnp_clean,
+        train_track=train_track,
+        pnp_clean=pnp is not None and pnp.clean,
         pnp=pnp,
-        irreducible=report.irreducible,
-        perron_frobenius=report.perron_frobenius,
+        irreducible=spectral.irreducible,
+        perron_frobenius=spectral.perron_frobenius,
         whitehead_connected=bool(by_vertex) and all(by_vertex.values()),
         whitehead_by_vertex=by_vertex,
-        invariant_edges=None if report.irreducible else invariant_edge_set(matrix),
+        invariant_edges=None if spectral.irreducible else invariant_edge_set(a.matrix),
     )

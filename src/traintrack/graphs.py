@@ -20,11 +20,6 @@ class GraphStructureError(ValueError):
     """A graph, path, or map violates a structural precondition."""
 
 
-def reverse(direction: int) -> int:
-    """The opposite direction of the same edge."""
-    return -direction
-
-
 def make_turn(d1: int, d2: int) -> tuple[int, int]:
     """Canonical (sorted) form of the unordered pair {d1, d2}."""
     return (d1, d2) if d1 <= d2 else (d2, d1)
@@ -35,10 +30,7 @@ class OrientedGraph:
     """A finite connected multigraph with positively oriented edges.
 
     ``ends[i]`` records (initial vertex index, terminal vertex index) of edge
-    ``i``.  Loops (equal endpoints) and parallel edges are allowed.  Validity
-    beyond index ranges (connectivity, minimum valence) is checked on demand
-    by :meth:`validate`, not at construction, because intermediate graphs of
-    subdivided folds legitimately carry valence-2 vertices.
+    ``i``.  Loops (equal endpoints) and parallel edges are allowed.
     """
 
     vertex_names: tuple[str, ...]
@@ -121,20 +113,6 @@ class OrientedGraph:
     def rank(self) -> int:
         """First betti number, summed over components."""
         return self.n_edges - self.n_vertices + len(self.components())
-
-    def validate(self, min_valence: int = 3) -> None:
-        """Reject disconnected graphs and low-valence vertices.
-
-        Pass ``min_valence=2`` (or lower) for intermediate graphs produced by
-        subdivided folds.
-        """
-        if not self.is_connected():
-            raise GraphStructureError("graph is not connected")
-        for v in range(self.n_vertices):
-            if self.valence(v) < min_valence:
-                raise GraphStructureError(
-                    f"vertex {self.vertex_names[v]} has valence {self.valence(v)} < {min_valence}"
-                )
 
     def turns_at(self, vertex: int) -> list[tuple[int, int]]:
         """All nondegenerate turns based at a vertex."""

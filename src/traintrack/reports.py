@@ -9,16 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import (
-    PnpSearchResult,
-    TtCertificate,
-    is_expanding,
-    is_train_track,
-    pnp_bounded_search,
-)
+from .certify import MapAnalysis, PnpSearchResult, TtCertificate
 from .folds import FoldSequence
 from .graphs import GraphMap, gates
-from .spectral import SpectralReport, classify_matrix, transition_matrix
+from .spectral import SpectralReport
 from .whitehead import PrincipalReport, is_principal
 
 SCHEMA_VERSION = "1"
@@ -48,24 +42,18 @@ class CertifyReport:
 def certify_map(
     g: GraphMap, length_bound: int = 50, period_bound: int | None = None
 ) -> CertifyReport:
-    """Run the whole pipeline on a self-map."""
-    tt = is_train_track(g)
-    expanding = tt.is_train_track and is_expanding(g)
-    spectral = classify_matrix(transition_matrix(g)) if g.is_self_map else None
-    pnp = None
-    if tt.is_train_track and expanding:
-        pnp = pnp_bounded_search(g, length_bound, period_bound)
-    principal = None
-    if tt.is_train_track:
-        principal = is_principal(g, length_bound=length_bound, period_bound=period_bound)
+    """Run the whole pipeline on a self-map, on one analysis of it."""
+    a = MapAnalysis(g, length_bound, period_bound)
+    train_track = a.tt.is_train_track
+    expanding = train_track and a.expanding
     return CertifyReport(
         map=g,
-        tt=tt,
+        tt=a.tt,
         gate_count=len(gates(g)),
         expanding=expanding,
-        spectral=spectral,
-        pnp=pnp,
-        principal=principal,
+        spectral=a.spectral if g.is_self_map else None,
+        pnp=a.pnp if expanding else None,
+        principal=is_principal(a) if train_track else None,
     )
 
 

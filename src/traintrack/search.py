@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
 
-from .certify import is_train_track
+from .certify import MapAnalysis
 from .digraph import connected_components
 from .folds import apply_fold
 from .graphs import GraphMap, GraphStructureError, OrientedGraph, compose
@@ -349,7 +349,7 @@ class SearchSummary:
 
 
 def _search_one_graph(args) -> list[CandidateReport]:
-    rank, gi, length_bound = args
+    rank, gi = args
     universe = build_universe(rank)
     graph = universe.graphs[gi]
     out = []
@@ -361,13 +361,14 @@ def _search_one_graph(args) -> list[CandidateReport]:
         move = apply_fold(graph, e1, e0, "proper_full")
         for sigma in graph_isomorphisms(move.target, graph):
             h = compose(sigma.as_graph_map(), move.map)
-            tt = is_train_track(h).is_train_track
-            irr = tt and is_irreducible(transition_matrix(h))
+            a = MapAnalysis(h)
+            tt = a.tt.is_train_track
+            irr = tt and is_irreducible(a.matrix)
             fic_ok = False
             principal = False
             principal_report = None
             if irr:
-                principal_report = is_principal(h, rank, length_bound=length_bound)
+                principal_report = is_principal(a)
                 fic_ok = principal_report.fic.passed
                 principal = principal_report.is_principal
             out.append(
@@ -379,7 +380,7 @@ def _search_one_graph(args) -> list[CandidateReport]:
 
 
 def single_fold_search(
-    rank: int, jobs: int = 1, length_bound: int = 50, shuffle_seed: int | None = None
+    rank: int, jobs: int = 1, shuffle_seed: int | None = None
 ) -> SearchSummary:
     """Classify every (graph, ordered fold pair at the valence-4 vertex,
     graph isomorphism back) candidate and group the principal survivors by
@@ -394,7 +395,7 @@ def single_fold_search(
         import random
 
         random.Random(shuffle_seed).shuffle(order)
-    tasks = [(rank, gi, length_bound) for gi in order]
+    tasks = [(rank, gi) for gi in order]
     if jobs > 1:
         with Pool(jobs) as pool:
             chunks = pool.map(_search_one_graph, tasks)
@@ -600,19 +601,13 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
     # Folding over a loop evades the valence count, so check exhaustively
     # that no single (fold over a loop, isomorphism back) composition is an
     # expanding irreducible train track map on these graphs.
-    from .certify import is_expanding
-
     loop_fold_maps = 0
     loop_fold_bad = 0
     for move in loop_fold_moves:
         for sigma in graph_isomorphisms(move.target, move.source):
-            h = compose(sigma.as_graph_map(), move.map)
+            a = MapAnalysis(compose(sigma.as_graph_map(), move.map))
             loop_fold_maps += 1
-            if (
-                is_train_track(h).is_train_track
-                and is_irreducible(transition_matrix(h))
-                and is_expanding(h)
-            ):
+            if a.tt.is_train_track and is_irreducible(a.matrix) and a.expanding:
                 loop_fold_bad += 1
     steps.append(
         ArgumentStep(

@@ -1,5 +1,6 @@
-"""Local, stable, and ideal Whitehead graphs; colored turn structures over a
-graph; and relabeling (signed edge-label permutation) actions.
+"""Stable and ideal Whitehead graphs (built on the local ones of ``certify``);
+colored turn structures over a graph; and relabeling (signed edge-label
+permutation) actions.  Each map-level function reads one ``MapAnalysis``.
 
 The colored structure of a self-map records, over the underlying graph, one
 vertex per direction (purple when the direction is periodic, red otherwise),
@@ -15,60 +16,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import (
-    FicReport,
-    fic_check,
-    taken_turn_closure,
-)
-from .digraph import connected_components
+from .certify import FicReport, MapAnalysis, WhiteheadGraph, local_whitehead
 from .graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
     compose,
     make_turn,
-    periodic_directions,
 )
 
 
 # -- Whitehead graphs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WhiteheadGraph:
-    """Turn-incidence graph at a vertex; ``kind`` is "local" or "stable"."""
-
-    kind: str
-    vertex: int
-    directions: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def components(self) -> list[frozenset[int]]:
-        return [
-            frozenset(c) for c in connected_components(sorted(self.directions), self.edges)
-        ]
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    def is_triangle(self) -> bool:
-        return len(self.directions) == 3 and len(self.edges) == 3
-
-
-def local_whitehead(g: GraphMap, vertex: int) -> WhiteheadGraph:
-    """One vertex per direction at ``vertex``; edges are the taken turns."""
-    if not (0 <= vertex < g.source.n_vertices):
-        raise GraphStructureError("unknown vertex")
-    closure = taken_turn_closure(g)
-    ds = frozenset(g.source.directions_at(vertex))
-    edges = frozenset(t for t in closure.turns if t[0] in ds)
-    return WhiteheadGraph("local", vertex, ds, edges)
-
-
-def stable_whitehead(g: GraphMap, vertex: int) -> WhiteheadGraph:
+def stable_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
     """Restriction of the local graph to periodic directions."""
-    lw = local_whitehead(g, vertex)
-    periodic = periodic_directions(g)
+    lw = local_whitehead(a, vertex)
+    periodic = a.periodic
     ds = lw.directions & periodic
     edges = frozenset(t for t in lw.edges if t[0] in periodic and t[1] in periodic)
     return WhiteheadGraph("stable", vertex, ds, edges)
@@ -91,30 +55,21 @@ class IdealWhiteheadGraph:
         return sum((1 - Fraction(len(c.directions), 2) for c in self.components), Fraction(0))
 
 
-def ideal_whitehead(
-    g: GraphMap, length_bound: int = 50, period_bound: int | None = None
-) -> IdealWhiteheadGraph:
+def ideal_whitehead(a: MapAnalysis) -> IdealWhiteheadGraph:
     """Assemble the ideal Whitehead graph, valid only when the bounded search
     finds no periodic Nielsen path.
 
     Raises when the map is not an expanding train track map or when the
     search finds a path, since the construction is undefined there.
     """
-    from .certify import is_expanding, is_train_track, pnp_bounded_search
-
-    if not is_train_track(g).is_train_track:
-        raise GraphStructureError("ideal Whitehead graph requires a train track map")
-    if not is_expanding(g):
-        raise GraphStructureError("ideal Whitehead graph requires an expanding map")
-    pnp = pnp_bounded_search(g, length_bound, period_bound)
-    if not pnp.clean:
+    if not a.pnp.clean:
         raise GraphStructureError(
             "a periodic Nielsen path was found (period %s); the ideal Whitehead graph "
-            "is not defined by this construction" % pnp.period
+            "is not defined by this construction" % a.pnp.period
         )
     comps: list[WhiteheadGraph] = []
-    for v in range(g.source.n_vertices):
-        sw = stable_whitehead(g, v)
+    for v in range(a.map.source.n_vertices):
+        sw = stable_whitehead(a, v)
         for piece in sw.components():
             if len(piece) == 2:
                 continue
@@ -132,21 +87,19 @@ class PrincipalReport:
     is_principal: bool
 
 
-def is_principal(
-    g: GraphMap, rank: int | None = None, length_bound: int = 50, period_bound: int | None = None
-) -> PrincipalReport:
-    """Whether the map's ideal Whitehead graph is 2r-3 triangles.
+def is_principal(a: MapAnalysis) -> PrincipalReport:
+    """Whether the map's ideal Whitehead graph is 2r-3 triangles, r the rank
+    of its graph.
 
     Propagates full-irreducibility-criterion failures, and cross-checks the
     index identity: the component sum of 1 - k/2 must equal 3/2 - r.
     """
-    if rank is None:
-        rank = g.source.rank()
+    rank = a.map.source.rank()
     expected = 2 * rank - 3
-    fic = fic_check(g, length_bound, period_bound)
+    fic = a.fic
     if not fic.passed:
         return PrincipalReport(fic, None, expected, None, False)
-    ideal = ideal_whitehead(g, length_bound, period_bound)
+    ideal = ideal_whitehead(a)
     index = ideal.index()
     ok = ideal.is_triangle_union(expected) and index == Fraction(3, 2) - rank
     return PrincipalReport(fic, ideal, expected, index, ok)
@@ -198,15 +151,12 @@ class LttStructure:
         return (partition, self.red_vertices, self.turns)
 
 
-def ltt_structure(g: GraphMap) -> LttStructure:
+def ltt_structure(a: MapAnalysis) -> LttStructure:
     """The colored structure of a train track self-map."""
-    from .certify import is_train_track
-
-    if not is_train_track(g).is_train_track:
+    if not a.tt.is_train_track:
         raise GraphStructureError("colored turn structure requires a train track map")
-    closure = taken_turn_closure(g)
-    red = frozenset(g.source.directions()) - periodic_directions(g)
-    return LttStructure(g.source, red, frozenset(closure.turns))
+    graph = a.map.source
+    return LttStructure(graph, frozenset(graph.directions()) - a.periodic, a.tt.closure.turns)
 
 
 # -- signed permutations and relabelings ---------------------------------------

@@ -16,7 +16,7 @@ from traintrack.automaton import (
     rotate_loop,
 )
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
-from traintrack.certify import fic_check, is_train_track, taken_turn_closure
+from traintrack.certify import MapAnalysis, fic_check, is_train_track, taken_turn_closure
 from traintrack.folds import (
     compose_power,
     rotate,
@@ -141,7 +141,7 @@ def test_criterion_4_automaton_soundness(automaton, gmap):
     component = set(automaton.sccs[loop_components[0]])
     assert automaton.class_of[automaton.node_one] in component
     assert all(automaton.class_of[n] in component for n in loop.node_ids)
-    assert fic_check(loop_to_map(automaton, loop), length_bound=30).passed
+    assert fic_check(MapAnalysis(loop_to_map(automaton, loop), 30)).passed
 
     # (iii) with the reference class removed, every loop of length <= 4
     # composes to a reducible transition matrix
@@ -188,7 +188,7 @@ def _principal_loop_sample(automaton, count=50, seed=20260809):
         m = loop_to_map(automaton, lp)
         if not is_irreducible(transition_matrix(m)):
             continue
-        if is_principal(m, 3, length_bound=30).is_principal:
+        if is_principal(MapAnalysis(m, 30)).is_principal:
             principal.append((lp, m))
     rng = random.Random(seed)
     assert len(principal) >= count
@@ -206,12 +206,12 @@ def test_criterion_5_decomposition_roundtrips(automaton, gmap):
         seq = stallings_decompose(g)
         assert seq.composed_map() == g
         base_poly = char_poly(transition_matrix(g))
-        base_shape = ideal_whitehead(g, length_bound=30).component_sizes()
+        base_shape = ideal_whitehead(MapAnalysis(g, 30)).component_sizes()
         for j in range(len(seq) + 1):
             rotated = rotate(seq, j)
             m = rotated.composed_map()
             assert char_poly(transition_matrix(m)) == base_poly
-            assert ideal_whitehead(m, length_bound=30).component_sizes() == base_shape
+            assert ideal_whitehead(MapAnalysis(m, 30)).component_sizes() == base_shape
         assert push_permutations(sequence_steps(seq)).composed_map() == g
 
     # permutation pushing across powers stays exact
@@ -235,7 +235,7 @@ def test_criterion_6_negative_controls(psi, block_map):
         graph.direction_of("~z"), graph.direction_of("~x")
     )
 
-    report = fic_check(block_map)
+    report = fic_check(MapAnalysis(block_map))
     assert not report.irreducible
     assert report.invariant_edges is not None
     names = [block_map.source.edge_names[i] for i in report.invariant_edges]

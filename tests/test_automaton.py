@@ -6,8 +6,10 @@ import pytest
 
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
+    DirectedLoop,
     _graph_class_key,
     _group_generators,
+    _walk_decomposition,
     decomposition_to_loop,
     enumerate_labeled_graphs,
     enumerate_loops,
@@ -23,10 +25,10 @@ from traintrack.automaton import (
     transport,
 )
 from traintrack.catalog import single_fold_map
-from traintrack.certify import taken_turn_closure
+from traintrack.certify import MapAnalysis, taken_turn_closure
 from traintrack.digraph import strongly_connected_components
 from traintrack.folds import compose_power, rotate, stallings_decompose
-from traintrack.graphs import periodic_directions
+from traintrack.graphs import GraphStructureError, periodic_directions
 from traintrack.search import _conjugate_by_relabeling
 from traintrack.spectral import is_irreducible, transition_matrix
 from traintrack.whitehead import (
@@ -72,7 +74,7 @@ def test_class_sizes_partition_nodes(automaton):
 
 
 def test_reference_structure_is_a_node(automaton, gmap):
-    key = key_from_structure(ltt_structure(gmap))
+    key = key_from_structure(ltt_structure(MapAnalysis(gmap)))
     assert key in automaton.node_index
     assert automaton.node_index[key] == automaton.node_one
 
@@ -213,7 +215,7 @@ def test_loops_to_junk_maps_fail_fic(automaton):
     assert loops
     for loop in loops[:40]:
         m = loop_to_map(automaton, loop)
-        assert not fic_check(m, length_bound=20).passed
+        assert not fic_check(MapAnalysis(m, 20)).passed
 
 
 def test_rank_four_rejected():
@@ -319,7 +321,7 @@ def _brute_force_build():
     for c1, c2 in quotient_edges:
         adjacency.setdefault(c1, []).append(c2)
     sccs = strongly_connected_components(len(class_members), adjacency)
-    node_one = node_index[key_from_structure(ltt_structure(single_fold_map()))]
+    node_one = node_index[key_from_structure(ltt_structure(MapAnalysis(single_fold_map())))]
     return {
         "nodes": nodes,
         "node_index": node_index,
@@ -376,9 +378,7 @@ def test_length_one_loops_match_single_fold_search(automaton):
     principal = []
     for loop in loops:
         m = loop_to_map(automaton, loop)
-        if is_irreducible(transition_matrix(m)) and is_principal(
-            m, 3, length_bound=30
-        ).is_principal:
+        if is_irreducible(transition_matrix(m)) and is_principal(MapAnalysis(m, 30)).is_principal:
             principal.append(loop)
     assert len(principal) == 1
     node_one_class = automaton.class_of[automaton.node_one]
@@ -391,3 +391,58 @@ def test_length_one_loops_match_single_fold_search(automaton):
     assert sum(orbit(lp) for lp in loops) == 26880
     # one relabeling orbit of principal maps
     assert sum(orbit(lp) for lp in principal) == 3840
+
+
+def _scanned_walk_decomposition(automaton, seq):
+    """The walk as first written: scan the signed permutations for one that
+    maps the sequence's start structure onto a node, then walk and close
+    with the sequence's labels pushed through it."""
+    base = seq.base_graph
+    if sorted(base.valence_profile()) != [3, 3, 4] or base.n_edges != 5:
+        return None
+    if any(move.kind != "proper_full" for move in seq.moves):
+        return None
+    try:
+        start_key = key_from_structure(ltt_structure(MapAnalysis(seq.composed_map())))
+    except GraphStructureError:
+        return None
+    match = next(
+        (s for s in signed_permutations(5) if relabel_key(start_key, s) in automaton.node_index),
+        None,
+    )
+    if match is None:
+        return None
+    key = relabel_key(start_key, match)
+    node_ids = [automaton.node_index[key]]
+    folds = []
+    for move in seq.moves:
+        e1, e0 = apply_signed(match, move.e1), apply_signed(match, move.e0)
+        key = transport(key, e1, e0)
+        if key is None or key not in automaton.node_index:
+            return None
+        folds.append((e1, e0))
+        node_ids.append(automaton.node_index[key])
+    closing = compose_signed(match, compose_signed(seq.final.signed_images, invert_signed(match)))
+    if relabel_key(key, closing) != automaton.nodes[node_ids[0]]:
+        return None
+    return DirectedLoop(tuple(node_ids), tuple(folds), closing)
+
+
+def test_walk_decomposition_matches_alphabet_scan(automaton, gmap):
+    """Looking the start up directly gives the scan's loop: the node set is
+    closed under relabeling and the scan meets the identity first."""
+    seq = stallings_decompose(gmap)
+    cases = [
+        rotate(compose_power(seq, p), j) for p in (1, 2, 3) for j in range(p * len(seq) + 1)
+    ]
+    # every sixth re-decomposed loop map of fold length <= 2; most of them
+    # miss the node set, where the scan costs all 3,840 permutations
+    for loop in enumerate_loops(automaton, 2)[::6]:
+        loop_seq = stallings_decompose(loop_to_map(automaton, loop))
+        cases.extend(rotate(loop_seq, j) for j in range(len(loop_seq) + 1))
+    found = 0
+    for case in cases:
+        walk = _walk_decomposition(automaton, case)
+        assert walk == _scanned_walk_decomposition(automaton, case)
+        found += walk is not None
+    assert 0 < found < len(cases)

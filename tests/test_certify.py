@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+import importlib
+import json
+import sys
+from collections import Counter
+
 import pytest
 
 from traintrack.certify import (
+    MapAnalysis,
     default_period_bound,
     expanding_edges,
     fic_check,
     illegal_turns,
     is_expanding,
     is_train_track,
-    local_whitehead_connected,
+    local_whitehead,
     pnp_bounded_search,
     taken_turn_closure,
 )
@@ -125,7 +132,7 @@ def test_growing_edge_feeding_cycle_not_expanding():
 
 def test_pnp_reference_clean(gmap):
     assert default_period_bound(gmap) == 9
-    result = pnp_bounded_search(gmap, 50, 9)
+    result = pnp_bounded_search(MapAnalysis(gmap, 50, 9))
     assert result.clean
     assert result.length_bound == 50
     assert result.period_bound == 9
@@ -133,11 +140,11 @@ def test_pnp_reference_clean(gmap):
 
 def test_pnp_rejects_non_expanding(gmap):
     with pytest.raises(GraphStructureError):
-        pnp_bounded_search(identity_map(gmap.source))
+        pnp_bounded_search(MapAnalysis(identity_map(gmap.source)))
 
 
 def test_pnp_positive_control(doubling_control):
-    result = pnp_bounded_search(doubling_control, 20, 4)
+    result = pnp_bounded_search(MapAnalysis(doubling_control, 20, 4))
     assert result.verdict == "found"
     assert result.period == 1
     # verify the returned path is genuinely fixed
@@ -148,12 +155,15 @@ def test_pnp_positive_control(doubling_control):
 
 
 def test_local_whitehead_connectivity(gmap, block_map):
-    assert all(local_whitehead_connected(gmap).values())
-    assert not all(local_whitehead_connected(block_map).values())
+    for g, connected in ((gmap, True), (block_map, False)):
+        a = MapAnalysis(g)
+        by_vertex = {v: local_whitehead(a, v).is_connected() for v in range(g.source.n_vertices)}
+        assert all(by_vertex.values()) == connected
+        assert fic_check(a).whitehead_by_vertex == by_vertex
 
 
 def test_fic_reference(gmap):
-    report = fic_check(gmap)
+    report = fic_check(MapAnalysis(gmap))
     assert report.passed
     assert report.train_track and report.pnp_clean
     assert report.irreducible and report.perron_frobenius
@@ -161,14 +171,14 @@ def test_fic_reference(gmap):
 
 
 def test_fic_identity_fails(gmap):
-    report = fic_check(identity_map(gmap.source))
+    report = fic_check(MapAnalysis(identity_map(gmap.source)))
     assert not report.passed
     assert not report.irreducible
     assert not report.perron_frobenius
 
 
 def test_fic_block_reducible(block_map):
-    report = fic_check(block_map)
+    report = fic_check(MapAnalysis(block_map))
     assert not report.passed
     assert not report.irreducible
     assert report.invariant_edges is not None
@@ -183,3 +193,56 @@ def test_single_illegal_turn_for_principal(gmap):
     summary = single_fold_search(3)
     for report in summary.survivors:
         assert len(illegal_turns(report.map)) == 1
+
+
+def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
+    """One ``certify_map`` builds one analysis, so each step runs once."""
+    calls: Counter = Counter()
+    for module_name, name in (
+        ("traintrack.certify", "is_train_track"),
+        ("traintrack.spectral", "classify_matrix"),
+        ("traintrack.certify", "pnp_bounded_search"),
+        ("traintrack.certify", "fic_check"),
+        ("traintrack.whitehead", "ideal_whitehead"),
+    ):
+        original = getattr(importlib.import_module(module_name), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # replace the function wherever the package looks its name up
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "traintrack" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    from traintrack.reports import certify_map
+
+    assert certify_map(gmap).verdict == "PRINCIPAL"
+    assert calls == dict.fromkeys(
+        ("is_train_track", "classify_matrix", "pnp_bounded_search", "fic_check", "ideal_whitehead"),
+        1,
+    )
+
+
+# sha256 of every certify report, text then sorted-key JSON, of the 260
+# rank-3 single-fold candidates in search order, as the reports stood before
+# the steps shared one analysis per map
+RANK3_REPORTS_DIGEST = "02227ab9c2fe8caa6990989cf74d5034f78d9e92fea886e903de744621c2c4c5"
+
+
+def test_certify_reports_pinned_on_rank3_candidates():
+    from traintrack.reports import certify_json, certify_map, certify_text
+    from traintrack.search import _search_one_graph, build_universe
+
+    digest = hashlib.sha256()
+    verdicts: Counter = Counter()
+    for gi in range(len(build_universe(3).graphs)):
+        for candidate in _search_one_graph((3, gi)):
+            report = certify_map(candidate.map)
+            digest.update(certify_text(report).encode())
+            digest.update(json.dumps(certify_json(report), sort_keys=True).encode())
+            verdicts[report.verdict] += 1
+    assert verdicts == {
+        "NOT-TRAIN-TRACK": 100, "NOT-PRINCIPAL": 144, "FULLY-IRREDUCIBLE": 8, "PRINCIPAL": 8,
+    }
+    assert digest.hexdigest() == RANK3_REPORTS_DIGEST

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from traintrack.certify import MapAnalysis
 from traintrack.graphs import GraphStructureError, compose, gates, identity_map
 from traintrack.whitehead import (
     IdealWhiteheadGraph,
@@ -29,36 +30,36 @@ ALL_SIGMAS = list(signed_permutations(5))
 def test_local_whitehead_reference(gmap):
     graph = gmap.source
     by_valence = {graph.valence(v): v for v in range(3)}
-    lw4 = local_whitehead(gmap, by_valence[4])
+    lw4 = local_whitehead(MapAnalysis(gmap), by_valence[4])
     assert len(lw4.directions) == 4 and len(lw4.edges) == 4
     assert lw4.is_connected()
     for v in range(3):
         if graph.valence(v) == 3:
-            lw = local_whitehead(gmap, v)
+            lw = local_whitehead(MapAnalysis(gmap), v)
             assert lw.is_triangle()
 
 
 def test_local_whitehead_identity_edgeless(gmap):
     for v in range(3):
-        assert not local_whitehead(identity_map(gmap.source), v).edges
+        assert not local_whitehead(MapAnalysis(identity_map(gmap.source)), v).edges
 
 
 def test_local_whitehead_unknown_vertex(gmap):
     with pytest.raises(GraphStructureError):
-        local_whitehead(gmap, 17)
+        local_whitehead(MapAnalysis(gmap), 17)
 
 
 def test_stable_whitehead_vertex_count_is_gate_count(gmap):
     graph = gmap.source
     gs = gates(gmap)
     for v in range(graph.n_vertices):
-        sw = stable_whitehead(gmap, v)
+        sw = stable_whitehead(MapAnalysis(gmap), v)
         gates_at_v = [s for s in gs if graph.initial_vertex(next(iter(s))) == v]
         assert len(sw.directions) == len(gates_at_v)
 
 
 def test_ideal_whitehead_reference(gmap):
-    iw = ideal_whitehead(gmap)
+    iw = ideal_whitehead(MapAnalysis(gmap))
     assert iw.component_sizes() == (3, 3, 3)
     assert iw.is_triangle_union(3)
     assert iw.index() == Fraction(-3, 2)
@@ -66,16 +67,16 @@ def test_ideal_whitehead_reference(gmap):
 
 def test_ideal_whitehead_identity_rejected(gmap):
     with pytest.raises(GraphStructureError):
-        ideal_whitehead(identity_map(gmap.source))
+        ideal_whitehead(MapAnalysis(identity_map(gmap.source)))
 
 
 def test_ideal_whitehead_refuses_on_found_path(doubling_control):
     with pytest.raises(GraphStructureError, match="periodic Nielsen path"):
-        ideal_whitehead(doubling_control)
+        ideal_whitehead(MapAnalysis(doubling_control))
 
 
 def test_is_principal_reference(gmap):
-    report = is_principal(gmap, 3)
+    report = is_principal(MapAnalysis(gmap))
     assert report.is_principal
     assert report.index == Fraction(3, 2) - 3
     assert report.ideal.is_triangle_union(3)
@@ -92,7 +93,7 @@ def test_four_vertex_component_is_not_principal():
 
 
 def test_is_principal_propagates_fic_failure(block_map):
-    report = is_principal(block_map, 2)
+    report = is_principal(MapAnalysis(block_map))
     assert not report.is_principal
     assert not report.fic.passed
     assert report.ideal is None
@@ -100,7 +101,7 @@ def test_is_principal_propagates_fic_failure(block_map):
 
 def test_ltt_structure_reference(gmap):
     graph = gmap.source
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     assert s.red_vertices == frozenset({graph.direction_of("~c")})
     assert s.red_edges == frozenset(
         {tuple(sorted((graph.direction_of("e"), graph.direction_of("~c"))))}
@@ -112,24 +113,24 @@ def test_ltt_structure_reference(gmap):
 def test_ltt_structure_identity_degenerate(gmap):
     from traintrack.automaton import key_from_structure
 
-    s = ltt_structure(identity_map(gmap.source))
+    s = ltt_structure(MapAnalysis(identity_map(gmap.source)))
     assert not s.turns
     with pytest.raises(GraphStructureError):
         key_from_structure(s)  # no single red direction
 
 
 def test_relabel_identity(gmap):
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     identity = tuple(range(1, 6))
     assert relabel_structure(s, identity).exact_key() == s.exact_key()
     assert relabel_map(gmap, identity) == gmap
 
 
 def test_relabel_equivariance(gmap):
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     rng = random.Random(99)
     for sigma in rng.sample(ALL_SIGMAS, 12):
-        direct = ltt_structure(relabel_map(gmap, sigma))
+        direct = ltt_structure(MapAnalysis(relabel_map(gmap, sigma)))
         pushed = relabel_structure(s, sigma)
         assert direct.exact_key() == pushed.exact_key()
 
@@ -137,7 +138,7 @@ def test_relabel_equivariance(gmap):
 def test_relabel_action_property(gmap):
     from traintrack.whitehead import compose_signed
 
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     rng = random.Random(7)
     for _ in range(10):
         sig, tau = rng.sample(ALL_SIGMAS, 2)
@@ -186,11 +187,12 @@ def test_decomposition_relabeling_commutes(gmap):
     seq = stallings_decompose(gmap)
     sigma = seq.final.signed_images
     conj = relabel_map(gmap, sigma)
-    assert ltt_isomorphic(ltt_structure(gmap), ltt_structure(conj), "relabeling")
+    s, s_conj = ltt_structure(MapAnalysis(gmap)), ltt_structure(MapAnalysis(conj))
+    assert ltt_isomorphic(s, s_conj, "relabeling")
 
 
 def test_ltt_isomorphic_exact_and_witness(gmap):
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     assert ltt_isomorphic(s, s, "exact") == (1, 2, 3, 4, 5)
     rng = random.Random(1234)
     sigma = rng.choice(ALL_SIGMAS)
@@ -202,7 +204,7 @@ def test_ltt_isomorphic_exact_and_witness(gmap):
 
 def test_ltt_isomorphic_distinguishes_red_edge(gmap):
     graph = gmap.source
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     # move the red edge to a different purple attachment
     red = graph.direction_of("~c")
     old = tuple(sorted((graph.direction_of("e"), red)))
@@ -213,7 +215,7 @@ def test_ltt_isomorphic_distinguishes_red_edge(gmap):
 
 
 def test_ltt_dot_is_deterministic(gmap):
-    s = ltt_structure(gmap)
+    s = ltt_structure(MapAnalysis(gmap))
     first = ltt_to_dot(s)
     assert first == ltt_to_dot(s)
     assert "color=red" in first and "color=purple" in first and "color=black" in first
