@@ -3,7 +3,6 @@ Whitehead structures, the rank-3 principal stratum automaton, and exhaustive
 single-fold searches."""
 
 from .graphs import (
-    EdgePath,
     GraphMap,
     GraphStructureError,
     OrientedGraph,
@@ -13,8 +12,6 @@ from .graphs import (
     graph_invariants,
     identity_map,
     iterate_map,
-    periodic_directions,
-    tighten,
 )
 from .spectral import (
     IntegerMatrix,
@@ -47,7 +44,6 @@ from .whitehead import (
     Relabeling,
     ideal_whitehead,
     is_principal,
-    ltt_isomorphic,
     ltt_structure,
     relabel_map,
     relabel_structure,

@@ -29,7 +29,6 @@ from .graphs import (
     is_tight,
     iterate_map,
     make_turn,
-    periodic_directions,
     reverse_path,
     taken_turns,
     tighten_dirs,
@@ -58,15 +57,13 @@ class TurnClosure:
         return len(self.turns)
 
 
-def taken_turn_closure(g: GraphMap) -> TurnClosure:
+def taken_turn_closure(a: MapAnalysis) -> TurnClosure:
     """Seed with turns inside each edge image, then close under Dg.
 
     Degenerate images are not recorded as turns; a taken turn that collapses
     is caught by the illegal-turn intersection instead.
     """
-    if not g.is_self_map:
-        raise GraphStructureError("turn closure requires a self-map")
-    dg = direction_map(g)
+    g, dg = a.map, a.dg
     trace: dict[tuple[int, int], tuple[int, int] | None] = {}
     frontier = []
     for i in range(g.source.n_edges):
@@ -85,11 +82,11 @@ def taken_turn_closure(g: GraphMap) -> TurnClosure:
     return TurnClosure(frozenset(trace), trace)
 
 
-def illegal_turns(g: GraphMap) -> frozenset[tuple[int, int]]:
+def illegal_turns(a: MapAnalysis) -> frozenset[tuple[int, int]]:
     """Nondegenerate turns some power of Dg collapses to a degenerate pair:
     the pairs of distinct directions in one gate."""
-    image = eventual_images(g)
-    return frozenset(t for t in g.source.all_turns() if image[t[0]] == image[t[1]])
+    image = a.images
+    return frozenset(t for t in a.map.source.all_turns() if image[t[0]] == image[t[1]])
 
 
 @dataclass(frozen=True)
@@ -107,24 +104,26 @@ class TtCertificate:
         return f"not a train track map: taken turn {graph.turn_name(self.witness)} is illegal"
 
 
-def is_train_track(g: GraphMap) -> TtCertificate:
+def is_train_track(a: MapAnalysis) -> TtCertificate:
     """Certify that all powers of the map are tight.
 
     An untight edge image is an immediate failure with that edge as witness;
     otherwise the verdict is that the taken-turn closure avoids every illegal
     turn, which is equivalent to tightness of all powers.
     """
+    g = a.map
     for i in range(g.source.n_edges):
         if not is_tight(g.edge_images[i]):
             return TtCertificate(False, g.source.edge_names[i], frozenset(), TurnClosure(frozenset(), {}))
-    closure = taken_turn_closure(g)
-    illegal = illegal_turns(g)
+    closure = taken_turn_closure(a)
+    illegal = illegal_turns(a)
     bad = sorted(closure.turns & illegal)
     return TtCertificate(not bad, bad[0] if bad else None, illegal, closure)
 
 
-def is_expanding(g: GraphMap) -> bool:
-    """Whether every edge's image length is unbounded under iteration.
+def is_expanding(matrix: IntegerMatrix) -> bool:
+    """Whether every edge's image length is unbounded under iteration of the
+    map with this transition matrix.
 
     The length of the n-th image of an edge counts length-n walks from it in
     the multiplicity digraph of the transition matrix.  Every vertex there
@@ -132,7 +131,6 @@ def is_expanding(g: GraphMap) -> bool:
     a vertex of out-multiplicity two or more lying on a directed cycle is
     reachable; this is decided on the condensation, with no iteration cutoff.
     """
-    matrix = transition_matrix(g)
     return expanding_edges(matrix) == tuple(range(matrix.dimension))
 
 
@@ -156,27 +154,39 @@ def expanding_edges(matrix: IntegerMatrix) -> tuple[int, ...]:
 
 
 class MapAnalysis:
-    """A self-map and its certificates, each computed the first time it is
-    read and kept.
+    """A self-map and everything derived from it, each item computed the
+    first time it is read and kept.
 
-    ``tt``, ``matrix``, ``spectral``, ``expanding``, ``periodic``, ``pnp``
-    and ``fic`` are the results of ``is_train_track``, ``transition_matrix``,
-    ``classify_matrix``, ``is_expanding``, ``periodic_directions``,
-    ``pnp_bounded_search`` and ``fic_check``.  Every step after the train
-    track certificate takes the analysis, so a map is certified once however
-    many steps ask.  ``length_bound`` and ``period_bound`` bound the
-    periodic-Nielsen-path search; a period bound of None means
-    :func:`default_period_bound`.
+    ``dg`` and ``images`` are the direction map and the eventual images
+    (``direction_map``, ``eventual_images``); ``periodic`` is the set of
+    eventual images, the directions on cycles of Dg.  ``tt``, ``matrix``,
+    ``spectral``, ``expanding``, ``pnp`` and ``fic`` are the results of
+    ``is_train_track``, ``transition_matrix``, ``classify_matrix``,
+    ``is_expanding``, ``pnp_bounded_search`` and ``fic_check``.  Every step
+    that reads the map's dynamics or certificates takes the analysis, so each
+    is derived once however many steps ask.  ``length_bound`` and
+    ``period_bound`` bound the periodic-Nielsen-path search; a period bound of
+    None means :func:`default_period_bound`.
     """
 
     def __init__(self, g: GraphMap, length_bound: int = 50, period_bound: int | None = None):
+        if not g.is_self_map:
+            raise GraphStructureError("map analysis requires a self-map")
         self.map = g
         self.length_bound = length_bound
         self.period_bound = period_bound
 
     @cached_property
+    def dg(self) -> dict[int, int]:
+        return direction_map(self.map)
+
+    @cached_property
+    def images(self) -> dict[int, int]:
+        return eventual_images(self.dg)
+
+    @cached_property
     def tt(self) -> TtCertificate:
-        return is_train_track(self.map)
+        return is_train_track(self)
 
     @cached_property
     def matrix(self) -> IntegerMatrix:
@@ -188,11 +198,11 @@ class MapAnalysis:
 
     @cached_property
     def expanding(self) -> bool:
-        return is_expanding(self.map)
+        return is_expanding(self.matrix)
 
     @cached_property
     def periodic(self) -> frozenset[int]:
-        return periodic_directions(self.map)
+        return frozenset(self.images.values())
 
     @cached_property
     def pnp(self) -> PnpSearchResult:
@@ -220,13 +230,12 @@ class PnpSearchResult:
         return self.verdict == "none-up-to-bound"
 
 
-def default_period_bound(g: GraphMap) -> int:
+def default_period_bound(a: MapAnalysis) -> int:
     """lcm of the direction-map cycle lengths."""
-    dg = direction_map(g)
-    periodic = periodic_directions(g)
+    dg = a.dg
     lengths = set()
     seen = set()
-    for d in periodic:
+    for d in a.periodic:
         if d in seen:
             continue
         cycle = [d]
@@ -256,7 +265,7 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
         raise GraphStructureError("periodic path search requires an expanding train track map")
     g, length_bound, period_bound = a.map, a.length_bound, a.period_bound
     if period_bound is None:
-        period_bound = default_period_bound(g)
+        period_bound = default_period_bound(a)
 
     for tip in sorted(a.tt.illegal):
         state = ((tip[0],), (tip[1],))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .digraph import connected_components
 
@@ -30,7 +31,9 @@ class OrientedGraph:
     """A finite connected multigraph with positively oriented edges.
 
     ``ends[i]`` records (initial vertex index, terminal vertex index) of edge
-    ``i``.  Loops (equal endpoints) and parallel edges are allowed.
+    ``i``.  Loops (equal endpoints) and parallel edges are allowed.  The
+    incidence is read off ``ends`` once: each direction's initial vertex on
+    construction, each vertex's directions when first asked for.
     """
 
     vertex_names: tuple[str, ...]
@@ -45,9 +48,13 @@ class OrientedGraph:
         if len(self.ends) != len(self.edge_names):
             raise GraphStructureError("edge name/extremity count mismatch")
         m = len(self.vertex_names)
-        for u, v in self.ends:
+        initial: dict[int, int] = {}  # the initial vertex of each direction
+        for i, (u, v) in enumerate(self.ends, 1):
             if not (0 <= u < m and 0 <= v < m):
                 raise GraphStructureError("edge endpoint out of range")
+            initial[i] = u
+            initial[-i] = v
+        object.__setattr__(self, "_initial", initial)
 
     # -- basic queries -------------------------------------------------
 
@@ -64,18 +71,25 @@ class OrientedGraph:
         return tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
 
     def initial_vertex(self, direction: int) -> int:
-        """Index of the vertex the direction emanates from."""
-        u, v = self.ends[abs(direction) - 1]
-        return u if direction > 0 else v
+        """Index of the vertex the direction emanates from; KeyError for a
+        number that is not a direction of the graph."""
+        return self._initial[direction]
 
     def terminal_vertex(self, direction: int) -> int:
-        return self.initial_vertex(-direction)
+        return self._initial[-direction]
+
+    @cached_property
+    def _directions_at(self) -> tuple[tuple[int, ...], ...]:
+        at: list[list[int]] = [[] for _ in self.vertex_names]
+        for d in self.directions():
+            at[self._initial[d]].append(d)
+        return tuple(tuple(ds) for ds in at)
 
     def directions_at(self, vertex: int) -> tuple[int, ...]:
-        return tuple(d for d in self.directions() if self.initial_vertex(d) == vertex)
+        return self._directions_at[vertex]
 
     def valence(self, vertex: int) -> int:
-        return len(self.directions_at(vertex))
+        return len(self._directions_at[vertex])
 
     def valence_profile(self) -> tuple[int, ...]:
         return tuple(sorted(self.valence(v) for v in range(self.n_vertices)))
@@ -144,39 +158,15 @@ def graph_invariants(graph: OrientedGraph) -> GraphInvariants:
 # -- edge paths ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgePath:
-    """A finite, endpoint-compatible sequence of directions.
-
-    The empty path is allowed and carries its basepoint vertex explicitly;
-    nonempty paths record the initial vertex of their first direction.
-    """
-
-    directions: tuple[int, ...]
-    basepoint: int
-
-    def is_empty(self) -> bool:
-        return not self.directions
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-
 def check_path(graph: OrientedGraph, dirs: tuple[int, ...]) -> None:
+    """Raise unless each direction in ``dirs`` starts where the one before it
+    ends."""
+    initial = graph._initial
     for a, b in zip(dirs, dirs[1:]):
-        if graph.terminal_vertex(a) != graph.initial_vertex(b):
+        if initial[-a] != initial[b]:
             raise GraphStructureError(
                 f"path breaks at {graph.direction_name(a)} -> {graph.direction_name(b)}"
             )
-
-
-def path_of(graph: OrientedGraph, dirs: tuple[int, ...], basepoint: int | None = None) -> EdgePath:
-    check_path(graph, dirs)
-    if dirs:
-        basepoint = graph.initial_vertex(dirs[0])
-    elif basepoint is None:
-        raise GraphStructureError("empty path needs a basepoint")
-    return EdgePath(tuple(dirs), basepoint)
 
 
 def reverse_path(dirs: tuple[int, ...]) -> tuple[int, ...]:
@@ -212,14 +202,6 @@ def is_tight(dirs: tuple[int, ...]) -> bool:
     return all(a != -b for a, b in zip(dirs, dirs[1:]))
 
 
-def tighten(graph: OrientedGraph, path: EdgePath) -> EdgePath:
-    """The reduced path homotopic rel endpoints; idempotent."""
-    check_path(graph, path.directions)
-    reduced = tighten_dirs(path.directions)
-    base = graph.initial_vertex(path.directions[0]) if path.directions else path.basepoint
-    return EdgePath(reduced, base)
-
-
 # -- graph maps ----------------------------------------------------------
 
 
@@ -239,28 +221,30 @@ class GraphMap:
     edge_images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.vertex_map) != self.source.n_vertices:
+        source, target, vertex_map = self.source, self.target, self.vertex_map
+        if len(vertex_map) != source.n_vertices:
             raise GraphStructureError("vertex map size mismatch")
-        if len(self.edge_images) != self.source.n_edges:
+        if len(self.edge_images) != source.n_edges:
             raise GraphStructureError("edge image count mismatch")
-        for w in self.vertex_map:
-            if not (0 <= w < self.target.n_vertices):
+        m = target.n_vertices
+        for w in vertex_map:
+            if not (0 <= w < m):
                 raise GraphStructureError("vertex image out of range")
-        for i, image in enumerate(self.edge_images):
-            if not image:
-                raise GraphStructureError(
-                    f"edge {self.source.edge_names[i]} has an empty image"
-                )
-            check_path(self.target, image)
-            u, v = self.source.ends[i]
-            if self.target.initial_vertex(image[0]) != self.vertex_map[u]:
-                raise GraphStructureError(
-                    f"image of edge {self.source.edge_names[i]} starts at the wrong vertex"
-                )
-            if self.target.terminal_vertex(image[-1]) != self.vertex_map[v]:
-                raise GraphStructureError(
-                    f"image of edge {self.source.edge_names[i]} ends at the wrong vertex"
-                )
+        initial = target._initial
+        try:
+            for name, (u, v), image in zip(source.edge_names, source.ends, self.edge_images):
+                if not image:
+                    raise GraphStructureError(f"edge {name} has an empty image")
+                check_path(target, image)
+                if initial[image[0]] != vertex_map[u]:
+                    raise GraphStructureError(f"image of edge {name} starts at the wrong vertex")
+                if initial[-image[-1]] != vertex_map[v]:
+                    raise GraphStructureError(f"image of edge {name} ends at the wrong vertex")
+        except KeyError as err:
+            # every direction of an image is looked up above
+            raise GraphStructureError(
+                f"edge image uses {err.args[0]}, not a direction of the target graph"
+            ) from None
 
     # -- application -----------------------------------------------------
 
@@ -353,9 +337,9 @@ def direction_map(g: GraphMap) -> dict[int, int]:
     return {d: g.image_of_direction(d)[0] for d in g.source.directions()}
 
 
-def eventual_images(g: GraphMap) -> dict[int, int]:
+def eventual_images(dg: dict[int, int]) -> dict[int, int]:
     """Each direction's image under Dg**N, where N is the number of
-    directions and Dg is the direction map.
+    directions and Dg is the direction map ``dg``.
 
     Dg is a self-map of a finite set of N directions, so every direction
     enters a cycle of Dg within N - 1 steps, and Dg**N sends every direction
@@ -364,30 +348,23 @@ def eventual_images(g: GraphMap) -> dict[int, int]:
     of Dg exactly when their N-th images are equal, and the N-th images are
     exactly the periodic directions.
     """
-    if not g.is_self_map:
-        raise GraphStructureError("direction-map dynamics require a self-map")
-    dg = direction_map(g)
     images = {d: d for d in dg}
     for _ in range(len(dg)):
         images = {d: dg[x] for d, x in images.items()}
     return images
 
 
-def periodic_directions(g: GraphMap) -> frozenset[int]:
-    """Directions lying on cycles of the direction map's functional graph."""
-    return frozenset(eventual_images(g).values())
-
-
-def gates(g: GraphMap) -> tuple[frozenset[int], ...]:
-    """Partition of directions by the illegal-turn equivalence relation.
+def gates(graph: OrientedGraph, images: dict[int, int]) -> tuple[frozenset[int], ...]:
+    """Partition of the graph's directions by the illegal-turn equivalence
+    relation of a self-map, given its eventual images.
 
     Two directions at a vertex are equivalent when some power of the
     direction map sends them to a degenerate pair, that is, when their
     eventual images agree.
     """
     classes: dict[tuple[int, int], set[int]] = {}
-    for d, image in eventual_images(g).items():
-        classes.setdefault((g.source.initial_vertex(d), image), set()).add(d)
+    for d, image in images.items():
+        classes.setdefault((graph.initial_vertex(d), image), set()).add(d)
     return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
 
 

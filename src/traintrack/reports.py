@@ -24,7 +24,7 @@ class CertifyReport:
     tt: TtCertificate
     gate_count: int
     expanding: bool
-    spectral: SpectralReport | None
+    spectral: SpectralReport
     pnp: PnpSearchResult | None
     principal: PrincipalReport | None
 
@@ -49,9 +49,9 @@ def certify_map(
     return CertifyReport(
         map=g,
         tt=a.tt,
-        gate_count=len(gates(g)),
+        gate_count=len(gates(g.source, a.images)),
         expanding=expanding,
-        spectral=a.spectral if g.is_self_map else None,
+        spectral=a.spectral,
         pnp=a.pnp if expanding else None,
         principal=is_principal(a) if train_track else None,
     )
@@ -103,19 +103,18 @@ def certify_json(report: CertifyReport) -> dict:
         "expanding": report.expanding,
         "verdict": report.verdict,
     }
-    if report.spectral is not None:
-        s = report.spectral
-        out["spectral"] = {
-            "transition_matrix": [list(row) for row in s.matrix.rows],
-            "characteristic_polynomial": list(s.characteristic_polynomial.coefficients),
-            "dominant_root": _fraction_pair(s.dominant_root),
-            "irreducible": s.irreducible,
-            "primitive": s.primitive,
-            "perron_frobenius": s.perron_frobenius,
-            "minimal_polynomial_degree": s.minimal_polynomial_degree,
-            "trace": s.trace,
-            "first_positive_power": s.positive_power,
-        }
+    s = report.spectral
+    out["spectral"] = {
+        "transition_matrix": [list(row) for row in s.matrix.rows],
+        "characteristic_polynomial": list(s.characteristic_polynomial.coefficients),
+        "dominant_root": _fraction_pair(s.dominant_root),
+        "irreducible": s.irreducible,
+        "primitive": s.primitive,
+        "perron_frobenius": s.perron_frobenius,
+        "minimal_polynomial_degree": s.minimal_polynomial_degree,
+        "trace": s.trace,
+        "first_positive_power": s.positive_power,
+    }
     if report.pnp is not None:
         out["periodic_nielsen_paths"] = {
             "verdict": report.pnp.verdict,
@@ -168,20 +167,19 @@ def certify_text(report: CertifyReport) -> str:
         )
     lines.append(f"gates: {report.gate_count}")
     lines.append("expanding: " + ("yes" if report.expanding else "no"))
-    if report.spectral is not None:
-        s = report.spectral
-        lo, hi = s.dominant_root
-        lines.append(
-            "transition matrix: irreducible=%s primitive=%s PF=%s trace=%d"
-            % (s.irreducible, s.primitive, s.perron_frobenius, s.trace)
-        )
-        lines.append("characteristic polynomial: " + s.characteristic_polynomial.pretty())
-        lines.append(
-            f"stretch factor: {float((lo + hi) / 2):.10f} "
-            f"(exact interval width {float(hi - lo):.2e})"
-        )
-        if s.positive_power is not None:
-            lines.append(f"first strictly positive power: {s.positive_power}")
+    s = report.spectral
+    lo, hi = s.dominant_root
+    lines.append(
+        "transition matrix: irreducible=%s primitive=%s PF=%s trace=%d"
+        % (s.irreducible, s.primitive, s.perron_frobenius, s.trace)
+    )
+    lines.append("characteristic polynomial: " + s.characteristic_polynomial.pretty())
+    lines.append(
+        f"stretch factor: {float((lo + hi) / 2):.10f} "
+        f"(exact interval width {float(hi - lo):.2e})"
+    )
+    if s.positive_power is not None:
+        lines.append(f"first strictly positive power: {s.positive_power}")
     if report.pnp is not None:
         lines.append(
             "periodic Nielsen paths: %s (length bound %d, period bound %d)"

@@ -102,20 +102,25 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
     return out
 
 
+def _multiplicities(m: int, ends) -> list[list[int]]:
+    """Symmetric matrix of edge counts between the pairs of m vertices
+    (loops on the diagonal, counted once)."""
+    mult = [[0] * m for _ in range(m)]
+    for u, w in ends:
+        mult[u][w] += 1
+        if u != w:
+            mult[w][u] += 1
+    return mult
+
+
 def _refine_colors(m: int, edges, initial: list[int]) -> list[int]:
     """Iterated neighborhood refinement of a vertex coloring."""
-    mult: dict[tuple[int, int], int] = {}
-    for u, v in edges:
-        mult[(u, v)] = mult.get((u, v), 0) + 1
-        if u != v:
-            mult[(v, u)] = mult.get((v, u), 0) + 1
+    mult = _multiplicities(m, edges)
     colors = list(initial)
     for _ in range(m):
         signatures = []
         for v in range(m):
-            sig = sorted(
-                (colors[w], n) for (x, w), n in mult.items() if x == v
-            )
+            sig = sorted((colors[w], n) for w, n in enumerate(mult[v]) if n)
             signatures.append((colors[v], tuple(sig)))
         order = sorted(set(signatures))
         new = [order.index(s) for s in signatures]
@@ -204,18 +209,6 @@ def trivalent_universe() -> tuple[OrientedGraph, ...]:
 # -- graph isomorphisms ---------------------------------------------------------
 
 
-def _multiplicities(graph: OrientedGraph) -> list[list[int]]:
-    """Symmetric matrix of edge counts between vertex pairs (loops on the
-    diagonal, counted once)."""
-    m = graph.n_vertices
-    mult = [[0] * m for _ in range(m)]
-    for u, w in graph.ends:
-        mult[u][w] += 1
-        if u != w:
-            mult[w][u] += 1
-    return mult
-
-
 def _vertex_bijections(source: OrientedGraph, target: OrientedGraph):
     """Vertex bijections (as image tuples, in lexicographic order) that carry
     every source edge multiplicity onto the target's, by backtracking.
@@ -230,8 +223,8 @@ def _vertex_bijections(source: OrientedGraph, target: OrientedGraph):
     m = source.n_vertices
     sv = [source.valence(v) for v in range(m)]
     tv = [target.valence(w) for w in range(m)]
-    smult = _multiplicities(source)
-    tmult = _multiplicities(target)
+    smult = _multiplicities(m, source.ends)
+    tmult = _multiplicities(m, target.ends)
     image = [0] * m
     used = [False] * m
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .certify import FicReport, MapAnalysis, WhiteheadGraph, local_whitehead
 from .graphs import (
@@ -193,7 +194,7 @@ class Relabeling:
 
     ``signed_images[i]`` is the signed target direction of source edge ``i``;
     compatibility with reversal holds by construction.  The induced vertex
-    bijection is derived and validated.
+    bijection is derived and validated once, on construction.
     """
 
     source: OrientedGraph
@@ -208,7 +209,7 @@ class Relabeling:
             raise GraphStructureError("relabeling is not a signed bijection")
         self.vertex_map  # force consistency validation
 
-    @property
+    @cached_property
     def vertex_map(self) -> tuple[int, ...]:
         assignment: dict[int, int] = {}
         for i, s in enumerate(self.signed_images):
@@ -302,35 +303,6 @@ def relabel_map(g: GraphMap, sigma: tuple[int, ...]) -> GraphMap:
         raise GraphStructureError("relabel_map conjugates self-maps")
     rel = relabeling_map(g.source, sigma)
     return compose(rel.as_graph_map(), compose(g, rel.inverse().as_graph_map()))
-
-
-def ltt_isomorphic(
-    g1: LttStructure, g2: LttStructure, upto: str = "exact"
-) -> tuple[int, ...] | None:
-    """Test structure equality exactly or up to a signed label permutation.
-
-    In relabeling mode the witness permutation is returned; the search is a
-    brute-force scan over signed permutations, pruned by matching the red
-    vertices first.
-    """
-    if upto == "exact":
-        if g1.exact_key() == g2.exact_key():
-            n = g1.graph.n_edges
-            return tuple(range(1, n + 1))
-        return None
-    if upto != "relabeling":
-        raise GraphStructureError("upto must be 'exact' or 'relabeling'")
-    n = g1.graph.n_edges
-    if g2.graph.n_edges != n or len(g1.red_vertices) != len(g2.red_vertices):
-        return None
-    key2 = g2.exact_key()
-    for sigma in signed_permutations(n):
-        rel_red = frozenset(apply_signed(sigma, d) for d in g1.red_vertices)
-        if rel_red != g2.red_vertices:
-            continue
-        if relabel_structure(g1, sigma).exact_key() == key2:
-            return sigma
-    return None
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from traintrack.folds import (
     push_permutations,
     stallings_decompose,
 )
-from traintrack.graphs import iterate_map, make_turn, periodic_directions
+from traintrack.graphs import iterate_map, make_turn
 from traintrack.mapdoc import parse_map_document
 from traintrack.reports import certify_map
 from traintrack.search import (
@@ -164,12 +164,13 @@ def test_criterion_4_automaton_soundness(automaton, gmap):
         for _ in range(len(base.folds)):
             m = loop_to_map(automaton, current)
             key = automaton.nodes[current.node_ids[0]]
-            nonperiodic = set(m.source.directions()) - periodic_directions(m)
+            a = MapAnalysis(m)
+            nonperiodic = set(m.source.directions()) - a.periodic
             assert nonperiodic == {key[1]}
-            closure = frozenset(taken_turn_closure(m).turns)
+            closure = frozenset(taken_turn_closure(a).turns)
             node_turns = frozenset(tuple(t) for t in key[2])
             assert closure <= node_turns
-            if is_irreducible(transition_matrix(m)):
+            if is_irreducible(a.matrix):
                 assert closure == node_turns
                 irreducible_hits += 1
             current = rotate_loop(automaton, current)
@@ -228,7 +229,7 @@ def test_criterion_5_decomposition_roundtrips(automaton, gmap):
 def test_criterion_6_negative_controls(psi, block_map):
     start = time.perf_counter()
 
-    cert = is_train_track(psi)
+    cert = is_train_track(MapAnalysis(psi))
     assert not cert.is_train_track
     graph = psi.source
     assert cert.witness == make_turn(

@@ -28,7 +28,7 @@ from traintrack.catalog import single_fold_map
 from traintrack.certify import MapAnalysis, taken_turn_closure
 from traintrack.digraph import strongly_connected_components
 from traintrack.folds import compose_power, rotate, stallings_decompose
-from traintrack.graphs import GraphStructureError, periodic_directions
+from traintrack.graphs import GraphStructureError
 from traintrack.search import _conjugate_by_relabeling
 from traintrack.spectral import is_irreducible, transition_matrix
 from traintrack.whitehead import (
@@ -168,12 +168,13 @@ def test_transport_soundness_short_loops(automaton):
     for loop in loops:
         m = loop_to_map(automaton, loop)
         key = automaton.nodes[loop.node_ids[0]]
-        red = {d for d in m.source.directions()} - periodic_directions(m)
+        a = MapAnalysis(m)
+        red = {d for d in m.source.directions()} - a.periodic
         assert red == {key[1]}
-        closure = frozenset(taken_turn_closure(m).turns)
+        closure = frozenset(taken_turn_closure(a).turns)
         node_turns = frozenset(tuple(t) for t in key[2])
         assert closure <= node_turns
-        if is_irreducible(transition_matrix(m)):
+        if is_irreducible(a.matrix):
             assert closure == node_turns
             equal += 1
     assert equal > 0

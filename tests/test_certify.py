@@ -45,7 +45,7 @@ def named_turns(graph, pairs):
 
 
 def test_closure_reference(gmap):
-    closure = taken_turn_closure(gmap)
+    closure = taken_turn_closure(MapAnalysis(gmap))
     assert closure.turns == frozenset(named_turns(gmap.source, REFERENCE_TURNS))
     # the generation trace starts from the single seed turn inside g(d)
     seed = make_turn(gmap.source.direction_of("e"), gmap.source.direction_of("~c"))
@@ -54,7 +54,7 @@ def test_closure_reference(gmap):
 
 def test_closure_contains_turns_of_iterates(gmap, doubling_control):
     for g in (gmap, doubling_control):
-        closure = taken_turn_closure(g)
+        closure = taken_turn_closure(MapAnalysis(g))
         for k in range(1, 6):
             gk = iterate_map(g, k)
             for image in gk.edge_images:
@@ -63,41 +63,42 @@ def test_closure_contains_turns_of_iterates(gmap, doubling_control):
 
 
 def test_closure_identity_empty(gmap):
-    assert len(taken_turn_closure(identity_map(gmap.source))) == 0
+    assert len(taken_turn_closure(MapAnalysis(identity_map(gmap.source)))) == 0
 
 
 def test_illegal_turns(gmap, psi):
     graph = gmap.source
-    assert illegal_turns(gmap) == frozenset(
+    assert illegal_turns(MapAnalysis(gmap)) == frozenset(
         {make_turn(graph.direction_of("d"), graph.direction_of("~c"))}
     )
-    assert illegal_turns(identity_map(graph)) == frozenset()
+    assert illegal_turns(MapAnalysis(identity_map(graph))) == frozenset()
     rose = psi.source
-    assert make_turn(rose.direction_of("~z"), rose.direction_of("~x")) in illegal_turns(psi)
+    turn = make_turn(rose.direction_of("~z"), rose.direction_of("~x"))
+    assert turn in illegal_turns(MapAnalysis(psi))
 
 
 def test_is_train_track(gmap, psi):
-    cert = is_train_track(gmap)
+    cert = is_train_track(MapAnalysis(gmap))
     assert cert.is_train_track
-    bad = is_train_track(psi)
+    bad = is_train_track(MapAnalysis(psi))
     assert not bad.is_train_track
     assert bad.witness == make_turn(
         psi.source.direction_of("~z"), psi.source.direction_of("~x")
     )
-    assert is_train_track(identity_map(gmap.source)).is_train_track
+    assert is_train_track(MapAnalysis(identity_map(gmap.source))).is_train_track
 
 
 def test_untight_image_is_witnessed():
     rose = rose_graph(("a", "b"))
     g = GraphMap(rose, rose, (0,), ((1, -1, 1), (2,)))
-    cert = is_train_track(g)
+    cert = is_train_track(MapAnalysis(g))
     assert not cert.is_train_track
     assert cert.witness == "a"
 
 
 def test_tt_implies_tight_powers(gmap, doubling_control, block_map):
     for g in (gmap, doubling_control, block_map):
-        assert is_train_track(g).is_train_track
+        assert is_train_track(MapAnalysis(g)).is_train_track
         for k in range(1, 7):
             gk = iterate_map(g, k)
             assert all(
@@ -106,8 +107,8 @@ def test_tt_implies_tight_powers(gmap, doubling_control, block_map):
 
 
 def test_is_expanding(gmap):
-    assert is_expanding(gmap)
-    assert not is_expanding(identity_map(gmap.source))
+    assert is_expanding(transition_matrix(gmap))
+    assert not is_expanding(transition_matrix(identity_map(gmap.source)))
 
 
 def test_expanding_agrees_with_row_sum_growth(gmap, psi, doubling_control, block_map):
@@ -126,12 +127,12 @@ def test_expanding_agrees_with_row_sum_growth(gmap, psi, doubling_control, block
 def test_growing_edge_feeding_cycle_not_expanding():
     rose = rose_graph(("a", "b"))
     grow = GraphMap(rose, rose, (0,), ((1, 2), (2,)))
-    assert not is_expanding(grow)
+    assert not is_expanding(transition_matrix(grow))
     assert expanding_edges(transition_matrix(grow)) == (0,)
 
 
 def test_pnp_reference_clean(gmap):
-    assert default_period_bound(gmap) == 9
+    assert default_period_bound(MapAnalysis(gmap)) == 9
     result = pnp_bounded_search(MapAnalysis(gmap, 50, 9))
     assert result.clean
     assert result.length_bound == 50
@@ -189,22 +190,41 @@ def test_single_illegal_turn_for_principal(gmap):
     # maps certified principal have exactly one illegal turn
     from traintrack.search import single_fold_search
 
-    assert len(illegal_turns(gmap)) == 1
+    assert len(illegal_turns(MapAnalysis(gmap))) == 1
     summary = single_fold_search(3)
     for report in summary.survivors:
-        assert len(illegal_turns(report.map)) == 1
+        assert len(illegal_turns(MapAnalysis(report.map))) == 1
+
+
+def test_map_analysis_rejects_non_self_map(gmap):
+    from traintrack.folds import apply_fold
+
+    graph = gmap.source
+    v4 = max(range(graph.n_vertices), key=graph.valence)
+    e1, e0 = graph.directions_at(v4)[:2]
+    move = apply_fold(graph, e1, e0)
+    assert move.map.source != move.map.target
+    with pytest.raises(GraphStructureError, match="self-map"):
+        MapAnalysis(move.map)
+
+
+# (module, name) of each step one ``certify_map`` must run exactly once
+DERIVATIONS = (
+    ("traintrack.graphs", "direction_map"),
+    ("traintrack.graphs", "eventual_images"),
+    ("traintrack.spectral", "transition_matrix"),
+    ("traintrack.certify", "is_train_track"),
+    ("traintrack.spectral", "classify_matrix"),
+    ("traintrack.certify", "pnp_bounded_search"),
+    ("traintrack.certify", "fic_check"),
+    ("traintrack.whitehead", "ideal_whitehead"),
+)
 
 
 def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
     """One ``certify_map`` builds one analysis, so each step runs once."""
     calls: Counter = Counter()
-    for module_name, name in (
-        ("traintrack.certify", "is_train_track"),
-        ("traintrack.spectral", "classify_matrix"),
-        ("traintrack.certify", "pnp_bounded_search"),
-        ("traintrack.certify", "fic_check"),
-        ("traintrack.whitehead", "ideal_whitehead"),
-    ):
+    for module_name, name in DERIVATIONS:
         original = getattr(importlib.import_module(module_name), name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -218,10 +238,7 @@ def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
     from traintrack.reports import certify_map
 
     assert certify_map(gmap).verdict == "PRINCIPAL"
-    assert calls == dict.fromkeys(
-        ("is_train_track", "classify_matrix", "pnp_bounded_search", "fic_check", "ideal_whitehead"),
-        1,
-    )
+    assert calls == {name: 1 for _, name in DERIVATIONS}
 
 
 # sha256 of every certify report, text then sorted-key JSON, of the 260

@@ -8,25 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traintrack.catalog import rose_graph, single_fold_graph
-from traintrack.certify import illegal_turns
-from traintrack.folds import apply_fold
+from traintrack.certify import MapAnalysis, illegal_turns
+from traintrack.folds import FOLD_KINDS, apply_fold
 from traintrack.graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
+    check_path,
     compose,
     direction_map,
     gates,
     graph_invariants,
     identity_map,
     iterate_map,
-    path_of,
-    periodic_directions,
     suppress_bivalent,
     suppress_bivalent_map,
-    tighten,
+    tighten_dirs,
 )
-from traintrack.search import build_universe, graph_isomorphisms
+from traintrack.search import build_universe, graph_isomorphisms, trivalent_universe
+from traintrack.whitehead import relabeled_graph
 
 
 def random_tight_path(graph, rng, max_len=8):
@@ -41,18 +41,16 @@ def random_tight_path(graph, rng, max_len=8):
 def test_tighten_full_cancellation(gmap):
     graph = gmap.source
     a = graph.direction_of("a")
-    p = path_of(graph, (a, -a))
-    out = tighten(graph, p)
-    assert out.is_empty()
-    assert out.basepoint == graph.initial_vertex(a)
+    check_path(graph, (a, -a))
+    assert tighten_dirs((a, -a)) == ()
 
 
 def test_tighten_already_tight(gmap):
     graph = gmap.source
     image_of_d = gmap.edge_images[graph.edge_index("d")]
     assert graph.path_name(image_of_d) == "~e ~c"
-    p = path_of(graph, image_of_d)
-    assert tighten(graph, p).directions == image_of_d
+    check_path(graph, image_of_d)
+    assert tighten_dirs(image_of_d) == image_of_d
 
 
 def test_tighten_idempotent_and_endpoint_preserving(gmap):
@@ -60,20 +58,78 @@ def test_tighten_idempotent_and_endpoint_preserving(gmap):
     rng = random.Random(20240817)
     for _ in range(80):
         dirs = random_tight_path(graph, rng)
-        p = path_of(graph, dirs)
-        once = tighten(graph, p)
-        twice = tighten(graph, once)
-        assert once == twice
-        if not once.is_empty():
-            assert graph.initial_vertex(once.directions[0]) == graph.initial_vertex(dirs[0])
-            assert graph.terminal_vertex(once.directions[-1]) == graph.terminal_vertex(dirs[-1])
+        check_path(graph, dirs)
+        once = tighten_dirs(dirs)
+        check_path(graph, once)
+        assert tighten_dirs(once) == once
+        if once:
+            assert graph.initial_vertex(once[0]) == graph.initial_vertex(dirs[0])
+            assert graph.terminal_vertex(once[-1]) == graph.terminal_vertex(dirs[-1])
 
 
 def test_malformed_path_rejected(gmap):
     graph = gmap.source
     a = graph.direction_of("a")
     with pytest.raises(GraphStructureError):
-        path_of(graph, (a, a))  # a's terminus is not a's origin
+        check_path(graph, (a, a))  # a's terminus is not a's origin
+    # a map whose image leaves the graph's directions is rejected
+    for outside in (0, graph.n_edges + 1, 2 * graph.n_edges, -graph.n_edges - 1):
+        for image in ((outside,), (a, outside)):
+            with pytest.raises(GraphStructureError, match="not a direction"):
+                GraphMap(graph, graph, gmap.vertex_map, (image,) + gmap.edge_images[1:])
+
+
+# -- incidence against its definition on ``ends`` -------------------------------
+
+
+def _assert_incidence_matches_ends(graph):
+    def initial(d):
+        u, v = graph.ends[abs(d) - 1]
+        return u if d > 0 else v
+
+    directions = graph.directions()
+    for d in directions:
+        assert graph.initial_vertex(d) == initial(d)
+        assert graph.terminal_vertex(d) == initial(-d)
+    for w in range(graph.n_vertices):
+        assert graph.directions_at(w) == tuple(d for d in directions if initial(d) == w)
+        assert graph.valence(w) == sum((u == w) + (v == w) for u, v in graph.ends)
+
+
+def test_incidence_matches_ends_on_universes_folds_and_relabelings():
+    rng = random.Random(6)
+    graphs = list(trivalent_universe())
+    for rank in (3, 4, 5):
+        graphs.extend(build_universe(rank).graphs)
+    checked = 0
+    for graph in graphs:
+        _assert_incidence_matches_ends(graph)
+        for _ in range(2):
+            labels = rng.sample(range(1, graph.n_edges + 1), graph.n_edges)
+            sigma = tuple(x * rng.choice((1, -1)) for x in labels)
+            _assert_incidence_matches_ends(relabeled_graph(graph, sigma))
+        for v in range(graph.n_vertices):
+            for e1, e0 in itertools.permutations(graph.directions_at(v), 2):
+                for kind in FOLD_KINDS:
+                    try:
+                        move = apply_fold(graph, e1, e0, kind)
+                    except GraphStructureError:
+                        continue
+                    _assert_incidence_matches_ends(move.target)
+                    checked += 1
+    assert checked > len(graphs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_incidence_matches_ends_on_random_multigraphs(data):
+    m = data.draw(st.integers(1, 4))
+    vertex = st.integers(0, m - 1)
+    ends = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+    graph = OrientedGraph(
+        tuple(f"v{i}" for i in range(m)), tuple(f"e{i}" for i in range(len(ends))), tuple(ends)
+    )
+    _assert_incidence_matches_ends(graph)
 
 
 def test_compose_identity(gmap):
@@ -125,15 +181,19 @@ def test_direction_map_of_power_is_iterated(gmap, power):
     assert iterated == direction_map(iterate_map(gmap, power))
 
 
+def _gates(g):
+    return gates(g.source, MapAnalysis(g).images)
+
+
 def test_periodic_directions_reference(gmap):
     graph = gmap.source
-    periodic = periodic_directions(gmap)
+    periodic = MapAnalysis(gmap).periodic
     assert len(periodic) == 9
     assert graph.direction_of("~c") not in periodic
 
 
 def test_periodic_directions_identity(gmap):
-    assert periodic_directions(identity_map(gmap.source)) == frozenset(
+    assert MapAnalysis(identity_map(gmap.source)).periodic == frozenset(
         gmap.source.directions()
     )
 
@@ -142,36 +202,36 @@ def test_periodic_directions_collapse_onto_cycle():
     # x -> y, y -> x, z -> x: the two-cycle {x, y} and its reverses persist
     graph = rose_graph(("x", "y", "z"))
     g = GraphMap(graph, graph, (0,), ((2,), (1,), (1,)))
-    per = periodic_directions(g)
+    per = MapAnalysis(g).periodic
     assert per == frozenset({1, 2, -1, -2})
 
 
 def test_gates_reference(gmap):
     graph = gmap.source
-    gs = gates(gmap)
+    gs = _gates(gmap)
     assert len(gs) == 9
     pair = frozenset({graph.direction_of("d"), graph.direction_of("~c")})
     assert pair in gs
     assert all(len(s) == 1 for s in gs if s != pair)
     # each gate contains exactly one periodic direction
-    per = periodic_directions(gmap)
+    per = MapAnalysis(gmap).periodic
     assert all(len(s & per) == 1 for s in gs)
 
 
 def test_gates_identity_all_singletons(gmap):
-    assert all(len(s) == 1 for s in gates(identity_map(gmap.source)))
+    assert all(len(s) == 1 for s in _gates(identity_map(gmap.source)))
 
 
 def test_gates_refine_vertex_partition(gmap, psi):
     for g in (gmap, psi):
-        for gate in gates(g):
+        for gate in _gates(g):
             assert len({g.source.initial_vertex(d) for d in gate}) == 1
 
 
 def test_gates_rose_example(psi):
     graph = psi.source
     pair = {graph.direction_of("~z"), graph.direction_of("~x")}
-    assert any(pair <= gate for gate in gates(psi))
+    assert any(pair <= gate for gate in _gates(psi))
 
 
 def test_graph_invariants_reference(gmap):
@@ -297,10 +357,11 @@ def _iterated_illegal_turns(g):
 
 
 def _assert_dynamics_match(g):
-    assert periodic_directions(g) == _walk_periodic_directions(g)
+    a = MapAnalysis(g)
+    assert a.periodic == _walk_periodic_directions(g)
     # equal tuples: the same gates in the same order
-    assert gates(g) == _union_find_gates(g)
-    assert illegal_turns(g) == _iterated_illegal_turns(g)
+    assert gates(g.source, a.images) == _union_find_gates(g)
+    assert illegal_turns(a) == _iterated_illegal_turns(g)
 
 
 def _single_fold_candidates(rank):
@@ -332,7 +393,7 @@ def test_dynamics_match_direct_computation_on_fixtures(gmap, psi, doubling_contr
     # by vertex
     barbell = OrientedGraph(("p", "q"), ("x", "y", "z"), ((0, 0), (0, 1), (1, 1)))
     squash = GraphMap(barbell, barbell, (0, 0), ((1,), (1,), (1, 1)))
-    assert len(gates(squash)) == 4
+    assert len(_gates(squash)) == 4
     for g in (gmap, psi, doubling_control, block_map, collapse, squash):
         _assert_dynamics_match(g)
         _assert_dynamics_match(identity_map(g.source))

@@ -359,8 +359,8 @@ def test_survivor_audits_and_roundtrip():
 def test_loop_fold_candidates_fail_early():
     # a fold whose target edge is a loop forces the fold vertex to map to
     # itself; no such composition is irreducible
-    from traintrack.certify import is_train_track
-    from traintrack.spectral import is_irreducible, transition_matrix
+    from traintrack.certify import MapAnalysis
+    from traintrack.spectral import is_irreducible
 
     universe = build_universe(3)
     checked = 0
@@ -373,12 +373,9 @@ def test_loop_fold_candidates_fail_early():
                 continue  # not a loop
             move = apply_fold(graph, e1, e0)
             for sigma in graph_isomorphisms(move.target, graph):
-                h = compose(sigma.as_graph_map(), move.map)
+                a = MapAnalysis(compose(sigma.as_graph_map(), move.map))
                 checked += 1
-                assert not (
-                    is_train_track(h).is_train_track
-                    and is_irreducible(transition_matrix(h))
-                )
+                assert not (a.tt.is_train_track and is_irreducible(a.matrix))
     assert checked > 0
 
 
