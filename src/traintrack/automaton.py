@@ -236,9 +236,7 @@ def enumerate_nodes(rank: int = 3) -> list[NodeKey]:
                 turns = _canonical_turns(
                     base_turns + [(min(red, attach), max(red, attach))]
                 )
-                key = (groups, red, turns)
-                assert not node_profile_errors(key)
-                nodes.append(key)
+                nodes.append((groups, red, turns))
     return sorted(nodes)
 
 

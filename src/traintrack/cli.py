@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success (for ``certify``: the map is principal), 2 parse
-error, 3 precondition violation, 4 verification failed.
+Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
+file, parse error or bad usage; 3 precondition violation (``certify`` on a
+map that is not a self-map, ``decompose`` on a map it cannot fold, an
+unsupported rank); 4 verification failed (for ``certify``: any verdict other
+than PRINCIPAL).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .reports import (
     decompose_text,
 )
 from .search import single_fold_search, verify_minimal_stretch_argument
-from .spectral import RootIsolationError
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -60,11 +62,7 @@ def cmd_certify(args) -> int:
     if not g.is_self_map:
         print("error: certify needs a self-map", file=sys.stderr)
         return EXIT_PRECONDITION
-    try:
-        report = certify_map(g, args.pnp_bound, args.pnp_period)
-    except RootIsolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    report = certify_map(g, args.pnp_bound, args.pnp_period)
     sys.stdout.write(certify_text(report))
     _write_json(args.json, certify_json(report))
     return 0 if report.verdict == "PRINCIPAL" else EXIT_VERIFICATION

@@ -514,15 +514,24 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
         )
     )
 
-    lo, hi = largest_real_root_interval(p, Fraction(1, 10**9))
+    # Step 1 ties the map to the target, which is irreducible of degree 5, so
+    # its root is no root of a table polynomial and the brackets separate.
+    lo, hi = largest_real_root_interval(target, Fraction(1, 10**9))
     table = {entry.degree: entry for entry in minimal_perron_table() if entry.rank_within_degree == 1}
     comparisons = []
     ok = True
     for degree in (4, 3, 2):
-        bound = Fraction(table[degree].approximate_root).limit_denominator(10**6)
-        good = hi < bound
+        entry = table[degree]
+        width = Fraction(1, 10**9)
+        while True:
+            root = largest_real_root_interval(target, width)
+            bound = largest_real_root_interval(entry.polynomial, width)
+            if root[1] < bound[0] or bound[1] < root[0]:
+                break
+            width /= 2**10
+        good = root[1] < bound[0]
         ok = ok and good
-        comparisons.append(f"root < {float(bound):.3f} (degree {degree}): {good}")
+        comparisons.append(f"root < {entry.approximate_root:.3f} (degree {degree}): {good}")
     steps.append(
         ArgumentStep(
             "dominant root below smaller-degree minima",

@@ -1,10 +1,11 @@
 """Exact transition-matrix arithmetic and Perron-number certification.
 
 Matrices hold arbitrary-precision Python integers; characteristic polynomials
-are computed exactly by cofactor expansion over Z[x].  The dominant real root
-is isolated by sign-change bisection with exact rational evaluation, while the
-full complex root set (needed for Perron checks) comes from a floating-point
-global solver, re-polished at high precision when the modulus gap is tiny.
+are computed exactly by cofactor expansion over Z[x].  Every root verdict is
+exact: sympy isolates the real roots, the largest one is narrowed by
+sign-change bisection with rational evaluation, and Perron dominance is read
+off the real roots of the polynomial whose roots are the pairwise products
+of the roots.  No floating-point number decides anything here.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import sympy
-from mpmath.libmp import NoConvergence
 
 from .digraph import condensation_reachability, strongly_connected_components
 from .graphs import GraphMap, GraphStructureError
@@ -209,128 +208,130 @@ def char_poly(matrix: IntegerMatrix) -> IntPolynomial:
 # -- root isolation ---------------------------------------------------------
 
 
+_X = sympy.Symbol("x")
+
+
+def _to_sympy(p: IntPolynomial) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coefficients)), _X)
+
+
+def _largest_root_bracket(p: IntPolynomial) -> tuple[IntPolynomial, Fraction, Fraction]:
+    """The square-free part q of ``p`` (repeated roots would not change sign)
+    and sympy's isolating interval of its largest real root.  The interval is
+    open, or a single point at a rational root; an open interval may end at
+    a smaller rational root."""
+    f = _to_sympy(p).sqf_part()
+    intervals = f.intervals()
+    if not intervals:
+        raise GraphStructureError("polynomial has no real root")
+    (lo, hi), _ = intervals[-1]
+    q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
+    return q, Fraction(lo), Fraction(hi)
+
+
+def _bisect(
+    q: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Halve an isolating interval of a simple root of ``q`` by exact sign
+    evaluation until it is at most ``width`` wide and ``lo`` is not a root.
+    A rational root hit exactly comes back as the point interval (r, r)."""
+    sign_hi = q(hi) > 0
+    lo_is_root = q(lo) == 0
+    while lo_is_root or hi - lo > width:
+        mid = (lo + hi) / 2
+        val = q(mid)
+        if val == 0:
+            return mid, mid
+        if (val > 0) == sign_hi:
+            hi = mid
+        else:
+            lo, lo_is_root = mid, False
+    return lo, hi
+
+
 def largest_real_root_interval(
     p: IntPolynomial, width: Fraction = Fraction(1, 10**12)
 ) -> tuple[Fraction, Fraction]:
-    """Bisect the largest real root down to an interval of the given width.
+    """An interval [lo, hi], at most ``width`` wide, holding the largest real
+    root of ``p`` and no other root; no root lies above it.  Either
+    p(lo)·p(hi) < 0 on the square-free part, or lo == hi is the root."""
+    return _bisect(*_largest_root_bracket(p), width)
 
-    The polynomial is reduced to its square-free part (repeated roots would
-    not change sign), the root is localized in floating point strictly above
-    every other real root, and the bracket is then refined by exact rational
-    sign evaluations.
+
+def _symmetric_square(q: IntPolynomial) -> IntPolynomial:
+    """The monic polynomial whose roots are z_i·z_j (i <= j) over the roots
+    z of the monic ``q``.  Newton's identities give the power sums s_k of q;
+    the products have power sums (s_k² + s_2k)/2, and Newton's identities
+    run backwards turn those into coefficients."""
+    d = q.degree
+    a = [q.coefficients[d - i] for i in range(d + 1)]  # a[i] multiplies x^(d-i)
+    m = d * (d + 1) // 2
+    s = [d]
+    for k in range(1, 2 * m + 1):
+        acc = k * a[k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            acc += a[i] * s[k - i]
+        s.append(-acc)
+    sums = [0] + [(s[k] * s[k] + s[2 * k]) // 2 for k in range(1, m + 1)]
+    b = [1]
+    for k in range(1, m + 1):
+        acc = sums[k] + sum(b[i] * sums[k - i] for i in range(1, k))
+        assert acc % k == 0, "symmetric square must have integer coefficients"
+        b.append(-acc // k)
+    return IntPolynomial(tuple(reversed(b)))
+
+
+def is_perron_number(p: IntPolynomial) -> bool:
+    """Whether the largest real root λ > 0 of ``p`` strictly dominates the
+    modulus of every other root, decided in exact arithmetic.
+
+    Let q be the square-free part of ``p`` (it must be monic) and S its
+    symmetric square, whose roots are z_i·z_j for i <= j.  Then λ dominates
+    strictly iff λ² is a simple root of S and no real root of S exceeds λ².
+    If some root z ≠ λ has |z| >= λ, then z̄ is a root too, and z·z̄ = |z|²
+    >= λ² comes from a pair other than (λ, λ); conversely every other pair
+    has a product of modulus below λ².
+
+    The real roots of each square-free factor of S are isolated exactly.
+    λ's bracket [lo, hi] and every interval meeting [lo², hi²] are refined
+    until one interval meets it, which then holds λ²; an interval wholly
+    above hi² holds a larger root.  This ends, as the roots of coprime
+    factors are distinct.
     """
-    p = _square_free_part(p)
-    if p.degree == 0:
-        raise GraphStructureError("polynomial has no real root")
-    for dps in (30, 60, 120):
-        roots = _all_roots(p, dps=dps)
-        real = sorted(r.real for r in roots if abs(r.imag) < 10 ** -(dps // 2))
-        if not real:
-            raise GraphStructureError("polynomial has no real root")
-        approx = real[-1]
-        below = real[-2] if len(real) > 1 else approx - 1
-        gap = max(approx - below, 10 ** -(dps // 3)) / 2
-        lo = Fraction(approx - gap).limit_denominator(10**15)
-        hi = Fraction(approx + gap).limit_denominator(10**15)
-        sign_hi = 1 if p(hi) > 0 else -1
-        val_lo = p(lo)
-        if val_lo == 0:
-            lo -= Fraction(1, 10**12)
-            val_lo = p(lo)
-        if val_lo * sign_hi < 0:
-            break
-    else:
-        raise GraphStructureError("failed to bracket the largest real root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        val = p(mid)
-        if val == 0:
-            eps = width / 4
-            return (mid - eps, mid + eps)
-        if (1 if val > 0 else -1) == sign_hi:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
-
-
-def _square_free_part(p: IntPolynomial) -> IntPolynomial:
-    x = sympy.Symbol("x")
-    sqf = sympy.Poly(sympy.sqf_part(sympy.Poly(list(reversed(p.coefficients)), x)), x)
-    coeffs = [int(c) for c in reversed(sqf.all_coeffs())]
-    return IntPolynomial(tuple(coeffs))
-
-
-class RootIsolationError(ArithmeticError):
-    """The numerical root finder did not converge, so no spectral verdict
-    could be reached.  Deliberately not a ``GraphStructureError``: callers
-    that treat those as a negative answer must not swallow it."""
-
-
-def _all_roots(p: IntPolynomial, dps: int = 30) -> list[complex]:
-    """Distinct roots of ``p`` (square-free reduced first, so repeated roots
-    do not stall the solver).  Raises ``RootIsolationError`` when the solver
-    does not converge."""
-    p = _square_free_part(p)
-    with mpmath.workdps(dps):
-        try:
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(p.coefficients)], maxsteps=200, extraprec=120
-            )
-        except NoConvergence as exc:
-            raise RootIsolationError(
-                f"root finder did not converge on {p.pretty()} at {dps} digits"
-            ) from exc
-        return [complex(r) for r in roots]
-
-
-@dataclass(frozen=True)
-class PerronCheck:
-    is_perron: bool
-    dominant_root: float
-    modulus_gap: float
-    exact_tie: bool
-
-
-def is_perron_number(p: IntPolynomial) -> PerronCheck:
-    """Whether the largest real root strictly dominates all other root moduli.
-
-    Roots are located to ~1e-9; a modulus gap under 1e-6 triggers an exact
-    factor-based tie check plus a high-precision re-solve, so conjugate ties
-    (as for x**2 - 2) are never misread as strict dominance.
-    """
-    roots = _all_roots(p)
-    real = [r.real for r in roots if abs(r.imag) < 1e-9]
-    if not real or max(real) <= 0:
+    q, lo, hi = _largest_root_bracket(p)
+    if not q.is_monic():
+        raise GraphStructureError("a Perron number is an algebraic integer; p must be monic")
+    while lo <= 0 < hi:
+        lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
+    if hi <= 0:
         raise GraphStructureError("no positive real root; not a Perron candidate")
-    lam = max(real)
-    others = sorted((abs(r) for r in roots), reverse=True)
-    others.remove(max(others))  # drop one copy of the dominant modulus
-    gap = lam - others[0] if others else float("inf")
-    if gap > 1e-6:
-        return PerronCheck(True, lam, gap, exact_tie=False)
-    # Exact symmetric-tie detection: a common factor of p(x) and +/-p(-x)
-    # pairs the dominant root with a conjugate of equal modulus.
-    x = sympy.Symbol("x")
-    px = sympy.Poly(list(reversed(p.coefficients)), x)
-    pneg = sympy.Poly(px.as_expr().subs(x, -x), x)
-    tie = sympy.gcd(px, pneg).degree() > 0
-    if tie:
-        return PerronCheck(False, lam, gap, exact_tie=True)
-    refined = _all_roots(p, dps=60)
-    lam2 = max(r.real for r in refined if abs(r.imag) < 1e-30)
-    moduli = sorted((abs(r) for r in refined), reverse=True)
-    moduli.remove(max(moduli))
-    gap2 = lam2 - moduli[0] if moduli else float("inf")
-    return PerronCheck(gap2 > 1e-30, lam2, gap2, exact_tie=False)
+    roots = [
+        [factor, multiplicity, Fraction(a), Fraction(b)]
+        for factor, multiplicity in _to_sympy(_symmetric_square(q)).sqf_list()[1]
+        for (a, b), _ in factor.intervals()
+    ]
+    while True:
+        low, high = lo * lo, hi * hi
+        meeting = []
+        for root in roots:
+            if root[2] > high:
+                return False
+            if root[3] >= low:
+                meeting.append(root)
+        assert meeting, "the symmetric square vanishes at λ²"
+        if len(meeting) == 1:
+            return meeting[0][1] == 1
+        lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
+        for root in meeting:
+            factor, _, a, b = root
+            if a < b:
+                root[2:] = map(Fraction, factor.refine_root(a, b, steps=1))
 
 
 def minimal_polynomial_degree(p: IntPolynomial, root_interval: tuple[Fraction, Fraction]) -> int:
     """Degree of the irreducible factor of ``p`` vanishing on the interval."""
-    x = sympy.Symbol("x")
-    px = sympy.Poly(list(reversed(p.coefficients)), x)
     lo, hi = root_interval
-    for factor, _mult in px.factor_list()[1]:
+    for factor, _mult in _to_sympy(p).factor_list()[1]:
         flo = factor.eval(sympy.Rational(lo.numerator, lo.denominator))
         fhi = factor.eval(sympy.Rational(hi.numerator, hi.denominator))
         if flo == 0 or fhi == 0 or (flo > 0) != (fhi > 0):
@@ -391,7 +392,7 @@ class SpectralReport:
     irreducible: bool
     primitive: bool
     perron_frobenius: bool
-    perron_number: PerronCheck | None
+    perron_number: bool | None
     minimal_polynomial_degree: int
     trace: int
     positive_power: int | None
@@ -416,13 +417,6 @@ def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
     irred = is_irreducible(matrix)
     k = first_positive_power(matrix)
     primitive = k is not None
-    perron = None
-    lo, _hi = root
-    if lo > 0:
-        try:
-            perron = is_perron_number(p)
-        except GraphStructureError:
-            perron = None
     return SpectralReport(
         matrix=matrix,
         characteristic_polynomial=p,
@@ -430,7 +424,7 @@ def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
         irreducible=irred,
         primitive=primitive,
         perron_frobenius=primitive,
-        perron_number=perron,
+        perron_number=is_perron_number(p) if root[0] > 0 else None,
         minimal_polynomial_degree=minimal_polynomial_degree(p, root),
         trace=matrix.trace(),
         positive_power=k,
@@ -474,8 +468,7 @@ def minimal_perron_table() -> tuple[PerronTableEntry, ...]:
     ]
     entries = []
     for degree, poly, approx, rank in raw:
-        check = is_perron_number(poly)
-        if not check.is_perron:
+        if not is_perron_number(poly):
             raise GraphStructureError(f"table entry of degree {degree} failed verification")
         lo, hi = largest_real_root_interval(poly, Fraction(1, 10**9))
         if abs(float((lo + hi) / 2) - approx) > 1e-3:

@@ -61,8 +61,7 @@ def test_enumeration_counts(automaton):
 
 
 def test_every_node_passes_the_profile(automaton):
-    rng = random.Random(8)
-    for key in rng.sample(automaton.nodes, 500):
+    for key in automaton.nodes:
         assert not node_profile_errors(key)
 
 

@@ -242,9 +242,11 @@ def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
 
 
 # sha256 of every certify report, text then sorted-key JSON, of the 260
-# rank-3 single-fold candidates in search order, as the reports stood before
-# the steps shared one analysis per map
-RANK3_REPORTS_DIGEST = "02227ab9c2fe8caa6990989cf74d5034f78d9e92fea886e903de744621c2c4c5"
+# rank-3 single-fold candidates in search order.  Only the dominant-root
+# bracket (exact isolation, then bisection; a rational root is a point) and
+# the stretch-factor line read from it differ from the reports as they stood
+# before the steps shared one analysis per map.
+RANK3_REPORTS_DIGEST = "aa5c6dcd86e91fd6d1c9199f728ce94d388e7b2ec3ae48c49600147018f0443e"
 
 
 def test_certify_reports_pinned_on_rank3_candidates():

@@ -79,22 +79,6 @@ def test_certify_parse_error_line(tmp_path, capsys, text, line, message):
     assert message in stderr
 
 
-def test_certify_root_finder_failure(reference_file, capsys, monkeypatch):
-    from mpmath.libmp import NoConvergence
-
-    import traintrack.spectral
-
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("Didn't converge")
-
-    monkeypatch.setattr(traintrack.spectral.mpmath, "polyroots", no_convergence)
-    code = main(["certify", reference_file])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "root finder did not converge" in captured.err
-    assert "verdict" not in captured.out
-
-
 def test_decompose_reference(reference_file, tmp_path, capsys):
     out_json = tmp_path / "decomp.json"
     code = main(["decompose", reference_file, "--json", str(out_json)])

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from traintrack.graphs import identity_map
+from traintrack.folds import apply_fold
+from traintrack.graphs import compose, identity_map
+from traintrack.mapdoc import parse_map_document
+from traintrack.search import build_universe, graph_isomorphisms
 from traintrack.spectral import (
     GraphStructureError,
     IntegerMatrix,
@@ -143,18 +151,185 @@ def test_root_matches_power_iteration(gmap):
 
 
 def test_perron_checks():
-    q = is_perron_number(Q_POLY)
-    assert q.is_perron and abs(q.dominant_root - 1.1673) < 1e-3
-    r = is_perron_number(RIVAL_POLY)
-    assert r.is_perron and abs(r.dominant_root - 1.1237) < 1e-3
-    sqrt2 = is_perron_number(IntPolynomial((-2, 0, 1)))
-    assert not sqrt2.is_perron
-    assert sqrt2.exact_tie
+    assert is_perron_number(Q_POLY) is True
+    assert is_perron_number(RIVAL_POLY) is True
+    # a root of equal modulus: the other cube roots of 2, and -sqrt(2)
+    assert is_perron_number(IntPolynomial((-2, 0, 0, 1))) is False
+    assert is_perron_number(IntPolynomial((-2, 0, 1))) is False
+    # (x - 1)(x^2 + 4): the largest real root 1 is beaten by |2i|
+    assert is_perron_number(IntPolynomial((-4, 4, -1, 1))) is False
+    # (x^2 - x - 1)^2: a repeated root does not spoil dominance
+    assert is_perron_number(IntPolynomial((1, 2, -1, -2, 1))) is True
+    for entry in minimal_perron_table():
+        assert is_perron_number(entry.polynomial) is True
 
 
 def test_perron_requires_positive_real_root():
     with pytest.raises(GraphStructureError):
         is_perron_number(IntPolynomial((1, 0, 1)))  # x^2 + 1
+    with pytest.raises(GraphStructureError):
+        is_perron_number(IntPolynomial((1, 1)))  # x + 1
+    with pytest.raises(GraphStructureError):
+        is_perron_number(IntPolynomial((-1, 2)))  # 2x - 1, not monic
+
+
+# -- the exact Perron test against the floating-point solver it replaced -------
+
+
+def _sympy_poly(p):
+    return sympy.Poly(list(reversed(p.coefficients)), sympy.Symbol("x"))
+
+
+def _has_real_root(p):
+    return _sympy_poly(p).count_roots() > 0
+
+
+def _float_all_roots(p, dps=30):
+    """Distinct complex roots of ``p`` from mpmath's global solver."""
+    sqf = _sympy_poly(p).sqf_part()
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(int(c)) for c in sqf.all_coeffs()], maxsteps=200, extraprec=120
+        )
+        return [complex(r) for r in roots]
+
+
+def _float_is_perron_number(p):
+    """Floating-point oracle: roots to about 1e-9, a modulus gap under 1e-6
+    settled by a factor test for symmetric ties and a 60-digit re-solve."""
+    roots = _float_all_roots(p)
+    real = [r.real for r in roots if abs(r.imag) < 1e-9]
+    if not real or max(real) <= 0:
+        raise GraphStructureError("no positive real root; not a Perron candidate")
+    lam = max(real)
+    others = sorted((abs(r) for r in roots), reverse=True)
+    others.remove(max(others))
+    if not others or lam - others[0] > 1e-6:
+        return True
+    px = _sympy_poly(p)
+    x = px.gen
+    if sympy.gcd(px, sympy.Poly(px.as_expr().subs(x, -x), x)).degree() > 0:
+        return False
+    refined = _float_all_roots(p, dps=60)
+    lam2 = max(r.real for r in refined if abs(r.imag) < 1e-30)
+    moduli = sorted((abs(r) for r in refined), reverse=True)
+    moduli.remove(max(moduli))
+    return not moduli or lam2 - moduli[0] > 1e-30
+
+
+def _pool_char_polys():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "docgen.py"
+    spec = importlib.util.spec_from_file_location("docgen", path)
+    docgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docgen)
+    maps = (parse_map_document(text) for text in docgen.pool_documents())
+    return {char_poly(transition_matrix(g)) for g in maps if g.is_self_map}
+
+
+def _candidate_char_polys(rank):
+    """Characteristic polynomials of the single-fold search's candidates:
+    a proper full fold at the valence-4 vertex, then an isomorphism back."""
+    matrices = set()
+    for graph in build_universe(rank).graphs:
+        v4 = max(range(graph.n_vertices), key=graph.valence)
+        for e1, e0 in itertools.permutations(graph.directions_at(v4), 2):
+            if abs(e1) == abs(e0):
+                continue
+            move = apply_fold(graph, e1, e0, "proper_full")
+            for sigma in graph_isomorphisms(move.target, graph):
+                matrices.add(transition_matrix(compose(sigma.as_graph_map(), move.map)))
+    return {char_poly(m) for m in matrices}
+
+
+def _random_char_polys_and_monic_polys(seed=2405, count=250):
+    rng = random.Random(seed)
+    polys = set()
+    for _ in range(count):
+        n = rng.randrange(1, 7)
+        entries = (0, 0, 0, 1, 1, 2)
+        rows = tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(n))
+        polys.add(char_poly(IntegerMatrix(rows)))
+        degree = rng.randrange(1, 7)
+        polys.add(IntPolynomial(tuple(rng.randrange(-3, 4) for _ in range(degree)) + (1,)))
+    return polys
+
+
+def test_exact_perron_test_matches_float_oracle():
+    polys = (
+        _pool_char_polys()
+        | _candidate_char_polys(3)
+        | _candidate_char_polys(4)
+        | _random_char_polys_and_monic_polys()
+    )
+    checked = 0
+    for p in polys:
+        if not _has_real_root(p) or largest_real_root_interval(p)[0] <= 0:
+            continue
+        assert is_perron_number(p) == _float_is_perron_number(p), p.pretty()
+        checked += 1
+    assert checked > 300
+
+
+def _assert_bracket(p, width):
+    lo, hi = largest_real_root_interval(p, width)
+    q = _sympy_poly(p).sqf_part()
+    assert 0 <= hi - lo <= width
+    # count_roots counts the closed interval [hi, oo): no root lies above hi
+    if lo == hi:
+        assert q.eval(lo) == 0
+        assert q.count_roots(hi, None) == 1
+    else:
+        assert q.eval(lo) * q.eval(hi) < 0
+        assert q.count_roots(hi, None) == 0
+
+
+def test_largest_root_bracket():
+    cases = [Q_POLY, RIVAL_POLY, IntPolynomial((-2, 0, 1)), IntPolynomial((-4, 4, -1, 1))]
+    # (x - 1)(x^2 - 2), (x - 1)(2x - 1)(x^2 - 2) and (x - 1)(100x^2 - 101):
+    # sympy's isolating interval of the largest root starts at the rational
+    # root 1, which is within 1/3 of the largest root in the last case
+    cases += [IntPolynomial((2, -2, -1, 1)), IntPolynomial((-2, 6, -1, -3, 2))]
+    cases += [IntPolynomial((101, -101, -100, 100))]
+    # 2x - 1: sympy isolates 1/2 in (0, 1), and the first bisection meets it
+    cases += [IntPolynomial((-1, 2))]
+    cases += sorted(_random_char_polys_and_monic_polys(count=60), key=lambda p: p.coefficients)
+    for p in filter(_has_real_root, cases):
+        for width in (Fraction(1, 10**12), Fraction(1, 3)):
+            _assert_bracket(p, width)
+
+
+@st.composite
+def _irreducible_matrices(draw, period):
+    """Irreducible nonnegative matrices whose index classes form a cycle of
+    ``period`` classes (period 1: no constraint); entries only go from one
+    class to the next, so the period is a multiple of ``period``."""
+    sizes = draw(st.lists(st.integers(1, 6 // period), min_size=period, max_size=period))
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    n = len(cls)
+    entry = st.sampled_from((0, 1, 1, 2))
+    rows = tuple(
+        tuple(draw(entry) if cls[j] == (cls[i] + 1) % period else 0 for j in range(n))
+        for i in range(n)
+    )
+    matrix = IntegerMatrix(rows)
+    assume(is_irreducible(matrix))
+    return matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_matrices(1))
+def test_primitive_matrix_has_perron_root(matrix):
+    # Perron-Frobenius: a primitive matrix's spectral radius dominates
+    assume(first_positive_power(matrix) is not None)
+    assert is_perron_number(char_poly(matrix)) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(_irreducible_matrices))
+def test_periodic_matrix_has_no_perron_root(matrix):
+    # period h >= 2: the spectral radius times each h-th root of unity is a root
+    assert first_positive_power(matrix) is None
+    assert is_perron_number(char_poly(matrix)) is False
 
 
 def test_trace_obstruction():
@@ -204,7 +379,7 @@ def test_stretch_factors_in_search_are_perron(gmap):
     summary = single_fold_search(3)
     for report in summary.survivors:
         spectral = classify_matrix(transition_matrix(report.map))
-        assert spectral.perron_number is not None and spectral.perron_number.is_perron
+        assert spectral.perron_number is True
 
 
 # -- reachability against the per-index search it replaced ---------------------
