@@ -93,18 +93,15 @@ def key_from_structure(structure: LttStructure) -> NodeKey:
     )
 
 
-def graph_from_groups(
-    groups: tuple[tuple[int, ...], ...], edge_names: tuple[str, ...] = RANK3_EDGE_NAMES
-) -> OrientedGraph:
+def graph_from_groups(groups: tuple[tuple[int, ...], ...]) -> OrientedGraph:
     at = {}
     for gi, group in enumerate(groups):
         for d in group:
             at[d] = gi
-    n = len(edge_names)
     return OrientedGraph(
         vertex_names=tuple(f"u{gi}" for gi in range(len(groups))),
-        edge_names=edge_names,
-        ends=tuple((at[i + 1], at[-(i + 1)]) for i in range(n)),
+        edge_names=RANK3_EDGE_NAMES,
+        ends=tuple((at[i + 1], at[-(i + 1)]) for i in range(len(RANK3_EDGE_NAMES))),
     )
 
 
@@ -189,13 +186,14 @@ def transport(key: NodeKey, e1: int, e0: int) -> NodeKey | None:
 # -- enumeration -----------------------------------------------------------------
 
 
-def enumerate_labeled_graphs(edge_names: tuple[str, ...] = RANK3_EDGE_NAMES):
+def enumerate_labeled_graphs():
     """All connected (4,3,3)-graphs on five labeled, oriented edges, up to
     vertex renaming (encoded as direction partitions)."""
-    n = len(edge_names)
     seen = set()
     out = []
-    for ends in itertools.product(itertools.product(range(3), repeat=2), repeat=n):
+    for ends in itertools.product(
+        itertools.product(range(3), repeat=2), repeat=len(RANK3_EDGE_NAMES)
+    ):
         counts = [0, 0, 0]
         for u, v in ends:
             counts[u] += 1
@@ -243,17 +241,13 @@ def enumerate_nodes(rank: int = 3) -> list[NodeKey]:
 # -- the automaton ---------------------------------------------------------------
 
 
-_GENERATORS = None
-
-
-def _group_generators(n: int = 5):
-    global _GENERATORS
-    if _GENERATORS is None:
-        swap = (2, 1) + tuple(range(3, n + 1))
-        cycle = tuple(range(2, n + 1)) + (1,)
-        flip = (-1,) + tuple(range(2, n + 1))
-        _GENERATORS = (swap, cycle, flip)
-    return _GENERATORS
+def _group_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of the signed permutations of n labels: a transposition,
+    an n-cycle and one orientation flip."""
+    swap = (2, 1) + tuple(range(3, n + 1))
+    cycle = tuple(range(2, n + 1)) + (1,)
+    flip = (-1,) + tuple(range(2, n + 1))
+    return (swap, cycle, flip)
 
 
 @dataclass(frozen=True)
@@ -313,10 +307,10 @@ class Automaton:
         ]
 
 
-def build_automaton(rank: int = 3, reference: GraphMap | None = None) -> Automaton:
+def build_automaton(rank: int = 3) -> Automaton:
     """Enumerate nodes, group them into relabeling classes, derive the fold
     edges by equivariance, and compute the class-level strongly connected
-    components.
+    components.  The reference node is the structure of ``single_fold_map``.
 
     Each class is found from its representative (its first node) by one
     scan of the signed permutations, giving the orbit, the stabiliser and a
@@ -411,11 +405,9 @@ def build_automaton(rank: int = 3, reference: GraphMap | None = None) -> Automat
         adjacency.setdefault(c1, []).append(c2)
     sccs = strongly_connected_components(len(class_members), adjacency)
 
-    if reference is None:
-        from .catalog import single_fold_map
+    from .catalog import single_fold_map
 
-        reference = single_fold_map()
-    ref_key = key_from_structure(ltt_structure(MapAnalysis(reference)))
+    ref_key = key_from_structure(ltt_structure(MapAnalysis(single_fold_map())))
     node_one = node_index.get(ref_key)
     if node_one is None:
         raise GraphStructureError("reference structure is not an automaton node")
@@ -454,6 +446,8 @@ def enumerate_loops(
 ) -> list[DirectedLoop]:
     """All fold loops of length <= max_length based at the given exact nodes
     (class representatives by default), with every closing relabeling."""
+    if max_length < 0:
+        raise GraphStructureError("loop length bound must be nonnegative")
     if start_nodes is None:
         start_nodes = list(automaton.class_rep)
     out: list[DirectedLoop] = []
@@ -586,10 +580,7 @@ class NodeOneAnalysis:
     loops_checked: int
     loops_reducible: int
     loops_with_protected_label: int
-    protected_labels: dict[int, int] | None  # class -> protected edge label
-    protected_signs_preserved: bool
     entering_folds: int
-    entering_sources: tuple[int, ...]
     underlying_graph_classes: tuple[tuple, ...]
 
     @property
@@ -610,11 +601,9 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
 
     Verifies, by direct composition, that every directed loop of fold-length
     up to the bound confined to the residual loop component has a reducible
-    transition matrix, and searches for the structural witness: an
-    equivariant choice of edge label, one per class, never folded over
-    another edge and preserved by every closing relabeling within the
-    component.  Also counts the folds entering the reference node and
-    reports the underlying graphs involved.
+    transition matrix, and counts the loops with a protected label: an edge
+    that the loop's map sends over a single edge.  Also counts the folds
+    entering the reference node and reports the underlying graphs involved.
     """
     from .spectral import invariant_edge_set, is_irreducible as matrix_irreducible
 
@@ -670,8 +659,6 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
         if any(sum(row) == 1 for row in matrix.rows):
             with_label += 1
 
-    protected, signs_ok = _protected_labels(automaton, residual_classes)
-
     entering = [e for e in automaton.fold_edges if e.target == automaton.node_one]
     graph_keys = {_graph_class_key(automaton, automaton.node_one)}
     for e in entering:
@@ -685,81 +672,9 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
         loops_checked=len(loops),
         loops_reducible=reducible,
         loops_with_protected_label=with_label,
-        protected_labels=protected,
-        protected_signs_preserved=signs_ok,
         entering_folds=len(entering),
-        entering_sources=tuple(sorted({e.source for e in entering})),
         underlying_graph_classes=tuple(sorted(graph_keys)),
     )
-
-
-def _protected_labels(
-    automaton: Automaton, classes: tuple[int, ...]
-) -> tuple[dict[int, int] | None, bool]:
-    """Search for an equivariant protected-label assignment on a class set.
-
-    Assigns each class an (unsigned) edge label, read at the class
-    representative, such that no fold edge within the set folds that label
-    over another edge and every translation between representatives carries
-    the source label to the target label.  Orientation reversals are allowed
-    (they do not affect the reducibility argument); whether orientations are
-    in fact preserved by all representative stabilizers is reported alongside.
-    """
-    class_set = set(classes)
-    if not class_set:
-        return None, False
-    edges = []
-    for e in automaton.fold_edges:
-        c1, c2 = automaton.class_of[e.source], automaton.class_of[e.target]
-        if c1 in class_set and c2 in class_set:
-            edges.append(e)
-    n_labels = len(RANK3_EDGE_NAMES)
-    start = classes[0]
-    for seed in range(1, n_labels + 1):
-        assignment = {start: seed}
-        ok = True
-        changed = True
-        while changed and ok:
-            changed = False
-            for e in edges:
-                c1, c2 = automaton.class_of[e.source], automaton.class_of[e.target]
-                if c1 not in assignment:
-                    continue
-                label_at_source = abs(
-                    apply_signed(automaton.rep_word[e.source], assignment[c1])
-                )
-                if abs(e.e1) == label_at_source:
-                    ok = False
-                    break
-                pulled = abs(
-                    apply_signed(
-                        invert_signed(automaton.rep_word[e.target]), label_at_source
-                    )
-                )
-                if c2 not in assignment:
-                    assignment[c2] = pulled
-                    changed = True
-                elif assignment[c2] != pulled:
-                    ok = False
-                    break
-        if not ok or set(assignment) != class_set:
-            continue
-        signs_preserved = True
-        stable = True
-        for c in classes:
-            lab = assignment[c]
-            for s in automaton.rep_stabilizer[c]:
-                img = apply_signed(s, lab)
-                if abs(img) != lab:
-                    stable = False
-                    break
-                if img != lab:
-                    signs_preserved = False
-            if not stable:
-                break
-        if stable:
-            return assignment, signs_preserved
-    return None, False
 
 
 # -- exports ---------------------------------------------------------------------

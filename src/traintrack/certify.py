@@ -164,17 +164,13 @@ class MapAnalysis:
     ``is_train_track``, ``transition_matrix``, ``classify_matrix``,
     ``is_expanding``, ``pnp_bounded_search`` and ``fic_check``.  Every step
     that reads the map's dynamics or certificates takes the analysis, so each
-    is derived once however many steps ask.  ``length_bound`` and
-    ``period_bound`` bound the periodic-Nielsen-path search; a period bound of
-    None means :func:`default_period_bound`.
+    is derived once however many steps ask.
     """
 
-    def __init__(self, g: GraphMap, length_bound: int = 50, period_bound: int | None = None):
+    def __init__(self, g: GraphMap):
         if not g.is_self_map:
             raise GraphStructureError("map analysis requires a self-map")
         self.map = g
-        self.length_bound = length_bound
-        self.period_bound = period_bound
 
     @cached_property
     def dg(self) -> dict[int, int]:
@@ -215,6 +211,8 @@ class MapAnalysis:
 
 # -- bounded periodic-Nielsen-path search -----------------------------------
 
+PNP_LENGTH_BOUND = 50
+
 
 @dataclass(frozen=True)
 class PnpSearchResult:
@@ -223,7 +221,6 @@ class PnpSearchResult:
     period_bound: int
     path: tuple[int, ...] | None = None
     period: int | None = None
-    tip: tuple[int, int] | None = None
 
     @property
     def clean(self) -> bool:
@@ -249,7 +246,9 @@ def default_period_bound(a: MapAnalysis) -> int:
 
 
 def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
-    """Search for a periodic Nielsen path up to the analysis's bounds.
+    """Search for a periodic Nielsen path with legs of at most
+    ``PNP_LENGTH_BOUND`` directions and period at most
+    :func:`default_period_bound`.
 
     Candidates have the form reverse(alpha) . beta with both legs tight,
     meeting at an illegal turn.  For each illegal tip, the pair of legs is
@@ -263,9 +262,7 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
     """
     if not (a.tt.is_train_track and a.expanding):
         raise GraphStructureError("periodic path search requires an expanding train track map")
-    g, length_bound, period_bound = a.map, a.length_bound, a.period_bound
-    if period_bound is None:
-        period_bound = default_period_bound(a)
+    g, period_bound = a.map, default_period_bound(a)
 
     for tip in sorted(a.tt.illegal):
         state = ((tip[0],), (tip[1],))
@@ -279,7 +276,7 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
             state = (alpha[k:], beta[k:])
             if not state[0] or not state[1]:
                 break  # one leg swallowed; no candidate at this tip
-            if max(len(state[0]), len(state[1])) > length_bound:
+            if max(len(state[0]), len(state[1])) > PNP_LENGTH_BOUND:
                 break
             if state in seen:
                 period = step - seen[state]
@@ -288,11 +285,11 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
                     image = tighten_dirs(iterate_map(g, period).image_of_path(candidate))
                     if image == candidate:
                         return PnpSearchResult(
-                            "found", length_bound, period_bound, candidate, period, tip
+                            "found", PNP_LENGTH_BOUND, period_bound, candidate, period
                         )
                 break
             seen[state] = step
-    return PnpSearchResult("none-up-to-bound", length_bound, period_bound)
+    return PnpSearchResult("none-up-to-bound", PNP_LENGTH_BOUND, period_bound)
 
 
 # -- full irreducibility criterion -------------------------------------------
@@ -303,7 +300,6 @@ class WhiteheadGraph:
     """Turn-incidence graph at a vertex; ``kind`` is "local" or "stable"."""
 
     kind: str
-    vertex: int
     directions: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
@@ -329,7 +325,7 @@ def local_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
         raise GraphStructureError("local Whitehead graph requires a train track map")
     ds = frozenset(graph.directions_at(vertex))
     edges = frozenset(t for t in a.tt.closure.turns if t[0] in ds)
-    return WhiteheadGraph("local", vertex, ds, edges)
+    return WhiteheadGraph("local", ds, edges)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
-file, parse error or bad usage; 3 precondition violation (``certify`` on a
-map that is not a self-map, ``decompose`` on a map it cannot fold, an
-unsupported rank); 4 verification failed (for ``certify``: any verdict other
-than PRINCIPAL).
+file, parse error or bad usage (among them a rank other than 3, 4 or 5 for
+``search single-fold --rank`` or ``verify theorem-b --ranks``, and a
+``--loop-bound`` below 1); 3 precondition violation (``certify`` on a map
+that is not a self-map, ``decompose`` on a map it cannot fold, ``automaton
+build --rank`` other than 3); 4 verification failed (for ``certify``: any
+verdict other than PRINCIPAL).
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
+SEARCH_RANKS = (3, 4, 5)
+
 
 def _read_map(path: str):
     try:
@@ -62,7 +66,7 @@ def cmd_certify(args) -> int:
     if not g.is_self_map:
         print("error: certify needs a self-map", file=sys.stderr)
         return EXIT_PRECONDITION
-    report = certify_map(g, args.pnp_bound, args.pnp_period)
+    report = certify_map(g)
     sys.stdout.write(certify_text(report))
     _write_json(args.json, certify_json(report))
     return 0 if report.verdict == "PRINCIPAL" else EXIT_VERIFICATION
@@ -115,7 +119,7 @@ def cmd_automaton_build(args) -> int:
 
 
 def cmd_search_single_fold(args) -> int:
-    summary = single_fold_search(args.rank, jobs=args.jobs, shuffle_seed=args.seed)
+    summary = single_fold_search(args.rank, jobs=args.jobs)
     print(
         f"rank {summary.rank}: {summary.universe_size} graphs, "
         f"{summary.candidates} candidates, {summary.tt_count} train track, "
@@ -154,22 +158,32 @@ def cmd_verify(args) -> int:
             print(("PASS " if step.passed else "FAIL ") + step.name + ": " + step.detail)
         print("theorem-a: " + ("PASS" if report.passed else "FAIL"))
         return 0 if report.passed else EXIT_VERIFICATION
-    if args.target == "theorem-b":
-        ranks = [int(r) for r in args.ranks.split(",")]
-        ok = True
-        for rank in ranks:
-            summary = single_fold_search(rank, jobs=args.jobs)
-            expected = 1 if rank == 3 else 0
-            good = summary.class_count == expected
-            ok = ok and good
-            print(
-                f"rank {rank}: {summary.class_count} class(es), expected {expected}: "
-                + ("PASS" if good else "FAIL")
-            )
-        print("theorem-b: " + ("PASS" if ok else "FAIL"))
-        return 0 if ok else EXIT_VERIFICATION
-    print(f"unknown verification target {args.target!r}", file=sys.stderr)
-    return EXIT_PRECONDITION
+    ok = True
+    for rank in args.ranks:
+        summary = single_fold_search(rank, jobs=args.jobs)
+        expected = 1 if rank == 3 else 0
+        good = summary.class_count == expected
+        ok = ok and good
+        print(
+            f"rank {rank}: {summary.class_count} class(es), expected {expected}: "
+            + ("PASS" if good else "FAIL")
+        )
+    print("theorem-b: " + ("PASS" if ok else "FAIL"))
+    return 0 if ok else EXIT_VERIFICATION
+
+
+def _rank_list(text: str) -> list[int]:
+    """A comma-separated list of search ranks."""
+    items = text.split(",")
+    if not all(item.strip().isdigit() and int(item) in SEARCH_RANKS for item in items):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of 3, 4, 5")
+    return [int(item) for item in items]
+
+
+def _positive_int(text: str) -> int:
+    if not (text.strip().isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,14 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train track maps: certification, fold decompositions, "
         "the rank-3 principal stratum automaton, and exhaustive searches.",
     )
-    parser.add_argument("--pnp-bound", type=int, default=50, metavar="L",
-                        help="length bound for the periodic-path search")
-    parser.add_argument("--pnp-period", type=int, default=None, metavar="K",
-                        help="period bound for the periodic-path search")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="parallel workers for searches")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="shuffle seed for determinism self-tests")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="full pipeline report for a map document")
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="subcommand", required=True)
     pb = asub.add_parser("build", help="build the principal stratum automaton")
     pb.add_argument("--rank", type=int, default=3)
-    pb.add_argument("--loop-bound", type=int, default=3)
+    pb.add_argument("--loop-bound", type=_positive_int, default=3)
     pb.add_argument("--dot", metavar="PATH")
     pb.add_argument("--json", metavar="PATH")
     pb.set_defaults(func=cmd_automaton_build)
@@ -210,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive searches")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     ps = ssub.add_parser("single-fold", help="single-fold uniqueness search")
-    ps.add_argument("--rank", type=int, required=True, choices=(3, 4, 5))
+    ps.add_argument("--rank", type=int, required=True, choices=SEARCH_RANKS)
     ps.add_argument("--json", metavar="PATH")
     ps.set_defaults(func=cmd_search_single_fold)
 
     p = sub.add_parser("verify", help="acceptance drivers")
     p.add_argument("target", choices=("theorem-a", "theorem-b"))
-    p.add_argument("--ranks", default="3,4,5",
+    p.add_argument("--ranks", type=_rank_list, default="3,4,5",
                    help="comma-separated ranks for theorem-b")
     p.set_defaults(func=cmd_verify)
 

@@ -338,19 +338,23 @@ def direction_map(g: GraphMap) -> dict[int, int]:
 
 
 def eventual_images(dg: dict[int, int]) -> dict[int, int]:
-    """Each direction's image under Dg**N, where N is the number of
-    directions and Dg is the direction map ``dg``.
+    """Each direction's image under Dg**M, where Dg is the direction map
+    ``dg``, N is the number of directions and M = 2**k with k the bit length
+    of N, so M > N; Dg**M is reached by k squarings.
 
     Dg is a self-map of a finite set of N directions, so every direction
-    enters a cycle of Dg within N - 1 steps, and Dg**N sends every direction
-    onto a cycle.  Dg permutes the cycle directions, so no power of it
-    identifies two of them.  Hence two directions collapse under some power
-    of Dg exactly when their N-th images are equal, and the N-th images are
-    exactly the periodic directions.
+    enters a cycle of Dg within N - 1 steps, and any power m >= N - 1 sends
+    every direction onto a cycle.  Dg permutes the cycle directions, so no
+    power of it identifies two of them.  So if some power Dg**j identifies
+    two directions, so does Dg**m: for j <= m directly, and for j > m
+    because their m-th images are cycle directions that Dg**(j - m)
+    identifies, hence equal.  Two directions therefore collapse under some
+    power of Dg exactly when their M-th images are equal, and the M-th
+    images are exactly the periodic directions.
     """
-    images = {d: d for d in dg}
-    for _ in range(len(dg)):
-        images = {d: dg[x] for d, x in images.items()}
+    images = dict(dg)
+    for _ in range(len(dg).bit_length()):
+        images = {d: images[x] for d, x in images.items()}
     return images
 
 

@@ -39,11 +39,9 @@ class CertifyReport:
         return "NOT-PRINCIPAL"
 
 
-def certify_map(
-    g: GraphMap, length_bound: int = 50, period_bound: int | None = None
-) -> CertifyReport:
+def certify_map(g: GraphMap) -> CertifyReport:
     """Run the whole pipeline on a self-map, on one analysis of it."""
-    a = MapAnalysis(g, length_bound, period_bound)
+    a = MapAnalysis(g)
     train_track = a.tt.is_train_track
     expanding = train_track and a.expanding
     return CertifyReport(

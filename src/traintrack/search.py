@@ -29,7 +29,7 @@ from .spectral import (
     trace_obstruction,
     transition_matrix,
 )
-from .whitehead import PrincipalReport, Relabeling, is_principal
+from .whitehead import Relabeling, is_principal
 
 
 # -- the graph universe --------------------------------------------------------
@@ -267,37 +267,27 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Rel
         for i in range(source.n_edges):
             u, w = source.ends[i]
             needed.setdefault(tuple(sorted((image[u], image[w]))), []).append(i)
+        # The vertex bijection matches edge multiplicities, so each bucket
+        # holds exactly the target edges on the image vertex pair, and each
+        # source edge either keeps its orientation or reverses it.
         per_slot_options: list[list[tuple[int, ...]]] = []
         slot_sources: list[list[int]] = []
-        feasible = True
         for key, srcs in sorted(needed.items()):
-            bucket = target_buckets[key]
             opts: list[tuple[int, ...]] = []
-            for perm in itertools.permutations(bucket):
+            for perm in itertools.permutations(target_buckets[key]):
                 value_choices: list[list[int]] = []
-                ok = True
                 for i, j in zip(srcs, perm):
                     u, w = source.ends[i]
                     p, q = image[u], image[w]
-                    tu, tw = target.ends[j]
-                    if p == q and tu == tw and p == tu:
+                    if p == q:
                         value_choices.append([j + 1, -(j + 1)])  # loop may flip
-                    elif (p, q) == (tu, tw):
+                    elif (p, q) == target.ends[j]:
                         value_choices.append([j + 1])
-                    elif (p, q) == (tw, tu):
-                        value_choices.append([-(j + 1)])
                     else:
-                        ok = False
-                        break
-                if ok:
-                    opts.extend(itertools.product(*value_choices))
-            if not opts:
-                feasible = False
-                break
+                        value_choices.append([-(j + 1)])
+                opts.extend(itertools.product(*value_choices))
             per_slot_options.append(opts)
             slot_sources.append(srcs)
-        if not feasible:
-            continue
         for combo in itertools.product(*per_slot_options):
             signed = [0] * source.n_edges
             for srcs, values in zip(slot_sources, combo):
@@ -324,7 +314,6 @@ class CandidateReport:
     irreducible: bool
     fic_passed: bool
     principal: bool
-    principal_report: PrincipalReport | None
 
 
 @dataclass(frozen=True)
@@ -359,16 +348,11 @@ def _search_one_graph(args) -> list[CandidateReport]:
             irr = tt and is_irreducible(a.matrix)
             fic_ok = False
             principal = False
-            principal_report = None
             if irr:
-                principal_report = is_principal(a)
-                fic_ok = principal_report.fic.passed
-                principal = principal_report.is_principal
-            out.append(
-                CandidateReport(
-                    gi, e1, e0, sigma, h, tt, irr, fic_ok, principal, principal_report
-                )
-            )
+                report = is_principal(a)
+                fic_ok = report.fic.passed
+                principal = report.is_principal
+            out.append(CandidateReport(gi, e1, e0, sigma, h, tt, irr, fic_ok, principal))
     return out
 
 

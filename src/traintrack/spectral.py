@@ -369,12 +369,10 @@ def invariant_edge_set(matrix: IntegerMatrix) -> tuple[int, ...] | None:
     return None
 
 
-def first_positive_power(matrix: IntegerMatrix, bound: int | None = None) -> int | None:
+def first_positive_power(matrix: IntegerMatrix) -> int | None:
     """Least k with M**k strictly positive, or None up to the primitivity
     bound (n-1)**2 + 1."""
-    n = matrix.dimension
-    if bound is None:
-        bound = (n - 1) ** 2 + 1
+    bound = (matrix.dimension - 1) ** 2 + 1
     acc = matrix
     for k in range(1, bound + 1):
         if acc.is_positive():

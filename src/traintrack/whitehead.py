@@ -36,7 +36,7 @@ def stable_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
     periodic = a.periodic
     ds = lw.directions & periodic
     edges = frozenset(t for t in lw.edges if t[0] in periodic and t[1] in periodic)
-    return WhiteheadGraph("stable", vertex, ds, edges)
+    return WhiteheadGraph("stable", ds, edges)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def ideal_whitehead(a: MapAnalysis) -> IdealWhiteheadGraph:
             if len(piece) == 2:
                 continue
             edges = frozenset(t for t in sw.edges if t[0] in piece)
-            comps.append(WhiteheadGraph("stable", v, piece, edges))
+            comps.append(WhiteheadGraph("stable", piece, edges))
     return IdealWhiteheadGraph(tuple(comps))
 
 
@@ -83,7 +83,6 @@ def ideal_whitehead(a: MapAnalysis) -> IdealWhiteheadGraph:
 class PrincipalReport:
     fic: FicReport
     ideal: IdealWhiteheadGraph | None
-    triangle_count_expected: int
     index: Fraction | None
     is_principal: bool
 
@@ -95,15 +94,14 @@ def is_principal(a: MapAnalysis) -> PrincipalReport:
     Propagates full-irreducibility-criterion failures, and cross-checks the
     index identity: the component sum of 1 - k/2 must equal 3/2 - r.
     """
-    rank = a.map.source.rank()
-    expected = 2 * rank - 3
     fic = a.fic
     if not fic.passed:
-        return PrincipalReport(fic, None, expected, None, False)
+        return PrincipalReport(fic, None, None, False)
+    rank = a.map.source.rank()
     ideal = ideal_whitehead(a)
     index = ideal.index()
-    ok = ideal.is_triangle_union(expected) and index == Fraction(3, 2) - rank
-    return PrincipalReport(fic, ideal, expected, index, ok)
+    ok = ideal.is_triangle_union(2 * rank - 3) and index == Fraction(3, 2) - rank
+    return PrincipalReport(fic, ideal, index, ok)
 
 
 # -- colored turn structures (ltt) -------------------------------------------
@@ -308,11 +306,11 @@ def relabel_map(g: GraphMap, sigma: tuple[int, ...]) -> GraphMap:
 # -- DOT export ---------------------------------------------------------------
 
 
-def ltt_to_dot(structure: LttStructure, name: str = "ltt") -> str:
+def ltt_to_dot(structure: LttStructure) -> str:
     """Deterministic DOT rendering: purple/red direction vertices and turn
     edges, black edges for the underlying graph."""
     g = structure.graph
-    lines = [f"graph {name} {{"]
+    lines = ["graph ltt {"]
     for d in sorted(g.directions(), key=lambda x: (abs(x), x < 0)):
         color = "red" if d in structure.red_vertices else "purple"
         lines.append(f'  "{g.direction_name(d)}" [color={color}];')

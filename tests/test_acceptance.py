@@ -59,7 +59,7 @@ EXPECTED_TURNS = [
 def test_criterion_1_golden_certificate():
     start = time.perf_counter()
     g = parse_map_document(SINGLE_FOLD_DOCUMENT)
-    report = certify_map(g, length_bound=50, period_bound=9)
+    report = certify_map(g)
     elapsed = time.perf_counter() - start
 
     graph = g.source
@@ -141,7 +141,7 @@ def test_criterion_4_automaton_soundness(automaton, gmap):
     component = set(automaton.sccs[loop_components[0]])
     assert automaton.class_of[automaton.node_one] in component
     assert all(automaton.class_of[n] in component for n in loop.node_ids)
-    assert fic_check(MapAnalysis(loop_to_map(automaton, loop), 30)).passed
+    assert fic_check(MapAnalysis(loop_to_map(automaton, loop))).passed
 
     # (iii) with the reference class removed, every loop of length <= 4
     # composes to a reducible transition matrix
@@ -189,7 +189,7 @@ def _principal_loop_sample(automaton, count=50, seed=20260809):
         m = loop_to_map(automaton, lp)
         if not is_irreducible(transition_matrix(m)):
             continue
-        if is_principal(MapAnalysis(m, 30)).is_principal:
+        if is_principal(MapAnalysis(m)).is_principal:
             principal.append((lp, m))
     rng = random.Random(seed)
     assert len(principal) >= count
@@ -207,12 +207,12 @@ def test_criterion_5_decomposition_roundtrips(automaton, gmap):
         seq = stallings_decompose(g)
         assert seq.composed_map() == g
         base_poly = char_poly(transition_matrix(g))
-        base_shape = ideal_whitehead(MapAnalysis(g, 30)).component_sizes()
+        base_shape = ideal_whitehead(MapAnalysis(g)).component_sizes()
         for j in range(len(seq) + 1):
             rotated = rotate(seq, j)
             m = rotated.composed_map()
             assert char_poly(transition_matrix(m)) == base_poly
-            assert ideal_whitehead(MapAnalysis(m, 30)).component_sizes() == base_shape
+            assert ideal_whitehead(MapAnalysis(m)).component_sizes() == base_shape
         assert push_permutations(sequence_steps(seq)).composed_map() == g
 
     # permutation pushing across powers stays exact

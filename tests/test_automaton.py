@@ -191,6 +191,29 @@ def test_node_one_analysis(automaton):
     assert len(analysis.underlying_graph_classes) == 1
 
 
+def test_group_generators_follow_their_argument():
+    # asked for 5 labels and then 4: each answer generates the signed
+    # permutations of its own labels
+    for n in (5, 4):
+        gens = _group_generators(n)
+        reached = {tuple(range(1, n + 1))}
+        frontier = list(reached)
+        while frontier:
+            sigma = frontier.pop()
+            for gen in gens:
+                nxt = compose_signed(gen, sigma)
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+        assert reached == set(signed_permutations(n))
+
+
+def test_negative_loop_bound_rejected(automaton):
+    with pytest.raises(GraphStructureError):
+        enumerate_loops(automaton, -1)
+    assert enumerate_loops(automaton, 0) == []
+
+
 def test_signed_permutation_algebra():
     rng = random.Random(0)
     sigmas = rng.sample(list(signed_permutations(5)), 10)
@@ -215,7 +238,7 @@ def test_loops_to_junk_maps_fail_fic(automaton):
     assert loops
     for loop in loops[:40]:
         m = loop_to_map(automaton, loop)
-        assert not fic_check(MapAnalysis(m, 20)).passed
+        assert not fic_check(MapAnalysis(m)).passed
 
 
 def test_rank_four_rejected():
@@ -378,7 +401,7 @@ def test_length_one_loops_match_single_fold_search(automaton):
     principal = []
     for loop in loops:
         m = loop_to_map(automaton, loop)
-        if is_irreducible(transition_matrix(m)) and is_principal(MapAnalysis(m, 30)).is_principal:
+        if is_irreducible(transition_matrix(m)) and is_principal(MapAnalysis(m)).is_principal:
             principal.append(loop)
     assert len(principal) == 1
     node_one_class = automaton.class_of[automaton.node_one]

@@ -133,7 +133,7 @@ def test_growing_edge_feeding_cycle_not_expanding():
 
 def test_pnp_reference_clean(gmap):
     assert default_period_bound(MapAnalysis(gmap)) == 9
-    result = pnp_bounded_search(MapAnalysis(gmap, 50, 9))
+    result = pnp_bounded_search(MapAnalysis(gmap))
     assert result.clean
     assert result.length_bound == 50
     assert result.period_bound == 9
@@ -145,7 +145,7 @@ def test_pnp_rejects_non_expanding(gmap):
 
 
 def test_pnp_positive_control(doubling_control):
-    result = pnp_bounded_search(MapAnalysis(doubling_control, 20, 4))
+    result = pnp_bounded_search(MapAnalysis(doubling_control))
     assert result.verdict == "found"
     assert result.period == 1
     # verify the returned path is genuinely fixed

@@ -126,6 +126,26 @@ def test_verify_theorem_b_limited_ranks(capsys):
     assert "theorem-b: PASS" in captured
 
 
+@pytest.mark.parametrize("ranks", ["6", "x", "3,,4"])
+def test_verify_theorem_b_rejects_bad_ranks(ranks, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "theorem-b", "--ranks", ranks])
+    assert err.value.code == 2
+    assert "--ranks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_automaton_build_rejects_loop_bound_below_one(bound, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the automaton was built")
+
+    monkeypatch.setattr("traintrack.cli.build_automaton", no_build)
+    with pytest.raises(SystemExit) as err:
+        main(["automaton", "build", "--loop-bound", bound])
+    assert err.value.code == 2
+    assert "--loop-bound" in capsys.readouterr().err
+
+
 def test_console_entry_point(reference_file):
     result = subprocess.run(
         [sys.executable, "-m", "traintrack.cli", "certify", reference_file],

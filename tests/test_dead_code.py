@@ -7,6 +7,11 @@ are read as syntax trees, and a use is a name that is read, an attribute,
 an imported name, or a string constant that is a single identifier (the
 benchmark's tracer looks its targets up by name).  Definitions, assignment
 targets, keyword-argument names, comments and docstrings are not uses.
+
+Fields, the annotated names in a package class body, are held to a
+stricter rule: a field is read only as an attribute (``x.field``) or by an
+identifier string.  Filling it by keyword at construction, or a bare local
+name that happens to match, does not count.
 """
 
 from __future__ import annotations
@@ -47,9 +52,31 @@ def docstrings(tree: ast.Module) -> set[int]:
     return out
 
 
-def uses(tree: ast.Module) -> set[str]:
+def fields(tree: ast.Module) -> set[str]:
+    """Annotated names in class bodies, reported as ``Class.name``."""
+    return {
+        f"{node.name}.{item.target.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def identifier_strings(tree: ast.Module) -> set[str]:
     skip = docstrings(tree)
-    out = set()
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+        and id(node) not in skip
+    }
+
+
+def uses(tree: ast.Module) -> set[str]:
+    out = identifier_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
@@ -57,29 +84,43 @@ def uses(tree: ast.Module) -> set[str]:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.update(node.name.split("."))
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and node.value.isidentifier()
-            and id(node) not in skip
-        ):
-            out.add(node.value)
     return out
 
 
+def field_reads(tree: ast.Module) -> set[str]:
+    out = identifier_strings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def _trees(root: Path, tops) -> list[ast.Module]:
+    return [
+        ast.parse(path.read_text(), str(path))
+        for top in tops
+        for path in sorted((root / top).rglob("*.py"))
+    ]
+
+
 def unused_definitions(root: Path) -> set[str]:
-    defined: set[str] = set()
-    for path in sorted((root / "src" / "traintrack").glob("*.py")):
-        defined |= definitions(ast.parse(path.read_text(), str(path)))
-    used: set[str] = set()
-    for top in SEARCHED:
-        for path in sorted((root / top).rglob("*.py")):
-            used |= uses(ast.parse(path.read_text(), str(path)))
+    defined = set().union(*map(definitions, _trees(root, ["src/traintrack"])))
+    used = set().union(*map(uses, _trees(root, SEARCHED)))
     return defined - used
+
+
+def unread_fields(root: Path) -> set[str]:
+    defined = set().union(*map(fields, _trees(root, ["src/traintrack"])))
+    read = set().union(*map(field_reads, _trees(root, SEARCHED)))
+    return {f for f in defined if f.split(".")[1] not in read}
 
 
 def test_defined_names_have_users():
     assert sorted(unused_definitions(ROOT)) == []
+
+
+def test_fields_have_readers():
+    assert sorted(unread_fields(ROOT)) == []
 
 
 def test_the_guard_separates_definitions_from_uses(tmp_path):
@@ -90,6 +131,9 @@ def test_the_guard_separates_definitions_from_uses(tmp_path):
         "TABLE = 1\n"
         "ALIAS = TABLE\n"
         "class Box:\n"
+        "    read: int\n"
+        "    by_keyword: int\n"
+        "    by_local: int\n"
         "    def method(self):\n"
         "        return 0\n"
         "    def __len__(self):\n"
@@ -122,7 +166,8 @@ def test_the_guard_separates_definitions_from_uses(tmp_path):
         "def test_it():\n"
         '    """in_docstring"""\n'
         "    reassigned = traintrack.mod.called\n"
-        "    return dict(as_keyword=1)\n"
+        "    by_local = Box(read=1, by_keyword=2, by_local=3).read\n"
+        "    return dict(as_keyword=by_local)\n"
     )
     # ``TARGETS`` and ``test_it`` are defined outside the package, so they
     # are not checked
@@ -130,3 +175,4 @@ def test_the_guard_separates_definitions_from_uses(tmp_path):
         "ALIAS", "unused_helper", "unused_helper_twin", "in_comment", "in_docstring",
         "as_keyword", "reassigned",
     }
+    assert unread_fields(tmp_path) == {"Box.by_keyword", "Box.by_local"}

@@ -83,7 +83,7 @@ def test_is_principal_reference(gmap):
 
 def test_four_vertex_component_is_not_principal():
     comp = WhiteheadGraph(
-        "stable", 0, frozenset({1, 2, 3, 4}),
+        "stable", frozenset({1, 2, 3, 4}),
         frozenset({(1, 2), (2, 3), (3, 4)}),
     )
     iw = IdealWhiteheadGraph((comp,))
