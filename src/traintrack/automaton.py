@@ -605,7 +605,7 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
     that the loop's map sends over a single edge.  Also counts the folds
     entering the reference node and reports the underlying graphs involved.
     """
-    from .spectral import invariant_edge_set, is_irreducible as matrix_irreducible
+    from .spectral import is_irreducible as matrix_irreducible
 
     node_one_class = automaton.class_of[automaton.node_one]
     comp_of = {}
@@ -653,7 +653,7 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
     for lp in loops:
         m = loop_to_map(automaton, lp)
         matrix = transition_matrix(m)
-        if not matrix_irreducible(matrix) and invariant_edge_set(matrix) is not None:
+        if not matrix_irreducible(matrix):
             reducible += 1
         # some edge label maps over a single edge for the whole loop
         if any(sum(row) == 1 for row in matrix.rows):

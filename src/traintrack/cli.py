@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train track maps: certification, fold decompositions, "
         "the rank-3 principal stratum automaton, and exhaustive searches.",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="parallel workers for searches")
     sub = parser.add_subparsers(dest="command", required=True)
 

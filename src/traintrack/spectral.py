@@ -2,17 +2,19 @@
 
 Matrices hold arbitrary-precision Python integers; characteristic polynomials
 are computed exactly by cofactor expansion over Z[x].  Every root verdict is
-exact: sympy isolates the real roots, the largest one is narrowed by
-sign-change bisection with rational evaluation, and Perron dominance is read
-off the real roots of the polynomial whose roots are the pairwise products
-of the roots.  No floating-point number decides anything here.
+exact: sympy isolates the real roots, and the largest one is narrowed, once
+per polynomial, by sign-change bisection, where the sign at n/d is that of
+the integer sum of c_k n^k d^(deg-k).  Perron dominance is read off the real
+roots of the polynomial whose roots are the pairwise products of the roots.
+No floating-point number decides anything here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import sympy
 
@@ -40,11 +42,15 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return self.coefficients[-1] == 1
 
-    def __call__(self, x: Fraction | int) -> Fraction | int:
-        acc: Fraction | int = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+    def sign(self, x: Fraction) -> int:
+        """The sign of the value at x = n/d (d > 0): the sign of the integer
+        sum of c_k n^k d^(deg-k), evaluated by Horner's rule."""
+        n, d = x.numerator, x.denominator
+        acc, d_power = self.coefficients[-1], 1
+        for c in self.coefficients[-2::-1]:
+            d_power *= d
+            acc = acc * n + c * d_power
+        return (acc > 0) - (acc < 0)
 
     def pretty(self) -> str:
         terms = []
@@ -215,47 +221,53 @@ def _to_sympy(p: IntPolynomial) -> sympy.Poly:
     return sympy.Poly(list(reversed(p.coefficients)), _X)
 
 
-def _largest_root_bracket(p: IntPolynomial) -> tuple[IntPolynomial, Fraction, Fraction]:
-    """The square-free part q of ``p`` (repeated roots would not change sign)
-    and sympy's isolating interval of its largest real root.  The interval is
+_NARROW = Fraction(1, 10**12)
+Interval = tuple[Fraction, Fraction]
+
+
+@lru_cache(maxsize=1024)
+def _root_bracket(coefficients: tuple[int, ...]) -> tuple[IntPolynomial, Interval, Interval]:
+    """The square-free part q of the polynomial (repeated roots would not
+    change sign), sympy's isolating interval of its largest real root, and
+    that interval bisected to at most 1e-12 wide.  The isolating interval is
     open, or a single point at a rational root; an open interval may end at
     a smaller rational root."""
-    f = _to_sympy(p).sqf_part()
+    f = _to_sympy(IntPolynomial(coefficients)).sqf_part()
     intervals = f.intervals()
     if not intervals:
         raise GraphStructureError("polynomial has no real root")
     (lo, hi), _ = intervals[-1]
     q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
-    return q, Fraction(lo), Fraction(hi)
+    isolating = (Fraction(lo), Fraction(hi))
+    return q, isolating, _bisect(q, *isolating, _NARROW)
 
 
-def _bisect(
-    q: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
+def _bisect(q: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
     """Halve an isolating interval of a simple root of ``q`` by exact sign
     evaluation until it is at most ``width`` wide and ``lo`` is not a root.
     A rational root hit exactly comes back as the point interval (r, r)."""
-    sign_hi = q(hi) > 0
-    lo_is_root = q(lo) == 0
+    sign_hi = q.sign(hi) > 0
+    lo_is_root = q.sign(lo) == 0
     while lo_is_root or hi - lo > width:
         mid = (lo + hi) / 2
-        val = q(mid)
-        if val == 0:
+        sign = q.sign(mid)
+        if sign == 0:
             return mid, mid
-        if (val > 0) == sign_hi:
+        if (sign > 0) == sign_hi:
             hi = mid
         else:
             lo, lo_is_root = mid, False
     return lo, hi
 
 
-def largest_real_root_interval(
-    p: IntPolynomial, width: Fraction = Fraction(1, 10**12)
-) -> tuple[Fraction, Fraction]:
+def largest_real_root_interval(p: IntPolynomial, width: Fraction = _NARROW) -> Interval:
     """An interval [lo, hi], at most ``width`` wide, holding the largest real
     root of ``p`` and no other root; no root lies above it.  Either
     p(lo)·p(hi) < 0 on the square-free part, or lo == hi is the root."""
-    return _bisect(*_largest_root_bracket(p), width)
+    q, isolating, narrow = _root_bracket(p.coefficients)
+    # bisection from the isolating interval passes through the narrowed
+    # bracket, so a narrower width resumes from it with the same result
+    return _bisect(q, *(narrow if width <= _NARROW else isolating), width)
 
 
 def _symmetric_square(q: IntPolynomial) -> IntPolynomial:
@@ -293,12 +305,12 @@ def is_perron_number(p: IntPolynomial) -> bool:
     has a product of modulus below λ².
 
     The real roots of each square-free factor of S are isolated exactly.
-    λ's bracket [lo, hi] and every interval meeting [lo², hi²] are refined
-    until one interval meets it, which then holds λ²; an interval wholly
-    above hi² holds a larger root.  This ends, as the roots of coprime
-    factors are distinct.
+    From λ's narrowed bracket [lo, hi], it and every interval meeting
+    [lo², hi²] are refined until one interval meets it, which then holds λ²;
+    an interval wholly above hi² holds a larger root.  This ends, as the
+    roots of coprime factors are distinct.
     """
-    q, lo, hi = _largest_root_bracket(p)
+    q, _, (lo, hi) = _root_bracket(p.coefficients)
     if not q.is_monic():
         raise GraphStructureError("a Perron number is an algebraic integer; p must be monic")
     while lo <= 0 < hi:
@@ -328,14 +340,14 @@ def is_perron_number(p: IntPolynomial) -> bool:
                 root[2:] = map(Fraction, factor.refine_root(a, b, steps=1))
 
 
-def minimal_polynomial_degree(p: IntPolynomial, root_interval: tuple[Fraction, Fraction]) -> int:
+def minimal_polynomial_degree(p: IntPolynomial, root_interval: Interval) -> int:
     """Degree of the irreducible factor of ``p`` vanishing on the interval."""
     lo, hi = root_interval
-    for factor, _mult in _to_sympy(p).factor_list()[1]:
-        flo = factor.eval(sympy.Rational(lo.numerator, lo.denominator))
-        fhi = factor.eval(sympy.Rational(hi.numerator, hi.denominator))
-        if flo == 0 or fhi == 0 or (flo > 0) != (fhi > 0):
-            return factor.degree()
+    for factor, _mult in _to_sympy(_root_bracket(p.coefficients)[0]).factor_list()[1]:
+        f = IntPolynomial(tuple(int(c) for c in reversed(factor.all_coeffs())))
+        flo, fhi = f.sign(lo), f.sign(hi)
+        if flo == 0 or fhi == 0 or flo != fhi:
+            return f.degree
     raise GraphStructureError("no factor changes sign on the root interval")
 
 
@@ -371,14 +383,17 @@ def invariant_edge_set(matrix: IntegerMatrix) -> tuple[int, ...] | None:
 
 def first_positive_power(matrix: IntegerMatrix) -> int | None:
     """Least k with M**k strictly positive, or None up to the primitivity
-    bound (n-1)**2 + 1."""
-    bound = (matrix.dimension - 1) ** 2 + 1
-    acc = matrix
-    for k in range(1, bound + 1):
-        if acc.is_positive():
+    bound (n-1)**2 + 1.  Exact for a nonnegative M: each row of M**k is the
+    bitmask of its positive entries, and row i of M**(k+1) is the union of
+    the rows of M that row i of M**k selects."""
+    n = matrix.dimension
+    rows = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in matrix.rows]
+    full = (1 << n) - 1
+    acc = rows
+    for k in range(1, (n - 1) ** 2 + 2):
+        if all(r == full for r in acc):
             return k
-        if k < bound:
-            acc = acc @ matrix
+        acc = [reduce(or_, (rows[j] for j in range(n) if r >> j & 1), 0) for r in acc]
     return None
 
 
@@ -404,9 +419,9 @@ class SpectralReport:
 def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
     """Irreducibility, primitivity, PF property, and the dominant root.
 
-    Primitivity is decided by powering up to (n-1)**2 + 1; for nonnegative
-    integer matrices the PF property (all powers beyond some N positive) is
-    equivalent to primitivity, and both flags are reported.
+    Primitivity is read off the zero patterns of M**k, k <= (n-1)**2 + 1;
+    for nonnegative integer matrices the PF property (all powers beyond some
+    N positive) is equivalent to primitivity, and both flags are reported.
     """
     if not matrix.is_nonnegative():
         raise GraphStructureError("classification requires nonnegative entries")

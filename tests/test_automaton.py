@@ -30,7 +30,7 @@ from traintrack.digraph import strongly_connected_components
 from traintrack.folds import compose_power, rotate, stallings_decompose
 from traintrack.graphs import GraphStructureError
 from traintrack.search import _conjugate_by_relabeling
-from traintrack.spectral import is_irreducible, transition_matrix
+from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
 from traintrack.whitehead import (
     apply_signed,
     compose_signed,
@@ -223,18 +223,37 @@ def test_signed_permutation_algebra():
             assert apply_signed(s, -d) == -apply_signed(s, d)
 
 
-def test_loops_to_junk_maps_fail_fic(automaton):
-    # loops inside the residual component never certify as fully irreducible
-    from traintrack.certify import fic_check
-
-    analysis = node_one_analysis(automaton, loop_bound=2)
+def _residual_loops(automaton, loop_bound):
+    """The loops ``node_one_analysis`` composes: those within the residual
+    component, started at its class representatives."""
+    analysis = node_one_analysis(automaton, loop_bound=loop_bound)
     residual = set(analysis.residual_loop_classes)
     reps = [automaton.class_rep[c] for c in sorted(residual)]
     loops = [
         lp
-        for lp in enumerate_loops(automaton, 2, start_nodes=reps)
+        for lp in enumerate_loops(automaton, loop_bound, start_nodes=reps)
         if all(automaton.class_of[n] in residual for n in lp.node_ids)
     ]
+    assert len(loops) == analysis.loops_checked
+    return loops
+
+
+def test_residual_loop_reducibility_has_witnesses(automaton):
+    # node_one_analysis counts a loop reducible on is_irreducible alone; each
+    # such matrix has an invariant proper edge set, and no other one does
+    loops = _residual_loops(automaton, 4)
+    assert len(loops) == 732
+    for loop in loops:
+        matrix = transition_matrix(loop_to_map(automaton, loop))
+        assert (invariant_edge_set(matrix) is None) == is_irreducible(matrix)
+        assert not is_irreducible(matrix)
+
+
+def test_loops_to_junk_maps_fail_fic(automaton):
+    # loops inside the residual component never certify as fully irreducible
+    from traintrack.certify import fic_check
+
+    loops = _residual_loops(automaton, 2)
     assert loops
     for loop in loops[:40]:
         m = loop_to_map(automaton, loop)

@@ -146,6 +146,18 @@ def test_automaton_build_rejects_loop_bound_below_one(bound, capsys, monkeypatch
     assert "--loop-bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("traintrack.cli.single_fold_search", no_search)
+    with pytest.raises(SystemExit) as err:
+        main(["--jobs", jobs, "verify", "theorem-b", "--ranks", "3"])
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_console_entry_point(reference_file):
     result = subprocess.run(
         [sys.executable, "-m", "traintrack.cli", "certify", reference_file],

@@ -20,6 +20,7 @@ from traintrack.spectral import (
     GraphStructureError,
     IntegerMatrix,
     IntPolynomial,
+    _symmetric_square,
     char_poly,
     classify_matrix,
     companion_matrix,
@@ -30,6 +31,7 @@ from traintrack.spectral import (
     is_perron_number,
     largest_real_root_interval,
     minimal_perron_table,
+    minimal_polynomial_degree,
     trace_obstruction,
     transition_matrix,
 )
@@ -426,8 +428,8 @@ def _assert_reachability_matches(matrix):
 
 
 @st.composite
-def _nonnegative_matrices(draw):
-    n = draw(st.integers(1, 7))
+def _nonnegative_matrices(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     # sparse entries, so reducible and irreducible patterns both occur
     entry = st.sampled_from((0, 0, 0, 1, 2))
     return IntegerMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
@@ -455,3 +457,153 @@ def test_reachability_edge_cases(gmap, psi, block_map):
         transition_matrix(block_map),
     ):
         _assert_reachability_matches(matrix)
+
+
+# -- the integer-arithmetic routines against the ones they replaced ------------
+
+
+def _fraction_value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_root_bracket(p):
+    f = _sympy_poly(p).sqf_part()
+    (lo, hi), _ = f.intervals()[-1]
+    q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
+    return q, Fraction(lo), Fraction(hi)
+
+
+def _fraction_bisect(q, lo, hi, width):
+    """Bisection with ``Fraction`` evaluation, from sympy's interval."""
+    sign_hi = _fraction_value(q, hi) > 0
+    lo_is_root = _fraction_value(q, lo) == 0
+    while lo_is_root or hi - lo > width:
+        mid = (lo + hi) / 2
+        val = _fraction_value(q, mid)
+        if val == 0:
+            return mid, mid
+        if (val > 0) == sign_hi:
+            hi = mid
+        else:
+            lo, lo_is_root = mid, False
+    return lo, hi
+
+
+def _raw_interval_is_perron_number(p):
+    """The Perron test's refinement loop, started from sympy's raw isolating
+    interval of λ rather than from the narrowed bracket."""
+    q, lo, hi = _fraction_root_bracket(p)
+    while lo <= 0 < hi:
+        lo, hi = _fraction_bisect(q, lo, hi, (hi - lo) / 2)
+    roots = [
+        [factor, multiplicity, Fraction(a), Fraction(b)]
+        for factor, multiplicity in _sympy_poly(_symmetric_square(q)).sqf_list()[1]
+        for (a, b), _ in factor.intervals()
+    ]
+    while True:
+        low, high = lo * lo, hi * hi
+        meeting = []
+        for root in roots:
+            if root[2] > high:
+                return False
+            if root[3] >= low:
+                meeting.append(root)
+        if len(meeting) == 1:
+            return meeting[0][1] == 1
+        lo, hi = _fraction_bisect(q, lo, hi, (hi - lo) / 2)
+        for root in meeting:
+            factor, _, a, b = root
+            if a < b:
+                root[2:] = map(Fraction, factor.refine_root(a, b, steps=1))
+
+
+def _rational_minimal_polynomial_degree(p, root_interval):
+    lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in root_interval)
+    for factor, _ in _sympy_poly(p).factor_list()[1]:
+        flo, fhi = factor.eval(lo), factor.eval(hi)
+        if flo == 0 or fhi == 0 or (flo > 0) != (fhi > 0):
+            return factor.degree()
+    raise AssertionError("no factor changes sign on the root interval")
+
+
+def _powered_first_positive_power(matrix):
+    """Least k with M**k positive, by integer matrix powering."""
+    bound = (matrix.dimension - 1) ** 2 + 1
+    acc = matrix
+    for k in range(1, bound + 1):
+        if acc.is_positive():
+            return k
+        acc = acc @ matrix
+    return None
+
+
+WIDTHS = (Fraction(1, 3), Fraction(1, 10**9), Fraction(1, 10**12), Fraction(1, 10**15))
+
+
+def _assert_root_facts_match_oracles(p):
+    q, lo, hi = _fraction_root_bracket(p)
+    for width in WIDTHS:
+        assert largest_real_root_interval(p, width) == _fraction_bisect(q, lo, hi, width)
+    root = largest_real_root_interval(p)
+    assert minimal_polynomial_degree(p, root) == _rational_minimal_polynomial_degree(p, root)
+    if root[0] > 0:
+        assert is_perron_number(p) == _raw_interval_is_perron_number(p)
+
+
+@st.composite
+def _monic_polynomials(draw):
+    degree = draw(st.integers(1, 6))
+    coefficients = tuple(draw(st.integers(-4, 4)) for _ in range(degree)) + (1,)
+    return IntPolynomial(coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monic_polynomials(), st.fractions(max_denominator=10**6))
+def test_root_facts_match_fraction_oracles_on_monic_polynomials(p, x):
+    assert p.sign(x) == (_fraction_value(p, x) > 0) - (_fraction_value(p, x) < 0)
+    assume(_has_real_root(p))
+    _assert_root_facts_match_oracles(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_nonnegative_matrices(6), _irreducible_matrices(1)))
+def test_spectral_pass_matches_oracles_on_matrices(matrix):
+    assert first_positive_power(matrix) == _powered_first_positive_power(matrix)
+    # a nonnegative matrix has a real eigenvalue of largest modulus
+    _assert_root_facts_match_oracles(char_poly(matrix))
+
+
+def test_root_facts_named_cases():
+    # a rational top root comes back as a point interval
+    for p, root, perron in [
+        (IntPolynomial((-4, 0, 1)), 2, False),  # x^2 - 4: a modulus tie with -2
+        (IntPolynomial((-8, 0, 0, 1)), 2, False),  # x^3 - 8: ties with 2ω, 2ω²
+        (IntPolynomial((-2, -1, 1)), 2, True),  # (x - 2)(x + 1)
+    ]:
+        assert largest_real_root_interval(p) == (root, root)
+        assert minimal_polynomial_degree(p, (root, root)) == 1
+        assert is_perron_number(p) is perron
+        _assert_root_facts_match_oracles(p)
+    # x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1): λ is the root of the cubic
+    p = IntPolynomial((-1, 0, 0, 0, -1, 1))
+    lo, hi = largest_real_root_interval(p)
+    assert Fraction("1.3247179") < lo < hi < Fraction("1.3247180")
+    assert minimal_polynomial_degree(p, (lo, hi)) == 3
+    assert is_perron_number(p) is True
+    _assert_root_facts_match_oracles(p)
+
+
+def test_first_positive_power_reaches_the_wielandt_bound():
+    # the cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2 is primitive
+    # with exponent exactly (n-1)**2 + 1
+    for n in range(2, 7):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = 1
+        rows[n - 1][1] = 1
+        matrix = IntegerMatrix(tuple(map(tuple, rows)))
+        assert first_positive_power(matrix) == (n - 1) ** 2 + 1
+        assert _powered_first_positive_power(matrix) == (n - 1) ** 2 + 1
