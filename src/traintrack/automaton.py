@@ -16,11 +16,13 @@ every turn, the fresh turn crossed by the folded edge-path is added as the
 new red edge, and the moved direction becomes the new red vertex.
 
 Fold transport commutes with signed relabelings, so the build works per
-relabeling class: one scan of the signed permutations over a class
-representative gives the whole orbit, the stabiliser, and a table from
-permutations to node ids.  Folds are transported at the representatives
-only; every other node's fold edges are the representative's, pushed
-through a relabeling carrying the representative onto it.
+relabeling class on integer node ids.  A node is fixed by its labeled
+graph, its red direction and the direction its red turn attaches to, so
+each of the three group generators acts on node ids through one pass over
+the labeled graphs.  Orbits and stabilisers follow from those tables along
+a spanning tree of the group.  Folds are transported at the class
+representatives only; every other node's fold edges are pushed along the
+generator walk that reaches it.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .catalog import single_fold_map
 from .digraph import connected_components, strongly_connected_components
-from .folds import FoldSequence, apply_fold, push_permutations, stallings_decompose
+from .folds import FoldSequence, apply_fold, push_permutations, rotate, stallings_decompose
 from .graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
     suppress_bivalent_map,
 )
-from .spectral import transition_matrix
+from .spectral import is_irreducible, transition_matrix
 from .certify import MapAnalysis
 from .whitehead import (
     LttStructure,
@@ -51,6 +54,8 @@ from .whitehead import (
 RANK3_EDGE_NAMES = ("a", "b", "c", "d", "e")
 
 NodeKey = tuple  # (groups, red, turns), all plain nested tuples
+
+_DIRECTIONS = tuple(sorted(s * i for i in range(1, len(RANK3_EDGE_NAMES) + 1) for s in (1, -1)))
 
 
 # -- node keys and the signed permutation action ---------------------------------
@@ -188,54 +193,46 @@ def transport(key: NodeKey, e1: int, e0: int) -> NodeKey | None:
 
 def enumerate_labeled_graphs():
     """All connected (4,3,3)-graphs on five labeled, oriented edges, up to
-    vertex renaming (encoded as direction partitions)."""
-    seen = set()
+    vertex renaming, encoded as direction partitions, sorted: the 2,100
+    partitions of the ten directions into groups of sizes 4, 3 and 3, less
+    the disconnected ones."""
     out = []
-    for ends in itertools.product(
-        itertools.product(range(3), repeat=2), repeat=len(RANK3_EDGE_NAMES)
-    ):
-        counts = [0, 0, 0]
-        for u, v in ends:
-            counts[u] += 1
-            counts[v] += 1
-        if sorted(counts) != [3, 3, 4]:
-            continue
-        if len(connected_components(range(3), ends)) != 1:
-            continue
-        groups_raw = {0: [], 1: [], 2: []}
-        for i, (u, v) in enumerate(ends):
-            groups_raw[u].append(i + 1)
-            groups_raw[v].append(-(i + 1))
-        key = _canonical_groups(groups_raw.values())
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+    for big in itertools.combinations(_DIRECTIONS, 4):
+        rest = [d for d in _DIRECTIONS if d not in big]
+        for pair in itertools.combinations(rest[1:], 2):
+            third = tuple(d for d in rest[1:] if d not in pair)
+            groups = _canonical_groups((big, (rest[0],) + pair, third))
+            at = {d: gi for gi, group in enumerate(groups) for d in group}
+            ends = [(at[i], at[-i]) for i in range(1, len(RANK3_EDGE_NAMES) + 1)]
+            if len(connected_components(range(3), ends)) == 1:
+                out.append(groups)
+    return sorted(out)
 
 
 def enumerate_nodes(rank: int = 3) -> list[NodeKey]:
-    """All node structures over all (4,3,3) rank-3 graphs: for each labeled
-    graph, each choice of red direction at the valence-4 vertex and of the
-    purple direction its single red turn attaches to."""
+    """All node structures over all (4,3,3) rank-3 graphs, sorted: for each
+    labeled graph, each choice of red direction at the valence-4 vertex and
+    of the purple direction its single red turn attaches to.  All keys share
+    one tuple per turn."""
     if rank != 3:
         raise GraphStructureError("node enumeration is implemented for rank 3")
+    turn_of = {pair: pair for pair in itertools.combinations(_DIRECTIONS, 2)}
     nodes = []
     for groups in enumerate_labeled_graphs():
         big = next(g for g in groups if len(g) == 4)
         for red in big:
-            purple_big = [d for d in big if d != red]
-            base_turns = []
-            for group in groups:
-                purple = [d for d in group if d != red]
-                base_turns.extend(
-                    (min(p), max(p)) for p in itertools.combinations(purple, 2)
-                )
-            for attach in purple_big:
-                turns = _canonical_turns(
-                    base_turns + [(min(red, attach), max(red, attach))]
-                )
-                nodes.append((groups, red, turns))
-    return sorted(nodes)
+            base = [
+                turn_of[pair]
+                for group in groups
+                for pair in itertools.combinations([d for d in group if d != red], 2)
+            ]
+            # the red turn, and so the turn tuple, increases with attach
+            nodes.extend(
+                (groups, red, tuple(sorted(base + [turn_of[min(red, attach), max(red, attach)]])))
+                for attach in big
+                if attach != red
+            )
+    return nodes
 
 
 # -- the automaton ---------------------------------------------------------------
@@ -250,7 +247,8 @@ def _group_generators(n: int) -> tuple[tuple[int, ...], ...]:
     return (swap, cycle, flip)
 
 
-@dataclass(frozen=True)
+# slots: there are 86,400 of these, and node_one_analysis scans them all
+@dataclass(frozen=True, slots=True)
 class FoldEdge:
     source: int
     target: int
@@ -312,14 +310,16 @@ def build_automaton(rank: int = 3) -> Automaton:
     edges by equivariance, and compute the class-level strongly connected
     components.  The reference node is the structure of ``single_fold_map``.
 
-    Each class is found from its representative (its first node) by one
-    scan of the signed permutations, giving the orbit, the stabiliser and a
-    table ``id_of[c][k]``: the node ``sigma_k . rep``.  ``rep_word`` comes
-    from a depth-first walk over the group generators, looked up in that
-    table.  Folds are transported at the representatives only: a fold
-    (e1, e0) from ``rep`` into ``w . rep'`` becomes, at ``sigma . rep``, the
-    fold (sigma e1, sigma e0) into ``(sigma w) . rep'``.  Each node's edges
-    are sorted into ``fold_candidates`` order, and ``fold_offsets`` indexes
+    A node is fixed by its code (labeled graph, red, attach), so each group
+    generator acts on node ids through one pass over the labeled graphs.
+    Each class's row ``row[k]``, the node ``sigma_k . rep`` of its
+    representative (its first node), is filled along a spanning tree of the
+    group by ``row[gen sigma] = gen . row[sigma]``; the row gives the orbit
+    and the stabiliser, and a depth-first walk over the generators gives
+    ``rep_word``.  Folds are transported at the representatives only; a
+    node reached by the walk as ``gen . x`` gets x's folds (e1, e0) into t
+    as the folds (gen e1, gen e0) into ``gen . t``.  Each node's edges are
+    sorted into ``fold_candidates`` order, and ``fold_offsets`` indexes
     them by source for ``Automaton.out_folds``.
     """
     if rank != 3:
@@ -327,51 +327,61 @@ def build_automaton(rank: int = 3) -> Automaton:
     nodes = enumerate_nodes(rank)
     node_index = {key: i for i, key in enumerate(nodes)}
 
-    # relabeling classes: one orbit scan per representative
+    # the generator action on node ids, through node codes
+    graph_id: dict[tuple, int] = {}
+    codes = []
+    for groups, red, turns in nodes:
+        for a, b in turns:
+            if a == red or b == red:
+                break
+        codes.append((graph_id.setdefault(groups, len(graph_id)), red, a + b - red))
+    code_id = {code: i for i, code in enumerate(codes)}
     n_labels = len(RANK3_EDGE_NAMES)
+    generators = _group_generators(n_labels)
+    images = [_direction_table(gen) for gen in generators]
+    act: list[list[int]] = []
+    try:
+        for image in images:
+            on_graph = [
+                graph_id[_canonical_groups([image[d] for d in g] for g in groups)]
+                for groups in graph_id
+            ]
+            act.append([code_id[on_graph[g], image[r], image[a]] for g, r, a in codes])
+    except KeyError:
+        raise GraphStructureError("relabeling left the node set") from None
+
+    # the group: gen_step[g][k] is the index of generator g after sigmas[k],
+    # and tree a spanning tree from the identity, as (element, generator, parent)
     identity = tuple(range(1, n_labels + 1))
     sigmas = list(signed_permutations(n_labels))
     sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
-    # gen_step[g][k]: the index of generator g composed after sigmas[k]
-    gen_step = [
-        [sigma_index[compose_signed(gen, sigma)] for sigma in sigmas]
-        for gen in _group_generators(n_labels)
-    ]
+    gen_step = [[sigma_index[compose_signed(gen, s)] for s in sigmas] for gen in generators]
+    start = sigma_index[identity]
+    tree = []
+    seen = {start}
+    queue = [start]
+    for k in queue:
+        for g, step in enumerate(gen_step):
+            if step[k] not in seen:
+                seen.add(step[k])
+                queue.append(step[k])
+                tree.append((step[k], g, k))
+
     class_of = [-1] * len(nodes)
     class_members: list[list[int]] = []
     class_rep: list[int] = []
     rep_word: list[tuple[int, ...]] = [identity] * len(nodes)
     rep_stabilizer: list[list[tuple[int, ...]]] = []
-    id_of: list[list[int]] = []
+    out_edges: list[list[FoldEdge]] = [[] for _ in nodes]
     for i, key in enumerate(nodes):
         if class_of[i] != -1:
             continue
         cid = len(class_members)
-        row = [node_index[relabel_key(key, sigma)] for sigma in sigmas]
+        row = [i] * len(sigmas)
+        for k, g, parent in tree:
+            row[k] = act[g][row[parent]]
         for j in row:
             class_of[j] = cid
-        # the generator walk of the orbit search, on group elements
-        reached = {i}
-        frontier = [sigma_index[identity]]
-        while frontier:
-            k = frontier.pop()
-            for step in gen_step:
-                nk = step[k]
-                j = row[nk]
-                if j not in reached:
-                    reached.add(j)
-                    rep_word[j] = sigmas[nk]
-                    frontier.append(nk)
-        id_of.append(row)
-        class_members.append(sorted(reached))
-        class_rep.append(i)
-        rep_stabilizer.append([s for s, j in zip(sigmas, row) if j == i])
-
-    # fold edges at the representatives: (e1, e0, target class, target word)
-    rep_folds: list[list[tuple[int, int, int, tuple[int, ...]]]] = []
-    for rep in class_rep:
-        key = nodes[rep]
-        out_edges = []
         for e1, e0 in fold_candidates(key):
             out = transport(key, e1, e0)
             if out is None:
@@ -379,20 +389,35 @@ def build_automaton(rank: int = 3) -> Automaton:
             j = node_index.get(out)
             if j is None:
                 raise GraphStructureError("fold transport left the node set")
-            out_edges.append((e1, e0, class_of[j], rep_word[j]))
-        rep_folds.append(out_edges)
+            out_edges[i].append(FoldEdge(i, j, e1, e0))
+        # the generator walk of the orbit search, carrying the fold edges
+        reached = {i}
+        frontier = [start]
+        while frontier:
+            k = frontier.pop()
+            for g, step in enumerate(gen_step):
+                nk = step[k]
+                j = row[nk]
+                if j not in reached:
+                    reached.add(j)
+                    rep_word[j] = sigmas[nk]
+                    frontier.append(nk)
+                    image, to = images[g], act[g]
+                    pushed = sorted(
+                        (image[e.e1], image[e.e0], to[e.target]) for e in out_edges[row[k]]
+                    )
+                    out_edges[j] = [FoldEdge(j, t, e1, e0) for e1, e0, t in pushed]
+        class_members.append(sorted(reached))
+        class_rep.append(i)
+        stabilizer = [s for s, j in zip(sigmas, row) if j == i]
+        if any(relabel_key(key, s) != key for s in stabilizer):
+            raise GraphStructureError("generator tables disagree with relabel_key")
+        rep_stabilizer.append(stabilizer)
 
-    # each node's edges: its representative's, pushed through rep_word
     fold_edges: list[FoldEdge] = []
     fold_offsets = [0]
-    for i in range(len(nodes)):
-        sigma = rep_word[i]
-        image = _direction_table(sigma)
-        pushed = sorted(
-            (image[e1], image[e0], id_of[c][sigma_index[tuple(image[x] for x in w)]])
-            for e1, e0, c, w in rep_folds[class_of[i]]
-        )
-        fold_edges.extend(FoldEdge(i, j, e1, e0) for e1, e0, j in pushed)
+    for edges in out_edges:
+        fold_edges.extend(edges)
         fold_offsets.append(len(fold_edges))
 
     quotient_edges: dict[tuple[int, int], int] = {}
@@ -404,8 +429,6 @@ def build_automaton(rank: int = 3) -> Automaton:
     for c1, c2 in quotient_edges:
         adjacency.setdefault(c1, []).append(c2)
     sccs = strongly_connected_components(len(class_members), adjacency)
-
-    from .catalog import single_fold_map
 
     ref_key = key_from_structure(ltt_structure(MapAnalysis(single_fold_map())))
     node_one = node_index.get(ref_key)
@@ -512,16 +535,12 @@ def decomposition_to_loop(
     Returns None when no rotation lands in the node set.
     """
     for j in range(len(seq) + 1):
-        from .folds import rotate
-
         rotated = rotate(seq, j)
         found = _walk_decomposition(automaton, rotated)
         if found is not None:
             return found
     base = seq.base_graph
     if base.valence_profile() == (3, 3, 3, 3) and base.n_edges == 6:
-        from .folds import rotate
-
         for j in range(len(seq)):
             rotated = rotate(seq, j)
             try:
@@ -605,8 +624,6 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
     that the loop's map sends over a single edge.  Also counts the folds
     entering the reference node and reports the underlying graphs involved.
     """
-    from .spectral import is_irreducible as matrix_irreducible
-
     node_one_class = automaton.class_of[automaton.node_one]
     comp_of = {}
     for ci, comp in enumerate(automaton.sccs):
@@ -653,7 +670,7 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
     for lp in loops:
         m = loop_to_map(automaton, lp)
         matrix = transition_matrix(m)
-        if not matrix_irreducible(matrix):
+        if not is_irreducible(matrix):
             reducible += 1
         # some edge label maps over a single edge for the whole loop
         if any(sum(row) == 1 for row in matrix.rows):

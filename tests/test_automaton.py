@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+import traintrack.automaton as automaton_module
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
@@ -26,7 +28,8 @@ from traintrack.automaton import (
 )
 from traintrack.catalog import single_fold_map
 from traintrack.certify import MapAnalysis, taken_turn_closure
-from traintrack.digraph import strongly_connected_components
+from traintrack.cli import main
+from traintrack.digraph import connected_components, strongly_connected_components
 from traintrack.folds import compose_power, rotate, stallings_decompose
 from traintrack.graphs import GraphStructureError
 from traintrack.search import _conjugate_by_relabeling
@@ -53,8 +56,12 @@ def _assert_recomposes(automaton, loop, g):
     assert _conjugate_by_relabeling(loop_to_map(automaton, loop), g)
 
 
-def test_enumeration_counts(automaton):
-    assert len(enumerate_labeled_graphs()) == GOLDEN_LABELED_GRAPHS
+def test_enumeration_counts(automaton, walked_graphs, oracle_nodes):
+    graphs = enumerate_labeled_graphs()
+    assert len(graphs) == GOLDEN_LABELED_GRAPHS
+    assert len(set(graphs)) == len(graphs)
+    assert sorted(graphs) == sorted(walked_graphs)
+    assert enumerate_nodes(3) == oracle_nodes
     assert len(automaton.nodes) == GOLDEN_NODES
     assert len(automaton.fold_edges) == GOLDEN_FOLD_EDGES
     assert automaton.n_classes == GOLDEN_CLASSES
@@ -279,7 +286,68 @@ def test_graph_from_groups_reconstruction(automaton):
         assert graph.is_connected()
 
 
+def test_relabeling_off_the_node_set_is_a_structure_error(monkeypatch, capsys):
+    # with one node missing, some generator step leaves the node set
+    full = automaton_module.enumerate_nodes
+    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda rank=3: full(rank)[1:])
+    with pytest.raises(GraphStructureError, match="relabeling left the node set"):
+        automaton_module.build_automaton(3)
+    assert main(["automaton", "build", "--loop-bound", "1"]) == 3
+    assert "relabeling left the node set" in capsys.readouterr().err
+
+
 # -- the brute-force build, kept as an oracle for the equivariant one ---------
+
+
+@pytest.fixture(scope="module")
+def walked_graphs():
+    """The direction partitions of connected (4,3,3)-graphs, found by
+    walking all 9^5 = 59,049 assignments of ends to three vertices; each
+    partition once, in order of discovery."""
+    seen = set()
+    out = []
+    for ends in itertools.product(
+        itertools.product(range(3), repeat=2), repeat=len(RANK3_EDGE_NAMES)
+    ):
+        counts = [0, 0, 0]
+        for u, v in ends:
+            counts[u] += 1
+            counts[v] += 1
+        if sorted(counts) != [3, 3, 4]:
+            continue
+        if len(connected_components(range(3), ends)) != 1:
+            continue
+        groups_raw = {0: [], 1: [], 2: []}
+        for i, (u, v) in enumerate(ends):
+            groups_raw[u].append(i + 1)
+            groups_raw[v].append(-(i + 1))
+        key = tuple(sorted(tuple(sorted(g)) for g in groups_raw.values()))
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_nodes(walked_graphs):
+    """Every node key built directly from the walked partitions: each red
+    direction at the valence-4 vertex, the purple triangles, and each
+    purple direction there for the red turn to attach to."""
+    nodes = []
+    for groups in walked_graphs:
+        big = next(g for g in groups if len(g) == 4)
+        for red in big:
+            base_turns = []
+            for group in groups:
+                purple = [d for d in group if d != red]
+                base_turns.extend(
+                    (min(p), max(p)) for p in itertools.combinations(purple, 2)
+                )
+            for attach in big:
+                if attach != red:
+                    turns = base_turns + [(min(red, attach), max(red, attach))]
+                    nodes.append((groups, red, tuple(sorted(turns))))
+    return sorted(nodes)
 
 
 def _direct_compose(s, t):
@@ -309,11 +377,10 @@ def _scan_graph_class_key(groups):
     )
 
 
-def _brute_force_build():
-    """Every field of the automaton the direct way: transport at every node,
-    classes by a generator walk over keys, and stabilisers by a scan of all
-    signed permutations."""
-    nodes = enumerate_nodes(3)
+def _brute_force_build(nodes):
+    """Every field of the automaton the direct way, over the oracle's own
+    node list: transport at every node, classes by a generator walk over
+    keys, and stabilisers by a scan of all signed permutations."""
     node_index = {key: i for i, key in enumerate(nodes)}
     fold_edges = []
     for i, key in enumerate(nodes):
@@ -379,8 +446,8 @@ def _brute_force_build():
     }
 
 
-def test_equivariant_build_matches_brute_force(automaton):
-    oracle = _brute_force_build()
+def test_equivariant_build_matches_brute_force(automaton, oracle_nodes):
+    oracle = _brute_force_build(oracle_nodes)
     observed = {name: getattr(automaton, name) for name in oracle}
     observed["fold_edges"] = [(e.source, e.target, e.e1, e.e0) for e in automaton.fold_edges]
     for name, want in oracle.items():
