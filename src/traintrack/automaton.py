@@ -20,9 +20,10 @@ relabeling class on integer node ids.  A node is fixed by its labeled
 graph, its red direction and the direction its red turn attaches to, so
 each of the three group generators acts on node ids through one pass over
 the labeled graphs.  Orbits and stabilisers follow from those tables along
-a spanning tree of the group.  Folds are transported at the class
-representatives only; every other node's fold edges are pushed along the
-generator walk that reaches it.
+a spanning tree of the group.  Folds are transported and stored at the
+class representatives only: a node ``sigma . rep`` has the folds of its
+representative moved by sigma, and the fold-edge and quotient-edge counts
+follow by orbit-stabiliser.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .catalog import single_fold_map
-from .digraph import connected_components, strongly_connected_components
+from .digraph import carries_cycle, connected_components, strongly_connected_components
 from .folds import FoldSequence, apply_fold, push_permutations, rotate, stallings_decompose
 from .graphs import (
     GraphMap,
@@ -99,10 +100,7 @@ def key_from_structure(structure: LttStructure) -> NodeKey:
 
 
 def graph_from_groups(groups: tuple[tuple[int, ...], ...]) -> OrientedGraph:
-    at = {}
-    for gi, group in enumerate(groups):
-        for d in group:
-            at[d] = gi
+    at = {d: gi for gi, group in enumerate(groups) for d in group}
     return OrientedGraph(
         vertex_names=tuple(f"u{gi}" for gi in range(len(groups))),
         edge_names=RANK3_EDGE_NAMES,
@@ -247,29 +245,33 @@ def _group_generators(n: int) -> tuple[tuple[int, ...], ...]:
     return (swap, cycle, flip)
 
 
-# slots: there are 86,400 of these, and node_one_analysis scans them all
-@dataclass(frozen=True, slots=True)
-class FoldEdge:
-    source: int
-    target: int
-    e1: int
-    e0: int
+def _class_adjacency(quotient_edges, removed: int = -1) -> dict[int, list[int]]:
+    """Successor lists of the class quotient, less the class ``removed``."""
+    adjacency: dict[int, list[int]] = {}
+    for c1, c2 in quotient_edges:
+        if removed not in (c1, c2):
+            adjacency.setdefault(c1, []).append(c2)
+    return adjacency
 
 
 @dataclass
 class Automaton:
-    """Exact nodes, fold edges, relabeling classes, and the quotient SCCs."""
+    """Exact nodes, relabeling classes, the quotient SCCs, and the folds of
+    the class representatives, the only stored copy of the fold graph: for
+    each representative fold (e1, e0) into t, the node ``sigma . rep`` has
+    the fold (sigma e1, sigma e0) into ``sigma . t``."""
 
     nodes: list[NodeKey]
     node_index: dict[NodeKey, int]
-    fold_edges: list[FoldEdge]  # grouped by source, in fold_candidates order
-    fold_offsets: list[int]  # node i's fold edges are fold_edges[off[i]:off[i + 1]]
     class_of: list[int]
     class_members: list[list[int]]
     class_rep: list[int]
     rep_word: list[tuple[int, ...]]  # node -> sigma with  sigma . rep == node
     rep_stabilizer: list[list[tuple[int, ...]]]  # per class, at the representative
-    quotient_edges: dict[tuple[int, int], int]
+    rep_folds: list[list[tuple[int, int, int]]]  # per class, (e1, e0, target) at the rep
+    orbit_rows: list[list[int]]  # per class, row[k] == sigma_k . rep
+    sigma_index: dict[tuple[int, ...], int]  # sigma_k -> k
+    quotient_edges: dict[tuple[int, int], int]  # class pair -> exact fold edges
     sccs: list[list[int]]  # class-level strongly connected components
     node_one: int  # exact node of the reference single-fold map
 
@@ -277,20 +279,41 @@ class Automaton:
     def n_classes(self) -> int:
         return len(self.class_members)
 
-    def out_folds(self, node_id: int) -> list[FoldEdge]:
-        return self.fold_edges[self.fold_offsets[node_id] : self.fold_offsets[node_id + 1]]
+    @property
+    def n_fold_edges(self) -> int:
+        """Exact fold edges, by orbit-stabiliser: every node of a class has
+        as many folds as its representative."""
+        return sum(len(m) * len(f) for m, f in zip(self.class_members, self.rep_folds))
+
+    def out_folds(self, node_id: int) -> list[tuple[int, int, int]]:
+        """The folds ``(e1, e0, target)`` at a node, sorted: its
+        representative's folds moved by ``sigma = rep_word[node_id]``, a
+        target t going to the entry ``sigma o rep_word[t]`` of its class row."""
+        sigma = self.rep_word[node_id]
+        image = _direction_table(sigma)
+        moved = []
+        for e1, e0, t in self.rep_folds[self.class_of[node_id]]:
+            k = self.sigma_index[compose_signed(sigma, self.rep_word[t])]
+            moved.append((image[e1], image[e0], self.orbit_rows[self.class_of[t]][k]))
+        moved.sort()
+        return moved
+
+    def folds_into(self, node_id: int) -> list[tuple[int, int, int]]:
+        """The folds ``(source, e1, e0)`` into the node, sorted: each sigma
+        with ``sigma . t == node`` moves a representative's fold (e1, e0)
+        into t to ``sigma . rep``; sigmas in one coset of the
+        representative's stabiliser give the same fold."""
+        return sorted({
+            (self.orbit_rows[c][self.sigma_index[s]], apply_signed(s, e1), apply_signed(s, e0))
+            for c, folds in enumerate(self.rep_folds)
+            for e1, e0, t in folds
+            for s in self.permutations_between(t, node_id)
+        })
 
     def loop_sccs(self) -> list[int]:
         """Indices of class-level components containing a directed fold loop."""
-        comp_of = {}
-        for ci, comp in enumerate(self.sccs):
-            for c in comp:
-                comp_of[c] = ci
-        out = set()
-        for (c1, c2), _count in self.quotient_edges.items():
-            if comp_of[c1] == comp_of[c2]:
-                out.add(comp_of[c1])
-        return sorted(out)
+        adjacency = _class_adjacency(self.quotient_edges)
+        return [ci for ci, comp in enumerate(self.sccs) if carries_cycle(comp, adjacency)]
 
     def permutations_between(self, n1: int, n2: int) -> list[tuple[int, ...]]:
         """All sigma with sigma . node(n1) == node(n2)."""
@@ -306,9 +329,10 @@ class Automaton:
 
 
 def build_automaton(rank: int = 3) -> Automaton:
-    """Enumerate nodes, group them into relabeling classes, derive the fold
-    edges by equivariance, and compute the class-level strongly connected
-    components.  The reference node is the structure of ``single_fold_map``.
+    """Enumerate nodes, group them into relabeling classes, transport the
+    folds at the class representatives, and compute the class-level
+    strongly connected components.  The reference node is the structure of
+    ``single_fold_map``.
 
     A node is fixed by its code (labeled graph, red, attach), so each group
     generator acts on node ids through one pass over the labeled graphs.
@@ -316,11 +340,9 @@ def build_automaton(rank: int = 3) -> Automaton:
     representative (its first node), is filled along a spanning tree of the
     group by ``row[gen sigma] = gen . row[sigma]``; the row gives the orbit
     and the stabiliser, and a depth-first walk over the generators gives
-    ``rep_word``.  Folds are transported at the representatives only; a
-    node reached by the walk as ``gen . x`` gets x's folds (e1, e0) into t
-    as the folds (gen e1, gen e0) into ``gen . t``.  Each node's edges are
-    sorted into ``fold_candidates`` order, and ``fold_offsets`` indexes
-    them by source for ``Automaton.out_folds``.
+    ``rep_word``.  Folds are transported at the representatives only, and
+    each class contributes its orbit size once per representative fold to
+    the quotient edge counts.
     """
     if rank != 3:
         raise GraphStructureError("the automaton is implemented for rank 3")
@@ -338,10 +360,9 @@ def build_automaton(rank: int = 3) -> Automaton:
     code_id = {code: i for i, code in enumerate(codes)}
     n_labels = len(RANK3_EDGE_NAMES)
     generators = _group_generators(n_labels)
-    images = [_direction_table(gen) for gen in generators]
     act: list[list[int]] = []
     try:
-        for image in images:
+        for image in map(_direction_table, generators):
             on_graph = [
                 graph_id[_canonical_groups([image[d] for d in g] for g in groups)]
                 for groups in graph_id
@@ -372,7 +393,8 @@ def build_automaton(rank: int = 3) -> Automaton:
     class_rep: list[int] = []
     rep_word: list[tuple[int, ...]] = [identity] * len(nodes)
     rep_stabilizer: list[list[tuple[int, ...]]] = []
-    out_edges: list[list[FoldEdge]] = [[] for _ in nodes]
+    rep_folds: list[list[tuple[int, int, int]]] = []
+    orbit_rows: list[list[int]] = []
     for i, key in enumerate(nodes):
         if class_of[i] != -1:
             continue
@@ -382,6 +404,19 @@ def build_automaton(rank: int = 3) -> Automaton:
             row[k] = act[g][row[parent]]
         for j in row:
             class_of[j] = cid
+        # a depth-first generator walk gives each node of the orbit its word
+        reached = {i}
+        frontier = [start]
+        while frontier:
+            k = frontier.pop()
+            for step in gen_step:
+                nk = step[k]
+                j = row[nk]
+                if j not in reached:
+                    reached.add(j)
+                    rep_word[j] = sigmas[nk]
+                    frontier.append(nk)
+        folds = []
         for e1, e0 in fold_candidates(key):
             out = transport(key, e1, e0)
             if out is None:
@@ -389,46 +424,24 @@ def build_automaton(rank: int = 3) -> Automaton:
             j = node_index.get(out)
             if j is None:
                 raise GraphStructureError("fold transport left the node set")
-            out_edges[i].append(FoldEdge(i, j, e1, e0))
-        # the generator walk of the orbit search, carrying the fold edges
-        reached = {i}
-        frontier = [start]
-        while frontier:
-            k = frontier.pop()
-            for g, step in enumerate(gen_step):
-                nk = step[k]
-                j = row[nk]
-                if j not in reached:
-                    reached.add(j)
-                    rep_word[j] = sigmas[nk]
-                    frontier.append(nk)
-                    image, to = images[g], act[g]
-                    pushed = sorted(
-                        (image[e.e1], image[e.e0], to[e.target]) for e in out_edges[row[k]]
-                    )
-                    out_edges[j] = [FoldEdge(j, t, e1, e0) for e1, e0, t in pushed]
+            folds.append((e1, e0, j))
         class_members.append(sorted(reached))
         class_rep.append(i)
+        rep_folds.append(folds)
+        orbit_rows.append(row)
         stabilizer = [s for s, j in zip(sigmas, row) if j == i]
         if any(relabel_key(key, s) != key for s in stabilizer):
             raise GraphStructureError("generator tables disagree with relabel_key")
         rep_stabilizer.append(stabilizer)
 
-    fold_edges: list[FoldEdge] = []
-    fold_offsets = [0]
-    for edges in out_edges:
-        fold_edges.extend(edges)
-        fold_offsets.append(len(fold_edges))
-
+    # each representative is its class's first node, so class order is the
+    # order in which a scan of the exact edges by source meets each pair
     quotient_edges: dict[tuple[int, int], int] = {}
-    for e in fold_edges:
-        pair = (class_of[e.source], class_of[e.target])
-        quotient_edges[pair] = quotient_edges.get(pair, 0) + 1
-
-    adjacency: dict[int, list[int]] = {}
-    for c1, c2 in quotient_edges:
-        adjacency.setdefault(c1, []).append(c2)
-    sccs = strongly_connected_components(len(class_members), adjacency)
+    for cid, folds in enumerate(rep_folds):
+        for _e1, _e0, t in folds:
+            pair = (cid, class_of[t])
+            quotient_edges[pair] = quotient_edges.get(pair, 0) + len(class_members[cid])
+    sccs = strongly_connected_components(len(class_members), _class_adjacency(quotient_edges))
 
     ref_key = key_from_structure(ltt_structure(MapAnalysis(single_fold_map())))
     node_one = node_index.get(ref_key)
@@ -438,13 +451,14 @@ def build_automaton(rank: int = 3) -> Automaton:
     return Automaton(
         nodes=nodes,
         node_index=node_index,
-        fold_edges=fold_edges,
-        fold_offsets=fold_offsets,
         class_of=class_of,
         class_members=class_members,
         class_rep=class_rep,
         rep_word=rep_word,
         rep_stabilizer=rep_stabilizer,
+        rep_folds=rep_folds,
+        orbit_rows=orbit_rows,
+        sigma_index=sigma_index,
         quotient_edges=quotient_edges,
         sccs=sccs,
         node_one=node_one,
@@ -484,8 +498,8 @@ def enumerate_loops(
                 )
         if len(path_folds) == max_length:
             return
-        for e in automaton.out_folds(current):
-            extend(path_nodes + [e.target], path_folds + [(e.e1, e.e0)])
+        for e1, e0, target in automaton.out_folds(current):
+            extend(path_nodes + [target], path_folds + [(e1, e0)])
 
     for start in start_nodes:
         extend([start], [])
@@ -544,11 +558,7 @@ def decomposition_to_loop(
         for j in range(len(seq)):
             rotated = rotate(seq, j)
             try:
-                smoothed = suppress_bivalent_map(rotated.composed_map())
-            except GraphStructureError:
-                continue
-            try:
-                seq2 = stallings_decompose(smoothed)
+                seq2 = stallings_decompose(suppress_bivalent_map(rotated.composed_map()))
             except GraphStructureError:
                 continue
             found = _walk_decomposition(automaton, seq2)
@@ -598,7 +608,6 @@ class NodeOneAnalysis:
     also_disconnected: tuple[int, ...]  # classes that leave the loop part with it
     loops_checked: int
     loops_reducible: int
-    loops_with_protected_label: int
     entering_folds: int
     underlying_graph_classes: tuple[tuple, ...]
 
@@ -618,40 +627,28 @@ def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
 def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnalysis:
     """Remove the reference node's relabeling class and study what remains.
 
-    Verifies, by direct composition, that every directed loop of fold-length
-    up to the bound confined to the residual loop component has a reducible
-    transition matrix, and counts the loops with a protected label: an edge
-    that the loop's map sends over a single edge.  Also counts the folds
-    entering the reference node and reports the underlying graphs involved.
+    Composes every directed loop of fold-length up to the bound confined to
+    the residual loop component and counts those with a reducible
+    transition matrix; ``obstruction_holds`` says only that all of them are
+    reducible up to that bound (at bound 5 some are not).  Also counts the
+    folds entering the reference node and reports the underlying graphs
+    involved.
     """
     node_one_class = automaton.class_of[automaton.node_one]
-    comp_of = {}
-    for ci, comp in enumerate(automaton.sccs):
-        for c in comp:
-            comp_of[c] = ci
-    loop_comps = set(automaton.loop_sccs())
     removed_scc = tuple(
-        sorted(c for c in range(automaton.n_classes) if comp_of[c] in loop_comps)
+        sorted(c for ci in automaton.loop_sccs() for c in automaton.sccs[ci])
     )
 
-    # SCCs of the quotient with the reference class deleted
-    keep = [c for c in range(automaton.n_classes) if c != node_one_class]
-    index = {c: i for i, c in enumerate(keep)}
-    adjacency: dict[int, list[int]] = {}
-    for (c1, c2), _n in automaton.quotient_edges.items():
-        if c1 in index and c2 in index:
-            adjacency.setdefault(index[c1], []).append(index[c2])
-    comps = strongly_connected_components(len(keep), adjacency)
-    comp_of2 = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of2[keep[i]] = ci
-    residual_loops = set()
-    for (c1, c2), _n in automaton.quotient_edges.items():
-        if c1 in index and c2 in index and comp_of2[c1] == comp_of2[c2]:
-            residual_loops.add(comp_of2[c1])
+    # SCCs of the quotient with the reference class cut off; it is then a
+    # component of its own without a loop
+    adjacency = _class_adjacency(automaton.quotient_edges, removed=node_one_class)
     residual_classes = tuple(
-        sorted(c for c in keep if comp_of2[c] in residual_loops)
+        sorted(
+            c
+            for comp in strongly_connected_components(automaton.n_classes, adjacency)
+            if carries_cycle(comp, adjacency)
+            for c in comp
+        )
     )
     also_disconnected = tuple(
         sorted(set(removed_scc) - set(residual_classes) - {node_one_class})
@@ -659,27 +656,20 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
 
     # direct composition of all short loops within the residual component
     residual_set = set(residual_classes)
-    reps = [automaton.class_rep[c] for c in sorted(residual_set)]
+    reps = [automaton.class_rep[c] for c in residual_classes]
     loops = [
         lp
         for lp in enumerate_loops(automaton, loop_bound, start_nodes=reps)
         if all(automaton.class_of[n] in residual_set for n in lp.node_ids)
     ]
-    reducible = 0
-    with_label = 0
-    for lp in loops:
-        m = loop_to_map(automaton, lp)
-        matrix = transition_matrix(m)
-        if not is_irreducible(matrix):
-            reducible += 1
-        # some edge label maps over a single edge for the whole loop
-        if any(sum(row) == 1 for row in matrix.rows):
-            with_label += 1
+    reducible = sum(
+        not is_irreducible(transition_matrix(loop_to_map(automaton, lp))) for lp in loops
+    )
 
-    entering = [e for e in automaton.fold_edges if e.target == automaton.node_one]
+    entering = automaton.folds_into(automaton.node_one)
     graph_keys = {_graph_class_key(automaton, automaton.node_one)}
-    for e in entering:
-        graph_keys.add(_graph_class_key(automaton, e.source))
+    for source, _e1, _e0 in entering:
+        graph_keys.add(_graph_class_key(automaton, source))
 
     return NodeOneAnalysis(
         node_one_class=node_one_class,
@@ -688,7 +678,6 @@ def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnaly
         also_disconnected=also_disconnected,
         loops_checked=len(loops),
         loops_reducible=reducible,
-        loops_with_protected_label=with_label,
         entering_folds=len(entering),
         underlying_graph_classes=tuple(sorted(graph_keys)),
     )
@@ -725,10 +714,10 @@ def automaton_to_dot(automaton: Automaton) -> str:
 
 def automaton_json(automaton: Automaton, analysis: "NodeOneAnalysis | None" = None) -> dict:
     out = {
-        "schema": "1",
+        "schema": "2",
         "kind": "automaton",
         "nodes": len(automaton.nodes),
-        "fold_edges": len(automaton.fold_edges),
+        "fold_edges": automaton.n_fold_edges,
         "classes": automaton.n_classes,
         "class_sizes": sorted(len(m) for m in automaton.class_members),
         "scc_sizes": sorted(len(s) for s in automaton.sccs),
@@ -742,7 +731,6 @@ def automaton_json(automaton: Automaton, analysis: "NodeOneAnalysis | None" = No
             "also_disconnected": len(analysis.also_disconnected),
             "loops_checked": analysis.loops_checked,
             "loops_reducible": analysis.loops_reducible,
-            "loops_with_protected_label": analysis.loops_with_protected_label,
             "entering_folds": analysis.entering_folds,
             "underlying_graph_classes": len(analysis.underlying_graph_classes),
             "obstruction_holds": analysis.obstruction_holds,

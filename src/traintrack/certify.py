@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .digraph import (
+    carries_cycle,
     condensation_reachability,
     connected_components,
     strongly_connected_components,
@@ -142,8 +143,7 @@ def expanding_edges(matrix: IntegerMatrix) -> tuple[int, ...]:
     comp_of, reach = condensation_reachability(n, edges, comps)
     growing = set()
     for ci, comp in enumerate(comps):
-        cyclic = len(comp) > 1 or matrix.rows[comp[0]][comp[0]] > 0
-        if cyclic and any(sum(matrix.rows[v]) >= 2 for v in comp):
+        if carries_cycle(comp, edges) and any(sum(matrix.rows[v]) >= 2 for v in comp):
             growing.add(ci)
     return tuple(
         i for i in range(n) if any(cj in growing for cj in reach[comp_of[i]])

@@ -93,7 +93,7 @@ def cmd_automaton_build(args) -> int:
         return EXIT_PRECONDITION
     analysis = node_one_analysis(automaton, loop_bound=args.loop_bound)
     print(
-        f"nodes: {len(automaton.nodes)}; fold edges: {len(automaton.fold_edges)}; "
+        f"nodes: {len(automaton.nodes)}; fold edges: {automaton.n_fold_edges}; "
         f"relabeling classes: {automaton.n_classes}"
     )
     print(
@@ -107,8 +107,7 @@ def cmd_automaton_build(args) -> int:
     )
     print(
         f"residual loops up to length {args.loop_bound}: {analysis.loops_checked}, "
-        f"all reducible: {analysis.obstruction_holds}, "
-        f"with protected label: {analysis.loops_with_protected_label}"
+        f"all reducible: {analysis.obstruction_holds}"
     )
     print(f"folds entering the reference node: {analysis.entering_folds}")
     if args.dot:

@@ -85,6 +85,12 @@ def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[l
     return components
 
 
+def carries_cycle(component: list[int], edges: dict[int, list[int]]) -> bool:
+    """Whether a strongly connected component contains a directed cycle:
+    it has more than one vertex, or its one vertex has a self-loop."""
+    return len(component) > 1 or component[0] in edges.get(component[0], ())
+
+
 def condensation_reachability(
     n: int, edges: dict[int, list[int]], components: list[list[int]]
 ) -> tuple[list[int], list[set[int]]]:

@@ -60,6 +60,10 @@ def parse_map_document(text: str) -> GraphMap:
             elif parts[0] == "edge":
                 if len(parts) != 6 or parts[2] != "=" or parts[4] != "->":
                     raise ParseError("expected: edge NAME = V -> W", lineno)
+                if parts[1].startswith("~"):
+                    raise ParseError(
+                        f"edge name {parts[1]!r} begins with '~'", lineno, _token_column(raw, parts[1])
+                    )
                 if any(parts[1] == name for name, _, _, _ in edges):
                     raise ParseError(f"duplicate edge {parts[1]!r}", lineno)
                 edges.append((parts[1], parts[3], parts[5], lineno))

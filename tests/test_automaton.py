@@ -63,7 +63,7 @@ def test_enumeration_counts(automaton, walked_graphs, oracle_nodes):
     assert sorted(graphs) == sorted(walked_graphs)
     assert enumerate_nodes(3) == oracle_nodes
     assert len(automaton.nodes) == GOLDEN_NODES
-    assert len(automaton.fold_edges) == GOLDEN_FOLD_EDGES
+    assert automaton.n_fold_edges == GOLDEN_FOLD_EDGES
     assert automaton.n_classes == GOLDEN_CLASSES
 
 
@@ -190,12 +190,20 @@ def test_node_one_analysis(automaton):
     analysis = node_one_analysis(automaton, loop_bound=3)
     assert analysis.obstruction_holds
     assert analysis.loops_checked > 0
-    assert analysis.loops_with_protected_label == analysis.loops_checked
     assert analysis.entering_folds == 4
     assert len(analysis.residual_loop_classes) == 11
     assert len(analysis.also_disconnected) == 2
     # the reference node's graph and the fold sources' graphs: one class
     assert len(analysis.underlying_graph_classes) == 1
+
+
+def test_node_one_analysis_is_bounded(automaton):
+    # "all reducible" holds up to length 4 only: at length 5, 260 of the
+    # residual loops compose to irreducible transition matrices
+    analysis = node_one_analysis(automaton, loop_bound=5)
+    assert analysis.loops_checked == 2352
+    assert analysis.loops_reducible == 2092
+    assert not analysis.obstruction_holds
 
 
 def test_group_generators_follow_their_argument():
@@ -446,24 +454,44 @@ def _brute_force_build(nodes):
     }
 
 
-def test_equivariant_build_matches_brute_force(automaton, oracle_nodes):
-    oracle = _brute_force_build(oracle_nodes)
-    observed = {name: getattr(automaton, name) for name in oracle}
-    observed["fold_edges"] = [(e.source, e.target, e.e1, e.e0) for e in automaton.fold_edges]
+@pytest.fixture(scope="module")
+def oracle(oracle_nodes):
+    return _brute_force_build(oracle_nodes)
+
+
+def test_equivariant_build_matches_brute_force(automaton, oracle):
     for name, want in oracle.items():
-        assert observed[name] == want, name
+        if name != "fold_edges":
+            assert getattr(automaton, name) == want, name
     # the class-level adjacency (and so the SCC order) follows edge order
     assert list(automaton.quotient_edges) == list(oracle["quotient_edges"])
-    # out_folds(i) == [e for e in fold_edges if e.source == i], in one pass
-    by_source = [[] for _ in automaton.nodes]
-    for e in automaton.fold_edges:
-        by_source[e.source].append(e)
-    for i, edges in enumerate(by_source):
-        assert automaton.out_folds(i) == edges
+    # the folds moved from the representatives are the transported ones,
+    # node by node in fold_candidates order
+    moved = [
+        (i, target, e1, e0)
+        for i in range(len(automaton.nodes))
+        for e1, e0, target in automaton.out_folds(i)
+    ]
+    assert moved == oracle["fold_edges"]
+    assert automaton.n_fold_edges == len(oracle["fold_edges"])
+
+
+def test_folds_into_matches_edge_scan(automaton, oracle):
+    entering = {}
+    for source, target, e1, e0 in oracle["fold_edges"]:
+        entering.setdefault(target, []).append((source, e1, e0))
+    assert automaton.folds_into(automaton.node_one) == entering[automaton.node_one]
+    assert len(entering[automaton.node_one]) == 4
+    # and at nodes of every class, fixed by nontrivial stabilisers or not
+    rng = random.Random(17)
+    sample = [members[0] for members in automaton.class_members]
+    sample += rng.sample(range(len(automaton.nodes)), 40)
+    for node_id in sample:
+        assert automaton.folds_into(node_id) == entering.get(node_id, [])
 
 
 def test_graph_class_key_matches_permutation_scan(automaton):
-    entering = {e.source for e in automaton.fold_edges if e.target == automaton.node_one}
+    entering = {source for source, _e1, _e0 in automaton.folds_into(automaton.node_one)}
     assert len(entering) == 4
     for node_id in sorted(entering | {automaton.node_one}):
         assert _graph_class_key(automaton, node_id) == _scan_graph_class_key(

@@ -66,6 +66,9 @@ def test_certify_parse_error(tmp_path):
         # image that is not a path: its own map line
         ("vertices v0 v1\nedge a = v0 -> v1\nedge b = v1 -> v0\n\nmap\nb -> b\na -> a a\n",
          7, "path breaks at a -> a in image of 'a'"),
+        # an edge name that reads as a reversed edge: its edge line
+        ("vertices v\nedge ~a = v -> v\nedge b = v -> v\n\nmap\n~a -> b\nb -> ~~a ~~a b\n",
+         2, "column 6: edge name '~a' begins with '~'"),
     ],
 )
 def test_certify_parse_error_line(tmp_path, capsys, text, line, message):
@@ -190,6 +193,14 @@ def test_automaton_build(tmp_path, capsys):
     assert code2 == 0
     assert (tmp_path / "b.dot").read_text() == text
     payload = json.loads(out_json.read_text())
+    assert payload["schema"] == "2"
     assert payload["classes"] == 17
+    assert payload["fold_edges"] == 86400
     assert payload["loop_scc_count"] == 1
     assert payload["reference_analysis"]["entering_folds"] == 4
+
+
+def test_automaton_build_fails_at_loop_bound_five(capsys):
+    # the residual loops are all reducible only up to length 4
+    assert main(["automaton", "build", "--loop-bound", "5"]) == 4
+    assert "residual loops up to length 5: 2352, all reducible: False\n" in capsys.readouterr().out

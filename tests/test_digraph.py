@@ -4,7 +4,11 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traintrack.digraph import connected_components
+from traintrack.digraph import (
+    carries_cycle,
+    connected_components,
+    strongly_connected_components,
+)
 from traintrack.graphs import OrientedGraph
 from traintrack.whitehead import WhiteheadGraph
 
@@ -54,3 +58,31 @@ def test_graph_and_whitehead_components_match_networkx(case):
         "local", frozenset(range(1, m + 1)), frozenset((u + 1, v + 1) for u, v in ends)
     )
     assert sorted(map(sorted, wg.components())) == [[v + 1 for v in c] for c in want]
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+def test_cycle_carrying_components_match_networkx(case):
+    n, arcs = case
+    edges: dict[int, list[int]] = {}
+    for u, v in arcs:
+        edges.setdefault(u, []).append(v)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(arcs)
+    components = strongly_connected_components(n, edges)
+    assert sorted(map(sorted, components)) == sorted(
+        map(sorted, nx.strongly_connected_components(g))
+    )
+    for comp in components:
+        # v lies on a cycle iff some successor of v reaches v
+        for v in comp:
+            on_cycle = any(nx.has_path(g, w, v) for w in g.successors(v))
+            assert on_cycle == carries_cycle(comp, edges)

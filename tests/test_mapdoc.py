@@ -61,6 +61,15 @@ def test_missing_map_section():
         parse_map_document(bad)
 
 
+def test_reversed_edge_name_rejected():
+    # "~a" reads as the reversal of an edge "a", and its own reversal as "~~a"
+    bad = "vertices v\nedge b = v -> v\nedge ~a = v -> v\n\nmap\nb -> b ~~a\n~a -> b\n"
+    with pytest.raises(ParseError, match="'~a' begins with '~'") as err:
+        parse_map_document(bad)
+    assert err.value.line == 3
+    assert err.value.column == 6
+
+
 def test_unknown_directive_position():
     bad = "vertices v\nedgy a = v -> v\n\nmap\na -> a\n"
     with pytest.raises(ParseError) as err:

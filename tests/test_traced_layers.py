@@ -52,12 +52,12 @@ def test_every_traced_layer_resolves():
     assert not missing, missing
 
 
-def test_automaton_command_reaches_every_required_layer():
-    # what a traced ``automaton`` iteration runs: a fresh build, then the
-    # analysis at loop bound 4, looked up after the tracer wraps them
-    automaton = importlib.import_module("traintrack.automaton")
+def _assert_reaches_every_layer(workload: str, run) -> None:
+    """Install the tracer on the workload's required layers, call ``run``
+    (which looks the package functions up after the wrapping), and check
+    that every layer was entered."""
     spans = _spans()
-    layers = _workload_layers("automaton")
+    layers = _workload_layers(workload)
     assert layers
     targets = [t for t in spans.TARGETS if t[0] in layers]
     assert {t[0] for t in targets} == set(layers)
@@ -65,10 +65,44 @@ def test_automaton_command_reaches_every_required_layer():
     tracer.install(targets)
     try:
         assert not tracer.missing
-        automaton.node_one_analysis(automaton.build_automaton(3), loop_bound=4)
+        run()
     finally:
         tracer.uninstall()
     calls = {name: 0 for name in layers}
     for name, *_ in tracer.spans():
         calls[name] += 1
     assert all(calls.values()), [name for name, n in calls.items() if not n]
+
+
+def test_automaton_command_reaches_every_required_layer():
+    # what a traced ``automaton`` iteration runs: a fresh build, then the
+    # analysis at loop bound 4
+    automaton = importlib.import_module("traintrack.automaton")
+    _assert_reaches_every_layer(
+        "automaton",
+        lambda: automaton.node_one_analysis(automaton.build_automaton(3), loop_bound=4),
+    )
+
+
+def test_search_command_reaches_every_theorem_b_layer():
+    # the shortest search of a traced ``theorem_b`` iteration
+    cli = importlib.import_module("traintrack.cli")
+
+    def run():
+        assert cli.main(["--jobs", "1", "search", "single-fold", "--rank", "3"]) == 0
+
+    _assert_reaches_every_layer("theorem_b", run)
+
+
+def test_certify_and_decompose_reach_every_certify_batch_layer(tmp_path):
+    # one document of a traced ``certify_batch`` iteration: the reference map
+    cli = importlib.import_module("traintrack.cli")
+    catalog = importlib.import_module("traintrack.catalog")
+    path = tmp_path / "g.map"
+    path.write_text(catalog.SINGLE_FOLD_DOCUMENT, encoding="utf-8")
+
+    def run():
+        assert cli.main(["certify", str(path)]) == 0
+        assert cli.main(["decompose", str(path)]) == 0
+
+    _assert_reaches_every_layer("certify_batch", run)
