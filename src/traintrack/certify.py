@@ -334,9 +334,8 @@ class FicReport:
 
     train_track: bool
     pnp_clean: bool
-    pnp: PnpSearchResult | None
     irreducible: bool
-    perron_frobenius: bool
+    primitive: bool
     whitehead_connected: bool
     whitehead_by_vertex: dict[int, bool]
     invariant_edges: tuple[int, ...] | None
@@ -347,17 +346,16 @@ class FicReport:
             self.train_track
             and self.pnp_clean
             and self.irreducible
-            and self.perron_frobenius
+            and self.primitive
             and self.whitehead_connected
         )
 
 
 def fic_check(a: MapAnalysis) -> FicReport:
-    """Bounded-PNP-clean, irreducible, PF, and connected local Whitehead
-    graphs; each conjunct reported separately, failures enumerated.  The
-    search runs on expanding train track maps only."""
+    """Bounded-PNP-clean, irreducible, primitive (PF), and connected local
+    Whitehead graphs; each conjunct reported separately, failures
+    enumerated.  The search runs on expanding train track maps only."""
     train_track = a.tt.is_train_track
-    pnp = a.pnp if train_track and a.expanding else None
     spectral = a.spectral
     by_vertex = (
         {v: local_whitehead(a, v).is_connected() for v in range(a.map.source.n_vertices)}
@@ -366,10 +364,9 @@ def fic_check(a: MapAnalysis) -> FicReport:
     )
     return FicReport(
         train_track=train_track,
-        pnp_clean=pnp is not None and pnp.clean,
-        pnp=pnp,
+        pnp_clean=train_track and a.expanding and a.pnp.clean,
         irreducible=spectral.irreducible,
-        perron_frobenius=spectral.perron_frobenius,
+        primitive=spectral.primitive,
         whitehead_connected=bool(by_vertex) and all(by_vertex.values()),
         whitehead_by_vertex=by_vertex,
         invariant_edges=None if spectral.irreducible else invariant_edge_set(a.matrix),

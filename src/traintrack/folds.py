@@ -370,28 +370,19 @@ def _swap_relabeling_fold(rel: Relabeling, move: FoldMove) -> tuple[FoldMove, Re
 def push_permutations(steps: list[FoldMove | Relabeling]) -> FoldSequence:
     """Normalize an interleaved run of folds and relabelings to folds
     followed by one final relabeling, preserving the composition exactly."""
-    work: list[FoldMove | Relabeling] = list(steps)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            if isinstance(work[i], Relabeling) and isinstance(work[i + 1], FoldMove):
-                move2, rel2 = _swap_relabeling_fold(work[i], work[i + 1])
-                work[i : i + 2] = [move2, rel2]
-                changed = True
-                break
     moves = []
-    rel: Relabeling | None = None
-    for item in work:
-        if isinstance(item, FoldMove):
-            moves.append(item)
-        else:
+    rel: Relabeling | None = None  # every relabeling so far, pushed past the folds
+    for item in steps:
+        if isinstance(item, Relabeling):
             rel = item if rel is None else item.after(rel)
+            continue
+        if rel is not None:
+            item, rel = _swap_relabeling_fold(rel, item)
+        moves.append(item)
     if rel is None:
-        last = moves[-1].target if moves else None
-        if last is None:
+        if not moves:
             raise GraphStructureError("empty step list")
-        rel = relabeling_from_map(identity_map(last))
+        rel = relabeling_from_map(identity_map(moves[-1].target))
     return FoldSequence(tuple(moves), rel)
 
 

@@ -17,6 +17,8 @@ then printing a canonical document is the identity.
 
 from __future__ import annotations
 
+import re
+
 from .graphs import GraphMap, GraphStructureError, OrientedGraph, check_path
 
 
@@ -28,8 +30,15 @@ class ParseError(ValueError):
 
 
 def _token_column(raw: str, token: str) -> int:
-    pos = raw.find(token)
-    return pos + 1 if pos >= 0 else 1
+    for m in re.finditer(r"\S+", raw):
+        if m.group() == token:
+            return m.start() + 1
+    return 1
+
+
+def _check_name(kind: str, name: str, raw: str, lineno: int) -> None:
+    if name in ("->", "="):
+        raise ParseError(f"{kind} name {name!r} is document syntax", lineno, _token_column(raw, name))
 
 
 def parse_map_document(text: str) -> GraphMap:
@@ -55,11 +64,13 @@ def parse_map_document(text: str) -> GraphMap:
                 vertices = parts[1:]
                 vertices_line = lineno
                 for k, name in enumerate(vertices):
+                    _check_name("vertex", name, raw, lineno)
                     if name in vertices[:k]:
                         raise ParseError(f"duplicate vertex {name!r}", lineno)
             elif parts[0] == "edge":
                 if len(parts) != 6 or parts[2] != "=" or parts[4] != "->":
                     raise ParseError("expected: edge NAME = V -> W", lineno)
+                _check_name("edge", parts[1], raw, lineno)
                 if parts[1].startswith("~"):
                     raise ParseError(
                         f"edge name {parts[1]!r} begins with '~'", lineno, _token_column(raw, parts[1])

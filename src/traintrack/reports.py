@@ -12,7 +12,7 @@ from fractions import Fraction
 from .certify import MapAnalysis, PnpSearchResult, TtCertificate
 from .folds import FoldSequence
 from .graphs import GraphMap, gates
-from .spectral import SpectralReport
+from .spectral import SpectralReport, minimal_polynomial_degree
 from .whitehead import PrincipalReport, is_principal
 
 SCHEMA_VERSION = "1"
@@ -108,8 +108,10 @@ def certify_json(report: CertifyReport) -> dict:
         "dominant_root": _fraction_pair(s.dominant_root),
         "irreducible": s.irreducible,
         "primitive": s.primitive,
-        "perron_frobenius": s.perron_frobenius,
-        "minimal_polynomial_degree": s.minimal_polynomial_degree,
+        "perron_frobenius": s.primitive,
+        "minimal_polynomial_degree": minimal_polynomial_degree(
+            s.characteristic_polynomial, s.dominant_root
+        ),
         "trace": s.trace,
         "first_positive_power": s.positive_power,
     }
@@ -127,7 +129,7 @@ def certify_json(report: CertifyReport) -> dict:
             "train_track": p.fic.train_track,
             "pnp_clean": p.fic.pnp_clean,
             "irreducible": p.fic.irreducible,
-            "perron_frobenius": p.fic.perron_frobenius,
+            "perron_frobenius": p.fic.primitive,
             "whitehead_connected": p.fic.whitehead_connected,
             "passed": p.fic.passed,
             "invariant_edges": (
@@ -169,7 +171,7 @@ def certify_text(report: CertifyReport) -> str:
     lo, hi = s.dominant_root
     lines.append(
         "transition matrix: irreducible=%s primitive=%s PF=%s trace=%d"
-        % (s.irreducible, s.primitive, s.perron_frobenius, s.trace)
+        % (s.irreducible, s.primitive, s.primitive, s.trace)
     )
     lines.append("characteristic polynomial: " + s.characteristic_polynomial.pretty())
     lines.append(
@@ -191,7 +193,7 @@ def certify_text(report: CertifyReport) -> str:
                 "train-track": p.fic.train_track,
                 "pnp-clean": p.fic.pnp_clean,
                 "irreducible": p.fic.irreducible,
-                "perron-frobenius": p.fic.perron_frobenius,
+                "perron-frobenius": p.fic.primitive,
                 "whitehead-connected": p.fic.whitehead_connected,
             }
             lines.append("  failing: " + ", ".join(k for k, v in flags.items() if not v))

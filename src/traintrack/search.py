@@ -269,7 +269,8 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Rel
             needed.setdefault(tuple(sorted((image[u], image[w]))), []).append(i)
         # The vertex bijection matches edge multiplicities, so each bucket
         # holds exactly the target edges on the image vertex pair, and each
-        # source edge either keeps its orientation or reverses it.
+        # source edge either keeps its orientation or reverses it: every
+        # combination below is a valid relabeling.
         per_slot_options: list[list[tuple[int, ...]]] = []
         slot_sources: list[list[int]] = []
         for key, srcs in sorted(needed.items()):
@@ -293,10 +294,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Rel
             for srcs, values in zip(slot_sources, combo):
                 for i, val in zip(srcs, values):
                     signed[i] = val
-            try:
-                out.append(Relabeling(source, target, tuple(signed)))
-            except GraphStructureError:
-                continue
+            out.append(Relabeling(source, target, tuple(signed)))
     return out
 
 

@@ -1,11 +1,12 @@
 """Exact transition-matrix arithmetic and Perron-number certification.
 
 Matrices hold arbitrary-precision Python integers; characteristic polynomials
-are computed exactly by cofactor expansion over Z[x].  Every root verdict is
-exact: sympy isolates the real roots, and the largest one is narrowed, once
-per polynomial, by sign-change bisection, where the sign at n/d is that of
-the integer sum of c_k n^k d^(deg-k).  Perron dominance is read off the real
-roots of the polynomial whose roots are the pairwise products of the roots.
+are computed exactly over Z by sympy's division-free algorithm.  Every root
+verdict is exact: sympy isolates the real roots, and the largest one is
+narrowed, once per polynomial, by sign-change bisection, where the sign at
+n/d is that of the integer sum of c_k n^k d^(deg-k).  Perron dominance is
+read off the real roots of the polynomial whose roots are the pairwise
+products of the roots.
 No floating-point number decides anything here.
 """
 
@@ -17,6 +18,7 @@ from functools import lru_cache, reduce
 from operator import or_
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from .digraph import condensation_reachability, strongly_connected_components
 from .graphs import GraphMap, GraphStructureError
@@ -166,49 +168,12 @@ def transition_matrix(g: GraphMap) -> IntegerMatrix:
 # -- characteristic polynomial ---------------------------------------------
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_add(a: tuple[int, ...], b: tuple[int, ...], sign: int) -> tuple[int, ...]:
-    m = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(m)
-    )
-
-
 def char_poly(matrix: IntegerMatrix) -> IntPolynomial:
-    """det(xI - M), exactly, by cofactor expansion with memoized minors."""
+    """det(xI - M), exactly: sympy's division-free characteristic polynomial
+    over ZZ."""
     n = matrix.dimension
-    if n == 0:
-        return IntPolynomial((1,))
-    entries = [
-        [
-            ((-matrix.rows[i][j], 1) if i == j else (-matrix.rows[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    @lru_cache(maxsize=None)
-    def minor(cols: frozenset[int]) -> tuple[int, ...]:
-        row = n - len(cols)
-        if not cols:
-            return (1,)
-        total: tuple[int, ...] = (0,)
-        for k, j in enumerate(sorted(cols)):
-            term = _poly_mul(entries[row][j], minor(cols - {j}))
-            total = _poly_add(total, term, 1 if k % 2 == 0 else -1)
-        return total
-
-    coeffs = minor(frozenset(range(n)))
-    coeffs = coeffs[: n + 1] + (0,) * (n + 1 - len(coeffs))
-    return IntPolynomial(tuple(coeffs))
+    coefficients = DomainMatrix([list(row) for row in matrix.rows], (n, n), sympy.ZZ).charpoly()
+    return IntPolynomial(tuple(int(c) for c in reversed(coefficients)))
 
 
 # -- root isolation ---------------------------------------------------------
@@ -404,9 +369,7 @@ class SpectralReport:
     dominant_root: tuple[Fraction, Fraction]
     irreducible: bool
     primitive: bool
-    perron_frobenius: bool
     perron_number: bool | None
-    minimal_polynomial_degree: int
     trace: int
     positive_power: int | None
 
@@ -417,11 +380,11 @@ class SpectralReport:
 
 
 def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
-    """Irreducibility, primitivity, PF property, and the dominant root.
+    """Irreducibility, primitivity, and the dominant root.
 
     Primitivity is read off the zero patterns of M**k, k <= (n-1)**2 + 1;
     for nonnegative integer matrices the PF property (all powers beyond some
-    N positive) is equivalent to primitivity, and both flags are reported.
+    N positive) is equivalent to primitivity, so ``primitive`` reports both.
     """
     if not matrix.is_nonnegative():
         raise GraphStructureError("classification requires nonnegative entries")
@@ -429,16 +392,13 @@ def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
     root = largest_real_root_interval(p)
     irred = is_irreducible(matrix)
     k = first_positive_power(matrix)
-    primitive = k is not None
     return SpectralReport(
         matrix=matrix,
         characteristic_polynomial=p,
         dominant_root=root,
         irreducible=irred,
-        primitive=primitive,
-        perron_frobenius=primitive,
+        primitive=k is not None,
         perron_number=is_perron_number(p) if root[0] > 0 else None,
-        minimal_polynomial_degree=minimal_polynomial_degree(p, root),
         trace=matrix.trace(),
         positive_power=k,
     )

@@ -13,9 +13,8 @@ the partition of directions into initial-vertex groups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .certify import FicReport, MapAnalysis, WhiteheadGraph, local_whitehead
 from .graphs import (
@@ -198,6 +197,7 @@ class Relabeling:
     source: OrientedGraph
     target: OrientedGraph
     signed_images: tuple[int, ...]
+    vertex_map: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.source.n_edges
@@ -205,10 +205,6 @@ class Relabeling:
             raise GraphStructureError("relabeling size mismatch")
         if sorted(abs(s) for s in self.signed_images) != list(range(1, n + 1)):
             raise GraphStructureError("relabeling is not a signed bijection")
-        self.vertex_map  # force consistency validation
-
-    @cached_property
-    def vertex_map(self) -> tuple[int, ...]:
         assignment: dict[int, int] = {}
         for i, s in enumerate(self.signed_images):
             pairs = (
@@ -222,7 +218,8 @@ class Relabeling:
             assignment
         ):
             raise GraphStructureError("relabeling induces no vertex bijection")
-        return tuple(assignment[v] for v in range(self.source.n_vertices))
+        vertex_map = tuple(assignment[v] for v in range(self.source.n_vertices))
+        object.__setattr__(self, "vertex_map", vertex_map)
 
     def apply_direction(self, d: int) -> int:
         return apply_signed(self.signed_images, d)

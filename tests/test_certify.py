@@ -167,7 +167,7 @@ def test_fic_reference(gmap):
     report = fic_check(MapAnalysis(gmap))
     assert report.passed
     assert report.train_track and report.pnp_clean
-    assert report.irreducible and report.perron_frobenius
+    assert report.irreducible and report.primitive
     assert report.whitehead_connected
 
 
@@ -175,7 +175,7 @@ def test_fic_identity_fails(gmap):
     report = fic_check(MapAnalysis(identity_map(gmap.source)))
     assert not report.passed
     assert not report.irreducible
-    assert not report.perron_frobenius
+    assert not report.primitive
 
 
 def test_fic_block_reducible(block_map):
@@ -222,9 +222,10 @@ DERIVATIONS = (
 
 
 def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
-    """One ``certify_map`` builds one analysis, so each step runs once."""
+    """One ``certify_map`` builds one analysis, so each step runs once; the
+    minimal polynomial's degree is derived only for the JSON that prints it."""
     calls: Counter = Counter()
-    for module_name, name in DERIVATIONS:
+    for module_name, name in DERIVATIONS + (("traintrack.spectral", "minimal_polynomial_degree"),):
         original = getattr(importlib.import_module(module_name), name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -235,10 +236,14 @@ def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
         for module in list(sys.modules.values()):
             if module.__name__.split(".")[0] == "traintrack" and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
-    from traintrack.reports import certify_map
+    from traintrack.reports import certify_json, certify_map, certify_text
 
-    assert certify_map(gmap).verdict == "PRINCIPAL"
+    report = certify_map(gmap)
+    certify_text(report)
+    assert report.verdict == "PRINCIPAL"
     assert calls == {name: 1 for _, name in DERIVATIONS}
+    certify_json(report)
+    assert calls["minimal_polynomial_degree"] == 1
 
 
 # sha256 of every certify report, text then sorted-key JSON, of the 260

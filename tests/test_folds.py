@@ -6,7 +6,10 @@ import pytest
 
 from traintrack.catalog import rose_graph, single_fold_graph
 from traintrack.folds import (
+    FoldMove,
+    FoldSequence,
     NotHomotopyEquivalence,
+    _swap_relabeling_fold,
     apply_fold,
     compose_power,
     push_permutations,
@@ -18,10 +21,11 @@ from traintrack.graphs import (
     GraphMap,
     GraphStructureError,
     compose,
+    identity_map,
     iterate_map,
 )
 from traintrack.spectral import char_poly, transition_matrix
-from traintrack.whitehead import relabeling_map
+from traintrack.whitehead import Relabeling, relabeling_from_map, relabeling_map
 
 
 def test_apply_fold_reference(gmap):
@@ -139,7 +143,7 @@ def test_push_permutations_single_pair(gmap):
 def test_push_permutations_random_interleavings(gmap):
     # alternate relabelings and the reference fold in random patterns; the
     # composed map must be preserved exactly
-    from traintrack.whitehead import Relabeling, signed_permutations
+    from traintrack.whitehead import signed_permutations
 
     rng = random.Random(42)
     sigmas = list(signed_permutations(5))
@@ -168,6 +172,47 @@ def test_push_permutations_random_interleavings(gmap):
             direct = m if direct is None else compose(m, direct)
         normalized = push_permutations(steps)
         assert normalized.composed_map() == direct
+        assert normalized == _bubble_push_permutations(steps)
+
+
+def _bubble_push_permutations(steps):
+    """The former ``push_permutations``: swap the leftmost (relabeling, fold)
+    pair until none is left, then compose the relabelings in a second pass."""
+    work = list(steps)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            if isinstance(work[i], Relabeling) and isinstance(work[i + 1], FoldMove):
+                work[i : i + 2] = _swap_relabeling_fold(work[i], work[i + 1])
+                changed = True
+                break
+    moves = [item for item in work if isinstance(item, FoldMove)]
+    rel = None
+    for item in work:
+        if isinstance(item, Relabeling):
+            rel = item if rel is None else item.after(rel)
+    if rel is None:
+        rel = relabeling_from_map(identity_map(moves[-1].target))
+    return FoldSequence(tuple(moves), rel)
+
+
+def test_push_permutations_matches_bubble_oracle(gmap):
+    # every rotation of the first three powers of the decompositions of the
+    # rank-3 survivors and of the reference map's 2nd and 3rd powers
+    from traintrack.search import single_fold_search
+
+    seqs = [stallings_decompose(r.map) for r in single_fold_search(3).survivors]
+    seqs += [stallings_decompose(iterate_map(gmap, p)) for p in (2, 3)]
+    count = 0
+    for seq in seqs:
+        for power in (1, 2, 3):
+            steps = sequence_steps(seq) * power
+            for j in range(len(steps)):
+                rotated = steps[j:] + steps[:j]
+                assert push_permutations(rotated) == _bubble_push_permutations(rotated)
+                count += 1
+    assert count == 138
 
 
 def test_compose_power_identity_and_matrix_oracle(gmap):

