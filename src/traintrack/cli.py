@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
-file, parse error or bad usage (among them a rank other than 3, 4 or 5 for
-``search single-fold --rank`` or ``verify theorem-b --ranks``, and a
-``--loop-bound`` below 1); 3 precondition violation (``certify`` on a map
-that is not a self-map, ``decompose`` on a map it cannot fold, ``automaton
-build --rank`` other than 3); 4 verification failed (for ``certify``: any
-verdict other than PRINCIPAL).
+file, unwritable ``--json`` or ``--dot`` path, parse error or bad usage
+(among them a rank other than 3, 4 or 5 for ``search single-fold --rank`` or
+``verify theorem-b --ranks``, and a ``--loop-bound`` below 1); 3 precondition
+violation (``certify`` on a map that is not a self-map, ``decompose`` on a map
+it cannot fold, ``automaton build --rank`` other than 3); 4 verification
+failed (for ``certify``: any verdict other than PRINCIPAL).
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
-SEARCH_RANKS = (3, 4, 5)
+# theorem B: relabeling classes of principal single-fold maps, by rank
+EXPECTED_CLASSES = {3: 1, 4: 0, 5: 0}
 
 
 def _read_map(path: str):
@@ -54,11 +55,17 @@ def _read_map(path: str):
         raise SystemExit(EXIT_PARSE)
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    if path:
+def _write(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_certify(args) -> int:
@@ -68,7 +75,8 @@ def cmd_certify(args) -> int:
         return EXIT_PRECONDITION
     report = certify_map(g)
     sys.stdout.write(certify_text(report))
-    _write_json(args.json, certify_json(report))
+    if args.json:
+        _write_json(args.json, certify_json(report))
     return 0 if report.verdict == "PRINCIPAL" else EXIT_VERIFICATION
 
 
@@ -81,7 +89,8 @@ def cmd_decompose(args) -> int:
         return EXIT_PRECONDITION
     exact = seq.composed_map() == g
     sys.stdout.write(decompose_text(seq, exact))
-    _write_json(args.json, decompose_json(seq, exact))
+    if args.json:
+        _write_json(args.json, decompose_json(seq, exact))
     return 0 if exact else EXIT_VERIFICATION
 
 
@@ -111,9 +120,9 @@ def cmd_automaton_build(args) -> int:
     )
     print(f"folds entering the reference node: {analysis.entering_folds}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(automaton_to_dot(automaton))
-    _write_json(args.json, automaton_json(automaton, analysis))
+        _write(args.dot, automaton_to_dot(automaton))
+    if args.json:
+        _write_json(args.json, automaton_json(automaton, analysis))
     return 0 if analysis.obstruction_holds else EXIT_VERIFICATION
 
 
@@ -131,23 +140,23 @@ def cmd_search_single_fold(args) -> int:
         print("representative:")
         for line in rep.map.describe().splitlines():
             print("  " + line)
-    _write_json(
-        args.json,
-        {
-            "schema": "1",
-            "kind": "single-fold-search",
-            "rank": summary.rank,
-            "universe": summary.universe_size,
-            "candidates": summary.candidates,
-            "train_track": summary.tt_count,
-            "irreducible": summary.irreducible_count,
-            "fully_irreducible": summary.fic_count,
-            "principal": summary.principal_count,
-            "classes": summary.class_count,
-        },
-    )
-    expected = 1 if args.rank == 3 else 0
-    return 0 if summary.class_count == expected else EXIT_VERIFICATION
+    if args.json:
+        _write_json(
+            args.json,
+            {
+                "schema": "1",
+                "kind": "single-fold-search",
+                "rank": summary.rank,
+                "universe": summary.universe_size,
+                "candidates": summary.candidates,
+                "train_track": summary.tt_count,
+                "irreducible": summary.irreducible_count,
+                "fully_irreducible": summary.fic_count,
+                "principal": summary.principal_count,
+                "classes": summary.class_count,
+            },
+        )
+    return 0 if summary.class_count == EXPECTED_CLASSES[args.rank] else EXIT_VERIFICATION
 
 
 def cmd_verify(args) -> int:
@@ -160,7 +169,7 @@ def cmd_verify(args) -> int:
     ok = True
     for rank in args.ranks:
         summary = single_fold_search(rank, jobs=args.jobs)
-        expected = 1 if rank == 3 else 0
+        expected = EXPECTED_CLASSES[rank]
         good = summary.class_count == expected
         ok = ok and good
         print(
@@ -174,7 +183,7 @@ def cmd_verify(args) -> int:
 def _rank_list(text: str) -> list[int]:
     """A comma-separated list of search ranks."""
     items = text.split(",")
-    if not all(item.strip().isdigit() and int(item) in SEARCH_RANKS for item in items):
+    if not all(item.strip().isdigit() and int(item) in EXPECTED_CLASSES for item in items):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of 3, 4, 5")
     return [int(item) for item in items]
 
@@ -217,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive searches")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     ps = ssub.add_parser("single-fold", help="single-fold uniqueness search")
-    ps.add_argument("--rank", type=int, required=True, choices=SEARCH_RANKS)
+    ps.add_argument("--rank", type=int, required=True, choices=EXPECTED_CLASSES)
     ps.add_argument("--json", metavar="PATH")
     ps.set_defaults(func=cmd_search_single_fold)
 
@@ -230,8 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     return args.func(args)
 
 

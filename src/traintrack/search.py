@@ -40,6 +40,9 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
     sequence, as sorted edge tuples ((u, v) with u <= v; loops count twice),
     with the symmetry among vertices 1..m-1 of equal degree broken.
 
+    The slots (u, v), u <= v, are filled in order, so all slots of vertex
+    u - 1 are filled by slot (u, u): a branch ends there if u - 1 has degree left.
+
     Pruning rule: for consecutive vertices j, j+1 (j >= 1) of equal degree,
     the number of edges from vertex 0 to j is at least the number to j+1.
     The slots (0, j) are filled first and in order of j, so the rule caps
@@ -53,18 +56,6 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
     """
     m = len(degrees)
     slots = [(u, v) for u in range(m) for v in range(u, m)]
-    # vertices still reachable from slot idx onwards, and the remaining
-    # degree capacity each can absorb there
-    future = [set() for _ in range(len(slots) + 1)]
-    capacity = [dict() for _ in range(len(slots) + 1)]
-    for idx in range(len(slots) - 1, -1, -1):
-        u, v = slots[idx]
-        future[idx] = future[idx + 1] | {u, v}
-        cap = dict(capacity[idx + 1])
-        cap[u] = cap.get(u, 0) + (2 if u == v else 1) * max(degrees)
-        if u != v:
-            cap[v] = cap.get(v, 0) + max(degrees)
-        capacity[idx] = cap
     out: list[tuple[tuple[int, int], ...]] = []
 
     def rec(
@@ -75,28 +66,20 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
     ):
         # previous: the count chosen at slot idx - 1
         if idx == len(slots):
-            if all(r == 0 for r in residual):
+            if not any(residual):
                 out.append(chosen)
             return
         u, v = slots[idx]
+        if u == v and u and residual[u - 1]:
+            return
         cap = residual[u] // 2 if u == v else min(residual[u], residual[v])
         if u == 0 and v >= 2 and degrees[v] == degrees[v - 1]:
             cap = min(cap, previous)
         res = list(residual)
         for count in range(cap + 1):
-            if count:
-                if u == v:
-                    res[u] -= 2
-                else:
-                    res[u] -= 1
-                    res[v] -= 1
-            ok = True
-            for w in range(m):
-                if res[w] and (w not in future[idx + 1] or res[w] > capacity[idx + 1].get(w, 0)):
-                    ok = False
-                    break
-            if ok:
-                rec(idx + 1, tuple(res), chosen + ((u, v),) * count, count)
+            rec(idx + 1, tuple(res), chosen + ((u, v),) * count, count)
+            res[u] -= 1  # a loop (u == v) takes two from the same vertex
+            res[v] -= 1
 
     rec(0, tuple(degrees), (), 0)
     return out
@@ -113,10 +96,11 @@ def _multiplicities(m: int, ends) -> list[list[int]]:
     return mult
 
 
-def _refine_colors(m: int, edges, initial: list[int]) -> list[int]:
-    """Iterated neighborhood refinement of a vertex coloring."""
+def _refine_colors(m: int, edges) -> list[int]:
+    """Iterated neighborhood refinement of the vertex coloring by valence
+    (a vertex's row sum plus its loop entry), larger valences first."""
     mult = _multiplicities(m, edges)
-    colors = list(initial)
+    colors = [-(sum(row) + row[v]) for v, row in enumerate(mult)]
     for _ in range(m):
         signatures = []
         for v in range(m):
@@ -130,24 +114,18 @@ def _refine_colors(m: int, edges, initial: list[int]) -> list[int]:
     return colors
 
 
-def _canonical_multigraph(m: int, edges, fixed: tuple[int, ...] = (0,)):
-    """Minimal edge encoding over vertex permutations fixing the listed
-    vertices.  Color refinement cuts the permutations down to products over
-    same-color cells."""
-    initial = [-(list(fixed).index(v) + 1) if v in fixed else 0 for v in range(m)]
-    colors = _refine_colors(m, edges, initial)
+def _canonical_multigraph(m: int, edges):
+    """Minimal edge encoding over the vertex orders that list the color
+    refinement cells (seeded by valence, largest first) one after another:
+    a product of permutations over same-color cells."""
+    colors = _refine_colors(m, edges)
     cells: dict[int, list[int]] = {}
     for v in range(m):
         cells.setdefault(colors[v], []).append(v)
     cell_list = [cells[c] for c in sorted(cells)]
     best = None
     for perms in itertools.product(*(itertools.permutations(cell) for cell in cell_list)):
-        mapping = {}
-        pos = 0
-        for perm in perms:
-            for src in perm:
-                mapping[src] = pos
-                pos += 1
+        mapping = {src: pos for pos, src in enumerate(itertools.chain.from_iterable(perms))}
         encoded = tuple(
             sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in edges)
         )
@@ -174,36 +152,30 @@ def _graph_from_edges(m: int, edges) -> OrientedGraph:
     )
 
 
+@lru_cache(maxsize=None)
+def _universe(degrees: tuple[int, ...]) -> tuple[OrientedGraph, ...]:
+    """Connected graphs with the degree sequence, one per isomorphism class,
+    in the order of their canonical encodings."""
+    m = len(degrees)
+    seen = {
+        _canonical_multigraph(m, edges)
+        for edges in _enumerate_degree_graphs(degrees)
+        if len(connected_components(range(m), edges)) == 1
+    }
+    return tuple(_graph_from_edges(m, canon) for canon in sorted(seen))
+
+
 def build_universe(rank: int) -> SearchUniverse:
     """Isomorph-free list of connected graphs with one valence-4 vertex,
     valence 3 elsewhere: 2r-3 vertices and 3r-4 edges."""
     if not 3 <= rank <= 5:
         raise GraphStructureError("universe is built for ranks 3 to 5")
-    return _build_universe_cached(rank)
-
-
-@lru_cache(maxsize=None)
-def _build_universe_cached(rank: int) -> SearchUniverse:
-    m = 2 * rank - 3
-    degrees = (4,) + (3,) * (m - 1)
-    seen = set()
-    for edges in _enumerate_degree_graphs(degrees):
-        if len(connected_components(range(m), edges)) != 1:
-            continue
-        seen.add(_canonical_multigraph(m, edges))
-    graphs = tuple(_graph_from_edges(m, canon) for canon in sorted(seen))
-    return SearchUniverse(rank, graphs)
+    return SearchUniverse(rank, _universe((4,) + (3,) * (2 * rank - 4)))
 
 
 def trivalent_universe() -> tuple[OrientedGraph, ...]:
     """Connected trivalent graphs with 4 vertices and 6 edges, up to iso."""
-    m = 4
-    seen = set()
-    for edges in _enumerate_degree_graphs((3, 3, 3, 3)):
-        if len(connected_components(range(m), edges)) != 1:
-            continue
-        seen.add(_canonical_multigraph(m, edges, fixed=()))
-    return tuple(_graph_from_edges(m, canon) for canon in sorted(seen))
+    return _universe((3, 3, 3, 3))
 
 
 # -- graph isomorphisms ---------------------------------------------------------

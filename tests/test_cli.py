@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT, rose_map_xyz
 from traintrack.cli import main
 from traintrack.mapdoc import print_map_document
+from traintrack.reports import certify_json
 
 
 @pytest.fixture()
@@ -32,6 +34,42 @@ def test_certify_reference(reference_file, tmp_path, capsys):
     assert payload["spectral"]["characteristic_polynomial"] == [-1, -1, 0, 0, 0, 1]
     assert payload["spectral"]["first_positive_power"] == 17
     assert len(payload["taken_turn_closure"]) == 10
+
+
+# sha256 of the reference document's ``certify --json`` file
+REFERENCE_CERTIFY_JSON_SHA256 = "a790ab7ccb26b57889b4cd23b0eea516ab8e7d45f61a445c30d98bac7b245e7c"
+
+
+def test_certify_json_built_only_under_json_flag(reference_file, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(report):
+        calls.append(report)
+        return certify_json(report)
+
+    monkeypatch.setattr("traintrack.cli.certify_json", counted)
+    assert main(["certify", reference_file]) == 0
+    assert calls == []
+    out_json = tmp_path / "report.json"
+    assert main(["certify", reference_file, "--json", str(out_json)]) == 0
+    assert len(calls) == 1
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == REFERENCE_CERTIFY_JSON_SHA256
+
+
+def test_main_parses_with_the_module_parser(reference_file, capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("the parser was rebuilt")
+
+    monkeypatch.setattr("traintrack.cli.build_parser", no_parser)
+    assert main(["certify", reference_file]) == 0
+
+
+@pytest.mark.parametrize("command", ["certify", "decompose"])
+def test_unwritable_json_path_exits_2(command, reference_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, reference_file, "--json", str(tmp_path / "missing" / "out.json")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_certify_non_principal_exit_code(tmp_path, capsys):

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traintrack.digraph import connected_components
 from traintrack.folds import apply_fold, stallings_decompose
@@ -18,6 +20,7 @@ from traintrack.search import (
     _canonical_multigraph,
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
+    _multiplicities,
     _vertex_bijections,
 )
 from traintrack.whitehead import Relabeling
@@ -141,6 +144,111 @@ def test_trivalent_universe():
         assert g.valence_profile() == (3, 3, 3, 3)
         assert g.n_edges == 6
         assert g.rank() == 3
+
+
+def _capacity_enumerate_degree_graphs(degrees):
+    """Reference: the enumeration that, after every count, scans all vertices
+    against tables of the vertices and degree capacity the later slots reach."""
+    m = len(degrees)
+    slots = [(u, v) for u in range(m) for v in range(u, m)]
+    future = [set() for _ in range(len(slots) + 1)]
+    capacity = [dict() for _ in range(len(slots) + 1)]
+    for idx in range(len(slots) - 1, -1, -1):
+        u, v = slots[idx]
+        future[idx] = future[idx + 1] | {u, v}
+        cap = dict(capacity[idx + 1])
+        cap[u] = cap.get(u, 0) + (2 if u == v else 1) * max(degrees)
+        if u != v:
+            cap[v] = cap.get(v, 0) + max(degrees)
+        capacity[idx] = cap
+    out = []
+
+    def rec(idx, residual, chosen, previous):
+        if idx == len(slots):
+            if all(r == 0 for r in residual):
+                out.append(chosen)
+            return
+        u, v = slots[idx]
+        cap = residual[u] // 2 if u == v else min(residual[u], residual[v])
+        if u == 0 and v >= 2 and degrees[v] == degrees[v - 1]:
+            cap = min(cap, previous)
+        res = list(residual)
+        for count in range(cap + 1):
+            if count:
+                if u == v:
+                    res[u] -= 2
+                else:
+                    res[u] -= 1
+                    res[v] -= 1
+            ok = True
+            for w in range(m):
+                if res[w] and (w not in future[idx + 1] or res[w] > capacity[idx + 1].get(w, 0)):
+                    ok = False
+                    break
+            if ok:
+                rec(idx + 1, tuple(res), chosen + ((u, v),) * count, count)
+
+    rec(0, tuple(degrees), (), 0)
+    return out
+
+
+UNIVERSE_DEGREES = [(4, 3, 3), (4, 3, 3, 3, 3), (4,) + (3,) * 6, (3, 3, 3, 3)]
+
+
+@pytest.mark.parametrize("degrees", UNIVERSE_DEGREES)
+def test_enumeration_matches_capacity_tables(degrees):
+    assert _enumerate_degree_graphs(degrees) == _capacity_enumerate_degree_graphs(degrees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=5).filter(lambda d: sum(d) % 2 == 0))
+def test_enumeration_matches_capacity_tables_random(degrees):
+    degrees = tuple(degrees)
+    assert _enumerate_degree_graphs(degrees) == _capacity_enumerate_degree_graphs(degrees)
+
+
+def _fixed_canonical_multigraph(m, edges, fixed):
+    """Reference: the minimal edge encoding over vertex permutations fixing
+    the listed vertices, refinement seeded by their positions in ``fixed``."""
+    mult = _multiplicities(m, edges)
+    colors = [-(list(fixed).index(v) + 1) if v in fixed else 0 for v in range(m)]
+    for _ in range(m):
+        signatures = []
+        for v in range(m):
+            sig = sorted((colors[w], n) for w, n in enumerate(mult[v]) if n)
+            signatures.append((colors[v], tuple(sig)))
+        order = sorted(set(signatures))
+        new = [order.index(s) for s in signatures]
+        if new == colors:
+            break
+        colors = new
+    cells: dict[int, list[int]] = {}
+    for v in range(m):
+        cells.setdefault(colors[v], []).append(v)
+    best = None
+    for perms in itertools.product(*(itertools.permutations(cells[c]) for c in sorted(cells))):
+        mapping = {}
+        for src in itertools.chain.from_iterable(perms):
+            mapping[src] = len(mapping)
+        encoded = tuple(sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in edges))
+        if best is None or encoded < best:
+            best = encoded
+    return best
+
+
+@pytest.mark.parametrize("degrees", UNIVERSE_DEGREES)
+def test_valence_seeded_canonical_form_matches_fixed_vertices(degrees):
+    # vertex 0 is the only valence-4 vertex, so seeding by valence orders the
+    # colours as fixing vertex 0 did; the trivalent graphs fixed none
+    m = len(degrees)
+    fixed = (0,) if degrees[0] == 4 else ()
+    connected = [
+        edges for edges in _enumerate_degree_graphs(degrees)
+        if len(connected_components(range(m), edges)) == 1
+    ]
+    assert connected
+    for edges in connected:
+        assert _canonical_multigraph(m, edges) == _fixed_canonical_multigraph(m, edges, fixed)
 
 
 def test_graph_isomorphisms_roundtrip(gmap):
