@@ -33,13 +33,8 @@ from dataclasses import dataclass
 
 from .catalog import single_fold_map
 from .digraph import carries_cycle, connected_components, strongly_connected_components
-from .folds import FoldSequence, apply_fold, push_permutations, rotate, stallings_decompose
-from .graphs import (
-    GraphMap,
-    GraphStructureError,
-    OrientedGraph,
-    suppress_bivalent_map,
-)
+from .folds import FoldSequence, apply_fold, rotate
+from .graphs import GraphMap, GraphStructureError, OrientedGraph
 from .spectral import is_irreducible, transition_matrix
 from .certify import MapAnalysis
 from .whitehead import (
@@ -517,8 +512,7 @@ def loop_to_map(automaton: Automaton, loop: DirectedLoop) -> GraphMap:
         steps.append(move)
         current = move.target
     closing = Relabeling(current, graph, loop.closing)
-    seq = push_permutations(steps + [closing])
-    return seq.composed_map()
+    return FoldSequence(tuple(steps), closing).composed_map()
 
 
 def rotate_loop(automaton: Automaton, loop: DirectedLoop) -> DirectedLoop:
@@ -543,27 +537,13 @@ def decomposition_to_loop(
     """Locate a fold decomposition (or a fold conjugate of it) as a directed
     loop in the automaton.
 
-    Tries every rotation of the sequence; for a fully trivalent base graph it
-    first passes to the bivalent-suppressed conjugate of the once-rotated
-    map, whose graph has the valence-(4,3,3) profile, and re-decomposes.
-    Returns None when no rotation lands in the node set.
+    Tries every rotation of the sequence and returns None when no rotation
+    lands in the node set.
     """
     for j in range(len(seq) + 1):
-        rotated = rotate(seq, j)
-        found = _walk_decomposition(automaton, rotated)
+        found = _walk_decomposition(automaton, rotate(seq, j))
         if found is not None:
             return found
-    base = seq.base_graph
-    if base.valence_profile() == (3, 3, 3, 3) and base.n_edges == 6:
-        for j in range(len(seq)):
-            rotated = rotate(seq, j)
-            try:
-                seq2 = stallings_decompose(suppress_bivalent_map(rotated.composed_map()))
-            except GraphStructureError:
-                continue
-            found = _walk_decomposition(automaton, seq2)
-            if found is not None:
-                return found
     return None
 
 

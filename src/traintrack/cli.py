@@ -4,9 +4,9 @@ Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
 file, unwritable ``--json`` or ``--dot`` path, parse error or bad usage
 (among them a rank other than 3, 4 or 5 for ``search single-fold --rank`` or
 ``verify theorem-b --ranks``, and a ``--loop-bound`` below 1); 3 precondition
-violation (``certify`` on a map that is not a self-map, ``decompose`` on a map
-it cannot fold, ``automaton build --rank`` other than 3); 4 verification
-failed (for ``certify``: any verdict other than PRINCIPAL).
+violation (``decompose`` on a map it cannot fold, ``automaton build --rank``
+other than 3); 4 verification failed (for ``certify``: any verdict other than
+PRINCIPAL).
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_certify(args) -> int:
     g = _read_map(args.file)
-    if not g.is_self_map:
-        print("error: certify needs a self-map", file=sys.stderr)
-        return EXIT_PRECONDITION
     report = certify_map(g)
     sys.stdout.write(certify_text(report))
     if args.json:

@@ -22,7 +22,6 @@ from .graphs import (
     compose,
     identity_map,
     reverse_path,
-    rewrite_through_subdivision,
 )
 from .whitehead import Relabeling, relabeling_from_map
 
@@ -169,65 +168,32 @@ def apply_fold(
 
 @dataclass(frozen=True)
 class FoldSequence:
-    """An ordered run of folds plus a final relabeling isomorphism.
-
-    When ``final_subdivision`` is set, the sequence ends mid-fold: the last
-    graph is a subdivided copy of the relabeling's source, and the recorded
-    subdivision map (from the smooth graph onto the subdivided one) is undone
-    before the relabeling when composing.  This realizes the "final
-    homeomorphism" of a decomposition whose last fold was split in two.
-    """
+    """An ordered run of folds plus a final relabeling isomorphism."""
 
     moves: tuple[FoldMove, ...]
     final: Relabeling
-    final_subdivision: GraphMap | None = None
 
     def __post_init__(self) -> None:
         for a, b in zip(self.moves, self.moves[1:]):
             if a.target != b.source:
                 raise GraphStructureError("fold sequence graphs do not chain")
-        last = self.moves[-1].target if self.moves else None
-        if self.final_subdivision is None:
-            if last is not None and last != self.final.source:
-                raise GraphStructureError("final relabeling does not chain")
-        else:
-            if self.final_subdivision.target != (last if last is not None else self.final.source):
-                raise GraphStructureError("final subdivision does not chain")
-            if self.final_subdivision.source != self.final.source:
-                raise GraphStructureError("final subdivision does not meet the relabeling")
+        if self.moves and self.moves[-1].target != self.final.source:
+            raise GraphStructureError("final relabeling does not chain")
 
     @property
     def base_graph(self) -> OrientedGraph:
-        if self.moves:
-            return self.moves[0].source
-        return self.final_subdivision.target if self.final_subdivision else self.final.source
+        return self.moves[0].source if self.moves else self.final.source
 
     def __len__(self) -> int:
         return len(self.moves)
 
     def composed_map(self) -> GraphMap:
-        """Exact composition of the moves and the final step."""
+        """Exact composition of the moves, then the final relabeling."""
         m = None
         for move in self.moves:
             m = move.map if m is None else compose(move.map, m)
-        if self.final_subdivision is None:
-            fin = self.final.as_graph_map()
-            return fin if m is None else compose(fin, m)
-        if m is None:
-            raise GraphStructureError("subdivided sequence needs at least one move")
-        sub = self.final_subdivision
-        smooth_vertices = {v: i for i, v in enumerate(sub.vertex_map)}
-        vmap = []
-        for u in range(m.source.n_vertices):
-            image = m.vertex_map[u]
-            if image not in smooth_vertices:
-                raise GraphStructureError("composition lands on a subdivision vertex")
-            vmap.append(self.final.vertex_map[smooth_vertices[image]])
-        images = tuple(
-            self.final.apply_path(rewrite_through_subdivision(sub, im))
-            for im in m.edge_images
-        )
-        return GraphMap(m.source, self.final.target, tuple(vmap), images)
+        fin = self.final.as_graph_map()
+        return fin if m is None else compose(fin, m)
 
     def describe(self) -> str:
         lines = [f"{len(self.moves)} fold(s)"]
@@ -387,66 +353,23 @@ def push_permutations(steps: list[FoldMove | Relabeling]) -> FoldSequence:
 
 
 def sequence_steps(seq: FoldSequence) -> list[FoldMove | Relabeling]:
-    if seq.final_subdivision is not None:
-        raise GraphStructureError("subdivided sequences cannot be re-interleaved")
     return list(seq.moves) + [seq.final]
 
 
-def rotate(seq: FoldSequence, j: int, subdivide: bool = False) -> FoldSequence:
-    """The fold-conjugate sequence starting at position ``j``.
-
-    With ``subdivide`` the last fold of the rotated sequence is split into a
-    partial fold and a completing proper full fold; the sequence then ends on
-    a subdivided graph and the final step smooths it before relabeling, so
-    the composition is unchanged.
-    """
+def rotate(seq: FoldSequence, j: int) -> FoldSequence:
+    """The fold-conjugate sequence starting at position ``j``."""
     if not (0 <= j <= len(seq)):
         raise GraphStructureError("rotation index out of range")
     if j == 0:
-        out = seq
-    else:
-        steps: list[FoldMove | Relabeling] = list(seq.moves[j:]) + [seq.final] + list(
-            seq.moves[:j]
-        )
-        out = push_permutations(steps)
-    if not subdivide:
-        return out
-    return _subdivide_last(out)
-
-
-def _subdivide_last(seq: FoldSequence) -> FoldSequence:
-    if not seq.moves:
-        raise GraphStructureError("no fold to subdivide")
-    last = seq.moves[-1]
-    if last.kind != "proper_full":
-        raise GraphStructureError("only proper full folds can be subdivided")
-    p = apply_fold(last.source, last.e1, last.e0, "partial")
-    z = p.target.n_edges  # fresh edge index + 1 == new edge direction
-    # Finish by folding the e1 tail over the e0 tail at the fresh vertex;
-    # after the partial fold, each tail keeps its signed direction value.
-    q = apply_fold(p.target, last.e1, last.e0, "proper_full")
-    # subdivision map: smooth target of the original fold -> target of q
-    images = []
-    for i in range(last.target.n_edges):
-        if i == abs(last.e0) - 1:
-            images.append((z, i + 1) if last.e0 > 0 else ((i + 1), -z))
-        else:
-            images.append((i + 1,))
-    sub = GraphMap(
-        last.target,
-        q.target,
-        tuple(range(last.target.n_vertices)),
-        tuple(images),
-    )
-    return FoldSequence(seq.moves[:-1] + (p, q), seq.final, final_subdivision=sub)
+        return seq
+    steps: list[FoldMove | Relabeling] = list(seq.moves[j:]) + [seq.final] + list(seq.moves[:j])
+    return push_permutations(steps)
 
 
 def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
     """Decomposition of the p-th power, permutations pushed to the end."""
     if power < 1:
         raise GraphStructureError("power must be >= 1")
-    if seq.final_subdivision is not None:
-        raise GraphStructureError("subdivided sequences cannot be powered")
     steps: list[FoldMove | Relabeling] = []
     for _ in range(power):
         steps.extend(sequence_steps(seq))

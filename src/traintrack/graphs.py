@@ -371,127 +371,3 @@ def gates(graph: OrientedGraph, images: dict[int, int]) -> tuple[frozenset[int],
         classes.setdefault((graph.initial_vertex(d), image), set()).add(d)
     return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
 
-
-# -- bivalent-vertex suppression ------------------------------------------
-
-
-def suppress_bivalent(graph: OrientedGraph) -> tuple[OrientedGraph, GraphMap]:
-    """Erase valence-2 vertices, merging their two edge germs into one edge.
-
-    Returns the smoothed graph and the subdivision map from it back onto the
-    original graph (each merged edge maps over the run of edges it replaces).
-    Chains and loops made entirely of bivalent vertices are rejected.
-    """
-    bivalent = [v for v in range(graph.n_vertices) if graph.valence(v) == 2]
-    if not bivalent:
-        return graph, identity_map(graph)
-    biv = set(bivalent)
-
-    # Walk maximal runs of edges through bivalent vertices, starting from
-    # germs at surviving vertices.
-    runs: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    for v in range(graph.n_vertices):
-        if v in biv:
-            continue
-        for d in graph.directions_at(v):
-            if abs(d) in used:
-                continue
-            run = [d]
-            while graph.terminal_vertex(run[-1]) in biv:
-                w = graph.terminal_vertex(run[-1])
-                nxt = [x for x in graph.directions_at(w) if x != -run[-1]]
-                if len(nxt) != 1:
-                    raise GraphStructureError("inconsistent bivalent vertex")
-                run.append(nxt[0])
-            if any(abs(x) in used for x in run):
-                continue
-            used.update(abs(x) for x in run)
-            runs.append(tuple(run))
-    if len(used) != graph.n_edges:
-        raise GraphStructureError("bivalent suppression: circle component of bivalent vertices")
-
-    keep_vertices = [v for v in range(graph.n_vertices) if v not in biv]
-    vmap = {v: i for i, v in enumerate(keep_vertices)}
-    names = []
-    ends = []
-    images = []
-    for run in sorted(runs, key=lambda r: min(abs(x) for x in r)):
-        if len(run) == 1 and run[0] < 0:
-            run = reverse_path(run)
-        lead = min(run, key=abs)
-        base = graph.edge_names[abs(lead) - 1]
-        names.append(base if len(run) == 1 else base + "*")
-        ends.append((vmap[graph.initial_vertex(run[0])], vmap[graph.terminal_vertex(run[-1])]))
-        images.append(run)
-    smoothed = OrientedGraph(
-        vertex_names=tuple(graph.vertex_names[v] for v in keep_vertices),
-        edge_names=tuple(names),
-        ends=tuple(ends),
-    )
-    subdivision = GraphMap(
-        source=smoothed,
-        target=graph,
-        vertex_map=tuple(keep_vertices),
-        edge_images=tuple(images),
-    )
-    return smoothed, subdivision
-
-
-def rewrite_through_subdivision(subdivision: GraphMap, dirs: tuple[int, ...]) -> tuple[int, ...]:
-    """Express a path in the subdivided graph as a path in the smoothed one.
-
-    ``subdivision`` maps the smoothed graph onto the subdivided one; the path
-    must traverse each merged run in full, which tight paths through bivalent
-    vertices always do.
-    """
-    images = {}
-    for i in range(subdivision.source.n_edges):
-        images[subdivision.edge_images[i]] = i + 1
-        images[reverse_path(subdivision.edge_images[i])] = -(i + 1)
-    out: list[int] = []
-    pos = 0
-    n = len(dirs)
-    by_first: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for path, d in images.items():
-        by_first.setdefault(path[0], []).append((path, d))
-    while pos < n:
-        for path, d in by_first.get(dirs[pos], ()):
-            if dirs[pos : pos + len(path)] == path:
-                out.append(d)
-                pos += len(path)
-                break
-        else:
-            raise GraphStructureError("path does not factor through the subdivision")
-    return tuple(out)
-
-
-def suppress_bivalent_map(g: GraphMap) -> GraphMap:
-    """Conjugate a self-map by bivalent-vertex suppression of its graph.
-
-    Fails if the map sends a surviving vertex onto a suppressed one, in which
-    case the smoothed conjugate is not an edge map.
-    """
-    if not g.is_self_map:
-        raise GraphStructureError("suppress_bivalent_map requires a self-map")
-    smoothed, subdivision = suppress_bivalent(g.source)
-    if smoothed is g.source:
-        return g
-    keep = set(subdivision.vertex_map)
-    for v in subdivision.vertex_map:
-        if g.vertex_map[v] not in keep:
-            raise GraphStructureError("map moves a surviving vertex onto a bivalent one")
-    vmap_new = []
-    back = {v: i for i, v in enumerate(subdivision.vertex_map)}
-    for v in subdivision.vertex_map:
-        vmap_new.append(back[g.vertex_map[v]])
-    images = []
-    for i in range(smoothed.n_edges):
-        old_path = g.image_of_path(subdivision.edge_images[i])
-        images.append(rewrite_through_subdivision(subdivision, tighten_dirs(old_path)))
-    return GraphMap(
-        source=smoothed,
-        target=smoothed,
-        vertex_map=tuple(vmap_new),
-        edge_images=tuple(images),
-    )

@@ -108,9 +108,9 @@ def parse_map_document(text: str) -> GraphMap:
     )
 
     edge_names = set(graph.edge_names)
-    missing = [n for n in graph.edge_names if n not in images]
+    missing = [(name, lineno) for name, _, _, lineno in edges if name not in images]
     if missing:
-        raise ParseError(f"missing image for edge {missing[0]!r}", len(text.splitlines()))
+        raise ParseError(f"missing image for edge {missing[0][0]!r}", missing[0][1])
     extra = [n for n in images if n not in edge_names]
     if extra:
         raise ParseError(f"image for undeclared edge {extra[0]!r}", image_lines[extra[0]])

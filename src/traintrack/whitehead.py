@@ -227,9 +227,6 @@ class Relabeling:
     def apply_turn(self, t: tuple[int, int]) -> tuple[int, int]:
         return make_turn(self.apply_direction(t[0]), self.apply_direction(t[1]))
 
-    def apply_path(self, dirs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.apply_direction(d) for d in dirs)
-
     def as_graph_map(self) -> GraphMap:
         return GraphMap(
             source=self.source,

@@ -133,6 +133,16 @@ def test_stallings_rejects_non_homotopy_equivalence():
     assert err.value.residual is not None
 
 
+def test_fold_sequence_rejects_unchained_steps(gmap):
+    graph = gmap.source
+    move = apply_fold(graph, graph.direction_of("d"), graph.direction_of("~c"))
+    assert move.target != move.source
+    with pytest.raises(GraphStructureError, match="fold sequence graphs do not chain"):
+        FoldSequence((move, move), relabeling_from_map(identity_map(move.target)))
+    with pytest.raises(GraphStructureError, match="final relabeling does not chain"):
+        FoldSequence((move,), relabeling_from_map(identity_map(graph)))
+
+
 def test_push_permutations_single_pair(gmap):
     seq = stallings_decompose(gmap)
     normalized = push_permutations(sequence_steps(seq))
@@ -257,18 +267,6 @@ def test_rotate_preserves_char_poly(gmap):
         m = rotated.composed_map()
         assert m.is_self_map
         assert char_poly(transition_matrix(m)) == base
-
-
-def test_rotate_with_subdivision(gmap):
-    seq = stallings_decompose(gmap)
-    split = rotate(seq, 0, subdivide=True)
-    assert len(split) == 2
-    assert split.moves[0].kind == "partial"
-    assert split.moves[1].kind == "proper_full"
-    assert split.composed_map() == gmap
-    assert char_poly(transition_matrix(split.composed_map())) == char_poly(
-        transition_matrix(gmap)
-    )
 
 
 def test_fold_counts_by_kind(gmap):

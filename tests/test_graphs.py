@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traintrack.catalog import rose_graph, single_fold_graph
+from traintrack.catalog import rose_graph
 from traintrack.certify import MapAnalysis, illegal_turns
 from traintrack.folds import FOLD_KINDS, apply_fold
 from traintrack.graphs import (
@@ -21,8 +21,6 @@ from traintrack.graphs import (
     graph_invariants,
     identity_map,
     iterate_map,
-    suppress_bivalent,
-    suppress_bivalent_map,
     tighten_dirs,
 )
 from traintrack.search import build_universe, graph_isomorphisms, trivalent_universe
@@ -256,35 +254,6 @@ def test_graph_invariants_rank4_universe():
         assert graph.n_vertices == 5
         assert graph.n_edges == 8
         assert graph_invariants(graph).rank == 4
-
-
-def test_suppress_bivalent_roundtrip():
-    graph = single_fold_graph()
-    # subdivide edge a by hand: a1 = v1 -> w, a2 = w -> v2
-    sub = graph.__class__(
-        vertex_names=graph.vertex_names + ("w",),
-        edge_names=("a1", "a2") + graph.edge_names[1:],
-        ends=((1, 3), (3, 2)) + graph.ends[1:],
-    )
-    smoothed, subdivision = suppress_bivalent(sub)
-    assert smoothed.n_edges == 5
-    assert smoothed.valence_profile() == (3, 3, 4)
-    assert subdivision.image_of_direction(1) == (1, 2)
-
-
-def test_suppress_bivalent_map_conjugates():
-    # two-petal rose with one petal subdivided: a1 = v->w, a2 = w->v, b loop
-    graph = rose_graph(("a", "b"))
-    sub = graph.__class__(
-        vertex_names=("v", "w"),
-        edge_names=("a1", "a2", "b"),
-        ends=((0, 1), (1, 0), (0, 0)),
-    )
-    g = GraphMap(sub, sub, (0, 1), ((1,), (2, 3), (3,)))
-    smoothed = suppress_bivalent_map(g)
-    assert smoothed.source.n_edges == 2
-    # the merged petal maps over itself then the other petal
-    assert smoothed.edge_images == ((1, 2), (2,))
 
 
 # -- direction-map dynamics against the direct computations they replaced -----

@@ -45,8 +45,10 @@ def test_empty_image_rejected():
 
 def test_missing_image_rejected():
     bad = SINGLE_FOLD_DOCUMENT.replace("c -> e\n", "")
-    with pytest.raises(ParseError, match="missing image"):
+    with pytest.raises(ParseError, match="missing image") as err:
         parse_map_document(bad)
+    # line 4 declares edge c
+    assert err.value.line == 4
 
 
 def test_duplicate_image_rejected():
