@@ -147,6 +147,8 @@ def parse_map_document(text: str) -> GraphMap:
     for v in range(graph.n_vertices):
         if v not in vmap:
             raise ParseError(f"vertex {vertices[v]!r} is isolated", vertices_line)
+    if not graph.is_connected():
+        raise ParseError("graph is not connected", vertices_line)
 
     try:
         return GraphMap(

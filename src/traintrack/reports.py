@@ -215,7 +215,7 @@ def certify_text(report: CertifyReport) -> str:
 # -- decomposition reports -------------------------------------------------------
 
 
-def decompose_json(seq: FoldSequence, exact: bool) -> dict:
+def decompose_json(seq: FoldSequence) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "decompose",
@@ -231,11 +231,9 @@ def decompose_json(seq: FoldSequence, exact: bool) -> dict:
             seq.final.source.edge_names[i]: seq.final.target.direction_name(s)
             for i, s in enumerate(seq.final.signed_images)
         },
-        "recomposes_exactly": exact,
+        "recomposes_exactly": True,
     }
 
 
-def decompose_text(seq: FoldSequence, exact: bool) -> str:
-    lines = [seq.describe()]
-    lines.append("recomposes exactly: " + ("yes" if exact else "NO"))
-    return "\n".join(lines) + "\n"
+def decompose_text(seq: FoldSequence) -> str:
+    return seq.describe() + "\nrecomposes exactly: yes\n"

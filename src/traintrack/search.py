@@ -181,28 +181,46 @@ def trivalent_universe() -> tuple[OrientedGraph, ...]:
 # -- graph isomorphisms ---------------------------------------------------------
 
 
-def _vertex_bijections(source: OrientedGraph, target: OrientedGraph):
-    """Vertex bijections (as image tuples, in lexicographic order) that carry
-    every source edge multiplicity onto the target's, by backtracking.
+def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Relabeling]:
+    """All label-level isomorphisms: vertex bijection plus signed edge
+    bijection (parallel edges permute, loops may flip), by one backtracking.
 
-    Vertex v is assigned after 0..v-1, only to an unused target vertex of the
-    same valence, and only if the loops at v and the edges from v to every
-    placed vertex match those at the image.  A complete assignment has then
-    matched every vertex pair, so the multiset of source edge ends maps onto
-    the target's; a partial one that fails a pair has no completion that
-    matches it, so nothing is lost by pruning there.
+    Vertices first: vertex v is placed after 0..v-1, only on an unused target
+    vertex of the same valence whose loops and edges to every placed vertex
+    match those at v.  A partial assignment that fails a pair has no
+    completion matching it, so nothing is lost by pruning there, and a
+    complete one matches the number of edges on every vertex pair.
+
+    Then edges, in order of (sorted image pair, index): each goes to an unused
+    target direction from the image of its initial vertex to that of its
+    terminal one, so it keeps or reverses its orientation (a loop may do
+    either).  Every isomorphism over the vertex bijection sends each edge into
+    its image pair, so this loses none; the pairs carry equally many edges on
+    both sides, so no branch dies, and each complete assignment is a distinct
+    relabeling.
     """
-    m = source.n_vertices
+    m, n = source.n_vertices, source.n_edges
+    if target.n_vertices != m or target.n_edges != n:
+        return []
     sv = [source.valence(v) for v in range(m)]
     tv = [target.valence(w) for w in range(m)]
     smult = _multiplicities(m, source.ends)
     tmult = _multiplicities(m, target.ends)
+    # target directions from p to q by edge index; both of a loop's lie at (p, p)
+    between: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(m)]
+    for j, (p, q) in enumerate(target.ends):
+        between[p][q].append(j + 1)
+        between[q][p].append(-(j + 1))
     image = [0] * m
     used = [False] * m
+    signed = [0] * n
+    taken = [False] * n
+    out: list[Relabeling] = []
 
-    def extend(v: int):
+    def place_vertex(v: int) -> None:
         if v == m:
-            yield tuple(image)
+            order = sorted(range(n), key=lambda i: (sorted(image[u] for u in source.ends[i]), i))
+            place_edge(order, 0)
             return
         row = smult[v]
         for w in range(m):
@@ -213,60 +231,24 @@ def _vertex_bijections(source: OrientedGraph, target: OrientedGraph):
                 continue
             image[v] = w
             used[w] = True
-            yield from extend(v + 1)
+            place_vertex(v + 1)
             used[w] = False
 
-    yield from extend(0)
-
-
-def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Relabeling]:
-    """All label-level isomorphisms: vertex bijection plus signed edge
-    bijection (parallel edges permute, loops may flip).
-
-    Each vertex bijection found by the backtracking of ``_vertex_bijections``
-    is expanded into every signed edge bijection over it.
-    """
-    m = source.n_vertices
-    if target.n_vertices != m or target.n_edges != source.n_edges:
-        return []
-    out: list[Relabeling] = []
-    target_buckets: dict[tuple[int, int], list[int]] = {}
-    for j in range(target.n_edges):
-        u, w = target.ends[j]
-        target_buckets.setdefault(tuple(sorted((u, w))), []).append(j)
-    for image in _vertex_bijections(source, target):
-        needed: dict[tuple[int, int], list[int]] = {}
-        for i in range(source.n_edges):
-            u, w = source.ends[i]
-            needed.setdefault(tuple(sorted((image[u], image[w]))), []).append(i)
-        # The vertex bijection matches edge multiplicities, so each bucket
-        # holds exactly the target edges on the image vertex pair, and each
-        # source edge either keeps its orientation or reverses it: every
-        # combination below is a valid relabeling.
-        per_slot_options: list[list[tuple[int, ...]]] = []
-        slot_sources: list[list[int]] = []
-        for key, srcs in sorted(needed.items()):
-            opts: list[tuple[int, ...]] = []
-            for perm in itertools.permutations(target_buckets[key]):
-                value_choices: list[list[int]] = []
-                for i, j in zip(srcs, perm):
-                    u, w = source.ends[i]
-                    p, q = image[u], image[w]
-                    if p == q:
-                        value_choices.append([j + 1, -(j + 1)])  # loop may flip
-                    elif (p, q) == target.ends[j]:
-                        value_choices.append([j + 1])
-                    else:
-                        value_choices.append([-(j + 1)])
-                opts.extend(itertools.product(*value_choices))
-            per_slot_options.append(opts)
-            slot_sources.append(srcs)
-        for combo in itertools.product(*per_slot_options):
-            signed = [0] * source.n_edges
-            for srcs, values in zip(slot_sources, combo):
-                for i, val in zip(srcs, values):
-                    signed[i] = val
+    def place_edge(order: list[int], k: int) -> None:
+        if k == n:
             out.append(Relabeling(source, target, tuple(signed)))
+            return
+        i = order[k]
+        u, w = source.ends[i]
+        for d in between[image[u]][image[w]]:
+            j = abs(d) - 1
+            if not taken[j]:
+                taken[j] = True
+                signed[i] = d
+                place_edge(order, k + 1)
+                taken[j] = False
+
+    place_vertex(0)
     return out
 
 

@@ -98,6 +98,9 @@ def test_certify_parse_error(tmp_path):
         # isolated vertex: the vertices line
         ("# header\n\nvertices v0 v1 v9\nedge a = v0 -> v1\nedge b = v1 -> v0\n\nmap\n"
          "a -> a\nb -> b\n", 3, "vertex 'v9' is isolated"),
+        # two components: the vertices line
+        ("# two roses\nvertices p q\nedge a = p -> p\nedge b = q -> q\n\nmap\na -> b\nb -> a\n",
+         2, "graph is not connected"),
         ("vertices v0 v0\nedge a = v0 -> v0\n\nmap\na -> a\n", 1, "duplicate vertex 'v0'"),
         ("vertices v0 v1\nedge a = v0 -> v1\nedge a = v1 -> v0\n\nmap\na -> a\n",
          3, "duplicate edge 'a'"),

@@ -93,3 +93,14 @@ def test_syntax_token_vertex_name_rejected():
     with pytest.raises(ParseError, match="vertex name '=' is document syntax") as err:
         parse_map_document(bad)
     assert (err.value.line, err.value.column) == (1, 12)
+
+
+def test_disconnected_graph_rejected():
+    # two roses, each edge image a path, but no edge joins p to q
+    bad = (
+        "vertices p q\nedge a = p -> p\nedge b = p -> p\nedge c = q -> q\nedge d = q -> q\n"
+        "\nmap\na -> c\nb -> d\nc -> a b\nd -> b\n"
+    )
+    with pytest.raises(ParseError, match="graph is not connected") as err:
+        parse_map_document(bad)
+    assert err.value.line == 1
