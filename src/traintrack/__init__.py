@@ -9,7 +9,6 @@ from .graphs import (
     compose,
     direction_map,
     gates,
-    graph_invariants,
     identity_map,
     iterate_map,
 )
@@ -45,8 +44,6 @@ from .whitehead import (
     ideal_whitehead,
     is_principal,
     ltt_structure,
-    relabel_map,
-    relabel_structure,
     stable_whitehead,
 )
 from .folds import (
@@ -72,9 +69,8 @@ from .search import (
     build_universe,
     single_fold_search,
     verify_minimal_stretch_argument,
-    vertex_structure_audit,
 )
-from .mapdoc import ParseError, parse_map_document, print_map_document
+from .mapdoc import ParseError, parse_map_document
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

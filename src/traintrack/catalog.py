@@ -1,4 +1,5 @@
-"""Named example graphs and maps used across the library and its tests."""
+"""The paper's reference map, the rank-3 single fold followed by a
+relabeling: its graph, the self-map and its map document."""
 
 from __future__ import annotations
 
@@ -55,44 +56,3 @@ c -> e
 d -> ~e ~c
 e -> a
 """
-
-
-def rose_graph(labels: tuple[str, ...]) -> OrientedGraph:
-    return OrientedGraph(
-        vertex_names=("v",),
-        edge_names=labels,
-        ends=tuple((0, 0) for _ in labels),
-    )
-
-
-def rose_map_xyz() -> GraphMap:
-    """x->y, y->z, z->z ~x on the 3-rose; not a train track map."""
-    graph = rose_graph(("x", "y", "z"))
-    return GraphMap(
-        source=graph,
-        target=graph,
-        vertex_map=(0,),
-        edge_images=((2,), (3,), (3, -1)),
-    )
-
-
-def doubling_control_map() -> GraphMap:
-    """a->ba, b->bb on the 2-rose; expanding, with the fixed path ~a b."""
-    graph = rose_graph(("a", "b"))
-    return GraphMap(
-        source=graph,
-        target=graph,
-        vertex_map=(0,),
-        edge_images=((2, 1), (2, 2)),
-    )
-
-
-def block_reducible_map() -> GraphMap:
-    """a->aa, b->bb on the 2-rose; train track but block reducible."""
-    graph = rose_graph(("a", "b"))
-    return GraphMap(
-        source=graph,
-        target=graph,
-        vertex_map=(0,),
-        edge_images=((1, 1), (2, 2)),
-    )

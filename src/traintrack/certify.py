@@ -43,44 +43,30 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class TurnClosure:
-    """Turns taken by any power of the map, with their generation trace.
-
-    ``trace`` records, for each turn, the turn whose image under the
-    direction map produced it (seeds map to None).
-    """
-
-    turns: frozenset[tuple[int, int]]
-    trace: dict[tuple[int, int], tuple[int, int] | None]
-
-    def __len__(self) -> int:
-        return len(self.turns)
-
-
-def taken_turn_closure(a: MapAnalysis) -> TurnClosure:
-    """Seed with turns inside each edge image, then close under Dg.
+def taken_turn_closure(a: MapAnalysis) -> frozenset[tuple[int, int]]:
+    """The turns taken by any power of the map: seed with turns inside each
+    edge image, then close under Dg.
 
     Degenerate images are not recorded as turns; a taken turn that collapses
     is caught by the illegal-turn intersection instead.
     """
     g, dg = a.map, a.dg
-    trace: dict[tuple[int, int], tuple[int, int] | None] = {}
+    seen: set[tuple[int, int]] = set()
     frontier = []
     for i in range(g.source.n_edges):
         for t in taken_turns(g.edge_images[i]):
-            if not t[0] == t[1] and t not in trace:
-                trace[t] = None
+            if not t[0] == t[1] and t not in seen:
+                seen.add(t)
                 frontier.append(t)
     while frontier:
         t = frontier.pop()
         image = make_turn(dg[t[0]], dg[t[1]])
         if image[0] == image[1]:
             continue
-        if image not in trace:
-            trace[image] = t
+        if image not in seen:
+            seen.add(image)
             frontier.append(image)
-    return TurnClosure(frozenset(trace), trace)
+    return frozenset(seen)
 
 
 def illegal_turns(a: MapAnalysis) -> frozenset[tuple[int, int]]:
@@ -95,7 +81,7 @@ class TtCertificate:
     is_train_track: bool
     witness: tuple[int, int] | str | None
     illegal: frozenset[tuple[int, int]]
-    closure: TurnClosure
+    closure: frozenset[tuple[int, int]]
 
     def describe(self, graph) -> str:
         if self.is_train_track:
@@ -115,10 +101,10 @@ def is_train_track(a: MapAnalysis) -> TtCertificate:
     g = a.map
     for i in range(g.source.n_edges):
         if not is_tight(g.edge_images[i]):
-            return TtCertificate(False, g.source.edge_names[i], frozenset(), TurnClosure(frozenset(), {}))
+            return TtCertificate(False, g.source.edge_names[i], frozenset(), frozenset())
     closure = taken_turn_closure(a)
     illegal = illegal_turns(a)
-    bad = sorted(closure.turns & illegal)
+    bad = sorted(closure & illegal)
     return TtCertificate(not bad, bad[0] if bad else None, illegal, closure)
 
 
@@ -324,7 +310,7 @@ def local_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
     if not a.tt.is_train_track:
         raise GraphStructureError("local Whitehead graph requires a train track map")
     ds = frozenset(graph.directions_at(vertex))
-    edges = frozenset(t for t in a.tt.closure.turns if t[0] in ds)
+    edges = frozenset(t for t in a.tt.closure if t[0] in ds)
     return WhiteheadGraph("local", ds, edges)
 
 
@@ -337,7 +323,6 @@ class FicReport:
     irreducible: bool
     primitive: bool
     whitehead_connected: bool
-    whitehead_by_vertex: dict[int, bool]
     invariant_edges: tuple[int, ...] | None
 
     @property
@@ -357,17 +342,12 @@ def fic_check(a: MapAnalysis) -> FicReport:
     enumerated.  The search runs on expanding train track maps only."""
     train_track = a.tt.is_train_track
     spectral = a.spectral
-    by_vertex = (
-        {v: local_whitehead(a, v).is_connected() for v in range(a.map.source.n_vertices)}
-        if train_track
-        else {}
-    )
     return FicReport(
         train_track=train_track,
         pnp_clean=train_track and a.expanding and a.pnp.clean,
         irreducible=spectral.irreducible,
         primitive=spectral.primitive,
-        whitehead_connected=bool(by_vertex) and all(by_vertex.values()),
-        whitehead_by_vertex=by_vertex,
+        whitehead_connected=train_track
+        and all(local_whitehead(a, v).is_connected() for v in range(a.map.source.n_vertices)),
         invariant_edges=None if spectral.irreducible else invariant_edge_set(a.matrix),
     )

@@ -121,9 +121,6 @@ class OrientedGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges
-
     def rank(self) -> int:
         """First betti number, summed over components."""
         return self.n_edges - self.n_vertices + len(self.components())
@@ -135,24 +132,6 @@ class OrientedGraph:
 
     def all_turns(self) -> list[tuple[int, int]]:
         return [t for v in range(self.n_vertices) for t in self.turns_at(v)]
-
-
-@dataclass(frozen=True)
-class GraphInvariants:
-    valences: tuple[int, ...]
-    euler_characteristic: int
-    rank: int
-    connected: bool
-
-
-def graph_invariants(graph: OrientedGraph) -> GraphInvariants:
-    """Valence profile, Euler characteristic, rank, and connectivity."""
-    return GraphInvariants(
-        valences=graph.valence_profile(),
-        euler_characteristic=graph.euler_characteristic(),
-        rank=graph.rank(),
-        connected=graph.is_connected(),
-    )
 
 
 # -- edge paths ----------------------------------------------------------
@@ -257,9 +236,6 @@ class GraphMap:
         for d in dirs:
             out.extend(self.image_of_direction(d))
         return tuple(out)
-
-    def __call__(self, dirs: tuple[int, ...]) -> tuple[int, ...]:
-        return self.image_of_path(dirs)
 
     @property
     def is_self_map(self) -> bool:

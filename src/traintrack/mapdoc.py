@@ -11,8 +11,7 @@ Format::
     b -> a a
 
 Path tokens are edge names, prefixed with ``~`` for reversal and separated by
-whitespace.  Lines starting with ``#`` and blank lines are ignored.  Parsing
-then printing a canonical document is the identity.
+whitespace.  Lines starting with ``#`` and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -159,19 +158,3 @@ def parse_map_document(text: str) -> GraphMap:
         )
     except GraphStructureError as exc:
         raise ParseError(str(exc), 1) from exc
-
-
-def print_map_document(g: GraphMap) -> str:
-    """Canonical document for a self-map; inverse to the parser."""
-    if not g.is_self_map:
-        raise GraphStructureError("documents describe self-maps")
-    graph = g.source
-    lines = ["vertices " + " ".join(graph.vertex_names)]
-    for i, name in enumerate(graph.edge_names):
-        u, w = graph.ends[i]
-        lines.append(f"edge {name} = {graph.vertex_names[u]} -> {graph.vertex_names[w]}")
-    lines.append("")
-    lines.append("map")
-    for i, name in enumerate(graph.edge_names):
-        lines.append(f"{name} -> {graph.path_name(g.edge_images[i])}")
-    return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ def certify_json(report: CertifyReport) -> dict:
             else graph.turn_name(report.tt.witness)
         ),
         "illegal_turns": _turn_names(graph, report.tt.illegal),
-        "taken_turn_closure": _turn_names(graph, report.tt.closure.turns),
+        "taken_turn_closure": _turn_names(graph, report.tt.closure),
         "gates": report.gate_count,
         "expanding": report.expanding,
         "verdict": report.verdict,
@@ -160,10 +160,10 @@ def certify_text(report: CertifyReport) -> str:
         lines.append("  " + report.tt.describe(graph))
     if report.tt.illegal:
         lines.append("illegal turns: " + ", ".join(_turn_names(graph, report.tt.illegal)))
-    if report.tt.closure.turns:
+    if report.tt.closure:
         lines.append(
-            f"taken turns ({len(report.tt.closure.turns)}): "
-            + ", ".join(_turn_names(graph, report.tt.closure.turns))
+            f"taken turns ({len(report.tt.closure)}): "
+            + ", ".join(_turn_names(graph, report.tt.closure))
         )
     lines.append(f"gates: {report.gate_count}")
     lines.append("expanding: " + ("yes" if report.expanding else "no"))

@@ -11,11 +11,13 @@ the largest root of x^5 - x - 1.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
 
+from .catalog import single_fold_map
 from .certify import MapAnalysis
 from .digraph import connected_components
 from .folds import apply_fold
@@ -321,8 +323,6 @@ def single_fold_search(
     universe = build_universe(rank)
     order = list(range(len(universe.graphs)))
     if shuffle_seed is not None:
-        import random
-
         random.Random(shuffle_seed).shuffle(order)
     tasks = [(rank, gi) for gi in order]
     if jobs > 1:
@@ -364,46 +364,6 @@ def _conjugate_by_relabeling(h1: GraphMap, h2: GraphMap) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class VertexAudit:
-    vertices_distinct: bool
-    relabeling_sends_fold_target: bool
-    relabeling_sends_tail: bool
-    vertex_transitive: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.vertices_distinct
-            and self.relabeling_sends_fold_target
-            and self.relabeling_sends_tail
-            and self.vertex_transitive
-        )
-
-
-def vertex_structure_audit(report: CandidateReport) -> VertexAudit:
-    """Structural facts forced for every surviving candidate: the fold-adjacent
-    vertices are distinct, the relabeling carries the folded edge data the
-    forced way, and the composed map is transitive on vertices."""
-    graph = report.map.source
-    v0 = graph.initial_vertex(report.e1)
-    v1 = graph.terminal_vertex(report.e0)
-    v2 = graph.terminal_vertex(report.e1)
-    distinct = len({v0, v1, v2}) == 3
-    sends_v1 = report.sigma.vertex_map[v1] == v0
-    sends_e1 = report.sigma.apply_direction(report.e1) == report.e0
-    sends_v2 = report.sigma.vertex_map[v2] == v1
-    # vertex transitivity of the composed map
-    vmap = report.map.vertex_map
-    orbit = {0}
-    x = 0
-    for _ in range(len(vmap)):
-        x = vmap[x]
-        orbit.add(x)
-    transitive = len(orbit) == len(vmap)
-    return VertexAudit(distinct, sends_v1 and sends_e1, sends_v2, transitive)
-
-
 # -- the minimal stretch factor driver ---------------------------------------------
 
 
@@ -436,8 +396,6 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
        5 edges and creates a valence-5 vertex (so 6-edge graphs never carry
        a minimal example).
     """
-    from .catalog import single_fold_map
-
     steps = []
     g = single_fold_map()
     p = char_poly(transition_matrix(g))

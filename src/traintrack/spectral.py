@@ -94,58 +94,12 @@ class IntegerMatrix:
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for row in self.rows for x in row)
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(zip(*self.rows)))
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        n = self.dimension
-        cols = other.transpose().rows
-        return IntegerMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
-
-    def power(self, k: int) -> "IntegerMatrix":
-        if k < 1:
-            raise GraphStructureError("matrix power must be >= 1")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result @ base
-            base = base @ base
-            k >>= 1
-        assert result is not None
-        return result
-
-    def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.dimension))
 
     def adjacency(self) -> dict[int, list[int]]:
         """The digraph of positive entries: i -> j when entry (i, j) > 0."""
         return {i: [j for j, x in enumerate(row) if x > 0] for i, row in enumerate(self.rows)}
-
-
-def identity_matrix(n: int) -> IntegerMatrix:
-    return IntegerMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def companion_matrix(p: IntPolynomial) -> IntegerMatrix:
-    """Companion matrix whose characteristic polynomial is the monic ``p``."""
-    if not p.is_monic():
-        raise GraphStructureError("companion matrix needs a monic polynomial")
-    n = p.degree
-    rows = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    for i in range(n):
-        rows[i][n - 1] = -p.coefficients[i]
-    return IntegerMatrix(tuple(tuple(r) for r in rows))
 
 
 def transition_matrix(g: GraphMap) -> IntegerMatrix:
@@ -372,11 +326,6 @@ class SpectralReport:
     perron_number: bool | None
     trace: int
     positive_power: int | None
-
-    @property
-    def dominant_root_float(self) -> float:
-        lo, hi = self.dominant_root
-        return float((lo + hi) / 2)
 
 
 def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:

@@ -1,6 +1,7 @@
 """Stable and ideal Whitehead graphs (built on the local ones of ``certify``);
-colored turn structures over a graph; and relabeling (signed edge-label
-permutation) actions.  Each map-level function reads one ``MapAnalysis``.
+colored turn structures over a graph; and signed edge-label permutations
+with the graph isomorphisms (relabelings) they induce.  Each map-level
+function reads one ``MapAnalysis``.
 
 The colored structure of a self-map records, over the underlying graph, one
 vertex per direction (purple when the direction is periodic, red otherwise),
@@ -17,13 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify import FicReport, MapAnalysis, WhiteheadGraph, local_whitehead
-from .graphs import (
-    GraphMap,
-    GraphStructureError,
-    OrientedGraph,
-    compose,
-    make_turn,
-)
+from .graphs import GraphMap, GraphStructureError, OrientedGraph
 
 
 # -- Whitehead graphs --------------------------------------------------------
@@ -128,16 +123,6 @@ class LttStructure:
             if self.graph.initial_vertex(t[0]) != self.graph.initial_vertex(t[1]):
                 raise GraphStructureError("turn directions at different vertices")
 
-    @property
-    def purple_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            t for t in self.turns if t[0] not in self.red_vertices and t[1] not in self.red_vertices
-        )
-
-    @property
-    def red_edges(self) -> frozenset[tuple[int, int]]:
-        return self.turns - self.purple_edges
-
     def exact_key(self):
         """Identity up to label-preserving isomorphism: the grouping of
         directions by initial vertex, plus colors and turns.  Vertex names
@@ -154,7 +139,7 @@ def ltt_structure(a: MapAnalysis) -> LttStructure:
     if not a.tt.is_train_track:
         raise GraphStructureError("colored turn structure requires a train track map")
     graph = a.map.source
-    return LttStructure(graph, frozenset(graph.directions()) - a.periodic, a.tt.closure.turns)
+    return LttStructure(graph, frozenset(graph.directions()) - a.periodic, a.tt.closure)
 
 
 # -- signed permutations and relabelings ---------------------------------------
@@ -224,9 +209,6 @@ class Relabeling:
     def apply_direction(self, d: int) -> int:
         return apply_signed(self.signed_images, d)
 
-    def apply_turn(self, t: tuple[int, int]) -> tuple[int, int]:
-        return make_turn(self.apply_direction(t[0]), self.apply_direction(t[1]))
-
     def as_graph_map(self) -> GraphMap:
         return GraphMap(
             source=self.source,
@@ -246,9 +228,6 @@ class Relabeling:
             other.source, self.target, compose_signed(self.signed_images, other.signed_images)
         )
 
-    def is_permutation(self) -> bool:
-        return self.source.edge_names == self.target.edge_names
-
     def describe(self) -> str:
         parts = []
         for i, s in enumerate(self.signed_images):
@@ -261,62 +240,3 @@ def relabeling_from_map(m: GraphMap) -> Relabeling:
     if not m.is_isomorphism():
         raise GraphStructureError("map is not a graph isomorphism")
     return Relabeling(m.source, m.target, tuple(im[0] for im in m.edge_images))
-
-
-def relabeled_graph(graph: OrientedGraph, sigma: tuple[int, ...]) -> OrientedGraph:
-    """The graph with each edge label e replaced by sigma(e).
-
-    ``sigma[i]`` is the signed new index of old edge ``i``: the edge that was
-    labeled i now carries label abs(sigma[i]) - 1, reversed when negative.
-    """
-    ends = tuple(
-        (graph.initial_vertex(d), graph.terminal_vertex(d)) for d in invert_signed(sigma)
-    )
-    return OrientedGraph(graph.vertex_names, graph.edge_names, ends)
-
-
-def relabeling_map(graph: OrientedGraph, sigma: tuple[int, ...]) -> Relabeling:
-    """The isomorphism from a graph to its sigma-relabeled version."""
-    return Relabeling(graph, relabeled_graph(graph, sigma), tuple(sigma))
-
-
-def relabel_structure(structure: LttStructure, sigma: tuple[int, ...]) -> LttStructure:
-    rel = relabeling_map(structure.graph, sigma)
-    return LttStructure(
-        graph=rel.target,
-        red_vertices=frozenset(rel.apply_direction(d) for d in structure.red_vertices),
-        turns=frozenset(rel.apply_turn(t) for t in structure.turns),
-    )
-
-
-def relabel_map(g: GraphMap, sigma: tuple[int, ...]) -> GraphMap:
-    """Conjugate a self-map by the relabeling: sigma . g . sigma^{-1}."""
-    if not g.is_self_map:
-        raise GraphStructureError("relabel_map conjugates self-maps")
-    rel = relabeling_map(g.source, sigma)
-    return compose(rel.as_graph_map(), compose(g, rel.inverse().as_graph_map()))
-
-
-# -- DOT export ---------------------------------------------------------------
-
-
-def ltt_to_dot(structure: LttStructure) -> str:
-    """Deterministic DOT rendering: purple/red direction vertices and turn
-    edges, black edges for the underlying graph."""
-    g = structure.graph
-    lines = ["graph ltt {"]
-    for d in sorted(g.directions(), key=lambda x: (abs(x), x < 0)):
-        color = "red" if d in structure.red_vertices else "purple"
-        lines.append(f'  "{g.direction_name(d)}" [color={color}];')
-    for t in sorted(structure.turns):
-        color = "red" if t in structure.red_edges else "purple"
-        lines.append(
-            f'  "{g.direction_name(t[0])}" -- "{g.direction_name(t[1])}" [color={color}];'
-        )
-    for i in range(g.n_edges):
-        lines.append(
-            f'  "{g.direction_name(i + 1)}" -- "{g.direction_name(-(i + 1))}" '
-            f'[color=black, style=bold];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

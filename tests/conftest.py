@@ -2,13 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import block_reducible_map, doubling_control_map, rose_map_xyz
 from traintrack.automaton import build_automaton
-from traintrack.catalog import (
-    block_reducible_map,
-    doubling_control_map,
-    rose_map_xyz,
-    single_fold_map,
-)
+from traintrack.catalog import single_fold_map
 
 
 @pytest.fixture(scope="session")

@@ -177,7 +177,7 @@ def test_transport_soundness_short_loops(automaton):
         a = MapAnalysis(m)
         red = {d for d in m.source.directions()} - a.periodic
         assert red == {key[1]}
-        closure = frozenset(taken_turn_closure(a).turns)
+        closure = taken_turn_closure(a)
         node_turns = frozenset(tuple(t) for t in key[2])
         assert closure <= node_turns
         if is_irreducible(a.matrix):

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from traintrack.catalog import SINGLE_FOLD_DOCUMENT, rose_map_xyz
+from oracles import print_map_document
+from traintrack.catalog import SINGLE_FOLD_DOCUMENT
 from traintrack.cli import main
-from traintrack.mapdoc import print_map_document
 from traintrack.reports import certify_json
 
 
@@ -72,9 +72,9 @@ def test_unwritable_json_path_exits_2(command, reference_file, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_certify_non_principal_exit_code(tmp_path, capsys):
+def test_certify_non_principal_exit_code(psi, tmp_path, capsys):
     path = tmp_path / "psi.map"
-    path.write_text(print_map_document(rose_map_xyz()), encoding="utf-8")
+    path.write_text(print_map_document(psi), encoding="utf-8")
     code = main(["certify", str(path)])
     captured = capsys.readouterr().out
     assert code == 4

@@ -1,4 +1,4 @@
-"""Every name the package defines has a user.
+"""Every name the package defines has a user, and that user is the package.
 
 The check parses ``src/traintrack/*.py`` and collects its functions,
 classes, methods and module-level names (dunders exempt).  A name is dead
@@ -12,6 +12,17 @@ Fields, the annotated names in a package class body, are held to a
 stricter rule: a field is read only as an attribute (``x.field``) or by an
 identifier string.  Filling it by keyword at construction, or a bare local
 name that happens to match, does not count.
+
+A use in ``tests/`` keeps a name alive but does not make it part of what the
+package runs.  So a second check collects uses only from the package modules
+and ``perfbench/``, skipping ``src/traintrack/__init__.py`` because its
+re-exports would count as uses of every exported name.  A name or field that
+only tests reach must be listed, with its reason, in ``TEST_ONLY`` or
+``TEST_ONLY_FIELDS``; a listed entry that the package does reach fails too.
+Oracles and fixtures that only tests need live in ``tests/oracles.py``.
+
+Names and fields are matched by spelling, not by binding: a use of ``trace``
+anywhere counts for every definition spelled ``trace``.
 """
 
 from __future__ import annotations
@@ -21,6 +32,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "perfbench")
+PACKAGE_USERS = ("src/traintrack", "perfbench")
+
+# package entries that only tests reach, each with the reason it stays
+CROSS_CHECK = "fold-decomposition to automaton-loop cross-check of acceptance criteria 4 and 5"
+TEST_ONLY = {
+    "compose_power": CROSS_CHECK,
+    "decomposition_to_loop": CROSS_CHECK,
+    "rotate_loop": CROSS_CHECK,
+}
+TEST_ONLY_FIELDS = {
+    "SpectralReport.perron_number": (
+        "filled by spectral.perron, a required traced layer of the certify_batch benchmark"
+    ),
+}
 
 
 def definitions(tree: ast.Module) -> set[str]:
@@ -95,24 +120,36 @@ def field_reads(tree: ast.Module) -> set[str]:
     return out
 
 
-def _trees(root: Path, tops) -> list[ast.Module]:
+def _trees(root: Path, tops, skip=()) -> list[ast.Module]:
     return [
         ast.parse(path.read_text(), str(path))
         for top in tops
         for path in sorted((root / top).rglob("*.py"))
+        if path not in skip
     ]
 
 
-def unused_definitions(root: Path) -> set[str]:
+def _users(root: Path, package_only: bool) -> list[ast.Module]:
+    if package_only:
+        return _trees(root, PACKAGE_USERS, skip={root / "src/traintrack/__init__.py"})
+    return _trees(root, SEARCHED)
+
+
+def unused_definitions(root: Path, package_only: bool = False) -> set[str]:
     defined = set().union(*map(definitions, _trees(root, ["src/traintrack"])))
-    used = set().union(*map(uses, _trees(root, SEARCHED)))
+    used = set().union(*map(uses, _users(root, package_only)))
     return defined - used
 
 
-def unread_fields(root: Path) -> set[str]:
+def unread_fields(root: Path, package_only: bool = False) -> set[str]:
     defined = set().union(*map(fields, _trees(root, ["src/traintrack"])))
-    read = set().union(*map(field_reads, _trees(root, SEARCHED)))
+    read = set().union(*map(field_reads, _users(root, package_only)))
     return {f for f in defined if f.split(".")[1] not in read}
+
+
+def unlisted_and_stale(found: set[str], listed: dict[str, str]) -> tuple[list[str], list[str]]:
+    """Found entries missing from the list, and listed entries not found."""
+    return sorted(found - listed.keys()), sorted(listed.keys() - found)
 
 
 def test_defined_names_have_users():
@@ -121,6 +158,16 @@ def test_defined_names_have_users():
 
 def test_fields_have_readers():
     assert sorted(unread_fields(ROOT)) == []
+
+
+def test_names_only_tests_use_are_listed():
+    found = unused_definitions(ROOT, package_only=True)
+    assert unlisted_and_stale(found, TEST_ONLY) == ([], [])
+
+
+def test_fields_only_tests_read_are_listed():
+    found = unread_fields(ROOT, package_only=True)
+    assert unlisted_and_stale(found, TEST_ONLY_FIELDS) == ([], [])
 
 
 def test_the_guard_separates_definitions_from_uses(tmp_path):
@@ -176,3 +223,28 @@ def test_the_guard_separates_definitions_from_uses(tmp_path):
         "as_keyword", "reassigned",
     }
     assert unread_fields(tmp_path) == {"Box.by_keyword", "Box.by_local"}
+
+
+def test_the_guard_separates_package_users_from_tests(tmp_path):
+    package = tmp_path / "src" / "traintrack"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (package / "__init__.py").write_text("from .mod import exported\n")
+    (package / "mod.py").write_text(
+        "def exported():\n"
+        "    pass\n"
+        "def run():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    pass\n"
+    )
+    (tmp_path / "perfbench" / "bench.py").write_text("from traintrack.mod import run\nrun()\n")
+    (tmp_path / "tests" / "test_mod.py").write_text("from traintrack import exported\nexported()\n")
+    # every name has some user, but only a test uses the re-exported one
+    assert unused_definitions(tmp_path) == set()
+    found = unused_definitions(tmp_path, package_only=True)
+    assert found == {"exported"}
+    assert unlisted_and_stale(found, {}) == (["exported"], [])
+    assert unlisted_and_stale(found, {"exported": "an oracle"}) == ([], [])
+    assert unlisted_and_stale(found, {"exported": "an oracle", "gone": "stale"}) == ([], ["gone"])

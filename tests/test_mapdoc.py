@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import print_map_document
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT, single_fold_map
-from traintrack.mapdoc import ParseError, parse_map_document, print_map_document
+from traintrack.mapdoc import ParseError, parse_map_document
 
 
 def test_parse_reference_document(gmap):

@@ -16,7 +16,6 @@ from traintrack.search import (
     single_fold_search,
     trivalent_universe,
     verify_minimal_stretch_argument,
-    vertex_structure_audit,
     _canonical_multigraph,
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
@@ -474,8 +473,20 @@ def test_search_parallel_agrees_rank4():
 def test_survivor_audits_and_roundtrip():
     summary = single_fold_search(3)
     for report in summary.survivors:
-        audit = vertex_structure_audit(report)
-        assert audit.passed
+        # the fold-adjacent vertices are distinct, the relabeling carries the
+        # folded edge data the forced way, and the map is vertex transitive
+        graph, sigma = report.map.source, report.sigma
+        v0 = graph.initial_vertex(report.e1)
+        v1 = graph.terminal_vertex(report.e0)
+        v2 = graph.terminal_vertex(report.e1)
+        assert len({v0, v1, v2}) == 3
+        assert sigma.vertex_map[v1] == v0 and sigma.apply_direction(report.e1) == report.e0
+        assert sigma.vertex_map[v2] == v1
+        orbit, x = {0}, 0
+        for _ in range(graph.n_vertices):
+            x = report.map.vertex_map[x]
+            orbit.add(x)
+        assert len(orbit) == graph.n_vertices
         seq = stallings_decompose(report.map)
         assert len(seq) == 1
         assert seq.composed_map() == report.map
