@@ -9,7 +9,6 @@ from .graphs import (
     compose,
     direction_map,
     gates,
-    identity_map,
     iterate_map,
 )
 from .spectral import (
@@ -39,7 +38,6 @@ from .certify import (
 )
 from .whitehead import (
     IdealWhiteheadGraph,
-    LttStructure,
     Relabeling,
     ideal_whitehead,
     is_principal,
@@ -50,8 +48,6 @@ from .folds import (
     FoldMove,
     FoldSequence,
     apply_fold,
-    compose_power,
-    push_permutations,
     rotate,
     stallings_decompose,
 )

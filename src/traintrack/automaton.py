@@ -10,10 +10,12 @@ on the quotient by relabeling classes.
 
 A node is stored as a plain key ``(groups, red, turns)``: the partition of
 the ten directions into initial-vertex groups (vertex names are forgotten),
-the red direction, and the sorted turn tuple.  The fold transport is
-edge-local: the folded direction is renamed onto the target direction inside
-every turn, the fresh turn crossed by the folded edge-path is added as the
-new red edge, and the moved direction becomes the new red vertex.
+the red direction, and the sorted turn tuple.  This is the colored structure
+``whitehead.ltt_structure`` computes for a map, so a map's structure is
+looked up among the nodes directly.  The fold transport is edge-local: the
+folded direction is renamed onto the target direction inside every turn,
+the fresh turn crossed by the folded edge-path is added as the new red edge,
+and the moved direction becomes the new red vertex.
 
 Fold transport commutes with signed relabelings, so the build works per
 relabeling class on integer node ids.  A node is fixed by its labeled
@@ -38,9 +40,10 @@ from .graphs import GraphMap, GraphStructureError, OrientedGraph
 from .spectral import is_irreducible, transition_matrix
 from .certify import MapAnalysis
 from .whitehead import (
-    LttStructure,
     Relabeling,
     apply_signed,
+    canonical_groups,
+    canonical_turns,
     compose_signed,
     invert_signed,
     ltt_structure,
@@ -55,14 +58,6 @@ _DIRECTIONS = tuple(sorted(s * i for i in range(1, len(RANK3_EDGE_NAMES) + 1) fo
 
 
 # -- node keys and the signed permutation action ---------------------------------
-
-
-def _canonical_groups(groups) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((tuple(sorted(g)) for g in groups)))
-
-
-def _canonical_turns(turns) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((min(t), max(t)) for t in turns))
 
 
 def _direction_table(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,17 +76,6 @@ def relabel_key(key: NodeKey, sigma: tuple[int, ...]) -> NodeKey:
         new_turns.append((x, y) if x < y else (y, x))
     new_turns.sort()
     return (new_groups, image[red], tuple(new_turns))
-
-
-def key_from_structure(structure: LttStructure) -> NodeKey:
-    if len(structure.red_vertices) != 1:
-        raise GraphStructureError("node keys need exactly one red direction")
-    partition, red_set, turns = structure.exact_key()
-    return (
-        _canonical_groups(partition),
-        next(iter(red_set)),
-        _canonical_turns(turns),
-    )
 
 
 def graph_from_groups(groups: tuple[tuple[int, ...], ...]) -> OrientedGraph:
@@ -175,7 +159,7 @@ def transport(key: NodeKey, e1: int, e0: int) -> NodeKey | None:
         if -e0 in g2:
             g2.append(e1)
         moved.append(tuple(sorted(g2)))
-    out = (_canonical_groups(moved), e1, _canonical_turns(new_turns))
+    out = (canonical_groups(moved), e1, canonical_turns(new_turns))
     if node_profile_errors(out):
         return None
     return out
@@ -194,7 +178,7 @@ def enumerate_labeled_graphs():
         rest = [d for d in _DIRECTIONS if d not in big]
         for pair in itertools.combinations(rest[1:], 2):
             third = tuple(d for d in rest[1:] if d not in pair)
-            groups = _canonical_groups((big, (rest[0],) + pair, third))
+            groups = canonical_groups((big, (rest[0],) + pair, third))
             at = {d: gi for gi, group in enumerate(groups) for d in group}
             ends = [(at[i], at[-i]) for i in range(1, len(RANK3_EDGE_NAMES) + 1)]
             if len(connected_components(range(3), ends)) == 1:
@@ -359,7 +343,7 @@ def build_automaton(rank: int = 3) -> Automaton:
     try:
         for image in map(_direction_table, generators):
             on_graph = [
-                graph_id[_canonical_groups([image[d] for d in g] for g in groups)]
+                graph_id[canonical_groups([image[d] for d in g] for g in groups)]
                 for groups in graph_id
             ]
             act.append([code_id[on_graph[g], image[r], image[a]] for g, r, a in codes])
@@ -438,8 +422,7 @@ def build_automaton(rank: int = 3) -> Automaton:
             quotient_edges[pair] = quotient_edges.get(pair, 0) + len(class_members[cid])
     sccs = strongly_connected_components(len(class_members), _class_adjacency(quotient_edges))
 
-    ref_key = key_from_structure(ltt_structure(MapAnalysis(single_fold_map())))
-    node_one = node_index.get(ref_key)
+    node_one = node_index.get(ltt_structure(MapAnalysis(single_fold_map())))
     if node_one is None:
         raise GraphStructureError("reference structure is not an automaton node")
 
@@ -515,22 +498,6 @@ def loop_to_map(automaton: Automaton, loop: DirectedLoop) -> GraphMap:
     return FoldSequence(tuple(steps), closing).composed_map()
 
 
-def rotate_loop(automaton: Automaton, loop: DirectedLoop) -> DirectedLoop:
-    """The loop based one fold later: the first fold is pulled through the
-    closing relabeling and appended at the end."""
-    if not loop.folds:
-        return loop
-    inv = invert_signed(loop.closing)
-    e1, e0 = loop.folds[0]
-    pulled = (apply_signed(inv, e1), apply_signed(inv, e0))
-    last = loop.node_ids[-1]
-    target_key = transport(automaton.nodes[last], *pulled)
-    if target_key is None or target_key not in automaton.node_index:
-        raise GraphStructureError("loop rotation left the node set")
-    new_nodes = loop.node_ids[1:] + (automaton.node_index[target_key],)
-    return DirectedLoop(new_nodes, loop.folds[1:] + (pulled,), loop.closing)
-
-
 def decomposition_to_loop(
     automaton: Automaton, seq: FoldSequence
 ) -> DirectedLoop | None:
@@ -538,8 +505,11 @@ def decomposition_to_loop(
     loop in the automaton.
 
     Tries every rotation of the sequence and returns None when no rotation
-    lands in the node set.
+    lands in the node set, or when a fold is not proper full: automaton
+    edges are proper full folds.
     """
+    if any(move.kind != "proper_full" for move in seq.moves):
+        return None
     for j in range(len(seq) + 1):
         found = _walk_decomposition(automaton, rotate(seq, j))
         if found is not None:
@@ -548,14 +518,13 @@ def decomposition_to_loop(
 
 
 def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop | None:
-    """Match a fold sequence on a (4,3,3) graph against the automaton."""
+    """Match a sequence of proper full folds on a (4,3,3) graph against the
+    automaton."""
     base = seq.base_graph
     if sorted(base.valence_profile()) != [3, 3, 4] or base.n_edges != 5:
         return None
-    if any(move.kind != "proper_full" for move in seq.moves):
-        return None
     try:
-        start_key = key_from_structure(ltt_structure(MapAnalysis(seq.composed_map())))
+        start_key = ltt_structure(MapAnalysis(seq.composed_map()))
     except GraphStructureError:
         return None
     # The node set is closed under relabeling, so when no node carries the
@@ -604,7 +573,7 @@ def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
     return min(automaton.nodes[j][0] for j in members)
 
 
-def node_one_analysis(automaton: Automaton, loop_bound: int = 4) -> NodeOneAnalysis:
+def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     """Remove the reference node's relabeling class and study what remains.
 
     Composes every directed loop of fold-length up to the bound confined to

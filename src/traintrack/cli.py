@@ -4,9 +4,11 @@ Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
 file, unwritable ``--json`` or ``--dot`` path, parse error or bad usage
 (among them a rank other than 3, 4 or 5 for ``search single-fold --rank`` or
 ``verify theorem-b --ranks``, and a ``--loop-bound`` below 1); 3 precondition
-violation (``decompose`` on a map it cannot fold, ``automaton build --rank``
+violation (``decompose`` on a map it cannot fold, ``certify`` on a train
+track map that is not a homotopy equivalence, ``automaton build --rank``
 other than 3); 4 verification failed (for ``certify``: any verdict other than
-PRINCIPAL).
+PRINCIPAL; for ``automaton build``: a residual loop is irreducible, or the
+reference map's fold decomposition is not a loop through the reference node).
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from .automaton import (
     automaton_json,
     automaton_to_dot,
     build_automaton,
+    decomposition_to_loop,
+    loop_to_map,
     node_one_analysis,
 )
+from .catalog import single_fold_map
 from .folds import stallings_decompose
 from .graphs import GraphStructureError
 from .mapdoc import ParseError, parse_map_document
@@ -70,7 +75,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_certify(args) -> int:
     g = _read_map(args.file)
-    report = certify_map(g)
+    try:
+        report = certify_map(g)
+    except GraphStructureError as exc:
+        print(f"precondition: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     sys.stdout.write(certify_text(report))
     if args.json:
         _write_json(args.json, certify_json(report))
@@ -115,11 +124,24 @@ def cmd_automaton_build(args) -> int:
         f"all reducible: {analysis.obstruction_holds}"
     )
     print(f"folds entering the reference node: {analysis.entering_folds}")
+    # cross-check: the reference map's fold decomposition walks the automaton
+    g = single_fold_map()
+    loop = decomposition_to_loop(automaton, stallings_decompose(g))
+    through = (
+        loop is not None
+        and loop.node_ids[0] == automaton.node_one
+        and loop_to_map(automaton, loop).edge_images == g.edge_images
+    )
+    if through:
+        print(f"reference map's Stallings decomposition: a loop of {len(loop.folds)} "
+              "fold(s) through the reference node")
+    else:
+        print("reference map's Stallings decomposition: no loop through the reference node")
     if args.dot:
         _write(args.dot, automaton_to_dot(automaton))
     if args.json:
         _write_json(args.json, automaton_json(automaton, analysis))
-    return 0 if analysis.obstruction_holds else EXIT_VERIFICATION
+    return 0 if analysis.obstruction_holds and through else EXIT_VERIFICATION
 
 
 def cmd_search_single_fold(args) -> int:

@@ -7,6 +7,10 @@ maximal common image prefix, as a complete fold when the images coincide, a
 proper full fold when one image is a prefix of the other, and a partial fold
 (subdivide, then fold) otherwise.  Each move factors the residual map
 exactly, so composing the produced sequence reproduces the input bit for bit.
+
+A relabeling followed by a proper full fold of (e1, e0) equals the fold of
+the pulled-back directions followed by a relabeling with the same signed
+images, so rotating a sequence of proper full folds needs no map-level work.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from .graphs import (
     OrientedGraph,
     common_prefix_length,
     compose,
-    identity_map,
     reverse_path,
 )
-from .whitehead import Relabeling, relabeling_from_map
+from .whitehead import Relabeling, apply_signed, invert_signed, relabeling_from_map
 
 
 class NotHomotopyEquivalence(GraphStructureError):
@@ -298,79 +301,31 @@ def _factor_residual(m: GraphMap, move: FoldMove, ell: int) -> GraphMap:
     return GraphMap(src, m.target, vmap, tuple(images))
 
 
-# -- permutation pushing and rotation ----------------------------------------
+# -- conjugation by the final relabeling -------------------------------------
 
 
-def _swap_relabeling_fold(rel: Relabeling, move: FoldMove) -> tuple[FoldMove, Relabeling]:
-    """Rewrite (relabel, then fold) as (fold, then relabel), exactly.
-
-    The replacement fold acts on the relabeling's source, folding the
-    pulled-back directions; the closing relabeling is read off letterwise
-    from the two parallel images of every source direction, then verified by
-    an exact composition check.
-    """
-    if rel.target != move.source:
-        raise GraphStructureError("relabeling and fold do not chain")
-    inv = rel.inverse()
-    move2 = apply_fold(
-        rel.source, inv.apply_direction(move.e1), inv.apply_direction(move.e0), move.kind
-    )
-    assignment: dict[int, int] = {}
-    for a in rel.source.directions():
-        lhs = move.map.image_of_direction(rel.apply_direction(a))
-        rhs = move2.map.image_of_direction(a)
-        if len(lhs) != len(rhs):
-            raise GraphStructureError("internal error: fold shapes disagree under relabeling")
-        for x, y in zip(rhs, lhs):
-            if assignment.setdefault(x, y) != y or assignment.setdefault(-x, -y) != -y:
-                raise GraphStructureError("internal error: inconsistent fold correspondence")
-    signed = tuple(assignment[i + 1] for i in range(move2.target.n_edges))
-    rel2 = Relabeling(move2.target, move.target, signed)
-    lhs_map = compose(move.map, rel.as_graph_map())
-    rhs_map = compose(rel2.as_graph_map(), move2.map)
-    if lhs_map != rhs_map:
-        raise GraphStructureError("internal error: fold/relabeling swap failed")
-    return move2, rel2
-
-
-def push_permutations(steps: list[FoldMove | Relabeling]) -> FoldSequence:
-    """Normalize an interleaved run of folds and relabelings to folds
-    followed by one final relabeling, preserving the composition exactly."""
-    moves = []
-    rel: Relabeling | None = None  # every relabeling so far, pushed past the folds
-    for item in steps:
-        if isinstance(item, Relabeling):
-            rel = item if rel is None else item.after(rel)
-            continue
-        if rel is not None:
-            item, rel = _swap_relabeling_fold(rel, item)
-        moves.append(item)
-    if rel is None:
-        if not moves:
-            raise GraphStructureError("empty step list")
-        rel = relabeling_from_map(identity_map(moves[-1].target))
-    return FoldSequence(tuple(moves), rel)
-
-
-def sequence_steps(seq: FoldSequence) -> list[FoldMove | Relabeling]:
-    return list(seq.moves) + [seq.final]
+def pull_back(move: FoldMove, sigma: tuple[int, ...], graph: OrientedGraph) -> FoldMove:
+    """The fold on ``graph`` that, followed by the relabeling with signed
+    images ``sigma`` onto ``move.source``, equals that relabeling followed by
+    ``move``.  For a proper full fold (e1, e0) it folds sigma^-1 e1 over
+    sigma^-1 e0, and the closing relabeling keeps the images ``sigma``."""
+    if move.kind != "proper_full":
+        raise GraphStructureError(f"cannot pull a {move.kind} fold back through a relabeling")
+    inv = invert_signed(sigma)
+    return apply_fold(graph, apply_signed(inv, move.e1), apply_signed(inv, move.e0))
 
 
 def rotate(seq: FoldSequence, j: int) -> FoldSequence:
-    """The fold-conjugate sequence starting at position ``j``."""
+    """The fold-conjugate sequence starting at position ``j``: the first j
+    folds are pulled back through the final relabeling and appended."""
     if not (0 <= j <= len(seq)):
         raise GraphStructureError("rotation index out of range")
     if j == 0:
         return seq
-    steps: list[FoldMove | Relabeling] = list(seq.moves[j:]) + [seq.final] + list(seq.moves[:j])
-    return push_permutations(steps)
-
-
-def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
-    """Decomposition of the p-th power, permutations pushed to the end."""
-    if power < 1:
-        raise GraphStructureError("power must be >= 1")
-    steps: list[FoldMove | Relabeling] = []
-    for _ in range(power):
-        steps.extend(sequence_steps(seq))
-    return push_permutations(steps)
+    sigma = seq.final.signed_images
+    moves = list(seq.moves[j:])
+    graph = seq.final.source
+    for move in seq.moves[:j]:
+        moves.append(pull_back(move, sigma, graph))
+        graph = moves[-1].target
+    return FoldSequence(tuple(moves), Relabeling(graph, seq.moves[j - 1].target, sigma))

@@ -264,15 +264,6 @@ class GraphMap:
         return "\n".join(lines)
 
 
-def identity_map(graph: OrientedGraph) -> GraphMap:
-    return GraphMap(
-        source=graph,
-        target=graph,
-        vertex_map=tuple(range(graph.n_vertices)),
-        edge_images=tuple((i + 1,) for i in range(graph.n_edges)),
-    )
-
-
 def compose(g: GraphMap, f: GraphMap) -> GraphMap:
     """The map ``g after f``, with images tightened.
 

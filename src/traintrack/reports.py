@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import MapAnalysis, PnpSearchResult, TtCertificate
-from .folds import FoldSequence
+from .folds import FoldSequence, stallings_decompose
 from .graphs import GraphMap, gates
 from .spectral import SpectralReport, minimal_polynomial_degree
 from .whitehead import PrincipalReport, is_principal
@@ -40,9 +40,18 @@ class CertifyReport:
 
 
 def certify_map(g: GraphMap) -> CertifyReport:
-    """Run the whole pipeline on a self-map, on one analysis of it."""
+    """Run the whole pipeline on a self-map, on one analysis of it.
+
+    A train track map must also be a homotopy equivalence: its images are
+    tight, so Stallings folding decides that, and a ``GraphStructureError``
+    with the folding's message is raised when it is not.  The single-fold
+    search and the automaton build homotopy equivalences by construction
+    and do not call this.
+    """
     a = MapAnalysis(g)
     train_track = a.tt.is_train_track
+    if train_track:
+        stallings_decompose(g)
     expanding = train_track and a.expanding
     return CertifyReport(
         map=g,

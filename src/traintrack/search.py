@@ -11,7 +11,6 @@ the largest root of x^5 - x - 1.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -310,21 +309,16 @@ def _search_one_graph(args) -> list[CandidateReport]:
     return out
 
 
-def single_fold_search(
-    rank: int, jobs: int = 1, shuffle_seed: int | None = None
-) -> SearchSummary:
+def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     """Classify every (graph, ordered fold pair at the valence-4 vertex,
     graph isomorphism back) candidate and group the principal survivors by
     relabeling conjugacy.
 
-    Results are independent of job count and of the optional shuffling of
-    the work order (used by determinism self-tests).
+    Results are independent of job count and of the order in which the
+    graphs are searched.
     """
     universe = build_universe(rank)
-    order = list(range(len(universe.graphs)))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(order)
-    tasks = [(rank, gi) for gi in order]
+    tasks = [(rank, gi) for gi in range(len(universe.graphs))]
     if jobs > 1:
         with Pool(jobs) as pool:
             chunks = pool.map(_search_one_graph, tasks)

@@ -8,7 +8,9 @@ vertex per direction (purple when the direction is periodic, red otherwise),
 one edge per taken turn (purple when both ends are periodic), and a black
 edge per original edge.  Identity of such structures "up to label-preserving
 isomorphism" forgets vertex names but keeps edge labels, which is captured by
-the partition of directions into initial-vertex groups.
+the partition of directions into initial-vertex groups.  With one red
+direction, as in the automaton, a colored structure is the automaton's node
+key: the sorted groups, the red direction and the sorted turns.
 """
 
 from __future__ import annotations
@@ -101,45 +103,27 @@ def is_principal(a: MapAnalysis) -> PrincipalReport:
 # -- colored turn structures (ltt) -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LttStructure:
-    """A colored blow-up of a graph: direction vertices, turn edges, black
-    edges.  Red marks the nonperiodic directions and the turns touching them.
-    """
-
-    graph: OrientedGraph
-    red_vertices: frozenset[int]
-    turns: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        ds = set(self.graph.directions())
-        if not self.red_vertices <= ds:
-            raise GraphStructureError("red vertex outside the direction set")
-        for t in self.turns:
-            if t[0] not in ds or t[1] not in ds:
-                raise GraphStructureError("turn outside the direction set")
-            if t[0] == t[1]:
-                raise GraphStructureError("degenerate turn in structure")
-            if self.graph.initial_vertex(t[0]) != self.graph.initial_vertex(t[1]):
-                raise GraphStructureError("turn directions at different vertices")
-
-    def exact_key(self):
-        """Identity up to label-preserving isomorphism: the grouping of
-        directions by initial vertex, plus colors and turns.  Vertex names
-        are forgotten."""
-        groups = {}
-        for d in self.graph.directions():
-            groups.setdefault(self.graph.initial_vertex(d), []).append(d)
-        partition = frozenset(frozenset(v) for v in groups.values())
-        return (partition, self.red_vertices, self.turns)
+def canonical_groups(groups) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted((tuple(sorted(g)) for g in groups)))
 
 
-def ltt_structure(a: MapAnalysis) -> LttStructure:
-    """The colored structure of a train track self-map."""
+def canonical_turns(turns) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((min(t), max(t)) for t in turns))
+
+
+def ltt_structure(a: MapAnalysis) -> tuple:
+    """The colored structure of a train track self-map with exactly one
+    nonperiodic direction, as the automaton's node key ``(groups, red,
+    turns)``: the initial-vertex groups of the directions, the red direction
+    and the taken turns, each sorted."""
     if not a.tt.is_train_track:
         raise GraphStructureError("colored turn structure requires a train track map")
     graph = a.map.source
-    return LttStructure(graph, frozenset(graph.directions()) - a.periodic, a.tt.closure)
+    red = set(graph.directions()) - a.periodic
+    if len(red) != 1:
+        raise GraphStructureError("node keys need exactly one red direction")
+    groups = [graph.directions_at(v) for v in range(graph.n_vertices)]
+    return (canonical_groups(groups), red.pop(), canonical_turns(a.tt.closure))
 
 
 # -- signed permutations and relabelings ---------------------------------------
@@ -215,17 +199,6 @@ class Relabeling:
             target=self.target,
             vertex_map=self.vertex_map,
             edge_images=tuple((self.apply_direction(i + 1),) for i in range(self.source.n_edges)),
-        )
-
-    def inverse(self) -> "Relabeling":
-        return Relabeling(self.target, self.source, invert_signed(self.signed_images))
-
-    def after(self, other: "Relabeling") -> "Relabeling":
-        """The composite self∘other."""
-        if other.target != self.source:
-            raise GraphStructureError("relabelings do not compose")
-        return Relabeling(
-            other.source, self.target, compose_signed(self.signed_images, other.signed_images)
         )
 
     def describe(self) -> str:

@@ -1,16 +1,25 @@
 """Reference constructions that tests compare the package against.
 
-No command needs them: small named maps on roses, integer matrix
-arithmetic, relabeling actions on graphs, colored structures and maps, and
-the map-document printer.  Parsing then printing a canonical document is
-the identity.
+No command needs them: small named maps on roses, the identity map,
+integer matrix arithmetic, relabeling actions on graphs and maps, the
+general push of relabelings past folds with the powers and loop rotations
+built on fold conjugation, and the map-document printer.  Parsing then
+printing a canonical document is the identity.
 """
 
 from __future__ import annotations
 
-from traintrack.graphs import GraphMap, OrientedGraph, compose, make_turn
+from traintrack.automaton import DirectedLoop, transport
+from traintrack.folds import FoldMove, FoldSequence, apply_fold, pull_back
+from traintrack.graphs import GraphMap, GraphStructureError, OrientedGraph, compose
 from traintrack.spectral import IntegerMatrix, IntPolynomial
-from traintrack.whitehead import LttStructure, Relabeling, invert_signed
+from traintrack.whitehead import (
+    Relabeling,
+    apply_signed,
+    compose_signed,
+    invert_signed,
+    relabeling_from_map,
+)
 
 # -- maps on roses -----------------------------------------------------------
 
@@ -39,6 +48,15 @@ def block_reducible_map() -> GraphMap:
     """a->aa, b->bb on the 2-rose; train track but block reducible."""
     graph = rose_graph(("a", "b"))
     return GraphMap(source=graph, target=graph, vertex_map=(0,), edge_images=((1, 1), (2, 2)))
+
+
+def identity_map(graph: OrientedGraph) -> GraphMap:
+    return GraphMap(
+        source=graph,
+        target=graph,
+        vertex_map=tuple(range(graph.n_vertices)),
+        edge_images=tuple((i + 1,) for i in range(graph.n_edges)),
+    )
 
 
 # -- integer matrices --------------------------------------------------------
@@ -107,15 +125,15 @@ def relabeling_map(graph: OrientedGraph, sigma: tuple[int, ...]) -> Relabeling:
     return Relabeling(graph, relabeled_graph(graph, sigma), tuple(sigma))
 
 
-def relabel_structure(structure: LttStructure, sigma: tuple[int, ...]) -> LttStructure:
-    rel = relabeling_map(structure.graph, sigma)
-    return LttStructure(
-        graph=rel.target,
-        red_vertices=frozenset(rel.apply_direction(d) for d in structure.red_vertices),
-        turns=frozenset(
-            make_turn(rel.apply_direction(t[0]), rel.apply_direction(t[1]))
-            for t in structure.turns
-        ),
+def inverse(rel: Relabeling) -> Relabeling:
+    return Relabeling(rel.target, rel.source, invert_signed(rel.signed_images))
+
+
+def after(second: Relabeling, first: Relabeling) -> Relabeling:
+    """The composite second . first."""
+    assert first.target == second.source
+    return Relabeling(
+        first.source, second.target, compose_signed(second.signed_images, first.signed_images)
     )
 
 
@@ -123,7 +141,85 @@ def relabel_map(g: GraphMap, sigma: tuple[int, ...]) -> GraphMap:
     """Conjugate a self-map by the relabeling: sigma . g . sigma^{-1}."""
     assert g.is_self_map
     rel = relabeling_map(g.source, sigma)
-    return compose(rel.as_graph_map(), compose(g, rel.inverse().as_graph_map()))
+    return compose(rel.as_graph_map(), compose(g, inverse(rel).as_graph_map()))
+
+
+# -- relabelings pushed past folds -----------------------------------------------
+
+
+def swap_relabeling_fold(rel: Relabeling, move: FoldMove) -> tuple[FoldMove, Relabeling]:
+    """Rewrite (relabel, then fold) as (fold, then relabel), for a fold of
+    any kind.  The replacement fold acts on the relabeling's source, folding
+    the pulled-back directions; the closing relabeling is read off letterwise
+    from the two parallel images of every source direction, then verified by
+    an exact composition check."""
+    assert rel.target == move.source
+    inv = inverse(rel)
+    move2 = apply_fold(
+        rel.source, inv.apply_direction(move.e1), inv.apply_direction(move.e0), move.kind
+    )
+    assignment: dict[int, int] = {}
+    for a in rel.source.directions():
+        lhs = move.map.image_of_direction(rel.apply_direction(a))
+        rhs = move2.map.image_of_direction(a)
+        assert len(lhs) == len(rhs)
+        for x, y in zip(rhs, lhs):
+            assert assignment.setdefault(x, y) == y and assignment.setdefault(-x, -y) == -y
+    signed = tuple(assignment[i + 1] for i in range(move2.target.n_edges))
+    rel2 = Relabeling(move2.target, move.target, signed)
+    assert compose(move.map, rel.as_graph_map()) == compose(rel2.as_graph_map(), move2.map)
+    return move2, rel2
+
+
+def push_permutations(steps: list[FoldMove | Relabeling]) -> FoldSequence:
+    """Normalize an interleaved run of folds and relabelings to folds
+    followed by one final relabeling, preserving the composition exactly."""
+    moves = []
+    rel: Relabeling | None = None  # every relabeling so far, pushed past the folds
+    for item in steps:
+        if isinstance(item, Relabeling):
+            rel = item if rel is None else after(item, rel)
+            continue
+        if rel is not None:
+            item, rel = swap_relabeling_fold(rel, item)
+        moves.append(item)
+    if rel is None:
+        rel = relabeling_from_map(identity_map(moves[-1].target))
+    return FoldSequence(tuple(moves), rel)
+
+
+def sequence_steps(seq: FoldSequence) -> list[FoldMove | Relabeling]:
+    return list(seq.moves) + [seq.final]
+
+
+def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
+    """Decomposition of the p-th power: the k-th copy of the folds is pulled
+    back through the k-th power of the final relabeling."""
+    assert power >= 1
+    sigma = seq.final.signed_images
+    moves = list(seq.moves)
+    graph, acc = seq.final.source, sigma
+    for _ in range(power - 1):
+        for move in seq.moves:
+            moves.append(pull_back(move, acc, graph))
+            graph = moves[-1].target
+        acc = compose_signed(sigma, acc)
+    return FoldSequence(tuple(moves), Relabeling(graph, seq.final.target, acc))
+
+
+def rotate_loop(automaton, loop: DirectedLoop) -> DirectedLoop:
+    """The loop based one fold later: the first fold is pulled through the
+    closing relabeling and appended at the end."""
+    if not loop.folds:
+        return loop
+    inv = invert_signed(loop.closing)
+    e1, e0 = loop.folds[0]
+    pulled = (apply_signed(inv, e1), apply_signed(inv, e0))
+    target_key = transport(automaton.nodes[loop.node_ids[-1]], *pulled)
+    if target_key is None or target_key not in automaton.node_index:
+        raise GraphStructureError("loop rotation left the node set")
+    new_nodes = loop.node_ids[1:] + (automaton.node_index[target_key],)
+    return DirectedLoop(new_nodes, loop.folds[1:] + (pulled,), loop.closing)
 
 
 # -- map documents -------------------------------------------------------------

@@ -8,23 +8,24 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import is_positive, power, transpose
+from oracles import (
+    compose_power,
+    is_positive,
+    power,
+    push_permutations,
+    rotate_loop,
+    sequence_steps,
+    transpose,
+)
 from traintrack.automaton import (
     decomposition_to_loop,
     enumerate_loops,
     loop_to_map,
     node_one_analysis,
-    rotate_loop,
 )
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
 from traintrack.certify import MapAnalysis, fic_check, is_train_track, taken_turn_closure
-from traintrack.folds import (
-    compose_power,
-    rotate,
-    sequence_steps,
-    push_permutations,
-    stallings_decompose,
-)
+from traintrack.folds import rotate, stallings_decompose
 from traintrack.graphs import iterate_map, make_turn
 from traintrack.mapdoc import parse_map_document
 from traintrack.reports import certify_map
@@ -208,17 +209,21 @@ def test_criterion_5_decomposition_roundtrips(automaton, gmap):
         assert seq.composed_map() == g
         base_poly = char_poly(transition_matrix(g))
         base_shape = ideal_whitehead(MapAnalysis(g)).component_sizes()
+        steps = sequence_steps(seq)
         for j in range(len(seq) + 1):
             rotated = rotate(seq, j)
+            # fold conjugation is the general push of the rotated steps
+            assert rotated == push_permutations(steps[j:] + steps[:j])
             m = rotated.composed_map()
             assert char_poly(transition_matrix(m)) == base_poly
             assert ideal_whitehead(MapAnalysis(m)).component_sizes() == base_shape
-        assert push_permutations(sequence_steps(seq)).composed_map() == g
 
     # permutation pushing across powers stays exact
     seq = stallings_decompose(gmap)
     for p in (2, 3):
-        assert compose_power(seq, p).composed_map() == iterate_map(gmap, p)
+        powered = compose_power(seq, p)
+        assert powered == push_permutations(sequence_steps(seq) * p)
+        assert powered.composed_map() == iterate_map(gmap, p)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

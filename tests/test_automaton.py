@@ -6,6 +6,7 @@ import random
 import pytest
 
 import traintrack.automaton as automaton_module
+from oracles import compose_power, rotate_loop
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
@@ -18,19 +19,17 @@ from traintrack.automaton import (
     enumerate_nodes,
     fold_candidates,
     graph_from_groups,
-    key_from_structure,
     loop_to_map,
     node_one_analysis,
     node_profile_errors,
     relabel_key,
-    rotate_loop,
     transport,
 )
 from traintrack.catalog import single_fold_map
 from traintrack.certify import MapAnalysis, taken_turn_closure
 from traintrack.cli import main
 from traintrack.digraph import connected_components, strongly_connected_components
-from traintrack.folds import compose_power, rotate, stallings_decompose
+from traintrack.folds import rotate, stallings_decompose
 from traintrack.graphs import GraphStructureError
 from traintrack.search import _conjugate_by_relabeling
 from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
@@ -80,7 +79,7 @@ def test_class_sizes_partition_nodes(automaton):
 
 
 def test_reference_structure_is_a_node(automaton, gmap):
-    key = key_from_structure(ltt_structure(MapAnalysis(gmap)))
+    key = ltt_structure(MapAnalysis(gmap))
     assert key in automaton.node_index
     assert automaton.node_index[key] == automaton.node_one
 
@@ -151,6 +150,20 @@ def test_power_decompositions_locate_recomposing_loops(automaton, gmap):
             loop = decomposition_to_loop(automaton, rotated)
             _assert_recomposes(automaton, loop, rotated.composed_map())
             assert len(loop.folds) == power
+
+
+def test_decomposition_to_loop_needs_proper_full_folds(
+    automaton, unpullable_sequences, monkeypatch
+):
+    """A sequence with a complete or partial fold is no automaton loop, and
+    its folds are checked before any rotation would pull one back."""
+
+    def no_rotation(*args):
+        raise AssertionError("a sequence with a complete or partial fold was rotated")
+
+    monkeypatch.setattr(automaton_module, "rotate", no_rotation)
+    for seq in unpullable_sequences:
+        assert decomposition_to_loop(automaton, seq) is None
 
 
 def test_loop_rotation_is_sound(automaton, gmap):
@@ -438,7 +451,7 @@ def _brute_force_build(nodes):
     for c1, c2 in quotient_edges:
         adjacency.setdefault(c1, []).append(c2)
     sccs = strongly_connected_components(len(class_members), adjacency)
-    node_one = node_index[key_from_structure(ltt_structure(MapAnalysis(single_fold_map())))]
+    node_one = node_index[ltt_structure(MapAnalysis(single_fold_map()))]
     return {
         "nodes": nodes,
         "node_index": node_index,
@@ -537,10 +550,8 @@ def _scanned_walk_decomposition(automaton, seq):
     base = seq.base_graph
     if sorted(base.valence_profile()) != [3, 3, 4] or base.n_edges != 5:
         return None
-    if any(move.kind != "proper_full" for move in seq.moves):
-        return None
     try:
-        start_key = key_from_structure(ltt_structure(MapAnalysis(seq.composed_map())))
+        start_key = ltt_structure(MapAnalysis(seq.composed_map()))
     except GraphStructureError:
         return None
     match = next(

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import power, rose_graph
+from oracles import identity_map, power, rose_graph
 from traintrack.certify import (
     MapAnalysis,
     default_period_bound,
@@ -24,7 +24,6 @@ from traintrack.certify import (
 from traintrack.graphs import (
     GraphMap,
     GraphStructureError,
-    identity_map,
     iterate_map,
     make_turn,
     taken_turns,

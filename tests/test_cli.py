@@ -81,6 +81,31 @@ def test_certify_non_principal_exit_code(psi, tmp_path, capsys):
     assert "NOT-TRAIN-TRACK" in captured
 
 
+@pytest.mark.parametrize(
+    "text, verdict_before",
+    [
+        # degree 2 on a rank-1 graph
+        ("vertices v\nedge a = v -> v\n\nmap\na -> a a\n", "FULLY-IRREDUCIBLE"),
+        # stretch factor 3, abelianisation of determinant -3
+        ("vertices v\nedge a = v -> v\nedge b = v -> v\n\nmap\na -> a b a\nb -> b a b\n",
+         "NOT-PRINCIPAL"),
+    ],
+)
+def test_certify_rejects_train_track_maps_that_are_not_homotopy_equivalences(
+    text, verdict_before, tmp_path, capsys
+):
+    """Both maps are train track maps that ``certify`` once gave the verdict
+    shown; folding ends in no graph isomorphism, as ``decompose`` finds."""
+    path = tmp_path / "g.map"
+    path.write_text(text, encoding="utf-8")
+    message = "precondition: residual map after folding is not a graph isomorphism\n"
+    for command in ("certify", "decompose"):
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
 def test_certify_parse_error(tmp_path):
     path = tmp_path / "bad.map"
     path.write_text("vertices v\nedge a = v -> v\n\nmap\na -> b\n", encoding="utf-8")
@@ -222,6 +247,9 @@ def test_automaton_build(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "relabeling classes: 17" in captured
+    assert captured.endswith(
+        "reference map's Stallings decomposition: a loop of 1 fold(s) through the reference node\n"
+    )
     text = dot.read_text()
     assert text.startswith("digraph principal_stratum {")
     assert "color=green" in text and "color=black" in text
@@ -239,6 +267,17 @@ def test_automaton_build(tmp_path, capsys):
     assert payload["fold_edges"] == 86400
     assert payload["loop_scc_count"] == 1
     assert payload["reference_analysis"]["entering_folds"] == 4
+
+
+def test_automaton_build_fails_without_the_reference_loop(capsys, monkeypatch):
+    monkeypatch.setattr("traintrack.cli.decomposition_to_loop", lambda automaton, seq: None)
+    assert main(["automaton", "build", "--loop-bound", "1"]) == 4
+    out = capsys.readouterr().out
+    # the residual loops pass, so the exit code comes from the cross-check
+    assert ", all reducible: True\n" in out
+    assert out.endswith(
+        "reference map's Stallings decomposition: no loop through the reference node\n"
+    )
 
 
 def test_automaton_build_fails_at_loop_bound_five(capsys):

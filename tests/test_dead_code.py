@@ -19,7 +19,8 @@ and ``perfbench/``, skipping ``src/traintrack/__init__.py`` because its
 re-exports would count as uses of every exported name.  A name or field that
 only tests reach must be listed, with its reason, in ``TEST_ONLY`` or
 ``TEST_ONLY_FIELDS``; a listed entry that the package does reach fails too.
-Oracles and fixtures that only tests need live in ``tests/oracles.py``.
+Oracles and fixtures that only tests need live in ``tests/oracles.py``, and
+each of its definitions needs a use in another file of ``tests/``.
 
 Names and fields are matched by spelling, not by binding: a use of ``trace``
 anywhere counts for every definition spelled ``trace``.
@@ -33,14 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "perfbench")
 PACKAGE_USERS = ("src/traintrack", "perfbench")
+ORACLES = "tests/oracles.py"
 
 # package entries that only tests reach, each with the reason it stays
-CROSS_CHECK = "fold-decomposition to automaton-loop cross-check of acceptance criteria 4 and 5"
-TEST_ONLY = {
-    "compose_power": CROSS_CHECK,
-    "decomposition_to_loop": CROSS_CHECK,
-    "rotate_loop": CROSS_CHECK,
-}
+TEST_ONLY: dict[str, str] = {}
 TEST_ONLY_FIELDS = {
     "SpectralReport.perron_number": (
         "filled by spectral.perron, a required traced layer of the certify_batch benchmark"
@@ -147,6 +144,14 @@ def unread_fields(root: Path, package_only: bool = False) -> set[str]:
     return {f for f in defined if f.split(".")[1] not in read}
 
 
+def unused_oracles(root: Path) -> set[str]:
+    """Definitions in the oracle module that no other test file uses."""
+    oracles = root / ORACLES
+    defined = definitions(ast.parse(oracles.read_text(), str(oracles)))
+    used = set().union(*map(uses, _trees(root, ["tests"], skip={oracles})))
+    return defined - used
+
+
 def unlisted_and_stale(found: set[str], listed: dict[str, str]) -> tuple[list[str], list[str]]:
     """Found entries missing from the list, and listed entries not found."""
     return sorted(found - listed.keys()), sorted(listed.keys() - found)
@@ -168,6 +173,10 @@ def test_names_only_tests_use_are_listed():
 def test_fields_only_tests_read_are_listed():
     found = unread_fields(ROOT, package_only=True)
     assert unlisted_and_stale(found, TEST_ONLY_FIELDS) == ([], [])
+
+
+def test_oracles_have_test_users():
+    assert sorted(unused_oracles(ROOT)) == []
 
 
 def test_the_guard_separates_definitions_from_uses(tmp_path):
@@ -248,3 +257,16 @@ def test_the_guard_separates_package_users_from_tests(tmp_path):
     assert unlisted_and_stale(found, {}) == (["exported"], [])
     assert unlisted_and_stale(found, {"exported": "an oracle"}) == ([], [])
     assert unlisted_and_stale(found, {"exported": "an oracle", "gone": "stale"}) == ([], ["gone"])
+
+
+def test_the_guard_needs_oracles_used_outside_their_module(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "oracles.py").write_text(
+        "def reference():\n"
+        "    return inner()\n"
+        "def inner():\n"
+        "    pass\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text("from oracles import reference\n")
+    # ``inner`` is called only inside the oracle module
+    assert unused_oracles(tmp_path) == {"inner"}

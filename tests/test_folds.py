@@ -4,27 +4,27 @@ import random
 
 import pytest
 
-from oracles import power, relabeling_map, rose_graph
+from oracles import (
+    after,
+    compose_power,
+    identity_map,
+    power,
+    push_permutations,
+    relabeling_map,
+    rose_graph,
+    sequence_steps,
+    swap_relabeling_fold,
+)
 from traintrack.catalog import single_fold_graph
 from traintrack.folds import (
     FoldMove,
     FoldSequence,
     NotHomotopyEquivalence,
-    _swap_relabeling_fold,
     apply_fold,
-    compose_power,
-    push_permutations,
     rotate,
-    sequence_steps,
     stallings_decompose,
 )
-from traintrack.graphs import (
-    GraphMap,
-    GraphStructureError,
-    compose,
-    identity_map,
-    iterate_map,
-)
+from traintrack.graphs import GraphMap, GraphStructureError, compose, iterate_map
 from traintrack.spectral import char_poly, transition_matrix
 from traintrack.whitehead import Relabeling, relabeling_from_map
 
@@ -147,7 +147,7 @@ def test_fold_sequence_rejects_unchained_steps(gmap):
 def test_push_permutations_single_pair(gmap):
     seq = stallings_decompose(gmap)
     normalized = push_permutations(sequence_steps(seq))
-    assert len(normalized) == len(seq)
+    assert normalized == seq
     assert normalized.composed_map() == gmap
 
 
@@ -195,14 +195,14 @@ def _bubble_push_permutations(steps):
         changed = False
         for i in range(len(work) - 1):
             if isinstance(work[i], Relabeling) and isinstance(work[i + 1], FoldMove):
-                work[i : i + 2] = _swap_relabeling_fold(work[i], work[i + 1])
+                work[i : i + 2] = swap_relabeling_fold(work[i], work[i + 1])
                 changed = True
                 break
     moves = [item for item in work if isinstance(item, FoldMove)]
     rel = None
     for item in work:
         if isinstance(item, Relabeling):
-            rel = item if rel is None else item.after(rel)
+            rel = item if rel is None else after(item, rel)
     if rel is None:
         rel = relabeling_from_map(identity_map(moves[-1].target))
     return FoldSequence(tuple(moves), rel)
@@ -210,7 +210,9 @@ def _bubble_push_permutations(steps):
 
 def test_push_permutations_matches_bubble_oracle(gmap):
     # every rotation of the first three powers of the decompositions of the
-    # rank-3 survivors and of the reference map's 2nd and 3rd powers
+    # rank-3 survivors and of the reference map's 2nd and 3rd powers.  The
+    # step list is periodic, so its rotation by j is the p-th power of the
+    # sequence rotated by j modulo its period, which fold conjugation builds.
     from traintrack.search import single_fold_search
 
     seqs = [stallings_decompose(r.map) for r in single_fold_search(3).survivors]
@@ -221,7 +223,9 @@ def test_push_permutations_matches_bubble_oracle(gmap):
             steps = sequence_steps(seq) * power
             for j in range(len(steps)):
                 rotated = steps[j:] + steps[:j]
-                assert push_permutations(rotated) == _bubble_push_permutations(rotated)
+                pushed = push_permutations(rotated)
+                assert pushed == _bubble_push_permutations(rotated)
+                assert compose_power(rotate(seq, j % (len(seq) + 1)), power) == pushed
                 count += 1
     assert count == 138
 
@@ -232,6 +236,7 @@ def test_compose_power_identity_and_matrix_oracle(gmap):
     m = transition_matrix(gmap)
     for p in (2, 3, 5):
         powered = compose_power(seq, p)
+        assert powered == push_permutations(sequence_steps(seq) * p)
         assert powered.composed_map() == iterate_map(gmap, p)
         assert transition_matrix(powered.composed_map()) == power(m, p)
 
@@ -276,3 +281,14 @@ def test_fold_counts_by_kind(gmap):
     assert proper.target.n_edges == graph.n_edges
     complete = apply_fold(graph, graph.direction_of("b"), graph.direction_of("d"), "complete")
     assert complete.target.n_edges == graph.n_edges - 1
+
+
+def test_rotate_and_power_reject_unpullable_folds(unpullable_sequences):
+    for seq in unpullable_sequences:
+        message = f"cannot pull a {seq.moves[0].kind} fold back"
+        with pytest.raises(GraphStructureError, match=message):
+            rotate(seq, 1)
+        with pytest.raises(GraphStructureError, match=message):
+            compose_power(seq, 2)
+        assert rotate(seq, 0) == seq
+        assert compose_power(seq, 1) == seq

@@ -13,9 +13,17 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import companion_matrix, identity_matrix, is_positive, matmul, power, transpose
+from oracles import (
+    companion_matrix,
+    identity_map,
+    identity_matrix,
+    is_positive,
+    matmul,
+    power,
+    transpose,
+)
 from traintrack.folds import apply_fold
-from traintrack.graphs import compose, identity_map
+from traintrack.graphs import compose
 from traintrack.mapdoc import parse_map_document
 from traintrack.search import build_universe, graph_isomorphisms
 from traintrack.spectral import (

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import relabel_map, relabel_structure, relabeled_graph, relabeling_map
+from oracles import after, identity_map, inverse, relabel_map, relabeled_graph, relabeling_map
+from traintrack.automaton import relabel_key
 from traintrack.certify import MapAnalysis
-from traintrack.graphs import GraphStructureError, compose, gates, identity_map
+from traintrack.graphs import GraphStructureError, compose, gates
 from traintrack.whitehead import (
     IdealWhiteheadGraph,
     WhiteheadGraph,
@@ -96,36 +97,38 @@ def test_is_principal_propagates_fic_failure(block_map):
 
 def test_ltt_structure_reference(gmap):
     graph = gmap.source
-    s = ltt_structure(MapAnalysis(gmap))
-    assert s.red_vertices == frozenset({graph.direction_of("~c")})
-    red_turns = {t for t in s.turns if t[0] in s.red_vertices or t[1] in s.red_vertices}
+    groups, red, turns = ltt_structure(MapAnalysis(gmap))
+    assert red == graph.direction_of("~c")
+    red_turns = {t for t in turns if red in t}
     assert red_turns == {tuple(sorted((graph.direction_of("e"), graph.direction_of("~c"))))}
-    assert len(s.turns) == 10
+    assert len(turns) == 10
+    assert groups == tuple(sorted(tuple(sorted(graph.directions_at(v))) for v in range(3)))
 
 
 def test_ltt_structure_identity_degenerate(gmap):
-    from traintrack.automaton import key_from_structure
-
-    s = ltt_structure(MapAnalysis(identity_map(gmap.source)))
-    assert not s.turns
-    with pytest.raises(GraphStructureError):
-        key_from_structure(s)  # no single red direction
+    # every direction of the identity is periodic, so none is red
+    with pytest.raises(GraphStructureError, match="exactly one red direction"):
+        ltt_structure(MapAnalysis(identity_map(gmap.source)))
 
 
 def test_relabel_identity(gmap):
     s = ltt_structure(MapAnalysis(gmap))
     identity = tuple(range(1, 6))
-    assert relabel_structure(s, identity).exact_key() == s.exact_key()
+    assert relabel_key(s, identity) == s
     assert relabel_map(gmap, identity) == gmap
 
 
 def test_relabel_equivariance(gmap):
-    s = ltt_structure(MapAnalysis(gmap))
+    """The automaton build relies on this: ``ltt_structure`` commutes with
+    relabeling, on the reference map and on the rank-3 survivors."""
+    from traintrack.search import single_fold_search
+
     rng = random.Random(99)
-    for sigma in rng.sample(ALL_SIGMAS, 12):
-        direct = ltt_structure(MapAnalysis(relabel_map(gmap, sigma)))
-        pushed = relabel_structure(s, sigma)
-        assert direct.exact_key() == pushed.exact_key()
+    maps = [gmap] + [r.map for r in single_fold_search(3).survivors]
+    for g in maps:
+        s = ltt_structure(MapAnalysis(g))
+        for sigma in rng.sample(ALL_SIGMAS, 40):
+            assert ltt_structure(MapAnalysis(relabel_map(g, sigma))) == relabel_key(s, sigma)
 
 
 def test_relabel_action_property(gmap):
@@ -135,9 +138,9 @@ def test_relabel_action_property(gmap):
     rng = random.Random(7)
     for _ in range(10):
         sig, tau = rng.sample(ALL_SIGMAS, 2)
-        combined = relabel_structure(s, compose_signed(sig, tau))
-        stepwise = relabel_structure(relabel_structure(s, tau), sig)
-        assert combined.exact_key() == stepwise.exact_key()
+        combined = relabel_key(s, compose_signed(sig, tau))
+        stepwise = relabel_key(relabel_key(s, tau), sig)
+        assert combined == stepwise
 
 
 def test_relabelings_match_direct_definitions(gmap):
@@ -154,10 +157,10 @@ def test_relabelings_match_direct_definitions(gmap):
         for d in graph.directions():
             image = rel.signed_images[abs(d) - 1]
             assert rel.apply_direction(d) == (image if d > 0 else -image)
-            assert rel.inverse().apply_direction(rel.apply_direction(d)) == d
+            assert inverse(rel).apply_direction(rel.apply_direction(d)) == d
         # tau after sigma, both as relabelings out of the relabeled graphs
         rel2 = relabeling_map(rel.target, tau)
-        composite = rel2.after(rel)
+        composite = after(rel2, rel)
         assert composite.signed_images == tuple(
             rel2.apply_direction(s) for s in rel.signed_images
         )
@@ -181,23 +184,11 @@ def test_decomposition_relabeling_commutes(gmap):
     sigma = seq.final.signed_images
     conj = relabel_map(gmap, sigma)
     s, s_conj = ltt_structure(MapAnalysis(gmap)), ltt_structure(MapAnalysis(conj))
-    assert relabel_structure(s, sigma).exact_key() == s_conj.exact_key()
-
-
-def test_exact_key_distinguishes_red_edge(gmap):
-    graph = gmap.source
-    s = ltt_structure(MapAnalysis(gmap))
-    # move the red edge to a different purple attachment
-    red = graph.direction_of("~c")
-    old = tuple(sorted((graph.direction_of("e"), red)))
-    new = tuple(sorted((graph.direction_of("b"), red)))
-    turns = (s.turns - {old}) | {new}
-    other = s.__class__(graph=s.graph, red_vertices=s.red_vertices, turns=frozenset(turns))
-    assert s.exact_key() != other.exact_key()
+    assert relabel_key(s, sigma) == s_conj
 
 
 def test_relabeling_map_validates(gmap):
     rel = relabeling_map(gmap.source, (1, 2, 3, 5, 4))
     assert rel.target.edge_names == rel.source.edge_names
     assert rel.as_graph_map().is_isomorphism()
-    assert rel.after(rel.inverse()).signed_images != None  # composes
+    assert after(rel, inverse(rel)).signed_images == (1, 2, 3, 4, 5)
