@@ -26,6 +26,13 @@ a spanning tree of the group.  Folds are transported and stored at the
 class representatives only: a node ``sigma . rep`` has the folds of its
 representative moved by sigma, and the fold-edge and quotient-edge counts
 follow by orbit-stabiliser.
+
+Residual loops share their fold walks: the loops of one walk differ only in
+the closing relabeling, and walks share prefixes.  ``node_one_analysis``
+owns a memo of composed fold prefixes for the length of one call and hands
+it to ``loop_to_map`` for each loop, so each prefix is folded and composed
+once per analysis.  The memo is never module-level: two analyses of one
+automaton fold the same walks again.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 from .catalog import single_fold_map
 from .digraph import carries_cycle, connected_components, strongly_connected_components
 from .folds import FoldSequence, apply_fold, rotate
-from .graphs import GraphMap, GraphStructureError, OrientedGraph
+from .graphs import GraphMap, GraphStructureError, OrientedGraph, compose
 from .spectral import is_irreducible, transition_matrix
 from .certify import MapAnalysis
 from .whitehead import (
@@ -460,12 +467,14 @@ def enumerate_loops(
     automaton: Automaton, max_length: int, start_nodes: list[int] | None = None
 ) -> list[DirectedLoop]:
     """All fold loops of length <= max_length based at the given exact nodes
-    (class representatives by default), with every closing relabeling."""
+    (class representatives by default), with every closing relabeling.
+    Each node's folds are read once per call."""
     if max_length < 0:
         raise GraphStructureError("loop length bound must be nonnegative")
     if start_nodes is None:
         start_nodes = list(automaton.class_rep)
     out: list[DirectedLoop] = []
+    out_folds: dict[int, list[tuple[int, int, int]]] = {}
 
     def extend(path_nodes: list[int], path_folds: list[tuple[int, int]]):
         current = path_nodes[-1]
@@ -476,7 +485,10 @@ def enumerate_loops(
                 )
         if len(path_folds) == max_length:
             return
-        for e1, e0, target in automaton.out_folds(current):
+        folds = out_folds.get(current)
+        if folds is None:
+            folds = out_folds[current] = automaton.out_folds(current)
+        for e1, e0, target in folds:
             extend(path_nodes + [target], path_folds + [(e1, e0)])
 
     for start in start_nodes:
@@ -484,18 +496,38 @@ def enumerate_loops(
     return out
 
 
-def loop_to_map(automaton: Automaton, loop: DirectedLoop) -> GraphMap:
+def loop_to_map(
+    automaton: Automaton, loop: DirectedLoop, walks: dict | None = None
+) -> GraphMap:
     """Compose a directed loop into a graph self-map, folds first and the
-    closing relabeling last."""
-    graph = graph_from_groups(automaton.nodes[loop.node_ids[0]][0])
-    steps = []
-    current = graph
-    for e1, e0 in loop.folds:
-        move = apply_fold(current, e1, e0, "proper_full")
-        steps.append(move)
+    closing relabeling last, in the order of ``FoldSequence.composed_map``.
+
+    ``walks`` is a memo owned by the caller, mapping ``(start node, fold
+    prefix)`` to ``(base graph, composed fold map, current graph)``.  The
+    longest stored prefix of the loop is extended one fold and one
+    composition at a time, and every new prefix is stored; the closing
+    relabeling is built and composed for each loop.  The map is the same
+    with or without the memo.  The caller decides how long the memo lives;
+    ``node_one_analysis`` keeps one per call.
+    """
+    if walks is None:
+        walks = {}
+    start, folds = loop.node_ids[0], loop.folds
+    k = len(folds)
+    while k and (start, folds[:k]) not in walks:
+        k -= 1
+    if k:
+        base, composed, current = walks[start, folds[:k]]
+    else:
+        base = current = graph_from_groups(automaton.nodes[start][0])
+        composed = None
+    for j in range(k, len(folds)):
+        move = apply_fold(current, *folds[j], "proper_full")
+        composed = move.map if composed is None else compose(move.map, composed)
         current = move.target
-    closing = Relabeling(current, graph, loop.closing)
-    return FoldSequence(tuple(steps), closing).composed_map()
+        walks[start, folds[: j + 1]] = (base, composed, current)
+    closing = Relabeling(current, base, loop.closing).as_graph_map()
+    return closing if composed is None else compose(closing, composed)
 
 
 def decomposition_to_loop(
@@ -552,6 +584,7 @@ def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop
 @dataclass(frozen=True)
 class NodeOneAnalysis:
     node_one_class: int
+    loop_bound: int  # the longest residual loop composed
     removed_scc_classes: tuple[int, ...]  # the loop component before removal
     residual_loop_classes: tuple[int, ...]  # loop-carrying classes after removal
     also_disconnected: tuple[int, ...]  # classes that leave the loop part with it
@@ -579,9 +612,13 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     Composes every directed loop of fold-length up to the bound confined to
     the residual loop component and counts those with a reducible
     transition matrix; ``obstruction_holds`` says only that all of them are
-    reducible up to that bound (at bound 5 some are not).  Also counts the
-    folds entering the reference node and reports the underlying graphs
-    involved.
+    reducible up to ``loop_bound``, which the result records (at bound 5
+    some are not).  Also counts the folds entering the reference node and
+    reports the underlying graphs involved.
+
+    The loops are composed through one memo of fold prefixes that this call
+    creates and drops, so each shared prefix is folded once per call and a
+    repeated analysis does its work again.
     """
     node_one_class = automaton.class_of[automaton.node_one]
     removed_scc = tuple(
@@ -611,8 +648,9 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
         for lp in enumerate_loops(automaton, loop_bound, start_nodes=reps)
         if all(automaton.class_of[n] in residual_set for n in lp.node_ids)
     ]
+    walks: dict = {}
     reducible = sum(
-        not is_irreducible(transition_matrix(loop_to_map(automaton, lp))) for lp in loops
+        not is_irreducible(transition_matrix(loop_to_map(automaton, lp, walks))) for lp in loops
     )
 
     entering = automaton.folds_into(automaton.node_one)
@@ -622,6 +660,7 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
 
     return NodeOneAnalysis(
         node_one_class=node_one_class,
+        loop_bound=loop_bound,
         removed_scc_classes=removed_scc,
         residual_loop_classes=residual_classes,
         also_disconnected=also_disconnected,
@@ -663,7 +702,7 @@ def automaton_to_dot(automaton: Automaton) -> str:
 
 def automaton_json(automaton: Automaton, analysis: "NodeOneAnalysis | None" = None) -> dict:
     out = {
-        "schema": "2",
+        "schema": "3",
         "kind": "automaton",
         "nodes": len(automaton.nodes),
         "fold_edges": automaton.n_fold_edges,
@@ -675,6 +714,7 @@ def automaton_json(automaton: Automaton, analysis: "NodeOneAnalysis | None" = No
     }
     if analysis is not None:
         out["reference_analysis"] = {
+            "loop_bound": analysis.loop_bound,
             "loop_component_classes": len(analysis.removed_scc_classes),
             "residual_loop_classes": len(analysis.residual_loop_classes),
             "also_disconnected": len(analysis.also_disconnected),

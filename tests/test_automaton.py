@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -214,6 +216,7 @@ def test_node_one_analysis_is_bounded(automaton):
     # "all reducible" holds up to length 4 only: at length 5, 260 of the
     # residual loops compose to irreducible transition matrices
     analysis = node_one_analysis(automaton, loop_bound=5)
+    assert analysis.loop_bound == 5
     assert analysis.loops_checked == 2352
     assert analysis.loops_reducible == 2092
     assert not analysis.obstruction_holds
@@ -286,6 +289,84 @@ def test_loops_to_junk_maps_fail_fic(automaton):
     for loop in loops[:40]:
         m = loop_to_map(automaton, loop)
         assert not fic_check(MapAnalysis(m)).passed
+
+
+# (loop count, sha256 of the repr of the loop list) from the residual class
+# representatives, as enumerated before each node's folds were read once per call
+RESIDUAL_LOOP_LISTS = {
+    4: (748, "865205ef4a187efa87799f5fdfc3e3ba9fbbb2e964e6cb061e5b8fbec8850c77"),
+    5: (2432, "c21bba4666664670c3f25541ba6260418a854e4919d8ee86771d5265b31b6337"),
+}
+
+
+def _residual_reps(automaton):
+    residual = node_one_analysis(automaton, loop_bound=0).residual_loop_classes
+    return [automaton.class_rep[c] for c in residual]
+
+
+@pytest.mark.parametrize("bound, folds_read", [(4, 264), (5, 641)])
+def test_enumerate_loops_reads_each_node_once(automaton, monkeypatch, bound, folds_read):
+    reps = _residual_reps(automaton)
+    read = Counter()
+    out_folds = automaton_module.Automaton.out_folds
+
+    def counted(self, node_id):
+        read[node_id] += 1
+        return out_folds(self, node_id)
+
+    monkeypatch.setattr(automaton_module.Automaton, "out_folds", counted)
+    loops = enumerate_loops(automaton, bound, start_nodes=reps)
+    count, digest = RESIDUAL_LOOP_LISTS[bound]
+    assert len(loops) == count
+    assert hashlib.sha256(repr(loops).encode()).hexdigest() == digest
+    assert len(read) == folds_read
+    assert set(read.values()) == {1}
+
+
+def _assert_shared_walks_compose_like_fresh_loops(automaton, loops):
+    walks: dict = {}
+    for loop in loops:
+        assert loop_to_map(automaton, loop, walks) == loop_to_map(automaton, loop)
+
+
+@pytest.mark.parametrize("bound", [4, 5])
+def test_shared_walks_compose_like_fresh_loops(automaton, bound):
+    loops = enumerate_loops(automaton, bound, start_nodes=_residual_reps(automaton))
+    assert len(loops) == RESIDUAL_LOOP_LISTS[bound][0]
+    _assert_shared_walks_compose_like_fresh_loops(automaton, loops)
+
+
+def test_shared_walks_keep_start_nodes_apart(automaton):
+    # from all class representatives, two fold prefixes start on different
+    # graphs, so a memo keyed by the folds alone would mix their walks
+    loops = enumerate_loops(automaton, 3)
+    starts = {}
+    for loop in loops:
+        for k in range(1, len(loop.folds) + 1):
+            starts.setdefault(loop.folds[:k], set()).add(automaton.nodes[loop.node_ids[0]][0])
+    assert sum(len(graphs) > 1 for graphs in starts.values()) == 2
+    _assert_shared_walks_compose_like_fresh_loops(automaton, loops)
+
+
+def test_node_one_analysis_folds_each_prefix_once(automaton, monkeypatch):
+    # 732 loops along 180 fold walks with 275 distinct prefixes: one fold per
+    # prefix, one composition per prefix beyond the first fold, and one
+    # closing composition per loop
+    calls = Counter()
+    for name in ("loop_to_map", "apply_fold", "compose"):
+        fn = getattr(automaton_module, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(automaton_module, name, counted)
+    analysis = node_one_analysis(automaton, loop_bound=4)
+    assert analysis.loops_checked == analysis.loops_reducible == 732
+    assert calls == {"loop_to_map": 732, "apply_fold": 275, "compose": 986}
+    # a second analysis folds its walks again
+    node_one_analysis(automaton, loop_bound=4)
+    assert calls == {"loop_to_map": 1464, "apply_fold": 550, "compose": 1972}
 
 
 def test_rank_four_rejected():

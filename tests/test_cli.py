@@ -262,11 +262,12 @@ def test_automaton_build(tmp_path, capsys):
     assert code2 == 0
     assert (tmp_path / "b.dot").read_text() == text
     payload = json.loads(out_json.read_text())
-    assert payload["schema"] == "2"
+    assert payload["schema"] == "3"
     assert payload["classes"] == 17
     assert payload["fold_edges"] == 86400
     assert payload["loop_scc_count"] == 1
     assert payload["reference_analysis"]["entering_folds"] == 4
+    assert payload["reference_analysis"]["loop_bound"] == 2
 
 
 def test_automaton_build_fails_without_the_reference_loop(capsys, monkeypatch):
