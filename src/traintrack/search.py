@@ -44,28 +44,29 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
     The slots (u, v), u <= v, are filled in order, so all slots of vertex
     u - 1 are filled by slot (u, u): a branch ends there if u - 1 has degree left.
 
-    Pruning rule: for consecutive vertices j, j+1 (j >= 1) of equal degree,
-    the number of edges from vertex 0 to j is at least the number to j+1.
-    The slots (0, j) are filled first and in order of j, so the rule caps
-    each count by the previous one and pruned subtrees are never entered.
+    Pruning rule, per column pair: for consecutive vertices v - 1, v
+    (v - 1 >= 1) of equal degree, while rows 0..u-1 agree on columns v - 1
+    and v, the count at slot (u, v), u < v - 1, is at most the count at
+    (u, v - 1).  That slot is the one just before (u, v), so its count is
+    already chosen; one "still tied" flag per column pair records whether
+    the rows above agree, and clears in the branches that choose a strictly
+    smaller count.  Pruned subtrees are never entered.
 
-    Completeness: every labelled graph with this degree sequence becomes one
-    that obeys the rule after a permutation of vertices 1..m-1 preserving
-    degrees (sort each run of equal degrees by multiplicity to vertex 0,
-    largest first).  So every isomorphism class, and every class up to
-    permutations fixing vertex 0, keeps at least one labelled member.
+    Completeness: swapping v - 1 and v exchanges the slots (u, v - 1) and
+    (u, v), u < v - 1, and these come before every other slot it moves.  So
+    the member of each orbit under the degree-preserving permutations of
+    vertices 1..m-1 whose counts, read in slot order, are lexicographically
+    largest obeys every column rule.  Every isomorphism class, and every
+    class up to permutations fixing vertex 0, keeps at least one labelled
+    member, and the list is an ordered subsequence of the unpruned one.
     """
     m = len(degrees)
     slots = [(u, v) for u in range(m) for v in range(u, m)]
     out: list[tuple[tuple[int, int], ...]] = []
+    tied = [v >= 2 and degrees[v] == degrees[v - 1] for v in range(m)]
+    counts = [0] * len(slots)
 
-    def rec(
-        idx: int,
-        residual: tuple[int, ...],
-        chosen: tuple[tuple[int, int], ...],
-        previous: int,
-    ):
-        # previous: the count chosen at slot idx - 1
+    def rec(idx: int, residual: tuple[int, ...], chosen: tuple[tuple[int, int], ...]):
         if idx == len(slots):
             if not any(residual):
                 out.append(chosen)
@@ -74,15 +75,21 @@ def _enumerate_degree_graphs(degrees: tuple[int, ...]):
         if u == v and u and residual[u - 1]:
             return
         cap = residual[u] // 2 if u == v else min(residual[u], residual[v])
-        if u == 0 and v >= 2 and degrees[v] == degrees[v - 1]:
-            cap = min(cap, previous)
+        capped = u < v - 1 and tied[v]
+        if capped:
+            cap = min(cap, counts[idx - 1])
         res = list(residual)
         for count in range(cap + 1):
-            rec(idx + 1, tuple(res), chosen + ((u, v),) * count, count)
+            counts[idx] = count
+            if capped:
+                tied[v] = count == counts[idx - 1]
+            rec(idx + 1, tuple(res), chosen + ((u, v),) * count)
             res[u] -= 1  # a loop (u == v) takes two from the same vertex
             res[v] -= 1
+        if capped:
+            tied[v] = True
 
-    rec(0, tuple(degrees), (), 0)
+    rec(0, tuple(degrees), ())
     return out
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +23,12 @@ from traintrack.search import (
     _enumerate_degree_graphs,
     _multiplicities,
     _search_one_graph,
+    _universe,
 )
 from traintrack.whitehead import Relabeling
 
 # frozen universe sizes (rank: iso classes), cross-checked below with networkx
-GOLDEN_UNIVERSE_SIZES = {3: 5, 4: 30, 5: 193}
+GOLDEN_UNIVERSE_SIZES = {3: 5, 4: 30, 5: 193, 6: 1496}
 
 
 def test_universe_rank3(gmap):
@@ -53,45 +55,51 @@ def test_universe_rank4():
     assert all(g.valence_profile() == (3, 3, 3, 3, 4) for g in universe.graphs)
 
 
-def test_universe_isomorph_free_rank3_networkx():
-    # independent grouping oracle via VF2 on multigraphs
-    nx = pytest.importorskip("networkx")
-    raw = [
-        e
-        for e in _enumerate_degree_graphs((4, 3, 3))
-        if len(connected_components(range(3), e)) == 1
+def _connected_enumeration(degrees):
+    m = len(degrees)
+    return [
+        e for e in _enumerate_degree_graphs(degrees)
+        if len(connected_components(range(m), e)) == 1
     ]
-    reps: list = []
-    for edges in raw:
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(3))
-        g.add_edges_from(edges)
-        for rep in reps:
-            if nx.is_isomorphic(g, rep):
-                break
-        else:
-            reps.append(g)
-    assert len(reps) == GOLDEN_UNIVERSE_SIZES[3]
+
+
+def _networkx_classes(nx, m, edge_lists):
+    """Independent grouping oracle: one representative per isomorphism class,
+    by VF2 within buckets of equal Weisfeiler-Lehman hash.  Each multigraph
+    becomes a simple graph whose edges carry their multiplicity (loops too),
+    and both the hash and the isomorphism test read it."""
+    match = nx.algorithms.isomorphism.numerical_edge_match("mult", 0)
+    buckets: dict[str, list] = {}
+    for ends in edge_lists:
+        g = nx.Graph()
+        g.add_nodes_from(range(m))
+        for (u, w), n in Counter(tuple(sorted(e)) for e in ends).items():
+            g.add_edge(u, w, mult=n)
+        bucket = buckets.setdefault(nx.weisfeiler_lehman_graph_hash(g, edge_attr="mult"), [])
+        if not any(nx.is_isomorphic(g, rep, edge_match=match) for rep in bucket):
+            bucket.append(g)
+    return [g for bucket in buckets.values() for g in bucket]
+
+
+def test_universe_isomorph_free_rank3_networkx():
+    nx = pytest.importorskip("networkx")
+    raw = _connected_enumeration((4, 3, 3))
+    assert len(_networkx_classes(nx, 3, raw)) == GOLDEN_UNIVERSE_SIZES[3]
 
 
 def test_universe_isomorph_free_rank4_networkx():
     nx = pytest.importorskip("networkx")
-    raw = [
-        e
-        for e in _enumerate_degree_graphs((4, 3, 3, 3, 3))
-        if len(connected_components(range(5), e)) == 1
-    ]
-    reps: list = []
-    for edges in raw:
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(5))
-        g.add_edges_from(edges)
-        for rep in reps:
-            if nx.is_isomorphic(g, rep):
-                break
-        else:
-            reps.append(g)
-    assert len(reps) == GOLDEN_UNIVERSE_SIZES[4]
+    raw = _connected_enumeration((4, 3, 3, 3, 3))
+    assert len(_networkx_classes(nx, 5, raw)) == GOLDEN_UNIVERSE_SIZES[4]
+
+
+def test_universe_isomorph_free_rank5_networkx():
+    # the pruned enumeration still meets all 193 classes, by an oracle that
+    # never calls the canonical form
+    nx = pytest.importorskip("networkx")
+    raw = _connected_enumeration((4,) + (3,) * 6)
+    assert len(raw) == 429
+    assert len(_networkx_classes(nx, 7, raw)) == GOLDEN_UNIVERSE_SIZES[5]
 
 
 def test_universe_pairwise_non_isomorphic_rank5():
@@ -101,24 +109,21 @@ def test_universe_pairwise_non_isomorphic_rank5():
         _canonical_multigraph(7, _normalized_edges(g)) for g in universe.graphs
     }
     assert len(canons) == GOLDEN_UNIVERSE_SIZES[5]
-    # independent of the canonical form: VF2 on every pair
+    # independent of the canonical form: graphs with different WL hashes are
+    # not isomorphic, and VF2 separates every pair with the same hash
     nx = pytest.importorskip("networkx")
-    multigraphs = []
-    for graph in universe.graphs:
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(graph.n_vertices))
-        g.add_edges_from(graph.ends)
-        multigraphs.append(g)
-    for a, b in itertools.combinations(multigraphs, 2):
-        assert not nx.is_isomorphic(a, b)
+    classes = _networkx_classes(nx, 7, [g.ends for g in universe.graphs])
+    assert len(classes) == GOLDEN_UNIVERSE_SIZES[5]
 
 
-# sha256 of repr(tuple(g.ends for g in graphs)), first 16 hex digits, as the
-# unpruned enumeration produced them: pins both the classes and their order
+# sha256 of repr(tuple(g.ends for g in graphs)), first 16 hex digits: pins
+# both the classes and their order.  Ranks 3-5 and the trivalent universe are
+# as the unpruned enumeration produced them; rank 6 is checked with networkx
 GOLDEN_UNIVERSE_DIGESTS = {
     3: "fe1bc314f4abe1d0",
     4: "acf314c806504c45",
     5: "f14ac890f50b5ede",
+    6: "0c9a64920bc3a7ae",
     "trivalent": "923d1706b86ebfe0",
 }
 
@@ -131,6 +136,18 @@ def _ends_digest(graphs) -> str:
 @pytest.mark.parametrize("rank", [3, 4, 5])
 def test_universe_pinned(rank):
     assert _ends_digest(build_universe(rank).graphs) == GOLDEN_UNIVERSE_DIGESTS[rank]
+
+
+def test_universe_rank6_networkx():
+    # beyond the ranks build_universe serves: 1,496 connected (4,3^8)-graphs,
+    # none isomorphic to another by VF2 within WL-hash buckets
+    nx = pytest.importorskip("networkx")
+    graphs = _universe((4,) + (3,) * 8)
+    assert len(graphs) == GOLDEN_UNIVERSE_SIZES[6]
+    assert all(g.valence_profile() == (3,) * 8 + (4,) and g.is_connected() for g in graphs)
+    assert _ends_digest(graphs) == GOLDEN_UNIVERSE_DIGESTS[6]
+    classes = _networkx_classes(nx, 9, [g.ends for g in graphs])
+    assert len(classes) == GOLDEN_UNIVERSE_SIZES[6]
 
 
 def test_trivalent_universe_pinned():
@@ -148,7 +165,8 @@ def test_trivalent_universe():
 
 def _capacity_enumerate_degree_graphs(degrees):
     """Reference: the enumeration that, after every count, scans all vertices
-    against tables of the vertices and degree capacity the later slots reach."""
+    against tables of the vertices and degree capacity the later slots reach,
+    and breaks symmetry only by multiplicity to vertex 0 (row 0)."""
     m = len(degrees)
     slots = [(u, v) for u in range(m) for v in range(u, m)]
     future = [set() for _ in range(len(slots) + 1)]
@@ -193,18 +211,36 @@ def _capacity_enumerate_degree_graphs(degrees):
 
 
 UNIVERSE_DEGREES = [(4, 3, 3), (4, 3, 3, 3, 3), (4,) + (3,) * 6, (3, 3, 3, 3)]
+# labelled graphs the pruned enumeration lists (the reference lists 7, 132,
+# 9,935 and 16)
+PRUNED_ENUMERATION_SIZES = dict(zip(UNIVERSE_DEGREES, [7, 62, 708, 14]))
+
+
+def _assert_pruned_subsequence_with_same_classes(degrees):
+    """The pruned list is an ordered subsequence of the reference, and both
+    meet the same isomorphism classes (canonical form over all vertex
+    permutations, not seeded by valence)."""
+    pruned = _enumerate_degree_graphs(degrees)
+    reference = _capacity_enumerate_degree_graphs(degrees)
+    remaining = iter(reference)
+    assert all(edges in remaining for edges in pruned)
+    m = len(degrees)
+    assert {_fixed_canonical_multigraph(m, e, ()) for e in pruned} == {
+        _fixed_canonical_multigraph(m, e, ()) for e in reference
+    }
+    return pruned
 
 
 @pytest.mark.parametrize("degrees", UNIVERSE_DEGREES)
 def test_enumeration_matches_capacity_tables(degrees):
-    assert _enumerate_degree_graphs(degrees) == _capacity_enumerate_degree_graphs(degrees)
+    pruned = _assert_pruned_subsequence_with_same_classes(degrees)
+    assert len(pruned) == PRUNED_ENUMERATION_SIZES[degrees]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 4), max_size=5).filter(lambda d: sum(d) % 2 == 0))
 def test_enumeration_matches_capacity_tables_random(degrees):
-    degrees = tuple(degrees)
-    assert _enumerate_degree_graphs(degrees) == _capacity_enumerate_degree_graphs(degrees)
+    _assert_pruned_subsequence_with_same_classes(tuple(degrees))
 
 
 def _fixed_canonical_multigraph(m, edges, fixed):
@@ -242,8 +278,10 @@ def test_valence_seeded_canonical_form_matches_fixed_vertices(degrees):
     # colours as fixing vertex 0 did; the trivalent graphs fixed none
     m = len(degrees)
     fixed = (0,) if degrees[0] == 4 else ()
+    # the unpruned reference, so all 4,080 connected graphs at rank 5 are
+    # checked, not only the 429 the pruned enumeration keeps
     connected = [
-        edges for edges in _enumerate_degree_graphs(degrees)
+        edges for edges in _capacity_enumerate_degree_graphs(degrees)
         if len(connected_components(range(m), edges)) == 1
     ]
     assert connected
