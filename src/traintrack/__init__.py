@@ -38,7 +38,6 @@ from .certify import (
 )
 from .whitehead import (
     IdealWhiteheadGraph,
-    Relabeling,
     ideal_whitehead,
     is_principal,
     ltt_structure,

@@ -43,11 +43,17 @@ from dataclasses import dataclass
 from .catalog import single_fold_map
 from .digraph import carries_cycle, connected_components, strongly_connected_components
 from .folds import FoldSequence, apply_fold, rotate
-from .graphs import GraphMap, GraphStructureError, OrientedGraph, compose
+from .graphs import (
+    GraphMap,
+    GraphStructureError,
+    OrientedGraph,
+    compose,
+    relabeling,
+    signed_images,
+)
 from .spectral import is_irreducible, transition_matrix
 from .certify import MapAnalysis
 from .whitehead import (
-    Relabeling,
     apply_signed,
     canonical_groups,
     canonical_turns,
@@ -526,7 +532,7 @@ def loop_to_map(
         composed = move.map if composed is None else compose(move.map, composed)
         current = move.target
         walks[start, folds[: j + 1]] = (base, composed, current)
-    closing = Relabeling(current, base, loop.closing).as_graph_map()
+    closing = relabeling(current, base, loop.closing)
     return closing if composed is None else compose(closing, composed)
 
 
@@ -572,7 +578,7 @@ def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop
         node_ids.append(automaton.node_index[key])
     # The decomposition's own relabeling must close the walk: it is the one
     # known to recompose to the input, so no other closing relabeling is tried.
-    closing = seq.final.signed_images
+    closing = signed_images(seq.final)
     if relabel_key(key, closing) != start_key:
         return None
     return DirectedLoop(tuple(node_ids), tuple((m.e1, m.e0) for m in seq.moves), closing)

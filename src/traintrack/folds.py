@@ -8,8 +8,9 @@ proper full fold when one image is a prefix of the other, and a partial fold
 (subdivide, then fold) otherwise.  Each move factors the residual map
 exactly, so composing the produced sequence reproduces the input bit for bit.
 
-A relabeling followed by a proper full fold of (e1, e0) equals the fold of
-the pulled-back directions followed by a relabeling with the same signed
+The closing isomorphism, or relabeling, is a ``GraphMap``.  A relabeling
+followed by a proper full fold of (e1, e0) equals the fold of the
+pulled-back directions followed by a relabeling with the same signed
 images, so rotating a sequence of proper full folds needs no map-level work.
 """
 
@@ -24,9 +25,11 @@ from .graphs import (
     OrientedGraph,
     common_prefix_length,
     compose,
+    relabeling,
     reverse_path,
+    signed_images,
 )
-from .whitehead import Relabeling, apply_signed, invert_signed, relabeling_from_map
+from .whitehead import apply_signed, invert_signed
 
 
 class NotHomotopyEquivalence(GraphStructureError):
@@ -171,10 +174,11 @@ def apply_fold(
 
 @dataclass(frozen=True)
 class FoldSequence:
-    """An ordered run of folds plus a final relabeling isomorphism."""
+    """An ordered run of folds plus a final relabeling: a graph isomorphism,
+    held as a ``GraphMap``."""
 
     moves: tuple[FoldMove, ...]
-    final: Relabeling
+    final: GraphMap
 
     def __post_init__(self) -> None:
         for a, b in zip(self.moves, self.moves[1:]):
@@ -182,6 +186,8 @@ class FoldSequence:
                 raise GraphStructureError("fold sequence graphs do not chain")
         if self.moves and self.moves[-1].target != self.final.source:
             raise GraphStructureError("final relabeling does not chain")
+        if not self.final.is_isomorphism():
+            raise GraphStructureError("final map is not a graph isomorphism")
 
     @property
     def base_graph(self) -> OrientedGraph:
@@ -195,14 +201,16 @@ class FoldSequence:
         m = None
         for move in self.moves:
             m = move.map if m is None else compose(move.map, m)
-        fin = self.final.as_graph_map()
-        return fin if m is None else compose(fin, m)
+        return self.final if m is None else compose(self.final, m)
 
     def describe(self) -> str:
         lines = [f"{len(self.moves)} fold(s)"]
         for k, move in enumerate(self.moves):
             lines.append(f"  {k + 1}. {move.describe()}")
-        lines.append(f"  relabeling: {self.final.describe()}")
+        fin = self.final
+        pairs = zip(fin.source.edge_names, fin.edge_images)
+        images = ", ".join(f"{e}->{fin.target.path_name(im)}" for e, im in pairs)
+        lines.append(f"  relabeling: {images}")
         return "\n".join(lines)
 
 
@@ -248,7 +256,7 @@ def stallings_decompose(g: GraphMap) -> FoldSequence:
         raise NotHomotopyEquivalence(
             "residual map after folding is not a graph isomorphism", residual
         )
-    seq = FoldSequence(tuple(moves), relabeling_from_map(residual))
+    seq = FoldSequence(tuple(moves), residual)
     if seq.composed_map() != g:
         raise GraphStructureError("internal error: decomposition does not recompose")
     return seq
@@ -322,10 +330,10 @@ def rotate(seq: FoldSequence, j: int) -> FoldSequence:
         raise GraphStructureError("rotation index out of range")
     if j == 0:
         return seq
-    sigma = seq.final.signed_images
+    sigma = signed_images(seq.final)
     moves = list(seq.moves[j:])
     graph = seq.final.source
     for move in seq.moves[:j]:
         moves.append(pull_back(move, sigma, graph))
         graph = moves[-1].target
-    return FoldSequence(tuple(moves), Relabeling(graph, seq.moves[j - 1].target, sigma))
+    return FoldSequence(tuple(moves), relabeling(graph, seq.moves[j - 1].target, sigma))

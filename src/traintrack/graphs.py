@@ -245,23 +245,40 @@ class GraphMap:
         return all(is_tight(im) for im in self.edge_images)
 
     def is_isomorphism(self) -> bool:
-        """True iff the map is a label-level graph isomorphism."""
-        if self.source.n_edges != self.target.n_edges:
-            return False
-        if self.source.n_vertices != self.target.n_vertices:
-            return False
-        if len(set(self.vertex_map)) != len(self.vertex_map):
-            return False
-        if any(len(im) != 1 for im in self.edge_images):
-            return False
-        hit = {abs(im[0]) for im in self.edge_images}
-        return len(hit) == self.source.n_edges
+        """True iff the map is a label-level graph isomorphism: a vertex
+        bijection sending each edge to one direction of a distinct edge."""
+        s, t = self.source, self.target
+        hit = {abs(im[0]) for im in self.edge_images if len(im) == 1}
+        vertex_bijection = s.n_vertices == t.n_vertices == len(set(self.vertex_map))
+        return vertex_bijection and s.n_edges == t.n_edges == len(hit)
 
     def describe(self) -> str:
         lines = []
         for i, image in enumerate(self.edge_images):
             lines.append(f"{self.source.edge_names[i]} -> {self.target.path_name(image)}")
         return "\n".join(lines)
+
+
+def relabeling(source: OrientedGraph, target: OrientedGraph, signed: tuple[int, ...]) -> GraphMap:
+    """The isomorphism sending source edge ``i`` to the signed direction
+    ``signed[i]``: each vertex goes where its first direction's image starts,
+    and the ``GraphMap`` checks every edge against that.  Raises
+    ``GraphStructureError`` unless the result is a graph isomorphism."""
+    try:
+        vertex_map = tuple(
+            target.initial_vertex(signed[d - 1] if d > 0 else -signed[-d - 1])
+            for d in (ds[0] for ds in source._directions_at)
+        )
+    except (IndexError, KeyError):
+        raise GraphStructureError("relabeling images are not target directions") from None
+    m = GraphMap(source, target, vertex_map, tuple((s,) for s in signed))
+    if not m.is_isomorphism():
+        raise GraphStructureError("relabeling is not a graph isomorphism")
+    return m
+
+
+def signed_images(m: GraphMap) -> tuple[int, ...]:
+    return tuple(im[0] for im in m.edge_images)
 
 
 def compose(g: GraphMap, f: GraphMap) -> GraphMap:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .certify import MapAnalysis, PnpSearchResult, TtCertificate
 from .folds import FoldSequence, stallings_decompose
-from .graphs import GraphMap, gates
+from .graphs import GraphMap, gates, signed_images
 from .spectral import SpectralReport, minimal_polynomial_degree
 from .whitehead import PrincipalReport, is_principal
 
@@ -238,7 +238,7 @@ def decompose_json(seq: FoldSequence) -> dict:
         ],
         "relabeling": {
             seq.final.source.edge_names[i]: seq.final.target.direction_name(s)
-            for i, s in enumerate(seq.final.signed_images)
+            for i, s in enumerate(signed_images(seq.final))
         },
         "recomposes_exactly": True,
     }

@@ -30,7 +30,7 @@ from .spectral import (
     trace_obstruction,
     transition_matrix,
 )
-from .whitehead import Relabeling, is_principal
+from .whitehead import is_principal
 
 
 # -- the graph universe --------------------------------------------------------
@@ -189,7 +189,7 @@ def trivalent_universe() -> tuple[OrientedGraph, ...]:
 # -- graph isomorphisms ---------------------------------------------------------
 
 
-def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Relabeling]:
+def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[GraphMap]:
     """All label-level isomorphisms: vertex bijection plus signed edge
     bijection (parallel edges permute, loops may flip), by one backtracking.
 
@@ -205,7 +205,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Rel
     either).  Every isomorphism over the vertex bijection sends each edge into
     its image pair, so this loses none; the pairs carry equally many edges on
     both sides, so no branch dies, and each complete assignment is a distinct
-    relabeling.
+    relabeling, returned as a ``GraphMap`` over the vertex bijection.
     """
     m, n = source.n_vertices, source.n_edges
     if target.n_vertices != m or target.n_edges != n:
@@ -223,7 +223,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Rel
     used = [False] * m
     signed = [0] * n
     taken = [False] * n
-    out: list[Relabeling] = []
+    out: list[GraphMap] = []
 
     def place_vertex(v: int) -> None:
         if v == m:
@@ -244,7 +244,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Rel
 
     def place_edge(order: list[int], k: int) -> None:
         if k == n:
-            out.append(Relabeling(source, target, tuple(signed)))
+            out.append(GraphMap(source, target, tuple(image), tuple((s,) for s in signed)))
             return
         i = order[k]
         u, w = source.ends[i]
@@ -268,7 +268,7 @@ class CandidateReport:
     graph_index: int
     e1: int
     e0: int
-    sigma: Relabeling
+    sigma: GraphMap
     map: GraphMap
     train_track: bool
     irreducible: bool
@@ -302,7 +302,7 @@ def _search_one_graph(args) -> list[CandidateReport]:
             continue
         move = apply_fold(graph, e1, e0, "proper_full")
         for sigma in graph_isomorphisms(move.target, graph):
-            h = compose(sigma.as_graph_map(), move.map)
+            h = compose(sigma, move.map)
             a = MapAnalysis(h)
             tt = a.tt.is_train_track
             irr = tt and is_irreducible(a.matrix)
@@ -321,6 +321,12 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     graph isomorphism back) candidate and group the principal survivors by
     relabeling conjugacy.
 
+    A candidate is irreducible exactly when its isomorphism permutes the
+    edges, signs forgotten, in one n-cycle.  The proper full fold has matrix
+    I + E, E a single off-diagonal 1, so the candidate has P + PE for the
+    permutation matrix P.  The digraph of P + PE is P's cycles plus one arc,
+    which is strongly connected exactly when P's cycles are one.
+
     Results are independent of job count and of the order in which the
     graphs are searched.
     """
@@ -332,7 +338,7 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     else:
         chunks = [_search_one_graph(t) for t in tasks]
     reports: list[CandidateReport] = [r for chunk in chunks for r in chunk]
-    reports.sort(key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.signed_images))
+    reports.sort(key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.edge_images))
 
     survivors = tuple(r for r in reports if r.principal)
     classes: list[int] = []
@@ -359,8 +365,7 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
 def _conjugate_by_relabeling(h1: GraphMap, h2: GraphMap) -> bool:
     """Whether some graph isomorphism conjugates one self-map into the other."""
     for sigma in graph_isomorphisms(h1.source, h2.source):
-        m = sigma.as_graph_map()
-        if compose(m, h1) == compose(h2, m):
+        if compose(sigma, h1) == compose(h2, sigma):
             return True
     return False
 
@@ -502,7 +507,7 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
     loop_fold_bad = 0
     for move in loop_fold_moves:
         for sigma in graph_isomorphisms(move.target, move.source):
-            a = MapAnalysis(compose(sigma.as_graph_map(), move.map))
+            a = MapAnalysis(compose(sigma, move.map))
             loop_fold_maps += 1
             if a.tt.is_train_track and is_irreducible(a.matrix) and a.expanding:
                 loop_fold_bad += 1

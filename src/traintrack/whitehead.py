@@ -1,7 +1,6 @@
 """Stable and ideal Whitehead graphs (built on the local ones of ``certify``);
-colored turn structures over a graph; and signed edge-label permutations
-with the graph isomorphisms (relabelings) they induce.  Each map-level
-function reads one ``MapAnalysis``.
+colored turn structures over a graph; and signed edge-label permutations.
+Each map-level function reads one ``MapAnalysis``.
 
 The colored structure of a self-map records, over the underlying graph, one
 vertex per direction (purple when the direction is periodic, red otherwise),
@@ -16,11 +15,11 @@ key: the sorted groups, the red direction and the sorted turns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import FicReport, MapAnalysis, WhiteheadGraph, local_whitehead
-from .graphs import GraphMap, GraphStructureError, OrientedGraph
+from .graphs import GraphStructureError
 
 
 # -- Whitehead graphs --------------------------------------------------------
@@ -126,7 +125,7 @@ def ltt_structure(a: MapAnalysis) -> tuple:
     return (canonical_groups(groups), red.pop(), canonical_turns(a.tt.closure))
 
 
-# -- signed permutations and relabelings ---------------------------------------
+# -- signed permutations ------------------------------------------------------
 
 
 def signed_permutations(n: int):
@@ -152,64 +151,3 @@ def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(s):
         out[abs(x) - 1] = (i + 1) if x > 0 else -(i + 1)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Relabeling:
-    """A bijection of signed edge labels inducing a graph isomorphism.
-
-    ``signed_images[i]`` is the signed target direction of source edge ``i``;
-    compatibility with reversal holds by construction.  The induced vertex
-    bijection is derived and validated once, on construction.
-    """
-
-    source: OrientedGraph
-    target: OrientedGraph
-    signed_images: tuple[int, ...]
-    vertex_map: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.source.n_edges
-        if self.target.n_edges != n or len(self.signed_images) != n:
-            raise GraphStructureError("relabeling size mismatch")
-        if sorted(abs(s) for s in self.signed_images) != list(range(1, n + 1)):
-            raise GraphStructureError("relabeling is not a signed bijection")
-        assignment: dict[int, int] = {}
-        for i, s in enumerate(self.signed_images):
-            pairs = (
-                (self.source.initial_vertex(i + 1), self.target.initial_vertex(s)),
-                (self.source.terminal_vertex(i + 1), self.target.terminal_vertex(s)),
-            )
-            for u, w in pairs:
-                if assignment.setdefault(u, w) != w:
-                    raise GraphStructureError("relabeling induces no vertex bijection")
-        if len(assignment) != self.source.n_vertices or len(set(assignment.values())) != len(
-            assignment
-        ):
-            raise GraphStructureError("relabeling induces no vertex bijection")
-        vertex_map = tuple(assignment[v] for v in range(self.source.n_vertices))
-        object.__setattr__(self, "vertex_map", vertex_map)
-
-    def apply_direction(self, d: int) -> int:
-        return apply_signed(self.signed_images, d)
-
-    def as_graph_map(self) -> GraphMap:
-        return GraphMap(
-            source=self.source,
-            target=self.target,
-            vertex_map=self.vertex_map,
-            edge_images=tuple((self.apply_direction(i + 1),) for i in range(self.source.n_edges)),
-        )
-
-    def describe(self) -> str:
-        parts = []
-        for i, s in enumerate(self.signed_images):
-            parts.append(f"{self.source.edge_names[i]}->{self.target.direction_name(s)}")
-        return ", ".join(parts)
-
-
-def relabeling_from_map(m: GraphMap) -> Relabeling:
-    """Extract the relabeling of a map that is a graph isomorphism."""
-    if not m.is_isomorphism():
-        raise GraphStructureError("map is not a graph isomorphism")
-    return Relabeling(m.source, m.target, tuple(im[0] for im in m.edge_images))

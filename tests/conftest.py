@@ -6,7 +6,6 @@ from oracles import block_reducible_map, doubling_control_map, identity_map, ros
 from traintrack.automaton import build_automaton
 from traintrack.catalog import single_fold_map
 from traintrack.folds import FoldSequence, apply_fold
-from traintrack.whitehead import relabeling_from_map
 
 
 @pytest.fixture(scope="session")
@@ -42,4 +41,4 @@ def unpullable_sequences(gmap):
     graph = gmap.source
     d, c, b = (graph.direction_of(x) for x in ("d", "~c", "b"))
     moves = (apply_fold(graph, d, c, "partial"), apply_fold(graph, b, d, "complete"))
-    return [FoldSequence((m,), relabeling_from_map(identity_map(m.target))) for m in moves]
+    return [FoldSequence((m,), identity_map(m.target)) for m in moves]

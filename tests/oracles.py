@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from traintrack.automaton import DirectedLoop, transport
 from traintrack.folds import FoldMove, FoldSequence, apply_fold, pull_back
-from traintrack.graphs import GraphMap, GraphStructureError, OrientedGraph, compose
-from traintrack.spectral import IntegerMatrix, IntPolynomial
-from traintrack.whitehead import (
-    Relabeling,
-    apply_signed,
-    compose_signed,
-    invert_signed,
-    relabeling_from_map,
+from traintrack.graphs import (
+    GraphMap,
+    GraphStructureError,
+    OrientedGraph,
+    compose,
+    relabeling,
+    signed_images,
 )
+from traintrack.spectral import IntegerMatrix, IntPolynomial
+from traintrack.whitehead import apply_signed, compose_signed, invert_signed
 
 # -- maps on roses -----------------------------------------------------------
 
@@ -120,75 +121,67 @@ def relabeled_graph(graph: OrientedGraph, sigma: tuple[int, ...]) -> OrientedGra
     return OrientedGraph(graph.vertex_names, graph.edge_names, ends)
 
 
-def relabeling_map(graph: OrientedGraph, sigma: tuple[int, ...]) -> Relabeling:
+def relabeling_map(graph: OrientedGraph, sigma: tuple[int, ...]) -> GraphMap:
     """The isomorphism from a graph to its sigma-relabeled version."""
-    return Relabeling(graph, relabeled_graph(graph, sigma), tuple(sigma))
+    return relabeling(graph, relabeled_graph(graph, sigma), tuple(sigma))
 
 
-def inverse(rel: Relabeling) -> Relabeling:
-    return Relabeling(rel.target, rel.source, invert_signed(rel.signed_images))
-
-
-def after(second: Relabeling, first: Relabeling) -> Relabeling:
-    """The composite second . first."""
-    assert first.target == second.source
-    return Relabeling(
-        first.source, second.target, compose_signed(second.signed_images, first.signed_images)
-    )
+def inverse(rel: GraphMap) -> GraphMap:
+    return relabeling(rel.target, rel.source, invert_signed(signed_images(rel)))
 
 
 def relabel_map(g: GraphMap, sigma: tuple[int, ...]) -> GraphMap:
     """Conjugate a self-map by the relabeling: sigma . g . sigma^{-1}."""
     assert g.is_self_map
     rel = relabeling_map(g.source, sigma)
-    return compose(rel.as_graph_map(), compose(g, inverse(rel).as_graph_map()))
+    return compose(rel, compose(g, inverse(rel)))
 
 
 # -- relabelings pushed past folds -----------------------------------------------
 
 
-def swap_relabeling_fold(rel: Relabeling, move: FoldMove) -> tuple[FoldMove, Relabeling]:
+def swap_relabeling_fold(rel: GraphMap, move: FoldMove) -> tuple[FoldMove, GraphMap]:
     """Rewrite (relabel, then fold) as (fold, then relabel), for a fold of
     any kind.  The replacement fold acts on the relabeling's source, folding
     the pulled-back directions; the closing relabeling is read off letterwise
     from the two parallel images of every source direction, then verified by
     an exact composition check."""
     assert rel.target == move.source
-    inv = inverse(rel)
-    move2 = apply_fold(
-        rel.source, inv.apply_direction(move.e1), inv.apply_direction(move.e0), move.kind
-    )
+    inv = invert_signed(signed_images(rel))
+    e1, e0 = apply_signed(inv, move.e1), apply_signed(inv, move.e0)
+    move2 = apply_fold(rel.source, e1, e0, move.kind)
     assignment: dict[int, int] = {}
     for a in rel.source.directions():
-        lhs = move.map.image_of_direction(rel.apply_direction(a))
+        lhs = move.map.image_of_path(rel.image_of_direction(a))
         rhs = move2.map.image_of_direction(a)
         assert len(lhs) == len(rhs)
         for x, y in zip(rhs, lhs):
             assert assignment.setdefault(x, y) == y and assignment.setdefault(-x, -y) == -y
     signed = tuple(assignment[i + 1] for i in range(move2.target.n_edges))
-    rel2 = Relabeling(move2.target, move.target, signed)
-    assert compose(move.map, rel.as_graph_map()) == compose(rel2.as_graph_map(), move2.map)
+    rel2 = relabeling(move2.target, move.target, signed)
+    assert compose(move.map, rel) == compose(rel2, move2.map)
     return move2, rel2
 
 
-def push_permutations(steps: list[FoldMove | Relabeling]) -> FoldSequence:
-    """Normalize an interleaved run of folds and relabelings to folds
-    followed by one final relabeling, preserving the composition exactly."""
+def push_permutations(steps: list[FoldMove | GraphMap]) -> FoldSequence:
+    """Normalize an interleaved run of folds and relabelings (isomorphisms,
+    as ``GraphMap``s) to folds followed by one final relabeling, preserving
+    the composition exactly."""
     moves = []
-    rel: Relabeling | None = None  # every relabeling so far, pushed past the folds
+    rel: GraphMap | None = None  # every relabeling so far, pushed past the folds
     for item in steps:
-        if isinstance(item, Relabeling):
-            rel = item if rel is None else after(item, rel)
+        if isinstance(item, GraphMap):
+            rel = item if rel is None else compose(item, rel)
             continue
         if rel is not None:
             item, rel = swap_relabeling_fold(rel, item)
         moves.append(item)
     if rel is None:
-        rel = relabeling_from_map(identity_map(moves[-1].target))
+        rel = identity_map(moves[-1].target)
     return FoldSequence(tuple(moves), rel)
 
 
-def sequence_steps(seq: FoldSequence) -> list[FoldMove | Relabeling]:
+def sequence_steps(seq: FoldSequence) -> list[FoldMove | GraphMap]:
     return list(seq.moves) + [seq.final]
 
 
@@ -196,7 +189,7 @@ def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
     """Decomposition of the p-th power: the k-th copy of the folds is pulled
     back through the k-th power of the final relabeling."""
     assert power >= 1
-    sigma = seq.final.signed_images
+    sigma = signed_images(seq.final)
     moves = list(seq.moves)
     graph, acc = seq.final.source, sigma
     for _ in range(power - 1):
@@ -204,7 +197,7 @@ def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
             moves.append(pull_back(move, acc, graph))
             graph = moves[-1].target
         acc = compose_signed(sigma, acc)
-    return FoldSequence(tuple(moves), Relabeling(graph, seq.final.target, acc))
+    return FoldSequence(tuple(moves), relabeling(graph, seq.final.target, acc))
 
 
 def rotate_loop(automaton, loop: DirectedLoop) -> DirectedLoop:

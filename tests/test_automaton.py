@@ -32,7 +32,7 @@ from traintrack.certify import MapAnalysis, taken_turn_closure
 from traintrack.cli import main
 from traintrack.digraph import connected_components, strongly_connected_components
 from traintrack.folds import rotate, stallings_decompose
-from traintrack.graphs import GraphStructureError
+from traintrack.graphs import GraphStructureError, signed_images
 from traintrack.search import _conjugate_by_relabeling
 from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
 from traintrack.whitehead import (
@@ -651,7 +651,7 @@ def _scanned_walk_decomposition(automaton, seq):
             return None
         folds.append((e1, e0))
         node_ids.append(automaton.node_index[key])
-    closing = compose_signed(match, compose_signed(seq.final.signed_images, invert_signed(match)))
+    closing = compose_signed(match, compose_signed(signed_images(seq.final), invert_signed(match)))
     if relabel_key(key, closing) != automaton.nodes[node_ids[0]]:
         return None
     return DirectedLoop(tuple(node_ids), tuple(folds), closing)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from oracles import (
-    after,
     compose_power,
     identity_map,
     power,
@@ -24,9 +23,14 @@ from traintrack.folds import (
     rotate,
     stallings_decompose,
 )
-from traintrack.graphs import GraphMap, GraphStructureError, compose, iterate_map
+from traintrack.graphs import (
+    GraphMap,
+    GraphStructureError,
+    compose,
+    iterate_map,
+    signed_images,
+)
 from traintrack.spectral import char_poly, transition_matrix
-from traintrack.whitehead import Relabeling, relabeling_from_map
 
 
 def test_apply_fold_reference(gmap):
@@ -107,7 +111,7 @@ def test_stallings_reference(gmap):
     graph = gmap.source
     expected = {"a": "~b", "b": "~d", "c": "e", "d": "~c", "e": "a"}
     for i, name in enumerate(graph.edge_names):
-        image = seq.final.signed_images[i]
+        image = signed_images(seq.final)[i]
         assert graph.direction_name(image) == expected[name]
 
 
@@ -120,7 +124,7 @@ def test_stallings_powers_roundtrip(gmap, power):
 
 
 def test_stallings_relabeling_only(gmap):
-    swap = relabeling_map(gmap.source, (1, 2, 3, 5, 4)).as_graph_map()
+    swap = relabeling_map(gmap.source, (1, 2, 3, 5, 4))
     seq = stallings_decompose(swap)
     assert len(seq) == 0
     assert seq.composed_map() == swap
@@ -139,9 +143,18 @@ def test_fold_sequence_rejects_unchained_steps(gmap):
     move = apply_fold(graph, graph.direction_of("d"), graph.direction_of("~c"))
     assert move.target != move.source
     with pytest.raises(GraphStructureError, match="fold sequence graphs do not chain"):
-        FoldSequence((move, move), relabeling_from_map(identity_map(move.target)))
+        FoldSequence((move, move), identity_map(move.target))
     with pytest.raises(GraphStructureError, match="final relabeling does not chain"):
-        FoldSequence((move,), relabeling_from_map(identity_map(graph)))
+        FoldSequence((move,), identity_map(graph))
+
+
+def test_fold_sequence_rejects_non_isomorphic_final(gmap):
+    graph = gmap.source
+    move = apply_fold(graph, graph.direction_of("d"), graph.direction_of("~c"))
+    with pytest.raises(GraphStructureError, match="final map is not a graph isomorphism"):
+        FoldSequence((), gmap)
+    with pytest.raises(GraphStructureError, match="final map is not a graph isomorphism"):
+        FoldSequence((move,), compose(gmap, stallings_decompose(gmap).final))
 
 
 def test_push_permutations_single_pair(gmap):
@@ -179,7 +192,7 @@ def test_push_permutations_random_interleavings(gmap):
             current = move.target
         direct = None
         for step in steps:
-            m = step.as_graph_map() if isinstance(step, Relabeling) else step.map
+            m = step if isinstance(step, GraphMap) else step.map
             direct = m if direct is None else compose(m, direct)
         normalized = push_permutations(steps)
         assert normalized.composed_map() == direct
@@ -194,17 +207,17 @@ def _bubble_push_permutations(steps):
     while changed:
         changed = False
         for i in range(len(work) - 1):
-            if isinstance(work[i], Relabeling) and isinstance(work[i + 1], FoldMove):
+            if isinstance(work[i], GraphMap) and isinstance(work[i + 1], FoldMove):
                 work[i : i + 2] = swap_relabeling_fold(work[i], work[i + 1])
                 changed = True
                 break
     moves = [item for item in work if isinstance(item, FoldMove)]
     rel = None
     for item in work:
-        if isinstance(item, Relabeling):
-            rel = item if rel is None else after(item, rel)
+        if isinstance(item, GraphMap):
+            rel = item if rel is None else compose(item, rel)
     if rel is None:
-        rel = relabeling_from_map(identity_map(moves[-1].target))
+        rel = identity_map(moves[-1].target)
     return FoldSequence(tuple(moves), rel)
 
 
@@ -245,7 +258,7 @@ def test_compose_power_order_of_relabeling(gmap):
     # the final relabeling's signed order is 10, so the 10th power closes up
     # with the identity relabeling
     seq = stallings_decompose(gmap)
-    sigma = seq.final.signed_images
+    sigma = signed_images(seq.final)
     from traintrack.whitehead import compose_signed
 
     acc = sigma
@@ -255,7 +268,7 @@ def test_compose_power_order_of_relabeling(gmap):
         order += 1
     assert order == 10
     powered = compose_power(seq, order)
-    assert powered.final.signed_images == (1, 2, 3, 4, 5)
+    assert signed_images(powered.final) == (1, 2, 3, 4, 5)
     assert len(powered) == 10
 
 

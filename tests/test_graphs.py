@@ -19,6 +19,7 @@ from traintrack.graphs import (
     direction_map,
     gates,
     iterate_map,
+    relabeling,
     tighten_dirs,
 )
 from traintrack.search import build_universe, graph_isomorphisms, trivalent_universe
@@ -138,14 +139,43 @@ def test_compose_fold_factors_reproduce_reference(gmap):
 
     seq = stallings_decompose(gmap)
     assert len(seq.moves) == 1
-    rebuilt = compose(seq.final.as_graph_map(), seq.moves[0].map)
+    rebuilt = compose(seq.final, seq.moves[0].map)
     assert rebuilt == gmap
 
 
 def test_compose_inverse_relabeling_is_identity(gmap):
     sigma = (1, 2, 3, 5, 4)  # swap the parallel edges d and e
     rel = relabeling_map(gmap.source, sigma)
-    assert compose(inverse(rel).as_graph_map(), rel.as_graph_map()) == identity_map(gmap.source)
+    assert compose(inverse(rel), rel) == identity_map(gmap.source)
+
+
+# on the reference graph, a: v1->v2, b: v0->v2, c: v2->v0, d and e: v0->v1
+_BAD_RELABELINGS = {
+    "too short": (1, 2, 3, 4),
+    "too long": (1, 2, 3, 4, 5, 1),
+    "label 0": (0, 2, 3, 4, 5),
+    "not a target edge": (1, 2, 3, 4, 6),
+    "ends disagree at v0": (2, 1, 3, 4, 5),  # b's start sends v0 to v1, c's end to v0
+    "d and e reversed": (1, 2, 3, -4, -5),
+}
+
+
+@pytest.mark.parametrize("signed", _BAD_RELABELINGS.values(), ids=_BAD_RELABELINGS.keys())
+def test_relabeling_rejects_bad_images(gmap, signed):
+    with pytest.raises(GraphStructureError):
+        relabeling(gmap.source, gmap.source, signed)
+
+
+def test_relabeling_rejects_non_isomorphisms(gmap):
+    graph = gmap.source
+    assert relabeling(graph, graph, (1, 2, 3, 5, 4)).is_isomorphism()
+    # a repeated label whose ends agree everywhere: e goes onto d, as d does
+    with pytest.raises(GraphStructureError, match="not a graph isomorphism"):
+        relabeling(graph, graph, (1, 2, 3, 4, 4))
+    # the same edges on one more vertex: every edge agrees, no vertex bijection
+    bigger = OrientedGraph(graph.vertex_names + ("v3",), graph.edge_names, graph.ends)
+    with pytest.raises(GraphStructureError, match="not a graph isomorphism"):
+        relabeling(graph, bigger, (1, 2, 3, 4, 5))
 
 
 def test_direction_map_matches_reference_cycle(gmap):
@@ -336,7 +366,7 @@ def _single_fold_candidates(rank):
                 continue
             move = apply_fold(graph, e1, e0, "proper_full")
             for sigma in graph_isomorphisms(move.target, graph):
-                yield compose(sigma.as_graph_map(), move.map)
+                yield compose(sigma, move.map)
 
 
 def test_dynamics_match_direct_computation_on_single_fold_candidates():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from traintrack.digraph import connected_components
 from traintrack.folds import apply_fold, stallings_decompose
-from traintrack.graphs import GraphStructureError, OrientedGraph, compose
+from traintrack.graphs import (
+    GraphMap,
+    GraphStructureError,
+    OrientedGraph,
+    compose,
+    relabeling,
+    signed_images,
+)
 from traintrack.search import (
     build_universe,
     graph_isomorphisms,
@@ -25,7 +32,7 @@ from traintrack.search import (
     _search_one_graph,
     _universe,
 )
-from traintrack.whitehead import Relabeling
+from traintrack.spectral import is_irreducible, transition_matrix
 
 # frozen universe sizes (rank: iso classes), cross-checked below with networkx
 GOLDEN_UNIVERSE_SIZES = {3: 5, 4: 30, 5: 193, 6: 1496}
@@ -294,12 +301,12 @@ def test_graph_isomorphisms_roundtrip(gmap):
     autos = graph_isomorphisms(graph, graph)
     assert autos
     identity = tuple(range(1, 6))
-    assert any(rel.signed_images == identity for rel in autos)
+    assert any(signed_images(rel) == identity for rel in autos)
     for rel in autos:
-        assert rel.as_graph_map().is_isomorphism()
+        assert rel.is_isomorphism()
 
 
-def _product_scan_isomorphisms(source, target) -> list[Relabeling]:
+def _product_scan_isomorphisms(source, target) -> list[GraphMap]:
     """Reference: every valence-compatible vertex tuple, filtered to the
     bijections whose edge-end multiset matches, then signed expansion."""
     m = source.n_vertices
@@ -309,7 +316,7 @@ def _product_scan_isomorphisms(source, target) -> list[Relabeling]:
     tv = [target.valence(v) for v in range(m)]
     if sorted(sv) != sorted(tv):
         return []
-    out: list[Relabeling] = []
+    out: list[GraphMap] = []
     candidates = [[w for w in range(m) if tv[w] == sv[v]] for v in range(m)]
     target_buckets: dict[tuple[int, int], list[int]] = {}
     for j in range(target.n_edges):
@@ -363,7 +370,7 @@ def _product_scan_isomorphisms(source, target) -> list[Relabeling]:
                 for i, val in zip(srcs, values):
                     signed[i] = val
             try:
-                out.append(Relabeling(source, target, tuple(signed)))
+                out.append(relabeling(source, target, tuple(signed)))
             except GraphStructureError:
                 continue
     return out
@@ -381,7 +388,7 @@ def _fold_targets(rank: int):
 def _assert_same_isomorphisms(source, target):
     fast = graph_isomorphisms(source, target)
     slow = _product_scan_isomorphisms(source, target)
-    assert [r.signed_images for r in fast] == [r.signed_images for r in slow]
+    assert [signed_images(r) for r in fast] == [signed_images(r) for r in slow]
     return len(fast)
 
 
@@ -436,8 +443,8 @@ def test_graph_isomorphisms_match_product_scan_random(pair):
     # three loops at one vertex may list the same isomorphisms in another
     # order, so the lists are compared sorted
     source, target = pair
-    fast = sorted(r.signed_images for r in graph_isomorphisms(source, target))
-    slow = sorted(r.signed_images for r in _product_scan_isomorphisms(source, target))
+    fast = sorted(signed_images(r) for r in graph_isomorphisms(source, target))
+    slow = sorted(signed_images(r) for r in _product_scan_isomorphisms(source, target))
     assert fast
     assert fast == slow
 
@@ -478,6 +485,31 @@ def test_single_fold_search_rank3(gmap):
     assert _conjugate_by_relabeling(rep.map, gmap)
 
 
+def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
+    """Whether the edge permutation, signs forgotten, is a single cycle."""
+    x, length = abs(sigma[0]), 1
+    while x != 1:
+        x, length = abs(sigma[x - 1]), length + 1
+    return length == len(sigma)
+
+
+@pytest.mark.parametrize(
+    "rank, graphs, candidates, irreducible",
+    [(3, None, 260, 16), (4, None, 1424, 0), (5, 20, 2816, 0)],
+)
+def test_candidate_irreducible_iff_one_cycle(rank, graphs, candidates, irreducible):
+    # the lemma in single_fold_search: sigma . fold has matrix P + PE,
+    # irreducible exactly when sigma's unsigned edge permutation is one cycle
+    n = len(build_universe(rank).graphs) if graphs is None else graphs
+    reports = [r for gi in range(n) for r in _search_one_graph((rank, gi))]
+    found = 0
+    for r in reports:
+        irr = is_irreducible(transition_matrix(r.map))
+        assert irr == _is_one_cycle(signed_images(r.sigma))
+        found += irr
+    assert (len(reports), found) == (candidates, irreducible)
+
+
 def test_single_fold_search_rank4():
     summary = single_fold_search(4)
     assert summary.class_count == 0
@@ -491,7 +523,7 @@ def test_search_determinism(gmap):
     tasks = [(3, gi) for gi in range(plain.universe_size)]
     random.Random(12345).shuffle(tasks)
     shuffled = [r for task in tasks for r in _search_one_graph(task)]
-    shuffled.sort(key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.signed_images))
+    shuffled.sort(key=lambda r: (r.graph_index, r.e1, r.e0, signed_images(r.sigma)))
     assert len(shuffled) == plain.candidates
     assert sum(r.train_track for r in shuffled) == plain.tt_count
     assert sum(r.irreducible for r in shuffled) == plain.irreducible_count
@@ -525,7 +557,7 @@ def test_survivor_audits_and_roundtrip():
         v1 = graph.terminal_vertex(report.e0)
         v2 = graph.terminal_vertex(report.e1)
         assert len({v0, v1, v2}) == 3
-        assert sigma.vertex_map[v1] == v0 and sigma.apply_direction(report.e1) == report.e0
+        assert sigma.vertex_map[v1] == v0 and sigma.image_of_direction(report.e1) == (report.e0,)
         assert sigma.vertex_map[v2] == v1
         orbit, x = {0}, 0
         for _ in range(graph.n_vertices):
@@ -554,7 +586,7 @@ def test_loop_fold_candidates_fail_early():
                 continue  # not a loop
             move = apply_fold(graph, e1, e0)
             for sigma in graph_isomorphisms(move.target, graph):
-                a = MapAnalysis(compose(sigma.as_graph_map(), move.map))
+                a = MapAnalysis(compose(sigma, move.map))
                 checked += 1
                 assert not (a.tt.is_train_track and is_irreducible(a.matrix))
     assert checked > 0

@@ -308,7 +308,7 @@ def _candidate_char_polys(rank):
                 continue
             move = apply_fold(graph, e1, e0, "proper_full")
             for sigma in graph_isomorphisms(move.target, graph):
-                matrices.add(transition_matrix(compose(sigma.as_graph_map(), move.map)))
+                matrices.add(transition_matrix(compose(sigma, move.map)))
     return {char_poly(m) for m in matrices}
 
 

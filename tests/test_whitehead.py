@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import after, identity_map, inverse, relabel_map, relabeled_graph, relabeling_map
+from oracles import identity_map, inverse, relabel_map, relabeled_graph, relabeling_map
 from traintrack.automaton import relabel_key
 from traintrack.certify import MapAnalysis
-from traintrack.graphs import GraphStructureError, compose, gates
+from traintrack.graphs import GraphStructureError, compose, gates, signed_images
 from traintrack.whitehead import (
     IdealWhiteheadGraph,
     WhiteheadGraph,
+    compose_signed,
     ideal_whitehead,
     is_principal,
     local_whitehead,
@@ -132,8 +133,6 @@ def test_relabel_equivariance(gmap):
 
 
 def test_relabel_action_property(gmap):
-    from traintrack.whitehead import compose_signed
-
     s = ltt_structure(MapAnalysis(gmap))
     rng = random.Random(7)
     for _ in range(10):
@@ -144,7 +143,7 @@ def test_relabel_action_property(gmap):
 
 
 def test_relabelings_match_direct_definitions(gmap):
-    """Relabeling arithmetic against its edge-by-edge definitions."""
+    """Relabelings and their composites against edge-by-edge definitions."""
     graph = gmap.source
     rng = random.Random(17)
     for sigma, tau in zip(rng.sample(ALL_SIGMAS, 20), rng.sample(ALL_SIGMAS, 20)):
@@ -155,16 +154,16 @@ def test_relabelings_match_direct_definitions(gmap):
         assert relabeled_graph(graph, sigma).ends == tuple(ends)
         rel = relabeling_map(graph, sigma)
         for d in graph.directions():
-            image = rel.signed_images[abs(d) - 1]
-            assert rel.apply_direction(d) == (image if d > 0 else -image)
-            assert inverse(rel).apply_direction(rel.apply_direction(d)) == d
+            image = sigma[abs(d) - 1]
+            assert rel.image_of_direction(d) == (image if d > 0 else -image,)
+            assert inverse(rel).image_of_path(rel.image_of_direction(d)) == (d,)
         # tau after sigma, both as relabelings out of the relabeled graphs
         rel2 = relabeling_map(rel.target, tau)
-        composite = after(rel2, rel)
-        assert composite.signed_images == tuple(
-            rel2.apply_direction(s) for s in rel.signed_images
+        composite = compose(rel2, rel)
+        assert signed_images(composite) == compose_signed(tau, sigma)
+        assert signed_images(composite) == tuple(
+            rel2.image_of_direction(s)[0] for s in signed_images(rel)
         )
-        assert composite.as_graph_map() == compose(rel2.as_graph_map(), rel.as_graph_map())
 
 
 def test_relabel_functorial_on_maps(gmap):
@@ -181,7 +180,7 @@ def test_decomposition_relabeling_commutes(gmap):
     from traintrack.folds import stallings_decompose
 
     seq = stallings_decompose(gmap)
-    sigma = seq.final.signed_images
+    sigma = signed_images(seq.final)
     conj = relabel_map(gmap, sigma)
     s, s_conj = ltt_structure(MapAnalysis(gmap)), ltt_structure(MapAnalysis(conj))
     assert relabel_key(s, sigma) == s_conj
@@ -190,5 +189,5 @@ def test_decomposition_relabeling_commutes(gmap):
 def test_relabeling_map_validates(gmap):
     rel = relabeling_map(gmap.source, (1, 2, 3, 5, 4))
     assert rel.target.edge_names == rel.source.edge_names
-    assert rel.as_graph_map().is_isomorphism()
-    assert after(rel, inverse(rel)).signed_images == (1, 2, 3, 4, 5)
+    assert rel.is_isomorphism()
+    assert signed_images(compose(rel, inverse(rel))) == (1, 2, 3, 4, 5)
