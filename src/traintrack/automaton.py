@@ -47,21 +47,18 @@ from .graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
+    apply_signed,
     compose,
+    compose_signed,
+    invert_signed,
+    make_turn,
     relabeling,
     signed_images,
+    signed_permutations,
 )
 from .spectral import is_irreducible, transition_matrix
 from .certify import MapAnalysis
-from .whitehead import (
-    apply_signed,
-    canonical_groups,
-    canonical_turns,
-    compose_signed,
-    invert_signed,
-    ltt_structure,
-    signed_permutations,
-)
+from .whitehead import canonical_groups, ltt_structure
 
 RANK3_EDGE_NAMES = ("a", "b", "c", "d", "e")
 
@@ -103,30 +100,23 @@ def graph_from_groups(groups: tuple[tuple[int, ...], ...]) -> OrientedGraph:
 # -- the node profile ----------------------------------------------------------
 
 
-def node_profile_errors(key: NodeKey) -> list[str]:
-    """Check the four structural conditions that define automaton nodes."""
+def is_node(key: NodeKey) -> bool:
+    """Whether a key has the node profile: valences 3, 3 and 4; the red
+    direction at the valence-4 vertex and in exactly one turn; a triangle of
+    turns on the other directions at each vertex; and 10 turns in all."""
     groups, red, turns = key
-    errors = []
-    sizes = sorted(len(g) for g in groups)
-    if sizes != [3, 3, 4]:
-        errors.append(f"valence profile {sizes} is not [3, 3, 4]")
-        return errors
-    big = next(g for g in groups if len(g) == 4)
-    if red not in big:
-        errors.append("red direction is not at the valence-4 vertex")
-    red_edges = [t for t in turns if red in t]
-    if len(red_edges) != 1:
-        errors.append(f"red direction lies in {len(red_edges)} turns, not 1")
+    if sorted(len(g) for g in groups) != [3, 3, 4] or len(turns) != 10:
+        return False
+    if red not in next(g for g in groups if len(g) == 4):
+        return False
+    if sum(red in t for t in turns) != 1:
+        return False
     for group in groups:
         purple = [d for d in group if d != red]
-        want = {(min(p), max(p)) for p in itertools.combinations(purple, 2)}
-        have = {t for t in turns if t[0] in purple and t[1] in purple}
-        if len(purple) != 3 or want != have:
-            errors.append("stable subgraph at some vertex is not a triangle")
-            break
-    if len(turns) != 10:
-        errors.append(f"{len(turns)} turns instead of 10")
-    return errors
+        want = {make_turn(*p) for p in itertools.combinations(purple, 2)}
+        if len(purple) != 3 or want != {t for t in turns if t[0] in purple and t[1] in purple}:
+            return False
+    return True
 
 
 # -- fold transport -------------------------------------------------------------
@@ -143,7 +133,7 @@ def fold_candidates(key: NodeKey) -> list[tuple[int, int]]:
     for e1, e0 in itertools.permutations(big, 2):
         if abs(e1) == abs(e0):
             continue
-        if (min(e1, e0), max(e1, e0)) in turn_set:
+        if make_turn(e1, e0) in turn_set:
             continue
         out.append((e1, e0))
     return out
@@ -164,18 +154,16 @@ def transport(key: NodeKey, e1: int, e0: int) -> NodeKey | None:
         b = e0 if t[1] == e1 else t[1]
         if a == b:
             return None
-        new_turns.add((min(a, b), max(a, b)))
-    new_turns.add((min(e1, -e0), max(e1, -e0)))
+        new_turns.add(make_turn(a, b))
+    new_turns.add(make_turn(e1, -e0))
     moved = []
     for g in groups:
         g2 = [d for d in g if d != e1]
         if -e0 in g2:
             g2.append(e1)
         moved.append(tuple(sorted(g2)))
-    out = (canonical_groups(moved), e1, canonical_turns(new_turns))
-    if node_profile_errors(out):
-        return None
-    return out
+    out = (canonical_groups(moved), e1, tuple(sorted(new_turns)))
+    return out if is_node(out) else None
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -218,7 +206,7 @@ def enumerate_nodes(rank: int = 3) -> list[NodeKey]:
             ]
             # the red turn, and so the turn tuple, increases with attach
             nodes.extend(
-                (groups, red, tuple(sorted(base + [turn_of[min(red, attach), max(red, attach)]])))
+                (groups, red, tuple(sorted(base + [turn_of[make_turn(red, attach)]])))
                 for attach in big
                 if attach != red
             )

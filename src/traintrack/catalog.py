@@ -1,44 +1,20 @@
 """The paper's reference map, the rank-3 single fold followed by a
-relabeling: its graph, the self-map and its map document."""
+relabeling: its map document, and the self-map parsed from it."""
 
 from __future__ import annotations
 
-from .graphs import GraphMap, OrientedGraph
-
-
-def single_fold_graph() -> OrientedGraph:
-    """Three vertices, five edges: a triangle with two doubled sides meeting
-    at the valence-4 vertex v0."""
-    return OrientedGraph(
-        vertex_names=("v0", "v1", "v2"),
-        edge_names=("a", "b", "c", "d", "e"),
-        ends=((1, 2), (0, 2), (2, 0), (0, 1), (0, 1)),
-    )
+from .graphs import GraphMap
+from .mapdoc import parse_map_document
 
 
 def single_fold_map() -> GraphMap:
-    """The rank-3 map a->~b, b->~d, c->e, d->~e ~c, e->a.
+    """The rank-3 map a->~b, b->~d, c->e, d->~e ~c, e->a on a triangle with
+    two doubled sides meeting at the valence-4 vertex v0.
 
     Its decomposition is one proper full fold (d over ~c) followed by a
     relabeling; it is the standard positive control for the whole pipeline.
     """
-    graph = single_fold_graph()
-    img = {
-        "a": ("~b",),
-        "b": ("~d",),
-        "c": ("e",),
-        "d": ("~e", "~c"),
-        "e": ("a",),
-    }
-    images = tuple(
-        tuple(graph.direction_of(tok) for tok in img[name]) for name in graph.edge_names
-    )
-    return GraphMap(
-        source=graph,
-        target=graph,
-        vertex_map=(1, 2, 0),
-        edge_images=images,
-    )
+    return parse_map_document(SINGLE_FOLD_DOCUMENT)
 
 
 SINGLE_FOLD_DOCUMENT = """\

@@ -283,9 +283,9 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
 
 @dataclass(frozen=True)
 class WhiteheadGraph:
-    """Turn-incidence graph at a vertex; ``kind`` is "local" or "stable"."""
+    """Turn-incidence graph at a vertex: local, or restricted to the
+    periodic directions (stable)."""
 
-    kind: str
     directions: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
@@ -311,7 +311,7 @@ def local_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
         raise GraphStructureError("local Whitehead graph requires a train track map")
     ds = frozenset(graph.directions_at(vertex))
     edges = frozenset(t for t in a.tt.closure if t[0] in ds)
-    return WhiteheadGraph("local", ds, edges)
+    return WhiteheadGraph(ds, edges)
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,14 @@ from .graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
+    apply_signed,
     common_prefix_length,
     compose,
+    invert_signed,
     relabeling,
     reverse_path,
     signed_images,
 )
-from .whitehead import apply_signed, invert_signed
 
 
 class NotHomotopyEquivalence(GraphStructureError):

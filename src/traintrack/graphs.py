@@ -1,11 +1,15 @@
-"""Oriented multigraphs, directions, turns, edge paths, and graph maps.
+"""Oriented multigraphs, directions, turns, edge paths, graph maps, and
+signed permutations of directions.
 
 Edges are stored once with a chosen positive orientation.  A *direction* is a
 signed integer: ``+(i+1)`` is edge ``i`` traversed positively, ``-(i+1)`` is
 its reversal.  A *turn* is an unordered pair of directions with a common
 initial vertex, stored as a sorted tuple so that equality and hashing are
-structural.  All values are immutable after construction; every operation in
-this module is a pure function.
+structural.  A *signed permutation* ``sigma`` of the edge labels sends edge
+``i`` to the direction ``sigma[i]`` and so acts on directions; the signed
+images of a graph isomorphism, a *relabeling*, are one.  All values are
+immutable after construction; every operation in this module is a pure
+function.
 """
 
 from __future__ import annotations
@@ -259,28 +263,6 @@ class GraphMap:
         return "\n".join(lines)
 
 
-def relabeling(source: OrientedGraph, target: OrientedGraph, signed: tuple[int, ...]) -> GraphMap:
-    """The isomorphism sending source edge ``i`` to the signed direction
-    ``signed[i]``: each vertex goes where its first direction's image starts,
-    and the ``GraphMap`` checks every edge against that.  Raises
-    ``GraphStructureError`` unless the result is a graph isomorphism."""
-    try:
-        vertex_map = tuple(
-            target.initial_vertex(signed[d - 1] if d > 0 else -signed[-d - 1])
-            for d in (ds[0] for ds in source._directions_at)
-        )
-    except (IndexError, KeyError):
-        raise GraphStructureError("relabeling images are not target directions") from None
-    m = GraphMap(source, target, vertex_map, tuple((s,) for s in signed))
-    if not m.is_isomorphism():
-        raise GraphStructureError("relabeling is not a graph isomorphism")
-    return m
-
-
-def signed_images(m: GraphMap) -> tuple[int, ...]:
-    return tuple(im[0] for im in m.edge_images)
-
-
 def compose(g: GraphMap, f: GraphMap) -> GraphMap:
     """The map ``g after f``, with images tightened.
 
@@ -355,3 +337,51 @@ def gates(graph: OrientedGraph, images: dict[int, int]) -> tuple[frozenset[int],
         classes.setdefault((graph.initial_vertex(d), image), set()).add(d)
     return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
 
+
+# -- signed permutations and relabelings ------------------------------------
+
+
+def signed_permutations(n: int):
+    """All signed permutations of n labels (2**n n! of them)."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(p * s for p, s in zip(perm, signs))
+
+
+def apply_signed(sigma: tuple[int, ...], d: int) -> int:
+    """The direction ``sigma`` sends ``d`` to; ``sigma[i]`` is the signed
+    image of edge ``i``, and reversal commutes with the action."""
+    return sigma[d - 1] if d > 0 else -sigma[-d - 1]
+
+
+def compose_signed(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply t, then s."""
+    return tuple(s[x - 1] if x > 0 else -s[-x - 1] for x in t)
+
+
+def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(s)
+    for i, x in enumerate(s):
+        out[abs(x) - 1] = (i + 1) if x > 0 else -(i + 1)
+    return tuple(out)
+
+
+def relabeling(source: OrientedGraph, target: OrientedGraph, signed: tuple[int, ...]) -> GraphMap:
+    """The isomorphism sending source edge ``i`` to the signed direction
+    ``signed[i]``: each vertex goes where its first direction's image starts,
+    and the ``GraphMap`` checks every edge against that.  Raises
+    ``GraphStructureError`` unless the result is a graph isomorphism."""
+    try:
+        vertex_map = tuple(
+            target.initial_vertex(apply_signed(signed, ds[0])) for ds in source._directions_at
+        )
+    except (IndexError, KeyError):
+        raise GraphStructureError("relabeling images are not target directions") from None
+    m = GraphMap(source, target, vertex_map, tuple((s,) for s in signed))
+    if not m.is_isomorphism():
+        raise GraphStructureError("relabeling is not a graph isomorphism")
+    return m
+
+
+def signed_images(m: GraphMap) -> tuple[int, ...]:
+    return tuple(im[0] for im in m.edge_images)

@@ -144,7 +144,6 @@ def _canonical_multigraph(m: int, edges):
 
 @dataclass(frozen=True)
 class SearchUniverse:
-    rank: int
     graphs: tuple[OrientedGraph, ...]
 
 
@@ -178,7 +177,7 @@ def build_universe(rank: int) -> SearchUniverse:
     valence 3 elsewhere: 2r-3 vertices and 3r-4 edges."""
     if not 3 <= rank <= 5:
         raise GraphStructureError("universe is built for ranks 3 to 5")
-    return SearchUniverse(rank, _universe((4,) + (3,) * (2 * rank - 4)))
+    return SearchUniverse(_universe((4,) + (3,) * (2 * rank - 4)))
 
 
 def trivalent_universe() -> tuple[OrientedGraph, ...]:

@@ -1,6 +1,6 @@
-"""Stable and ideal Whitehead graphs (built on the local ones of ``certify``);
-colored turn structures over a graph; and signed edge-label permutations.
-Each map-level function reads one ``MapAnalysis``.
+"""Stable and ideal Whitehead graphs (built on the local ones of ``certify``)
+and colored turn structures over a graph.  Each map-level function reads one
+``MapAnalysis``.
 
 The colored structure of a self-map records, over the underlying graph, one
 vertex per direction (purple when the direction is periodic, red otherwise),
@@ -14,7 +14,6 @@ key: the sorted groups, the red direction and the sorted turns.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ def stable_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
     periodic = a.periodic
     ds = lw.directions & periodic
     edges = frozenset(t for t in lw.edges if t[0] in periodic and t[1] in periodic)
-    return WhiteheadGraph("stable", ds, edges)
+    return WhiteheadGraph(ds, edges)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def ideal_whitehead(a: MapAnalysis) -> IdealWhiteheadGraph:
             if len(piece) == 2:
                 continue
             edges = frozenset(t for t in sw.edges if t[0] in piece)
-            comps.append(WhiteheadGraph("stable", piece, edges))
+            comps.append(WhiteheadGraph(piece, edges))
     return IdealWhiteheadGraph(tuple(comps))
 
 
@@ -106,10 +105,6 @@ def canonical_groups(groups) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(g)) for g in groups)))
 
 
-def canonical_turns(turns) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((min(t), max(t)) for t in turns))
-
-
 def ltt_structure(a: MapAnalysis) -> tuple:
     """The colored structure of a train track self-map with exactly one
     nonperiodic direction, as the automaton's node key ``(groups, red,
@@ -122,32 +117,4 @@ def ltt_structure(a: MapAnalysis) -> tuple:
     if len(red) != 1:
         raise GraphStructureError("node keys need exactly one red direction")
     groups = [graph.directions_at(v) for v in range(graph.n_vertices)]
-    return (canonical_groups(groups), red.pop(), canonical_turns(a.tt.closure))
-
-
-# -- signed permutations ------------------------------------------------------
-
-
-def signed_permutations(n: int):
-    """All signed permutations of n labels (2**n n! of them)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(p * s for p, s in zip(perm, signs))
-
-
-def apply_signed(sigma: tuple[int, ...], d: int) -> int:
-    """The direction ``sigma`` sends ``d`` to; ``sigma[i]`` is the signed
-    image of edge ``i``, and reversal commutes with the action."""
-    return sigma[d - 1] if d > 0 else -sigma[-d - 1]
-
-
-def compose_signed(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply t, then s."""
-    return tuple(s[x - 1] if x > 0 else -s[-x - 1] for x in t)
-
-
-def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(s)
-    for i, x in enumerate(s):
-        out[abs(x) - 1] = (i + 1) if x > 0 else -(i + 1)
-    return tuple(out)
+    return (canonical_groups(groups), red.pop(), tuple(sorted(a.tt.closure)))

@@ -15,12 +15,14 @@ from traintrack.graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
+    apply_signed,
     compose,
+    compose_signed,
+    invert_signed,
     relabeling,
     signed_images,
 )
 from traintrack.spectral import IntegerMatrix, IntPolynomial
-from traintrack.whitehead import apply_signed, compose_signed, invert_signed
 
 # -- maps on roses -----------------------------------------------------------
 

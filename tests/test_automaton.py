@@ -21,9 +21,9 @@ from traintrack.automaton import (
     enumerate_nodes,
     fold_candidates,
     graph_from_groups,
+    is_node,
     loop_to_map,
     node_one_analysis,
-    node_profile_errors,
     relabel_key,
     transport,
 )
@@ -32,17 +32,17 @@ from traintrack.certify import MapAnalysis, taken_turn_closure
 from traintrack.cli import main
 from traintrack.digraph import connected_components, strongly_connected_components
 from traintrack.folds import rotate, stallings_decompose
-from traintrack.graphs import GraphStructureError, signed_images
-from traintrack.search import _conjugate_by_relabeling
-from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
-from traintrack.whitehead import (
+from traintrack.graphs import (
+    GraphStructureError,
     apply_signed,
     compose_signed,
     invert_signed,
-    is_principal,
-    ltt_structure,
+    signed_images,
     signed_permutations,
 )
+from traintrack.search import _conjugate_by_relabeling
+from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
+from traintrack.whitehead import is_principal, ltt_structure
 
 # frozen counts from the enumeration, cross-checked by the orbit sums below
 GOLDEN_LABELED_GRAPHS = 2000
@@ -69,8 +69,26 @@ def test_enumeration_counts(automaton, walked_graphs, oracle_nodes):
 
 
 def test_every_node_passes_the_profile(automaton):
-    for key in automaton.nodes:
-        assert not node_profile_errors(key)
+    assert all(map(is_node, automaton.nodes))
+
+
+def test_the_profile_rejects_each_violated_condition(automaton):
+    groups, red, turns = reference = automaton.nodes[automaton.node_one]
+    assert reference == (
+        ((-5, -4, 1), (-3, 2, 4, 5), (-2, -1, 3)),
+        -3,
+        ((-5, -4), (-5, 1), (-4, 1), (-3, 5), (-2, -1), (-2, 3), (-1, 3), (2, 4), (2, 5), (4, 5)),
+    )
+    assert is_node(reference)
+    without_24 = tuple(t for t in turns if t != (2, 4))
+    rejected = {
+        "valences 2, 3, 5": (((-5, -4), (-3, 1, 2, 4, 5), (-2, -1, 3)), red, turns),
+        "red at a valence-3 vertex": (groups, 1, turns),
+        "red in two turns": (groups, red, tuple(sorted(turns + ((-3, 2),)))),
+        "a triangle turn missing": (groups, red, tuple(sorted(without_24 + ((-5, -2),)))),
+        "an extra turn": (groups, red, tuple(sorted(turns + ((-5, -2),)))),
+    }
+    assert [name for name, key in rejected.items() if is_node(key)] == []
 
 
 def test_class_sizes_partition_nodes(automaton):

@@ -54,9 +54,7 @@ def test_graph_and_whitehead_components_match_networkx(case):
     assert sorted(map(sorted, graph.components())) == want
     assert graph.is_connected() == (len(want) <= 1)
     # the same pattern read as a Whitehead graph on directions 1..m
-    wg = WhiteheadGraph(
-        "local", frozenset(range(1, m + 1)), frozenset((u + 1, v + 1) for u, v in ends)
-    )
+    wg = WhiteheadGraph(frozenset(range(1, m + 1)), frozenset((u + 1, v + 1) for u, v in ends))
     assert sorted(map(sorted, wg.components())) == [[v + 1 for v in c] for c in want]
 
 

@@ -14,7 +14,7 @@ from oracles import (
     sequence_steps,
     swap_relabeling_fold,
 )
-from traintrack.catalog import single_fold_graph
+from traintrack.catalog import single_fold_map
 from traintrack.folds import (
     FoldMove,
     FoldSequence,
@@ -56,7 +56,7 @@ def test_apply_fold_is_the_decomposition_move(gmap):
 def test_complete_fold_of_parallel_edges():
     # two parallel edges with distinct terminal vertices do not exist; use
     # two edges sharing only their initial vertex
-    graph = single_fold_graph()
+    graph = single_fold_map().source
     b, d = graph.direction_of("b"), graph.direction_of("d")
     move = apply_fold(graph, b, d, "complete")
     assert move.target.n_edges == graph.n_edges - 1
@@ -67,7 +67,7 @@ def test_complete_fold_of_parallel_edges():
 
 
 def test_complete_fold_of_bigon_rejected():
-    graph = single_fold_graph()
+    graph = single_fold_map().source
     d, e = graph.direction_of("d"), graph.direction_of("e")
     with pytest.raises(NotHomotopyEquivalence):
         apply_fold(graph, d, e, "complete")
@@ -167,7 +167,7 @@ def test_push_permutations_single_pair(gmap):
 def test_push_permutations_random_interleavings(gmap):
     # alternate relabelings and the reference fold in random patterns; the
     # composed map must be preserved exactly
-    from traintrack.whitehead import signed_permutations
+    from traintrack.graphs import signed_permutations
 
     rng = random.Random(42)
     sigmas = list(signed_permutations(5))
@@ -259,7 +259,7 @@ def test_compose_power_order_of_relabeling(gmap):
     # with the identity relabeling
     seq = stallings_decompose(gmap)
     sigma = signed_images(seq.final)
-    from traintrack.whitehead import compose_signed
+    from traintrack.graphs import compose_signed
 
     acc = sigma
     order = 1

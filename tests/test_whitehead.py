@@ -8,16 +8,21 @@ import pytest
 from oracles import identity_map, inverse, relabel_map, relabeled_graph, relabeling_map
 from traintrack.automaton import relabel_key
 from traintrack.certify import MapAnalysis
-from traintrack.graphs import GraphStructureError, compose, gates, signed_images
+from traintrack.graphs import (
+    GraphStructureError,
+    compose,
+    compose_signed,
+    gates,
+    signed_images,
+    signed_permutations,
+)
 from traintrack.whitehead import (
     IdealWhiteheadGraph,
     WhiteheadGraph,
-    compose_signed,
     ideal_whitehead,
     is_principal,
     local_whitehead,
     ltt_structure,
-    signed_permutations,
     stable_whitehead,
 )
 
@@ -80,10 +85,7 @@ def test_is_principal_reference(gmap):
 
 
 def test_four_vertex_component_is_not_principal():
-    comp = WhiteheadGraph(
-        "stable", frozenset({1, 2, 3, 4}),
-        frozenset({(1, 2), (2, 3), (3, 4)}),
-    )
+    comp = WhiteheadGraph(frozenset({1, 2, 3, 4}), frozenset({(1, 2), (2, 3), (3, 4)}))
     iw = IdealWhiteheadGraph((comp,))
     assert not iw.is_triangle_union(3)
     assert iw.index() == Fraction(-1)
