@@ -458,11 +458,16 @@ class DirectedLoop:
 
 
 def enumerate_loops(
-    automaton: Automaton, max_length: int, start_nodes: list[int] | None = None
+    automaton: Automaton,
+    max_length: int,
+    start_nodes: list[int] | None = None,
+    classes: set[int] | None = None,
 ) -> list[DirectedLoop]:
     """All fold loops of length <= max_length based at the given exact nodes
     (class representatives by default), with every closing relabeling.
-    Each node's folds are read once per call."""
+    Each node's folds are read once per call.  With ``classes``, a walk
+    never enters a node outside those classes: the result is the loops whose
+    nodes all lie in them, in the order of the unrestricted enumeration."""
     if max_length < 0:
         raise GraphStructureError("loop length bound must be nonnegative")
     if start_nodes is None:
@@ -483,7 +488,8 @@ def enumerate_loops(
         if folds is None:
             folds = out_folds[current] = automaton.out_folds(current)
         for e1, e0, target in folds:
-            extend(path_nodes + [target], path_folds + [(e1, e0)])
+            if classes is None or automaton.class_of[target] in classes:
+                extend(path_nodes + [target], path_folds + [(e1, e0)])
 
     for start in start_nodes:
         extend([start], [])
@@ -635,13 +641,8 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     )
 
     # direct composition of all short loops within the residual component
-    residual_set = set(residual_classes)
     reps = [automaton.class_rep[c] for c in residual_classes]
-    loops = [
-        lp
-        for lp in enumerate_loops(automaton, loop_bound, start_nodes=reps)
-        if all(automaton.class_of[n] in residual_set for n in lp.node_ids)
-    ]
+    loops = enumerate_loops(automaton, loop_bound, reps, set(residual_classes))
     walks: dict = {}
     reducible = sum(
         not is_irreducible(transition_matrix(loop_to_map(automaton, lp, walks))) for lp in loops

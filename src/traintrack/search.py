@@ -3,9 +3,16 @@
 Two independent computations back the headline facts: the single-fold search
 enumerates every map of the form (proper full fold at the valence-4 vertex,
 then graph isomorphism) over the rank-r universe of (4,3,...,3)-graphs and
-classifies each through the full pipeline; the minimal-stretch-factor driver
+classifies them through the full pipeline; the minimal-stretch-factor driver
 re-verifies the arithmetic steps that pin the smallest stretch factor down to
 the largest root of x^5 - x - 1.
+
+The search classifies one candidate per orbit of the graph's automorphism
+group Aut(G).  An automorphism alpha conjugates the candidate
+sigma . fold(e1, e0) into (alpha sigma alpha^-1) . fold(alpha e1, alpha e0),
+by the rule of ``folds.pull_back``, and conjugation by a graph isomorphism
+changes no verdict.  A representative's verdicts count
+|Aut(G)| / |Stab(e1, e0, sigma)| times, the size of its orbit.
 """
 
 from __future__ import annotations
@@ -20,7 +27,17 @@ from .catalog import single_fold_map
 from .certify import MapAnalysis
 from .digraph import connected_components
 from .folds import apply_fold
-from .graphs import GraphMap, GraphStructureError, OrientedGraph, compose
+from .graphs import (
+    GraphMap,
+    GraphStructureError,
+    OrientedGraph,
+    apply_signed,
+    compose,
+    compose_signed,
+    invert_signed,
+    relabeling,
+    signed_images,
+)
 from .spectral import (
     IntPolynomial,
     char_poly,
@@ -264,15 +281,15 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Gra
 
 @dataclass(frozen=True)
 class CandidateReport:
+    """A principal candidate: fold ``e1`` over ``e0`` on graph
+    ``graph_index``, then the isomorphism ``sigma`` back; ``map`` is the
+    composite."""
+
     graph_index: int
     e1: int
     e0: int
     sigma: GraphMap
     map: GraphMap
-    train_track: bool
-    irreducible: bool
-    fic_passed: bool
-    principal: bool
 
 
 @dataclass(frozen=True)
@@ -289,36 +306,93 @@ class SearchSummary:
     class_representatives: tuple[int, ...]  # indices into survivors
 
 
-def _search_one_graph(args) -> list[CandidateReport]:
+def _conjugate(alpha: tuple[int, ...], alpha_inv: tuple[int, ...], sigma: tuple[int, ...]):
+    """The signed images of alpha . sigma . alpha^-1."""
+    return compose_signed(alpha, compose_signed(sigma, alpha_inv))
+
+
+def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateReport]]:
+    """Counts of candidates, train track, irreducible and fully irreducible
+    candidates on one graph, and its principal candidates, from one
+    classified candidate per Aut(G)-orbit (see ``single_fold_search``)."""
     rank, gi = args
-    universe = build_universe(rank)
-    graph = universe.graphs[gi]
-    out = []
+    graph = build_universe(rank).graphs[gi]
+    aut = [signed_images(alpha) for alpha in graph_isomorphisms(graph, graph)]
+    inverses = [invert_signed(alpha) for alpha in aut]
     v4 = max(range(graph.n_vertices), key=graph.valence)
     dirs = sorted(graph.directions_at(v4), key=lambda d: (abs(d), d < 0))
+    counts = [0, 0, 0, 0]
+    survivors: list[CandidateReport] = []
+    done_pairs: set[tuple[int, int]] = set()
     for e1, e0 in itertools.permutations(dirs, 2):
-        if abs(e1) == abs(e0):
+        if abs(e1) == abs(e0) or (e1, e0) in done_pairs:
             continue
+        images = [(apply_signed(alpha, e1), apply_signed(alpha, e0)) for alpha in aut]
+        done_pairs.update(images)
+        pair_orbit = len(set(images))
+        stab = [k for k, pair in enumerate(images) if pair == (e1, e0)]
         move = apply_fold(graph, e1, e0, "proper_full")
+        done_sigmas: set[tuple[int, ...]] = set()
         for sigma in graph_isomorphisms(move.target, graph):
-            h = compose(sigma, move.map)
-            a = MapAnalysis(h)
-            tt = a.tt.is_train_track
-            irr = tt and is_irreducible(a.matrix)
-            fic_ok = False
-            principal = False
-            if irr:
-                report = is_principal(a)
-                fic_ok = report.fic.passed
-                principal = report.is_principal
-            out.append(CandidateReport(gi, e1, e0, sigma, h, tt, irr, fic_ok, principal))
-    return out
+            s = signed_images(sigma)
+            if s in done_sigmas:
+                continue
+            orbit = {_conjugate(aut[k], inverses[k], s) for k in stab}
+            done_sigmas |= orbit
+            weight = pair_orbit * len(orbit)
+            counts[0] += weight
+            a = MapAnalysis(compose(sigma, move.map))
+            if not a.tt.is_train_track:
+                continue
+            counts[1] += weight
+            if not is_irreducible(a.matrix):
+                continue
+            counts[2] += weight
+            report = is_principal(a)
+            if report.fic.passed:
+                counts[3] += weight
+            if not report.is_principal:
+                continue
+            members = {
+                (f1, f0, _conjugate(alpha, alpha_inv, s))
+                for (f1, f0), alpha, alpha_inv in zip(images, aut, inverses)
+            }
+            if len(members) != weight:
+                raise GraphStructureError(
+                    f"graph {gi}: orbit of {len(members)} candidates, weight {weight}"
+                )
+            for f1, f0, t in members:
+                member_move = apply_fold(graph, f1, f0, "proper_full")
+                rel = relabeling(member_move.target, graph, t)
+                survivors.append(CandidateReport(gi, f1, f0, rel, compose(rel, member_move.map)))
+    return tuple(counts), survivors
 
 
 def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     """Classify every (graph, ordered fold pair at the valence-4 vertex,
     graph isomorphism back) candidate and group the principal survivors by
     relabeling conjugacy.
+
+    One candidate is classified per orbit of Aut(G), and the others take its
+    verdicts.  An automorphism alpha of G sends the candidate
+    h = sigma . fold(e1, e0) to alpha h alpha^-1.  By the rule of
+    ``folds.pull_back``, fold(e1, e0) . alpha^-1 is fold(alpha e1, alpha e0)
+    followed by the relabeling with the signed images of alpha^-1, so
+    alpha h alpha^-1 is the candidate (alpha e1, alpha e0,
+    alpha sigma alpha^-1).  Conjugation by a graph isomorphism keeps the
+    train track property, the transition matrix up to a permutation, and
+    every conjunct of the full irreducibility criterion and of principality,
+    so each verdict is constant on an orbit.  The orbits of the ordered
+    fold pairs are taken first; at the first pair (e1, e0) of each, the
+    isomorphisms back are split into orbits of Stab(e1, e0) acting by
+    sigma -> alpha sigma alpha^-1.  A representative stands for
+    |pair orbit| x |sigma orbit| = |Aut(G)| / |Stab(e1, e0, sigma)|
+    candidates, so every funnel count is a sum of orbit sizes and stays
+    exact although most candidates are never analysed: 50 analyses for 260
+    candidates at rank 3, 370 for 1,424 at rank 4.  A principal
+    representative is expanded to all its orbit members, each rebuilt from
+    its fold and a validated relabeling, and a member count other than the
+    weight raises ``GraphStructureError``.
 
     A candidate is irreducible exactly when its isomorphism permutes the
     edges, signs forgotten, in one n-cycle.  The proper full fold has matrix
@@ -336,10 +410,11 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
             chunks = pool.map(_search_one_graph, tasks)
     else:
         chunks = [_search_one_graph(t) for t in tasks]
-    reports: list[CandidateReport] = [r for chunk in chunks for r in chunk]
-    reports.sort(key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.edge_images))
-
-    survivors = tuple(r for r in reports if r.principal)
+    candidates, tt, irreducible, fic = map(sum, zip(*(counts for counts, _ in chunks)))
+    survivors = sorted(
+        (r for _, chunk in chunks for r in chunk),
+        key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.edge_images),
+    )
     classes: list[int] = []
     for i, r in enumerate(survivors):
         for j in classes:
@@ -350,12 +425,12 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     return SearchSummary(
         rank=rank,
         universe_size=len(universe.graphs),
-        candidates=len(reports),
-        tt_count=sum(1 for r in reports if r.train_track),
-        irreducible_count=sum(1 for r in reports if r.irreducible),
-        fic_count=sum(1 for r in reports if r.fic_passed),
+        candidates=candidates,
+        tt_count=tt,
+        irreducible_count=irreducible,
+        fic_count=fic,
         principal_count=len(survivors),
-        survivors=survivors,
+        survivors=tuple(survivors),
         class_count=len(classes),
         class_representatives=tuple(classes),
     )

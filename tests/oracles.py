@@ -3,13 +3,18 @@
 No command needs them: small named maps on roses, the identity map,
 integer matrix arithmetic, relabeling actions on graphs and maps, the
 general push of relabelings past folds with the powers and loop rotations
-built on fold conjugation, and the map-document printer.  Parsing then
+built on fold conjugation, the single-fold search classifying every
+candidate one by one, and the map-document printer.  Parsing then
 printing a canonical document is the identity.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+
 from traintrack.automaton import DirectedLoop, transport
+from traintrack.certify import MapAnalysis
 from traintrack.folds import FoldMove, FoldSequence, apply_fold, pull_back
 from traintrack.graphs import (
     GraphMap,
@@ -22,7 +27,9 @@ from traintrack.graphs import (
     relabeling,
     signed_images,
 )
-from traintrack.spectral import IntegerMatrix, IntPolynomial
+from traintrack.search import build_universe, graph_isomorphisms
+from traintrack.spectral import IntegerMatrix, IntPolynomial, is_irreducible
+from traintrack.whitehead import is_principal
 
 # -- maps on roses -----------------------------------------------------------
 
@@ -215,6 +222,50 @@ def rotate_loop(automaton, loop: DirectedLoop) -> DirectedLoop:
         raise GraphStructureError("loop rotation left the node set")
     new_nodes = loop.node_ids[1:] + (automaton.node_index[target_key],)
     return DirectedLoop(new_nodes, loop.folds[1:] + (pulled,), loop.closing)
+
+
+# -- the single-fold search, one candidate at a time ---------------------------
+
+
+@dataclass(frozen=True)
+class CandidateVerdicts:
+    graph_index: int
+    e1: int
+    e0: int
+    sigma: GraphMap
+    map: GraphMap
+    train_track: bool
+    irreducible: bool
+    fic_passed: bool
+    principal: bool
+
+
+def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
+    """Every candidate on one graph of the rank-r universe, each composed and
+    classified through the full pipeline."""
+    rank, gi = args
+    universe = build_universe(rank)
+    graph = universe.graphs[gi]
+    out = []
+    v4 = max(range(graph.n_vertices), key=graph.valence)
+    dirs = sorted(graph.directions_at(v4), key=lambda d: (abs(d), d < 0))
+    for e1, e0 in itertools.permutations(dirs, 2):
+        if abs(e1) == abs(e0):
+            continue
+        move = apply_fold(graph, e1, e0, "proper_full")
+        for sigma in graph_isomorphisms(move.target, graph):
+            h = compose(sigma, move.map)
+            a = MapAnalysis(h)
+            tt = a.tt.is_train_track
+            irr = tt and is_irreducible(a.matrix)
+            fic_ok = False
+            principal = False
+            if irr:
+                report = is_principal(a)
+                fic_ok = report.fic.passed
+                principal = report.is_principal
+            out.append(CandidateVerdicts(gi, e1, e0, sigma, h, tt, irr, fic_ok, principal))
+    return out
 
 
 # -- map documents -------------------------------------------------------------

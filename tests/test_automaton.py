@@ -278,11 +278,7 @@ def _residual_loops(automaton, loop_bound):
     analysis = node_one_analysis(automaton, loop_bound=loop_bound)
     residual = set(analysis.residual_loop_classes)
     reps = [automaton.class_rep[c] for c in sorted(residual)]
-    loops = [
-        lp
-        for lp in enumerate_loops(automaton, loop_bound, start_nodes=reps)
-        if all(automaton.class_of[n] in residual for n in lp.node_ids)
-    ]
+    loops = enumerate_loops(automaton, loop_bound, start_nodes=reps, classes=residual)
     assert len(loops) == analysis.loops_checked
     return loops
 
@@ -339,6 +335,33 @@ def test_enumerate_loops_reads_each_node_once(automaton, monkeypatch, bound, fol
     assert hashlib.sha256(repr(loops).encode()).hexdigest() == digest
     assert len(read) == folds_read
     assert set(read.values()) == {1}
+
+
+@pytest.mark.parametrize("bound, folds_read, loops_kept", [(4, 194, 732), (5, 395, 2352)])
+def test_enumerate_loops_within_classes_prunes_walks(automaton, monkeypatch, bound, folds_read,
+                                                    loops_kept):
+    # walks that leave the residual classes are never entered: fewer nodes
+    # read, and the loops are those of the unpruned list that stay inside,
+    # in the same order
+    reps = _residual_reps(automaton)
+    residual = {automaton.class_of[n] for n in reps}
+    unpruned = enumerate_loops(automaton, bound, start_nodes=reps)
+    read = Counter()
+    out_folds = automaton_module.Automaton.out_folds
+
+    def counted(self, node_id):
+        read[node_id] += 1
+        return out_folds(self, node_id)
+
+    monkeypatch.setattr(automaton_module.Automaton, "out_folds", counted)
+    loops = enumerate_loops(automaton, bound, start_nodes=reps, classes=residual)
+    assert loops == [
+        lp for lp in unpruned if all(automaton.class_of[n] in residual for n in lp.node_ids)
+    ]
+    assert len(loops) == loops_kept
+    assert len(read) == folds_read
+    assert set(read.values()) == {1}
+    assert all(automaton.class_of[n] in residual for n in read)
 
 
 def _assert_shared_walks_compose_like_fresh_loops(automaton, loops):

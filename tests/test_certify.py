@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import identity_map, power, rose_graph
+from oracles import identity_map, power, rose_graph, search_one_graph_per_candidate
 from traintrack.certify import (
     MapAnalysis,
     default_period_bound,
@@ -252,12 +252,12 @@ RANK3_REPORTS_DIGEST = "aa5c6dcd86e91fd6d1c9199f728ce94d388e7b2ec3ae48c496001470
 
 def test_certify_reports_pinned_on_rank3_candidates():
     from traintrack.reports import certify_json, certify_map, certify_text
-    from traintrack.search import _search_one_graph, build_universe
+    from traintrack.search import build_universe
 
     digest = hashlib.sha256()
     verdicts: Counter = Counter()
     for gi in range(len(build_universe(3).graphs)):
-        for candidate in _search_one_graph((3, gi)):
+        for candidate in search_one_graph_per_candidate((3, gi)):
             report = certify_map(candidate.map)
             digest.update(certify_text(report).encode())
             digest.update(json.dumps(certify_json(report), sort_keys=True).encode())

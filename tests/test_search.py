@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -9,13 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import CandidateVerdicts, search_one_graph_per_candidate
+from traintrack import search as search_module
 from traintrack.digraph import connected_components
 from traintrack.folds import apply_fold, stallings_decompose
 from traintrack.graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
+    apply_signed,
     compose,
+    compose_signed,
+    invert_signed,
     relabeling,
     signed_images,
 )
@@ -493,6 +499,18 @@ def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
     return length == len(sigma)
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_candidates(rank: int, graphs: int | None = None) -> tuple[CandidateVerdicts, ...]:
+    """Every candidate on the first ``graphs`` graphs of the universe (all by
+    default), classified one by one, in search order."""
+    n = len(build_universe(rank).graphs) if graphs is None else graphs
+    return tuple(r for gi in range(n) for r in search_one_graph_per_candidate((rank, gi)))
+
+
+def _survivor_key(r):
+    return (r.graph_index, r.e1, r.e0, r.sigma, r.map)
+
+
 @pytest.mark.parametrize(
     "rank, graphs, candidates, irreducible",
     [(3, None, 260, 16), (4, None, 1424, 0), (5, 20, 2816, 0)],
@@ -500,14 +518,98 @@ def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
 def test_candidate_irreducible_iff_one_cycle(rank, graphs, candidates, irreducible):
     # the lemma in single_fold_search: sigma . fold has matrix P + PE,
     # irreducible exactly when sigma's unsigned edge permutation is one cycle
-    n = len(build_universe(rank).graphs) if graphs is None else graphs
-    reports = [r for gi in range(n) for r in _search_one_graph((rank, gi))]
+    reports = _oracle_candidates(rank, graphs)
     found = 0
     for r in reports:
         irr = is_irreducible(transition_matrix(r.map))
         assert irr == _is_one_cycle(signed_images(r.sigma))
         found += irr
     assert (len(reports), found) == (candidates, irreducible)
+
+
+@pytest.mark.parametrize("rank, graphs", [(3, None), (4, None), (5, 20)])
+def test_orbit_search_matches_per_candidate_oracle(rank, graphs):
+    n = len(build_universe(rank).graphs) if graphs is None else graphs
+    chunks = [_search_one_graph((rank, gi)) for gi in range(n)]
+    counts = tuple(map(sum, zip(*(counts for counts, _ in chunks))))
+    survivors = sorted(
+        (r for _, chunk in chunks for r in chunk),
+        key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.edge_images),
+    )
+    oracle = _oracle_candidates(rank, graphs)
+    assert counts == (
+        len(oracle),
+        sum(r.train_track for r in oracle),
+        sum(r.irreducible for r in oracle),
+        sum(r.fic_passed for r in oracle),
+    )
+    assert [_survivor_key(r) for r in survivors] == [
+        _survivor_key(r) for r in oracle if r.principal
+    ]
+
+
+def _act(alpha, e1, e0, sigma):
+    """The candidate alpha sends (e1, e0, sigma) to: (alpha e1, alpha e0,
+    alpha sigma alpha^-1)."""
+    conj = compose_signed(alpha, compose_signed(sigma, invert_signed(alpha)))
+    return apply_signed(alpha, e1), apply_signed(alpha, e0), conj
+
+
+def test_conjugating_a_candidate_by_an_automorphism_gives_a_candidate():
+    # alpha h alpha^-1 = (alpha sigma alpha^-1) . fold(alpha e1, alpha e0),
+    # the rule of folds.pull_back, on every rank-3 candidate
+    graphs = build_universe(3).graphs
+    checked = 0
+    for r in _oracle_candidates(3):
+        graph = graphs[r.graph_index]
+        for alpha in graph_isomorphisms(graph, graph):
+            a = signed_images(alpha)
+            alpha_inv = relabeling(graph, graph, invert_signed(a))
+            f1, f0, conj = _act(a, r.e1, r.e0, signed_images(r.sigma))
+            move = apply_fold(graph, f1, f0)
+            built = compose(relabeling(move.target, graph, conj), move.map)
+            assert compose(alpha, compose(r.map, alpha_inv)) == built
+            checked += 1
+    assert checked == 2992  # (candidate, automorphism) pairs
+
+
+@pytest.mark.parametrize("rank, candidates, orbits", [(3, 260, 50), (4, 1424, 370)])
+def test_oracle_verdicts_are_constant_on_orbits(rank, candidates, orbits):
+    graphs = build_universe(rank).graphs
+    verdicts = {
+        (r.graph_index, r.e1, r.e0, signed_images(r.sigma)):
+            (r.train_track, r.irreducible, r.fic_passed, r.principal)
+        for r in _oracle_candidates(rank)
+    }
+    assert len(verdicts) == candidates
+    aut = [[signed_images(alpha) for alpha in graph_isomorphisms(g, g)] for g in graphs]
+    seen = set()
+    sizes = []
+    for key, verdict in verdicts.items():
+        if key in seen:
+            continue
+        gi, e1, e0, sigma = key
+        orbit = {(gi, *_act(alpha, e1, e0, sigma)) for alpha in aut[gi]}
+        assert all(verdicts[member] == verdict for member in orbit)
+        seen |= orbit
+        sizes.append(len(orbit))
+    assert (sum(sizes), len(sizes)) == (candidates, orbits)
+
+
+def test_orbit_search_isomorphism_calls_rank4(monkeypatch):
+    # one automorphism group per graph (30) and one isomorphism enumeration
+    # per orbit of fold pairs (115): losing the orbit rule costs 336 calls
+    calls = Counter()
+    isomorphisms = search_module.graph_isomorphisms
+
+    def counted(source, target):
+        calls[source is target] += 1
+        return isomorphisms(source, target)
+
+    monkeypatch.setattr(search_module, "graph_isomorphisms", counted)
+    summary = single_fold_search(4)
+    assert summary.candidates == 1424
+    assert calls == {True: 30, False: 115}
 
 
 def test_single_fold_search_rank4():
@@ -522,12 +624,14 @@ def test_search_determinism(gmap):
     plain = single_fold_search(3)
     tasks = [(3, gi) for gi in range(plain.universe_size)]
     random.Random(12345).shuffle(tasks)
-    shuffled = [r for task in tasks for r in _search_one_graph(task)]
+    shuffled = [r for task in tasks for r in search_one_graph_per_candidate(task)]
     shuffled.sort(key=lambda r: (r.graph_index, r.e1, r.e0, signed_images(r.sigma)))
     assert len(shuffled) == plain.candidates
     assert sum(r.train_track for r in shuffled) == plain.tt_count
     assert sum(r.irreducible for r in shuffled) == plain.irreducible_count
-    assert tuple(r for r in shuffled if r.principal) == plain.survivors
+    assert [_survivor_key(r) for r in shuffled if r.principal] == [
+        _survivor_key(r) for r in plain.survivors
+    ]
 
 
 def _assert_parallel_agrees(rank):
