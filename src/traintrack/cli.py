@@ -199,11 +199,14 @@ def cmd_verify(args) -> int:
 
 
 def _rank_list(text: str) -> list[int]:
-    """A comma-separated list of search ranks."""
+    """A comma-separated list of distinct search ranks."""
     items = text.split(",")
     if not all(item.strip().isdigit() and int(item) in EXPECTED_CLASSES for item in items):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of 3, 4, 5")
-    return [int(item) for item in items]
+    ranks = [int(item) for item in items]
+    if len(set(ranks)) < len(ranks):
+        raise argparse.ArgumentTypeError(f"{text!r} repeats a rank")
+    return ranks
 
 
 def _positive_int(text: str) -> int:

@@ -1,13 +1,17 @@
 """Exact transition-matrix arithmetic and Perron-number certification.
 
-Matrices hold arbitrary-precision Python integers; characteristic polynomials
-are computed exactly over Z by sympy's division-free algorithm.  Every root
-verdict is exact: sympy isolates the real roots, and the largest one is
-narrowed, once per polynomial, by sign-change bisection, where the sign at
-n/d is that of the integer sum of c_k n^k d^(deg-k).  Perron dominance is
-read off the real roots of the polynomial whose roots are the pairwise
-products of the roots.
-No floating-point number decides anything here.
+Matrices and polynomials hold arbitrary-precision Python integers, and no
+floating-point number decides anything here.  Characteristic polynomials
+come from the power sums tr(M^k) through Newton's identities.  Square-free
+parts and Yun's square-free decomposition rest on an integer gcd: the
+heuristic gcd of Char, Geddes and Gonnet, whose result is checked by exact
+division, with the primitive remainder sequence behind it.  Real roots are
+isolated by Descartes-rule bisection (Collins and Akritas, 1976), and the
+largest one is narrowed, once per polynomial, by sign-change bisection,
+where the sign at n/d is that of the integer sum of c_k n^k d^(deg-k).
+Perron dominance is read off the real roots of the polynomial whose roots
+are the pairwise products of the roots.  sympy is imported only to factor
+over Z, for the minimal-polynomial degree that ``certify --json`` reports.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
+from math import gcd, lcm
 from operator import or_
-
-import sympy
-from sympy.polys.matrices import DomainMatrix
 
 from .digraph import condensation_reachability, strongly_connected_components
 from .graphs import GraphMap, GraphStructureError
@@ -119,46 +122,243 @@ def transition_matrix(g: GraphMap) -> IntegerMatrix:
     return IntegerMatrix(tuple(rows))
 
 
+# -- integer polynomial arithmetic (coefficient lists, lowest degree first) -
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _evaluate(f: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f over the gcd of its coefficients, with a positive leading one."""
+    content = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return [c // content for c in f]
+
+
+def _divide(f: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
+    """Long division of f by g in Z[x]: (quotient, remainder), or None when
+    a step leaves Z."""
+    rest = list(f)
+    quotient = [0] * max(len(f) - len(g) + 1, 0)
+    for k in reversed(range(len(quotient))):
+        c, r = divmod(rest[k + len(g) - 1], g[-1])
+        if r:
+            return None
+        quotient[k] = c
+        for i, b in enumerate(g):
+            rest[k + i] -= c * b
+    return quotient, _trim(rest)
+
+
+def _divide_exact(f: list[int], g: list[int]) -> list[int] | None:
+    """The quotient f / g when g divides f in Z[x], else None."""
+    division = _divide(f, g)
+    return division[0] if division and not division[1] else None
+
+
+def _heuristic_gcd(f: list[int], g: list[int]) -> list[int] | None:
+    """GCDHEU (Char, Geddes and Gonnet, 1989) on primitive f and g: the
+    integer gcd of f(ξ) and g(ξ), read back in balanced base ξ.  Since
+    ξ > 2·min(|f|, |g|) + 1, a reading that divides both is their gcd;
+    None when six choices of ξ give no such reading."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(6):
+        h = gcd(_evaluate(f, xi), _evaluate(g, xi))
+        digits = []
+        while h:
+            digit = h % xi
+            if digit > xi // 2:
+                digit -= xi
+            digits.append(digit)
+            h = (h - digit) // xi
+        candidate = _primitive(digits)
+        if len(candidate) == 1 or (
+            _divide_exact(f, candidate) is not None and _divide_exact(g, candidate) is not None
+        ):
+            return candidate
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _remainder_gcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive remainder sequence of primitive f and g, deg f >= deg g:
+    each pseudo-remainder lc(g)^(deg f - deg g + 1)·f mod g, made primitive."""
+    while len(g) > 1:
+        _, rest = _divide([c * g[-1] ** (len(f) - len(g) + 1) for c in f], g)
+        if not rest:
+            return g
+        f, g = g, _primitive(rest)
+    return [1]
+
+
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive gcd, with a positive leading coefficient, of nonzero
+    f and g."""
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    if len(g) == 1:
+        return [1]
+    return _heuristic_gcd(f, g) or _remainder_gcd(f, g)
+
+
+def _square_free_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition: pairwise coprime square-free
+    nonconstant f_k with f = c·∏ f_k^k, as (f_k, k)."""
+    factors = []
+    df = _derivative(f)
+    g = _gcd(f, df)
+    b, c = _divide_exact(f, g), _divide_exact(df, g)
+    k = 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d) if d else _primitive(b)
+        if len(a) > 1:
+            factors.append((a, k))
+        b, c = _divide_exact(b, a), _divide_exact(d, a) if d else []
+        k += 1
+    return factors
+
+
 # -- characteristic polynomial ---------------------------------------------
 
 
+def _from_power_sums(sums: list[int]) -> IntPolynomial:
+    """The monic polynomial of degree m = len(sums) - 1 whose roots have
+    power sums sums[1..m], by Newton's identities."""
+    b = [1]  # b[i] multiplies x^(m-i)
+    for k in range(1, len(sums)):
+        acc = sums[k] + sum(b[i] * sums[k - i] for i in range(1, k))
+        assert acc % k == 0, "power sums must give integer coefficients"
+        b.append(-acc // k)
+    return IntPolynomial(tuple(reversed(b)))
+
+
 def char_poly(matrix: IntegerMatrix) -> IntPolynomial:
-    """det(xI - M), exactly: sympy's division-free characteristic polynomial
-    over ZZ."""
+    """det(xI - M), exactly: Newton's identities on the power sums tr(M^k),
+    k <= n.  Row i of M^k is the combination of the rows of M^(k-1) that
+    the nonzero entries of row i of M select."""
     n = matrix.dimension
-    coefficients = DomainMatrix([list(row) for row in matrix.rows], (n, n), sympy.ZZ).charpoly()
-    return IntPolynomial(tuple(int(c) for c in reversed(coefficients)))
+    terms = [[(j, x) for j, x in enumerate(row) if x] for row in matrix.rows]
+    power = [list(row) for row in matrix.rows]
+    sums = [n]
+    for k in range(1, n + 1):
+        sums.append(sum(power[i][i] for i in range(n)))
+        if k < n:
+            rows = []
+            for row_terms in terms:
+                acc = [0] * n
+                for j, x in row_terms:
+                    acc = [a + x * b for a, b in zip(acc, power[j])]
+                rows.append(acc)
+            power = rows
+    return _from_power_sums(sums)
 
 
 # -- root isolation ---------------------------------------------------------
-
-
-_X = sympy.Symbol("x")
-
-
-def _to_sympy(p: IntPolynomial) -> sympy.Poly:
-    return sympy.Poly(list(reversed(p.coefficients)), _X)
 
 
 _NARROW = Fraction(1, 10**12)
 Interval = tuple[Fraction, Fraction]
 
 
+def _taylor_shift(f: list[int], t: int = 1) -> list[int]:
+    """The coefficients of f(x + t)."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += t * f[j + 1]
+    return f
+
+
+def _variations(f: list[int]) -> int:
+    """Descartes' bound on the roots of f in (0, 1): the sign variations of
+    (x + 1)^deg f(1 / (x + 1)).  It exceeds the number of roots by an even
+    number, and does not grow when the interval is split."""
+    signs = [c > 0 for c in _taylor_shift(f[::-1]) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _halves(f: list[int]) -> tuple[list[int], list[int]]:
+    """Multiples of f(x / 2) and f((x + 1) / 2): f on the halves of (0, 1)."""
+    d = len(f) - 1
+    left = [c << (d - k) for k, c in enumerate(f)]
+    return left, _taylor_shift(left)
+
+
+def _real_roots(f: list[int], a: Fraction, w: Fraction):
+    """Isolate the real roots of the square-free f in (a, a + w), largest
+    first, by Descartes-rule bisection (Collins and Akritas, 1976).  Each
+    is yielded as (r, r, None) at a rational root r met as a midpoint, or
+    as (lo, hi, u) where u(x) is a multiple of f(lo + (hi - lo)·x) with
+    exactly one root in (0, 1).  An endpoint may be a root of f."""
+    scale = lcm(a.denominator, w.denominator)
+    d = len(f) - 1
+    shifted = _taylor_shift([c * scale ** (d - k) for k, c in enumerate(f)], int(a * scale))
+    w_scaled = int(w * scale)
+    stack = [(a, w, [c * w_scaled**k for k, c in enumerate(shifted)])]
+    while stack:
+        lo, width, u = stack.pop()
+        if u is None:
+            yield lo, lo, None
+            continue
+        v = _variations(u)
+        if v == 1:
+            yield lo, lo + width, u
+        elif v > 1:
+            left, right = _halves(u)
+            mid, width = lo + width / 2, width / 2
+            stack.append((lo, width, left))
+            if right[0] == 0:
+                stack.append((mid, width, None))
+            stack.append((mid, width, right))
+
+
+def _refine(lo: Fraction, hi: Fraction, u: list[int] | None):
+    """Halve an interval from ``_real_roots`` around its root."""
+    if u is None:
+        return lo, hi, u
+    left, right = _halves(u)
+    mid = (lo + hi) / 2
+    if right[0] == 0:
+        return mid, mid, None
+    return (lo, mid, left) if _variations(left) else (mid, hi, right)
+
+
+def _root_bound(f: list[int]) -> int:
+    """A power of two above the modulus of every root (Cauchy's bound)."""
+    bound = 1 - max(map(abs, f[:-1]), default=0) // -abs(f[-1])
+    return 1 << (bound - 1).bit_length()
+
+
 @lru_cache(maxsize=1024)
 def _root_bracket(coefficients: tuple[int, ...]) -> tuple[IntPolynomial, Interval, Interval]:
     """The square-free part q of the polynomial (repeated roots would not
-    change sign), sympy's isolating interval of its largest real root, and
-    that interval bisected to at most 1e-12 wide.  The isolating interval is
-    open, or a single point at a rational root; an open interval may end at
-    a smaller rational root."""
-    f = _to_sympy(IntPolynomial(coefficients)).sqf_part()
-    intervals = f.intervals()
-    if not intervals:
-        raise GraphStructureError("polynomial has no real root")
-    (lo, hi), _ = intervals[-1]
-    q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
-    isolating = (Fraction(lo), Fraction(hi))
-    return q, isolating, _bisect(q, *isolating, _NARROW)
+    change sign), the dyadic isolating interval of its largest real root,
+    and that interval bisected to at most 1e-12 wide.  The isolating
+    interval is open, or a single point at a rational root; an open interval
+    may end at a smaller rational root."""
+    f = list(coefficients)
+    df = _derivative(f)
+    q = _primitive(_divide_exact(f, _gcd(f, df)) if df else f)
+    bound = _root_bound(q)
+    for lo, hi, _ in _real_roots(q, Fraction(-bound), Fraction(2 * bound)):
+        q_poly = IntPolynomial(tuple(q))
+        return q_poly, (lo, hi), _bisect(q_poly, lo, hi, _NARROW)
+    raise GraphStructureError("polynomial has no real root")
 
 
 def _bisect(q: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
@@ -203,13 +403,7 @@ def _symmetric_square(q: IntPolynomial) -> IntPolynomial:
         for i in range(1, min(k - 1, d) + 1):
             acc += a[i] * s[k - i]
         s.append(-acc)
-    sums = [0] + [(s[k] * s[k] + s[2 * k]) // 2 for k in range(1, m + 1)]
-    b = [1]
-    for k in range(1, m + 1):
-        acc = sums[k] + sum(b[i] * sums[k - i] for i in range(1, k))
-        assert acc % k == 0, "symmetric square must have integer coefficients"
-        b.append(-acc // k)
-    return IntPolynomial(tuple(reversed(b)))
+    return _from_power_sums([m] + [(s[k] * s[k] + s[2 * k]) // 2 for k in range(1, m + 1)])
 
 
 def is_perron_number(p: IntPolynomial) -> bool:
@@ -223,11 +417,11 @@ def is_perron_number(p: IntPolynomial) -> bool:
     >= λ² comes from a pair other than (λ, λ); conversely every other pair
     has a product of modulus below λ².
 
-    The real roots of each square-free factor of S are isolated exactly.
-    From λ's narrowed bracket [lo, hi], it and every interval meeting
-    [lo², hi²] are refined until one interval meets it, which then holds λ²;
-    an interval wholly above hi² holds a larger root.  This ends, as the
-    roots of coprime factors are distinct.
+    The real roots above lo² of each factor of S's square-free decomposition
+    are isolated, from λ's narrowed bracket [lo, hi].  It and every interval
+    meeting [lo², hi²] are refined until one interval meets it, which then
+    holds λ²; an interval wholly above hi² holds a larger root.  This ends,
+    as the roots of coprime factors are distinct.
     """
     q, _, (lo, hi) = _root_bracket(p.coefficients)
     if not q.is_monic():
@@ -236,33 +430,39 @@ def is_perron_number(p: IntPolynomial) -> bool:
         lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
     if hi <= 0:
         raise GraphStructureError("no positive real root; not a Perron candidate")
+    # a start below λ²: lo² when lo < λ, half of λ² when the bracket is the point λ
+    start = lo * lo if lo < hi else lo * lo / 2
     roots = [
-        [factor, multiplicity, Fraction(a), Fraction(b)]
-        for factor, multiplicity in _to_sympy(_symmetric_square(q)).sqf_list()[1]
-        for (a, b), _ in factor.intervals()
+        [multiplicity, *interval]
+        for factor, multiplicity in _square_free_factors(list(_symmetric_square(q).coefficients))
+        for interval in _real_roots(factor, start, Fraction(_root_bound(factor)))
     ]
     while True:
         low, high = lo * lo, hi * hi
         meeting = []
         for root in roots:
-            if root[2] > high:
+            _, a, b, u = root
+            if a > high or (a == high and u is not None):
                 return False
-            if root[3] >= low:
+            if b > low or (b == low and u is None):
                 meeting.append(root)
         assert meeting, "the symmetric square vanishes at λ²"
         if len(meeting) == 1:
-            return meeting[0][1] == 1
+            return meeting[0][0] == 1
         lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
         for root in meeting:
-            factor, _, a, b = root
-            if a < b:
-                root[2:] = map(Fraction, factor.refine_root(a, b, steps=1))
+            root[1:] = _refine(*root[1:])
 
 
 def minimal_polynomial_degree(p: IntPolynomial, root_interval: Interval) -> int:
-    """Degree of the irreducible factor of ``p`` vanishing on the interval."""
+    """Degree of the irreducible factor of ``p`` vanishing on the interval.
+    sympy factors over Z; only ``certify --json`` asks, so sympy is
+    imported here rather than with the package."""
+    import sympy
+
     lo, hi = root_interval
-    for factor, _mult in _to_sympy(_root_bracket(p.coefficients)[0]).factor_list()[1]:
+    q = sympy.Poly(list(reversed(_root_bracket(p.coefficients)[0].coefficients)), sympy.Symbol("x"))
+    for factor, _mult in q.factor_list()[1]:
         f = IntPolynomial(tuple(int(c) for c in reversed(factor.all_coeffs())))
         flo, fhi = f.sign(lo), f.sign(hi)
         if flo == 0 or fhi == 0 or flo != fhi:

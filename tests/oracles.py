@@ -1,7 +1,8 @@
 """Reference constructions that tests compare the package against.
 
 No command needs them: small named maps on roses, the identity map,
-integer matrix arithmetic, relabeling actions on graphs and maps, the
+integer matrix arithmetic, the sympy spectral engine that the package's
+integer root engine replaced, relabeling actions on graphs and maps, the
 general push of relabelings past folds with the powers and loop rotations
 built on fold conjugation, the single-fold search classifying every
 candidate one by one, and the map-document printer.  Parsing then
@@ -12,6 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from traintrack.automaton import DirectedLoop, transport
 from traintrack.certify import MapAnalysis
@@ -28,7 +33,13 @@ from traintrack.graphs import (
     signed_images,
 )
 from traintrack.search import build_universe, graph_isomorphisms
-from traintrack.spectral import IntegerMatrix, IntPolynomial, is_irreducible
+from traintrack.spectral import (
+    IntegerMatrix,
+    IntPolynomial,
+    _bisect,
+    _symmetric_square,
+    is_irreducible,
+)
 from traintrack.whitehead import is_principal
 
 # -- maps on roses -----------------------------------------------------------
@@ -113,6 +124,69 @@ def power(m: IntegerMatrix, k: int) -> IntegerMatrix:
 
 def is_positive(m: IntegerMatrix) -> bool:
     return all(x > 0 for row in m.rows for x in row)
+
+
+# -- the sympy spectral engine the package replaced ----------------------------
+
+
+def sympy_poly(p: IntPolynomial) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coefficients)), sympy.Symbol("x"))
+
+
+def sympy_char_poly(matrix: IntegerMatrix) -> IntPolynomial:
+    """det(xI - M) by sympy's division-free algorithm over ZZ."""
+    n = matrix.dimension
+    coefficients = DomainMatrix([list(row) for row in matrix.rows], (n, n), sympy.ZZ).charpoly()
+    return IntPolynomial(tuple(int(c) for c in reversed(coefficients)))
+
+
+def sympy_root_bracket(p: IntPolynomial):
+    """The square-free part q of ``p``, sympy's isolating interval of its
+    largest real root, and that interval bisected to at most 1e-12 wide.
+    The interval is open, or a point at a rational root; its ends need not
+    be dyadic."""
+    f = sympy_poly(p).sqf_part()
+    intervals = f.intervals()
+    if not intervals:
+        raise GraphStructureError("polynomial has no real root")
+    (lo, hi), _ = intervals[-1]
+    q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
+    isolating = (Fraction(lo), Fraction(hi))
+    return q, isolating, _bisect(q, *isolating, Fraction(1, 10**12))
+
+
+def sympy_is_perron_number(p: IntPolynomial) -> bool:
+    """The Perron test on sympy's square-free factors of the symmetric
+    square and its isolating intervals of their real roots, refined until
+    one interval meets λ's bracket squared."""
+    q, _, (lo, hi) = sympy_root_bracket(p)
+    if not q.is_monic():
+        raise GraphStructureError("a Perron number is an algebraic integer; p must be monic")
+    while lo <= 0 < hi:
+        lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
+    if hi <= 0:
+        raise GraphStructureError("no positive real root; not a Perron candidate")
+    roots = [
+        [factor, multiplicity, Fraction(a), Fraction(b)]
+        for factor, multiplicity in sympy_poly(_symmetric_square(q)).sqf_list()[1]
+        for (a, b), _ in factor.intervals()
+    ]
+    while True:
+        low, high = lo * lo, hi * hi
+        meeting = []
+        for root in roots:
+            if root[2] > high:
+                return False
+            if root[3] >= low:
+                meeting.append(root)
+        assert meeting, "the symmetric square vanishes at λ²"
+        if len(meeting) == 1:
+            return meeting[0][1] == 1
+        lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
+        for root in meeting:
+            factor, _, a, b = root
+            if a < b:
+                root[2:] = map(Fraction, factor.refine_root(a, b, steps=1))
 
 
 # -- relabeling actions --------------------------------------------------------

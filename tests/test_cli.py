@@ -195,7 +195,7 @@ def test_verify_theorem_b_limited_ranks(capsys):
     assert "theorem-b: PASS" in captured
 
 
-@pytest.mark.parametrize("ranks", ["6", "x", "3,,4"])
+@pytest.mark.parametrize("ranks", ["6", "x", "3,,4", "3,3"])
 def test_verify_theorem_b_rejects_bad_ranks(ranks, capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "theorem-b", "--ranks", ranks])

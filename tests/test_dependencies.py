@@ -1,16 +1,24 @@
 """The package imports exactly the third-party distributions that
 ``pyproject.toml`` declares, so a dropped or an undeclared dependency fails
-here rather than at install time; and its modules import each other in one
-order, so no module reaches up past the modules it is built on."""
+here rather than at install time; it imports none of them at module level,
+so only the command that needs one (``certify --json``, which factors with
+sympy) pays for loading it; and its modules import each other in one order,
+so no module reaches up past the modules it is built on."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from traintrack.catalog import SINGLE_FOLD_DOCUMENT
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -38,6 +46,73 @@ def imported_top_level_modules() -> set[str]:
 def test_third_party_imports_match_declared_dependencies():
     third_party = imported_top_level_modules() - set(sys.stdlib_module_names) - {"traintrack"}
     assert third_party == declared_dependencies()
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports that run when the module is
+    imported: everything outside function bodies."""
+    modules = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return modules
+
+
+def test_modules_import_only_the_standard_library_at_module_level():
+    third_party = {}
+    for path in sorted((ROOT / "src" / "traintrack").glob("*.py")):
+        names = module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names - set(sys.stdlib_module_names):
+            third_party[path.name] = sorted(names - set(sys.stdlib_module_names))
+    assert third_party == {}
+
+
+# one interpreter imports the package, then runs each command in turn, and
+# reports after each step whether sympy has been imported
+SYMPY_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import traintrack
+    loaded = {"import traintrack": "sympy" in sys.modules}
+    from traintrack.cli import main
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        loaded[" ".join(argv)] = "sympy" in sys.modules
+    print(json.dumps(loaded))
+""")
+
+
+def test_only_certify_json_imports_sympy(tmp_path):
+    doc = tmp_path / "g.map"
+    doc.write_text(SINGLE_FOLD_DOCUMENT, encoding="utf-8")
+    sympy_free = [
+        ["certify", str(doc)],
+        ["decompose", str(doc)],
+        ["search", "single-fold", "--rank", "3"],
+        ["verify", "theorem-a"],
+        ["--jobs", "1", "verify", "theorem-b", "--ranks", "3"],
+        ["automaton", "build", "--loop-bound", "1"],
+    ]
+    # the minimal-polynomial degree of the JSON report factors with sympy
+    factoring = ["certify", str(doc), "--json", str(tmp_path / "g.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", SYMPY_PROBE, json.dumps(sympy_free + [factoring])],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert list(loaded.values()) == [False] * (1 + len(sympy_free)) + [True], loaded
 
 
 # each module may import only the modules listed before it

@@ -20,8 +20,13 @@ from oracles import (
     is_positive,
     matmul,
     power,
+    sympy_char_poly,
+    sympy_is_perron_number,
+    sympy_poly,
+    sympy_root_bracket,
     transpose,
 )
+from traintrack import spectral
 from traintrack.folds import apply_fold
 from traintrack.graphs import compose
 from traintrack.mapdoc import parse_map_document
@@ -30,7 +35,7 @@ from traintrack.spectral import (
     GraphStructureError,
     IntegerMatrix,
     IntPolynomial,
-    _symmetric_square,
+    _root_bracket,
     char_poly,
     classify_matrix,
     first_positive_power,
@@ -133,9 +138,9 @@ def _cofactor_char_poly(matrix):
 
 
 @st.composite
-def _integer_matrices(draw):
+def _integer_matrices(draw, max_n=7):
     # negative entries too: companion matrices have them
-    n = draw(st.integers(0, 7))
+    n = draw(st.integers(0, max_n))
     entry = st.integers(-3, 3)
     return IntegerMatrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
 
@@ -144,6 +149,12 @@ def _integer_matrices(draw):
 @given(_integer_matrices())
 def test_char_poly_matches_cofactor_expansion(matrix):
     assert char_poly(matrix) == _cofactor_char_poly(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices(8))
+def test_char_poly_matches_sympy(matrix):
+    assert char_poly(matrix) == sympy_char_poly(matrix)
 
 
 def test_char_poly_small_dimensions():
@@ -247,17 +258,13 @@ def test_perron_requires_positive_real_root():
 # -- the exact Perron test against the floating-point solver it replaced -------
 
 
-def _sympy_poly(p):
-    return sympy.Poly(list(reversed(p.coefficients)), sympy.Symbol("x"))
-
-
 def _has_real_root(p):
-    return _sympy_poly(p).count_roots() > 0
+    return sympy_poly(p).count_roots() > 0
 
 
 def _float_all_roots(p, dps=30):
     """Distinct complex roots of ``p`` from mpmath's global solver."""
-    sqf = _sympy_poly(p).sqf_part()
+    sqf = sympy_poly(p).sqf_part()
     with mpmath.workdps(dps):
         roots = mpmath.polyroots(
             [mpmath.mpf(int(c)) for c in sqf.all_coeffs()], maxsteps=200, extraprec=120
@@ -277,7 +284,7 @@ def _float_is_perron_number(p):
     others.remove(max(others))
     if not others or lam - others[0] > 1e-6:
         return True
-    px = _sympy_poly(p)
+    px = sympy_poly(p)
     x = px.gen
     if sympy.gcd(px, sympy.Poly(px.as_expr().subs(x, -x), x)).degree() > 0:
         return False
@@ -343,7 +350,7 @@ def test_exact_perron_test_matches_float_oracle():
 
 def _assert_bracket(p, width):
     lo, hi = largest_real_root_interval(p, width)
-    q = _sympy_poly(p).sqf_part()
+    q = sympy_poly(p).sqf_part()
     assert 0 <= hi - lo <= width
     # count_roots counts the closed interval [hi, oo): no root lies above hi
     if lo == hi:
@@ -357,11 +364,12 @@ def _assert_bracket(p, width):
 def test_largest_root_bracket():
     cases = [Q_POLY, RIVAL_POLY, IntPolynomial((-2, 0, 1)), IntPolynomial((-4, 4, -1, 1))]
     # (x - 1)(x^2 - 2), (x - 1)(2x - 1)(x^2 - 2) and (x - 1)(100x^2 - 101):
-    # sympy's isolating interval of the largest root starts at the rational
-    # root 1, which is within 1/3 of the largest root in the last case
-    cases += [IntPolynomial((2, -2, -1, 1)), IntPolynomial((-2, 6, -1, -3, 2))]
-    cases += [IntPolynomial((101, -101, -100, 100))]
-    # 2x - 1: sympy isolates 1/2 in (0, 1), and the first bisection meets it
+    # the isolating interval (1, 2) of the largest root starts at the
+    # rational root 1, which is within 1/3 of the largest root in the last
+    # case; and 2x^4 - 3x^3 - x^2 + 6x - 2, whose largest root is near 0.377
+    cases += [IntPolynomial((2, -2, -1, 1)), IntPolynomial((-2, 6, -3, -3, 2))]
+    cases += [IntPolynomial((101, -101, -100, 100)), IntPolynomial((-2, 6, -1, -3, 2))]
+    # 2x - 1: isolated in (-2, 2), and the bisection meets 1/2 at a midpoint
     cases += [IntPolynomial((-1, 2))]
     cases += sorted(_random_char_polys_and_monic_polys(count=60), key=lambda p: p.coefficients)
     for p in filter(_has_real_root, cases):
@@ -538,13 +546,6 @@ def _fraction_value(p, x):
     return acc
 
 
-def _fraction_root_bracket(p):
-    f = _sympy_poly(p).sqf_part()
-    (lo, hi), _ = f.intervals()[-1]
-    q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
-    return q, Fraction(lo), Fraction(hi)
-
-
 def _fraction_bisect(q, lo, hi, width):
     """Bisection with ``Fraction`` evaluation, from sympy's interval."""
     sign_hi = _fraction_value(q, hi) > 0
@@ -561,37 +562,9 @@ def _fraction_bisect(q, lo, hi, width):
     return lo, hi
 
 
-def _raw_interval_is_perron_number(p):
-    """The Perron test's refinement loop, started from sympy's raw isolating
-    interval of λ rather than from the narrowed bracket."""
-    q, lo, hi = _fraction_root_bracket(p)
-    while lo <= 0 < hi:
-        lo, hi = _fraction_bisect(q, lo, hi, (hi - lo) / 2)
-    roots = [
-        [factor, multiplicity, Fraction(a), Fraction(b)]
-        for factor, multiplicity in _sympy_poly(_symmetric_square(q)).sqf_list()[1]
-        for (a, b), _ in factor.intervals()
-    ]
-    while True:
-        low, high = lo * lo, hi * hi
-        meeting = []
-        for root in roots:
-            if root[2] > high:
-                return False
-            if root[3] >= low:
-                meeting.append(root)
-        if len(meeting) == 1:
-            return meeting[0][1] == 1
-        lo, hi = _fraction_bisect(q, lo, hi, (hi - lo) / 2)
-        for root in meeting:
-            factor, _, a, b = root
-            if a < b:
-                root[2:] = map(Fraction, factor.refine_root(a, b, steps=1))
-
-
 def _rational_minimal_polynomial_degree(p, root_interval):
     lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in root_interval)
-    for factor, _ in _sympy_poly(p).factor_list()[1]:
+    for factor, _ in sympy_poly(p).factor_list()[1]:
         flo, fhi = factor.eval(lo), factor.eval(hi)
         if flo == 0 or fhi == 0 or (flo > 0) != (fhi > 0):
             return factor.degree()
@@ -612,14 +585,36 @@ def _powered_first_positive_power(matrix):
 WIDTHS = (Fraction(1, 3), Fraction(1, 10**9), Fraction(1, 10**12), Fraction(1, 10**15))
 
 
+def _on_dyadic_grid(interval, width):
+    """Whether ``interval`` is at least ``width`` wide, 2^k wide for some
+    integer k, and has ends that are multiples of 2^k.  Bisection from two
+    such intervals around the same root passes through the same grid
+    intervals, so it ends in the same bracket."""
+    lo, hi = interval
+    size = hi - lo
+    n, d = size.numerator, size.denominator
+    return size >= width and not (n & (n - 1) or d & (d - 1)) and (lo / size).denominator == 1
+
+
 def _assert_root_facts_match_oracles(p):
-    q, lo, hi = _fraction_root_bracket(p)
+    """The bracket, the minimal polynomial degree and the Perron verdict
+    against the sympy engine.  sympy's isolating interval need not be
+    dyadic: the brackets are compared for equality where both engines'
+    isolating intervals are points or lie on the dyadic grid, and checked to
+    isolate the largest root elsewhere."""
+    q, isolating, _ = sympy_root_bracket(p)
+    ours = _root_bracket(p.coefficients)[1]
     for width in WIDTHS:
-        assert largest_real_root_interval(p, width) == _fraction_bisect(q, lo, hi, width)
+        if (isolating[0] == isolating[1] and ours[0] == ours[1]) or (
+            _on_dyadic_grid(isolating, width) and _on_dyadic_grid(ours, width)
+        ):
+            assert largest_real_root_interval(p, width) == _fraction_bisect(q, *isolating, width)
+        else:
+            _assert_bracket(p, width)
     root = largest_real_root_interval(p)
     assert minimal_polynomial_degree(p, root) == _rational_minimal_polynomial_degree(p, root)
     if root[0] > 0:
-        assert is_perron_number(p) == _raw_interval_is_perron_number(p)
+        assert is_perron_number(p) == sympy_is_perron_number(p)
 
 
 @st.composite
@@ -663,6 +658,89 @@ def test_root_facts_named_cases():
     assert minimal_polynomial_degree(p, (lo, hi)) == 3
     assert is_perron_number(p) is True
     _assert_root_facts_match_oracles(p)
+
+
+def _random_nonnegative_matrices(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_n + 1)
+        density = rng.random()
+        yield IntegerMatrix(
+            tuple(
+                tuple(rng.choice((1, 1, 2)) if rng.random() < density else 0 for _ in range(n))
+                for _ in range(n)
+            )
+        )
+
+
+def test_root_facts_match_sympy_on_random_matrices():
+    for matrix in _random_nonnegative_matrices(2405, 120, 11):
+        p = char_poly(matrix)
+        assert p == sympy_char_poly(matrix)
+        _assert_root_facts_match_oracles(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(_irreducible_matrices))
+def test_root_facts_match_sympy_on_periodic_matrices(matrix):
+    _assert_root_facts_match_oracles(char_poly(matrix))
+
+
+# factors with a positive real root, and factors without one
+REAL_FACTORS = ((-1, 1), (-1, -1, 1), (-2, 0, 1), (-1, -1, 0, 1), (-1, -1, 0, 0, 0, 1))
+OTHER_FACTORS = ((0, 1), (1, 1), (1, 0, 1), (1, 1, 1), (1, 0, 0, 0, 1))
+
+
+def _poly_product(factors):
+    return IntPolynomial(functools.reduce(_poly_mul, factors, (1,)))
+
+
+def _products_with_repeated_and_cyclotomic_factors(seed=7, count=40):
+    """x - 1, x^2 - x - 1, x^2 - 2, x^3 - x - 1 or x^5 - x - 1, times x,
+    x + 1, x^2 + 1, x^2 + x + 1 or x^4 + 1, some of them repeated."""
+    rng = random.Random(seed)
+    polys = [
+        _poly_product([(-1, -1, 1), (-1, -1, 1), (1, 0, 1)]),  # (x^2 - x - 1)^2 (x^2 + 1)
+        _poly_product([(-1, 1), (1, 0, 1), (1, 0, 1)]),  # (x - 1)(x^2 + 1)^2
+        _poly_product([(-1, -1, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 1), (0, 1)]),
+    ]
+    for _ in range(count):
+        factors = [rng.choice(REAL_FACTORS)] + rng.sample(OTHER_FACTORS, rng.randrange(1, 4))
+        polys.append(_poly_product([f for f in factors for _ in range(rng.randrange(1, 4))]))
+    return polys
+
+
+def test_root_facts_match_sympy_on_repeated_and_cyclotomic_factors():
+    for p in _products_with_repeated_and_cyclotomic_factors():
+        _assert_root_facts_match_oracles(p)
+
+
+def test_gcd_fallback_gives_the_same_root_facts(monkeypatch):
+    calls = []
+
+    def remainder_gcd(f, g):
+        calls.append(len(f))
+        return fallback(f, g)
+
+    fallback = spectral._remainder_gcd
+    monkeypatch.setattr(spectral, "_heuristic_gcd", lambda f, g: None)
+    monkeypatch.setattr(spectral, "_remainder_gcd", remainder_gcd)
+    spectral._root_bracket.cache_clear()
+    try:
+        for p in _products_with_repeated_and_cyclotomic_factors(count=15):
+            _assert_root_facts_match_oracles(p)
+    finally:
+        spectral._root_bracket.cache_clear()
+    assert calls
+
+
+def test_root_facts_match_sympy_on_random_monic_polynomials():
+    rng = random.Random(13)
+    for _ in range(60):
+        degree = rng.randrange(1, 14)
+        p = IntPolynomial(tuple(rng.randrange(-3, 4) for _ in range(degree)) + (1,))
+        if _has_real_root(p):
+            _assert_root_facts_match_oracles(p)
 
 
 def test_first_positive_power_reaches_the_wielandt_bound():
