@@ -50,6 +50,7 @@ from .graphs import (
     apply_signed,
     compose,
     compose_signed,
+    direction_table,
     invert_signed,
     make_turn,
     relabeling,
@@ -70,15 +71,9 @@ _DIRECTIONS = tuple(sorted(s * i for i in range(1, len(RANK3_EDGE_NAMES) + 1) fo
 # -- node keys and the signed permutation action ---------------------------------
 
 
-def _direction_table(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """``table[d] == apply_signed(sigma, d)`` for every direction d; negative
-    directions index from the end."""
-    return (0,) + sigma + tuple(-x for x in reversed(sigma))
-
-
 def relabel_key(key: NodeKey, sigma: tuple[int, ...]) -> NodeKey:
     groups, red, turns = key
-    image = _direction_table(sigma)
+    image = direction_table(sigma)
     new_groups = tuple(sorted(tuple(sorted([image[d] for d in g])) for g in groups))
     new_turns = []
     for a, b in turns:
@@ -270,7 +265,7 @@ class Automaton:
         representative's folds moved by ``sigma = rep_word[node_id]``, a
         target t going to the entry ``sigma o rep_word[t]`` of its class row."""
         sigma = self.rep_word[node_id]
-        image = _direction_table(sigma)
+        image = direction_table(sigma)
         moved = []
         for e1, e0, t in self.rep_folds[self.class_of[node_id]]:
             k = self.sigma_index[compose_signed(sigma, self.rep_word[t])]
@@ -342,7 +337,7 @@ def build_automaton(rank: int = 3) -> Automaton:
     generators = _group_generators(n_labels)
     act: list[list[int]] = []
     try:
-        for image in map(_direction_table, generators):
+        for image in map(direction_table, generators):
             on_graph = [
                 graph_id[canonical_groups([image[d] for d in g] for g in groups)]
                 for groups in graph_id

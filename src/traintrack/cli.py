@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
-file, unwritable ``--json`` or ``--dot`` path, parse error or bad usage
-(among them a rank other than 3, 4 or 5 for ``search single-fold --rank`` or
-``verify theorem-b --ranks``, and a ``--loop-bound`` below 1); 3 precondition
-violation (``decompose`` on a map it cannot fold, ``certify`` on a train
-track map that is not a homotopy equivalence, ``automaton build --rank``
-other than 3); 4 verification failed (for ``certify``: any verdict other than
-PRINCIPAL; for ``automaton build``: a residual loop is irreducible, or the
-reference map's fold decomposition is not a loop through the reference node).
+file (among them one that is not UTF-8 text), unwritable ``--json`` or
+``--dot`` path, parse error or bad usage (among them a rank other than 3, 4
+or 5 for ``search single-fold --rank`` or ``verify theorem-b --ranks``, and a
+``--loop-bound`` below 1); 3 precondition violation (``decompose`` on a map
+it cannot fold, ``certify`` on a train track map that is not a homotopy
+equivalence, ``automaton build --rank`` other than 3); 4 verification failed
+(for ``certify``: any verdict other than PRINCIPAL; for ``automaton build``:
+a residual loop is irreducible, or the reference map's fold decomposition is
+not a loop through the reference node).
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def _read_map(path: str):
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     try:
         return parse_map_document(text)

@@ -299,8 +299,12 @@ def iterate_map(g: GraphMap, power: int) -> GraphMap:
 
 
 def direction_map(g: GraphMap) -> dict[int, int]:
-    """The map sending a direction to the first direction of its image."""
-    return {d: g.image_of_direction(d)[0] for d in g.source.directions()}
+    """The map sending a direction to the first direction of its image: an
+    edge's first image direction, and the reversed last one for the edge
+    reversed.  Keys in the order of ``directions()``."""
+    dg = {i: image[0] for i, image in enumerate(g.edge_images, 1)}
+    dg.update((-i, -image[-1]) for i, image in enumerate(g.edge_images, 1))
+    return dg
 
 
 def eventual_images(dg: dict[int, int]) -> dict[int, int]:
@@ -352,6 +356,12 @@ def apply_signed(sigma: tuple[int, ...], d: int) -> int:
     """The direction ``sigma`` sends ``d`` to; ``sigma[i]`` is the signed
     image of edge ``i``, and reversal commutes with the action."""
     return sigma[d - 1] if d > 0 else -sigma[-d - 1]
+
+
+def direction_table(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """``table[d] == apply_signed(sigma, d)`` for every direction d; negative
+    directions index from the end."""
+    return (0,) + sigma + tuple(-x for x in reversed(sigma))
 
 
 def compose_signed(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:

@@ -26,17 +26,15 @@ from multiprocessing import Pool
 from .catalog import single_fold_map
 from .certify import MapAnalysis
 from .digraph import connected_components
-from .folds import apply_fold
+from .folds import FoldMove, apply_fold
 from .graphs import (
     GraphMap,
     GraphStructureError,
     OrientedGraph,
-    apply_signed,
     compose,
-    compose_signed,
+    direction_table,
     invert_signed,
     relabeling,
-    signed_images,
 )
 from .spectral import (
     IntPolynomial,
@@ -205,9 +203,11 @@ def trivalent_universe() -> tuple[OrientedGraph, ...]:
 # -- graph isomorphisms ---------------------------------------------------------
 
 
-def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[GraphMap]:
+def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[tuple[int, ...]]:
     """All label-level isomorphisms: vertex bijection plus signed edge
-    bijection (parallel edges permute, loops may flip), by one backtracking.
+    bijection (parallel edges permute, loops may flip), by one backtracking,
+    each returned as its signed edge images.  ``relabeling(source, target,
+    signed)`` builds and validates the map of one.
 
     Vertices first: vertex v is placed after 0..v-1, only on an unused target
     vertex of the same valence whose loops and edges to every placed vertex
@@ -221,7 +221,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Gra
     either).  Every isomorphism over the vertex bijection sends each edge into
     its image pair, so this loses none; the pairs carry equally many edges on
     both sides, so no branch dies, and each complete assignment is a distinct
-    relabeling, returned as a ``GraphMap`` over the vertex bijection.
+    relabeling.
     """
     m, n = source.n_vertices, source.n_edges
     if target.n_vertices != m or target.n_edges != n:
@@ -239,7 +239,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Gra
     used = [False] * m
     signed = [0] * n
     taken = [False] * n
-    out: list[GraphMap] = []
+    out: list[tuple[int, ...]] = []
 
     def place_vertex(v: int) -> None:
         if v == m:
@@ -260,7 +260,7 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[Gra
 
     def place_edge(order: list[int], k: int) -> None:
         if k == n:
-            out.append(GraphMap(source, target, tuple(image), tuple((s,) for s in signed)))
+            out.append(tuple(signed))
             return
         i = order[k]
         u, w = source.ends[i]
@@ -307,17 +307,40 @@ class SearchSummary:
 
 
 def _conjugate(alpha: tuple[int, ...], alpha_inv: tuple[int, ...], sigma: tuple[int, ...]):
-    """The signed images of alpha . sigma . alpha^-1."""
-    return compose_signed(alpha, compose_signed(sigma, alpha_inv))
+    """The signed images of alpha . sigma . alpha^-1, which sends edge k to
+    alpha(sigma(alpha^-1(k))), from the direction tables of alpha and sigma
+    and the signed images of alpha^-1."""
+    return tuple(alpha[sigma[d]] for d in alpha_inv)
+
+
+def _candidate(move: FoldMove, sigma: tuple[int, ...]) -> GraphMap:
+    """The candidate sigma . fold as one validated map, for a fold ``move``
+    of the graph and the signed images ``sigma`` of an isomorphism from the
+    fold's target back to the graph.  A proper full fold's images are
+    tight, and an isomorphism sends tight paths to tight paths, so the
+    images are the fold's with sigma applied, and need no tightening."""
+    graph, target = move.source, move.target
+    table = direction_table(sigma)
+    vertex_map = tuple(
+        graph.initial_vertex(table[target.directions_at(w)[0]]) for w in move.map.vertex_map
+    )
+    images = tuple(tuple(table[d] for d in image) for image in move.map.edge_images)
+    return GraphMap(graph, graph, vertex_map, images)
 
 
 def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateReport]]:
     """Counts of candidates, train track, irreducible and fully irreducible
     candidates on one graph, and its principal candidates, from one
-    classified candidate per Aut(G)-orbit (see ``single_fold_search``)."""
+    classified candidate per Aut(G)-orbit (see ``single_fold_search``).
+
+    Isomorphisms stay signed images, and each is read through one direction
+    table when conjugated.  Only a representative is built as a map, by
+    ``_candidate``, and ``MapAnalysis``, ``is_irreducible`` and
+    ``is_principal`` decide its verdicts."""
     rank, gi = args
     graph = build_universe(rank).graphs[gi]
-    aut = [signed_images(alpha) for alpha in graph_isomorphisms(graph, graph)]
+    aut = graph_isomorphisms(graph, graph)
+    tables = [direction_table(alpha) for alpha in aut]
     inverses = [invert_signed(alpha) for alpha in aut]
     v4 = max(range(graph.n_vertices), key=graph.valence)
     dirs = sorted(graph.directions_at(v4), key=lambda d: (abs(d), d < 0))
@@ -327,21 +350,21 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     for e1, e0 in itertools.permutations(dirs, 2):
         if abs(e1) == abs(e0) or (e1, e0) in done_pairs:
             continue
-        images = [(apply_signed(alpha, e1), apply_signed(alpha, e0)) for alpha in aut]
+        images = [(table[e1], table[e0]) for table in tables]
         done_pairs.update(images)
         pair_orbit = len(set(images))
-        stab = [k for k, pair in enumerate(images) if pair == (e1, e0)]
+        stab = [(tables[k], inverses[k]) for k, pair in enumerate(images) if pair == (e1, e0)]
         move = apply_fold(graph, e1, e0, "proper_full")
         done_sigmas: set[tuple[int, ...]] = set()
-        for sigma in graph_isomorphisms(move.target, graph):
-            s = signed_images(sigma)
+        for s in graph_isomorphisms(move.target, graph):
             if s in done_sigmas:
                 continue
-            orbit = {_conjugate(aut[k], inverses[k], s) for k in stab}
+            table_s = direction_table(s)
+            orbit = {_conjugate(table, alpha_inv, table_s) for table, alpha_inv in stab}
             done_sigmas |= orbit
             weight = pair_orbit * len(orbit)
             counts[0] += weight
-            a = MapAnalysis(compose(sigma, move.map))
+            a = MapAnalysis(_candidate(move, s))
             if not a.tt.is_train_track:
                 continue
             counts[1] += weight
@@ -354,8 +377,8 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
             if not report.is_principal:
                 continue
             members = {
-                (f1, f0, _conjugate(alpha, alpha_inv, s))
-                for (f1, f0), alpha, alpha_inv in zip(images, aut, inverses)
+                (f1, f0, _conjugate(table, alpha_inv, table_s))
+                for (f1, f0), table, alpha_inv in zip(images, tables, inverses)
             }
             if len(members) != weight:
                 raise GraphStructureError(
@@ -364,7 +387,7 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
             for f1, f0, t in members:
                 member_move = apply_fold(graph, f1, f0, "proper_full")
                 rel = relabeling(member_move.target, graph, t)
-                survivors.append(CandidateReport(gi, f1, f0, rel, compose(rel, member_move.map)))
+                survivors.append(CandidateReport(gi, f1, f0, rel, _candidate(member_move, t)))
     return tuple(counts), survivors
 
 
@@ -438,7 +461,8 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
 
 def _conjugate_by_relabeling(h1: GraphMap, h2: GraphMap) -> bool:
     """Whether some graph isomorphism conjugates one self-map into the other."""
-    for sigma in graph_isomorphisms(h1.source, h2.source):
+    for s in graph_isomorphisms(h1.source, h2.source):
+        sigma = relabeling(h1.source, h2.source, s)
         if compose(sigma, h1) == compose(h2, sigma):
             return True
     return False
@@ -580,8 +604,8 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
     loop_fold_maps = 0
     loop_fold_bad = 0
     for move in loop_fold_moves:
-        for sigma in graph_isomorphisms(move.target, move.source):
-            a = MapAnalysis(compose(sigma, move.map))
+        for s in graph_isomorphisms(move.target, move.source):
+            a = MapAnalysis(compose(relabeling(move.target, move.source, s), move.map))
             loop_fold_maps += 1
             if a.tt.is_train_track and is_irreducible(a.matrix) and a.expanding:
                 loop_fold_bad += 1

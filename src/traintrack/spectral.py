@@ -364,19 +364,37 @@ def _root_bracket(coefficients: tuple[int, ...]) -> tuple[IntPolynomial, Interva
 def _bisect(q: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
     """Halve an isolating interval of a simple root of ``q`` by exact sign
     evaluation until it is at most ``width`` wide and ``lo`` is not a root.
-    A rational root hit exactly comes back as the point interval (r, r)."""
-    sign_hi = q.sign(hi) > 0
-    lo_is_root = q.sign(lo) == 0
-    while lo_is_root or hi - lo > width:
-        mid = (lo + hi) / 2
-        sign = q.sign(mid)
-        if sign == 0:
-            return mid, mid
-        if (sign > 0) == sign_hi:
-            hi = mid
+    A rational root hit exactly comes back as the point interval (r, r).
+
+    The ends are dyadic, as ``_real_roots`` makes them, so they are held as
+    integers a, b over one denominator 2^k, and the sign of q at m / 2^k is
+    that of the integer sum of c_j m^j 2^(k(deg - j)), by Horner's rule."""
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    a, b = lo * (1 << k), hi * (1 << k)
+    if a.denominator != 1 or b.denominator != 1:
+        raise GraphStructureError("bisection needs dyadic interval ends")
+    a, b = a.numerator, b.numerator
+    width_num, width_den = width.as_integer_ratio()
+    top, rest = q.coefficients[-1], q.coefficients[-2::-1]
+
+    def sign(m: int) -> int:
+        acc = top
+        for j, c in enumerate(rest, 1):
+            acc = acc * m + (c << (k * j))
+        return (acc > 0) - (acc < 0)
+
+    sign_hi = sign(b) > 0
+    lo_is_root = sign(a) == 0
+    while lo_is_root or (b - a) * width_den > width_num << k:
+        mid, a, b, k = a + b, a << 1, b << 1, k + 1
+        s = sign(mid)
+        if s == 0:
+            return Fraction(mid, 1 << k), Fraction(mid, 1 << k)
+        if (s > 0) == sign_hi:
+            b = mid
         else:
-            lo, lo_is_root = mid, False
-    return lo, hi
+            a, lo_is_root = mid, False
+    return Fraction(a, 1 << k), Fraction(b, 1 << k)
 
 
 def largest_real_root_interval(p: IntPolynomial, width: Fraction = _NARROW) -> Interval:

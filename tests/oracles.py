@@ -2,11 +2,12 @@
 
 No command needs them: small named maps on roses, the identity map,
 integer matrix arithmetic, the sympy spectral engine that the package's
-integer root engine replaced, relabeling actions on graphs and maps, the
-general push of relabelings past folds with the powers and loop rotations
-built on fold conjugation, the single-fold search classifying every
-candidate one by one, and the map-document printer.  Parsing then
-printing a canonical document is the identity.
+integer root engine replaced, bisection in ``Fraction`` arithmetic,
+relabeling actions on graphs and maps, the general push of relabelings past
+folds with the powers and loop rotations built on fold conjugation, the
+single-fold search classifying every candidate one by one, and the
+map-document printer.  Parsing then printing a canonical document is the
+identity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from traintrack.search import build_universe, graph_isomorphisms
 from traintrack.spectral import (
     IntegerMatrix,
     IntPolynomial,
-    _bisect,
     _symmetric_square,
     is_irreducible,
 )
@@ -140,6 +140,25 @@ def sympy_char_poly(matrix: IntegerMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(int(c) for c in reversed(coefficients)))
 
 
+def fraction_bisect(q: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisection as ``spectral._bisect`` does it, from any rational ends:
+    halved in ``Fraction`` arithmetic, each midpoint's sign from
+    ``IntPolynomial.sign``.  sympy's isolating intervals need not be
+    dyadic."""
+    sign_hi = q.sign(hi) > 0
+    lo_is_root = q.sign(lo) == 0
+    while lo_is_root or hi - lo > width:
+        mid = (lo + hi) / 2
+        sign = q.sign(mid)
+        if sign == 0:
+            return mid, mid
+        if (sign > 0) == sign_hi:
+            hi = mid
+        else:
+            lo, lo_is_root = mid, False
+    return lo, hi
+
+
 def sympy_root_bracket(p: IntPolynomial):
     """The square-free part q of ``p``, sympy's isolating interval of its
     largest real root, and that interval bisected to at most 1e-12 wide.
@@ -152,7 +171,7 @@ def sympy_root_bracket(p: IntPolynomial):
     (lo, hi), _ = intervals[-1]
     q = IntPolynomial(tuple(int(c) for c in reversed(f.all_coeffs())))
     isolating = (Fraction(lo), Fraction(hi))
-    return q, isolating, _bisect(q, *isolating, Fraction(1, 10**12))
+    return q, isolating, fraction_bisect(q, *isolating, Fraction(1, 10**12))
 
 
 def sympy_is_perron_number(p: IntPolynomial) -> bool:
@@ -163,7 +182,7 @@ def sympy_is_perron_number(p: IntPolynomial) -> bool:
     if not q.is_monic():
         raise GraphStructureError("a Perron number is an algebraic integer; p must be monic")
     while lo <= 0 < hi:
-        lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
+        lo, hi = fraction_bisect(q, lo, hi, (hi - lo) / 2)
     if hi <= 0:
         raise GraphStructureError("no positive real root; not a Perron candidate")
     roots = [
@@ -182,7 +201,7 @@ def sympy_is_perron_number(p: IntPolynomial) -> bool:
         assert meeting, "the symmetric square vanishes at λ²"
         if len(meeting) == 1:
             return meeting[0][1] == 1
-        lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
+        lo, hi = fraction_bisect(q, lo, hi, (hi - lo) / 2)
         for root in meeting:
             factor, _, a, b = root
             if a < b:
@@ -327,7 +346,8 @@ def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
         if abs(e1) == abs(e0):
             continue
         move = apply_fold(graph, e1, e0, "proper_full")
-        for sigma in graph_isomorphisms(move.target, graph):
+        for s in graph_isomorphisms(move.target, graph):
+            sigma = relabeling(move.target, graph, s)
             h = compose(sigma, move.map)
             a = MapAnalysis(h)
             tt = a.tt.is_train_track

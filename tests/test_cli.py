@@ -72,6 +72,18 @@ def test_unwritable_json_path_exits_2(command, reference_file, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["certify", "decompose"])
+def test_file_that_is_not_utf8_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "latin1.map"
+    path.write_bytes("vertices v\nedge \u00e9 = v -> v\n\nmap\n\u00e9 -> \u00e9\n".encode("latin-1"))
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 16)\n"
+
+
 def test_certify_non_principal_exit_code(psi, tmp_path, capsys):
     path = tmp_path / "psi.map"
     path.write_text(print_map_document(psi), encoding="utf-8")

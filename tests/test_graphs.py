@@ -365,8 +365,8 @@ def _single_fold_candidates(rank):
             if abs(e1) == abs(e0):
                 continue
             move = apply_fold(graph, e1, e0, "proper_full")
-            for sigma in graph_isomorphisms(move.target, graph):
-                yield compose(sigma, move.map)
+            for s in graph_isomorphisms(move.target, graph):
+                yield compose(relabeling(move.target, graph, s), move.map)
 
 
 def test_dynamics_match_direct_computation_on_single_fold_candidates():

@@ -22,6 +22,7 @@ from traintrack.graphs import (
     compose,
     compose_signed,
     invert_signed,
+    is_tight,
     relabeling,
     signed_images,
 )
@@ -31,6 +32,7 @@ from traintrack.search import (
     single_fold_search,
     trivalent_universe,
     verify_minimal_stretch_argument,
+    _candidate,
     _canonical_multigraph,
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
@@ -306,10 +308,9 @@ def test_graph_isomorphisms_roundtrip(gmap):
     graph = gmap.source
     autos = graph_isomorphisms(graph, graph)
     assert autos
-    identity = tuple(range(1, 6))
-    assert any(signed_images(rel) == identity for rel in autos)
-    for rel in autos:
-        assert rel.is_isomorphism()
+    assert tuple(range(1, 6)) in autos
+    for s in autos:
+        assert relabeling(graph, graph, s).is_isomorphism()
 
 
 def _product_scan_isomorphisms(source, target) -> list[GraphMap]:
@@ -394,7 +395,7 @@ def _fold_targets(rank: int):
 def _assert_same_isomorphisms(source, target):
     fast = graph_isomorphisms(source, target)
     slow = _product_scan_isomorphisms(source, target)
-    assert [signed_images(r) for r in fast] == [signed_images(r) for r in slow]
+    assert fast == [signed_images(r) for r in slow]
     return len(fast)
 
 
@@ -449,7 +450,7 @@ def test_graph_isomorphisms_match_product_scan_random(pair):
     # three loops at one vertex may list the same isomorphisms in another
     # order, so the lists are compared sorted
     source, target = pair
-    fast = sorted(signed_images(r) for r in graph_isomorphisms(source, target))
+    fast = sorted(graph_isomorphisms(source, target))
     slow = sorted(signed_images(r) for r in _product_scan_isomorphisms(source, target))
     assert fast
     assert fast == slow
@@ -562,8 +563,8 @@ def test_conjugating_a_candidate_by_an_automorphism_gives_a_candidate():
     checked = 0
     for r in _oracle_candidates(3):
         graph = graphs[r.graph_index]
-        for alpha in graph_isomorphisms(graph, graph):
-            a = signed_images(alpha)
+        for a in graph_isomorphisms(graph, graph):
+            alpha = relabeling(graph, graph, a)
             alpha_inv = relabeling(graph, graph, invert_signed(a))
             f1, f0, conj = _act(a, r.e1, r.e0, signed_images(r.sigma))
             move = apply_fold(graph, f1, f0)
@@ -582,7 +583,7 @@ def test_oracle_verdicts_are_constant_on_orbits(rank, candidates, orbits):
         for r in _oracle_candidates(rank)
     }
     assert len(verdicts) == candidates
-    aut = [[signed_images(alpha) for alpha in graph_isomorphisms(g, g)] for g in graphs]
+    aut = [graph_isomorphisms(g, g) for g in graphs]
     seen = set()
     sizes = []
     for key, verdict in verdicts.items():
@@ -610,6 +611,71 @@ def test_orbit_search_isomorphism_calls_rank4(monkeypatch):
     summary = single_fold_search(4)
     assert summary.candidates == 1424
     assert calls == {True: 30, False: 115}
+
+
+def test_orbit_search_graph_map_constructions_rank4(monkeypatch):
+    # one self-map per classified candidate (370) and one fold map per orbit
+    # of fold pairs (115); isomorphisms stay signed images
+    calls = Counter()
+    post_init = GraphMap.__post_init__
+
+    def counted(self):
+        calls[self.source is self.target] += 1
+        post_init(self)
+
+    monkeypatch.setattr(GraphMap, "__post_init__", counted)
+    summary = single_fold_search(4)
+    assert summary.candidates == 1424
+    assert calls == {True: 370, False: 115}
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_candidate_is_the_fold_followed_by_the_relabeling(rank):
+    # the search's direct build equals the composite the oracle tightens
+    graphs = build_universe(rank).graphs
+    for r in _oracle_candidates(rank):
+        move = apply_fold(graphs[r.graph_index], r.e1, r.e0)
+        assert _candidate(move, signed_images(r.sigma)) == r.map
+
+
+def _first_untight_power(f, bound):
+    """The least k <= ``bound`` for which some edge image of f^k, composed
+    letter by letter without tightening, backtracks; None if there is none."""
+    images = f.edge_images
+    for k in range(1, bound + 1):
+        if not all(is_tight(image) for image in images):
+            return k
+        images = tuple(f.image_of_path(image) for image in images)
+        # a guard on memory should a rejected map ever outlive its bound
+        assert sum(map(len, images)) < 10**6
+    return None
+
+
+@pytest.mark.parametrize("rank, accepted, rejected", [(3, 160, 100), (4, 832, 592)])
+def test_train_track_verdicts_match_unreduced_powers(rank, accepted, rejected):
+    # Brute force against the turn-closure criterion of ``is_train_track``
+    # (Bestvina-Handel, Annals 1992): f is a train track map exactly when
+    # every power f^k, composed without tightening, is tight.  Let T_k be
+    # the turns crossed inside the edge images of f^k, and U_k their union
+    # over 1..k.  A turn crossed in f^k is crossed, moved by Df, in f^(k+1),
+    # and the other turns of f^(k+1) lie inside images of f, so
+    # U_(k+1) = T_1 | Df(U_k): U_k grows until one step leaves it unchanged,
+    # and is the taken-turn closure from k = T on, T the number of turns.
+    # An illegal turn of the closure degenerates under Df^m for some
+    # m <= N - 1, N the number of directions: after N - 1 steps both of its
+    # directions are periodic, and Df permutes the periodic directions.  So
+    # a rejected map has an untight power f^k with k <= T + N - 1, inside
+    # the bound T + N + 1 checked here; an accepted one is checked to k = 12.
+    counts = Counter()
+    for r in _oracle_candidates(rank):
+        graph = r.map.source
+        if r.train_track:
+            assert _first_untight_power(r.map, 12) is None
+        else:
+            bound = len(graph.all_turns()) + len(graph.directions()) + 1
+            assert _first_untight_power(r.map, bound) is not None
+        counts[r.train_track] += 1
+    assert counts == {True: accepted, False: rejected}
 
 
 def test_single_fold_search_rank4():
@@ -689,8 +755,8 @@ def test_loop_fold_candidates_fail_early():
             if graph.terminal_vertex(e0) != graph.initial_vertex(e0):
                 continue  # not a loop
             move = apply_fold(graph, e1, e0)
-            for sigma in graph_isomorphisms(move.target, graph):
-                a = MapAnalysis(compose(sigma, move.map))
+            for s in graph_isomorphisms(move.target, graph):
+                a = MapAnalysis(compose(relabeling(move.target, graph, s), move.map))
                 checked += 1
                 assert not (a.tt.is_train_track and is_irreducible(a.matrix))
     assert checked > 0

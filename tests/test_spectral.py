@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     companion_matrix,
+    fraction_bisect,
     identity_map,
     identity_matrix,
     is_positive,
@@ -28,13 +29,14 @@ from oracles import (
 )
 from traintrack import spectral
 from traintrack.folds import apply_fold
-from traintrack.graphs import compose
+from traintrack.graphs import compose, relabeling
 from traintrack.mapdoc import parse_map_document
 from traintrack.search import build_universe, graph_isomorphisms
 from traintrack.spectral import (
     GraphStructureError,
     IntegerMatrix,
     IntPolynomial,
+    _bisect,
     _root_bracket,
     char_poly,
     classify_matrix,
@@ -314,7 +316,8 @@ def _candidate_char_polys(rank):
             if abs(e1) == abs(e0):
                 continue
             move = apply_fold(graph, e1, e0, "proper_full")
-            for sigma in graph_isomorphisms(move.target, graph):
+            for s in graph_isomorphisms(move.target, graph):
+                sigma = relabeling(move.target, graph, s)
                 matrices.add(transition_matrix(compose(sigma, move.map)))
     return {char_poly(m) for m in matrices}
 
@@ -546,22 +549,6 @@ def _fraction_value(p, x):
     return acc
 
 
-def _fraction_bisect(q, lo, hi, width):
-    """Bisection with ``Fraction`` evaluation, from sympy's interval."""
-    sign_hi = _fraction_value(q, hi) > 0
-    lo_is_root = _fraction_value(q, lo) == 0
-    while lo_is_root or hi - lo > width:
-        mid = (lo + hi) / 2
-        val = _fraction_value(q, mid)
-        if val == 0:
-            return mid, mid
-        if (val > 0) == sign_hi:
-            hi = mid
-        else:
-            lo, lo_is_root = mid, False
-    return lo, hi
-
-
 def _rational_minimal_polynomial_degree(p, root_interval):
     lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in root_interval)
     for factor, _ in sympy_poly(p).factor_list()[1]:
@@ -601,14 +588,18 @@ def _assert_root_facts_match_oracles(p):
     against the sympy engine.  sympy's isolating interval need not be
     dyadic: the brackets are compared for equality where both engines'
     isolating intervals are points or lie on the dyadic grid, and checked to
-    isolate the largest root elsewhere."""
+    isolate the largest root elsewhere.  The integer bisection on dyadic
+    ends gives the brackets that bisection in ``Fraction`` arithmetic gives
+    from the same isolating interval."""
     q, isolating, _ = sympy_root_bracket(p)
-    ours = _root_bracket(p.coefficients)[1]
+    q_ours, ours, narrow = _root_bracket(p.coefficients)
+    assert narrow == fraction_bisect(q_ours, *ours, Fraction(1, 10**12))
     for width in WIDTHS:
+        assert _bisect(q_ours, *ours, width) == fraction_bisect(q_ours, *ours, width)
         if (isolating[0] == isolating[1] and ours[0] == ours[1]) or (
             _on_dyadic_grid(isolating, width) and _on_dyadic_grid(ours, width)
         ):
-            assert largest_real_root_interval(p, width) == _fraction_bisect(q, *isolating, width)
+            assert largest_real_root_interval(p, width) == fraction_bisect(q, *isolating, width)
         else:
             _assert_bracket(p, width)
     root = largest_real_root_interval(p)
@@ -658,6 +649,17 @@ def test_root_facts_named_cases():
     assert minimal_polynomial_degree(p, (lo, hi)) == 3
     assert is_perron_number(p) is True
     _assert_root_facts_match_oracles(p)
+
+
+def test_bisection_needs_dyadic_ends():
+    q = IntPolynomial((-2, 0, 1))  # x^2 - 2
+    assert _bisect(q, Fraction(1), Fraction(3, 2), Fraction(1, 8)) == (
+        Fraction(11, 8), Fraction(3, 2)
+    )
+    # a width of another number type compares as its exact value
+    assert _bisect(q, Fraction(1), Fraction(3, 2), 0.125) == (Fraction(11, 8), Fraction(3, 2))
+    with pytest.raises(GraphStructureError):
+        _bisect(q, Fraction(4, 3), Fraction(3, 2), Fraction(1, 8))
 
 
 def _random_nonnegative_matrices(seed, count, max_n):
