@@ -11,6 +11,7 @@ one map's certificates, each derived once, for every step that reads them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from .graphs import (
     common_prefix_length,
     direction_map,
     eventual_images,
+    gates,
     is_tight,
     iterate_map,
     make_turn,
@@ -72,8 +74,8 @@ def taken_turn_closure(a: MapAnalysis) -> frozenset[tuple[int, int]]:
 def illegal_turns(a: MapAnalysis) -> frozenset[tuple[int, int]]:
     """Nondegenerate turns some power of Dg collapses to a degenerate pair:
     the pairs of distinct directions in one gate."""
-    image = a.images
-    return frozenset(t for t in a.map.source.all_turns() if image[t[0]] == image[t[1]])
+    pairs = (itertools.combinations(gate, 2) for gate in a.gates if len(gate) > 1)
+    return frozenset(make_turn(d1, d2) for d1, d2 in itertools.chain.from_iterable(pairs))
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,15 @@ class MapAnalysis:
     """A self-map and everything derived from it, each item computed the
     first time it is read and kept.
 
-    ``dg`` and ``images`` are the direction map and the eventual images
-    (``direction_map``, ``eventual_images``); ``periodic`` is the set of
-    eventual images, the directions on cycles of Dg.  ``tt``, ``matrix``,
-    ``spectral``, ``expanding``, ``pnp`` and ``fic`` are the results of
-    ``is_train_track``, ``transition_matrix``, ``classify_matrix``,
-    ``is_expanding``, ``pnp_bounded_search`` and ``fic_check``.  Every step
-    that reads the map's dynamics or certificates takes the analysis, so each
-    is derived once however many steps ask.
+    ``dg``, ``images`` and ``gates`` are the direction map, the eventual
+    images and the gates (``direction_map``, ``eventual_images``,
+    ``graphs.gates``); ``periodic`` is the set of eventual images, the
+    directions on cycles of Dg.  ``tt``, ``matrix``, ``spectral``,
+    ``expanding``, ``pnp`` and ``fic`` are the results of ``is_train_track``,
+    ``transition_matrix``, ``classify_matrix``, ``is_expanding``,
+    ``pnp_bounded_search`` and ``fic_check``.  Every step that reads the
+    map's dynamics or certificates takes the analysis, so each is derived
+    once however many steps ask.
     """
 
     def __init__(self, g: GraphMap):
@@ -165,6 +168,10 @@ class MapAnalysis:
     @cached_property
     def images(self) -> dict[int, int]:
         return eventual_images(self.dg)
+
+    @cached_property
+    def gates(self) -> tuple[frozenset[int], ...]:
+        return gates(self.map.source, self.images)
 
     @cached_property
     def tt(self) -> TtCertificate:

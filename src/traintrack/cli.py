@@ -49,7 +49,7 @@ EXPECTED_CLASSES = {3: 1, 4: 0, 5: 0}
 
 def _read_map(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -129,14 +129,6 @@ class OrientedGraph:
         """First betti number, summed over components."""
         return self.n_edges - self.n_vertices + len(self.components())
 
-    def turns_at(self, vertex: int) -> list[tuple[int, int]]:
-        """All nondegenerate turns based at a vertex."""
-        ds = self.directions_at(vertex)
-        return [make_turn(a, b) for a, b in itertools.combinations(ds, 2)]
-
-    def all_turns(self) -> list[tuple[int, int]]:
-        return [t for v in range(self.n_vertices) for t in self.turns_at(v)]
-
 
 # -- edge paths ----------------------------------------------------------
 
@@ -334,12 +326,13 @@ def gates(graph: OrientedGraph, images: dict[int, int]) -> tuple[frozenset[int],
 
     Two directions at a vertex are equivalent when some power of the
     direction map sends them to a degenerate pair, that is, when their
-    eventual images agree.
+    eventual images agree.  Gates come in the order of their least members.
     """
-    classes: dict[tuple[int, int], set[int]] = {}
-    for d, image in images.items():
-        classes.setdefault((graph.initial_vertex(d), image), set()).add(d)
-    return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
+    initial = graph._initial
+    classes: dict[tuple[int, int], list[int]] = {}
+    for d in sorted(images):
+        classes.setdefault((initial[d], images[d]), []).append(d)
+    return tuple(map(frozenset, classes.values()))
 
 
 # -- signed permutations and relabelings ------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .certify import MapAnalysis, PnpSearchResult, TtCertificate
 from .folds import FoldSequence, stallings_decompose
-from .graphs import GraphMap, gates, signed_images
+from .graphs import GraphMap, signed_images
 from .spectral import SpectralReport, minimal_polynomial_degree
 from .whitehead import PrincipalReport, is_principal
 
@@ -56,7 +56,7 @@ def certify_map(g: GraphMap) -> CertifyReport:
     return CertifyReport(
         map=g,
         tt=a.tt,
-        gate_count=len(gates(g.source, a.images)),
+        gate_count=len(a.gates),
         expanding=expanding,
         spectral=a.spectral,
         pnp=a.pnp if expanding else None,

@@ -5,14 +5,16 @@ enumerates every map of the form (proper full fold at the valence-4 vertex,
 then graph isomorphism) over the rank-r universe of (4,3,...,3)-graphs and
 classifies them through the full pipeline; the minimal-stretch-factor driver
 re-verifies the arithmetic steps that pin the smallest stretch factor down to
-the largest root of x^5 - x - 1.
+the largest root of x^5 - x - 1.  Both classify single-fold candidates
+sigma . fold(e1, e0) with one engine, ``_search_one_graph``: given a graph
+and a list of ordered fold pairs that the graph's automorphism group Aut(G)
+maps onto itself, it classifies one candidate per Aut(G)-orbit.
 
-The search classifies one candidate per orbit of the graph's automorphism
-group Aut(G).  An automorphism alpha conjugates the candidate
-sigma . fold(e1, e0) into (alpha sigma alpha^-1) . fold(alpha e1, alpha e0),
-by the rule of ``folds.pull_back``, and conjugation by a graph isomorphism
-changes no verdict.  A representative's verdicts count
-|Aut(G)| / |Stab(e1, e0, sigma)| times, the size of its orbit.
+An irreducible candidate is expanding.  The fold has matrix I + E, E a
+single off-diagonal 1, so the candidate has P + PE, P the permutation matrix
+of sigma: every row sums to 1 but the folded edge's, which sums to 2.  An
+irreducible matrix is one strongly connected component, which carries a
+cycle and holds that row, so every edge's image length grows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from multiprocessing import Pool
 
 from .catalog import single_fold_map
@@ -174,7 +175,6 @@ def _graph_from_edges(m: int, edges) -> OrientedGraph:
     )
 
 
-@lru_cache(maxsize=None)
 def _universe(degrees: tuple[int, ...]) -> tuple[OrientedGraph, ...]:
     """Connected graphs with the degree sequence, one per isomorphism class,
     in the order of their canonical encodings."""
@@ -328,27 +328,54 @@ def _candidate(move: FoldMove, sigma: tuple[int, ...]) -> GraphMap:
     return GraphMap(graph, graph, vertex_map, images)
 
 
+def _fold_pairs(graph: OrientedGraph, vertices) -> list[tuple[int, int]]:
+    """The proper full folds (e1, e0) at each of ``vertices``: ordered pairs
+    of directions on distinct edges, taken by edge, positive first.  The
+    list is Aut(G)-invariant when the vertex set is."""
+    pairs = []
+    for v in vertices:
+        dirs = sorted(graph.directions_at(v), key=lambda d: (abs(d), d < 0))
+        pairs += [(e1, e0) for e1, e0 in itertools.permutations(dirs, 2) if abs(e1) != abs(e0)]
+    return pairs
+
+
 def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateReport]]:
     """Counts of candidates, train track, irreducible and fully irreducible
-    candidates on one graph, and its principal candidates, from one
-    classified candidate per Aut(G)-orbit (see ``single_fold_search``).
+    candidates on one graph, and its principal candidates.  ``args`` is
+    (graph index, graph, fold pairs), and the candidates are
+    sigma . fold(e1, e0) for each pair and each isomorphism sigma from the
+    fold's target back to the graph.
 
-    Isomorphisms stay signed images, and each is read through one direction
-    table when conjugated.  Only a representative is built as a map, by
-    ``_candidate``, and ``MapAnalysis``, ``is_irreducible`` and
-    ``is_principal`` decide its verdicts."""
-    rank, gi = args
-    graph = build_universe(rank).graphs[gi]
+    Precondition: Aut(G) maps the pair list onto itself, since a pair's
+    whole orbit is counted at its first member; a list that is not closed
+    raises ``GraphStructureError``.
+
+    One candidate is classified per Aut(G)-orbit.  By the rule of
+    ``folds.pull_back``, alpha h alpha^-1 is the candidate (alpha e1,
+    alpha e0, alpha sigma alpha^-1), and conjugation by a graph isomorphism
+    keeps the train track property, the transition matrix up to a
+    permutation, and every conjunct of the full irreducibility criterion and
+    of principality.  The pair orbits are taken first; at the first pair of
+    each, the isomorphisms back are split into orbits of Stab(e1, e0) acting
+    by sigma -> alpha sigma alpha^-1.  A representative's verdicts count
+    |pair orbit| x |sigma orbit| = |Aut(G)| / |Stab(e1, e0, sigma)| times.
+    A principal one is expanded to its orbit members, each rebuilt from its
+    fold and a validated relabeling; a member count other than the weight
+    raises ``GraphStructureError``.  Only representatives are built as maps,
+    by ``_candidate``; isomorphisms stay signed images.
+
+    An irreducible candidate is expanding (module docstring), so the
+    irreducible count is that of the expanding irreducible train track
+    candidates."""
+    gi, graph, pairs = args
     aut = graph_isomorphisms(graph, graph)
     tables = [direction_table(alpha) for alpha in aut]
     inverses = [invert_signed(alpha) for alpha in aut]
-    v4 = max(range(graph.n_vertices), key=graph.valence)
-    dirs = sorted(graph.directions_at(v4), key=lambda d: (abs(d), d < 0))
     counts = [0, 0, 0, 0]
     survivors: list[CandidateReport] = []
     done_pairs: set[tuple[int, int]] = set()
-    for e1, e0 in itertools.permutations(dirs, 2):
-        if abs(e1) == abs(e0) or (e1, e0) in done_pairs:
+    for e1, e0 in pairs:
+        if (e1, e0) in done_pairs:
             continue
         images = [(table[e1], table[e0]) for table in tables]
         done_pairs.update(images)
@@ -388,6 +415,8 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
                 member_move = apply_fold(graph, f1, f0, "proper_full")
                 rel = relabeling(member_move.target, graph, t)
                 survivors.append(CandidateReport(gi, f1, f0, rel, _candidate(member_move, t)))
+    if len(done_pairs) != len(set(pairs)):
+        raise GraphStructureError(f"graph {gi}: the fold pairs are not closed under Aut(G)")
     return tuple(counts), survivors
 
 
@@ -396,38 +425,23 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     graph isomorphism back) candidate and group the principal survivors by
     relabeling conjugacy.
 
-    One candidate is classified per orbit of Aut(G), and the others take its
-    verdicts.  An automorphism alpha of G sends the candidate
-    h = sigma . fold(e1, e0) to alpha h alpha^-1.  By the rule of
-    ``folds.pull_back``, fold(e1, e0) . alpha^-1 is fold(alpha e1, alpha e0)
-    followed by the relabeling with the signed images of alpha^-1, so
-    alpha h alpha^-1 is the candidate (alpha e1, alpha e0,
-    alpha sigma alpha^-1).  Conjugation by a graph isomorphism keeps the
-    train track property, the transition matrix up to a permutation, and
-    every conjunct of the full irreducibility criterion and of principality,
-    so each verdict is constant on an orbit.  The orbits of the ordered
-    fold pairs are taken first; at the first pair (e1, e0) of each, the
-    isomorphisms back are split into orbits of Stab(e1, e0) acting by
-    sigma -> alpha sigma alpha^-1.  A representative stands for
-    |pair orbit| x |sigma orbit| = |Aut(G)| / |Stab(e1, e0, sigma)|
-    candidates, so every funnel count is a sum of orbit sizes and stays
-    exact although most candidates are never analysed: 50 analyses for 260
-    candidates at rank 3, 370 for 1,424 at rank 4.  A principal
-    representative is expanded to all its orbit members, each rebuilt from
-    its fold and a validated relabeling, and a member count other than the
-    weight raises ``GraphStructureError``.
+    Automorphisms fix the only valence-4 vertex, so its fold pairs meet the
+    precondition of ``_search_one_graph``: 50 analyses for 260 candidates
+    at rank 3, 370 for 1,424 at rank 4.
 
     A candidate is irreducible exactly when its isomorphism permutes the
-    edges, signs forgotten, in one n-cycle.  The proper full fold has matrix
-    I + E, E a single off-diagonal 1, so the candidate has P + PE for the
-    permutation matrix P.  The digraph of P + PE is P's cycles plus one arc,
-    which is strongly connected exactly when P's cycles are one.
+    edges, signs forgotten, in one n-cycle: the digraph of its matrix
+    P + PE is P's cycles plus one arc, which is strongly connected exactly
+    when P's cycles are one.
 
     Results are independent of job count and of the order in which the
     graphs are searched.
     """
     universe = build_universe(rank)
-    tasks = [(rank, gi) for gi in range(len(universe.graphs))]
+    tasks = [
+        (gi, graph, _fold_pairs(graph, [max(range(graph.n_vertices), key=graph.valence)]))
+        for gi, graph in enumerate(universe.graphs)
+    ]
     if jobs > 1:
         with Pool(jobs) as pool:
             chunks = pool.map(_search_one_graph, tasks)
@@ -498,7 +512,9 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
     4. on every 6-edge trivalent rank-3 graph, a proper full fold keeps 6
        edges and creates a valence-4 vertex, while a complete fold drops to
        5 edges and creates a valence-5 vertex (so 6-edge graphs never carry
-       a minimal example).
+       a minimal example);
+    5. the folds over a loop, which keep the graph, carry no expanding
+       irreducible train track map, by ``_search_one_graph`` on their pairs.
     """
     steps = []
     g = single_fold_map()
@@ -548,45 +564,31 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
     )
 
     graphs = trivalent_universe()
-    proper_ok = True
-    complete_ok = True
+    proper_ok = complete_ok = True
     proper_count = complete_count = 0
     loop_proper = loop_complete = 0
-    loop_fold_moves = []
-    for graph in graphs:
-        for v in range(graph.n_vertices):
-            for e1, e0 in itertools.permutations(graph.directions_at(v), 2):
-                if abs(e1) == abs(e0):
-                    continue
-                e0_loop = graph.terminal_vertex(e0) == graph.initial_vertex(e0)
-                move = apply_fold(graph, e1, e0, "proper_full")
-                proper_count += 1
-                top = max(move.target.valence(w) for w in range(move.target.n_vertices))
-                if move.target.n_edges != 6:
-                    proper_ok = False
-                if e0_loop:
-                    # folding over a loop keeps the graph trivalent
-                    loop_proper += 1
-                    loop_fold_moves.append(move)
-                    if top != 3:
-                        proper_ok = False
-                elif top < 4:
-                    proper_ok = False
-                if graph.terminal_vertex(e1) != graph.terminal_vertex(e0):
-                    loopy = e0_loop or graph.terminal_vertex(e1) == graph.initial_vertex(e1)
-                    cmove = apply_fold(graph, e1, e0, "complete")
-                    complete_count += 1
-                    ctop = max(
-                        cmove.target.valence(w) for w in range(cmove.target.n_vertices)
-                    )
-                    if cmove.target.n_edges > 5:
-                        complete_ok = False
-                    if loopy:
-                        loop_complete += 1
-                        if ctop < 4:
-                            complete_ok = False
-                    elif ctop < 5:
-                        complete_ok = False
+    loop_fold_chunks = []
+    for gi, graph in enumerate(graphs):
+        loop_pairs = []
+        for e1, e0 in _fold_pairs(graph, range(graph.n_vertices)):
+            e0_loop = graph.terminal_vertex(e0) == graph.initial_vertex(e0)
+            folded = apply_fold(graph, e1, e0, "proper_full").target
+            proper_count += 1
+            top = max(folded.valence_profile())
+            # folding over a loop keeps the graph trivalent
+            proper_ok &= folded.n_edges == 6 and (top == 3 if e0_loop else top >= 4)
+            if e0_loop:
+                loop_proper += 1
+                loop_pairs.append((e1, e0))
+            if graph.terminal_vertex(e1) != graph.terminal_vertex(e0):
+                loopy = e0_loop or graph.terminal_vertex(e1) == graph.initial_vertex(e1)
+                folded = apply_fold(graph, e1, e0, "complete").target
+                complete_count += 1
+                loop_complete += loopy
+                top = max(folded.valence_profile())
+                complete_ok &= folded.n_edges <= 5 and top >= (4 if loopy else 5)
+        # automorphisms send loops to loops, so the loop pairs are Aut(G)-invariant
+        loop_fold_chunks.append(_search_one_graph((gi, graph, loop_pairs)))
     steps.append(
         ArgumentStep(
             "fold bookkeeping on trivalent graphs",
@@ -600,15 +602,9 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
 
     # Folding over a loop evades the valence count, so check exhaustively
     # that no single (fold over a loop, isomorphism back) composition is an
-    # expanding irreducible train track map on these graphs.
-    loop_fold_maps = 0
-    loop_fold_bad = 0
-    for move in loop_fold_moves:
-        for s in graph_isomorphisms(move.target, move.source):
-            a = MapAnalysis(compose(relabeling(move.target, move.source, s), move.map))
-            loop_fold_maps += 1
-            if a.tt.is_train_track and is_irreducible(a.matrix) and a.expanding:
-                loop_fold_bad += 1
+    # expanding irreducible train track map on these graphs.  An irreducible
+    # candidate is expanding (module docstring): the engine counts them.
+    loop_fold_maps, _, loop_fold_bad, _ = map(sum, zip(*(c for c, _ in loop_fold_chunks)))
     steps.append(
         ArgumentStep(
             "loop folds carry no expanding irreducible map",

@@ -1,13 +1,13 @@
 """Reference constructions that tests compare the package against.
 
-No command needs them: small named maps on roses, the identity map,
-integer matrix arithmetic, the sympy spectral engine that the package's
-integer root engine replaced, bisection in ``Fraction`` arithmetic,
-relabeling actions on graphs and maps, the general push of relabelings past
-folds with the powers and loop rotations built on fold conjugation, the
-single-fold search classifying every candidate one by one, and the
-map-document printer.  Parsing then printing a canonical document is the
-identity.
+No command needs them: small named maps on roses, the identity map, the
+turns of a graph, integer matrix arithmetic, the sympy spectral engine that
+the package's integer root engine replaced, bisection in ``Fraction``
+arithmetic, relabeling actions on graphs and maps, the general push of
+relabelings past folds with the powers and loop rotations built on fold
+conjugation, the single-fold search classifying every candidate one by one,
+and the map-document printer.  Parsing then printing a canonical document
+is the identity.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from traintrack.graphs import (
     compose,
     compose_signed,
     invert_signed,
+    make_turn,
     relabeling,
     signed_images,
 )
-from traintrack.search import build_universe, graph_isomorphisms
+from traintrack.search import _fold_pairs, graph_isomorphisms
 from traintrack.spectral import (
     IntegerMatrix,
     IntPolynomial,
@@ -78,6 +79,15 @@ def identity_map(graph: OrientedGraph) -> GraphMap:
         vertex_map=tuple(range(graph.n_vertices)),
         edge_images=tuple((i + 1,) for i in range(graph.n_edges)),
     )
+
+
+def all_turns(graph: OrientedGraph) -> list[tuple[int, int]]:
+    """Every nondegenerate turn: each pair of directions at one vertex."""
+    return [
+        make_turn(a, b)
+        for v in range(graph.n_vertices)
+        for a, b in itertools.combinations(graph.directions_at(v), 2)
+    ]
 
 
 # -- integer matrices --------------------------------------------------------
@@ -329,22 +339,27 @@ class CandidateVerdicts:
     map: GraphMap
     train_track: bool
     irreducible: bool
+    expanding: bool
     fic_passed: bool
     principal: bool
 
 
+def search_tasks(graphs) -> list[tuple[int, OrientedGraph, list[tuple[int, int]]]]:
+    """(graph index, graph, fold pairs at its valence-4 vertex) for each
+    graph, as ``single_fold_search`` passes them to ``_search_one_graph``."""
+    return [
+        (gi, graph, _fold_pairs(graph, [max(range(graph.n_vertices), key=graph.valence)]))
+        for gi, graph in enumerate(graphs)
+    ]
+
+
 def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
-    """Every candidate on one graph of the rank-r universe, each composed and
-    classified through the full pipeline."""
-    rank, gi = args
-    universe = build_universe(rank)
-    graph = universe.graphs[gi]
+    """Every candidate of ``_search_one_graph``'s arguments (graph index,
+    graph, fold pairs), each composed and classified through the full
+    pipeline."""
+    gi, graph, pairs = args
     out = []
-    v4 = max(range(graph.n_vertices), key=graph.valence)
-    dirs = sorted(graph.directions_at(v4), key=lambda d: (abs(d), d < 0))
-    for e1, e0 in itertools.permutations(dirs, 2):
-        if abs(e1) == abs(e0):
-            continue
+    for e1, e0 in pairs:
         move = apply_fold(graph, e1, e0, "proper_full")
         for s in graph_isomorphisms(move.target, graph):
             sigma = relabeling(move.target, graph, s)
@@ -358,7 +373,9 @@ def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
                 report = is_principal(a)
                 fic_ok = report.fic.passed
                 principal = report.is_principal
-            out.append(CandidateVerdicts(gi, e1, e0, sigma, h, tt, irr, fic_ok, principal))
+            out.append(
+                CandidateVerdicts(gi, e1, e0, sigma, h, tt, irr, a.expanding, fic_ok, principal)
+            )
     return out
 
 

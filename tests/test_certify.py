@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import identity_map, power, rose_graph, search_one_graph_per_candidate
+from oracles import identity_map, power, rose_graph, search_one_graph_per_candidate, search_tasks
 from traintrack.certify import (
     MapAnalysis,
     default_period_bound,
@@ -256,8 +256,8 @@ def test_certify_reports_pinned_on_rank3_candidates():
 
     digest = hashlib.sha256()
     verdicts: Counter = Counter()
-    for gi in range(len(build_universe(3).graphs)):
-        for candidate in search_one_graph_per_candidate((3, gi)):
+    for task in search_tasks(build_universe(3).graphs):
+        for candidate in search_one_graph_per_candidate(task):
             report = certify_map(candidate.map)
             digest.update(certify_text(report).encode())
             digest.update(json.dumps(certify_json(report), sort_keys=True).encode())

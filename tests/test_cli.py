@@ -84,6 +84,18 @@ def test_file_that_is_not_utf8_exits_2(command, tmp_path, capsys):
     assert captured.err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 16)\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "decompose"])
+def test_file_with_a_byte_order_mark_reads_as_without(command, reference_file, tmp_path, capsys):
+    path = tmp_path / "bom.map"
+    path.write_bytes(b"\xef\xbb\xbf" + SINGLE_FOLD_DOCUMENT.encode("utf-8"))
+    plain_json, bom_json = tmp_path / "plain.json", tmp_path / "bom.json"
+    assert main([command, reference_file, "--json", str(plain_json)]) == 0
+    plain = capsys.readouterr()
+    assert main([command, str(path), "--json", str(bom_json)]) == 0
+    assert capsys.readouterr() == plain
+    assert bom_json.read_bytes() == plain_json.read_bytes()
+
+
 def test_certify_non_principal_exit_code(psi, tmp_path, capsys):
     path = tmp_path / "psi.map"
     path.write_text(print_map_document(psi), encoding="utf-8")
@@ -193,11 +205,24 @@ def test_search_single_fold_rank4(capsys):
     assert "0 relabeling class(es)" in captured
 
 
+VERIFY_THEOREM_A_STDOUT = """\
+PASS characteristic polynomial: char poly = x^5 - x - 1
+PASS dominant root below smaller-degree minima: root in [1.1673039775, 1.1673039785]; \
+root < 1.221 (degree 4): True; root < 1.325 (degree 3): True; root < 1.618 (degree 2): True
+PASS trace obstruction: x^5 + x^4 - x^2 - x - 1 needs trace -1; x^5 - x - 1 has trace 0
+PASS fold bookkeeping on trivalent graphs: 5 trivalent graphs; 108 proper full folds keep \
+6 edges, reaching valence 4 except over a loop (12 cases, graph unchanged); 92 complete folds \
+drop to 5 edges, reaching valence 5 except with a loop (24 cases, valence 4)
+PASS loop folds carry no expanding irreducible map: 368 (loop fold, isomorphism) \
+compositions, 0 expanding irreducible train track maps among them
+theorem-a: PASS
+"""
+
+
 def test_verify_theorem_a(capsys):
     code = main(["verify", "theorem-a"])
-    captured = capsys.readouterr().out
     assert code == 0
-    assert "theorem-a: PASS" in captured
+    assert capsys.readouterr().out == VERIFY_THEOREM_A_STDOUT
 
 
 def test_verify_theorem_b_limited_ranks(capsys):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import identity_map, inverse, relabeled_graph, relabeling_map, rose_graph
+from oracles import (
+    all_turns,
+    identity_map,
+    inverse,
+    relabeled_graph,
+    relabeling_map,
+    rose_graph,
+)
 from traintrack.certify import MapAnalysis, illegal_turns
 from traintrack.folds import FOLD_KINDS, apply_fold
 from traintrack.graphs import (
@@ -338,7 +345,7 @@ def _iterated_illegal_turns(g):
     dg = direction_map(g)
     bound = (2 * g.source.n_edges) ** 2
     out = set()
-    for turn in g.source.all_turns():
+    for turn in all_turns(g.source):
         d1, d2 = turn
         for _ in range(bound):
             d1, d2 = dg[d1], dg[d2]

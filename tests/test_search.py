@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CandidateVerdicts, search_one_graph_per_candidate
+from oracles import CandidateVerdicts, all_turns, search_one_graph_per_candidate, search_tasks
 from traintrack import search as search_module
 from traintrack.digraph import connected_components
 from traintrack.folds import apply_fold, stallings_decompose
@@ -21,6 +21,7 @@ from traintrack.graphs import (
     apply_signed,
     compose,
     compose_signed,
+    direction_table,
     invert_signed,
     is_tight,
     relabeling,
@@ -36,6 +37,7 @@ from traintrack.search import (
     _canonical_multigraph,
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
+    _fold_pairs,
     _multiplicities,
     _search_one_graph,
     _universe,
@@ -504,8 +506,8 @@ def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
 def _oracle_candidates(rank: int, graphs: int | None = None) -> tuple[CandidateVerdicts, ...]:
     """Every candidate on the first ``graphs`` graphs of the universe (all by
     default), classified one by one, in search order."""
-    n = len(build_universe(rank).graphs) if graphs is None else graphs
-    return tuple(r for gi in range(n) for r in search_one_graph_per_candidate((rank, gi)))
+    tasks = search_tasks(build_universe(rank).graphs[:graphs])
+    return tuple(r for task in tasks for r in search_one_graph_per_candidate(task))
 
 
 def _survivor_key(r):
@@ -530,8 +532,7 @@ def test_candidate_irreducible_iff_one_cycle(rank, graphs, candidates, irreducib
 
 @pytest.mark.parametrize("rank, graphs", [(3, None), (4, None), (5, 20)])
 def test_orbit_search_matches_per_candidate_oracle(rank, graphs):
-    n = len(build_universe(rank).graphs) if graphs is None else graphs
-    chunks = [_search_one_graph((rank, gi)) for gi in range(n)]
+    chunks = [_search_one_graph(t) for t in search_tasks(build_universe(rank).graphs[:graphs])]
     counts = tuple(map(sum, zip(*(counts for counts, _ in chunks))))
     survivors = sorted(
         (r for _, chunk in chunks for r in chunk),
@@ -547,6 +548,104 @@ def test_orbit_search_matches_per_candidate_oracle(rank, graphs):
     assert [_survivor_key(r) for r in survivors] == [
         _survivor_key(r) for r in oracle if r.principal
     ]
+
+
+def _loop_fold_tasks():
+    """The trivalent graphs with their folds over a loop, as theorem A's
+    driver passes them to ``_search_one_graph``."""
+    tasks = []
+    for gi, graph in enumerate(trivalent_universe()):
+        pairs = _fold_pairs(graph, range(graph.n_vertices))
+        loops = [p for p in pairs if graph.terminal_vertex(p[1]) == graph.initial_vertex(p[1])]
+        tasks.append((gi, graph, loops))
+    return tasks
+
+
+def _all_vertex_tasks(rank):
+    graphs = build_universe(rank).graphs
+    return [(gi, g, _fold_pairs(g, range(g.n_vertices))) for gi, g in enumerate(graphs)]
+
+
+@pytest.mark.parametrize(
+    "tasks, funnel",
+    [
+        # theorem A's step 5: 368 compositions, none irreducible
+        (_loop_fold_tasks, (368, 184, 0, 0, 0)),
+        # every vertex of the rank-3 graphs: the 260 valence-4 candidates and
+        # 104 folds over a loop at a valence-3 vertex
+        (functools.partial(_all_vertex_tasks, 3), (364, 212, 16, 16, 8)),
+    ],
+    ids=["trivalent-loop-folds", "rank3-every-vertex"],
+)
+def test_orbit_search_matches_per_candidate_oracle_at_any_vertex(tasks, funnel):
+    # the weighted counts of the engine against the oracle's one-by-one
+    # verdicts, the irreducible count also against the expanding irreducible
+    # one, and the principal survivors
+    tasks = tasks()
+    chunks = [_search_one_graph(t) for t in tasks]
+    candidates, tt, irreducible, fic = map(sum, zip(*(counts for counts, _ in chunks)))
+    oracle = [r for t in tasks for r in search_one_graph_per_candidate(t)]
+    assert (candidates, tt, irreducible, fic) == (
+        len(oracle),
+        sum(r.train_track for r in oracle),
+        sum(r.irreducible for r in oracle),
+        sum(r.fic_passed for r in oracle),
+    )
+    assert irreducible == sum(r.irreducible and r.expanding for r in oracle)
+    assert (candidates, tt, irreducible, fic, sum(r.principal for r in oracle)) == funnel
+    survivors = sorted(
+        (r for _, chunk in chunks for r in chunk),
+        key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.edge_images),
+    )
+    assert [_survivor_key(r) for r in survivors] == sorted(
+        (_survivor_key(r) for r in oracle if r.principal),
+        key=lambda k: (k[0], k[1], k[2], k[3].edge_images),
+    )
+
+
+def test_fold_pair_lists_are_closed_under_automorphisms(monkeypatch):
+    # the engine's precondition, on every list the package passes it
+    passed = []
+    engine = search_module._search_one_graph
+
+    def recorded(args):
+        passed.append(args)
+        return engine(args)
+
+    monkeypatch.setattr(search_module, "_search_one_graph", recorded)
+    single_fold_search(3)
+    single_fold_search(4)
+    assert verify_minimal_stretch_argument().passed
+    assert len(passed) == 5 + 30 + 5
+    for _gi, graph, pairs in passed:
+        assert len(set(pairs)) == len(pairs)
+        for alpha in graph_isomorphisms(graph, graph):
+            table = direction_table(alpha)
+            assert {(table[e1], table[e0]) for e1, e0 in pairs} == set(pairs)
+
+
+def test_orbit_search_rejects_pairs_not_closed_under_automorphisms():
+    # half the valence-4 pairs of a graph with a nontrivial automorphism
+    gi, graph, pairs = search_tasks(build_universe(3).graphs)[0]
+    assert len(graph_isomorphisms(graph, graph)) > 1
+    with pytest.raises(GraphStructureError, match="not closed under Aut"):
+        _search_one_graph((gi, graph, pairs[: len(pairs) // 2]))
+
+
+@pytest.mark.parametrize("source, irreducible", [(3, 16), (4, 0), ("loop folds", 0)])
+def test_irreducible_candidates_are_expanding(source, irreducible):
+    # the lemma in the search module: sigma . fold has matrix P + PE, every
+    # row summing to 1 but the folded edge's, which sums to 2, so an
+    # irreducible candidate is expanding
+    if source == "loop folds":
+        verdicts = [r for t in _loop_fold_tasks() for r in search_one_graph_per_candidate(t)]
+    else:
+        verdicts = _oracle_candidates(source)
+    for r in verdicts:
+        n = r.map.source.n_edges
+        assert sorted(map(sum, transition_matrix(r.map).rows)) == [1] * (n - 1) + [2]
+        assert r.expanding or not r.irreducible
+    assert sum(r.irreducible for r in verdicts) == irreducible
 
 
 def _act(alpha, e1, e0, sigma):
@@ -672,7 +771,7 @@ def test_train_track_verdicts_match_unreduced_powers(rank, accepted, rejected):
         if r.train_track:
             assert _first_untight_power(r.map, 12) is None
         else:
-            bound = len(graph.all_turns()) + len(graph.directions()) + 1
+            bound = len(all_turns(graph)) + len(graph.directions()) + 1
             assert _first_untight_power(r.map, bound) is not None
         counts[r.train_track] += 1
     assert counts == {True: accepted, False: rejected}
@@ -688,7 +787,7 @@ def test_single_fold_search_rank4():
 def test_search_determinism(gmap):
     """Searching the graphs in any order gives the same sorted reports."""
     plain = single_fold_search(3)
-    tasks = [(3, gi) for gi in range(plain.universe_size)]
+    tasks = search_tasks(build_universe(3).graphs)
     random.Random(12345).shuffle(tasks)
     shuffled = [r for task in tasks for r in search_one_graph_per_candidate(task)]
     shuffled.sort(key=lambda r: (r.graph_index, r.e1, r.e0, signed_images(r.sigma)))
