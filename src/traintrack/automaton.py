@@ -8,7 +8,7 @@ at both ends, plus signed relabelings of the five edge labels; relabelings
 make each orbit strongly connected, so the strongly connected structure lives
 on the quotient by relabeling classes.
 
-A node is stored as a plain key ``(groups, red, turns)``: the partition of
+A node is read as a plain key ``(groups, red, turns)``: the partition of
 the ten directions into initial-vertex groups (vertex names are forgotten),
 the red direction, and the sorted turn tuple.  This is the colored structure
 ``whitehead.ltt_structure`` computes for a map, so a map's structure is
@@ -17,15 +17,17 @@ folded direction is renamed onto the target direction inside every turn,
 the fresh turn crossed by the folded edge-path is added as the new red edge,
 and the moved direction becomes the new red vertex.
 
-Fold transport commutes with signed relabelings, so the build works per
-relabeling class on integer node ids.  A node is fixed by its labeled
-graph, its red direction and the direction its red turn attaches to, so
-each of the three group generators acts on node ids through one pass over
-the labeled graphs.  Orbits and stabilisers follow from those tables along
-a spanning tree of the group.  Folds are transported and stored at the
-class representatives only: a node ``sigma . rep`` has the folds of its
-representative moved by sigma, and the fold-edge and quotient-edge counts
-follow by orbit-stabiliser.
+A node is fixed by its labeled graph, its red direction and the direction
+its red turn attaches to, so it is stored as an integer id ``12 g + 3 r +
+a`` over the sorted labeled graphs, in the order of the sorted keys
+(``NodeSet``); a key is built only where one is read.  Fold transport
+commutes with signed relabelings, so the build works per relabeling class on
+node ids.  Each of the three group generators acts on node ids through one
+pass over the labeled graphs.  Orbits and stabilisers follow from those
+tables along a spanning tree of the group.  Folds are transported and
+stored at the class representatives only: a node ``sigma . rep`` has the
+folds of its representative moved by sigma, and the fold-edge and
+quotient-edge counts follow by orbit-stabiliser.
 
 Residual loops share their fold walks: the loops of one walk differ only in
 the closing relabeling, and walks share prefixes.  ``node_one_analysis``
@@ -38,6 +40,7 @@ automaton fold the same walks again.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .catalog import single_fold_map
@@ -95,6 +98,10 @@ def graph_from_groups(groups: tuple[tuple[int, ...], ...]) -> OrientedGraph:
 # -- the node profile ----------------------------------------------------------
 
 
+def _valence_four(groups: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    return next(g for g in groups if len(g) == 4)
+
+
 def is_node(key: NodeKey) -> bool:
     """Whether a key has the node profile: valences 3, 3 and 4; the red
     direction at the valence-4 vertex and in exactly one turn; a triangle of
@@ -102,7 +109,7 @@ def is_node(key: NodeKey) -> bool:
     groups, red, turns = key
     if sorted(len(g) for g in groups) != [3, 3, 4] or len(turns) != 10:
         return False
-    if red not in next(g for g in groups if len(g) == 4):
+    if red not in _valence_four(groups):
         return False
     if sum(red in t for t in turns) != 1:
         return False
@@ -122,7 +129,7 @@ def fold_candidates(key: NodeKey) -> list[tuple[int, int]]:
     vertex whose pair is not a turn of the structure.  The triangle structure
     forces every such pair to involve the red direction."""
     groups, red, turns = key
-    big = next(g for g in groups if len(g) == 4)
+    big = _valence_four(groups)
     turn_set = set(turns)
     out = []
     for e1, e0 in itertools.permutations(big, 2):
@@ -182,30 +189,77 @@ def enumerate_labeled_graphs():
     return sorted(out)
 
 
-def enumerate_nodes(rank: int = 3) -> list[NodeKey]:
+def _local_id(r: int, p: int) -> int:
+    """A node's id within its labeled graph, from the positions of its red
+    direction and of the direction its red turn attaches to in the
+    valence-4 group."""
+    return 3 * r + p - (p > r)
+
+
+class NodeSet(Sequence):
+    """The node keys over a list of labeled graphs, each built where it is
+    read.  Node ``12 g + 3 r + a`` lies over ``graphs[g]``; its red
+    direction is the r-th of the graph's valence-4 group, and its red turn
+    attaches to the a-th of the other three.  Over sorted graphs, ids follow
+    the order of the sorted keys."""
+
+    def __init__(self, graphs: list[tuple[tuple[int, ...], ...]]) -> None:
+        self.graphs = graphs
+        self.graph_id = {groups: g for g, groups in enumerate(graphs)}
+
+    def __len__(self) -> int:
+        return 12 * len(self.graphs)
+
+    def __getitem__(self, node_id: int) -> NodeKey:
+        if not 0 <= node_id < len(self):
+            raise IndexError("node id out of range")
+        g, local = divmod(node_id, 12)
+        groups = self.graphs[g]
+        big = _valence_four(groups)
+        r, a = divmod(local, 3)
+        red = big[r]
+        turns = [make_turn(red, big[a + (a >= r)])]
+        for group in groups:
+            turns.extend(itertools.combinations([d for d in group if d != red], 2))
+        turns.sort()
+        return (groups, red, tuple(turns))
+
+    def groups_of(self, node_id: int) -> tuple[tuple[int, ...], ...]:
+        """The direction partition of a node's labeled graph."""
+        return self.graphs[node_id // 12]
+
+    def index(self, key) -> int:
+        """The id of a node key, by arithmetic on its labeled graph's id;
+        the key at that id is rebuilt and compared, so ``ValueError`` is
+        raised for every key that is not a node."""
+        try:
+            groups, red, turns = key
+            big = _valence_four(groups)
+            r = big.index(red)
+            p = big.index(next(a + b - red for a, b in turns if red in (a, b)))
+            node_id = 12 * self.graph_id[groups] + _local_id(r, p)
+        except (TypeError, ValueError, KeyError, StopIteration):
+            raise ValueError("not an automaton node") from None
+        if self[node_id] != key:
+            raise ValueError("not an automaton node")
+        return node_id
+
+    def __contains__(self, key) -> bool:
+        try:
+            self.index(key)
+        except ValueError:
+            return False
+        return True
+
+
+def enumerate_nodes(rank: int = 3) -> NodeSet:
     """All node structures over all (4,3,3) rank-3 graphs, sorted: for each
     labeled graph, each choice of red direction at the valence-4 vertex and
-    of the purple direction its single red turn attaches to.  All keys share
-    one tuple per turn."""
+    of the purple direction its single red turn attaches to.  Only the
+    labeled graphs are enumerated; a key is built when it is read."""
     if rank != 3:
         raise GraphStructureError("node enumeration is implemented for rank 3")
-    turn_of = {pair: pair for pair in itertools.combinations(_DIRECTIONS, 2)}
-    nodes = []
-    for groups in enumerate_labeled_graphs():
-        big = next(g for g in groups if len(g) == 4)
-        for red in big:
-            base = [
-                turn_of[pair]
-                for group in groups
-                for pair in itertools.combinations([d for d in group if d != red], 2)
-            ]
-            # the red turn, and so the turn tuple, increases with attach
-            nodes.extend(
-                (groups, red, tuple(sorted(base + [turn_of[make_turn(red, attach)]])))
-                for attach in big
-                if attach != red
-            )
-    return nodes
+    return NodeSet(enumerate_labeled_graphs())
 
 
 # -- the automaton ---------------------------------------------------------------
@@ -236,8 +290,7 @@ class Automaton:
     each representative fold (e1, e0) into t, the node ``sigma . rep`` has
     the fold (sigma e1, sigma e0) into ``sigma . t``."""
 
-    nodes: list[NodeKey]
-    node_index: dict[NodeKey, int]
+    nodes: NodeSet
     class_of: list[int]
     class_members: list[list[int]]
     class_rep: list[int]
@@ -309,40 +362,42 @@ def build_automaton(rank: int = 3) -> Automaton:
     strongly connected components.  The reference node is the structure of
     ``single_fold_map``.
 
-    A node is fixed by its code (labeled graph, red, attach), so each group
-    generator acts on node ids through one pass over the labeled graphs.
-    Each class's row ``row[k]``, the node ``sigma_k . rep`` of its
-    representative (its first node), is filled along a spanning tree of the
-    group by ``row[gen sigma] = gen . row[sigma]``; the row gives the orbit
-    and the stabiliser, and a depth-first walk over the generators gives
-    ``rep_word``.  Folds are transported at the representatives only, and
-    each class contributes its orbit size once per representative fold to
-    the quotient edge counts.
+    Nodes are ids of the ``NodeSet``, whose order lets each group generator
+    act on them through one pass over the labeled graphs: a graph goes to
+    its image graph, and its 12 nodes to the image graph's by the positions
+    of the images in its valence-4 group.  Each class's row ``row[k]``, the
+    node ``sigma_k . rep`` of its representative (its first node), is filled
+    along a spanning tree of the group by ``row[gen sigma] = gen .
+    row[sigma]``; the row gives the orbit and the stabiliser, and a
+    depth-first walk over the generators gives ``rep_word``.  Keys are built
+    at the representatives only: their folds are transported there and each
+    target looked up by ``NodeSet.index``, and each class contributes its
+    orbit size once per representative fold to the quotient edge counts.
     """
     if rank != 3:
         raise GraphStructureError("the automaton is implemented for rank 3")
     nodes = enumerate_nodes(rank)
-    node_index = {key: i for i, key in enumerate(nodes)}
 
-    # the generator action on node ids, through node codes
-    graph_id: dict[tuple, int] = {}
-    codes = []
-    for groups, red, turns in nodes:
-        for a, b in turns:
-            if a == red or b == red:
-                break
-        codes.append((graph_id.setdefault(groups, len(graph_id)), red, a + b - red))
-    code_id = {code: i for i, code in enumerate(codes)}
+    # the generator action on node ids, one labeled graph at a time: a node
+    # moves with its graph, and within it by where the images of the graph's
+    # valence-4 group sit in the image graph's
     n_labels = len(RANK3_EDGE_NAMES)
     generators = _group_generators(n_labels)
+    bigs = [_valence_four(groups) for groups in nodes.graphs]
+    local = {
+        q: [_local_id(q[r], q[p]) for r in range(4) for p in range(4) if p != r]
+        for q in itertools.permutations(range(4))
+    }
     act: list[list[int]] = []
     try:
         for image in map(direction_table, generators):
-            on_graph = [
-                graph_id[canonical_groups([image[d] for d in g] for g in groups)]
-                for groups in graph_id
-            ]
-            act.append([code_id[on_graph[g], image[r], image[a]] for g, r, a in codes])
+            table: list[int] = []
+            for groups, big in zip(nodes.graphs, bigs):
+                g = nodes.graph_id[canonical_groups([image[d] for d in grp] for grp in groups)]
+                moved = bigs[g]
+                base = 12 * g
+                table.extend([base + x for x in local[tuple(moved.index(image[d]) for d in big)]])
+            act.append(table)
     except KeyError:
         raise GraphStructureError("relabeling left the node set") from None
 
@@ -370,9 +425,10 @@ def build_automaton(rank: int = 3) -> Automaton:
     rep_stabilizer: list[list[tuple[int, ...]]] = []
     rep_folds: list[list[tuple[int, int, int]]] = []
     orbit_rows: list[list[int]] = []
-    for i, key in enumerate(nodes):
+    for i in range(len(nodes)):
         if class_of[i] != -1:
             continue
+        key = nodes[i]
         cid = len(class_members)
         row = [i] * len(sigmas)
         for k, g, parent in tree:
@@ -396,10 +452,10 @@ def build_automaton(rank: int = 3) -> Automaton:
             out = transport(key, e1, e0)
             if out is None:
                 continue
-            j = node_index.get(out)
-            if j is None:
-                raise GraphStructureError("fold transport left the node set")
-            folds.append((e1, e0, j))
+            try:
+                folds.append((e1, e0, nodes.index(out)))
+            except ValueError:
+                raise GraphStructureError("fold transport left the node set") from None
         class_members.append(sorted(reached))
         class_rep.append(i)
         rep_folds.append(folds)
@@ -418,13 +474,13 @@ def build_automaton(rank: int = 3) -> Automaton:
             quotient_edges[pair] = quotient_edges.get(pair, 0) + len(class_members[cid])
     sccs = strongly_connected_components(len(class_members), _class_adjacency(quotient_edges))
 
-    node_one = node_index.get(ltt_structure(MapAnalysis(single_fold_map())))
-    if node_one is None:
-        raise GraphStructureError("reference structure is not an automaton node")
+    try:
+        node_one = nodes.index(ltt_structure(MapAnalysis(single_fold_map())))
+    except ValueError:
+        raise GraphStructureError("reference structure is not an automaton node") from None
 
     return Automaton(
         nodes=nodes,
-        node_index=node_index,
         class_of=class_of,
         class_members=class_members,
         class_rep=class_rep,
@@ -514,7 +570,7 @@ def loop_to_map(
     if k:
         base, composed, current = walks[start, folds[:k]]
     else:
-        base = current = graph_from_groups(automaton.nodes[start][0])
+        base = current = graph_from_groups(automaton.nodes.groups_of(start))
         composed = None
     for j in range(k, len(folds)):
         move = apply_fold(current, *folds[j], "proper_full")
@@ -555,16 +611,16 @@ def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop
     except GraphStructureError:
         return None
     # The node set is closed under relabeling, so when no node carries the
-    # sequence's own labels, no relabeling of them is a node either.
-    if start_key not in automaton.node_index:
+    # sequence's own labels, no relabeling of them is a node either.  A
+    # transport off the profile returns None, which is no node.
+    try:
+        node_ids = [automaton.nodes.index(start_key)]
+        key = start_key
+        for move in seq.moves:
+            key = transport(key, move.e1, move.e0)
+            node_ids.append(automaton.nodes.index(key))
+    except ValueError:
         return None
-    node_ids = [automaton.node_index[start_key]]
-    key = start_key
-    for move in seq.moves:
-        key = transport(key, move.e1, move.e0)
-        if key is None or key not in automaton.node_index:
-            return None
-        node_ids.append(automaton.node_index[key])
     # The decomposition's own relabeling must close the walk: it is the one
     # known to recompose to the input, so no other closing relabeling is tried.
     closing = signed_images(seq.final)
@@ -598,7 +654,7 @@ def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
     relabelings: the least graph over its relabeling class, which is the
     node's orbit and so projects onto every relabeled copy of the graph."""
     members = automaton.class_members[automaton.class_of[node_id]]
-    return min(automaton.nodes[j][0] for j in members)
+    return min(automaton.nodes.groups_of(j) for j in members)
 
 
 def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
@@ -667,8 +723,9 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
 def automaton_to_dot(automaton: Automaton) -> str:
     """Class-level DOT rendering: one node per relabeling class (the
     reference node's class double-circled), black fold arrows labeled with
-    exact-edge multiplicities, and green arrows marking the relabeling that
-    closes each fold back onto the target representative."""
+    exact-edge multiplicities, and one dashed green self-arrow on each class
+    whose representative has a nontrivial stabiliser, labeled with the
+    stabiliser's order."""
     lines = ["digraph principal_stratum {"]
     node_one_class = automaton.class_of[automaton.node_one]
     for cid in range(automaton.n_classes):

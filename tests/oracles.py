@@ -321,9 +321,9 @@ def rotate_loop(automaton, loop: DirectedLoop) -> DirectedLoop:
     e1, e0 = loop.folds[0]
     pulled = (apply_signed(inv, e1), apply_signed(inv, e0))
     target_key = transport(automaton.nodes[loop.node_ids[-1]], *pulled)
-    if target_key is None or target_key not in automaton.node_index:
+    if target_key is None or target_key not in automaton.nodes:
         raise GraphStructureError("loop rotation left the node set")
-    new_nodes = loop.node_ids[1:] + (automaton.node_index[target_key],)
+    new_nodes = loop.node_ids[1:] + (automaton.nodes.index(target_key),)
     return DirectedLoop(new_nodes, loop.folds[1:] + (pulled,), loop.closing)
 
 

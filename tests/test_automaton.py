@@ -12,6 +12,7 @@ from oracles import compose_power, rotate_loop
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
+    NodeSet,
     _graph_class_key,
     _group_generators,
     _walk_decomposition,
@@ -62,7 +63,7 @@ def test_enumeration_counts(automaton, walked_graphs, oracle_nodes):
     assert len(graphs) == GOLDEN_LABELED_GRAPHS
     assert len(set(graphs)) == len(graphs)
     assert sorted(graphs) == sorted(walked_graphs)
-    assert enumerate_nodes(3) == oracle_nodes
+    assert list(enumerate_nodes(3)) == oracle_nodes
     assert len(automaton.nodes) == GOLDEN_NODES
     assert automaton.n_fold_edges == GOLDEN_FOLD_EDGES
     assert automaton.n_classes == GOLDEN_CLASSES
@@ -72,23 +73,55 @@ def test_every_node_passes_the_profile(automaton):
     assert all(map(is_node, automaton.nodes))
 
 
-def test_the_profile_rejects_each_violated_condition(automaton):
-    groups, red, turns = reference = automaton.nodes[automaton.node_one]
-    assert reference == (
-        ((-5, -4, 1), (-3, 2, 4, 5), (-2, -1, 3)),
-        -3,
-        ((-5, -4), (-5, 1), (-4, 1), (-3, 5), (-2, -1), (-2, 3), (-1, 3), (2, 4), (2, 5), (4, 5)),
-    )
-    assert is_node(reference)
+REFERENCE_KEY = (
+    ((-5, -4, 1), (-3, 2, 4, 5), (-2, -1, 3)),
+    -3,
+    ((-5, -4), (-5, 1), (-4, 1), (-3, 5), (-2, -1), (-2, 3), (-1, 3), (2, 4), (2, 5), (4, 5)),
+)
+
+
+def _profile_violations():
+    """The reference key changed to violate one condition of the profile each."""
+    groups, red, turns = REFERENCE_KEY
     without_24 = tuple(t for t in turns if t != (2, 4))
-    rejected = {
+    return {
         "valences 2, 3, 5": (((-5, -4), (-3, 1, 2, 4, 5), (-2, -1, 3)), red, turns),
         "red at a valence-3 vertex": (groups, 1, turns),
         "red in two turns": (groups, red, tuple(sorted(turns + ((-3, 2),)))),
         "a triangle turn missing": (groups, red, tuple(sorted(without_24 + ((-5, -2),)))),
         "an extra turn": (groups, red, tuple(sorted(turns + ((-5, -2),)))),
     }
-    assert [name for name, key in rejected.items() if is_node(key)] == []
+
+
+def test_the_profile_rejects_each_violated_condition(automaton):
+    assert automaton.nodes[automaton.node_one] == REFERENCE_KEY
+    assert is_node(REFERENCE_KEY)
+    assert [name for name, key in _profile_violations().items() if is_node(key)] == []
+
+
+def test_node_ids_round_trip(automaton):
+    nodes = automaton.nodes
+    assert len(nodes) == GOLDEN_NODES
+    assert all(nodes.index(nodes[i]) == i for i in range(len(nodes)))
+    with pytest.raises(IndexError):
+        nodes[len(nodes)]
+
+
+def test_node_index_rejects_keys_off_the_node_set(automaton):
+    # the node profile over a (4,3,3) partition that is no connected graph:
+    # loops a and b at the valence-4 vertex, d joining the other two vertices
+    disconnected = (
+        ((-5, -4, 5), (-3, 3, 4), (-2, -1, 1, 2)),
+        1,
+        ((-5, -4), (-5, 5), (-4, 5), (-3, 3), (-3, 4), (-2, -1), (-2, 2), (-1, 2), (1, 2), (3, 4)),
+    )
+    assert is_node(disconnected)
+    rejected = dict(_profile_violations(), disconnected=disconnected, none=None)
+    rejected["turns as lists"] = REFERENCE_KEY[:2] + (tuple(map(list, REFERENCE_KEY[2])),)
+    for name, key in rejected.items():
+        assert key not in automaton.nodes, name
+        with pytest.raises(ValueError):
+            automaton.nodes.index(key)
 
 
 def test_class_sizes_partition_nodes(automaton):
@@ -100,8 +133,8 @@ def test_class_sizes_partition_nodes(automaton):
 
 def test_reference_structure_is_a_node(automaton, gmap):
     key = ltt_structure(MapAnalysis(gmap))
-    assert key in automaton.node_index
-    assert automaton.node_index[key] == automaton.node_one
+    assert key in automaton.nodes
+    assert automaton.nodes.index(key) == automaton.node_one
 
 
 def test_fold_candidates_involve_the_red_direction(automaton):
@@ -135,11 +168,11 @@ def test_node_set_closed_under_relabeling(automaton):
     for key in rng.sample(automaton.nodes, 60):
         for sigma in sigmas:
             image = relabel_key(key, sigma)
-            assert image in automaton.node_index
+            assert image in automaton.nodes
             # classes are unions of orbits, so membership is stable
             assert (
-                automaton.class_of[automaton.node_index[image]]
-                == automaton.class_of[automaton.node_index[key]]
+                automaton.class_of[automaton.nodes.index(image)]
+                == automaton.class_of[automaton.nodes.index(key)]
             )
 
 
@@ -430,13 +463,69 @@ def test_graph_from_groups_reconstruction(automaton):
 
 
 def test_relabeling_off_the_node_set_is_a_structure_error(monkeypatch, capsys):
-    # with one node missing, some generator step leaves the node set
-    full = automaton_module.enumerate_nodes
-    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda rank=3: full(rank)[1:])
+    # with one labeled graph (12 nodes) missing, some generator step leaves
+    # the node set
+    graphs = enumerate_labeled_graphs()[1:]
+    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda rank=3: NodeSet(graphs))
     with pytest.raises(GraphStructureError, match="relabeling left the node set"):
         automaton_module.build_automaton(3)
     assert main(["automaton", "build", "--loop-bound", "1"]) == 3
     assert "relabeling left the node set" in capsys.readouterr().err
+
+
+def _orbit_of_graphs(automaton, node_id):
+    """The labeled graphs under a node's relabeling class."""
+    members = automaton.class_members[automaton.class_of[node_id]]
+    return {automaton.nodes.groups_of(j) for j in members}
+
+
+def test_fold_transport_off_the_node_set_is_a_structure_error(automaton, monkeypatch):
+    # with one relabeling orbit of labeled graphs missing, the node set stays
+    # closed under relabeling, but a fold from another orbit lands on it
+    dropped = next(
+        _orbit_of_graphs(automaton, t)
+        for rep in automaton.class_rep
+        for _e1, _e0, t in automaton.rep_folds[automaton.class_of[rep]]
+        if _orbit_of_graphs(automaton, t) != _orbit_of_graphs(automaton, rep)
+    )
+    graphs = [g for g in enumerate_labeled_graphs() if g not in dropped]
+    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda rank=3: NodeSet(graphs))
+    with pytest.raises(GraphStructureError, match="fold transport left the node set"):
+        automaton_module.build_automaton(3)
+
+
+def test_generator_tables_disagreeing_with_relabel_key_is_a_structure_error(monkeypatch):
+    # a relabel_key that flips edge a after every relabeling moves the first
+    # representative off itself under its stabiliser
+    flip = (-1, 2, 3, 4, 5)
+    monkeypatch.setattr(
+        automaton_module, "relabel_key", lambda key, sigma: relabel_key(key, compose_signed(flip, sigma))
+    )
+    with pytest.raises(GraphStructureError, match="generator tables disagree with relabel_key"):
+        automaton_module.build_automaton(3)
+
+
+def test_reference_structure_off_the_node_set_is_a_structure_error(monkeypatch, capsys):
+    without_24 = REFERENCE_KEY[:2] + (tuple(t for t in REFERENCE_KEY[2] if t != (2, 4)),)
+    monkeypatch.setattr(automaton_module, "ltt_structure", lambda analysis: without_24)
+    with pytest.raises(GraphStructureError, match="reference structure is not an automaton node"):
+        automaton_module.build_automaton(3)
+    assert main(["automaton", "build", "--loop-bound", "1"]) == 3
+    assert "reference structure is not an automaton node" in capsys.readouterr().err
+
+
+def test_orbit_rows_are_the_relabeled_representatives(automaton):
+    # row[k] of each class is sigma_k . rep for the sigma_k that sigma_index
+    # numbers k, and sigma_index numbers every signed permutation once
+    sigmas = list(signed_permutations(5))
+    assert sorted(automaton.sigma_index) == sorted(sigmas)
+    assert sorted(automaton.sigma_index.values()) == list(range(len(sigmas)))
+    for cid, rep in enumerate(automaton.class_rep):
+        key = automaton.nodes[rep]
+        row = [-1] * len(sigmas)
+        for sigma, k in automaton.sigma_index.items():
+            row[k] = automaton.nodes.index(relabel_key(key, sigma))
+        assert automaton.orbit_rows[cid] == row, cid
 
 
 # -- the brute-force build, kept as an oracle for the equivariant one ---------
@@ -596,8 +685,13 @@ def oracle(oracle_nodes):
 
 def test_equivariant_build_matches_brute_force(automaton, oracle):
     for name, want in oracle.items():
-        if name != "fold_edges":
+        if name not in ("nodes", "node_index", "fold_edges"):
             assert getattr(automaton, name) == want, name
+    # the node ids are the oracle's positions of its sorted keys
+    assert list(automaton.nodes) == oracle["nodes"]
+    assert [automaton.nodes.index(key) for key in oracle["node_index"]] == list(
+        oracle["node_index"].values()
+    )
     # the class-level adjacency (and so the SCC order) follows edge order
     assert list(automaton.quotient_edges) == list(oracle["quotient_edges"])
     # the folds moved from the representatives are the transported ones,
@@ -677,21 +771,21 @@ def _scanned_walk_decomposition(automaton, seq):
     except GraphStructureError:
         return None
     match = next(
-        (s for s in signed_permutations(5) if relabel_key(start_key, s) in automaton.node_index),
+        (s for s in signed_permutations(5) if relabel_key(start_key, s) in automaton.nodes),
         None,
     )
     if match is None:
         return None
     key = relabel_key(start_key, match)
-    node_ids = [automaton.node_index[key]]
+    node_ids = [automaton.nodes.index(key)]
     folds = []
     for move in seq.moves:
         e1, e0 = apply_signed(match, move.e1), apply_signed(match, move.e0)
         key = transport(key, e1, e0)
-        if key is None or key not in automaton.node_index:
+        if key is None or key not in automaton.nodes:
             return None
         folds.append((e1, e0))
-        node_ids.append(automaton.node_index[key])
+        node_ids.append(automaton.nodes.index(key))
     closing = compose_signed(match, compose_signed(signed_images(seq.final), invert_signed(match)))
     if relabel_key(key, closing) != automaton.nodes[node_ids[0]]:
         return None

@@ -307,6 +307,31 @@ def test_automaton_build(tmp_path, capsys):
     assert payload["reference_analysis"]["loop_bound"] == 2
 
 
+AUTOMATON_BUILD_STDOUT = """\
+nodes: 24000; fold edges: 86400; relabeling classes: 17
+class-level components: [1, 1, 1, 14]; components with loops: 1
+reference class 8: removing it strands 2 further classes; residual loop part has 11 classes
+residual loops up to length 4: 732, all reducible: True
+folds entering the reference node: 4
+reference map's Stallings decomposition: a loop of 1 fold(s) through the reference node
+"""
+# sha256 of the ``--dot`` and ``--json`` files of ``automaton build --loop-bound 4``
+AUTOMATON_BUILD_DOT_SHA256 = "61a5ea0856c76d10042b38aba5161ec8c70950d766fe515eab70379cda91d4c9"
+AUTOMATON_BUILD_JSON_SHA256 = "e306c1c39ccf30832cb7fd5310a88e8b162564edab89a92b7f4d1f640fee3dc1"
+
+
+def test_automaton_build_golden(tmp_path, capsys):
+    dot = tmp_path / "a.dot"
+    out_json = tmp_path / "a.json"
+    code = main([
+        "automaton", "build", "--loop-bound", "4", "--dot", str(dot), "--json", str(out_json),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == AUTOMATON_BUILD_STDOUT
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == AUTOMATON_BUILD_DOT_SHA256
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == AUTOMATON_BUILD_JSON_SHA256
+
+
 def test_automaton_build_fails_without_the_reference_loop(capsys, monkeypatch):
     monkeypatch.setattr("traintrack.cli.decomposition_to_loop", lambda automaton, seq: None)
     assert main(["automaton", "build", "--loop-bound", "1"]) == 4
