@@ -22,12 +22,16 @@ its red turn attaches to, so it is stored as an integer id ``12 g + 3 r +
 a`` over the sorted labeled graphs, in the order of the sorted keys
 (``NodeSet``); a key is built only where one is read.  Fold transport
 commutes with signed relabelings, so the build works per relabeling class on
-node ids.  Each of the three group generators acts on node ids through one
-pass over the labeled graphs.  Orbits and stabilisers follow from those
-tables along a spanning tree of the group.  Folds are transported and
-stored at the class representatives only: a node ``sigma . rep`` has the
-folds of its representative moved by sigma, and the fold-edge and
-quotient-edge counts follow by orbit-stabiliser.
+node ids, on integer tables.  Each of the three group generators acts on
+node ids through one table of images of 10-bit direction masks and one pass
+over the labeled graphs, and on signed permutations, numbered in
+``signed_permutations`` order, by index arithmetic on permutation ranks and
+sign bits, so no signed permutation is composed and no partition
+canonicalised.  Orbits and stabilisers follow from those tables along a
+spanning tree of the group.  Folds are transported and stored at the class
+representatives only: a node ``sigma . rep`` has the folds of its
+representative moved by sigma, and the fold-edge and quotient-edge counts
+follow by orbit-stabiliser.
 
 Residual loops share their fold walks: the loops of one walk differ only in
 the closing relabeling, and walks share prefixes.  ``node_one_analysis``
@@ -44,7 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .catalog import single_fold_map
-from .digraph import carries_cycle, connected_components, strongly_connected_components
+from .digraph import carries_cycle, strongly_connected_components
 from .folds import FoldSequence, apply_fold, rotate
 from .graphs import (
     GraphMap,
@@ -175,17 +179,23 @@ def enumerate_labeled_graphs():
     """All connected (4,3,3)-graphs on five labeled, oriented edges, up to
     vertex renaming, encoded as direction partitions, sorted: the 2,100
     partitions of the ten directions into groups of sizes 4, 3 and 3, less
-    the disconnected ones."""
+    the 100 disconnected ones.
+
+    A partition is disconnected exactly when its valence-4 group is closed
+    under reversal.  The valences of a component sum to twice its edge
+    count, so a component is never one valence-3 vertex alone: a
+    disconnected graph is the valence-4 vertex with two loops beside the
+    two valence-3 vertices, and its four directions are the two ends of
+    each loop.  The groups come out of the combinations sorted, so a
+    partition is sorted as three tuples."""
     out = []
     for big in itertools.combinations(_DIRECTIONS, 4):
+        if all(-d in big for d in big):
+            continue
         rest = [d for d in _DIRECTIONS if d not in big]
         for pair in itertools.combinations(rest[1:], 2):
             third = tuple(d for d in rest[1:] if d not in pair)
-            groups = canonical_groups((big, (rest[0],) + pair, third))
-            at = {d: gi for gi, group in enumerate(groups) for d in group}
-            ends = [(at[i], at[-i]) for i in range(1, len(RANK3_EDGE_NAMES) + 1)]
-            if len(connected_components(range(3), ends)) == 1:
-                out.append(groups)
+            out.append(tuple(sorted((big, (rest[0],) + pair, third))))
     return sorted(out)
 
 
@@ -266,12 +276,46 @@ def enumerate_nodes(rank: int = 3) -> NodeSet:
 
 
 def _group_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of the signed permutations of n labels: a transposition,
-    an n-cycle and one orientation flip."""
-    swap = (2, 1) + tuple(range(3, n + 1))
-    cycle = tuple(range(2, n + 1)) + (1,)
-    flip = (-1,) + tuple(range(2, n + 1))
+    """Generators of the signed permutations of n labels: a transposition
+    (the identity for one label), an n-cycle and one orientation flip."""
+    labels = list(range(1, n + 1))
+    swap = tuple(labels[1::-1] + labels[2:])
+    cycle = tuple(labels[1:] + labels[:1])
+    flip = (-1,) + tuple(labels[1:])
     return (swap, cycle, flip)
+
+
+def _group_tables(n: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """The group of signed permutations of n labels on indices in the order
+    of ``signed_permutations(n)``: ``steps[g][k]`` is the index of generator
+    g after sigma_k, and ``tree`` a spanning tree from the identity, index
+    0, as ``(element, generator, parent)`` in breadth-first order.
+
+    Index ``2**n p + b`` is the permutation of lexicographic rank p with
+    sign bits b, bit ``n - 1 - i`` set when label i + 1 goes to a negative
+    label.  ``gen o sigma`` permutes by ``|gen| o |sigma|`` and flips the
+    signs of the labels that sigma sends to one that gen negates, so
+    ``steps[g][2**n p + b] == 2**n ranks[p] + (b ^ flips[p])``, with one
+    table of the ranks of ``|gen| o`` each permutation and one of sign
+    flips per generator."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    rank = {p: r for r, p in enumerate(perms)}
+    size = 1 << n
+    steps = []
+    for gen in _group_generators(n):
+        ranks = [rank[tuple(abs(gen[x - 1]) for x in p)] for p in perms]
+        flips = [sum(1 << (n - 1 - i) for i, x in enumerate(p) if gen[x - 1] < 0) for p in perms]
+        steps.append([size * r + (b ^ f) for r, f in zip(ranks, flips) for b in range(size)])
+    tree = []
+    seen = {0}
+    queue = [0]
+    for k in queue:
+        for g, step in enumerate(steps):
+            if step[k] not in seen:
+                seen.add(step[k])
+                queue.append(step[k])
+                tree.append((step[k], g, k))
+    return steps, tree
 
 
 def _class_adjacency(quotient_edges, removed: int = -1) -> dict[int, list[int]]:
@@ -365,63 +409,75 @@ def build_automaton(rank: int = 3) -> Automaton:
     Nodes are ids of the ``NodeSet``, whose order lets each group generator
     act on them through one pass over the labeled graphs: a graph goes to
     its image graph, and its 12 nodes to the image graph's by the positions
-    of the images in its valence-4 group.  Each class's row ``row[k]``, the
-    node ``sigma_k . rep`` of its representative (its first node), is filled
-    along a spanning tree of the group by ``row[gen sigma] = gen .
-    row[sigma]``; the row gives the orbit and the stabiliser, and a
-    depth-first walk over the generators gives ``rep_word``.  Keys are built
-    at the representatives only: their folds are transported there and each
-    target looked up by ``NodeSet.index``, and each class contributes its
-    orbit size once per representative fold to the quotient edge counts.
+    of the images in its valence-4 group.  A graph is read as its three
+    direction masks and found by an integer key, its valence-4 mask above
+    its smaller 3-mask; a generator moves masks through one table of their
+    1,024 images, and an image direction's position in the image group is
+    the number of the group's bits below it.  The generators act on indices
+    of signed permutations through ``_group_tables``.  Each class's row
+    ``row[k]``, the node ``sigma_k . rep`` of its representative (its first
+    node), is filled along a spanning tree of the group by ``row[gen sigma]
+    = gen . row[sigma]``; the row gives the stabiliser, and a depth-first
+    walk over the generators sets each orbit node's class where it first
+    reaches it, and its ``rep_word``.  Keys are built at the representatives
+    only: their folds are transported there and each target looked up by
+    ``NodeSet.index``, and each class contributes its orbit size once per
+    representative fold to the quotient edge counts.
     """
     if rank != 3:
         raise GraphStructureError("the automaton is implemented for rank 3")
     nodes = enumerate_nodes(rank)
 
-    # the generator action on node ids, one labeled graph at a time: a node
-    # moves with its graph, and within it by where the images of the graph's
-    # valence-4 group sit in the image graph's
+    # the generator action on node ids, one labeled graph at a time; bit i
+    # of a mask is the i-th of the sorted directions
     n_labels = len(RANK3_EDGE_NAMES)
-    generators = _group_generators(n_labels)
-    bigs = [_valence_four(groups) for groups in nodes.graphs]
+    bit = {d: 1 << i for i, d in enumerate(_DIRECTIONS)}
+    mask_of = {
+        grp: sum(bit[d] for d in grp)
+        for size in (3, 4)
+        for grp in itertools.combinations(_DIRECTIONS, size)
+    }
+    # each graph's masks, the valence-4 one last, and the graphs by key
+    graph_masks = [
+        sorted(map(mask_of.__getitem__, groups), key=int.bit_count) for groups in nodes.graphs
+    ]
+    graph_of = {(m4 << 10) | min(m3, n3): g for g, (m3, n3, m4) in enumerate(graph_masks)}
     local = {
         q: [_local_id(q[r], q[p]) for r in range(4) for p in range(4) if p != r]
         for q in itertools.permutations(range(4))
     }
     act: list[list[int]] = []
     try:
-        for image in map(direction_table, generators):
-            table: list[int] = []
-            for groups, big in zip(nodes.graphs, bigs):
-                g = nodes.graph_id[canonical_groups([image[d] for d in grp] for grp in groups)]
-                moved = bigs[g]
-                base = 12 * g
-                table.extend([base + x for x in local[tuple(moved.index(image[d]) for d in big)]])
-            act.append(table)
+        for image in map(direction_table, _group_generators(n_labels)):
+            moved = [0]
+            for d in _DIRECTIONS:
+                b = bit[image[d]]
+                moved += [m | b for m in moved]
+            offsets = {}
+            for m4 in {m4 for _m3, _n3, m4 in graph_masks}:
+                i4 = moved[m4]
+                q = tuple((i4 & (moved[1 << i] - 1)).bit_count() for i in range(10) if m4 >> i & 1)
+                offsets[m4] = local[q]
+            bases = [
+                12 * graph_of[(moved[m4] << 10) | min(moved[m3], moved[n3])]
+                for m3, n3, m4 in graph_masks
+            ]
+            act.append([
+                base + x for base, (_m3, _n3, m4) in zip(bases, graph_masks) for x in offsets[m4]
+            ])
     except KeyError:
         raise GraphStructureError("relabeling left the node set") from None
 
-    # the group: gen_step[g][k] is the index of generator g after sigmas[k],
-    # and tree a spanning tree from the identity, as (element, generator, parent)
-    identity = tuple(range(1, n_labels + 1))
+    # the group on indices of signed permutations, by index arithmetic; the
+    # identity is index 0
     sigmas = list(signed_permutations(n_labels))
     sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
-    gen_step = [[sigma_index[compose_signed(gen, s)] for s in sigmas] for gen in generators]
-    start = sigma_index[identity]
-    tree = []
-    seen = {start}
-    queue = [start]
-    for k in queue:
-        for g, step in enumerate(gen_step):
-            if step[k] not in seen:
-                seen.add(step[k])
-                queue.append(step[k])
-                tree.append((step[k], g, k))
+    gen_step, tree = _group_tables(n_labels)
 
     class_of = [-1] * len(nodes)
     class_members: list[list[int]] = []
     class_rep: list[int] = []
-    rep_word: list[tuple[int, ...]] = [identity] * len(nodes)
+    rep_word: list[tuple[int, ...]] = [sigmas[0]] * len(nodes)
     rep_stabilizer: list[list[tuple[int, ...]]] = []
     rep_folds: list[list[tuple[int, int, int]]] = []
     orbit_rows: list[list[int]] = []
@@ -433,18 +489,19 @@ def build_automaton(rank: int = 3) -> Automaton:
         row = [i] * len(sigmas)
         for k, g, parent in tree:
             row[k] = act[g][row[parent]]
-        for j in row:
-            class_of[j] = cid
-        # a depth-first generator walk gives each node of the orbit its word
-        reached = {i}
-        frontier = [start]
+        # a depth-first generator walk gives each node of the orbit its
+        # class and its word
+        class_of[i] = cid
+        members = [i]
+        frontier = [0]
         while frontier:
             k = frontier.pop()
             for step in gen_step:
                 nk = step[k]
                 j = row[nk]
-                if j not in reached:
-                    reached.add(j)
+                if class_of[j] != cid:
+                    class_of[j] = cid
+                    members.append(j)
                     rep_word[j] = sigmas[nk]
                     frontier.append(nk)
         folds = []
@@ -456,7 +513,7 @@ def build_automaton(rank: int = 3) -> Automaton:
                 folds.append((e1, e0, nodes.index(out)))
             except ValueError:
                 raise GraphStructureError("fold transport left the node set") from None
-        class_members.append(sorted(reached))
+        class_members.append(sorted(members))
         class_rep.append(i)
         rep_folds.append(folds)
         orbit_rows.append(row)

@@ -341,8 +341,7 @@ def gates(graph: OrientedGraph, images: dict[int, int]) -> tuple[frozenset[int],
 def signed_permutations(n: int):
     """All signed permutations of n labels (2**n n! of them)."""
     for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(p * s for p, s in zip(perm, signs))
+        yield from itertools.product(*((p, -p) for p in perm))
 
 
 def apply_signed(sigma: tuple[int, ...], d: int) -> int:

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
 
 import traintrack.automaton as automaton_module
+import traintrack.digraph as digraph_module
+import traintrack.graphs as graphs_module
+import traintrack.whitehead as whitehead_module
 from oracles import compose_power, rotate_loop
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
@@ -15,6 +19,7 @@ from traintrack.automaton import (
     NodeSet,
     _graph_class_key,
     _group_generators,
+    _group_tables,
     _walk_decomposition,
     decomposition_to_loop,
     enumerate_labeled_graphs,
@@ -288,6 +293,71 @@ def test_group_generators_follow_their_argument():
                     reached.add(nxt)
                     frontier.append(nxt)
         assert reached == set(signed_permutations(n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_group_tables_match_compose_signed(n):
+    # every generator step is the index of the composed signed permutation,
+    # and the spanning tree reaches each of the 2^n n! elements once, from
+    # a parent reached before it
+    sigmas = list(signed_permutations(n))
+    sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
+    steps, tree = _group_tables(n)
+    for gen, step in zip(_group_generators(n), steps, strict=True):
+        assert step == [sigma_index[compose_signed(gen, sigma)] for sigma in sigmas]
+    assert sigmas[0] == tuple(range(1, n + 1))
+    reached = {0}
+    for k, g, parent in tree:
+        assert parent in reached and k not in reached
+        assert steps[g][parent] == k
+        reached.add(k)
+    assert len(reached) == len(sigmas) == 2**n * math.factorial(n)
+
+
+def test_disconnected_partitions_are_the_reversal_closed_ones():
+    # over all 2,100 partitions of the ten directions into groups of sizes
+    # 4, 3 and 3, the graph is connected exactly when its valence-4 group is
+    # not closed under reversal; the labeled graphs are the connected ones
+    directions = sorted(s * i for i in range(1, len(RANK3_EDGE_NAMES) + 1) for s in (1, -1))
+    partitions = set()
+    for big in itertools.combinations(directions, 4):
+        rest = [d for d in directions if d not in big]
+        for group in itertools.combinations(rest, 3):
+            other = tuple(d for d in rest if d not in group)
+            partitions.add(tuple(sorted((big, group, other))))
+    assert len(partitions) == 2100
+    connected = []
+    for groups in partitions:
+        at = {d: gi for gi, group in enumerate(groups) for d in group}
+        ends = [(at[i], at[-i]) for i in range(1, len(RANK3_EDGE_NAMES) + 1)]
+        big = next(g for g in groups if len(g) == 4)
+        closed = {-d for d in big} == set(big)
+        assert (len(connected_components(range(3), ends)) == 1) != closed, groups
+        if not closed:
+            connected.append(groups)
+    assert len(connected) == 2000
+    assert enumerate_labeled_graphs() == sorted(connected)
+
+
+def test_build_composes_no_signed_permutation(monkeypatch):
+    # one build: the group tables compose no signed permutation, the labeled
+    # graphs are neither canonicalised nor walked for connectivity, and
+    # canonical groups are formed only by the 62 fold transports at the
+    # representatives and by ltt_structure at the reference map, whose
+    # document parse makes the one connectivity check
+    calls = Counter()
+    names = ("compose_signed", "connected_components", "canonical_groups", "transport")
+    for name in names:
+        for module in (automaton_module, graphs_module, digraph_module, whitehead_module):
+            if hasattr(module, name):
+
+                def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    automaton_module.build_automaton(3)
+    assert calls == {"transport": 62, "canonical_groups": 63, "connected_components": 1}
 
 
 def test_negative_loop_bound_rejected(automaton):

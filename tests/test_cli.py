@@ -274,6 +274,25 @@ def test_console_entry_point(reference_file):
     assert "PRINCIPAL" in result.stdout
 
 
+def test_package_runs_as_a_module(reference_file, psi, tmp_path):
+    # ``python -m traintrack`` exits with the code ``cli.main`` returns or
+    # its parser exits with
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "traintrack", *argv], capture_output=True, text=True
+        )
+
+    certified = run("certify", reference_file)
+    assert certified.returncode == 0
+    assert "PRINCIPAL" in certified.stdout
+    psi_path = tmp_path / "psi.map"
+    psi_path.write_text(print_map_document(psi), encoding="utf-8")
+    assert run("certify", str(psi_path)).returncode == 4
+    rejected = run("--jobs", "0", "verify", "theorem-a")
+    assert rejected.returncode == 2
+    assert "--jobs" in rejected.stderr
+
+
 def test_automaton_build(tmp_path, capsys):
     dot = tmp_path / "a.dot"
     out_json = tmp_path / "a.json"
