@@ -415,6 +415,13 @@ RESIDUAL_LOOP_LISTS = {
     5: (2432, "c21bba4666664670c3f25541ba6260418a854e4919d8ee86771d5265b31b6337"),
 }
 
+# sha256 of the repr of the same loops sorted by (node ids, folds, closing):
+# the loop sets, whatever order the closing relabelings come in
+RESIDUAL_LOOP_SETS = {
+    4: "3ca761264a504377027ed34acf6ce96fa5949ebe226fd8d3438e31ce70165b7b",
+    5: "7597d6fc5087fd87e7735d3577e23e7f303bc42732db847f269cb5e3c9d5c861",
+}
+
 
 def _residual_reps(automaton):
     residual = node_one_analysis(automaton, loop_bound=0).residual_loop_classes
@@ -436,6 +443,8 @@ def test_enumerate_loops_reads_each_node_once(automaton, monkeypatch, bound, fol
     count, digest = RESIDUAL_LOOP_LISTS[bound]
     assert len(loops) == count
     assert hashlib.sha256(repr(loops).encode()).hexdigest() == digest
+    ordered = sorted(loops, key=lambda lp: (lp.node_ids, lp.folds, lp.closing))
+    assert hashlib.sha256(repr(ordered).encode()).hexdigest() == RESIDUAL_LOOP_SETS[bound]
     assert len(read) == folds_read
     assert set(read.values()) == {1}
 
