@@ -24,14 +24,15 @@ a`` over the sorted labeled graphs, in the order of the sorted keys
 commutes with signed relabelings, so the build works per relabeling class on
 node ids, on integer tables.  Each of the three group generators acts on
 node ids through one table of images of 10-bit direction masks and one pass
-over the labeled graphs, and on signed permutations, numbered in
-``signed_permutations`` order, by index arithmetic on permutation ranks and
-sign bits, so no signed permutation is composed and no partition
-canonicalised.  Orbits and stabilisers follow from those tables along a
-spanning tree of the group.  Folds are transported and stored at the class
-representatives only: a node ``sigma . rep`` has the folds of its
-representative moved by sigma, and the fold-edge and quotient-edge counts
-follow by orbit-stabiliser.
+over the labeled graphs, so no partition is canonicalised.  A class's orbit
+row, the node ``sigma_k . rep`` for each signed permutation sigma_k in
+``signed_permutations`` order, is filled along a spanning tree of the group
+found by index arithmetic, so no signed permutation is composed; one pass
+over the row reads off the orbit, each node's least sigma, and the
+stabiliser.  Folds are transported and stored at the class representatives
+only: a node ``sigma . rep`` has the folds of its representative moved by
+sigma, and the fold-edge and quotient-edge counts follow by
+orbit-stabiliser.
 
 Residual loops share their fold walks: the loops of one walk differ only in
 the closing relabeling, and walks share prefixes.  ``node_one_analysis``
@@ -262,13 +263,11 @@ class NodeSet(Sequence):
         return True
 
 
-def enumerate_nodes(rank: int = 3) -> NodeSet:
+def enumerate_nodes() -> NodeSet:
     """All node structures over all (4,3,3) rank-3 graphs, sorted: for each
     labeled graph, each choice of red direction at the valence-4 vertex and
     of the purple direction its single red turn attaches to.  Only the
     labeled graphs are enumerated; a key is built when it is read."""
-    if rank != 3:
-        raise GraphStructureError("node enumeration is implemented for rank 3")
     return NodeSet(enumerate_labeled_graphs())
 
 
@@ -285,19 +284,19 @@ def _group_generators(n: int) -> tuple[tuple[int, ...], ...]:
     return (swap, cycle, flip)
 
 
-def _group_tables(n: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
-    """The group of signed permutations of n labels on indices in the order
-    of ``signed_permutations(n)``: ``steps[g][k]`` is the index of generator
-    g after sigma_k, and ``tree`` a spanning tree from the identity, index
-    0, as ``(element, generator, parent)`` in breadth-first order.
+def _group_tree(n: int) -> list[tuple[int, int, int]]:
+    """A spanning tree of the group of signed permutations of n labels, on
+    indices in the order of ``signed_permutations(n)``: ``(element,
+    generator, parent)`` in breadth-first order from the identity, index 0,
+    with element the index of generator g after parent.
 
     Index ``2**n p + b`` is the permutation of lexicographic rank p with
     sign bits b, bit ``n - 1 - i`` set when label i + 1 goes to a negative
     label.  ``gen o sigma`` permutes by ``|gen| o |sigma|`` and flips the
     signs of the labels that sigma sends to one that gen negates, so
-    ``steps[g][2**n p + b] == 2**n ranks[p] + (b ^ flips[p])``, with one
-    table of the ranks of ``|gen| o`` each permutation and one of sign
-    flips per generator."""
+    generator g steps ``2**n p + b`` to ``2**n ranks[p] + (b ^ flips[p])``,
+    with one table of the ranks of ``|gen| o`` each permutation and one of
+    sign flips per generator."""
     perms = list(itertools.permutations(range(1, n + 1)))
     rank = {p: r for r, p in enumerate(perms)}
     size = 1 << n
@@ -315,7 +314,7 @@ def _group_tables(n: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
                 seen.add(step[k])
                 queue.append(step[k])
                 tree.append((step[k], g, k))
-    return steps, tree
+    return tree
 
 
 def _class_adjacency(quotient_edges, removed: int = -1) -> dict[int, list[int]]:
@@ -332,14 +331,15 @@ class Automaton:
     """Exact nodes, relabeling classes, the quotient SCCs, and the folds of
     the class representatives, the only stored copy of the fold graph: for
     each representative fold (e1, e0) into t, the node ``sigma . rep`` has
-    the fold (sigma e1, sigma e0) into ``sigma . t``."""
+    the fold (sigma e1, sigma e0) into ``sigma . t``.  A class's
+    representative is its least node, ``class_members[c][0]``, which is also
+    ``orbit_rows[c][0]``, its image under the identity."""
 
     nodes: NodeSet
     class_of: list[int]
-    class_members: list[list[int]]
-    class_rep: list[int]
-    rep_word: list[tuple[int, ...]]  # node -> sigma with  sigma . rep == node
-    rep_stabilizer: list[list[tuple[int, ...]]]  # per class, at the representative
+    class_members: list[list[int]]  # per class, sorted; the representative first
+    rep_word: list[tuple[int, ...]]  # node -> the least sigma with sigma . rep == node
+    rep_stabilizer: list[list[tuple[int, ...]]]  # per class, fixing the rep, in sigma order
     rep_folds: list[list[tuple[int, int, int]]]  # per class, (e1, e0, target) at the rep
     orbit_rows: list[list[int]]  # per class, row[k] == sigma_k . rep
     sigma_index: dict[tuple[int, ...], int]  # sigma_k -> k
@@ -413,20 +413,20 @@ def build_automaton(rank: int = 3) -> Automaton:
     direction masks and found by an integer key, its valence-4 mask above
     its smaller 3-mask; a generator moves masks through one table of their
     1,024 images, and an image direction's position in the image group is
-    the number of the group's bits below it.  The generators act on indices
-    of signed permutations through ``_group_tables``.  Each class's row
-    ``row[k]``, the node ``sigma_k . rep`` of its representative (its first
-    node), is filled along a spanning tree of the group by ``row[gen sigma]
-    = gen . row[sigma]``; the row gives the stabiliser, and a depth-first
-    walk over the generators sets each orbit node's class where it first
-    reaches it, and its ``rep_word``.  Keys are built at the representatives
-    only: their folds are transported there and each target looked up by
-    ``NodeSet.index``, and each class contributes its orbit size once per
-    representative fold to the quotient edge counts.
+    the number of the group's bits below it.  Each class's representative
+    is the least node not yet classified, and its row ``row[k]``, the node
+    ``sigma_k . rep``, is filled along the spanning tree of ``_group_tree``
+    by ``row[gen sigma] = gen . row[sigma]``.  One pass over the row, in
+    ``signed_permutations`` order, gives each orbit node its class and its
+    ``rep_word``, the least sigma reaching it, and collects the sigmas
+    fixing the representative, its stabiliser.  Keys are built at the
+    representatives only: their folds are transported there and each
+    target looked up by ``NodeSet.index``, and each class contributes its
+    orbit size once per representative fold to the quotient edge counts.
     """
     if rank != 3:
         raise GraphStructureError("the automaton is implemented for rank 3")
-    nodes = enumerate_nodes(rank)
+    nodes = enumerate_nodes()
 
     # the generator action on node ids, one labeled graph at a time; bit i
     # of a mask is the i-th of the sorted directions
@@ -468,15 +468,13 @@ def build_automaton(rank: int = 3) -> Automaton:
     except KeyError:
         raise GraphStructureError("relabeling left the node set") from None
 
-    # the group on indices of signed permutations, by index arithmetic; the
-    # identity is index 0
+    # the group on indices of signed permutations; the identity is index 0
     sigmas = list(signed_permutations(n_labels))
     sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
-    gen_step, tree = _group_tables(n_labels)
+    tree = _group_tree(n_labels)
 
     class_of = [-1] * len(nodes)
     class_members: list[list[int]] = []
-    class_rep: list[int] = []
     rep_word: list[tuple[int, ...]] = [sigmas[0]] * len(nodes)
     rep_stabilizer: list[list[tuple[int, ...]]] = []
     rep_folds: list[list[tuple[int, int, int]]] = []
@@ -489,21 +487,19 @@ def build_automaton(rank: int = 3) -> Automaton:
         row = [i] * len(sigmas)
         for k, g, parent in tree:
             row[k] = act[g][row[parent]]
-        # a depth-first generator walk gives each node of the orbit its
-        # class and its word
+        # one pass over the row: each orbit node's class and least sigma, and
+        # the sigmas fixing the representative; the representative is
+        # classified first, so the identity's entry joins the stabiliser
         class_of[i] = cid
         members = [i]
-        frontier = [0]
-        while frontier:
-            k = frontier.pop()
-            for step in gen_step:
-                nk = step[k]
-                j = row[nk]
-                if class_of[j] != cid:
-                    class_of[j] = cid
-                    members.append(j)
-                    rep_word[j] = sigmas[nk]
-                    frontier.append(nk)
+        stabilizer = []
+        for sigma, j in zip(sigmas, row):
+            if class_of[j] != cid:
+                class_of[j] = cid
+                members.append(j)
+                rep_word[j] = sigma
+            elif j == i:
+                stabilizer.append(sigma)
         folds = []
         for e1, e0 in fold_candidates(key):
             out = transport(key, e1, e0)
@@ -514,10 +510,8 @@ def build_automaton(rank: int = 3) -> Automaton:
             except ValueError:
                 raise GraphStructureError("fold transport left the node set") from None
         class_members.append(sorted(members))
-        class_rep.append(i)
         rep_folds.append(folds)
         orbit_rows.append(row)
-        stabilizer = [s for s, j in zip(sigmas, row) if j == i]
         if any(relabel_key(key, s) != key for s in stabilizer):
             raise GraphStructureError("generator tables disagree with relabel_key")
         rep_stabilizer.append(stabilizer)
@@ -540,7 +534,6 @@ def build_automaton(rank: int = 3) -> Automaton:
         nodes=nodes,
         class_of=class_of,
         class_members=class_members,
-        class_rep=class_rep,
         rep_word=rep_word,
         rep_stabilizer=rep_stabilizer,
         rep_folds=rep_folds,
@@ -579,7 +572,7 @@ def enumerate_loops(
     if max_length < 0:
         raise GraphStructureError("loop length bound must be nonnegative")
     if start_nodes is None:
-        start_nodes = list(automaton.class_rep)
+        start_nodes = [members[0] for members in automaton.class_members]
     out: list[DirectedLoop] = []
     out_folds: dict[int, list[tuple[int, int, int]]] = {}
 
@@ -714,6 +707,20 @@ def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
     return min(automaton.nodes.groups_of(j) for j in members)
 
 
+def _loop_classes(automaton: Automaton, removed: int = -1) -> tuple[int, ...]:
+    """The classes on loop-carrying components of the class quotient less
+    the class ``removed``, sorted."""
+    adjacency = _class_adjacency(automaton.quotient_edges, removed)
+    return tuple(
+        sorted(
+            c
+            for comp in strongly_connected_components(automaton.n_classes, adjacency)
+            if carries_cycle(comp, adjacency)
+            for c in comp
+        )
+    )
+
+
 def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     """Remove the reference node's relabeling class and study what remains.
 
@@ -729,27 +736,16 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     repeated analysis does its work again.
     """
     node_one_class = automaton.class_of[automaton.node_one]
-    removed_scc = tuple(
-        sorted(c for ci in automaton.loop_sccs() for c in automaton.sccs[ci])
-    )
-
-    # SCCs of the quotient with the reference class cut off; it is then a
-    # component of its own without a loop
-    adjacency = _class_adjacency(automaton.quotient_edges, removed=node_one_class)
-    residual_classes = tuple(
-        sorted(
-            c
-            for comp in strongly_connected_components(automaton.n_classes, adjacency)
-            if carries_cycle(comp, adjacency)
-            for c in comp
-        )
-    )
+    removed_scc = _loop_classes(automaton)
+    # with the reference class cut off, it is a component of its own
+    # without a loop
+    residual_classes = _loop_classes(automaton, removed=node_one_class)
     also_disconnected = tuple(
         sorted(set(removed_scc) - set(residual_classes) - {node_one_class})
     )
 
     # direct composition of all short loops within the residual component
-    reps = [automaton.class_rep[c] for c in residual_classes]
+    reps = [automaton.class_members[c][0] for c in residual_classes]
     loops = enumerate_loops(automaton, loop_bound, reps, set(residual_classes))
     walks: dict = {}
     reducible = sum(

@@ -19,7 +19,7 @@ from traintrack.automaton import (
     NodeSet,
     _graph_class_key,
     _group_generators,
-    _group_tables,
+    _group_tree,
     _walk_decomposition,
     decomposition_to_loop,
     enumerate_labeled_graphs,
@@ -68,7 +68,7 @@ def test_enumeration_counts(automaton, walked_graphs, oracle_nodes):
     assert len(graphs) == GOLDEN_LABELED_GRAPHS
     assert len(set(graphs)) == len(graphs)
     assert sorted(graphs) == sorted(walked_graphs)
-    assert list(enumerate_nodes(3)) == oracle_nodes
+    assert list(enumerate_nodes()) == oracle_nodes
     assert len(automaton.nodes) == GOLDEN_NODES
     assert automaton.n_fold_edges == GOLDEN_FOLD_EDGES
     assert automaton.n_classes == GOLDEN_CLASSES
@@ -297,19 +297,16 @@ def test_group_generators_follow_their_argument():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_group_tables_match_compose_signed(n):
-    # every generator step is the index of the composed signed permutation,
-    # and the spanning tree reaches each of the 2^n n! elements once, from
-    # a parent reached before it
+    # every edge of the spanning tree is the index of its generator composed
+    # with its parent, and the tree reaches each of the 2^n n! elements
+    # once, from a parent reached before it
     sigmas = list(signed_permutations(n))
-    sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
-    steps, tree = _group_tables(n)
-    for gen, step in zip(_group_generators(n), steps, strict=True):
-        assert step == [sigma_index[compose_signed(gen, sigma)] for sigma in sigmas]
+    gens = _group_generators(n)
     assert sigmas[0] == tuple(range(1, n + 1))
     reached = {0}
-    for k, g, parent in tree:
+    for k, g, parent in _group_tree(n):
         assert parent in reached and k not in reached
-        assert steps[g][parent] == k
+        assert sigmas[k] == compose_signed(gens[g], sigmas[parent])
         reached.add(k)
     assert len(reached) == len(sigmas) == 2**n * math.factorial(n)
 
@@ -380,7 +377,7 @@ def _residual_loops(automaton, loop_bound):
     component, started at its class representatives."""
     analysis = node_one_analysis(automaton, loop_bound=loop_bound)
     residual = set(analysis.residual_loop_classes)
-    reps = [automaton.class_rep[c] for c in sorted(residual)]
+    reps = [automaton.class_members[c][0] for c in sorted(residual)]
     loops = enumerate_loops(automaton, loop_bound, start_nodes=reps, classes=residual)
     assert len(loops) == analysis.loops_checked
     return loops
@@ -409,10 +406,11 @@ def test_loops_to_junk_maps_fail_fic(automaton):
 
 
 # (loop count, sha256 of the repr of the loop list) from the residual class
-# representatives, as enumerated before each node's folds were read once per call
+# representatives; the closing relabelings of a loop come in the order that
+# the least words of its end nodes give them
 RESIDUAL_LOOP_LISTS = {
-    4: (748, "865205ef4a187efa87799f5fdfc3e3ba9fbbb2e964e6cb061e5b8fbec8850c77"),
-    5: (2432, "c21bba4666664670c3f25541ba6260418a854e4919d8ee86771d5265b31b6337"),
+    4: (748, "d998ce3973a994e6e9609afa6e85a63ee7c9adaf33dd77996573e2e10dbb1d2f"),
+    5: (2432, "ea0fd3f92cea4f19f0a8787d6f12aeecb8d45159a080aa7b366301bba85bdf95"),
 }
 
 # sha256 of the repr of the same loops sorted by (node ids, folds, closing):
@@ -425,7 +423,7 @@ RESIDUAL_LOOP_SETS = {
 
 def _residual_reps(automaton):
     residual = node_one_analysis(automaton, loop_bound=0).residual_loop_classes
-    return [automaton.class_rep[c] for c in residual]
+    return [automaton.class_members[c][0] for c in residual]
 
 
 @pytest.mark.parametrize("bound, folds_read", [(4, 264), (5, 641)])
@@ -528,8 +526,6 @@ def test_rank_four_rejected():
 
     with pytest.raises(GraphStructureError):
         build_automaton(rank=4)
-    with pytest.raises(GraphStructureError):
-        enumerate_nodes(rank=4)
 
 
 def test_graph_from_groups_reconstruction(automaton):
@@ -545,7 +541,7 @@ def test_relabeling_off_the_node_set_is_a_structure_error(monkeypatch, capsys):
     # with one labeled graph (12 nodes) missing, some generator step leaves
     # the node set
     graphs = enumerate_labeled_graphs()[1:]
-    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda rank=3: NodeSet(graphs))
+    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda: NodeSet(graphs))
     with pytest.raises(GraphStructureError, match="relabeling left the node set"):
         automaton_module.build_automaton(3)
     assert main(["automaton", "build", "--loop-bound", "1"]) == 3
@@ -563,12 +559,12 @@ def test_fold_transport_off_the_node_set_is_a_structure_error(automaton, monkeyp
     # closed under relabeling, but a fold from another orbit lands on it
     dropped = next(
         _orbit_of_graphs(automaton, t)
-        for rep in automaton.class_rep
-        for _e1, _e0, t in automaton.rep_folds[automaton.class_of[rep]]
-        if _orbit_of_graphs(automaton, t) != _orbit_of_graphs(automaton, rep)
+        for members, folds in zip(automaton.class_members, automaton.rep_folds)
+        for _e1, _e0, t in folds
+        if _orbit_of_graphs(automaton, t) != _orbit_of_graphs(automaton, members[0])
     )
     graphs = [g for g in enumerate_labeled_graphs() if g not in dropped]
-    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda rank=3: NodeSet(graphs))
+    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda: NodeSet(graphs))
     with pytest.raises(GraphStructureError, match="fold transport left the node set"):
         automaton_module.build_automaton(3)
 
@@ -595,12 +591,14 @@ def test_reference_structure_off_the_node_set_is_a_structure_error(monkeypatch, 
 
 def test_orbit_rows_are_the_relabeled_representatives(automaton):
     # row[k] of each class is sigma_k . rep for the sigma_k that sigma_index
-    # numbers k, and sigma_index numbers every signed permutation once
+    # numbers k, sigma_index numbers every signed permutation once, and the
+    # representative, the identity's entry, is the class's least node
     sigmas = list(signed_permutations(5))
     assert sorted(automaton.sigma_index) == sorted(sigmas)
     assert sorted(automaton.sigma_index.values()) == list(range(len(sigmas)))
-    for cid, rep in enumerate(automaton.class_rep):
-        key = automaton.nodes[rep]
+    for cid, members in enumerate(automaton.class_members):
+        assert automaton.orbit_rows[cid][0] == members[0]
+        key = automaton.nodes[members[0]]
         row = [-1] * len(sigmas)
         for sigma, k in automaton.sigma_index.items():
             row[k] = automaton.nodes.index(relabel_key(key, sigma))
@@ -661,10 +659,6 @@ def oracle_nodes(walked_graphs):
     return sorted(nodes)
 
 
-def _direct_compose(s, t):
-    return tuple(apply_signed(s, t[i]) for i in range(len(t)))
-
-
 def _direct_relabel_key(key, sigma):
     groups, red, turns = key
     new_groups = tuple(
@@ -691,7 +685,8 @@ def _scan_graph_class_key(groups):
 def _brute_force_build(nodes):
     """Every field of the automaton the direct way, over the oracle's own
     node list: transport at every node, classes by a generator walk over
-    keys, and stabilisers by a scan of all signed permutations."""
+    keys, and words and stabilisers by a scan of all signed permutations
+    from each class's least node."""
     node_index = {key: i for i, key in enumerate(nodes)}
     fold_edges = []
     for i, key in enumerate(nodes):
@@ -701,37 +696,40 @@ def _brute_force_build(nodes):
                 fold_edges.append((i, node_index[out], e1, e0))
 
     n_labels = len(RANK3_EDGE_NAMES)
-    identity = tuple(range(1, n_labels + 1))
     class_of = [-1] * len(nodes)
-    class_members, class_rep = [], []
-    rep_word = [identity] * len(nodes)
+    class_members = []
     for i, key in enumerate(nodes):
         if class_of[i] != -1:
             continue
         cid = len(class_members)
         members = [i]
         class_of[i] = cid
-        frontier = [(key, identity)]
+        frontier = [key]
         while frontier:
-            cur, word = frontier.pop()
+            cur = frontier.pop()
             for gen in _group_generators(n_labels):
                 nxt = _direct_relabel_key(cur, gen)
                 j = node_index[nxt]
                 if class_of[j] == -1:
                     class_of[j] = cid
                     members.append(j)
-                    rep_word[j] = _direct_compose(gen, word)
-                    frontier.append((nxt, rep_word[j]))
+                    frontier.append(nxt)
         class_members.append(sorted(members))
-        class_rep.append(i)
-    rep_stabilizer = [
-        [
-            sigma
-            for sigma in signed_permutations(n_labels)
-            if _direct_relabel_key(nodes[rep], sigma) == nodes[rep]
-        ]
-        for rep in class_rep
-    ]
+    rep_word = [None] * len(nodes)
+    rep_stabilizer = []
+    for members in class_members:
+        rep = members[0]
+        stabilizer = []
+        reached = set()
+        for sigma in signed_permutations(n_labels):
+            j = node_index[_direct_relabel_key(nodes[rep], sigma)]
+            if j == rep:
+                stabilizer.append(sigma)
+            if j not in reached:
+                reached.add(j)
+                rep_word[j] = sigma
+        assert reached == set(members)
+        rep_stabilizer.append(stabilizer)
 
     quotient_edges = {}
     for source, target, _e1, _e0 in fold_edges:
@@ -748,7 +746,6 @@ def _brute_force_build(nodes):
         "fold_edges": fold_edges,
         "class_of": class_of,
         "class_members": class_members,
-        "class_rep": class_rep,
         "rep_word": rep_word,
         "rep_stabilizer": rep_stabilizer,
         "quotient_edges": quotient_edges,
