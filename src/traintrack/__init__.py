@@ -27,21 +27,19 @@ from .certify import (
     MapAnalysis,
     PnpSearchResult,
     TtCertificate,
-    WhiteheadGraph,
     fic_check,
     illegal_turns,
     is_expanding,
     is_train_track,
-    local_whitehead,
     pnp_bounded_search,
     taken_turn_closure,
 )
 from .whitehead import (
     IdealWhiteheadGraph,
+    WhiteheadGraph,
     ideal_whitehead,
     is_principal,
     ltt_structure,
-    stable_whitehead,
 )
 from .folds import (
     FoldMove,

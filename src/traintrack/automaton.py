@@ -702,12 +702,13 @@ class NodeOneAnalysis:
 def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
     """Canonical form of a node's underlying labeled graph modulo
     relabelings: the least graph over its relabeling class, which is the
-    node's orbit and so projects onto every relabeled copy of the graph."""
-    members = automaton.class_members[automaton.class_of[node_id]]
-    return min(automaton.nodes.groups_of(j) for j in members)
+    node's orbit and so projects onto every relabeled copy of the graph.
+    Node ids follow the order of their labeled graphs and each class's
+    members are sorted, so the least graph is its representative's."""
+    return automaton.nodes.groups_of(automaton.class_members[automaton.class_of[node_id]][0])
 
 
-def _loop_classes(automaton: Automaton, removed: int = -1) -> tuple[int, ...]:
+def _loop_classes(automaton: Automaton, removed: int) -> tuple[int, ...]:
     """The classes on loop-carrying components of the class quotient less
     the class ``removed``, sorted."""
     adjacency = _class_adjacency(automaton.quotient_edges, removed)
@@ -736,7 +737,7 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     repeated analysis does its work again.
     """
     node_one_class = automaton.class_of[automaton.node_one]
-    removed_scc = _loop_classes(automaton)
+    removed_scc = tuple(sorted(c for ci in automaton.loop_sccs() for c in automaton.sccs[ci]))
     # with the reference class cut off, it is a component of its own
     # without a loop
     residual_classes = _loop_classes(automaton, removed=node_one_class)

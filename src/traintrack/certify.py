@@ -4,9 +4,13 @@ A self-map is a train track map when every power is tight, which for tight
 edge images reduces to a finite check: close the set of turns taken inside
 edge images under the direction map and intersect with the illegal turns.
 This module also houses the expanding test, a bounded search for periodic
-Nielsen paths, local Whitehead graphs, and the full-irreducibility criterion
-that combines them with the spectral classification.  ``MapAnalysis`` holds
-one map's certificates, each derived once, for every step that reads them.
+Nielsen paths, and the full-irreducibility criterion that combines them with
+the spectral classification and the local Whitehead graphs.  A turn joins
+two directions at one vertex, so the components of the graph on all
+directions with the closure turns as edges are those of the local graphs,
+and one components pass decides them all (``fic_check``).  ``MapAnalysis``
+holds one map's certificates, each derived once, for every step that reads
+them.
 """
 
 from __future__ import annotations
@@ -289,41 +293,11 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
 
 
 @dataclass(frozen=True)
-class WhiteheadGraph:
-    """Turn-incidence graph at a vertex: local, or restricted to the
-    periodic directions (stable)."""
-
-    directions: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def components(self) -> list[frozenset[int]]:
-        return [
-            frozenset(c) for c in connected_components(sorted(self.directions), self.edges)
-        ]
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
-    def is_triangle(self) -> bool:
-        return len(self.directions) == 3 and len(self.edges) == 3
-
-
-def local_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
-    """One vertex per direction at ``vertex``; edges are the turns taken by
-    some power of the train track map."""
-    graph = a.map.source
-    if not (0 <= vertex < graph.n_vertices):
-        raise GraphStructureError("unknown vertex")
-    if not a.tt.is_train_track:
-        raise GraphStructureError("local Whitehead graph requires a train track map")
-    ds = frozenset(graph.directions_at(vertex))
-    edges = frozenset(t for t in a.tt.closure if t[0] in ds)
-    return WhiteheadGraph(ds, edges)
-
-
-@dataclass(frozen=True)
 class FicReport:
-    """One flag per conjunct of the full irreducibility criterion."""
+    """One flag per conjunct of the full irreducibility criterion.
+    ``whitehead_connected`` says that the map is a train track map whose
+    local Whitehead graphs are all connected, as ``fic_check`` decides in
+    one components pass."""
 
     train_track: bool
     pnp_clean: bool
@@ -346,15 +320,23 @@ class FicReport:
 def fic_check(a: MapAnalysis) -> FicReport:
     """Bounded-PNP-clean, irreducible, primitive (PF), and connected local
     Whitehead graphs; each conjunct reported separately, failures
-    enumerated.  The search runs on expanding train track maps only."""
+    enumerated.  The search runs on expanding train track maps only.
+
+    The local Whitehead graph at v joins the directions at v by the closure
+    turns there.  A turn joins two directions at one vertex, so every
+    component of the graph on all directions with all closure turns lies at
+    one vertex, and the local graphs are all connected exactly when no
+    vertex carries two components."""
     train_track = a.tt.is_train_track
     spectral = a.spectral
+    graph = a.map.source
+    components = connected_components(graph.directions(), a.tt.closure)
+    at = [graph.initial_vertex(next(iter(c))) for c in components]
     return FicReport(
         train_track=train_track,
         pnp_clean=train_track and a.expanding and a.pnp.clean,
         irreducible=spectral.irreducible,
         primitive=spectral.primitive,
-        whitehead_connected=train_track
-        and all(local_whitehead(a, v).is_connected() for v in range(a.map.source.n_vertices)),
+        whitehead_connected=train_track and len(set(at)) == len(at),
         invariant_edges=None if spectral.irreducible else invariant_edge_set(a.matrix),
     )

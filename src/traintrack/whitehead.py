@@ -1,6 +1,12 @@
-"""Stable and ideal Whitehead graphs (built on the local ones of ``certify``)
-and colored turn structures over a graph.  Each map-level function reads one
-``MapAnalysis``.
+"""Ideal Whitehead graphs and colored turn structures over a graph.  Each
+map-level function reads one ``MapAnalysis``.
+
+The stable Whitehead graph at a vertex joins its periodic directions by the
+closure turns between them, and the ideal Whitehead graph is the disjoint
+union of the stable ones with the 2-direction components removed.  A turn
+joins two directions at one vertex, so every component of the graph on all
+periodic directions with those turns lies at one vertex, and one components
+pass yields the ideal graph's components.
 
 The colored structure of a self-map records, over the underlying graph, one
 vertex per direction (purple when the direction is periodic, red otherwise),
@@ -17,20 +23,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import FicReport, MapAnalysis, WhiteheadGraph, local_whitehead
+from .certify import FicReport, MapAnalysis
+from .digraph import connected_components
 from .graphs import GraphStructureError
 
 
 # -- Whitehead graphs --------------------------------------------------------
 
 
-def stable_whitehead(a: MapAnalysis, vertex: int) -> WhiteheadGraph:
-    """Restriction of the local graph to periodic directions."""
-    lw = local_whitehead(a, vertex)
-    periodic = a.periodic
-    ds = lw.directions & periodic
-    edges = frozenset(t for t in lw.edges if t[0] in periodic and t[1] in periodic)
-    return WhiteheadGraph(ds, edges)
+@dataclass(frozen=True)
+class WhiteheadGraph:
+    """One component of an ideal Whitehead graph: periodic directions and
+    the closure turns among them.  A turn joins two directions at one
+    vertex, so a component of all periodic directions lies at one vertex."""
+
+    directions: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+    def is_triangle(self) -> bool:
+        return len(self.directions) == 3 and len(self.edges) == 3
 
 
 @dataclass(frozen=True)
@@ -54,22 +65,23 @@ def ideal_whitehead(a: MapAnalysis) -> IdealWhiteheadGraph:
     """Assemble the ideal Whitehead graph, valid only when the bounded search
     finds no periodic Nielsen path.
 
-    Raises when the map is not an expanding train track map or when the
-    search finds a path, since the construction is undefined there.
+    The components come ordered by vertex, then by least direction.  Raises
+    when the map is not an expanding train track map or when the search
+    finds a path, since the construction is undefined there.
     """
     if not a.pnp.clean:
         raise GraphStructureError(
             "a periodic Nielsen path was found (period %s); the ideal Whitehead graph "
             "is not defined by this construction" % a.pnp.period
         )
-    comps: list[WhiteheadGraph] = []
-    for v in range(a.map.source.n_vertices):
-        sw = stable_whitehead(a, v)
-        for piece in sw.components():
-            if len(piece) == 2:
-                continue
-            edges = frozenset(t for t in sw.edges if t[0] in piece)
-            comps.append(WhiteheadGraph(piece, edges))
+    graph = a.map.source
+    periodic = sorted(a.periodic, key=lambda d: (graph.initial_vertex(d), d))
+    turns = [t for t in a.tt.closure if t[0] in a.periodic and t[1] in a.periodic]
+    comps = [
+        WhiteheadGraph(frozenset(piece), frozenset(t for t in turns if t[0] in piece))
+        for piece in connected_components(periodic, turns)
+        if len(piece) != 2
+    ]
     return IdealWhiteheadGraph(tuple(comps))
 
 

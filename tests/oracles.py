@@ -6,7 +6,9 @@ the package's integer root engine replaced, bisection in ``Fraction``
 arithmetic, relabeling actions on graphs and maps, the general push of
 relabelings past folds with the powers and loop rotations built on fold
 conjugation, the single-fold search classifying every candidate one by one,
-and the map-document printer.  Parsing then printing a canonical document
+the rank-3 single-fold candidates over every valence profile, Whitehead
+graphs built one vertex at a time with ``networkx``, and the map-document
+printer.  Parsing then printing a canonical document
 is the identity.
 """
 
@@ -16,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import networkx as nx
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
@@ -34,7 +37,7 @@ from traintrack.graphs import (
     relabeling,
     signed_images,
 )
-from traintrack.search import _fold_pairs, graph_isomorphisms
+from traintrack.search import _fold_pairs, _universe, graph_isomorphisms
 from traintrack.spectral import (
     IntegerMatrix,
     IntPolynomial,
@@ -376,6 +379,52 @@ def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
             out.append(
                 CandidateVerdicts(gi, e1, e0, sigma, h, tt, irr, a.expanding, fic_ok, principal)
             )
+    return out
+
+
+def rank3_all_profile_tasks() -> list[tuple[int, OrientedGraph, list[tuple[int, int]]]]:
+    """(graph index, graph, proper full folds at all its vertices) for every
+    rank-3 graph with all valences at least 3, profile by profile."""
+    profiles = ((6,), (5, 3), (4, 4), (4, 3, 3), (3, 3, 3, 3))
+    graphs = [g for profile in profiles for g in _universe(profile)]
+    return [(gi, g, _fold_pairs(g, range(g.n_vertices))) for gi, g in enumerate(graphs)]
+
+
+# -- Whitehead graphs, one vertex at a time --------------------------------------
+
+
+def local_whitehead_graph(a: MapAnalysis, vertex: int, periodic_only: bool = False) -> nx.Graph:
+    """The local Whitehead graph at ``vertex``: the directions there, joined
+    by the closure turns among them; with ``periodic_only``, the stable
+    graph on the periodic directions there."""
+    ds = set(a.map.source.directions_at(vertex))
+    if periodic_only:
+        ds &= a.periodic
+    g = nx.Graph()
+    g.add_nodes_from(ds)
+    g.add_edges_from(t for t in a.tt.closure if t[0] in ds and t[1] in ds)
+    return g
+
+
+def whitehead_connected_by_vertex(a: MapAnalysis) -> bool:
+    """The Whitehead conjunct of the full irreducibility criterion: a train
+    track map whose local graph at each vertex is connected."""
+    return a.tt.is_train_track and all(
+        nx.is_connected(local_whitehead_graph(a, v)) for v in range(a.map.source.n_vertices)
+    )
+
+
+def ideal_components_by_vertex(a: MapAnalysis) -> list[tuple[frozenset, frozenset]]:
+    """The ideal Whitehead graph's components as (directions, turns): the
+    components of each vertex's stable graph with other than 2 directions,
+    by vertex, then by least direction."""
+    out = []
+    for v in range(a.map.source.n_vertices):
+        stable = local_whitehead_graph(a, v, periodic_only=True)
+        for piece in sorted(nx.connected_components(stable), key=min):
+            if len(piece) != 2:
+                turns = frozenset(make_turn(*t) for t in stable.subgraph(piece).edges)
+                out.append((frozenset(piece), turns))
     return out
 
 

@@ -8,7 +8,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import identity_map, power, rose_graph, search_one_graph_per_candidate, search_tasks
+from oracles import (
+    identity_map,
+    power,
+    rose_graph,
+    search_one_graph_per_candidate,
+    search_tasks,
+    whitehead_connected_by_vertex,
+)
 from traintrack.certify import (
     MapAnalysis,
     default_period_bound,
@@ -17,7 +24,6 @@ from traintrack.certify import (
     illegal_turns,
     is_expanding,
     is_train_track,
-    local_whitehead,
     pnp_bounded_search,
     taken_turn_closure,
 )
@@ -154,8 +160,7 @@ def test_pnp_positive_control(doubling_control):
 def test_local_whitehead_connectivity(gmap, block_map):
     for g, connected in ((gmap, True), (block_map, False)):
         a = MapAnalysis(g)
-        by_vertex = {v: local_whitehead(a, v).is_connected() for v in range(g.source.n_vertices)}
-        assert all(by_vertex.values()) == connected
+        assert whitehead_connected_by_vertex(a) == connected
         assert fic_check(a).whitehead_connected == connected
 
 

@@ -3,11 +3,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
-from oracles import identity_map, inverse, relabel_map, relabeled_graph, relabeling_map
+from oracles import (
+    ideal_components_by_vertex,
+    identity_map,
+    inverse,
+    local_whitehead_graph,
+    rank3_all_profile_tasks,
+    relabel_map,
+    relabeled_graph,
+    relabeling_map,
+    search_one_graph_per_candidate,
+    whitehead_connected_by_vertex,
+)
 from traintrack.automaton import relabel_key
-from traintrack.certify import MapAnalysis
+from traintrack.certify import MapAnalysis, fic_check
 from traintrack.graphs import (
     GraphStructureError,
     compose,
@@ -21,9 +33,7 @@ from traintrack.whitehead import (
     WhiteheadGraph,
     ideal_whitehead,
     is_principal,
-    local_whitehead,
     ltt_structure,
-    stable_whitehead,
 )
 
 ALL_SIGMAS = list(signed_permutations(5))
@@ -31,33 +41,69 @@ ALL_SIGMAS = list(signed_permutations(5))
 
 def test_local_whitehead_reference(gmap):
     graph = gmap.source
-    by_valence = {graph.valence(v): v for v in range(3)}
-    lw4 = local_whitehead(MapAnalysis(gmap), by_valence[4])
-    assert len(lw4.directions) == 4 and len(lw4.edges) == 4
-    assert lw4.is_connected()
+    a = MapAnalysis(gmap)
     for v in range(3):
-        if graph.valence(v) == 3:
-            lw = local_whitehead(MapAnalysis(gmap), v)
-            assert lw.is_triangle()
+        lw = local_whitehead_graph(a, v)
+        if graph.valence(v) == 4:
+            assert (lw.number_of_nodes(), lw.number_of_edges()) == (4, 4)
+            assert nx.is_connected(lw)
+        else:
+            assert (lw.number_of_nodes(), lw.number_of_edges()) == (3, 3)
+    assert fic_check(a).whitehead_connected
 
 
 def test_local_whitehead_identity_edgeless(gmap):
+    # the identity takes no turn, so every local graph is edgeless and none
+    # of valence above one is connected
+    a = MapAnalysis(identity_map(gmap.source))
+    assert a.tt.is_train_track and not a.tt.closure
     for v in range(3):
-        assert not local_whitehead(MapAnalysis(identity_map(gmap.source)), v).edges
-
-
-def test_local_whitehead_unknown_vertex(gmap):
-    with pytest.raises(GraphStructureError):
-        local_whitehead(MapAnalysis(gmap), 17)
+        assert local_whitehead_graph(a, v).number_of_edges() == 0
+    assert not fic_check(a).whitehead_connected
 
 
 def test_stable_whitehead_vertex_count_is_gate_count(gmap):
+    # each gate at v holds exactly one periodic direction, so the stable
+    # graph at v has one vertex per gate there
     graph = gmap.source
-    gs = gates(graph, MapAnalysis(gmap).images)
+    a = MapAnalysis(gmap)
+    gs = gates(graph, a.images)
+    assert all(len(gate & a.periodic) == 1 for gate in gs)
     for v in range(graph.n_vertices):
-        sw = stable_whitehead(MapAnalysis(gmap), v)
         gates_at_v = [s for s in gs if graph.initial_vertex(next(iter(s))) == v]
-        assert len(sw.directions) == len(gates_at_v)
+        assert local_whitehead_graph(a, v, periodic_only=True).number_of_nodes() == len(gates_at_v)
+
+
+def test_whitehead_conjunct_matches_oracles_on_rank3_corpus():
+    # every proper full fold at any vertex of every rank-3 graph with all
+    # valences at least 3, then each isomorphism back; on each train track
+    # map the one-pass Whitehead graphs against the per-vertex oracles
+    tasks = rank3_all_profile_tasks()
+    candidates = [r for t in tasks for r in search_one_graph_per_candidate(t)]
+    disconnected = 0
+    for r in candidates:
+        if not r.train_track:
+            continue
+        a = MapAnalysis(r.map)
+        connected = fic_check(a).whitehead_connected
+        assert connected == whitehead_connected_by_vertex(a)
+        disconnected += not connected
+        if a.expanding and a.pnp.clean:
+            ideal = ideal_whitehead(a)
+            assert [(c.directions, c.edges) for c in ideal.components] == (
+                ideal_components_by_vertex(a)
+            )
+        else:
+            with pytest.raises(GraphStructureError):
+                ideal_whitehead(a)
+    funnel = (
+        len(candidates),
+        sum(r.train_track for r in candidates),
+        disconnected,
+        sum(r.fic_passed for r in candidates),
+        sum(r.principal for r in candidates),
+    )
+    assert funnel == (2308, 1580, 1124, 352, 8)
 
 
 def test_ideal_whitehead_reference(gmap):
