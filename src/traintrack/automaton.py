@@ -38,7 +38,9 @@ Residual loops share their fold walks: the loops of one walk differ only in
 the closing relabeling, and walks share prefixes.  ``node_one_analysis``
 owns a memo of composed fold prefixes for the length of one call and hands
 it to ``loop_to_map`` for each loop, so each prefix is folded and composed
-once per analysis.  The memo is never module-level: two analyses of one
+once per analysis, and each loop's closing is checked to be an isomorphism
+and applied as a relabeling of the composed walk's images, with no
+composition.  The memo is never module-level: two analyses of one
 automaton fold the same walks again.
 """
 
@@ -60,7 +62,9 @@ from .graphs import (
     compose_signed,
     direction_table,
     invert_signed,
+    isomorphism_vertex_map,
     make_turn,
+    relabel_after,
     relabeling,
     signed_images,
     signed_permutations,
@@ -606,10 +610,13 @@ def loop_to_map(
     ``walks`` is a memo owned by the caller, mapping ``(start node, fold
     prefix)`` to ``(base graph, composed fold map, current graph)``.  The
     longest stored prefix of the loop is extended one fold and one
-    composition at a time, and every new prefix is stored; the closing
-    relabeling is built and composed for each loop.  The map is the same
-    with or without the memo.  The caller decides how long the memo lives;
-    ``node_one_analysis`` keeps one per call.
+    composition at a time, and every new prefix is stored.  The closing is
+    checked to be an isomorphism from the walk's end graph to its base,
+    raising ``GraphStructureError`` otherwise, and applied by
+    ``relabel_after``: the composed walk is tight, so relabeling its images
+    is the composition, and no relabeling map is built.  The map is the
+    same with or without the memo.  The caller decides how long the memo
+    lives; ``node_one_analysis`` keeps one per call.
     """
     if walks is None:
         walks = {}
@@ -627,8 +634,10 @@ def loop_to_map(
         composed = move.map if composed is None else compose(move.map, composed)
         current = move.target
         walks[start, folds[: j + 1]] = (base, composed, current)
-    closing = relabeling(current, base, loop.closing)
-    return closing if composed is None else compose(closing, composed)
+    if composed is None:
+        return relabeling(current, base, loop.closing)
+    isomorphism_vertex_map(current, base, loop.closing)
+    return relabel_after(composed, base, loop.closing)
 
 
 def decomposition_to_loop(
@@ -734,7 +743,8 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
 
     The loops are composed through one memo of fold prefixes that this call
     creates and drops, so each shared prefix is folded once per call and a
-    repeated analysis does its work again.
+    repeated analysis does its work again.  Each loop's closing is applied
+    as a relabeling of its composed walk, not composed with it.
     """
     node_one_class = automaton.class_of[automaton.node_one]
     removed_scc = tuple(sorted(c for ci in automaton.loop_sccs() for c in automaton.sccs[ci]))

@@ -368,21 +368,60 @@ def invert_signed(s: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def relabeling(source: OrientedGraph, target: OrientedGraph, signed: tuple[int, ...]) -> GraphMap:
-    """The isomorphism sending source edge ``i`` to the signed direction
-    ``signed[i]``: each vertex goes where its first direction's image starts,
-    and the ``GraphMap`` checks every edge against that.  Raises
-    ``GraphStructureError`` unless the result is a graph isomorphism."""
+def isomorphism_vertex_map(
+    source: OrientedGraph, target: OrientedGraph, signed: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The vertex map of the graph isomorphism sending source edge ``i`` to
+    the target direction ``signed[i]``: each vertex goes where its first
+    direction's image starts.  Raises ``GraphStructureError`` unless the
+    vertex map is a bijection, ``signed`` is a bijection onto the target
+    edges, and each edge's image starts and ends at the images of its
+    ends."""
+    initial = target._initial
     try:
-        vertex_map = tuple(
-            target.initial_vertex(apply_signed(signed, ds[0])) for ds in source._directions_at
-        )
+        vertex_map = tuple(initial[apply_signed(signed, ds[0])] for ds in source._directions_at)
+        for s, (u, v) in zip(signed, source.ends):
+            if initial[s] != vertex_map[u] or initial[-s] != vertex_map[v]:
+                raise GraphStructureError("relabeling is not a graph isomorphism")
     except (IndexError, KeyError):
         raise GraphStructureError("relabeling images are not target directions") from None
-    m = GraphMap(source, target, vertex_map, tuple((s,) for s in signed))
-    if not m.is_isomorphism():
+    n, m = source.n_edges, source.n_vertices
+    if not (
+        len(signed) == n == target.n_edges == len({abs(s) for s in signed})
+        and m == target.n_vertices == len(set(vertex_map))
+    ):
         raise GraphStructureError("relabeling is not a graph isomorphism")
-    return m
+    return vertex_map
+
+
+def relabeling(source: OrientedGraph, target: OrientedGraph, signed: tuple[int, ...]) -> GraphMap:
+    """The isomorphism sending source edge ``i`` to the signed direction
+    ``signed[i]``, on the vertex map of ``isomorphism_vertex_map``, which
+    raises ``GraphStructureError`` unless it is a graph isomorphism."""
+    vertex_map = isomorphism_vertex_map(source, target, signed)
+    return GraphMap(source, target, vertex_map, tuple((s,) for s in signed))
+
+
+def relabel_after(f: GraphMap, target: OrientedGraph, sigma: tuple[int, ...]) -> GraphMap:
+    """The map sigma after f, for the signed images ``sigma`` of a graph
+    isomorphism from ``f.target`` to ``target``: f's images read through
+    sigma's direction table, each vertex sent where sigma sends the first
+    direction at its image.  The result is a validated ``GraphMap``.
+
+    Precondition, not checked here: sigma is an isomorphism
+    (``isomorphism_vertex_map`` checks one).  The images are not tightened.
+    An isomorphism sends each direction to one direction, distinct ones to
+    distinct ones, and commutes with reversal, so a path crosses a
+    degenerate turn exactly when its image does: tight images stay tight,
+    and for a map f with tight images the result equals
+    ``compose(relabeling(f.target, target, sigma), f)``."""
+    table = direction_table(sigma)
+    middle = f.target
+    vertex_map = tuple(
+        target.initial_vertex(table[middle.directions_at(w)[0]]) for w in f.vertex_map
+    )
+    images = tuple(tuple(table[d] for d in image) for image in f.edge_images)
+    return GraphMap(f.source, target, vertex_map, images)
 
 
 def signed_images(m: GraphMap) -> tuple[int, ...]:

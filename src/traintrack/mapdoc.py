@@ -78,6 +78,9 @@ def parse_map_document(text: str) -> GraphMap:
                     raise ParseError(f"duplicate edge {parts[1]!r}", lineno)
                 edges.append((parts[1], parts[3], parts[5], lineno))
             elif parts[0] == "map":
+                if len(parts) > 1:
+                    column = [m.start() + 1 for m in re.finditer(r"\S+", raw)][1]
+                    raise ParseError(f"unexpected {parts[1]!r} after 'map'", lineno, column)
                 in_map = True
             else:
                 raise ParseError(f"unexpected directive {parts[0]!r}", lineno, _token_column(raw, parts[0]))

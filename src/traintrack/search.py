@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .catalog import single_fold_map
 from .certify import MapAnalysis
@@ -35,6 +34,7 @@ from .graphs import (
     compose,
     direction_table,
     invert_signed,
+    relabel_after,
     relabeling,
 )
 from .spectral import (
@@ -317,15 +317,8 @@ def _candidate(move: FoldMove, sigma: tuple[int, ...]) -> GraphMap:
     """The candidate sigma . fold as one validated map, for a fold ``move``
     of the graph and the signed images ``sigma`` of an isomorphism from the
     fold's target back to the graph.  A proper full fold's images are
-    tight, and an isomorphism sends tight paths to tight paths, so the
-    images are the fold's with sigma applied, and need no tightening."""
-    graph, target = move.source, move.target
-    table = direction_table(sigma)
-    vertex_map = tuple(
-        graph.initial_vertex(table[target.directions_at(w)[0]]) for w in move.map.vertex_map
-    )
-    images = tuple(tuple(table[d] for d in image) for image in move.map.edge_images)
-    return GraphMap(graph, graph, vertex_map, images)
+    tight, so ``relabel_after`` applies sigma without tightening."""
+    return relabel_after(move.map, move.source, sigma)
 
 
 def _fold_pairs(graph: OrientedGraph, vertices) -> list[tuple[int, int]]:
@@ -443,6 +436,9 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
         for gi, graph in enumerate(universe.graphs)
     ]
     if jobs > 1:
+        # multiprocessing is imported for a pool only, not with the package
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             chunks = pool.map(_search_one_graph, tasks)
     else:

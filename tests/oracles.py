@@ -5,11 +5,11 @@ turns of a graph, integer matrix arithmetic, the sympy spectral engine that
 the package's integer root engine replaced, bisection in ``Fraction``
 arithmetic, relabeling actions on graphs and maps, the general push of
 relabelings past folds with the powers and loop rotations built on fold
-conjugation, the single-fold search classifying every candidate one by one,
-the rank-3 single-fold candidates over every valence profile, Whitehead
-graphs built one vertex at a time with ``networkx``, and the map-document
-printer.  Parsing then printing a canonical document
-is the identity.
+conjugation, automaton loops composed step by step, the single-fold search
+classifying every candidate one by one, the rank-3 single-fold candidates
+over every valence profile, Whitehead graphs built one vertex at a time with
+``networkx``, and the map-document printer.  Parsing then printing a
+canonical document is the identity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import networkx as nx
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from traintrack.automaton import DirectedLoop, transport
+from traintrack.automaton import DirectedLoop, graph_from_groups, transport
 from traintrack.certify import MapAnalysis
 from traintrack.folds import FoldMove, FoldSequence, apply_fold, pull_back
 from traintrack.graphs import (
@@ -313,6 +313,18 @@ def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
             graph = moves[-1].target
         acc = compose_signed(sigma, acc)
     return FoldSequence(tuple(moves), relabeling(graph, seq.final.target, acc))
+
+
+def loop_map_by_composition(automaton, loop: DirectedLoop) -> GraphMap:
+    """A loop's map with every step composed: each fold in turn, then the
+    closing built as a relabeling map and composed last."""
+    base = current = graph_from_groups(automaton.nodes.groups_of(loop.node_ids[0]))
+    composed = identity_map(base)
+    for e1, e0 in loop.folds:
+        move = apply_fold(current, e1, e0, "proper_full")
+        composed = compose(move.map, composed)
+        current = move.target
+    return compose(relabeling(current, base, loop.closing), composed)
 
 
 def rotate_loop(automaton, loop: DirectedLoop) -> DirectedLoop:

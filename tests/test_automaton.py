@@ -12,7 +12,7 @@ import traintrack.automaton as automaton_module
 import traintrack.digraph as digraph_module
 import traintrack.graphs as graphs_module
 import traintrack.whitehead as whitehead_module
-from oracles import compose_power, rotate_loop
+from oracles import compose_power, loop_map_by_composition, rotate_loop
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
@@ -502,9 +502,10 @@ def test_shared_walks_keep_start_nodes_apart(automaton):
 def test_node_one_analysis_folds_each_prefix_once(automaton, monkeypatch):
     # 732 loops along 180 fold walks with 275 distinct prefixes: one fold per
     # prefix, one composition per prefix beyond the first fold, and one
-    # closing composition per loop
+    # closing relabeling per loop, no composition
     calls = Counter()
-    for name in ("loop_to_map", "apply_fold", "compose"):
+    names = ("loop_to_map", "apply_fold", "compose", "isomorphism_vertex_map", "relabeling")
+    for name in names:
         fn = getattr(automaton_module, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -514,10 +515,38 @@ def test_node_one_analysis_folds_each_prefix_once(automaton, monkeypatch):
         monkeypatch.setattr(automaton_module, name, counted)
     analysis = node_one_analysis(automaton, loop_bound=4)
     assert analysis.loops_checked == analysis.loops_reducible == 732
-    assert calls == {"loop_to_map": 732, "apply_fold": 275, "compose": 986}
+    assert [calls[name] for name in names] == [732, 275, 254, 732, 0]
     # a second analysis folds its walks again
     node_one_analysis(automaton, loop_bound=4)
-    assert calls == {"loop_to_map": 1464, "apply_fold": 550, "compose": 1972}
+    assert [calls[name] for name in names] == [1464, 550, 508, 1464, 0]
+
+
+def test_loop_maps_equal_their_composed_closings(automaton, gmap):
+    # relabeling a tight composed walk is composing the closing relabeling
+    walks: dict = {}
+    loops = _residual_loops(automaton, 4)
+    assert len(loops) == 732
+    for loop in loops:
+        assert loop_to_map(automaton, loop, walks) == loop_map_by_composition(automaton, loop)
+    reference = decomposition_to_loop(automaton, stallings_decompose(gmap))
+    assert loop_to_map(automaton, reference) == loop_map_by_composition(automaton, reference)
+
+
+def test_loop_closing_that_is_no_isomorphism_is_rejected(automaton, gmap):
+    reference = decomposition_to_loop(automaton, stallings_decompose(gmap))
+    assert reference.closing == (-2, -4, 5, -3, 1)
+    bad_closings = (
+        # c goes onto the reversal of b's image, which fits its ends: only
+        # the edge bijection fails, and relabeling the walk alone would pass
+        (-2, -4, 4, -3, 1),
+        # d and e swapped: a bijection on edges and vertices sending both
+        # edges between the wrong vertices
+        (-2, -4, 5, 1, -3),
+    )
+    for closing in bad_closings:
+        loop = DirectedLoop(reference.node_ids, reference.folds, closing)
+        with pytest.raises(GraphStructureError, match="not a graph isomorphism"):
+            loop_to_map(automaton, loop)
 
 
 def test_rank_four_rejected():

@@ -156,6 +156,9 @@ def test_certify_parse_error(tmp_path):
         # image that is not a path: its own map line
         ("vertices v0 v1\nedge a = v0 -> v1\nedge b = v1 -> v0\n\nmap\nb -> b\na -> a a\n",
          7, "path breaks at a -> a in image of 'a'"),
+        # a map directive with trailing tokens: its line and first extra token
+        ("vertices v\nedge a = v -> v\n\nmap extra tokens\na -> a a\n",
+         4, "column 5: unexpected 'extra' after 'map'"),
         # an edge name that reads as a reversed edge: its edge line
         ("vertices v\nedge ~a = v -> v\nedge b = v -> v\n\nmap\n~a -> b\nb -> ~~a ~~a b\n",
          2, "column 6: edge name '~a' begins with '~'"),

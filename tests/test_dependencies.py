@@ -2,7 +2,8 @@
 ``pyproject.toml`` declares, so a dropped or an undeclared dependency fails
 here rather than at install time; it imports none of them at module level,
 so only the command that needs one (``certify --json``, which factors with
-sympy) pays for loading it; and its modules import each other in one order,
+sympy) pays for loading it, as only a search on several jobs pays for
+multiprocessing; and its modules import each other in one order,
 so no module reaches up past the modules it is built on."""
 
 from __future__ import annotations
@@ -74,11 +75,13 @@ def test_modules_import_only_the_standard_library_at_module_level():
 
 
 # one interpreter imports the package, then runs each command in turn, and
-# reports after each step whether sympy has been imported
-SYMPY_PROBE = textwrap.dedent("""
+# reports after each step whether sympy and multiprocessing have been imported
+IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
     import traintrack
-    loaded = {"import traintrack": "sympy" in sys.modules}
+    def loaded():
+        return {name: name in sys.modules for name in ("sympy", "multiprocessing")}
+    steps = [["import traintrack", loaded()]]
     from traintrack.cli import main
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -86,33 +89,51 @@ SYMPY_PROBE = textwrap.dedent("""
                 main(argv)
             except SystemExit:
                 pass
-        loaded[" ".join(argv)] = "sympy" in sys.modules
-    print(json.dumps(loaded))
+        steps.append([" ".join(argv), loaded()])
+    print(json.dumps(steps))
 """)
 
 
-def test_only_certify_json_imports_sympy(tmp_path):
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """Each probe step, and which of sympy and multiprocessing it had
+    loaded: the commands that need neither, then the sympy one, then a
+    search on two jobs."""
+    tmp_path = tmp_path_factory.mktemp("probe")
     doc = tmp_path / "g.map"
     doc.write_text(SINGLE_FOLD_DOCUMENT, encoding="utf-8")
-    sympy_free = [
+    commands = [
         ["certify", str(doc)],
         ["decompose", str(doc)],
         ["search", "single-fold", "--rank", "3"],
         ["verify", "theorem-a"],
         ["--jobs", "1", "verify", "theorem-b", "--ranks", "3"],
         ["automaton", "build", "--loop-bound", "1"],
+        # the minimal-polynomial degree of the JSON report factors with sympy
+        ["certify", str(doc), "--json", str(tmp_path / "g.json")],
+        # a search on more than one job runs on a process pool
+        ["--jobs", "2", "search", "single-fold", "--rank", "3"],
     ]
-    # the minimal-polynomial degree of the JSON report factors with sympy
-    factoring = ["certify", str(doc), "--json", str(tmp_path / "g.json")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
     result = subprocess.run(
-        [sys.executable, "-c", SYMPY_PROBE, json.dumps(sympy_free + [factoring])],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, check=True,
     )
-    loaded = json.loads(result.stdout)
-    assert list(loaded.values()) == [False] * (1 + len(sympy_free)) + [True], loaded
+    steps = json.loads(result.stdout)
+    assert len(steps) == 1 + len(commands)
+    return steps
+
+
+def test_only_certify_json_imports_sympy(import_probe):
+    sympy = [loaded["sympy"] for _, loaded in import_probe]
+    assert sympy == [False] * 7 + [True, True], import_probe
+
+
+def test_only_a_search_on_several_jobs_imports_multiprocessing(import_probe):
+    multiprocessing = [loaded["multiprocessing"] for _, loaded in import_probe]
+    assert multiprocessing == [False] * 8 + [True], import_probe
 
 
 # each module may import only the modules listed before it

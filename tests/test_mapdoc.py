@@ -84,6 +84,16 @@ def test_unknown_directive_position():
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("line, column", [("map extra tokens", 5), ("map   map", 7)])
+def test_map_directive_takes_no_tokens(line, column):
+    # the column is the first extra token's, also when it repeats "map"
+    bad = SINGLE_FOLD_DOCUMENT.replace("map\n", line + "\n")
+    lineno = SINGLE_FOLD_DOCUMENT.splitlines().index("map") + 1
+    with pytest.raises(ParseError, match="after 'map'") as err:
+        parse_map_document(bad)
+    assert (err.value.line, err.value.column) == (lineno, column)
+
+
 def test_syntax_token_edge_name_rejected():
     # an edge named "->" would make the map line "-> -> b" parse
     bad = "vertices v\nedge -> = v -> v\nedge b = v -> v\n\nmap\n-> -> b\nb -> -> b\n"
