@@ -2,7 +2,7 @@
 
 A self-map is a train track map when every power is tight, which for tight
 edge images reduces to a finite check: close the set of turns taken inside
-edge images under the direction map and intersect with the illegal turns.
+edge images under the direction map Dg, and ask that Dg collapse none of them.
 This module also houses the expanding test, a bounded search for periodic
 Nielsen paths, and the full-irreducibility criterion that combines them with
 the spectral classification and the local Whitehead graphs.  A turn joins
@@ -53,8 +53,8 @@ def taken_turn_closure(a: MapAnalysis) -> frozenset[tuple[int, int]]:
     """The turns taken by any power of the map: seed with turns inside each
     edge image, then close under Dg.
 
-    Degenerate images are not recorded as turns; a taken turn that collapses
-    is caught by the illegal-turn intersection instead.
+    Degenerate images are not recorded as turns; a closure turn that Dg
+    collapses is what ``is_train_track`` looks for.
     """
     g, dg = a.map, a.dg
     seen: set[tuple[int, int]] = set()
@@ -86,7 +86,6 @@ def illegal_turns(a: MapAnalysis) -> frozenset[tuple[int, int]]:
 class TtCertificate:
     is_train_track: bool
     witness: tuple[int, int] | str | None
-    illegal: frozenset[tuple[int, int]]
     closure: frozenset[tuple[int, int]]
 
     def describe(self, graph) -> str:
@@ -98,20 +97,34 @@ class TtCertificate:
 
 
 def is_train_track(a: MapAnalysis) -> TtCertificate:
-    """Certify that all powers of the map are tight.
+    """Certify that all powers of the map are tight (Bestvina-Handel, Annals
+    1992).
 
-    An untight edge image is an immediate failure with that edge as witness;
-    otherwise the verdict is that the taken-turn closure avoids every illegal
-    turn, which is equivalent to tightness of all powers.
+    An untight edge image is an immediate failure with that edge as witness.
+    Otherwise all powers are tight exactly when no turn of the taken-turn
+    closure is illegal, and that holds exactly when no closure turn
+    {d1, d2} has Dg d1 == Dg d2, so one pass over the closure decides.
+
+    Proof: the closure is closed under Dg except where an image degenerates.
+    If t is an illegal closure turn, take the least k with Dg^k(t)
+    degenerate; then Dg^(k-1)(t) lies in the closure and Dg sends it to a
+    degenerate pair.  Conversely, a turn that Dg collapses is illegal.
+
+    On failure the witness is the least illegal closure turn: the least
+    closure turn whose two directions have equal eventual images.  The gates
+    are not read.
     """
     g = a.map
     for i in range(g.source.n_edges):
         if not is_tight(g.edge_images[i]):
-            return TtCertificate(False, g.source.edge_names[i], frozenset(), frozenset())
+            return TtCertificate(False, g.source.edge_names[i], frozenset())
     closure = taken_turn_closure(a)
-    illegal = illegal_turns(a)
-    bad = sorted(closure & illegal)
-    return TtCertificate(not bad, bad[0] if bad else None, illegal, closure)
+    dg = a.dg
+    if all(dg[d1] != dg[d2] for d1, d2 in closure):
+        return TtCertificate(True, None, closure)
+    images = a.images
+    witness = min(t for t in closure if images[t[0]] == images[t[1]])
+    return TtCertificate(False, witness, closure)
 
 
 def is_expanding(matrix: IntegerMatrix) -> bool:
@@ -149,9 +162,10 @@ class MapAnalysis:
     """A self-map and everything derived from it, each item computed the
     first time it is read and kept.
 
-    ``dg``, ``images`` and ``gates`` are the direction map, the eventual
-    images and the gates (``direction_map``, ``eventual_images``,
-    ``graphs.gates``); ``periodic`` is the set of eventual images, the
+    ``dg``, ``images``, ``gates`` and ``illegal`` are the direction map,
+    the eventual images, the gates and the illegal turns
+    (``direction_map``, ``eventual_images``, ``graphs.gates``,
+    ``illegal_turns``); ``periodic`` is the set of eventual images, the
     directions on cycles of Dg.  ``tt``, ``matrix``, ``spectral``,
     ``expanding``, ``pnp`` and ``fic`` are the results of ``is_train_track``,
     ``transition_matrix``, ``classify_matrix``, ``is_expanding``,
@@ -176,6 +190,10 @@ class MapAnalysis:
     @cached_property
     def gates(self) -> tuple[frozenset[int], ...]:
         return gates(self.map.source, self.images)
+
+    @cached_property
+    def illegal(self) -> frozenset[tuple[int, int]]:
+        return illegal_turns(self)
 
     @cached_property
     def tt(self) -> TtCertificate:
@@ -261,7 +279,7 @@ def pnp_bounded_search(a: MapAnalysis) -> PnpSearchResult:
         raise GraphStructureError("periodic path search requires an expanding train track map")
     g, period_bound = a.map, default_period_bound(a)
 
-    for tip in sorted(a.tt.illegal):
+    for tip in sorted(a.illegal):
         state = ((tip[0],), (tip[1],))
         seen: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {state: 0}
         step = 0

@@ -241,12 +241,16 @@ class GraphMap:
         return all(is_tight(im) for im in self.edge_images)
 
     def is_isomorphism(self) -> bool:
-        """True iff the map is a label-level graph isomorphism: a vertex
-        bijection sending each edge to one direction of a distinct edge."""
-        s, t = self.source, self.target
-        hit = {abs(im[0]) for im in self.edge_images if len(im) == 1}
-        vertex_bijection = s.n_vertices == t.n_vertices == len(set(self.vertex_map))
-        return vertex_bijection and s.n_edges == t.n_edges == len(hit)
+        """True iff the map is a label-level graph isomorphism: each edge goes
+        to one direction, and ``isomorphism_vertex_map`` accepts those
+        directions and returns this map's vertex map."""
+        if any(len(im) != 1 for im in self.edge_images):
+            return False
+        try:
+            vertex_map = isomorphism_vertex_map(self.source, self.target, signed_images(self))
+        except GraphStructureError:
+            return False
+        return vertex_map == self.vertex_map
 
     def describe(self) -> str:
         lines = []

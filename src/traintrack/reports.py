@@ -22,6 +22,7 @@ SCHEMA_VERSION = "1"
 class CertifyReport:
     map: GraphMap
     tt: TtCertificate
+    illegal: frozenset[tuple[int, int]]
     gate_count: int
     expanding: bool
     spectral: SpectralReport
@@ -56,6 +57,7 @@ def certify_map(g: GraphMap) -> CertifyReport:
     return CertifyReport(
         map=g,
         tt=a.tt,
+        illegal=frozenset() if isinstance(a.tt.witness, str) else a.illegal,
         gate_count=len(a.gates),
         expanding=expanding,
         spectral=a.spectral,
@@ -104,7 +106,7 @@ def certify_json(report: CertifyReport) -> dict:
             if isinstance(report.tt.witness, (str, type(None)))
             else graph.turn_name(report.tt.witness)
         ),
-        "illegal_turns": _turn_names(graph, report.tt.illegal),
+        "illegal_turns": _turn_names(graph, report.illegal),
         "taken_turn_closure": _turn_names(graph, report.tt.closure),
         "gates": report.gate_count,
         "expanding": report.expanding,
@@ -167,8 +169,8 @@ def certify_text(report: CertifyReport) -> str:
     lines.append("train track: " + ("yes" if report.tt.is_train_track else "NO"))
     if not report.tt.is_train_track:
         lines.append("  " + report.tt.describe(graph))
-    if report.tt.illegal:
-        lines.append("illegal turns: " + ", ".join(_turn_names(graph, report.tt.illegal)))
+    if report.illegal:
+        lines.append("illegal turns: " + ", ".join(_turn_names(graph, report.illegal)))
     if report.tt.closure:
         lines.append(
             f"taken turns ({len(report.tt.closure)}): "

@@ -40,7 +40,6 @@ from .graphs import (
 from .spectral import (
     IntPolynomial,
     char_poly,
-    is_irreducible,
     largest_real_root_interval,
     minimal_perron_table,
     trace_obstruction,
@@ -321,6 +320,14 @@ def _candidate(move: FoldMove, sigma: tuple[int, ...]) -> GraphMap:
     return relabel_after(move.map, move.source, sigma)
 
 
+def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
+    """Whether the edge permutation, signs forgotten, is a single cycle."""
+    x, length = abs(sigma[0]), 1
+    while x != 1:
+        x, length = abs(sigma[x - 1]), length + 1
+    return length == len(sigma)
+
+
 def _fold_pairs(graph: OrientedGraph, vertices) -> list[tuple[int, int]]:
     """The proper full folds (e1, e0) at each of ``vertices``: ordered pairs
     of directions on distinct edges, taken by edge, positive first.  The
@@ -357,7 +364,10 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     raises ``GraphStructureError``.  Only representatives are built as maps,
     by ``_candidate``; isomorphisms stay signed images.
 
-    An irreducible candidate is expanding (module docstring), so the
+    A train track candidate's irreducibility is read off sigma's cycle type
+    by the lemma in ``single_fold_search`` (``_is_one_cycle``); its matrix
+    is classified only by ``is_principal``, on the irreducible ones.  An
+    irreducible candidate is expanding (module docstring), so the
     irreducible count is that of the expanding irreducible train track
     candidates."""
     gi, graph, pairs = args
@@ -388,7 +398,7 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
             if not a.tt.is_train_track:
                 continue
             counts[1] += weight
-            if not is_irreducible(a.matrix):
+            if not _is_one_cycle(s):
                 continue
             counts[2] += weight
             report = is_principal(a)

@@ -7,23 +7,31 @@ arithmetic, relabeling actions on graphs and maps, the general push of
 relabelings past folds with the powers and loop rotations built on fold
 conjugation, automaton loops composed step by step, the single-fold search
 classifying every candidate one by one, the rank-3 single-fold candidates
-over every valence profile, Whitehead graphs built one vertex at a time with
-``networkx``, and the map-document printer.  Parsing then printing a
-canonical document is the identity.
+over every valence profile, the train track criterion as closure and
+illegal turns, Whitehead graphs built one vertex at a time with
+``networkx``, the benchmark's pool of map documents, a call counter, and the
+map-document printer.  Parsing then printing a canonical document is the
+identity.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import importlib.util
 import itertools
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from traintrack.automaton import DirectedLoop, graph_from_groups, transport
-from traintrack.certify import MapAnalysis
+from traintrack.certify import MapAnalysis, taken_turn_closure
 from traintrack.folds import FoldMove, FoldSequence, apply_fold, pull_back
 from traintrack.graphs import (
     GraphMap,
@@ -32,11 +40,14 @@ from traintrack.graphs import (
     apply_signed,
     compose,
     compose_signed,
+    direction_map,
     invert_signed,
+    is_tight,
     make_turn,
     relabeling,
     signed_images,
 )
+from traintrack.mapdoc import parse_map_document
 from traintrack.search import _fold_pairs, _universe, graph_isomorphisms
 from traintrack.spectral import (
     IntegerMatrix,
@@ -91,6 +102,39 @@ def all_turns(graph: OrientedGraph) -> list[tuple[int, int]]:
         for v in range(graph.n_vertices)
         for a, b in itertools.combinations(graph.directions_at(v), 2)
     ]
+
+
+# -- the train track criterion -------------------------------------------------
+
+
+def iterated_illegal_turns(g: GraphMap) -> frozenset[tuple[int, int]]:
+    """Turns whose two directions meet within (2n)**2 steps of Dg."""
+    dg = direction_map(g)
+    bound = (2 * g.source.n_edges) ** 2
+    out = set()
+    for turn in all_turns(g.source):
+        d1, d2 = turn
+        for _ in range(bound):
+            d1, d2 = dg[d1], dg[d2]
+            if d1 == d2:
+                out.add(turn)
+                break
+    return frozenset(out)
+
+
+def train_track_by_illegal_turns(g: GraphMap):
+    """(verdict, witness, illegal turns) by the criterion the closure walk
+    replaced: an untight edge image fails with its edge as witness;
+    otherwise the map is a train track map when the taken-turn closure meets
+    no illegal turn, and the least turn they share is the witness.  The
+    illegal turns are found by iterating Dg, and are returned for every
+    map."""
+    illegal = iterated_illegal_turns(g)
+    for name, image in zip(g.source.edge_names, g.edge_images):
+        if not is_tight(image):
+            return False, name, illegal
+    bad = sorted(taken_turn_closure(MapAnalysis(g)) & illegal)
+    return not bad, bad[0] if bad else None, illegal
 
 
 # -- integer matrices --------------------------------------------------------
@@ -394,12 +438,15 @@ def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
     return out
 
 
-def rank3_all_profile_tasks() -> list[tuple[int, OrientedGraph, list[tuple[int, int]]]]:
-    """(graph index, graph, proper full folds at all its vertices) for every
-    rank-3 graph with all valences at least 3, profile by profile."""
+@functools.lru_cache(maxsize=None)
+def rank3_all_profile_candidates() -> tuple[CandidateVerdicts, ...]:
+    """Every proper full fold at every vertex of every rank-3 graph with all
+    valences at least 3, profile by profile, then each isomorphism back,
+    classified one by one (2,308 candidates)."""
     profiles = ((6,), (5, 3), (4, 4), (4, 3, 3), (3, 3, 3, 3))
     graphs = [g for profile in profiles for g in _universe(profile)]
-    return [(gi, g, _fold_pairs(g, range(g.n_vertices))) for gi, g in enumerate(graphs)]
+    tasks = [(gi, g, _fold_pairs(g, range(g.n_vertices))) for gi, g in enumerate(graphs)]
+    return tuple(r for t in tasks for r in search_one_graph_per_candidate(t))
 
 
 # -- Whitehead graphs, one vertex at a time --------------------------------------
@@ -443,6 +490,15 @@ def ideal_components_by_vertex(a: MapAnalysis) -> list[tuple[frozenset, frozense
 # -- map documents -------------------------------------------------------------
 
 
+def pool_maps() -> list[GraphMap]:
+    """The 120 maps of the benchmark's document pool, parsed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "docgen.py"
+    spec = importlib.util.spec_from_file_location("docgen", path)
+    docgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docgen)
+    return [parse_map_document(text) for text in docgen.pool_documents()]
+
+
 def print_map_document(g: GraphMap) -> str:
     """Canonical document for a self-map; inverse to the parser."""
     assert g.is_self_map
@@ -456,3 +512,23 @@ def print_map_document(g: GraphMap) -> str:
     for i, name in enumerate(graph.edge_names):
         lines.append(f"{name} -> {graph.path_name(g.edge_images[i])}")
     return "\n".join(lines) + "\n"
+
+
+# -- call counts ---------------------------------------------------------------
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count the calls of each (module, name) in ``targets``, by name,
+    replacing the function wherever the package looks its name up."""
+    calls: Counter = Counter()
+    for module_name, name in targets:
+        original = getattr(importlib.import_module(module_name), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "traintrack" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -66,7 +66,7 @@ def test_criterion_1_golden_certificate():
 
     graph = g.source
     assert report.tt.is_train_track
-    assert report.tt.illegal == frozenset(
+    assert report.illegal == frozenset(
         {make_turn(graph.direction_of("d"), graph.direction_of("~c"))}
     )
     expected_closure = {

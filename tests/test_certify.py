@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
-import sys
 from collections import Counter
 
 import pytest
 
 from oracles import (
+    count_calls,
     identity_map,
     power,
     rose_graph,
@@ -225,18 +224,9 @@ DERIVATIONS = (
 def test_certify_map_derives_each_certificate_once(gmap, monkeypatch):
     """One ``certify_map`` builds one analysis, so each step runs once; the
     minimal polynomial's degree is derived only for the JSON that prints it."""
-    calls: Counter = Counter()
-    for module_name, name in DERIVATIONS + (("traintrack.spectral", "minimal_polynomial_degree"),):
-        original = getattr(importlib.import_module(module_name), name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        # replace the function wherever the package looks its name up
-        for module in list(sys.modules.values()):
-            if module.__name__.split(".")[0] == "traintrack" and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+    calls = count_calls(
+        monkeypatch, DERIVATIONS + (("traintrack.spectral", "minimal_polynomial_degree"),)
+    )
     from traintrack.reports import certify_json, certify_map, certify_text
 
     report = certify_map(gmap)

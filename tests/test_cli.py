@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oracles import print_map_document
+from oracles import print_map_document, rose_map_xyz
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
 from traintrack.cli import main
 from traintrack.reports import certify_json
@@ -54,6 +54,69 @@ def test_certify_json_built_only_under_json_flag(reference_file, tmp_path, capsy
     assert main(["certify", reference_file, "--json", str(out_json)]) == 0
     assert len(calls) == 1
     assert hashlib.sha256(out_json.read_bytes()).hexdigest() == REFERENCE_CERTIFY_JSON_SHA256
+
+
+UNTIGHT_DOCUMENT = """\
+vertices v
+edge a = v -> v
+edge b = v -> v
+
+map
+a -> a b ~b a
+b -> b a
+"""
+
+# ``certify`` stdout and the sha256 of its ``--json`` file for two maps that
+# are not train track maps: one with an untight edge image, whose witness is
+# the edge and which lists no illegal turns, and psi, whose witness is an
+# illegal taken turn
+NOT_TRAIN_TRACK_GOLDENS = {
+    "untight": (
+        UNTIGHT_DOCUMENT,
+        "graph: 1 vertices, 2 edges, rank 2\n"
+        "train track: NO\n"
+        "  not a train track map: image of edge a is not tight\n"
+        "gates: 3\n"
+        "expanding: no\n"
+        "transition matrix: irreducible=True primitive=True PF=True trace=3\n"
+        "characteristic polynomial: x^2 - 3x\n"
+        "stretch factor: 3.0000000000 (exact interval width 0.00e+00)\n"
+        "first strictly positive power: 1\n"
+        "verdict: NOT-TRAIN-TRACK\n",
+        "d257e10f846947d9d5acb24967d1221cd268ede6abffb9e7653e54633cb98f42",
+    ),
+    "psi": (
+        print_map_document(rose_map_xyz()),
+        "graph: 1 vertices, 3 edges, rank 3\n"
+        "train track: NO\n"
+        "  not a train track map: taken turn {~z,~x} is illegal\n"
+        "illegal turns: {x,y}, {x,z}, {y,z}, {~x,x}, {~x,y}, {~x,z}, {~y,x}, {~y,y}, {~y,z}, "
+        "{~y,~x}, {~z,x}, {~z,y}, {~z,z}, {~z,~x}, {~z,~y}\n"
+        "taken turns (5): {x,z}, {y,z}, {~y,x}, {~z,y}, {~z,~x}\n"
+        "gates: 1\n"
+        "expanding: no\n"
+        "transition matrix: irreducible=True primitive=True PF=True trace=1\n"
+        "characteristic polynomial: x^3 - x^2 - 1\n"
+        "stretch factor: 1.4655712319 (exact interval width 9.09e-13)\n"
+        "first strictly positive power: 4\n"
+        "verdict: NOT-TRAIN-TRACK\n",
+        "0c132279e9fcb32409164c106c707c9665320fc2be55ba715658d69f7604deaf",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "document, stdout, json_sha256",
+    NOT_TRAIN_TRACK_GOLDENS.values(),
+    ids=NOT_TRAIN_TRACK_GOLDENS.keys(),
+)
+def test_certify_not_train_track_golden(document, stdout, json_sha256, tmp_path, capsys):
+    path = tmp_path / "m.map"
+    path.write_text(document, encoding="utf-8")
+    out_json = tmp_path / "report.json"
+    assert main(["certify", str(path), "--json", str(out_json)]) == 4
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha256
 
 
 def test_main_parses_with_the_module_parser(reference_file, capsys, monkeypatch):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    all_turns,
     identity_map,
     inverse,
+    iterated_illegal_turns,
     relabeled_graph,
     relabeling_map,
     rose_graph,
@@ -185,6 +185,19 @@ def test_relabeling_rejects_non_isomorphisms(gmap):
         relabeling(graph, bigger, (1, 2, 3, 4, 5))
 
 
+def test_is_isomorphism_rejects_maps_that_are_not_relabelings(gmap):
+    graph = gmap.source
+    images = tuple((i,) for i in range(1, graph.n_edges + 1))
+    assert identity_map(graph).is_isomorphism()
+    # an image of two directions
+    assert not gmap.is_isomorphism()
+    # single directions, but e goes onto d, as d does: no edge bijection
+    assert not GraphMap(graph, graph, (0, 1, 2), images[:4] + ((4,),)).is_isomorphism()
+    # the same edges on one more vertex: no vertex bijection
+    bigger = OrientedGraph(graph.vertex_names + ("v3",), graph.edge_names, graph.ends)
+    assert not GraphMap(graph, bigger, (0, 1, 2), images).is_isomorphism()
+
+
 def test_direction_map_matches_reference_cycle(gmap):
     graph = gmap.source
     dg = direction_map(gmap)
@@ -340,27 +353,12 @@ def _union_find_gates(g):
     return tuple(sorted((frozenset(c) for c in classes.values()), key=sorted))
 
 
-def _iterated_illegal_turns(g):
-    """Turns whose two directions meet within (2n)**2 steps of Dg."""
-    dg = direction_map(g)
-    bound = (2 * g.source.n_edges) ** 2
-    out = set()
-    for turn in all_turns(g.source):
-        d1, d2 = turn
-        for _ in range(bound):
-            d1, d2 = dg[d1], dg[d2]
-            if d1 == d2:
-                out.add(turn)
-                break
-    return frozenset(out)
-
-
 def _assert_dynamics_match(g):
     a = MapAnalysis(g)
     assert a.periodic == _walk_periodic_directions(g)
     # equal tuples: the same gates in the same order
     assert gates(g.source, a.images) == _union_find_gates(g)
-    assert illegal_turns(a) == _iterated_illegal_turns(g)
+    assert illegal_turns(a) == iterated_illegal_turns(g)
 
 
 def _single_fold_candidates(rank):

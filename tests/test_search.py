@@ -10,8 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CandidateVerdicts, all_turns, search_one_graph_per_candidate, search_tasks
+from oracles import (
+    CandidateVerdicts,
+    all_turns,
+    count_calls,
+    pool_maps,
+    rank3_all_profile_candidates,
+    search_one_graph_per_candidate,
+    search_tasks,
+    train_track_by_illegal_turns,
+)
 from traintrack import search as search_module
+from traintrack.certify import MapAnalysis
 from traintrack.digraph import connected_components
 from traintrack.folds import apply_fold, stallings_decompose
 from traintrack.graphs import (
@@ -38,6 +48,7 @@ from traintrack.search import (
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
     _fold_pairs,
+    _is_one_cycle,
     _multiplicities,
     _search_one_graph,
     _universe,
@@ -494,14 +505,6 @@ def test_single_fold_search_rank3(gmap):
     assert _conjugate_by_relabeling(rep.map, gmap)
 
 
-def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
-    """Whether the edge permutation, signs forgotten, is a single cycle."""
-    x, length = abs(sigma[0]), 1
-    while x != 1:
-        x, length = abs(sigma[x - 1]), length + 1
-    return length == len(sigma)
-
-
 @functools.lru_cache(maxsize=None)
 def _oracle_candidates(rank: int, graphs: int | None = None) -> tuple[CandidateVerdicts, ...]:
     """Every candidate on the first ``graphs`` graphs of the universe (all by
@@ -516,12 +519,23 @@ def _survivor_key(r):
 
 @pytest.mark.parametrize(
     "rank, graphs, candidates, irreducible",
-    [(3, None, 260, 16), (4, None, 1424, 0), (5, 20, 2816, 0)],
+    [
+        (3, None, 260, 16),
+        (4, None, 1424, 0),
+        (5, 20, 2816, 0),
+        # proper full folds at every vertex, over loops too, of every rank-3
+        # graph with all valences at least 3
+        pytest.param(3, "all-profile", 2308, 400, id="3-all-profile-2308-400"),
+    ],
 )
 def test_candidate_irreducible_iff_one_cycle(rank, graphs, candidates, irreducible):
-    # the lemma in single_fold_search: sigma . fold has matrix P + PE,
-    # irreducible exactly when sigma's unsigned edge permutation is one cycle
-    reports = _oracle_candidates(rank, graphs)
+    # the lemma in single_fold_search, which the engine's irreducible step
+    # reads: sigma . fold has matrix P + PE, irreducible exactly when
+    # sigma's unsigned edge permutation is one cycle
+    if graphs == "all-profile":
+        reports = rank3_all_profile_candidates()
+    else:
+        reports = _oracle_candidates(rank, graphs)
     found = 0
     for r in reports:
         irr = is_irreducible(transition_matrix(r.map))
@@ -726,6 +740,58 @@ def test_orbit_search_graph_map_constructions_rank4(monkeypatch):
     summary = single_fold_search(4)
     assert summary.candidates == 1424
     assert calls == {True: 370, False: 115}
+
+
+# (module, name) of the steps whose calls the single-fold search is pinned to
+SEARCH_STEPS = (
+    ("traintrack.graphs", "gates"),
+    ("traintrack.certify", "illegal_turns"),
+    ("traintrack.spectral", "is_irreducible"),
+    ("traintrack.certify", "is_train_track"),
+)
+
+
+@pytest.mark.parametrize(
+    "rank, calls",
+    [
+        # the 16 irreducible candidates lie in 2 orbits: each representative
+        # reaches is_principal, whose periodic-path search reads the illegal
+        # turns
+        (3, {"gates": 2, "illegal_turns": 2, "is_irreducible": 2, "is_train_track": 50}),
+        # no candidate is irreducible, so none reaches is_principal
+        (4, {"is_train_track": 370}),
+    ],
+    ids=["rank3", "rank4"],
+)
+def test_orbit_search_certificate_calls(monkeypatch, rank, calls):
+    # one train track verdict per classified candidate, which reads no
+    # gates; the irreducible step reads sigma's cycle type, not the matrix
+    counted = count_calls(monkeypatch, SEARCH_STEPS)
+    single_fold_search(rank)
+    assert counted == calls
+
+
+@pytest.mark.parametrize(
+    "corpus, maps, train_track",
+    [
+        (rank3_all_profile_candidates, 2308, 1580),
+        (functools.partial(_oracle_candidates, 4), 1424, 832),
+        (pool_maps, 120, 75),
+    ],
+    ids=["rank3-all-profile", "rank4", "pool"],
+)
+def test_train_track_verdicts_match_closure_and_illegal_turns(corpus, maps, train_track):
+    # the verdict from Dg on the closure against the closure met with the
+    # illegal turns, and the analysis's illegal turns against iterating Dg
+    found = Counter()
+    for item in corpus():
+        g = getattr(item, "map", item)
+        verdict, witness, illegal = train_track_by_illegal_turns(g)
+        a = MapAnalysis(g)
+        assert (a.tt.is_train_track, a.tt.witness) == (verdict, witness)
+        assert a.illegal == illegal
+        found[verdict] += 1
+    assert (sum(found.values()), found[True]) == (maps, train_track)
 
 
 @pytest.mark.parametrize("rank", [3, 4])

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
 import functools
-import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -20,6 +18,7 @@ from oracles import (
     identity_matrix,
     is_positive,
     matmul,
+    pool_maps,
     power,
     sympy_char_poly,
     sympy_is_perron_number,
@@ -30,7 +29,6 @@ from oracles import (
 from traintrack import spectral
 from traintrack.folds import apply_fold
 from traintrack.graphs import compose, relabeling
-from traintrack.mapdoc import parse_map_document
 from traintrack.search import build_universe, graph_isomorphisms
 from traintrack.spectral import (
     GraphStructureError,
@@ -298,12 +296,7 @@ def _float_is_perron_number(p):
 
 
 def _pool_char_polys():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "docgen.py"
-    spec = importlib.util.spec_from_file_location("docgen", path)
-    docgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(docgen)
-    maps = (parse_map_document(text) for text in docgen.pool_documents())
-    return {char_poly(transition_matrix(g)) for g in maps if g.is_self_map}
+    return {char_poly(transition_matrix(g)) for g in pool_maps() if g.is_self_map}
 
 
 def _candidate_char_polys(rank):

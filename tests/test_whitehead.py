@@ -11,11 +11,10 @@ from oracles import (
     identity_map,
     inverse,
     local_whitehead_graph,
-    rank3_all_profile_tasks,
+    rank3_all_profile_candidates,
     relabel_map,
     relabeled_graph,
     relabeling_map,
-    search_one_graph_per_candidate,
     whitehead_connected_by_vertex,
 )
 from traintrack.automaton import relabel_key
@@ -78,8 +77,7 @@ def test_whitehead_conjunct_matches_oracles_on_rank3_corpus():
     # every proper full fold at any vertex of every rank-3 graph with all
     # valences at least 3, then each isomorphism back; on each train track
     # map the one-pass Whitehead graphs against the per-vertex oracles
-    tasks = rank3_all_profile_tasks()
-    candidates = [r for t in tasks for r in search_one_graph_per_candidate(t)]
+    candidates = rank3_all_profile_candidates()
     disconnected = 0
     for r in candidates:
         if not r.train_track:
