@@ -8,7 +8,10 @@ re-verifies the arithmetic steps that pin the smallest stretch factor down to
 the largest root of x^5 - x - 1.  Both classify single-fold candidates
 sigma . fold(e1, e0) with one engine, ``_search_one_graph``: given a graph
 and a list of ordered fold pairs that the graph's automorphism group Aut(G)
-maps onto itself, it classifies one candidate per Aut(G)-orbit.
+maps onto itself, it classifies the isomorphisms back at one pair per
+Aut(G)-orbit of pairs.  A single fold takes one turn, so the train track
+verdict follows that turn under sigma's direction table, and only an
+irreducible train track candidate is built as a map and analysed.
 
 An irreducible candidate is expanding.  The fold has matrix I + E, E a
 single off-diagonal 1, so the candidate has P + PE, P the permutation matrix
@@ -34,6 +37,8 @@ from .graphs import (
     compose,
     direction_table,
     invert_signed,
+    isomorphism_vertex_map,
+    make_turn,
     relabel_after,
     relabeling,
 )
@@ -328,6 +333,37 @@ def _is_one_cycle(sigma: tuple[int, ...]) -> bool:
     return length == len(sigma)
 
 
+def _single_fold_train_track(table: tuple[int, ...], e1: int, e0: int) -> bool:
+    """Whether the candidate sigma . fold(e1, e0) is a train track map, from
+    the direction table ``table`` of sigma (``direction_table``) alone.
+
+    A proper full fold sends edge |e1| to a path of two edges, e0 then e1
+    read along e1, and every other edge to itself; so its direction map
+    fixes every direction but e1, which it sends to e0.  The candidate's Dg
+    is therefore sigma's table composed with "e1 -> e0".  Its edge images
+    are tight: sigma sends distinct directions to distinct ones, and e0, e1
+    lie on distinct edges.  The only turn taken inside an edge image is
+    {sigma(e1), sigma(-e0)}, inside the image of |e1|, and it is not
+    degenerate since |e1| != |e0|.  So the taken-turn closure is the forward
+    Dg-orbit of that one turn, up to the first degenerate image, and by the
+    criterion that ``certify.is_train_track`` proves the candidate is a
+    train track map exactly when Dg collapses no turn on that orbit.  The
+    orbit of one turn under a map of the finite set of turns runs into a
+    cycle, so the walk ends at a collapse or at the first repeated turn.
+    """
+    dg = list(table)
+    dg[e1] = table[e0]
+    turn = make_turn(table[e1], table[-e0])
+    seen = set()
+    while turn not in seen:
+        seen.add(turn)
+        d1, d2 = dg[turn[0]], dg[turn[1]]
+        if d1 == d2:
+            return False
+        turn = make_turn(d1, d2)
+    return True
+
+
 def _fold_pairs(graph: OrientedGraph, vertices) -> list[tuple[int, int]]:
     """The proper full folds (e1, e0) at each of ``vertices``: ordered pairs
     of directions on distinct edges, taken by edge, positive first.  The
@@ -350,76 +386,94 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     whole orbit is counted at its first member; a list that is not closed
     raises ``GraphStructureError``.
 
-    One candidate is classified per Aut(G)-orbit.  By the rule of
-    ``folds.pull_back``, alpha h alpha^-1 is the candidate (alpha e1,
-    alpha e0, alpha sigma alpha^-1), and conjugation by a graph isomorphism
-    keeps the train track property, the transition matrix up to a
-    permutation, and every conjunct of the full irreducibility criterion and
-    of principality.  The pair orbits are taken first; at the first pair of
-    each, the isomorphisms back are split into orbits of Stab(e1, e0) acting
-    by sigma -> alpha sigma alpha^-1.  A representative's verdicts count
-    |pair orbit| x |sigma orbit| = |Aut(G)| / |Stab(e1, e0, sigma)| times.
-    A principal one is expanded to its orbit members, each rebuilt from its
-    fold and a validated relabeling; a member count other than the weight
-    raises ``GraphStructureError``.  Only representatives are built as maps,
-    by ``_candidate``; isomorphisms stay signed images.
+    The pair orbits of Aut(G) are taken first.  At the first pair of each,
+    every isomorphism back is classified, weighted by the pair orbit's size:
+    by the rule of ``folds.pull_back``, alpha h alpha^-1 is the candidate
+    (alpha e1, alpha e0, alpha sigma alpha^-1), so alpha carries the
+    candidates at (e1, e0) one to one onto those at its image pair, and
+    conjugation by a graph isomorphism keeps the train track property, the
+    transition matrix up to a permutation, and every conjunct of the full
+    irreducibility criterion and of principality.
 
-    A train track candidate's irreducibility is read off sigma's cycle type
-    by the lemma in ``single_fold_search`` (``_is_one_cycle``); its matrix
-    is classified only by ``is_principal``, on the irreducible ones.  An
-    irreducible candidate is expanding (module docstring), so the
-    irreducible count is that of the expanding irreducible train track
-    candidates."""
+    Each sigma is checked by ``isomorphism_vertex_map``, the precondition of
+    ``relabel_after``.  The train track verdict is read off sigma's
+    direction table (``_single_fold_train_track``) and irreducibility off
+    its cycle type (``_is_one_cycle``, by the lemma in
+    ``single_fold_search``).  Only a candidate passing both is built as a
+    map, by ``_candidate``, and classified by ``is_principal``; its analysis
+    must confirm the train track verdict.  An irreducible candidate is
+    expanding (module docstring), so the irreducible count is that of the
+    expanding irreducible train track candidates.
+
+    A principal candidate is expanded to its Aut(G)-orbit, each new member
+    rebuilt from its fold and a validated relabeling; the orbit must hold
+    the pair orbit's size times its members at (e1, e0).  The weighted count
+    of principal candidates must equal the number of survivors, which holds
+    exactly when principality is constant on the orbits.  A failed check
+    raises ``GraphStructureError``."""
     gi, graph, pairs = args
     aut = graph_isomorphisms(graph, graph)
     tables = [direction_table(alpha) for alpha in aut]
-    inverses = [invert_signed(alpha) for alpha in aut]
+    inverses: list[tuple[int, ...]] = []
     counts = [0, 0, 0, 0]
+    principal = 0
     survivors: list[CandidateReport] = []
+    expanded: set[tuple[int, int, tuple[int, ...]]] = set()
     done_pairs: set[tuple[int, int]] = set()
     for e1, e0 in pairs:
         if (e1, e0) in done_pairs:
             continue
         images = [(table[e1], table[e0]) for table in tables]
         done_pairs.update(images)
-        pair_orbit = len(set(images))
-        stab = [(tables[k], inverses[k]) for k, pair in enumerate(images) if pair == (e1, e0)]
+        weight = len(set(images))
         move = apply_fold(graph, e1, e0, "proper_full")
-        done_sigmas: set[tuple[int, ...]] = set()
         for s in graph_isomorphisms(move.target, graph):
-            if s in done_sigmas:
-                continue
-            table_s = direction_table(s)
-            orbit = {_conjugate(table, alpha_inv, table_s) for table, alpha_inv in stab}
-            done_sigmas |= orbit
-            weight = pair_orbit * len(orbit)
+            isomorphism_vertex_map(move.target, graph, s)
             counts[0] += weight
-            a = MapAnalysis(_candidate(move, s))
-            if not a.tt.is_train_track:
+            table_s = direction_table(s)
+            if not _single_fold_train_track(table_s, e1, e0):
                 continue
             counts[1] += weight
             if not _is_one_cycle(s):
                 continue
             counts[2] += weight
+            a = MapAnalysis(_candidate(move, s))
+            if not a.tt.is_train_track:
+                raise GraphStructureError(
+                    f"graph {gi}: fold ({e1}, {e0}) then {s} is not a train track map"
+                )
             report = is_principal(a)
             if report.fic.passed:
                 counts[3] += weight
             if not report.is_principal:
                 continue
+            principal += weight
+            if (e1, e0, s) in expanded:
+                continue
+            if not inverses:
+                inverses = [invert_signed(alpha) for alpha in aut]
             members = {
                 (f1, f0, _conjugate(table, alpha_inv, table_s))
                 for (f1, f0), table, alpha_inv in zip(images, tables, inverses)
             }
-            if len(members) != weight:
+            at_pair = sum((f1, f0) == (e1, e0) for f1, f0, _ in members)
+            if len(members) != weight * at_pair:
                 raise GraphStructureError(
-                    f"graph {gi}: orbit of {len(members)} candidates, weight {weight}"
+                    f"graph {gi}: orbit of {len(members)} candidates, "
+                    f"{weight} pairs x {at_pair} isomorphisms"
                 )
             for f1, f0, t in members:
                 member_move = apply_fold(graph, f1, f0, "proper_full")
                 rel = relabeling(member_move.target, graph, t)
                 survivors.append(CandidateReport(gi, f1, f0, rel, _candidate(member_move, t)))
+            expanded |= members
     if len(done_pairs) != len(set(pairs)):
         raise GraphStructureError(f"graph {gi}: the fold pairs are not closed under Aut(G)")
+    if principal != len(expanded):
+        raise GraphStructureError(
+            f"graph {gi}: {principal} principal candidates by weight, "
+            f"{len(expanded)} in their orbits"
+        )
     return tuple(counts), survivors
 
 
@@ -429,8 +483,9 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     relabeling conjugacy.
 
     Automorphisms fix the only valence-4 vertex, so its fold pairs meet the
-    precondition of ``_search_one_graph``: 50 analyses for 260 candidates
-    at rank 3, 370 for 1,424 at rank 4.
+    precondition of ``_search_one_graph``: 68 isomorphisms back classified
+    and 2 maps analysed for 260 candidates at rank 3, 532 and none for
+    1,424 at rank 4.
 
     A candidate is irreducible exactly when its isomorphism permutes the
     edges, signs forgotten, in one n-cycle: the digraph of its matrix

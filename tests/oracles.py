@@ -438,15 +438,19 @@ def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def rank3_all_profile_candidates() -> tuple[CandidateVerdicts, ...]:
-    """Every proper full fold at every vertex of every rank-3 graph with all
-    valences at least 3, profile by profile, then each isomorphism back,
-    classified one by one (2,308 candidates)."""
+def rank3_all_profile_tasks() -> list[tuple[int, OrientedGraph, list[tuple[int, int]]]]:
+    """(graph index, graph, proper full folds at every vertex) for every
+    rank-3 graph with all valences at least 3, profile by profile."""
     profiles = ((6,), (5, 3), (4, 4), (4, 3, 3), (3, 3, 3, 3))
     graphs = [g for profile in profiles for g in _universe(profile)]
-    tasks = [(gi, g, _fold_pairs(g, range(g.n_vertices))) for gi, g in enumerate(graphs)]
-    return tuple(r for t in tasks for r in search_one_graph_per_candidate(t))
+    return [(gi, g, _fold_pairs(g, range(g.n_vertices))) for gi, g in enumerate(graphs)]
+
+
+@functools.lru_cache(maxsize=None)
+def rank3_all_profile_candidates() -> tuple[CandidateVerdicts, ...]:
+    """Every candidate of ``rank3_all_profile_tasks``, each isomorphism back
+    classified one by one (2,308 candidates)."""
+    return tuple(r for t in rank3_all_profile_tasks() for r in search_one_graph_per_candidate(t))
 
 
 # -- Whitehead graphs, one vertex at a time --------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -16,6 +17,7 @@ from oracles import (
     count_calls,
     pool_maps,
     rank3_all_profile_candidates,
+    rank3_all_profile_tasks,
     search_one_graph_per_candidate,
     search_tasks,
     train_track_by_illegal_turns,
@@ -45,12 +47,14 @@ from traintrack.search import (
     verify_minimal_stretch_argument,
     _candidate,
     _canonical_multigraph,
+    _conjugate,
     _conjugate_by_relabeling,
     _enumerate_degree_graphs,
     _fold_pairs,
     _is_one_cycle,
     _multiplicities,
     _search_one_graph,
+    _single_fold_train_track,
     _universe,
 )
 from traintrack.spectral import is_irreducible, transition_matrix
@@ -727,8 +731,9 @@ def test_orbit_search_isomorphism_calls_rank4(monkeypatch):
 
 
 def test_orbit_search_graph_map_constructions_rank4(monkeypatch):
-    # one self-map per classified candidate (370) and one fold map per orbit
-    # of fold pairs (115); isomorphisms stay signed images
+    # one fold map per orbit of fold pairs (115) and no self-map: only an
+    # irreducible train track candidate is built as a map, and rank 4 has
+    # none; isomorphisms stay signed images
     calls = Counter()
     post_init = GraphMap.__post_init__
 
@@ -739,7 +744,7 @@ def test_orbit_search_graph_map_constructions_rank4(monkeypatch):
     monkeypatch.setattr(GraphMap, "__post_init__", counted)
     summary = single_fold_search(4)
     assert summary.candidates == 1424
-    assert calls == {True: 370, False: 115}
+    assert calls == {False: 115}
 
 
 # (module, name) of the steps whose calls the single-fold search is pinned to
@@ -754,21 +759,109 @@ SEARCH_STEPS = (
 @pytest.mark.parametrize(
     "rank, calls",
     [
-        # the 16 irreducible candidates lie in 2 orbits: each representative
-        # reaches is_principal, whose periodic-path search reads the illegal
-        # turns
-        (3, {"gates": 2, "illegal_turns": 2, "is_irreducible": 2, "is_train_track": 50}),
-        # no candidate is irreducible, so none reaches is_principal
-        (4, {"is_train_track": 370}),
+        # the 16 irreducible candidates lie in 2 orbits, each with one
+        # isomorphism back at its first pair: those 2 reach is_principal,
+        # whose periodic-path search reads the illegal turns
+        (3, {"gates": 2, "illegal_turns": 2, "is_irreducible": 2, "is_train_track": 2}),
+        # no candidate is irreducible, so none is built as a map
+        (4, {}),
     ],
     ids=["rank3", "rank4"],
 )
 def test_orbit_search_certificate_calls(monkeypatch, rank, calls):
-    # one train track verdict per classified candidate, which reads no
-    # gates; the irreducible step reads sigma's cycle type, not the matrix
+    # the train track step reads sigma's direction table and the irreducible
+    # step its cycle type; an analysis certifies only the candidates that
+    # pass both, for is_principal
     counted = count_calls(monkeypatch, SEARCH_STEPS)
     single_fold_search(rank)
     assert counted == calls
+
+
+@pytest.mark.parametrize("rank, checks", [(3, 68), (4, 532)])
+def test_orbit_search_checks_every_isomorphism_back(monkeypatch, rank, checks):
+    # one isomorphism check per classified candidate: every isomorphism back
+    # at the first pair of each pair orbit, the precondition of relabel_after
+    checked = []
+    check = search_module.isomorphism_vertex_map
+
+    def counted(source, target, signed):
+        checked.append(signed)
+        return check(source, target, signed)
+
+    monkeypatch.setattr(search_module, "isomorphism_vertex_map", counted)
+    single_fold_search(rank)
+    assert len(checked) == checks
+
+
+@pytest.mark.parametrize(
+    "tasks, candidates, train_track",
+    [
+        (rank3_all_profile_tasks, 2308, 1580),
+        (lambda: search_tasks(build_universe(4).graphs), 1424, 832),
+        (_loop_fold_tasks, 368, 184),
+    ],
+    ids=["rank3-all-profile", "rank4", "trivalent-loop-folds"],
+)
+def test_single_fold_train_track_matches_the_analysis(tasks, candidates, train_track):
+    # the verdict from sigma's direction table and the one turn a proper
+    # full fold takes, against the analysis of the candidate's map, on every
+    # (fold pair, isomorphism back) of each corpus
+    found = Counter()
+    for _gi, graph, pairs in tasks():
+        for e1, e0 in pairs:
+            move = apply_fold(graph, e1, e0)
+            for s in graph_isomorphisms(move.target, graph):
+                verdict = _single_fold_train_track(direction_table(s), e1, e0)
+                assert verdict == MapAnalysis(_candidate(move, s)).tt.is_train_track
+                found[verdict] += 1
+    assert (sum(found.values()), found[True]) == (candidates, train_track)
+
+
+def _rose_task():
+    rose = _universe((6,))[0]
+    return (0, rose, _fold_pairs(rose, [0]))
+
+
+def test_orbit_search_raises_when_principality_varies_on_an_orbit(monkeypatch):
+    # On the rose, fold (a, b) then a -> b -> c -> a is an irreducible train
+    # track candidate, and Stab(a, b) conjugates its isomorphism back to a
+    # second one at (a, b).  Every candidate that reaches is_principal is
+    # declared principal, then all but that conjugate: its orbit is still
+    # expanded from the first, so the weighted count falls short of it.
+    gi, rose, pairs = _rose_task()
+    sigma = (2, 3, 1)
+    stab = [a for a in graph_isomorphisms(rose, rose) if (a[0], a[1]) == (1, 2)]
+    table = direction_table(sigma)
+    (other,) = {_conjugate(direction_table(a), invert_signed(a), table) for a in stab} - {sigma}
+    excluded = _candidate(apply_fold(rose, 1, 2), other)
+    principal = search_module.is_principal
+
+    def declared(exclude):
+        return lambda a: dataclasses.replace(principal(a), is_principal=a.map != exclude)
+
+    monkeypatch.setattr(search_module, "is_principal", declared(None))
+    (_, _, irreducible, _), survivors = _search_one_graph((gi, rose, pairs))
+    assert irreducible == len(survivors) > 0
+    monkeypatch.setattr(search_module, "is_principal", declared(excluded))
+    with pytest.raises(GraphStructureError, match="principal candidates by weight"):
+        _search_one_graph((gi, rose, pairs))
+
+
+def test_orbit_search_raises_when_the_analysis_rejects_a_train_track_verdict(monkeypatch):
+    # an irreducible candidate that the direction table would pass but the
+    # analysis rejects stops the search
+    monkeypatch.setattr(search_module, "_single_fold_train_track", lambda table, e1, e0: True)
+    with pytest.raises(GraphStructureError, match="is not a train track map"):
+        _search_one_graph(_rose_task())
+
+
+def test_orbit_search_funnel_rank6():
+    # the rank-6 frontier of theorem B: no irreducible candidate
+    graphs = _universe((4,) + (3,) * 8)
+    chunks = [_search_one_graph(t) for t in search_tasks(graphs)]
+    counts = tuple(map(sum, zip(*(counts for counts, _ in chunks))))
+    assert (len(graphs), counts) == (1496, (112271, 60064, 0, 0))
+    assert not any(survivors for _, survivors in chunks)
 
 
 @pytest.mark.parametrize(
