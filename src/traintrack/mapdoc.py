@@ -47,6 +47,7 @@ def parse_map_document(text: str) -> GraphMap:
     edges: list[tuple[str, str, str, int]] = []
     images: dict[str, tuple[str, ...]] = {}
     image_lines: dict[str, int] = {}
+    image_columns: dict[str, list[int]] = {}
     in_map = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -92,6 +93,7 @@ def parse_map_document(text: str) -> GraphMap:
                 raise ParseError(f"duplicate image for edge {name!r}", lineno)
             images[name] = tuple(parts[2:])
             image_lines[name] = lineno
+            image_columns[name] = [m.start() + 1 for m in re.finditer(r"\S+", raw)][2:]
 
     if not vertices:
         raise ParseError("missing vertices line", 1)
@@ -120,12 +122,11 @@ def parse_map_document(text: str) -> GraphMap:
     dir_images = []
     for name in graph.edge_names:
         dirs = []
-        for token in images[name]:
+        for token, column in zip(images[name], image_columns[name]):
             stem = token[1:] if token.startswith("~") else token
             if stem not in edge_names:
                 raise ParseError(
-                    f"undeclared edge {stem!r} in image of {name!r}",
-                    image_lines[name],
+                    f"undeclared edge {stem!r} in image of {name!r}", image_lines[name], column
                 )
             dirs.append(graph.direction_of(token))
         try:

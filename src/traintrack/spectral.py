@@ -9,19 +9,23 @@ division, with the primitive remainder sequence behind it.  Real roots are
 isolated by Descartes-rule bisection (Collins and Akritas, 1976), and the
 largest one is narrowed, once per polynomial, by sign-change bisection,
 where the sign at n/d is that of the integer sum of c_k n^k d^(deg-k).
-Perron dominance is read off the real roots of the polynomial whose roots
-are the pairwise products of the roots.  sympy is imported only to factor
-over Z, for the minimal-polynomial degree that ``certify --json`` reports.
+Perron dominance is read off the polynomial S whose roots are the pairwise
+products of the roots: at a top root 1 from the square-free part alone (the
+constant-term step of Kronecker's theorem), else from one sign variation of
+S shifted to just below the top root squared (Descartes' rule of signs),
+else from the real roots of S.  Primitivity is read off the zero patterns of
+the powers, up to the first all-positive or repeated one.  sympy is imported
+only to factor over Z, for the minimal-polynomial degree that ``certify
+--json`` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import or_
 
 from .digraph import condensation_reachability, strongly_connected_components
 from .graphs import GraphMap, GraphStructureError
@@ -284,12 +288,27 @@ def _taylor_shift(f: list[int], t: int = 1) -> list[int]:
     return f
 
 
+def _shift(f: list[int], a: Fraction, scale: int) -> list[int]:
+    """The coefficients of scale^deg·f(a + x / scale), for an integer
+    scale·a: a positive multiple of f(x + a) with x scaled by a positive
+    factor, so its positive roots are those of f above a, scaled."""
+    d = len(f) - 1
+    return _taylor_shift([c * scale ** (d - k) for k, c in enumerate(f)], int(a * scale))
+
+
+def _sign_variations(f: list[int]) -> int:
+    """The sign changes along the nonzero coefficients of f.  By Descartes'
+    rule of signs it exceeds the number of positive roots of f, counted
+    with multiplicity, by an even number."""
+    signs = [c > 0 for c in f if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _variations(f: list[int]) -> int:
     """Descartes' bound on the roots of f in (0, 1): the sign variations of
     (x + 1)^deg f(1 / (x + 1)).  It exceeds the number of roots by an even
     number, and does not grow when the interval is split."""
-    signs = [c > 0 for c in _taylor_shift(f[::-1]) if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return _sign_variations(_taylor_shift(f[::-1]))
 
 
 def _halves(f: list[int]) -> tuple[list[int], list[int]]:
@@ -306,8 +325,7 @@ def _real_roots(f: list[int], a: Fraction, w: Fraction):
     as (lo, hi, u) where u(x) is a multiple of f(lo + (hi - lo)·x) with
     exactly one root in (0, 1).  An endpoint may be a root of f."""
     scale = lcm(a.denominator, w.denominator)
-    d = len(f) - 1
-    shifted = _taylor_shift([c * scale ** (d - k) for k, c in enumerate(f)], int(a * scale))
+    shifted = _shift(f, a, scale)
     w_scaled = int(w * scale)
     stack = [(a, w, [c * w_scaled**k for k, c in enumerate(shifted)])]
     while stack:
@@ -435,11 +453,28 @@ def is_perron_number(p: IntPolynomial) -> bool:
     >= λ² comes from a pair other than (λ, λ); conversely every other pair
     has a product of modulus below λ².
 
-    The real roots above lo² of each factor of S's square-free decomposition
-    are isolated, from λ's narrowed bracket [lo, hi].  It and every interval
-    meeting [lo², hi²] are refined until one interval meets it, which then
-    holds λ²; an interval wholly above hi² holds a larger root.  This ends,
-    as the roots of coprime factors are distinct.
+    Two certificates decide before any root of S is isolated.
+
+    - λ = 1, when λ's bracket is the point 1: λ dominates iff q is x - 1 or
+      x² - x.  If it dominates, r = q / (x - 1) is monic over Z with its
+      roots in the open unit disk, so |r(0)|, the product of their moduli,
+      is an integer below 1: r(0) = 0.  As q is square-free, s = r / x is
+      monic over Z with its roots in the open unit disk but not at 0, so
+      s(0) is a nonzero integer, of modulus below 1 if s has a root: s = 1.
+      This is the constant-term step of Kronecker's 1857 theorem on monic
+      integer polynomials with roots in the unit disk.  Conversely the only
+      other root of x² - x is 0.
+    - The Descartes count, once λ's bracket [lo, hi] is open with lo > 0:
+      if S(x + lo²) has one sign variation, then S has exactly one root
+      above lo², counted with multiplicity (Descartes' rule of signs, as
+      Collins and Akritas, 1976, use it).  λ² > lo² is that root, so it is
+      simple and no real root exceeds it: λ dominates.
+
+    Otherwise the real roots above lo² of each factor of S's square-free
+    decomposition are isolated.  It and every interval meeting [lo², hi²]
+    are refined until one interval meets it, which then holds λ²; an
+    interval wholly above hi² holds a larger root.  This ends, as the roots
+    of coprime factors are distinct.
     """
     q, _, (lo, hi) = _root_bracket(p.coefficients)
     if not q.is_monic():
@@ -448,11 +483,16 @@ def is_perron_number(p: IntPolynomial) -> bool:
         lo, hi = _bisect(q, lo, hi, (hi - lo) / 2)
     if hi <= 0:
         raise GraphStructureError("no positive real root; not a Perron candidate")
+    if lo == hi == 1:
+        return q.coefficients in ((-1, 1), (0, -1, 1))
+    square = list(_symmetric_square(q).coefficients)
+    if lo < hi and _sign_variations(_shift(square, lo * lo, (lo * lo).denominator)) == 1:
+        return True
     # a start below λ²: lo² when lo < λ, half of λ² when the bracket is the point λ
     start = lo * lo if lo < hi else lo * lo / 2
     roots = [
         [multiplicity, *interval]
-        for factor, multiplicity in _square_free_factors(list(_symmetric_square(q).coefficients))
+        for factor, multiplicity in _square_free_factors(square)
         for interval in _real_roots(factor, start, Fraction(_root_bound(factor)))
     ]
     while True:
@@ -519,18 +559,37 @@ def invariant_edge_set(matrix: IntegerMatrix) -> tuple[int, ...] | None:
 
 
 def first_positive_power(matrix: IntegerMatrix) -> int | None:
-    """Least k with M**k strictly positive, or None up to the primitivity
-    bound (n-1)**2 + 1.  Exact for a nonnegative M: each row of M**k is the
-    bitmask of its positive entries, and row i of M**(k+1) is the union of
-    the rows of M that row i of M**k selects."""
+    """Least k with M**k strictly positive, or None.  Exact for a
+    nonnegative M: each row of M**k is the bitmask of its positive entries,
+    and row i of M**(k+1) is the union of the rows of M that row i of M**k
+    selects; each distinct mask's union is formed once.
+
+    The pattern of M**(k+1) is a function of the pattern of M**k alone, so
+    once a pattern repeats the sequence cycles through patterns already
+    seen: a repeat before the all-positive pattern proves that no power is
+    positive.  Wielandt's 1950 bound (n-1)**2 + 1 on the exponent of a
+    primitive matrix limits the loop."""
     n = matrix.dimension
     rows = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in matrix.rows]
     full = (1 << n) - 1
-    acc = rows
+    unions: dict[int, int] = {}
+    pattern = tuple(rows)
+    seen = set()
     for k in range(1, (n - 1) ** 2 + 2):
-        if all(r == full for r in acc):
+        if all(r == full for r in pattern):
             return k
-        acc = [reduce(or_, (rows[j] for j in range(n) if r >> j & 1), 0) for r in acc]
+        if pattern in seen:
+            return None
+        seen.add(pattern)
+        for r in pattern:
+            if r not in unions:
+                union, bits = 0, r
+                while bits:
+                    low = bits & -bits
+                    union |= rows[low.bit_length() - 1]
+                    bits ^= low
+                unions[r] = union
+        pattern = tuple(unions[r] for r in pattern)
     return None
 
 
@@ -549,9 +608,15 @@ class SpectralReport:
 def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
     """Irreducibility, primitivity, and the dominant root.
 
-    Primitivity is read off the zero patterns of M**k, k <= (n-1)**2 + 1;
-    for nonnegative integer matrices the PF property (all powers beyond some
-    N positive) is equivalent to primitivity, so ``primitive`` reports both.
+    Primitivity is read off the zero patterns of M**k by
+    ``first_positive_power``, up to the first all-positive pattern, the
+    first repeated one (which proves that no power is positive) or
+    Wielandt's bound (n-1)**2 + 1; for nonnegative integer matrices the PF
+    property (all powers beyond some N positive) is equivalent to
+    primitivity, so ``primitive`` reports both.  ``perron_number`` is
+    ``is_perron_number``'s exact verdict, by its certificates (a top root
+    1, or one Descartes sign variation) or by root isolation, whenever the
+    dominant root is positive.
     """
     if not matrix.is_nonnegative():
         raise GraphStructureError("classification requires nonnegative entries")

@@ -494,13 +494,19 @@ def ideal_components_by_vertex(a: MapAnalysis) -> list[tuple[frozenset, frozense
 # -- map documents -------------------------------------------------------------
 
 
-def pool_maps() -> list[GraphMap]:
-    """The 120 maps of the benchmark's document pool, parsed."""
+def pool_documents() -> list[str]:
+    """The 120 map documents of the benchmark's document pool, from
+    ``perfbench/docgen.py`` loaded by path."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "docgen.py"
     spec = importlib.util.spec_from_file_location("docgen", path)
     docgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(docgen)
-    return [parse_map_document(text) for text in docgen.pool_documents()]
+    return docgen.pool_documents()
+
+
+def pool_maps() -> list[GraphMap]:
+    """The 120 maps of the benchmark's document pool, parsed."""
+    return [parse_map_document(text) for text in pool_documents()]
 
 
 def print_map_document(g: GraphMap) -> str:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from oracles import print_map_document, rose_map_xyz
+from oracles import pool_documents, print_map_document, rose_map_xyz
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
 from traintrack.cli import main
 from traintrack.reports import certify_json
@@ -119,6 +119,25 @@ def test_certify_not_train_track_golden(document, stdout, json_sha256, tmp_path,
     assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha256
 
 
+# sha256 over the benchmark's 120 pool documents of each one's exit code,
+# stdout and ``--json`` bytes under ``certify``, then under ``decompose``
+POOL_OUTPUTS_SHA256 = "72e66455cc0507e24170d4fa9a6770a1d05b7a5cc64f5bb6b480fbf706a521b2"
+
+
+def test_certify_and_decompose_outputs_on_the_pool_documents(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for k, document in enumerate(pool_documents()):
+        path = tmp_path / f"doc{k:03d}.map"
+        path.write_text(document, encoding="utf-8")
+        for command in ("certify", "decompose"):
+            out_json = tmp_path / f"doc{k:03d}.{command}.json"
+            code = main([command, str(path), "--json", str(out_json)])
+            stdout = capsys.readouterr().out.encode()
+            for part in (str(code).encode(), stdout, out_json.read_bytes()):
+                digest.update(len(part).to_bytes(8, "big") + part)
+    assert digest.hexdigest() == POOL_OUTPUTS_SHA256
+
+
 def test_main_parses_with_the_module_parser(reference_file, capsys, monkeypatch):
     def no_parser():
         raise AssertionError("the parser was rebuilt")
@@ -225,6 +244,9 @@ def test_certify_parse_error(tmp_path):
         # an edge name that reads as a reversed edge: its edge line
         ("vertices v\nedge ~a = v -> v\nedge b = v -> v\n\nmap\n~a -> b\nb -> ~~a ~~a b\n",
          2, "column 6: edge name '~a' begins with '~'"),
+        # an undeclared edge in an image: its line and the token's column
+        ("vertices v\nedge a = v -> v\nmap\n  a -> a ~\n",
+         4, "column 10: undeclared edge '' in image of 'a'"),
     ],
 )
 def test_certify_parse_error_line(tmp_path, capsys, text, line, message):

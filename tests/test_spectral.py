@@ -617,7 +617,7 @@ def test_root_facts_match_fraction_oracles_on_monic_polynomials(p, x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_nonnegative_matrices(6), _irreducible_matrices(1)))
+@given(st.one_of(_nonnegative_matrices(7), _irreducible_matrices(1)))
 def test_spectral_pass_matches_oracles_on_matrices(matrix):
     assert first_positive_power(matrix) == _powered_first_positive_power(matrix)
     # a nonnegative matrix has a real eigenvalue of largest modulus
@@ -739,13 +739,160 @@ def test_root_facts_match_sympy_on_random_monic_polynomials():
 
 
 def test_first_positive_power_reaches_the_wielandt_bound():
-    # the cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2 is primitive
-    # with exponent exactly (n-1)**2 + 1
     for n in range(2, 7):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][(i + 1) % n] = 1
-        rows[n - 1][1] = 1
-        matrix = IntegerMatrix(tuple(map(tuple, rows)))
+        matrix = _wielandt_matrix(n)
         assert first_positive_power(matrix) == (n - 1) ** 2 + 1
         assert _powered_first_positive_power(matrix) == (n - 1) ** 2 + 1
+
+
+# -- the certificates of is_perron_number ------------------------------------
+
+# top root exactly 1: the point bracket decides, True only for x - 1 and x^2 - x
+POINT_BRACKET_AT_ONE = (
+    (-1, 1),  # x - 1
+    (0, -1, 1),  # x^2 - x
+    (-1, 0, 1),  # x^2 - 1
+    (-1, 0, 0, 1),  # x^3 - 1
+    (-1, -1, 0, 1, 1),  # x^4 + x^3 - x - 1
+    # the pool's polynomials with top root 1, square-free parts x^4 + x^3 - x - 1,
+    # x^3 - 1, x^2 - 1, x^2 - 1 and x^4 - 1
+    (1, 0, -1, -1, 0, 1),
+    (-1, 2, -1, 1, -2, 1),
+    (1, -3, 2, 2, -3, 1),
+    (-1, 1, 2, -2, -1, 1),
+    (1, -1, 0, 0, -1, 1),
+)
+# the pool's Perron polynomials: one sign variation of S(x + lo²) decides each
+DESCARTES_COUNT_ONE = (
+    (-1, -1, 0, 0, 0, 1),  # x^5 - x - 1
+    (-1, 0, 0, 0, -1, 1),  # x^5 - x^4 - 1
+    (1, 1, -1, -1, -1, 1),
+    (-1, -1, -3, 0, 0, 1),
+    (-1, 0, 3, -1, -2, 1),
+    (-1, 1, 0, -2, 0, 1),
+    (1, -2, 0, 0, -1, 1),
+    (-1, -1, -1, 0, 0, 1),
+    (1, -1, 1, 0, -2, 1),
+)
+# decided by isolating the roots of S: the pool's polynomial whose Descartes
+# count is 2, and point brackets at 2, where no certificate applies
+ISOLATION_LOOP = (
+    (1, -1, 1, -1, -1, 1),  # x^5 - x^4 - x^3 + x^2 - x + 1
+    (-4, 0, 1),  # x^2 - 4
+    (-2, -1, 1),  # (x - 2)(x + 1)
+)
+
+
+def _perron_verdicts(monkeypatch, polynomials):
+    """``is_perron_number`` and its sympy oracle on each polynomial, with the
+    number of calls that reached the isolation loop."""
+    expected = [sympy_is_perron_number(IntPolynomial(c)) for c in polynomials]
+    loop = spectral._square_free_factors
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return loop(f)
+
+    monkeypatch.setattr(spectral, "_square_free_factors", counted)
+    verdicts = [is_perron_number(IntPolynomial(c)) for c in polynomials]
+    return verdicts, expected, len(calls)
+
+
+def test_perron_point_bracket_at_one_decides_without_the_loop(monkeypatch):
+    for c in POINT_BRACKET_AT_ONE:
+        assert largest_real_root_interval(IntPolynomial(c)) == (1, 1)
+    verdicts, expected, loop_calls = _perron_verdicts(monkeypatch, POINT_BRACKET_AT_ONE)
+    assert verdicts == expected == [True, True] + [False] * 8
+    assert loop_calls == 0
+
+
+def test_perron_descartes_count_decides_without_the_loop(monkeypatch):
+    verdicts, expected, loop_calls = _perron_verdicts(monkeypatch, DESCARTES_COUNT_ONE)
+    assert verdicts == expected == [True] * len(DESCARTES_COUNT_ONE)
+    assert loop_calls == 0
+
+
+def test_perron_falls_back_to_the_isolation_loop(monkeypatch):
+    verdicts, expected, loop_calls = _perron_verdicts(monkeypatch, ISOLATION_LOOP)
+    assert verdicts == expected == [False, False, True]
+    assert loop_calls == len(ISOLATION_LOOP)
+
+
+def test_perron_certificates_cover_the_pool():
+    pool = {p.coefficients for p in _pool_char_polys()}
+    assert pool == set(POINT_BRACKET_AT_ONE[5:] + DESCARTES_COUNT_ONE + ISOLATION_LOOP[:1])
+
+
+# -- the repeat stop of first_positive_power ---------------------------------
+
+
+def _zero_pattern(matrix):
+    return tuple(tuple(x > 0 for x in row) for row in matrix.rows)
+
+
+def _powers_examined(matrix):
+    """How many of M, M², ... are looked at, by integer matrix powering: up
+    to the first positive power, the first zero pattern seen before, or the
+    Wielandt bound."""
+    bound = (matrix.dimension - 1) ** 2 + 1
+    seen, acc = set(), matrix
+    for k in range(1, bound + 1):
+        if is_positive(acc) or _zero_pattern(acc) in seen:
+            return k
+        seen.add(_zero_pattern(acc))
+        acc = matmul(acc, matrix)
+    return bound
+
+
+def _cycle_matrix(n):
+    return IntegerMatrix(tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n)))
+
+
+def _block_triangular_matrix(n, k):
+    """The Wielandt matrix on indices < k, and ones from those indices to the
+    rest and among the rest: reducible, as no index >= k reaches one < k.
+    The zero pattern settles when the Wielandt block's turns positive, at
+    power (k-1)**2 + 1, and repeats at the next power."""
+    corner = _wielandt_matrix(k).rows
+    return IntegerMatrix(
+        tuple(
+            tuple(corner[i][j] if i < k and j < k else int(j >= k) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def _wielandt_matrix(n):
+    """The cycle 1 -> 2 -> ... -> n -> 1 plus the chord n -> 2: primitive with
+    exponent exactly (n-1)**2 + 1."""
+    rows = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    rows[n - 1][1] = 1
+    return IntegerMatrix(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "matrix, answer, examined",
+    [(_cycle_matrix(n), None, min(n + 1, (n - 1) ** 2 + 1)) for n in range(2, 8)]
+    + [
+        (_block_triangular_matrix(n, k), None, (k - 1) ** 2 + 2)
+        for n in range(3, 8)
+        for k in range(2, n)
+    ]
+    + [(_wielandt_matrix(n), (n - 1) ** 2 + 1, (n - 1) ** 2 + 1) for n in range(2, 8)],
+)
+def test_first_positive_power_stops_at_a_repeated_pattern(matrix, answer, examined, monkeypatch):
+    # an n-cycle's patterns have period n, so M^(n+1) repeats M (past the
+    # Wielandt bound only at n = 2); the all-positive test runs once per power
+    # examined, so counting its calls counts the powers
+    checks = []
+
+    def counted_all(values):
+        checks.append(None)
+        return all(values)
+
+    monkeypatch.setattr(spectral, "all", counted_all, raising=False)
+    assert first_positive_power(matrix) == answer
+    monkeypatch.undo()
+    assert _powered_first_positive_power(matrix) == answer
+    assert len(checks) == _powers_examined(matrix) == examined
