@@ -126,7 +126,9 @@ def parse_map_document(text: str) -> GraphMap:
             stem = token[1:] if token.startswith("~") else token
             if stem not in edge_names:
                 raise ParseError(
-                    f"undeclared edge {stem!r} in image of {name!r}", image_lines[name], column
+                    f"undeclared edge {stem or token!r} in image of {name!r}",
+                    image_lines[name],
+                    column,
                 )
             dirs.append(graph.direction_of(token))
         try:

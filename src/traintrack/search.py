@@ -35,6 +35,7 @@ from .graphs import (
     GraphStructureError,
     OrientedGraph,
     compose,
+    compose_signed,
     direction_table,
     invert_signed,
     isomorphism_vertex_map,
@@ -126,20 +127,28 @@ def _multiplicities(m: int, ends) -> list[list[int]]:
 
 def _refine_colors(m: int, edges) -> list[int]:
     """Iterated neighborhood refinement of the vertex coloring by valence
-    (a vertex's row sum plus its loop entry), larger valences first."""
+    (a vertex's row sum plus its loop entry), larger valences first, as
+    ranks 0, 1, ... of the stable partition's cells.
+
+    Each round ranks the vertices' (color, sorted neighbour colors)
+    signatures, which lead with the color, so no two cells merge.  The
+    first round in which no cell splits ends the refinement: its ranks
+    follow the order of the previous colors, so every later round would
+    give the same ranks again."""
     mult = _multiplicities(m, edges)
+    neighbours = [[(w, n) for w, n in enumerate(row) if n] for row in mult]
     colors = [-(sum(row) + row[v]) for v, row in enumerate(mult)]
-    for _ in range(m):
-        signatures = []
-        for v in range(m):
-            sig = sorted((colors[w], n) for w, n in enumerate(mult[v]) if n)
-            signatures.append((colors[v], tuple(sig)))
+    cells = len(set(colors))
+    while True:
+        signatures = [
+            (colors[v], tuple(sorted((colors[w], n) for w, n in around)))
+            for v, around in enumerate(neighbours)
+        ]
         order = sorted(set(signatures))
-        new = [order.index(s) for s in signatures]
-        if new == colors:
-            break
-        colors = new
-    return colors
+        colors = [order.index(s) for s in signatures]
+        if len(order) == cells:
+            return colors
+        cells = len(order)
 
 
 def _canonical_multigraph(m: int, edges):
@@ -152,14 +161,17 @@ def _canonical_multigraph(m: int, edges):
         cells.setdefault(colors[v], []).append(v)
     cell_list = [cells[c] for c in sorted(cells)]
     best = None
+    position = [0] * m
     for perms in itertools.product(*(itertools.permutations(cell) for cell in cell_list)):
-        mapping = {src: pos for pos, src in enumerate(itertools.chain.from_iterable(perms))}
-        encoded = tuple(
-            sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in edges)
-        )
+        for pos, src in enumerate(itertools.chain.from_iterable(perms)):
+            position[src] = pos
+        encoded = sorted([
+            (position[u], position[v]) if position[u] <= position[v] else (position[v], position[u])
+            for u, v in edges
+        ])
         if best is None or encoded < best:
             best = encoded
-    return best
+    return tuple(best)
 
 
 @dataclass(frozen=True)
@@ -287,13 +299,17 @@ def graph_isomorphisms(source: OrientedGraph, target: OrientedGraph) -> list[tup
 class CandidateReport:
     """A principal candidate: fold ``e1`` over ``e0`` on graph
     ``graph_index``, then the isomorphism ``sigma`` back; ``map`` is the
-    composite."""
+    composite.  It lies in the ``orbit``-th Aut(G)-orbit that the engine
+    expanded on its graph, and the automorphism with signed images
+    ``witness`` conjugates that orbit's analysed candidate into it."""
 
     graph_index: int
     e1: int
     e0: int
     sigma: GraphMap
     map: GraphMap
+    orbit: int
+    witness: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -406,7 +422,9 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     expanding irreducible train track candidates.
 
     A principal candidate is expanded to its Aut(G)-orbit, each new member
-    rebuilt from its fold and a validated relabeling; the orbit must hold
+    rebuilt from its fold and a validated relabeling, and reported with the
+    orbit's number and the first automorphism, in ``graph_isomorphisms``
+    order, that carries the analysed candidate to it; the orbit must hold
     the pair orbit's size times its members at (e1, e0).  The weighted count
     of principal candidates must equal the number of survivors, which holds
     exactly when principality is constant on the orbits.  A failed check
@@ -416,7 +434,7 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     tables = [direction_table(alpha) for alpha in aut]
     inverses: list[tuple[int, ...]] = []
     counts = [0, 0, 0, 0]
-    principal = 0
+    principal = orbits = 0
     survivors: list[CandidateReport] = []
     expanded: set[tuple[int, int, tuple[int, ...]]] = set()
     done_pairs: set[tuple[int, int]] = set()
@@ -452,21 +470,23 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
                 continue
             if not inverses:
                 inverses = [invert_signed(alpha) for alpha in aut]
-            members = {
-                (f1, f0, _conjugate(table, alpha_inv, table_s))
-                for (f1, f0), table, alpha_inv in zip(images, tables, inverses)
-            }
-            at_pair = sum((f1, f0) == (e1, e0) for f1, f0, _ in members)
-            if len(members) != weight * at_pair:
+            witnesses: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
+            for (f1, f0), table, alpha_inv, alpha in zip(images, tables, inverses, aut):
+                witnesses.setdefault((f1, f0, _conjugate(table, alpha_inv, table_s)), alpha)
+            at_pair = sum((f1, f0) == (e1, e0) for f1, f0, _ in witnesses)
+            if len(witnesses) != weight * at_pair:
                 raise GraphStructureError(
-                    f"graph {gi}: orbit of {len(members)} candidates, "
+                    f"graph {gi}: orbit of {len(witnesses)} candidates, "
                     f"{weight} pairs x {at_pair} isomorphisms"
                 )
-            for f1, f0, t in members:
+            orbits += 1
+            for (f1, f0, t), alpha in witnesses.items():
                 member_move = apply_fold(graph, f1, f0, "proper_full")
                 rel = relabeling(member_move.target, graph, t)
-                survivors.append(CandidateReport(gi, f1, f0, rel, _candidate(member_move, t)))
-            expanded |= members
+                survivors.append(
+                    CandidateReport(gi, f1, f0, rel, _candidate(member_move, t), orbits, alpha)
+                )
+            expanded.update(witnesses)
     if len(done_pairs) != len(set(pairs)):
         raise GraphStructureError(f"graph {gi}: the fold pairs are not closed under Aut(G)")
     if principal != len(expanded):
@@ -492,6 +512,20 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     P + PE is P's cycles plus one arc, which is strongly connected exactly
     when P's cycles are one.
 
+    The relabeling classes are the engine's Aut(G)-orbits of survivors.
+    (1) The universe graphs are pairwise non-isomorphic, so a relabeling
+    conjugating one survivor into another is an automorphism of their one
+    graph.  (2) A candidate determines its (e1, e0, sigma): |e1| is the only
+    edge whose image has two edges, sigma is read off the single-direction
+    images, and reading the two-edge image the other way round would give
+    sigma(|e1|) = sigma(e0) up to sign, so sigma would not be injective.
+    (3) alpha h alpha^-1 is the candidate (alpha e1, alpha e0,
+    alpha sigma alpha^-1), by the rule of ``folds.pull_back``.  So two
+    survivors are conjugate exactly when they lie in one orbit.  The first
+    survivor of each orbit, in sorted order, represents its class, and
+    ``_relabeling_classes`` checks every other survivor of the orbit as a
+    conjugate of it through their witness automorphisms.
+
     Results are independent of job count and of the order in which the
     graphs are searched.
     """
@@ -513,13 +547,7 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
         (r for _, chunk in chunks for r in chunk),
         key=lambda r: (r.graph_index, r.e1, r.e0, r.sigma.edge_images),
     )
-    classes: list[int] = []
-    for i, r in enumerate(survivors):
-        for j in classes:
-            if _conjugate_by_relabeling(survivors[j].map, r.map):
-                break
-        else:
-            classes.append(i)
+    classes = _relabeling_classes(survivors)
     return SearchSummary(
         rank=rank,
         universe_size=len(universe.graphs),
@@ -534,13 +562,27 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     )
 
 
-def _conjugate_by_relabeling(h1: GraphMap, h2: GraphMap) -> bool:
-    """Whether some graph isomorphism conjugates one self-map into the other."""
-    for s in graph_isomorphisms(h1.source, h2.source):
-        sigma = relabeling(h1.source, h2.source, s)
-        if compose(sigma, h1) == compose(h2, sigma):
-            return True
-    return False
+def _relabeling_classes(survivors: list[CandidateReport]) -> list[int]:
+    """The indices of the first survivor of each (graph, orbit), which
+    represent the relabeling classes by the lemma in ``single_fold_search``.
+    Each other survivor h is checked against its orbit's first, r: with
+    alpha_h and alpha_r their witnesses, beta = alpha_h alpha_r^-1 must
+    satisfy beta r = h beta, else ``GraphStructureError`` is raised."""
+    classes: list[int] = []
+    first: dict[tuple[int, int], CandidateReport] = {}
+    for i, h in enumerate(survivors):
+        r = first.setdefault((h.graph_index, h.orbit), h)
+        if r is h:
+            classes.append(i)
+            continue
+        graph = h.map.source
+        beta = relabeling(graph, graph, compose_signed(h.witness, invert_signed(r.witness)))
+        if compose(beta, r.map) != compose(h.map, beta):
+            raise GraphStructureError(
+                f"graph {h.graph_index}: the witnesses of orbit {h.orbit} do not conjugate "
+                "its survivors"
+            )
+    return classes
 
 
 # -- the minimal stretch factor driver ---------------------------------------------

@@ -5,8 +5,9 @@ turns of a graph, integer matrix arithmetic, the sympy spectral engine that
 the package's integer root engine replaced, bisection in ``Fraction``
 arithmetic, relabeling actions on graphs and maps, the general push of
 relabelings past folds with the powers and loop rotations built on fold
-conjugation, automaton loops composed step by step, the single-fold search
-classifying every candidate one by one, the rank-3 single-fold candidates
+conjugation, automaton loops composed step by step, relabeling conjugacy by
+trying every isomorphism, the single-fold search classifying every candidate
+one by one, the rank-3 single-fold candidates
 over every valence profile, the train track criterion as closure and
 illegal turns, Whitehead graphs built one vertex at a time with
 ``networkx``, the benchmark's pool of map documents, a call counter, and the
@@ -410,6 +411,16 @@ def search_tasks(graphs) -> list[tuple[int, OrientedGraph, list[tuple[int, int]]
         (gi, graph, _fold_pairs(graph, [max(range(graph.n_vertices), key=graph.valence)]))
         for gi, graph in enumerate(graphs)
     ]
+
+
+def _conjugate_by_relabeling(h1: GraphMap, h2: GraphMap) -> bool:
+    """Whether some graph isomorphism conjugates one self-map into the other,
+    by trying every isomorphism between their graphs."""
+    for s in graph_isomorphisms(h1.source, h2.source):
+        sigma = relabeling(h1.source, h2.source, s)
+        if compose(sigma, h1) == compose(h2, sigma):
+            return True
+    return False
 
 
 def search_one_graph_per_candidate(args) -> list[CandidateVerdicts]:

@@ -16,6 +16,7 @@ from oracles import (
     rotate_loop,
     sequence_steps,
     transpose,
+    _conjugate_by_relabeling,
 )
 from traintrack.automaton import (
     decomposition_to_loop,
@@ -30,7 +31,6 @@ from traintrack.graphs import iterate_map, make_turn
 from traintrack.mapdoc import parse_map_document
 from traintrack.reports import certify_map
 from traintrack.search import (
-    _conjugate_by_relabeling,
     single_fold_search,
     verify_minimal_stretch_argument,
 )
@@ -99,8 +99,6 @@ def test_criterion_2_minimal_stretch_argument():
 
 
 def test_criterion_3_single_fold_uniqueness(gmap):
-    from traintrack.search import _conjugate_by_relabeling
-
     start = time.perf_counter()
     summary3 = single_fold_search(3)
     t3 = time.perf_counter() - start

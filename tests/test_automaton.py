@@ -12,7 +12,12 @@ import traintrack.automaton as automaton_module
 import traintrack.digraph as digraph_module
 import traintrack.graphs as graphs_module
 import traintrack.whitehead as whitehead_module
-from oracles import compose_power, loop_map_by_composition, rotate_loop
+from oracles import (
+    _conjugate_by_relabeling,
+    compose_power,
+    loop_map_by_composition,
+    rotate_loop,
+)
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
@@ -46,7 +51,6 @@ from traintrack.graphs import (
     signed_images,
     signed_permutations,
 )
-from traintrack.search import _conjugate_by_relabeling
 from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
 from traintrack.whitehead import is_principal, ltt_structure
 

@@ -244,9 +244,14 @@ def test_certify_parse_error(tmp_path):
         # an edge name that reads as a reversed edge: its edge line
         ("vertices v\nedge ~a = v -> v\nedge b = v -> v\n\nmap\n~a -> b\nb -> ~~a ~~a b\n",
          2, "column 6: edge name '~a' begins with '~'"),
-        # an undeclared edge in an image: its line and the token's column
+        # an undeclared edge in an image: its line and the token's column;
+        # a bare '~' has no stem, so the token itself is named
         ("vertices v\nedge a = v -> v\nmap\n  a -> a ~\n",
-         4, "column 10: undeclared edge '' in image of 'a'"),
+         4, "column 10: undeclared edge '~' in image of 'a'"),
+        ("vertices v\nedge a = v -> v\nedge b = v -> v\nmap\na -> ~\nb -> b\n",
+         5, "column 6: undeclared edge '~' in image of 'a'"),
+        ("vertices v\nedge a = v -> v\nmap\na -> a ~c\n",
+         4, "column 8: undeclared edge 'c' in image of 'a'"),
     ],
 )
 def test_certify_parse_error_line(tmp_path, capsys, text, line, message):

@@ -21,6 +21,7 @@ from oracles import (
     search_one_graph_per_candidate,
     search_tasks,
     train_track_by_illegal_turns,
+    _conjugate_by_relabeling,
 )
 from traintrack import search as search_module
 from traintrack.certify import MapAnalysis
@@ -48,7 +49,6 @@ from traintrack.search import (
     _candidate,
     _canonical_multigraph,
     _conjugate,
-    _conjugate_by_relabeling,
     _enumerate_degree_graphs,
     _fold_pairs,
     _is_one_cycle,
@@ -321,6 +321,17 @@ def test_valence_seeded_canonical_form_matches_fixed_vertices(degrees):
         assert _canonical_multigraph(m, edges) == _fixed_canonical_multigraph(m, edges, fixed)
 
 
+def test_valence_seeded_canonical_form_matches_fixed_vertices_rank6():
+    # the refinement that stops at the first round splitting no cell, and
+    # the positions written into a list, against the reference's rounds run
+    # to a fixed point and its dict per permutation, on every connected
+    # graph the rank-6 universe canonicalises
+    connected = _connected_enumeration((4,) + (3,) * 8)
+    assert len(connected) == 5620
+    for edges in connected:
+        assert _canonical_multigraph(9, edges) == _fixed_canonical_multigraph(9, edges, (0,))
+
+
 def test_graph_isomorphisms_roundtrip(gmap):
     graph = gmap.source
     autos = graph_isomorphisms(graph, graph)
@@ -507,6 +518,72 @@ def test_single_fold_search_rank3(gmap):
     assert summary.class_count == 1
     rep = summary.survivors[summary.class_representatives[0]]
     assert _conjugate_by_relabeling(rep.map, gmap)
+
+
+def _pairwise_classes(survivors) -> list[int]:
+    """Reference: the survivors' indices that no earlier class member
+    conjugates into, by trying every isomorphism between their graphs."""
+    classes: list[int] = []
+    for i, r in enumerate(survivors):
+        if not any(_conjugate_by_relabeling(survivors[j].map, r.map) for j in classes):
+            classes.append(i)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "every_analysed, survivors, representatives",
+    [(False, 8, (0,)), (True, 16, (0, 1))],
+    ids=["principal", "every-analysed"],
+)
+def test_orbit_classes_match_pairwise_conjugacy(monkeypatch, every_analysed, survivors,
+                                                 representatives):
+    # the classes read off the Aut(G)-orbits against the pairwise search
+    # they replaced; declaring every analysed candidate principal makes the
+    # 16 irreducible candidates, in 2 orbits, the survivors
+    if every_analysed:
+        principal = search_module.is_principal
+        monkeypatch.setattr(
+            search_module,
+            "is_principal",
+            lambda a: dataclasses.replace(principal(a), is_principal=True),
+        )
+    summary = single_fold_search(3)
+    assert len(summary.survivors) == survivors
+    assert summary.class_representatives == representatives
+    assert summary.class_count == len(representatives)
+    assert tuple(_pairwise_classes(summary.survivors)) == representatives
+
+
+def test_orbit_classes_match_pairwise_conjugacy_on_the_rose(monkeypatch):
+    # Aut of the 3-rose, the signed permutations, is not abelian, so the
+    # order of the witnesses in beta = alpha_h alpha_r^-1 matters here
+    principal = search_module.is_principal
+    monkeypatch.setattr(
+        search_module,
+        "is_principal",
+        lambda a: dataclasses.replace(principal(a), is_principal=True),
+    )
+    _, survivors = _search_one_graph(_rose_task())
+    survivors.sort(key=lambda r: (r.e1, r.e0, r.sigma.edge_images))
+    classes = search_module._relabeling_classes(survivors)
+    assert (len(survivors), len(classes)) == (336, 7)
+    assert classes == _pairwise_classes(survivors)
+
+
+def test_orbit_classes_check_every_witness(monkeypatch):
+    # a witness that is an automorphism, but not one carrying the orbit's
+    # analysed candidate to its survivor, stops the grouping
+    engine = search_module._search_one_graph
+
+    def corrupted(args):
+        counts, survivors = engine(args)
+        graph = args[1]
+        identity = tuple(range(1, graph.n_edges + 1))
+        return counts, [dataclasses.replace(r, witness=identity) for r in survivors]
+
+    monkeypatch.setattr(search_module, "_search_one_graph", corrupted)
+    with pytest.raises(GraphStructureError, match="do not conjugate its survivors"):
+        single_fold_search(3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -728,6 +805,19 @@ def test_orbit_search_isomorphism_calls_rank4(monkeypatch):
     summary = single_fold_search(4)
     assert summary.candidates == 1424
     assert calls == {True: 30, False: 115}
+
+
+def test_orbit_search_classes_calls_rank3(monkeypatch):
+    # one automorphism group per graph (5) and one isomorphism enumeration
+    # per orbit of fold pairs (14); the classes are read off the orbits, and
+    # each of the 7 survivors beyond its orbit's first costs two compose
+    # calls for its check: the pairwise search made 26 and 70
+    counted = count_calls(
+        monkeypatch, [("traintrack.search", "graph_isomorphisms"), ("traintrack.graphs", "compose")]
+    )
+    summary = single_fold_search(3)
+    assert (summary.principal_count, summary.class_count) == (8, 1)
+    assert counted == {"graph_isomorphisms": 19, "compose": 14}
 
 
 def test_orbit_search_graph_map_constructions_rank4(monkeypatch):
