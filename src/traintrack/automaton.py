@@ -12,27 +12,53 @@ A node is read as a plain key ``(groups, red, turns)``: the partition of
 the ten directions into initial-vertex groups (vertex names are forgotten),
 the red direction, and the sorted turn tuple.  This is the colored structure
 ``whitehead.ltt_structure`` computes for a map, so a map's structure is
-looked up among the nodes directly.  The fold transport is edge-local: the
+located among the nodes directly.  The fold transport is edge-local: the
 folded direction is renamed onto the target direction inside every turn,
 the fresh turn crossed by the folded edge-path is added as the new red edge,
 and the moved direction becomes the new red vertex.
 
-A node is fixed by its labeled graph, its red direction and the direction
-its red turn attaches to, so it is stored as an integer id ``12 g + 3 r +
-a`` over the sorted labeled graphs, in the order of the sorted keys
-(``NodeSet``); a key is built only where one is read.  Fold transport
-commutes with signed relabelings, so the build works per relabeling class on
-node ids, on integer tables.  Each of the three group generators acts on
-node ids through one table of images of 10-bit direction masks and one pass
-over the labeled graphs, so no partition is canonicalised.  A class's orbit
-row, the node ``sigma_k . rep`` for each signed permutation sigma_k in
-``signed_permutations`` order, is filled along a spanning tree of the group
-found by index arithmetic, so no signed permutation is composed; one pass
-over the row reads off the orbit, each node's least sigma, and the
-stabiliser.  Folds are transported and stored at the class representatives
-only: a node ``sigma . rep`` has the folds of its representative moved by
-sigma, and the fold-edge and quotient-edge counts follow by
-orbit-stabiliser.
+The classes are built from the five graphs of ``search.build_universe(3)``,
+with no labelled node set, by the class lemma.  A signed permutation sigma
+of the edge labels acts on labelled graphs (direction partitions) and on
+node keys, and the node profile is invariant under it.
+
+  Lemma.  (i) Two labelled graphs are relabelings of each other exactly
+  when their graphs are isomorphic.  (ii) The relabelings fixing a labelled
+  graph G form Aut(G), as signed edge images.  (iii) The relabeling classes
+  of nodes are, for each universe graph G, the Aut(G)-orbits on the 12 node
+  keys over G, and a class with representative r has ``2**n n! / |Stab(r)|``
+  nodes, n = 5, where Stab(r) lies in Aut(G).
+
+  Proof.  (i) sigma sends directions to directions and commutes with
+  reversal.  If sigma maps the groups of P onto those of Q, the vertex map
+  that follows the groups sends the initial and terminal vertex of every
+  edge d (the groups of d and -d) to those of sigma(d): it is an
+  isomorphism.  Conversely an isomorphism sends the directions at a vertex
+  onto the directions at the image vertex, so its signed edge images map
+  groups onto groups.  (ii) is (i) with P = Q.  (iii) By (i), each labelled
+  graph is a relabeling of exactly one universe graph, which holds one graph
+  per isomorphism class, so every class meets the keys over some G.  A
+  relabeling between two keys over G fixes G's groups, so by (ii) it lies in
+  Aut(G); keys over G are in one class exactly when they are in one
+  Aut(G)-orbit, and the keys over different universe graphs are never
+  related.  The stabiliser of r in the whole group fixes r's groups, so it
+  lies in Aut(G), and orbit-stabiliser in the group of ``2**n n!`` signed
+  permutations gives the class size.
+
+A labelled node is the pair ``(c, sigma)``, the relabeling ``sigma . r_c``
+of class c's representative.  Two pairs of one class are the same node
+exactly when they differ by ``Stab(r_c)`` on the right, so sigma is kept
+as the least tuple of its coset ``sigma Stab(r_c)``: equal nodes are equal
+pairs, and the representative is ``(c, min Stab(r_c))``.  Fold transport
+commutes with relabelings, so the folds are transported at the
+representatives only: node ``(c, sigma)`` has the folds of ``r_c`` moved by
+sigma.  A representative fold keeps its target as the coset of every
+relabeling carrying ``r_t`` onto it, so a node's fold targets are read by
+moving the cosets through sigma's direction table, with no composition.  A
+key is located in one step (``NodeClasses.locate``): the canonical form of
+its graph finds its universe graph G, one isomorphism alpha from G carries
+it back to a key over G, stored as ``tau . r_c`` with tau in Aut(G), and the
+node is ``(c, alpha tau)``.
 
 Residual loops share their fold walks: the loops of one walk differ only in
 the closing relabeling, and walks share prefixes.  ``node_one_analysis``
@@ -47,10 +73,11 @@ automaton fold the same walks again.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 from .catalog import single_fold_map
+from .certify import MapAnalysis
 from .digraph import carries_cycle, strongly_connected_components
 from .folds import FoldSequence, apply_fold, rotate
 from .graphs import (
@@ -67,17 +94,18 @@ from .graphs import (
     relabel_after,
     relabeling,
     signed_images,
-    signed_permutations,
 )
+from .search import SearchUniverse, build_universe, graph_isomorphisms
 from .spectral import is_irreducible, transition_matrix
-from .certify import MapAnalysis
 from .whitehead import canonical_groups, ltt_structure
 
 RANK3_EDGE_NAMES = ("a", "b", "c", "d", "e")
 
 NodeKey = tuple  # (groups, red, turns), all plain nested tuples
+Node = tuple  # (class, signed relabeling of its representative)
 
-_DIRECTIONS = tuple(sorted(s * i for i in range(1, len(RANK3_EDGE_NAMES) + 1) for s in (1, -1)))
+_IDENTITY = tuple(range(1, len(RANK3_EDGE_NAMES) + 1))
+_GROUP_ORDER = 2 ** len(RANK3_EDGE_NAMES) * math.factorial(len(RANK3_EDGE_NAMES))
 
 
 # -- node keys and the signed permutation action ---------------------------------
@@ -130,6 +158,26 @@ def is_node(key: NodeKey) -> bool:
     return True
 
 
+def enumerate_nodes(graph: OrientedGraph) -> list[NodeKey]:
+    """The 12 node keys over a (4,3,3) graph, sorted: each choice of red
+    direction at the valence-4 vertex and of the direction there that its
+    single red turn attaches to, with a triangle on the other directions at
+    each vertex."""
+    groups = canonical_groups(graph.directions_at(v) for v in range(graph.n_vertices))
+    big = _valence_four(groups)
+    keys = []
+    for red in big:
+        triangles = [
+            t for group in groups for t in itertools.combinations([d for d in group if d != red], 2)
+        ]
+        keys.extend(
+            (groups, red, tuple(sorted(triangles + [make_turn(red, attach)])))
+            for attach in big
+            if attach != red
+        )
+    return sorted(keys)
+
+
 # -- fold transport -------------------------------------------------------------
 
 
@@ -177,148 +225,83 @@ def transport(key: NodeKey, e1: int, e0: int) -> NodeKey | None:
     return out if is_node(out) else None
 
 
-# -- enumeration -----------------------------------------------------------------
+# -- the relabeling classes -------------------------------------------------------
 
 
-def enumerate_labeled_graphs():
-    """All connected (4,3,3)-graphs on five labeled, oriented edges, up to
-    vertex renaming, encoded as direction partitions, sorted: the 2,100
-    partitions of the ten directions into groups of sizes 4, 3 and 3, less
-    the 100 disconnected ones.
+@dataclass(frozen=True)
+class NodeClasses:
+    """The relabeling classes of nodes over the universe graphs, in universe
+    order and, over one graph, in the order of their first keys; each
+    class's representative is its first key."""
 
-    A partition is disconnected exactly when its valence-4 group is closed
-    under reversal.  The valences of a component sum to twice its edge
-    count, so a component is never one valence-3 vertex alone: a
-    disconnected graph is the valence-4 vertex with two loops beside the
-    two valence-3 vertices, and its four directions are the two ends of
-    each loop.  The groups come out of the combinations sorted, so a
-    partition is sorted as three tuples."""
-    out = []
-    for big in itertools.combinations(_DIRECTIONS, 4):
-        if all(-d in big for d in big):
-            continue
-        rest = [d for d in _DIRECTIONS if d not in big]
-        for pair in itertools.combinations(rest[1:], 2):
-            third = tuple(d for d in rest[1:] if d not in pair)
-            out.append(tuple(sorted((big, (rest[0],) + pair, third))))
-    return sorted(out)
+    universe: SearchUniverse
+    rep_keys: list[NodeKey]
+    class_graph: list[int]  # per class, the universe position of its graph
+    stabilizers: list[list[tuple[int, ...]]]  # per class, the Aut(G) elements fixing it
+    placed: list[dict[NodeKey, Node]]  # per universe graph, key -> (c, tau), tau . r_c == key
 
+    def size(self, c: int) -> int:
+        """The nodes in class c, by orbit-stabiliser."""
+        return _GROUP_ORDER // len(self.stabilizers[c])
 
-def _local_id(r: int, p: int) -> int:
-    """A node's id within its labeled graph, from the positions of its red
-    direction and of the direction its red turn attaches to in the
-    valence-4 group."""
-    return 3 * r + p - (p > r)
+    def coset(self, c: int, sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Every relabeling carrying ``r_c`` onto ``sigma . r_c``, sorted."""
+        image = direction_table(sigma)
+        return sorted(tuple(map(image.__getitem__, s)) for s in self.stabilizers[c])
 
+    def node(self, c: int, sigma: tuple[int, ...]) -> Node:
+        """The node ``sigma . r_c``, with sigma the least of its coset."""
+        return (c, self.coset(c, sigma)[0])
 
-class NodeSet(Sequence):
-    """The node keys over a list of labeled graphs, each built where it is
-    read.  Node ``12 g + 3 r + a`` lies over ``graphs[g]``; its red
-    direction is the r-th of the graph's valence-4 group, and its red turn
-    attaches to the a-th of the other three.  Over sorted graphs, ids follow
-    the order of the sorted keys."""
+    def key(self, node: Node) -> NodeKey:
+        c, sigma = node
+        return relabel_key(self.rep_keys[c], sigma)
 
-    def __init__(self, graphs: list[tuple[tuple[int, ...], ...]]) -> None:
-        self.graphs = graphs
-        self.graph_id = {groups: g for g, groups in enumerate(graphs)}
-
-    def __len__(self) -> int:
-        return 12 * len(self.graphs)
-
-    def __getitem__(self, node_id: int) -> NodeKey:
-        if not 0 <= node_id < len(self):
-            raise IndexError("node id out of range")
-        g, local = divmod(node_id, 12)
-        groups = self.graphs[g]
-        big = _valence_four(groups)
-        r, a = divmod(local, 3)
-        red = big[r]
-        turns = [make_turn(red, big[a + (a >= r)])]
-        for group in groups:
-            turns.extend(itertools.combinations([d for d in group if d != red], 2))
-        turns.sort()
-        return (groups, red, tuple(turns))
-
-    def groups_of(self, node_id: int) -> tuple[tuple[int, ...], ...]:
-        """The direction partition of a node's labeled graph."""
-        return self.graphs[node_id // 12]
-
-    def index(self, key) -> int:
-        """The id of a node key, by arithmetic on its labeled graph's id;
-        the key at that id is rebuilt and compared, so ``ValueError`` is
-        raised for every key that is not a node."""
-        try:
-            groups, red, turns = key
-            big = _valence_four(groups)
-            r = big.index(red)
-            p = big.index(next(a + b - red for a, b in turns if red in (a, b)))
-            node_id = 12 * self.graph_id[groups] + _local_id(r, p)
-        except (TypeError, ValueError, KeyError, StopIteration):
-            raise ValueError("not an automaton node") from None
-        if self[node_id] != key:
-            raise ValueError("not an automaton node")
-        return node_id
-
-    def __contains__(self, key) -> bool:
-        try:
-            self.index(key)
-        except ValueError:
-            return False
-        return True
+    def locate(self, key: NodeKey) -> Node | None:
+        """The node with this key, or None when the key is no node."""
+        graph = graph_from_groups(key[0])
+        gi = self.universe.locate(graph)
+        if gi is None:
+            return None
+        alpha = graph_isomorphisms(self.universe.graphs[gi], graph)[0]
+        found = self.placed[gi].get(relabel_key(key, invert_signed(alpha)))
+        if found is None:
+            return None
+        c, tau = found
+        return self.node(c, compose_signed(alpha, tau))
 
 
-def enumerate_nodes() -> NodeSet:
-    """All node structures over all (4,3,3) rank-3 graphs, sorted: for each
-    labeled graph, each choice of red direction at the valence-4 vertex and
-    of the purple direction its single red turn attaches to.  Only the
-    labeled graphs are enumerated; a key is built when it is read."""
-    return NodeSet(enumerate_labeled_graphs())
+def _relabeling_classes(universe: SearchUniverse) -> NodeClasses:
+    """The Aut(G)-orbits on the node keys over each universe graph G, by
+    relabeling each class's first key under every automorphism: the images
+    are the class's keys over G, and the automorphisms fixing it its
+    stabiliser.  An image that is not a key over G raises
+    ``GraphStructureError``: the class sizes count on every image."""
+    rep_keys, class_graph, stabilizers, placed = [], [], [], []
+    for gi, graph in enumerate(universe.graphs):
+        automorphisms = graph_isomorphisms(graph, graph)
+        keys = enumerate_nodes(graph)
+        here: dict[NodeKey, Node] = {}
+        for key in keys:
+            if key in here:
+                continue
+            c = len(rep_keys)
+            stabilizer = []
+            for alpha in automorphisms:
+                image = relabel_key(key, alpha)
+                if image not in keys:
+                    raise GraphStructureError("relabeling left the node set")
+                here.setdefault(image, (c, alpha))
+                if image == key:
+                    stabilizer.append(alpha)
+            rep_keys.append(key)
+            class_graph.append(gi)
+            stabilizers.append(stabilizer)
+        placed.append(here)
+    return NodeClasses(universe, rep_keys, class_graph, stabilizers, placed)
 
 
 # -- the automaton ---------------------------------------------------------------
-
-
-def _group_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of the signed permutations of n labels: a transposition
-    (the identity for one label), an n-cycle and one orientation flip."""
-    labels = list(range(1, n + 1))
-    swap = tuple(labels[1::-1] + labels[2:])
-    cycle = tuple(labels[1:] + labels[:1])
-    flip = (-1,) + tuple(labels[1:])
-    return (swap, cycle, flip)
-
-
-def _group_tree(n: int) -> list[tuple[int, int, int]]:
-    """A spanning tree of the group of signed permutations of n labels, on
-    indices in the order of ``signed_permutations(n)``: ``(element,
-    generator, parent)`` in breadth-first order from the identity, index 0,
-    with element the index of generator g after parent.
-
-    Index ``2**n p + b`` is the permutation of lexicographic rank p with
-    sign bits b, bit ``n - 1 - i`` set when label i + 1 goes to a negative
-    label.  ``gen o sigma`` permutes by ``|gen| o |sigma|`` and flips the
-    signs of the labels that sigma sends to one that gen negates, so
-    generator g steps ``2**n p + b`` to ``2**n ranks[p] + (b ^ flips[p])``,
-    with one table of the ranks of ``|gen| o`` each permutation and one of
-    sign flips per generator."""
-    perms = list(itertools.permutations(range(1, n + 1)))
-    rank = {p: r for r, p in enumerate(perms)}
-    size = 1 << n
-    steps = []
-    for gen in _group_generators(n):
-        ranks = [rank[tuple(abs(gen[x - 1]) for x in p)] for p in perms]
-        flips = [sum(1 << (n - 1 - i) for i, x in enumerate(p) if gen[x - 1] < 0) for p in perms]
-        steps.append([size * r + (b ^ f) for r, f in zip(ranks, flips) for b in range(size)])
-    tree = []
-    seen = {0}
-    queue = [0]
-    for k in queue:
-        for g, step in enumerate(steps):
-            if step[k] not in seen:
-                seen.add(step[k])
-                queue.append(step[k])
-                tree.append((step[k], g, k))
-    return tree
 
 
 def _class_adjacency(quotient_edges, removed: int = -1) -> dict[int, list[int]]:
@@ -332,58 +315,55 @@ def _class_adjacency(quotient_edges, removed: int = -1) -> dict[int, list[int]]:
 
 @dataclass
 class Automaton:
-    """Exact nodes, relabeling classes, the quotient SCCs, and the folds of
-    the class representatives, the only stored copy of the fold graph: for
-    each representative fold (e1, e0) into t, the node ``sigma . rep`` has
-    the fold (sigma e1, sigma e0) into ``sigma . t``.  A class's
-    representative is its least node, ``class_members[c][0]``, which is also
-    ``orbit_rows[c][0]``, its image under the identity."""
+    """The relabeling classes, the quotient SCCs, and the folds of the class
+    representatives, the only stored copy of the fold graph: for each
+    representative fold (e1, e0) into class t, whose target is ``tau . r_t``
+    for every tau of its coset, the node ``(c, sigma)`` has the fold
+    (sigma e1, sigma e0) into ``(t, min sigma coset)``."""
 
-    nodes: NodeSet
-    class_of: list[int]
-    class_members: list[list[int]]  # per class, sorted; the representative first
-    rep_word: list[tuple[int, ...]]  # node -> the least sigma with sigma . rep == node
-    rep_stabilizer: list[list[tuple[int, ...]]]  # per class, fixing the rep, in sigma order
-    rep_folds: list[list[tuple[int, int, int]]]  # per class, (e1, e0, target) at the rep
-    orbit_rows: list[list[int]]  # per class, row[k] == sigma_k . rep
-    sigma_index: dict[tuple[int, ...], int]  # sigma_k -> k
+    classes: NodeClasses
+    rep_folds: list[list[tuple[int, int, int, list]]]  # per class, (e1, e0, t, coset) at the rep
     quotient_edges: dict[tuple[int, int], int]  # class pair -> exact fold edges
     sccs: list[list[int]]  # class-level strongly connected components
-    node_one: int  # exact node of the reference single-fold map
+    node_one: Node  # the node of the reference single-fold map
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_members)
+        return len(self.rep_folds)
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(map(self.classes.size, range(self.n_classes)))
 
     @property
     def n_fold_edges(self) -> int:
         """Exact fold edges, by orbit-stabiliser: every node of a class has
         as many folds as its representative."""
-        return sum(len(m) * len(f) for m, f in zip(self.class_members, self.rep_folds))
+        return sum(self.classes.size(c) * len(f) for c, f in enumerate(self.rep_folds))
 
-    def out_folds(self, node_id: int) -> list[tuple[int, int, int]]:
+    def out_folds(self, node: Node) -> list[tuple[int, int, Node]]:
         """The folds ``(e1, e0, target)`` at a node, sorted: its
-        representative's folds moved by ``sigma = rep_word[node_id]``, a
-        target t going to the entry ``sigma o rep_word[t]`` of its class row."""
-        sigma = self.rep_word[node_id]
-        image = direction_table(sigma)
-        moved = []
-        for e1, e0, t in self.rep_folds[self.class_of[node_id]]:
-            k = self.sigma_index[compose_signed(sigma, self.rep_word[t])]
-            moved.append((image[e1], image[e0], self.orbit_rows[self.class_of[t]][k]))
-        moved.sort()
-        return moved
+        representative's folds moved by its relabeling, each target's
+        relabeling the least of its moved coset."""
+        c, sigma = node
+        move = direction_table(sigma).__getitem__
+        folds = [
+            (move(e1), move(e0), (t, min([tuple(map(move, u)) for u in coset])))
+            for e1, e0, t, coset in self.rep_folds[c]
+        ]
+        folds.sort()
+        return folds
 
-    def folds_into(self, node_id: int) -> list[tuple[int, int, int]]:
+    def folds_into(self, node: Node) -> list[tuple[Node, int, int]]:
         """The folds ``(source, e1, e0)`` into the node, sorted: each sigma
         with ``sigma . t == node`` moves a representative's fold (e1, e0)
         into t to ``sigma . rep``; sigmas in one coset of the
         representative's stabiliser give the same fold."""
         return sorted({
-            (self.orbit_rows[c][self.sigma_index[s]], apply_signed(s, e1), apply_signed(s, e0))
+            (self.classes.node(c, s), apply_signed(s, e1), apply_signed(s, e0))
             for c, folds in enumerate(self.rep_folds)
-            for e1, e0, t in folds
-            for s in self.permutations_between(t, node_id)
+            for e1, e0, t, coset in folds
+            for s in self.permutations_between((t, coset[0]), node)
         })
 
     def loop_sccs(self) -> list[int]:
@@ -391,162 +371,52 @@ class Automaton:
         adjacency = _class_adjacency(self.quotient_edges)
         return [ci for ci, comp in enumerate(self.sccs) if carries_cycle(comp, adjacency)]
 
-    def permutations_between(self, n1: int, n2: int) -> list[tuple[int, ...]]:
-        """All sigma with sigma . node(n1) == node(n2)."""
-        if self.class_of[n1] != self.class_of[n2]:
+    def permutations_between(self, n1: Node, n2: Node) -> list[tuple[int, ...]]:
+        """All sigma with sigma . n1 == n2: ``w2 s w1^-1`` for s in the
+        class's stabiliser."""
+        (c1, w1), (c2, w2) = n1, n2
+        if c1 != c2:
             return []
-        w1 = self.rep_word[n1]
-        w2 = self.rep_word[n2]
         inv1 = invert_signed(w1)
-        return [
-            compose_signed(w2, compose_signed(s, inv1))
-            for s in self.rep_stabilizer[self.class_of[n1]]
-        ]
+        return [compose_signed(w2, compose_signed(s, inv1)) for s in self.classes.stabilizers[c1]]
 
 
 def build_automaton(rank: int = 3) -> Automaton:
-    """Enumerate nodes, group them into relabeling classes, transport the
-    folds at the class representatives, and compute the class-level
-    strongly connected components.  The reference node is the structure of
-    ``single_fold_map``.
+    """Group the node keys over the universe graphs into relabeling classes,
+    transport the folds at the class representatives, and compute the
+    class-level strongly connected components.  The reference node is the
+    structure of ``single_fold_map``.
 
-    Nodes are ids of the ``NodeSet``, whose order lets each group generator
-    act on them through one pass over the labeled graphs: a graph goes to
-    its image graph, and its 12 nodes to the image graph's by the positions
-    of the images in its valence-4 group.  A graph is read as its three
-    direction masks and found by an integer key, its valence-4 mask above
-    its smaller 3-mask; a generator moves masks through one table of their
-    1,024 images, and an image direction's position in the image group is
-    the number of the group's bits below it.  Each class's representative
-    is the least node not yet classified, and its row ``row[k]``, the node
-    ``sigma_k . rep``, is filled along the spanning tree of ``_group_tree``
-    by ``row[gen sigma] = gen . row[sigma]``.  One pass over the row, in
-    ``signed_permutations`` order, gives each orbit node its class and its
-    ``rep_word``, the least sigma reaching it, and collects the sigmas
-    fixing the representative, its stabiliser.  Keys are built at the
-    representatives only: their folds are transported there and each
-    target looked up by ``NodeSet.index``, and each class contributes its
-    orbit size once per representative fold to the quotient edge counts.
+    Each fold target is located through its graph's canonical form and one
+    isomorphism, and each class contributes its size once per
+    representative fold to the quotient edge counts.  A fold target or the
+    reference structure that is no node raises ``GraphStructureError``.
     """
     if rank != 3:
         raise GraphStructureError("the automaton is implemented for rank 3")
-    nodes = enumerate_nodes()
-
-    # the generator action on node ids, one labeled graph at a time; bit i
-    # of a mask is the i-th of the sorted directions
-    n_labels = len(RANK3_EDGE_NAMES)
-    bit = {d: 1 << i for i, d in enumerate(_DIRECTIONS)}
-    mask_of = {
-        grp: sum(bit[d] for d in grp)
-        for size in (3, 4)
-        for grp in itertools.combinations(_DIRECTIONS, size)
-    }
-    # each graph's masks, the valence-4 one last, and the graphs by key
-    graph_masks = [
-        sorted(map(mask_of.__getitem__, groups), key=int.bit_count) for groups in nodes.graphs
-    ]
-    graph_of = {(m4 << 10) | min(m3, n3): g for g, (m3, n3, m4) in enumerate(graph_masks)}
-    local = {
-        q: [_local_id(q[r], q[p]) for r in range(4) for p in range(4) if p != r]
-        for q in itertools.permutations(range(4))
-    }
-    act: list[list[int]] = []
-    try:
-        for image in map(direction_table, _group_generators(n_labels)):
-            moved = [0]
-            for d in _DIRECTIONS:
-                b = bit[image[d]]
-                moved += [m | b for m in moved]
-            offsets = {}
-            for m4 in {m4 for _m3, _n3, m4 in graph_masks}:
-                i4 = moved[m4]
-                q = tuple((i4 & (moved[1 << i] - 1)).bit_count() for i in range(10) if m4 >> i & 1)
-                offsets[m4] = local[q]
-            bases = [
-                12 * graph_of[(moved[m4] << 10) | min(moved[m3], moved[n3])]
-                for m3, n3, m4 in graph_masks
-            ]
-            act.append([
-                base + x for base, (_m3, _n3, m4) in zip(bases, graph_masks) for x in offsets[m4]
-            ])
-    except KeyError:
-        raise GraphStructureError("relabeling left the node set") from None
-
-    # the group on indices of signed permutations; the identity is index 0
-    sigmas = list(signed_permutations(n_labels))
-    sigma_index = {sigma: k for k, sigma in enumerate(sigmas)}
-    tree = _group_tree(n_labels)
-
-    class_of = [-1] * len(nodes)
-    class_members: list[list[int]] = []
-    rep_word: list[tuple[int, ...]] = [sigmas[0]] * len(nodes)
-    rep_stabilizer: list[list[tuple[int, ...]]] = []
-    rep_folds: list[list[tuple[int, int, int]]] = []
-    orbit_rows: list[list[int]] = []
-    for i in range(len(nodes)):
-        if class_of[i] != -1:
-            continue
-        key = nodes[i]
-        cid = len(class_members)
-        row = [i] * len(sigmas)
-        for k, g, parent in tree:
-            row[k] = act[g][row[parent]]
-        # one pass over the row: each orbit node's class and least sigma, and
-        # the sigmas fixing the representative; the representative is
-        # classified first, so the identity's entry joins the stabiliser
-        class_of[i] = cid
-        members = [i]
-        stabilizer = []
-        for sigma, j in zip(sigmas, row):
-            if class_of[j] != cid:
-                class_of[j] = cid
-                members.append(j)
-                rep_word[j] = sigma
-            elif j == i:
-                stabilizer.append(sigma)
+    classes = _relabeling_classes(build_universe(rank))
+    rep_folds: list[list[tuple[int, int, int, list]]] = []
+    quotient_edges: dict[tuple[int, int], int] = {}
+    for c, key in enumerate(classes.rep_keys):
         folds = []
         for e1, e0 in fold_candidates(key):
             out = transport(key, e1, e0)
             if out is None:
                 continue
-            try:
-                folds.append((e1, e0, nodes.index(out)))
-            except ValueError:
-                raise GraphStructureError("fold transport left the node set") from None
-        class_members.append(sorted(members))
+            target = classes.locate(out)
+            if target is None:
+                raise GraphStructureError("fold transport left the node set")
+            t, tau = target
+            folds.append((e1, e0, t, classes.coset(t, tau)))
+            quotient_edges[c, t] = quotient_edges.get((c, t), 0) + classes.size(c)
         rep_folds.append(folds)
-        orbit_rows.append(row)
-        if any(relabel_key(key, s) != key for s in stabilizer):
-            raise GraphStructureError("generator tables disagree with relabel_key")
-        rep_stabilizer.append(stabilizer)
+    sccs = strongly_connected_components(len(rep_folds), _class_adjacency(quotient_edges))
 
-    # each representative is its class's first node, so class order is the
-    # order in which a scan of the exact edges by source meets each pair
-    quotient_edges: dict[tuple[int, int], int] = {}
-    for cid, folds in enumerate(rep_folds):
-        for _e1, _e0, t in folds:
-            pair = (cid, class_of[t])
-            quotient_edges[pair] = quotient_edges.get(pair, 0) + len(class_members[cid])
-    sccs = strongly_connected_components(len(class_members), _class_adjacency(quotient_edges))
+    node_one = classes.locate(ltt_structure(MapAnalysis(single_fold_map())))
+    if node_one is None:
+        raise GraphStructureError("reference structure is not an automaton node")
 
-    try:
-        node_one = nodes.index(ltt_structure(MapAnalysis(single_fold_map())))
-    except ValueError:
-        raise GraphStructureError("reference structure is not an automaton node") from None
-
-    return Automaton(
-        nodes=nodes,
-        class_of=class_of,
-        class_members=class_members,
-        rep_word=rep_word,
-        rep_stabilizer=rep_stabilizer,
-        rep_folds=rep_folds,
-        orbit_rows=orbit_rows,
-        sigma_index=sigma_index,
-        quotient_edges=quotient_edges,
-        sccs=sccs,
-        node_one=node_one,
-    )
+    return Automaton(classes, rep_folds, quotient_edges, sccs, node_one)
 
 
 # -- loops and maps ----------------------------------------------------------------
@@ -554,10 +424,10 @@ def build_automaton(rank: int = 3) -> Automaton:
 
 @dataclass(frozen=True)
 class DirectedLoop:
-    """A closed fold walk: exact node ids, the folds between them, and the
+    """A closed fold walk: its nodes, the folds between them, and the
     relabeling closing the walk back to its start."""
 
-    node_ids: tuple[int, ...]
+    nodes: tuple[Node, ...]
     folds: tuple[tuple[int, int], ...]
     closing: tuple[int, ...]
 
@@ -565,10 +435,10 @@ class DirectedLoop:
 def enumerate_loops(
     automaton: Automaton,
     max_length: int,
-    start_nodes: list[int] | None = None,
+    start_nodes: list[Node] | None = None,
     classes: set[int] | None = None,
 ) -> list[DirectedLoop]:
-    """All fold loops of length <= max_length based at the given exact nodes
+    """All fold loops of length <= max_length based at the given nodes
     (class representatives by default), with every closing relabeling.
     Each node's folds are read once per call.  With ``classes``, a walk
     never enters a node outside those classes: the result is the loops whose
@@ -576,24 +446,22 @@ def enumerate_loops(
     if max_length < 0:
         raise GraphStructureError("loop length bound must be nonnegative")
     if start_nodes is None:
-        start_nodes = [members[0] for members in automaton.class_members]
+        start_nodes = [automaton.classes.node(c, _IDENTITY) for c in range(automaton.n_classes)]
     out: list[DirectedLoop] = []
-    out_folds: dict[int, list[tuple[int, int, int]]] = {}
+    out_folds: dict[Node, list[tuple[int, int, Node]]] = {}
 
-    def extend(path_nodes: list[int], path_folds: list[tuple[int, int]]):
+    def extend(path_nodes: list[Node], path_folds: list[tuple[int, int]]):
         current = path_nodes[-1]
-        if len(path_folds) >= 1 and automaton.class_of[current] == automaton.class_of[path_nodes[0]]:
+        if path_folds and current[0] == path_nodes[0][0]:
             for sigma in automaton.permutations_between(current, path_nodes[0]):
-                out.append(
-                    DirectedLoop(tuple(path_nodes), tuple(path_folds), sigma)
-                )
+                out.append(DirectedLoop(tuple(path_nodes), tuple(path_folds), sigma))
         if len(path_folds) == max_length:
             return
         folds = out_folds.get(current)
         if folds is None:
             folds = out_folds[current] = automaton.out_folds(current)
         for e1, e0, target in folds:
-            if classes is None or automaton.class_of[target] in classes:
+            if classes is None or target[0] in classes:
                 extend(path_nodes + [target], path_folds + [(e1, e0)])
 
     for start in start_nodes:
@@ -607,8 +475,9 @@ def loop_to_map(
     """Compose a directed loop into a graph self-map, folds first and the
     closing relabeling last, in the order of ``FoldSequence.composed_map``.
 
-    ``walks`` is a memo owned by the caller, mapping ``(start node, fold
-    prefix)`` to ``(base graph, composed fold map, current graph)``.  The
+    ``walks`` is a memo owned by the caller, mapping a start node to a
+    dict from fold prefixes to ``(base graph, composed fold map, current
+    graph)``, so a loop hashes its start node once.  The
     longest stored prefix of the loop is extended one fold and one
     composition at a time, and every new prefix is stored.  The closing is
     checked to be an isomorphism from the walk's end graph to its base,
@@ -618,22 +487,21 @@ def loop_to_map(
     same with or without the memo.  The caller decides how long the memo
     lives; ``node_one_analysis`` keeps one per call.
     """
-    if walks is None:
-        walks = {}
-    start, folds = loop.node_ids[0], loop.folds
+    start, folds = loop.nodes[0], loop.folds
+    prefixes = {} if walks is None else walks.setdefault(start, {})
     k = len(folds)
-    while k and (start, folds[:k]) not in walks:
+    while k and folds[:k] not in prefixes:
         k -= 1
     if k:
-        base, composed, current = walks[start, folds[:k]]
+        base, composed, current = prefixes[folds[:k]]
     else:
-        base = current = graph_from_groups(automaton.nodes.groups_of(start))
+        base = current = graph_from_groups(automaton.classes.key(start)[0])
         composed = None
     for j in range(k, len(folds)):
         move = apply_fold(current, *folds[j], "proper_full")
         composed = move.map if composed is None else compose(move.map, composed)
         current = move.target
-        walks[start, folds[: j + 1]] = (base, composed, current)
+        prefixes[folds[: j + 1]] = (base, composed, current)
     if composed is None:
         return relabeling(current, base, loop.closing)
     isomorphism_vertex_map(current, base, loop.closing)
@@ -647,8 +515,8 @@ def decomposition_to_loop(
     loop in the automaton.
 
     Tries every rotation of the sequence and returns None when no rotation
-    lands in the node set, or when a fold is not proper full: automaton
-    edges are proper full folds.
+    lands on the nodes, or when a fold is not proper full: automaton edges
+    are proper full folds.
     """
     if any(move.kind != "proper_full" for move in seq.moves):
         return None
@@ -669,23 +537,22 @@ def _walk_decomposition(automaton: Automaton, seq: FoldSequence) -> DirectedLoop
         start_key = ltt_structure(MapAnalysis(seq.composed_map()))
     except GraphStructureError:
         return None
-    # The node set is closed under relabeling, so when no node carries the
-    # sequence's own labels, no relabeling of them is a node either.  A
-    # transport off the profile returns None, which is no node.
-    try:
-        node_ids = [automaton.nodes.index(start_key)]
-        key = start_key
-        for move in seq.moves:
-            key = transport(key, move.e1, move.e0)
-            node_ids.append(automaton.nodes.index(key))
-    except ValueError:
+    # the nodes are closed under relabeling, so a key that is no node has no
+    # relabeling that is one; a transport off the profile returns None
+    keys = [start_key]
+    for move in seq.moves:
+        keys.append(transport(keys[-1], move.e1, move.e0))
+        if keys[-1] is None:
+            return None
+    nodes = [automaton.classes.locate(key) for key in keys]
+    if None in nodes:
         return None
     # The decomposition's own relabeling must close the walk: it is the one
     # known to recompose to the input, so no other closing relabeling is tried.
     closing = signed_images(seq.final)
-    if relabel_key(key, closing) != start_key:
+    if relabel_key(keys[-1], closing) != start_key:
         return None
-    return DirectedLoop(tuple(node_ids), tuple((m.e1, m.e0) for m in seq.moves), closing)
+    return DirectedLoop(tuple(nodes), tuple((m.e1, m.e0) for m in seq.moves), closing)
 
 
 # -- analysis of the loop component -------------------------------------------------
@@ -701,20 +568,11 @@ class NodeOneAnalysis:
     loops_checked: int
     loops_reducible: int
     entering_folds: int
-    underlying_graph_classes: tuple[tuple, ...]
+    underlying_graph_classes: tuple[int, ...]  # universe positions
 
     @property
     def obstruction_holds(self) -> bool:
         return self.loops_checked == self.loops_reducible
-
-
-def _graph_class_key(automaton: Automaton, node_id: int) -> tuple:
-    """Canonical form of a node's underlying labeled graph modulo
-    relabelings: the least graph over its relabeling class, which is the
-    node's orbit and so projects onto every relabeled copy of the graph.
-    Node ids follow the order of their labeled graphs and each class's
-    members are sorted, so the least graph is its representative's."""
-    return automaton.nodes.groups_of(automaton.class_members[automaton.class_of[node_id]][0])
 
 
 def _loop_classes(automaton: Automaton, removed: int) -> tuple[int, ...]:
@@ -739,14 +597,15 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     transition matrix; ``obstruction_holds`` says only that all of them are
     reducible up to ``loop_bound``, which the result records (at bound 5
     some are not).  Also counts the folds entering the reference node and
-    reports the underlying graphs involved.
+    reports the universe graphs underlying it and their sources: a class
+    lies over one universe graph, which stands for every relabeled copy.
 
     The loops are composed through one memo of fold prefixes that this call
     creates and drops, so each shared prefix is folded once per call and a
     repeated analysis does its work again.  Each loop's closing is applied
     as a relabeling of its composed walk, not composed with it.
     """
-    node_one_class = automaton.class_of[automaton.node_one]
+    node_one_class = automaton.node_one[0]
     removed_scc = tuple(sorted(c for ci in automaton.loop_sccs() for c in automaton.sccs[ci]))
     # with the reference class cut off, it is a component of its own
     # without a loop
@@ -756,7 +615,7 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     )
 
     # direct composition of all short loops within the residual component
-    reps = [automaton.class_members[c][0] for c in residual_classes]
+    reps = [automaton.classes.node(c, _IDENTITY) for c in residual_classes]
     loops = enumerate_loops(automaton, loop_bound, reps, set(residual_classes))
     walks: dict = {}
     reducible = sum(
@@ -764,9 +623,8 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     )
 
     entering = automaton.folds_into(automaton.node_one)
-    graph_keys = {_graph_class_key(automaton, automaton.node_one)}
-    for source, _e1, _e0 in entering:
-        graph_keys.add(_graph_class_key(automaton, source))
+    graph_of = automaton.classes.class_graph
+    graph_keys = {graph_of[node_one_class]} | {graph_of[source[0]] for source, _, _ in entering}
 
     return NodeOneAnalysis(
         node_one_class=node_one_class,
@@ -791,17 +649,16 @@ def automaton_to_dot(automaton: Automaton) -> str:
     whose representative has a nontrivial stabiliser, labeled with the
     stabiliser's order."""
     lines = ["digraph principal_stratum {"]
-    node_one_class = automaton.class_of[automaton.node_one]
+    node_one_class = automaton.node_one[0]
     for cid in range(automaton.n_classes):
         shape = "doublecircle" if cid == node_one_class else "circle"
-        size = len(automaton.class_members[cid])
         lines.append(
-            f'  C{cid} [shape={shape}, label="class {cid}\\n{size} nodes"];'
+            f'  C{cid} [shape={shape}, label="class {cid}\\n{automaton.classes.size(cid)} nodes"];'
         )
     for (c1, c2), count in sorted(automaton.quotient_edges.items()):
         lines.append(f'  C{c1} -> C{c2} [color=black, label="{count}"];')
     # one green identification arrow per class with a nontrivial stabilizer
-    for cid, stab in enumerate(automaton.rep_stabilizer):
+    for cid, stab in enumerate(automaton.classes.stabilizers):
         if len(stab) > 1:
             lines.append(
                 f'  C{cid} -> C{cid} [color=green, style=dashed, '
@@ -815,13 +672,13 @@ def automaton_json(automaton: Automaton, analysis: "NodeOneAnalysis | None" = No
     out = {
         "schema": "3",
         "kind": "automaton",
-        "nodes": len(automaton.nodes),
+        "nodes": automaton.n_nodes,
         "fold_edges": automaton.n_fold_edges,
         "classes": automaton.n_classes,
-        "class_sizes": sorted(len(m) for m in automaton.class_members),
+        "class_sizes": sorted(map(automaton.classes.size, range(automaton.n_classes))),
         "scc_sizes": sorted(len(s) for s in automaton.sccs),
         "loop_scc_count": len(automaton.loop_sccs()),
-        "reference_class": automaton.class_of[automaton.node_one],
+        "reference_class": automaton.node_one[0],
     }
     if analysis is not None:
         out["reference_analysis"] = {

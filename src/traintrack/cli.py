@@ -112,7 +112,7 @@ def cmd_automaton_build(args) -> int:
         return EXIT_PRECONDITION
     analysis = node_one_analysis(automaton, loop_bound=args.loop_bound)
     print(
-        f"nodes: {len(automaton.nodes)}; fold edges: {automaton.n_fold_edges}; "
+        f"nodes: {automaton.n_nodes}; fold edges: {automaton.n_fold_edges}; "
         f"relabeling classes: {automaton.n_classes}"
     )
     print(
@@ -134,7 +134,7 @@ def cmd_automaton_build(args) -> int:
     loop = decomposition_to_loop(automaton, stallings_decompose(g))
     through = (
         loop is not None
-        and loop.node_ids[0] == automaton.node_one
+        and loop.nodes[0] == automaton.node_one
         and loop_to_map(automaton, loop).edge_images == g.edge_images
     )
     if through:

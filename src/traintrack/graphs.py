@@ -14,7 +14,6 @@ function.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -340,12 +339,6 @@ def gates(graph: OrientedGraph, images: dict[int, int]) -> tuple[frozenset[int],
 
 
 # -- signed permutations and relabelings ------------------------------------
-
-
-def signed_permutations(n: int):
-    """All signed permutations of n labels (2**n n! of them)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        yield from itertools.product(*((p, -p) for p in perm))
 
 
 def apply_signed(sigma: tuple[int, ...], d: int) -> int:

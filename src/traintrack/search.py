@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .catalog import single_fold_map
 from .certify import MapAnalysis
@@ -177,6 +178,16 @@ def _canonical_multigraph(m: int, edges):
 @dataclass(frozen=True)
 class SearchUniverse:
     graphs: tuple[OrientedGraph, ...]
+
+    @cached_property
+    def _positions(self) -> dict[tuple[tuple[int, int], ...], int]:
+        return {graph.ends: i for i, graph in enumerate(self.graphs)}
+
+    def locate(self, graph: OrientedGraph) -> int | None:
+        """The position of the universe graph isomorphic to ``graph``, or
+        None when there is none.  A universe graph's edge list is its own
+        canonical encoding, so one canonical form of ``graph`` finds it."""
+        return self._positions.get(_canonical_multigraph(graph.n_vertices, graph.ends))
 
 
 def _letters(n: int) -> tuple[str, ...]:

@@ -3,13 +3,13 @@
 No command needs them: small named maps on roses, the identity map, the
 turns of a graph, integer matrix arithmetic, the sympy spectral engine that
 the package's integer root engine replaced, bisection in ``Fraction``
-arithmetic, relabeling actions on graphs and maps, the general push of
-relabelings past folds with the powers and loop rotations built on fold
-conjugation, automaton loops composed step by step, relabeling conjugacy by
-trying every isomorphism, the single-fold search classifying every candidate
-one by one, the rank-3 single-fold candidates
-over every valence profile, the train track criterion as closure and
-illegal turns, Whitehead graphs built one vertex at a time with
+arithmetic, the signed permutations of n labels, relabeling actions on
+graphs and maps, the general push of relabelings past folds with the powers
+and loop rotations built on fold conjugation, automaton loops composed step
+by step, relabeling conjugacy by trying every isomorphism, the single-fold
+search classifying every candidate one by one, the rank-3 single-fold
+candidates over every valence profile, the train track criterion as closure
+and illegal turns, Whitehead graphs built one vertex at a time with
 ``networkx``, the benchmark's pool of map documents, a call counter, and the
 map-document printer.  Parsing then printing a canonical document is the
 identity.
@@ -269,6 +269,13 @@ def sympy_is_perron_number(p: IntPolynomial) -> bool:
 # -- relabeling actions --------------------------------------------------------
 
 
+def signed_permutations(n: int):
+    """All signed permutations of n labels (2**n n! of them): by permutation,
+    then positive before negative at each label."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        yield from itertools.product(*((p, -p) for p in perm))
+
+
 def relabeled_graph(graph: OrientedGraph, sigma: tuple[int, ...]) -> OrientedGraph:
     """The graph with each edge label e replaced by sigma(e).
 
@@ -363,7 +370,7 @@ def compose_power(seq: FoldSequence, power: int) -> FoldSequence:
 def loop_map_by_composition(automaton, loop: DirectedLoop) -> GraphMap:
     """A loop's map with every step composed: each fold in turn, then the
     closing built as a relabeling map and composed last."""
-    base = current = graph_from_groups(automaton.nodes.groups_of(loop.node_ids[0]))
+    base = current = graph_from_groups(automaton.classes.key(loop.nodes[0])[0])
     composed = identity_map(base)
     for e1, e0 in loop.folds:
         move = apply_fold(current, e1, e0, "proper_full")
@@ -380,11 +387,11 @@ def rotate_loop(automaton, loop: DirectedLoop) -> DirectedLoop:
     inv = invert_signed(loop.closing)
     e1, e0 = loop.folds[0]
     pulled = (apply_signed(inv, e1), apply_signed(inv, e0))
-    target_key = transport(automaton.nodes[loop.node_ids[-1]], *pulled)
-    if target_key is None or target_key not in automaton.nodes:
+    target_key = transport(automaton.classes.key(loop.nodes[-1]), *pulled)
+    target = None if target_key is None else automaton.classes.locate(target_key)
+    if target is None:
         raise GraphStructureError("loop rotation left the node set")
-    new_nodes = loop.node_ids[1:] + (automaton.nodes.index(target_key),)
-    return DirectedLoop(new_nodes, loop.folds[1:] + (pulled,), loop.closing)
+    return DirectedLoop(loop.nodes[1:] + (target,), loop.folds[1:] + (pulled,), loop.closing)
 
 
 # -- the single-fold search, one candidate at a time ---------------------------

@@ -139,8 +139,8 @@ def test_criterion_4_automaton_soundness(automaton, gmap):
     loop_components = automaton.loop_sccs()
     assert len(loop_components) == 1
     component = set(automaton.sccs[loop_components[0]])
-    assert automaton.class_of[automaton.node_one] in component
-    assert all(automaton.class_of[n] in component for n in loop.node_ids)
+    assert automaton.node_one[0] in component
+    assert all(c in component for c, _sigma in loop.nodes)
     assert fic_check(MapAnalysis(loop_to_map(automaton, loop))).passed
 
     # (iii) with the reference class removed, every loop of length <= 4
@@ -162,7 +162,7 @@ def test_criterion_4_automaton_soundness(automaton, gmap):
         current = base
         for _ in range(len(base.folds)):
             m = loop_to_map(automaton, current)
-            key = automaton.nodes[current.node_ids[0]]
+            key = automaton.classes.key(current.nodes[0])
             a = MapAnalysis(m)
             nonperiodic = set(m.source.directions()) - a.periodic
             assert nonperiodic == {key[1]}

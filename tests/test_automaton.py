@@ -1,33 +1,27 @@
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import traintrack.automaton as automaton_module
-import traintrack.digraph as digraph_module
 import traintrack.graphs as graphs_module
-import traintrack.whitehead as whitehead_module
 from oracles import (
     _conjugate_by_relabeling,
     compose_power,
     loop_map_by_composition,
     rotate_loop,
+    signed_permutations,
 )
 from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
-    NodeSet,
-    _graph_class_key,
-    _group_generators,
-    _group_tree,
     _walk_decomposition,
     decomposition_to_loop,
-    enumerate_labeled_graphs,
     enumerate_loops,
     enumerate_nodes,
     fold_candidates,
@@ -47,18 +41,21 @@ from traintrack.graphs import (
     GraphStructureError,
     apply_signed,
     compose_signed,
+    direction_table,
     invert_signed,
     signed_images,
-    signed_permutations,
 )
+from traintrack.search import SearchUniverse, build_universe, graph_isomorphisms
 from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
-from traintrack.whitehead import is_principal, ltt_structure
+from traintrack.whitehead import canonical_groups, is_principal, ltt_structure
 
 # frozen counts from the enumeration, cross-checked by the orbit sums below
 GOLDEN_LABELED_GRAPHS = 2000
 GOLDEN_NODES = 24000
 GOLDEN_FOLD_EDGES = 86400
 GOLDEN_CLASSES = 17
+
+IDENTITY = tuple(range(1, len(RANK3_EDGE_NAMES) + 1))
 
 
 def _assert_recomposes(automaton, loop, g):
@@ -67,19 +64,27 @@ def _assert_recomposes(automaton, loop, g):
     assert _conjugate_by_relabeling(loop_to_map(automaton, loop), g)
 
 
+def _universe_keys():
+    return [key for graph in build_universe(3).graphs for key in enumerate_nodes(graph)]
+
+
 def test_enumeration_counts(automaton, walked_graphs, oracle_nodes):
-    graphs = enumerate_labeled_graphs()
-    assert len(graphs) == GOLDEN_LABELED_GRAPHS
-    assert len(set(graphs)) == len(graphs)
-    assert sorted(graphs) == sorted(walked_graphs)
-    assert list(enumerate_nodes()) == oracle_nodes
-    assert len(automaton.nodes) == GOLDEN_NODES
+    assert len(walked_graphs) == GOLDEN_LABELED_GRAPHS
+    assert len(set(walked_graphs)) == len(walked_graphs)
+    assert len(oracle_nodes) == GOLDEN_NODES
+    # 12 keys over each of the 5 universe graphs, all of them labelled nodes
+    keys = _universe_keys()
+    assert len(keys) == len(set(keys)) == 60
+    assert set(keys) <= set(oracle_nodes)
+    assert automaton.n_nodes == GOLDEN_NODES
     assert automaton.n_fold_edges == GOLDEN_FOLD_EDGES
     assert automaton.n_classes == GOLDEN_CLASSES
 
 
-def test_every_node_passes_the_profile(automaton):
-    assert all(map(is_node, automaton.nodes))
+def test_every_node_passes_the_profile(automaton, oracle_nodes):
+    assert all(map(is_node, oracle_nodes))
+    assert all(map(is_node, _universe_keys()))
+    assert all(map(is_node, automaton.classes.rep_keys))
 
 
 REFERENCE_KEY = (
@@ -103,17 +108,22 @@ def _profile_violations():
 
 
 def test_the_profile_rejects_each_violated_condition(automaton):
-    assert automaton.nodes[automaton.node_one] == REFERENCE_KEY
+    assert automaton.classes.key(automaton.node_one) == REFERENCE_KEY
     assert is_node(REFERENCE_KEY)
     assert [name for name, key in _profile_violations().items() if is_node(key)] == []
 
 
-def test_node_ids_round_trip(automaton):
-    nodes = automaton.nodes
-    assert len(nodes) == GOLDEN_NODES
-    assert all(nodes.index(nodes[i]) == i for i in range(len(nodes)))
-    with pytest.raises(IndexError):
-        nodes[len(nodes)]
+def test_node_ids_round_trip(automaton, oracle_nodes):
+    # every labelled node is located as one (class, relabeling) pair whose
+    # key it is, distinct nodes as distinct pairs, and each class holds its
+    # orbit-stabiliser count of them
+    classes = automaton.classes
+    located = [classes.locate(key) for key in oracle_nodes]
+    assert [classes.key(node) for node in located] == oracle_nodes
+    assert len(set(located)) == GOLDEN_NODES
+    sizes = Counter(c for c, _sigma in located)
+    assert sizes == {c: classes.size(c) for c in range(automaton.n_classes)}
+    assert all(classes.locate(classes.key(node)) == node for node in located[::97])
 
 
 def test_node_index_rejects_keys_off_the_node_set(automaton):
@@ -125,30 +135,27 @@ def test_node_index_rejects_keys_off_the_node_set(automaton):
         ((-5, -4), (-5, 5), (-4, 5), (-3, 3), (-3, 4), (-2, -1), (-2, 2), (-1, 2), (1, 2), (3, 4)),
     )
     assert is_node(disconnected)
-    rejected = dict(_profile_violations(), disconnected=disconnected, none=None)
-    rejected["turns as lists"] = REFERENCE_KEY[:2] + (tuple(map(list, REFERENCE_KEY[2])),)
+    rejected = dict(_profile_violations(), disconnected=disconnected)
     for name, key in rejected.items():
-        assert key not in automaton.nodes, name
-        with pytest.raises(ValueError):
-            automaton.nodes.index(key)
+        assert automaton.classes.locate(key) is None, name
 
 
 def test_class_sizes_partition_nodes(automaton):
-    assert sum(len(m) for m in automaton.class_members) == GOLDEN_NODES
+    sizes = [automaton.classes.size(c) for c in range(automaton.n_classes)]
+    assert sum(sizes) == GOLDEN_NODES
     # orbit-stabilizer: orbit size times stabilizer order is the group order
-    for cid, members in enumerate(automaton.class_members):
-        assert len(members) * len(automaton.rep_stabilizer[cid]) == 3840
+    for size, stabilizer in zip(sizes, automaton.classes.stabilizers):
+        assert size * len(stabilizer) == 3840
 
 
 def test_reference_structure_is_a_node(automaton, gmap):
     key = ltt_structure(MapAnalysis(gmap))
-    assert key in automaton.nodes
-    assert automaton.nodes.index(key) == automaton.node_one
+    assert automaton.classes.locate(key) == automaton.node_one
 
 
-def test_fold_candidates_involve_the_red_direction(automaton):
+def test_fold_candidates_involve_the_red_direction(oracle_nodes):
     rng = random.Random(21)
-    for key in rng.sample(automaton.nodes, 200):
+    for key in rng.sample(oracle_nodes, 200):
         groups, red, _turns = key
         candidates = fold_candidates(key)
         for e1, e0 in candidates:
@@ -166,23 +173,21 @@ def test_transport_matches_direct_computation_on_reference(automaton, gmap):
     seq = stallings_decompose(gmap)
     loop = decomposition_to_loop(automaton, seq)
     _assert_recomposes(automaton, loop, gmap)
-    key0 = automaton.nodes[loop.node_ids[0]]
+    key0 = automaton.classes.key(loop.nodes[0])
     out = transport(key0, *loop.folds[0])
-    assert out == automaton.nodes[loop.node_ids[1]]
+    assert out == automaton.classes.key(loop.nodes[1])
 
 
-def test_node_set_closed_under_relabeling(automaton):
+def test_node_set_closed_under_relabeling(automaton, oracle_nodes):
     rng = random.Random(5)
     sigmas = rng.sample(list(signed_permutations(5)), 6)
-    for key in rng.sample(automaton.nodes, 60):
+    locate = automaton.classes.locate
+    for key in rng.sample(oracle_nodes, 60):
         for sigma in sigmas:
-            image = relabel_key(key, sigma)
-            assert image in automaton.nodes
+            image = locate(relabel_key(key, sigma))
             # classes are unions of orbits, so membership is stable
-            assert (
-                automaton.class_of[automaton.nodes.index(image)]
-                == automaton.class_of[automaton.nodes.index(key)]
-            )
+            assert image is not None
+            assert image[0] == locate(key)[0]
 
 
 def test_single_loop_component(automaton):
@@ -190,7 +195,7 @@ def test_single_loop_component(automaton):
     assert len(loops) == 1
     component = automaton.sccs[loops[0]]
     assert len(component) == 14
-    assert automaton.class_of[automaton.node_one] in component
+    assert automaton.node_one[0] in component
 
 
 def test_reference_loop_roundtrip(automaton, gmap):
@@ -236,7 +241,7 @@ def test_loop_rotation_is_sound(automaton, gmap):
     m = loop_to_map(automaton, rotated)
     assert is_irreducible(transition_matrix(m))
     # rotating a length-1 loop lands on a node in the same class
-    assert automaton.class_of[rotated.node_ids[0]] == automaton.class_of[loop.node_ids[0]]
+    assert rotated.nodes[0][0] == loop.nodes[0][0]
 
 
 def test_transport_soundness_short_loops(automaton):
@@ -248,7 +253,7 @@ def test_transport_soundness_short_loops(automaton):
     equal = 0
     for loop in loops:
         m = loop_to_map(automaton, loop)
-        key = automaton.nodes[loop.node_ids[0]]
+        key = automaton.classes.key(loop.nodes[0])
         a = MapAnalysis(m)
         red = {d for d in m.source.directions()} - a.periodic
         assert red == {key[1]}
@@ -282,11 +287,22 @@ def test_node_one_analysis_is_bounded(automaton):
     assert not analysis.obstruction_holds
 
 
+def _generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of the signed permutations of n labels, for the oracle's
+    class walk: a transposition (the identity for one label), an n-cycle and
+    one orientation flip."""
+    labels = list(range(1, n + 1))
+    swap = tuple(labels[1::-1] + labels[2:])
+    cycle = tuple(labels[1:] + labels[:1])
+    flip = (-1,) + tuple(labels[1:])
+    return (swap, cycle, flip)
+
+
 def test_group_generators_follow_their_argument():
     # asked for 5 labels and then 4: each answer generates the signed
     # permutations of its own labels
     for n in (5, 4):
-        gens = _group_generators(n)
+        gens = _generators(n)
         reached = {tuple(range(1, n + 1))}
         frontier = list(reached)
         while frontier:
@@ -301,24 +317,29 @@ def test_group_generators_follow_their_argument():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_group_tables_match_compose_signed(n):
-    # every edge of the spanning tree is the index of its generator composed
-    # with its parent, and the tree reaches each of the 2^n n! elements
-    # once, from a parent reached before it
+    # the direction table of a composite is the composite of the tables, so
+    # a node's folds move along with its relabeling; every pair for up to
+    # three labels, a sample of pairs beyond
     sigmas = list(signed_permutations(n))
-    gens = _group_generators(n)
-    assert sigmas[0] == tuple(range(1, n + 1))
-    reached = {0}
-    for k, g, parent in _group_tree(n):
-        assert parent in reached and k not in reached
-        assert sigmas[k] == compose_signed(gens[g], sigmas[parent])
-        reached.add(k)
-    assert len(reached) == len(sigmas) == 2**n * math.factorial(n)
+    assert len(sigmas) == 2**n * math.factorial(n)
+    assert direction_table(sigmas[0]) == direction_table(tuple(range(1, n + 1)))
+    if len(sigmas) <= 48:
+        pairs = list(itertools.product(sigmas, repeat=2))
+    else:
+        rng = random.Random(n)
+        pairs = [(rng.choice(sigmas), rng.choice(sigmas)) for _ in range(5000)]
+    directions = [s * d for d in range(1, n + 1) for s in (1, -1)]
+    for s, t in pairs:
+        table = direction_table(compose_signed(s, t))
+        st, tt = direction_table(s), direction_table(t)
+        assert all(table[d] == st[tt[d]] == apply_signed(s, apply_signed(t, d)) for d in directions)
 
 
-def test_disconnected_partitions_are_the_reversal_closed_ones():
+def test_disconnected_partitions_are_the_reversal_closed_ones(walked_graphs):
     # over all 2,100 partitions of the ten directions into groups of sizes
     # 4, 3 and 3, the graph is connected exactly when its valence-4 group is
-    # not closed under reversal; the labeled graphs are the connected ones
+    # not closed under reversal; the walked labelled graphs are the connected
+    # ones
     directions = sorted(s * i for i in range(1, len(RANK3_EDGE_NAMES) + 1) for s in (1, -1))
     partitions = set()
     for big in itertools.combinations(directions, 4):
@@ -337,28 +358,34 @@ def test_disconnected_partitions_are_the_reversal_closed_ones():
         if not closed:
             connected.append(groups)
     assert len(connected) == 2000
-    assert enumerate_labeled_graphs() == sorted(connected)
+    assert sorted(walked_graphs) == sorted(connected)
 
 
-def test_build_composes_no_signed_permutation(monkeypatch):
-    # one build: the group tables compose no signed permutation, the labeled
-    # graphs are neither canonicalised nor walked for connectivity, and
-    # canonical groups are formed only by the 62 fold transports at the
-    # representatives and by ltt_structure at the reference map, whose
-    # document parse makes the one connectivity check
+def test_build_enumerates_no_signed_permutation(monkeypatch):
+    # one build relabels within the automorphism groups only: the package
+    # has no enumeration of the signed permutations to call, each class's
+    # first key is relabeled by the automorphisms of its universe graph (at
+    # most 12 |Aut(G)| per graph), and each transported representative fold
+    # is located by one more relabeling and one isomorphism
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "traintrack"]
+    assert graphs_module in package and automaton_module in package
+    assert not [m.__name__ for m in package if hasattr(m, "signed_permutations")]
     calls = Counter()
-    names = ("compose_signed", "connected_components", "canonical_groups", "transport")
-    for name in names:
-        for module in (automaton_module, graphs_module, digraph_module, whitehead_module):
-            if hasattr(module, name):
+    for name in ("relabel_key", "transport", "graph_isomorphisms"):
+        def counted(*args, _name=name, _fn=getattr(automaton_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-                def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-                    calls[_name] += 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, counted)
-    automaton_module.build_automaton(3)
-    assert calls == {"transport": 62, "canonical_groups": 63, "connected_components": 1}
+        monkeypatch.setattr(automaton_module, name, counted)
+    automaton = automaton_module.build_automaton(3)
+    graphs = build_universe(3).graphs
+    bound = sum(12 * len(graph_isomorphisms(g, g)) for g in graphs)
+    rep_folds = sum(map(len, automaton.rep_folds))
+    assert bound == 624 and rep_folds == calls["transport"] == 62
+    assert calls["relabel_key"] <= bound + rep_folds
+    # one automorphism group per graph, one isomorphism per located key: the
+    # representative folds' targets and the reference structure
+    assert calls["graph_isomorphisms"] == len(graphs) + rep_folds + 1
 
 
 def test_negative_loop_bound_rejected(automaton):
@@ -381,7 +408,7 @@ def _residual_loops(automaton, loop_bound):
     component, started at its class representatives."""
     analysis = node_one_analysis(automaton, loop_bound=loop_bound)
     residual = set(analysis.residual_loop_classes)
-    reps = [automaton.class_members[c][0] for c in sorted(residual)]
+    reps = [automaton.classes.node(c, IDENTITY) for c in sorted(residual)]
     loops = enumerate_loops(automaton, loop_bound, start_nodes=reps, classes=residual)
     assert len(loops) == analysis.loops_checked
     return loops
@@ -409,73 +436,60 @@ def test_loops_to_junk_maps_fail_fic(automaton):
         assert not fic_check(MapAnalysis(m)).passed
 
 
-# (loop count, sha256 of the repr of the loop list) from the residual class
-# representatives; the closing relabelings of a loop come in the order that
-# the least words of its end nodes give them
-RESIDUAL_LOOP_LISTS = {
-    4: (748, "d998ce3973a994e6e9609afa6e85a63ee7c9adaf33dd77996573e2e10dbb1d2f"),
-    5: (2432, "ea0fd3f92cea4f19f0a8787d6f12aeecb8d45159a080aa7b366301bba85bdf95"),
-}
-
-# sha256 of the repr of the same loops sorted by (node ids, folds, closing):
-# the loop sets, whatever order the closing relabelings come in
-RESIDUAL_LOOP_SETS = {
-    4: "3ca761264a504377027ed34acf6ce96fa5949ebe226fd8d3438e31ce70165b7b",
-    5: "7597d6fc5087fd87e7735d3577e23e7f303bc42732db847f269cb5e3c9d5c861",
-}
+def _least_nodes(automaton, oracle, classes):
+    """The least labelled node of each class, located: the walks from these
+    starts are the labelled walks that the pinned counts below were first
+    taken on."""
+    to_oracle = _class_map(automaton, oracle)
+    return [
+        automaton.classes.locate(oracle["nodes"][oracle["class_members"][to_oracle[c]][0]])
+        for c in classes
+    ]
 
 
-def _residual_reps(automaton):
+def _least_residual_nodes(automaton, oracle):
     residual = node_one_analysis(automaton, loop_bound=0).residual_loop_classes
-    return [automaton.class_members[c][0] for c in residual]
+    return _least_nodes(automaton, oracle, residual)
 
 
-@pytest.mark.parametrize("bound, folds_read", [(4, 264), (5, 641)])
-def test_enumerate_loops_reads_each_node_once(automaton, monkeypatch, bound, folds_read):
-    reps = _residual_reps(automaton)
+def _counting_out_folds(monkeypatch) -> Counter:
     read = Counter()
     out_folds = automaton_module.Automaton.out_folds
 
-    def counted(self, node_id):
-        read[node_id] += 1
-        return out_folds(self, node_id)
+    def counted(self, node):
+        read[node] += 1
+        return out_folds(self, node)
 
     monkeypatch.setattr(automaton_module.Automaton, "out_folds", counted)
-    loops = enumerate_loops(automaton, bound, start_nodes=reps)
-    count, digest = RESIDUAL_LOOP_LISTS[bound]
-    assert len(loops) == count
-    assert hashlib.sha256(repr(loops).encode()).hexdigest() == digest
-    ordered = sorted(loops, key=lambda lp: (lp.node_ids, lp.folds, lp.closing))
-    assert hashlib.sha256(repr(ordered).encode()).hexdigest() == RESIDUAL_LOOP_SETS[bound]
+    return read
+
+
+@pytest.mark.parametrize("bound, folds_read", [(4, 264), (5, 641)])
+def test_enumerate_loops_reads_each_node_once(automaton, oracle, monkeypatch, bound, folds_read):
+    starts = _least_residual_nodes(automaton, oracle)
+    read = _counting_out_folds(monkeypatch)
+    loops = enumerate_loops(automaton, bound, start_nodes=starts)
+    assert len(loops) == {4: 748, 5: 2432}[bound]
     assert len(read) == folds_read
     assert set(read.values()) == {1}
 
 
 @pytest.mark.parametrize("bound, folds_read, loops_kept", [(4, 194, 732), (5, 395, 2352)])
-def test_enumerate_loops_within_classes_prunes_walks(automaton, monkeypatch, bound, folds_read,
-                                                    loops_kept):
+def test_enumerate_loops_within_classes_prunes_walks(automaton, oracle, monkeypatch, bound,
+                                                    folds_read, loops_kept):
     # walks that leave the residual classes are never entered: fewer nodes
     # read, and the loops are those of the unpruned list that stay inside,
     # in the same order
-    reps = _residual_reps(automaton)
-    residual = {automaton.class_of[n] for n in reps}
-    unpruned = enumerate_loops(automaton, bound, start_nodes=reps)
-    read = Counter()
-    out_folds = automaton_module.Automaton.out_folds
-
-    def counted(self, node_id):
-        read[node_id] += 1
-        return out_folds(self, node_id)
-
-    monkeypatch.setattr(automaton_module.Automaton, "out_folds", counted)
-    loops = enumerate_loops(automaton, bound, start_nodes=reps, classes=residual)
-    assert loops == [
-        lp for lp in unpruned if all(automaton.class_of[n] in residual for n in lp.node_ids)
-    ]
+    starts = _least_residual_nodes(automaton, oracle)
+    residual = {c for c, _sigma in starts}
+    unpruned = enumerate_loops(automaton, bound, start_nodes=starts)
+    read = _counting_out_folds(monkeypatch)
+    loops = enumerate_loops(automaton, bound, start_nodes=starts, classes=residual)
+    assert loops == [lp for lp in unpruned if all(c in residual for c, _sigma in lp.nodes)]
     assert len(loops) == loops_kept
     assert len(read) == folds_read
     assert set(read.values()) == {1}
-    assert all(automaton.class_of[n] in residual for n in read)
+    assert all(c in residual for c, _sigma in read)
 
 
 def _assert_shared_walks_compose_like_fresh_loops(automaton, loops):
@@ -486,20 +500,24 @@ def _assert_shared_walks_compose_like_fresh_loops(automaton, loops):
 
 @pytest.mark.parametrize("bound", [4, 5])
 def test_shared_walks_compose_like_fresh_loops(automaton, bound):
-    loops = enumerate_loops(automaton, bound, start_nodes=_residual_reps(automaton))
-    assert len(loops) == RESIDUAL_LOOP_LISTS[bound][0]
+    residual = node_one_analysis(automaton, loop_bound=0).residual_loop_classes
+    reps = [automaton.classes.node(c, IDENTITY) for c in residual]
+    loops = enumerate_loops(automaton, bound, start_nodes=reps)
+    assert len(loops) == {4: 748, 5: 2432}[bound]
     _assert_shared_walks_compose_like_fresh_loops(automaton, loops)
 
 
-def test_shared_walks_keep_start_nodes_apart(automaton):
-    # from all class representatives, two fold prefixes start on different
-    # graphs, so a memo keyed by the folds alone would mix their walks
-    loops = enumerate_loops(automaton, 3)
-    starts = {}
+def test_shared_walks_keep_start_nodes_apart(automaton, oracle):
+    # from the least labelled node of every class, two fold prefixes start
+    # on different graphs, so a memo keyed by the folds alone would mix
+    # their walks
+    starts = _least_nodes(automaton, oracle, range(automaton.n_classes))
+    loops = enumerate_loops(automaton, 3, start_nodes=starts)
+    graphs = {}
     for loop in loops:
         for k in range(1, len(loop.folds) + 1):
-            starts.setdefault(loop.folds[:k], set()).add(automaton.nodes[loop.node_ids[0]][0])
-    assert sum(len(graphs) > 1 for graphs in starts.values()) == 2
+            graphs.setdefault(loop.folds[:k], set()).add(automaton.classes.key(loop.nodes[0])[0])
+    assert sum(len(groups) > 1 for groups in graphs.values()) == 2
     _assert_shared_walks_compose_like_fresh_loops(automaton, loops)
 
 
@@ -548,7 +566,7 @@ def test_loop_closing_that_is_no_isomorphism_is_rejected(automaton, gmap):
         (-2, -4, 5, 1, -3),
     )
     for closing in bad_closings:
-        loop = DirectedLoop(reference.node_ids, reference.folds, closing)
+        loop = DirectedLoop(reference.nodes, reference.folds, closing)
         with pytest.raises(GraphStructureError, match="not a graph isomorphism"):
             loop_to_map(automaton, loop)
 
@@ -561,9 +579,9 @@ def test_rank_four_rejected():
         build_automaton(rank=4)
 
 
-def test_graph_from_groups_reconstruction(automaton):
+def test_graph_from_groups_reconstruction(oracle_nodes):
     rng = random.Random(31)
-    for key in rng.sample(automaton.nodes, 50):
+    for key in rng.sample(oracle_nodes, 50):
         graph = graph_from_groups(key[0])
         assert graph.valence_profile() == (3, 3, 4)
         assert graph.rank() == 3
@@ -571,45 +589,47 @@ def test_graph_from_groups_reconstruction(automaton):
 
 
 def test_relabeling_off_the_node_set_is_a_structure_error(monkeypatch, capsys):
-    # with one labeled graph (12 nodes) missing, some generator step leaves
-    # the node set
-    graphs = enumerate_labeled_graphs()[1:]
-    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda: NodeSet(graphs))
+    # with one key of an orbit of several left out over the first universe
+    # graph, an automorphism moves its class's first key onto it
+    enumerate_nodes_ = automaton_module.enumerate_nodes
+
+    def one_key_short(graph):
+        return enumerate_nodes_(graph)[:-1]
+
+    monkeypatch.setattr(automaton_module, "enumerate_nodes", one_key_short)
     with pytest.raises(GraphStructureError, match="relabeling left the node set"):
         automaton_module.build_automaton(3)
     assert main(["automaton", "build", "--loop-bound", "1"]) == 3
     assert "relabeling left the node set" in capsys.readouterr().err
 
 
-def _orbit_of_graphs(automaton, node_id):
-    """The labeled graphs under a node's relabeling class."""
-    members = automaton.class_members[automaton.class_of[node_id]]
-    return {automaton.nodes.groups_of(j) for j in members}
-
-
-def test_fold_transport_off_the_node_set_is_a_structure_error(automaton, monkeypatch):
-    # with one relabeling orbit of labeled graphs missing, the node set stays
-    # closed under relabeling, but a fold from another orbit lands on it
+def test_fold_transport_off_the_node_set_is_a_structure_error(automaton, monkeypatch, capsys):
+    # with one universe graph missing, the keys over the others stay closed
+    # under their automorphisms, but a fold from another graph lands on it
+    graph_of = automaton.classes.class_graph
     dropped = next(
-        _orbit_of_graphs(automaton, t)
-        for members, folds in zip(automaton.class_members, automaton.rep_folds)
-        for _e1, _e0, t in folds
-        if _orbit_of_graphs(automaton, t) != _orbit_of_graphs(automaton, members[0])
+        graph_of[t]
+        for c, folds in enumerate(automaton.rep_folds)
+        for _e1, _e0, t, _coset in folds
+        if graph_of[t] != graph_of[c]
     )
-    graphs = [g for g in enumerate_labeled_graphs() if g not in dropped]
-    monkeypatch.setattr(automaton_module, "enumerate_nodes", lambda: NodeSet(graphs))
+    graphs = tuple(g for i, g in enumerate(build_universe(3).graphs) if i != dropped)
+    monkeypatch.setattr(automaton_module, "build_universe", lambda rank: SearchUniverse(graphs))
     with pytest.raises(GraphStructureError, match="fold transport left the node set"):
         automaton_module.build_automaton(3)
+    assert main(["automaton", "build", "--loop-bound", "1"]) == 3
+    assert "fold transport left the node set" in capsys.readouterr().err
 
 
 def test_generator_tables_disagreeing_with_relabel_key_is_a_structure_error(monkeypatch):
-    # a relabel_key that flips edge a after every relabeling moves the first
-    # representative off itself under its stabiliser
+    # a relabel_key that flips edge a after every relabeling moves a class's
+    # first key off its graph wherever a is no loop, so the automorphisms
+    # and the relabelings disagree
     flip = (-1, 2, 3, 4, 5)
     monkeypatch.setattr(
         automaton_module, "relabel_key", lambda key, sigma: relabel_key(key, compose_signed(flip, sigma))
     )
-    with pytest.raises(GraphStructureError, match="generator tables disagree with relabel_key"):
+    with pytest.raises(GraphStructureError, match="relabeling left the node set"):
         automaton_module.build_automaton(3)
 
 
@@ -623,22 +643,27 @@ def test_reference_structure_off_the_node_set_is_a_structure_error(monkeypatch, 
 
 
 def test_orbit_rows_are_the_relabeled_representatives(automaton):
-    # row[k] of each class is sigma_k . rep for the sigma_k that sigma_index
-    # numbers k, sigma_index numbers every signed permutation once, and the
-    # representative, the identity's entry, is the class's least node
-    sigmas = list(signed_permutations(5))
-    assert sorted(automaton.sigma_index) == sorted(sigmas)
-    assert sorted(automaton.sigma_index.values()) == list(range(len(sigmas)))
-    for cid, members in enumerate(automaton.class_members):
-        assert automaton.orbit_rows[cid][0] == members[0]
-        key = automaton.nodes[members[0]]
-        row = [-1] * len(sigmas)
-        for sigma, k in automaton.sigma_index.items():
-            row[k] = automaton.nodes.index(relabel_key(key, sigma))
-        assert automaton.orbit_rows[cid] == row, cid
+    # over each universe graph, every key is placed as (c, tau) with tau an
+    # automorphism sending class c's first key onto it; the classes over a
+    # graph follow their first keys, which lie over it
+    classes = automaton.classes
+    graphs = classes.universe.graphs
+    assert graphs == build_universe(3).graphs
+    for gi, graph in enumerate(graphs):
+        keys = enumerate_nodes(graph)
+        automorphisms = set(graph_isomorphisms(graph, graph))
+        assert sorted(classes.placed[gi]) == keys
+        for key, (c, tau) in classes.placed[gi].items():
+            assert classes.class_graph[c] == gi and tau in automorphisms
+            assert relabel_key(classes.rep_keys[c], tau) == key
+        order = list(dict.fromkeys(classes.placed[gi][k][0] for k in keys))
+        assert order == [c for c, g in enumerate(classes.class_graph) if g == gi]
+        for c in order:
+            assert classes.rep_keys[c] == next(k for k in keys if classes.placed[gi][k][0] == c)
+    assert classes.class_graph == sorted(classes.class_graph)
 
 
-# -- the brute-force build, kept as an oracle for the equivariant one ---------
+# -- the labelled brute-force build, kept as the oracle for the quotient ------
 
 
 @pytest.fixture(scope="module")
@@ -716,10 +741,10 @@ def _scan_graph_class_key(groups):
 
 
 def _brute_force_build(nodes):
-    """Every field of the automaton the direct way, over the oracle's own
-    node list: transport at every node, classes by a generator walk over
-    keys, and words and stabilisers by a scan of all signed permutations
-    from each class's least node."""
+    """Every labelled node, fold edge and class the direct way, over the
+    oracle's own node list: transport at every node, classes by a generator
+    walk over keys, and words and stabilisers by a scan of all signed
+    permutations from each class's least node."""
     node_index = {key: i for i, key in enumerate(nodes)}
     fold_edges = []
     for i, key in enumerate(nodes):
@@ -740,7 +765,7 @@ def _brute_force_build(nodes):
         frontier = [key]
         while frontier:
             cur = frontier.pop()
-            for gen in _group_generators(n_labels):
+            for gen in _generators(n_labels):
                 nxt = _direct_relabel_key(cur, gen)
                 j = node_index[nxt]
                 if class_of[j] == -1:
@@ -792,55 +817,148 @@ def oracle(oracle_nodes):
     return _brute_force_build(oracle_nodes)
 
 
-def test_equivariant_build_matches_brute_force(automaton, oracle):
-    for name, want in oracle.items():
-        if name not in ("nodes", "node_index", "fold_edges"):
-            assert getattr(automaton, name) == want, name
-    # the node ids are the oracle's positions of its sorted keys
-    assert list(automaton.nodes) == oracle["nodes"]
-    assert [automaton.nodes.index(key) for key in oracle["node_index"]] == list(
-        oracle["node_index"].values()
-    )
-    # the class-level adjacency (and so the SCC order) follows edge order
-    assert list(automaton.quotient_edges) == list(oracle["quotient_edges"])
-    # the folds moved from the representatives are the transported ones,
-    # node by node in fold_candidates order
-    moved = [
-        (i, target, e1, e0)
-        for i in range(len(automaton.nodes))
-        for e1, e0, target in automaton.out_folds(i)
+def _class_map(automaton, oracle) -> list[int]:
+    """Each quotient class's oracle class: that of its representative's key."""
+    return [
+        oracle["class_of"][oracle["node_index"][key]] for key in automaton.classes.rep_keys
     ]
-    assert moved == oracle["fold_edges"]
+
+
+def _oracle_closings(oracle, end: int, start: int) -> list[tuple[int, ...]]:
+    """Every sigma with sigma . end == start, from the oracle's least words
+    and stabilisers."""
+    c = oracle["class_of"][start]
+    if oracle["class_of"][end] != c:
+        return []
+    w_start, inv_end = oracle["rep_word"][start], invert_signed(oracle["rep_word"][end])
+    return [
+        compose_signed(w_start, compose_signed(s, inv_end)) for s in oracle["rep_stabilizer"][c]
+    ]
+
+
+def test_equivariant_build_matches_brute_force(automaton, oracle):
+    classes = automaton.classes
+    to_oracle = _class_map(automaton, oracle)
+    assert sorted(to_oracle) == list(range(GOLDEN_CLASSES))
+    # class sizes and stabilisers: the automorphisms fixing a representative
+    # are every signed permutation fixing it
+    for c, oc in enumerate(to_oracle):
+        assert classes.size(c) == len(oracle["class_members"][oc])
+        assert len(classes.stabilizers[c]) == len(oracle["rep_stabilizer"][oc])
+        rep = classes.rep_keys[c]
+        fixing = [s for s in signed_permutations(5) if _direct_relabel_key(rep, s) == rep]
+        assert sorted(classes.stabilizers[c]) == sorted(fixing)
+    # quotient edges with their multiplicities, and the SCCs
+    assert {
+        (to_oracle[c1], to_oracle[c2]): n for (c1, c2), n in automaton.quotient_edges.items()
+    } == oracle["quotient_edges"]
+    assert sorted(sorted(to_oracle[c] for c in comp) for comp in automaton.sccs) == sorted(
+        sorted(comp) for comp in oracle["sccs"]
+    )
+    # the reference node and the folds entering it
+    node_one = oracle["node_one"]
+    assert classes.key(automaton.node_one) == oracle["nodes"][node_one]
+    assert to_oracle[automaton.node_one[0]] == oracle["class_of"][node_one]
+    entering = sorted(
+        (oracle["nodes"][source], e1, e0)
+        for source, target, e1, e0 in oracle["fold_edges"]
+        if target == node_one
+    )
+    assert len(entering) == 4
+    assert sorted(
+        (classes.key(source), e1, e0) for source, e1, e0 in automaton.folds_into(automaton.node_one)
+    ) == entering
+    # the folds moved from the representatives are the transported ones, at
+    # every representative and at a sample of nodes
+    by_source = {}
+    for source, target, e1, e0 in oracle["fold_edges"]:
+        by_source.setdefault(source, []).append((e1, e0, oracle["nodes"][target]))
+    rng = random.Random(3)
+    sample = list(classes.rep_keys) + rng.sample(oracle["nodes"], 300)
+    for key in sample:
+        moved = [
+            (e1, e0, classes.key(target))
+            for e1, e0, target in automaton.out_folds(classes.locate(key))
+        ]
+        assert moved == sorted(by_source.get(oracle["node_index"][key], []))
     assert automaton.n_fold_edges == len(oracle["fold_edges"])
+
+
+def _labelled_loops(oracle, starts, allowed, bound):
+    """Every fold loop of length <= bound from the start nodes over the
+    oracle's fold edges, its nodes within the allowed classes, with every
+    closing relabeling: ``(node keys, folds, closing)``."""
+    successors = {}
+    for source, target, e1, e0 in oracle["fold_edges"]:
+        successors.setdefault(source, []).append((target, (e1, e0)))
+    nodes = oracle["nodes"]
+    out = []
+
+    def walk(path, folds):
+        if folds:
+            for closing in _oracle_closings(oracle, path[-1], path[0]):
+                out.append((tuple(nodes[i] for i in path), tuple(folds), closing))
+        if len(folds) == bound:
+            return
+        for target, fold in successors.get(path[-1], []):
+            if oracle["class_of"][target] in allowed:
+                walk(path + [target], folds + [fold])
+
+    for start in starts:
+        walk([start], [])
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_residual_loops_match_labelled_walks(automaton, oracle, bound):
+    # the residual loops node_one_analysis composes, as node keys, folds and
+    # closings, are the labelled walks over the oracle's fold edges
+    loops = _residual_loops(automaton, bound)
+    to_oracle = _class_map(automaton, oracle)
+    residual = node_one_analysis(automaton, loop_bound=0).residual_loop_classes
+    starts = [oracle["node_index"][automaton.classes.rep_keys[c]] for c in residual]
+    labelled = _labelled_loops(oracle, starts, {to_oracle[c] for c in residual}, bound)
+    quotient = [
+        (tuple(map(automaton.classes.key, loop.nodes)), loop.folds, loop.closing) for loop in loops
+    ]
+    assert Counter(quotient) == Counter(labelled)
+    if bound == 4:
+        assert len(loops) == 732
 
 
 def test_folds_into_matches_edge_scan(automaton, oracle):
     entering = {}
     for source, target, e1, e0 in oracle["fold_edges"]:
-        entering.setdefault(target, []).append((source, e1, e0))
-    assert automaton.folds_into(automaton.node_one) == entering[automaton.node_one]
-    assert len(entering[automaton.node_one]) == 4
-    # and at nodes of every class, fixed by nontrivial stabilisers or not
+        entering.setdefault(target, []).append((oracle["nodes"][source], e1, e0))
+    classes = automaton.classes
+    # at nodes of every class, fixed by nontrivial stabilisers or not
     rng = random.Random(17)
-    sample = [members[0] for members in automaton.class_members]
-    sample += rng.sample(range(len(automaton.nodes)), 40)
-    for node_id in sample:
-        assert automaton.folds_into(node_id) == entering.get(node_id, [])
+    sample = [automaton.classes.node(c, IDENTITY) for c in range(automaton.n_classes)]
+    sample += [classes.locate(key) for key in rng.sample(oracle["nodes"], 40)]
+    sample.append(automaton.node_one)
+    for node in sample:
+        folds = [(classes.key(source), e1, e0) for source, e1, e0 in automaton.folds_into(node)]
+        assert sorted(folds) == sorted(entering.get(oracle["node_index"][classes.key(node)], []))
 
 
 def test_graph_class_key_matches_permutation_scan(automaton):
+    # the universe graph of a class stands for every relabeled copy of its
+    # nodes' graphs: the least relabeled partitions agree
+    classes = automaton.classes
     entering = {source for source, _e1, _e0 in automaton.folds_into(automaton.node_one)}
     assert len(entering) == 4
-    for node_id in sorted(entering | {automaton.node_one}):
-        assert _graph_class_key(automaton, node_id) == _scan_graph_class_key(
-            automaton.nodes[node_id][0]
-        )
+    for node in sorted(entering | {automaton.node_one}):
+        graph = classes.universe.graphs[classes.class_graph[node[0]]]
+        groups = canonical_groups(graph.directions_at(v) for v in range(graph.n_vertices))
+        assert _scan_graph_class_key(classes.key(node)[0]) == _scan_graph_class_key(groups)
+    analysis = node_one_analysis(automaton, loop_bound=0)
+    assert analysis.underlying_graph_classes == (classes.class_graph[automaton.node_one[0]],)
 
 
-def test_relabel_key_matches_direct_action(automaton):
+def test_relabel_key_matches_direct_action(oracle_nodes):
     rng = random.Random(13)
     sigmas = rng.sample(list(signed_permutations(5)), 20)
-    for key in rng.sample(automaton.nodes, 50):
+    for key in rng.sample(oracle_nodes, 50):
         for sigma in sigmas:
             assert relabel_key(key, sigma) == _direct_relabel_key(key, sigma)
 
@@ -856,11 +974,10 @@ def test_length_one_loops_match_single_fold_search(automaton):
         if is_irreducible(transition_matrix(m)) and is_principal(MapAnalysis(m)).is_principal:
             principal.append(loop)
     assert len(principal) == 1
-    node_one_class = automaton.class_of[automaton.node_one]
-    assert automaton.class_of[principal[0].node_ids[0]] == node_one_class
+    assert principal[0].nodes[0][0] == automaton.node_one[0]
 
     def orbit(loop):
-        return len(automaton.class_members[automaton.class_of[loop.node_ids[0]]])
+        return automaton.classes.size(loop.nodes[0][0])
 
     # one loop per (exact node, fold, closing relabeling)
     assert sum(orbit(lp) for lp in loops) == 26880
@@ -868,10 +985,10 @@ def test_length_one_loops_match_single_fold_search(automaton):
     assert sum(orbit(lp) for lp in principal) == 3840
 
 
-def _scanned_walk_decomposition(automaton, seq):
+def _scanned_walk_decomposition(automaton, node_keys, seq):
     """The walk as first written: scan the signed permutations for one that
-    maps the sequence's start structure onto a node, then walk and close
-    with the sequence's labels pushed through it."""
+    maps the sequence's start structure onto a labelled node, then walk and
+    close with the sequence's labels pushed through it."""
     base = seq.base_graph
     if sorted(base.valence_profile()) != [3, 3, 4] or base.n_edges != 5:
         return None
@@ -880,30 +997,32 @@ def _scanned_walk_decomposition(automaton, seq):
     except GraphStructureError:
         return None
     match = next(
-        (s for s in signed_permutations(5) if relabel_key(start_key, s) in automaton.nodes),
+        (s for s in signed_permutations(5) if relabel_key(start_key, s) in node_keys),
         None,
     )
     if match is None:
         return None
     key = relabel_key(start_key, match)
-    node_ids = [automaton.nodes.index(key)]
+    keys = [key]
     folds = []
     for move in seq.moves:
         e1, e0 = apply_signed(match, move.e1), apply_signed(match, move.e0)
         key = transport(key, e1, e0)
-        if key is None or key not in automaton.nodes:
+        if key is None or key not in node_keys:
             return None
         folds.append((e1, e0))
-        node_ids.append(automaton.nodes.index(key))
+        keys.append(key)
     closing = compose_signed(match, compose_signed(signed_images(seq.final), invert_signed(match)))
-    if relabel_key(key, closing) != automaton.nodes[node_ids[0]]:
+    if relabel_key(key, closing) != keys[0]:
         return None
-    return DirectedLoop(tuple(node_ids), tuple(folds), closing)
+    nodes = tuple(map(automaton.classes.locate, keys))
+    return DirectedLoop(nodes, tuple(folds), closing)
 
 
-def test_walk_decomposition_matches_alphabet_scan(automaton, gmap):
+def test_walk_decomposition_matches_alphabet_scan(automaton, oracle_nodes, gmap):
     """Looking the start up directly gives the scan's loop: the node set is
     closed under relabeling and the scan meets the identity first."""
+    node_keys = set(oracle_nodes)
     seq = stallings_decompose(gmap)
     cases = [
         rotate(compose_power(seq, p), j) for p in (1, 2, 3) for j in range(p * len(seq) + 1)
@@ -916,6 +1035,6 @@ def test_walk_decomposition_matches_alphabet_scan(automaton, gmap):
     found = 0
     for case in cases:
         walk = _walk_decomposition(automaton, case)
-        assert walk == _scanned_walk_decomposition(automaton, case)
+        assert walk == _scanned_walk_decomposition(automaton, node_keys, case)
         found += walk is not None
     assert 0 < found < len(cases)

@@ -139,7 +139,7 @@ def test_only_a_search_on_several_jobs_imports_multiprocessing(import_probe):
 # each module may import only the modules listed before it
 LAYERS = (
     "digraph", "graphs", "mapdoc", "catalog", "folds", "spectral", "certify",
-    "whitehead", "automaton", "search", "reports", "cli", "__main__",
+    "whitehead", "search", "automaton", "reports", "cli", "__main__",
 )
 
 

@@ -167,7 +167,7 @@ def test_push_permutations_single_pair(gmap):
 def test_push_permutations_random_interleavings(gmap):
     # alternate relabelings and the reference fold in random patterns; the
     # composed map must be preserved exactly
-    from traintrack.graphs import signed_permutations
+    from oracles import signed_permutations
 
     rng = random.Random(42)
     sigmas = list(signed_permutations(5))

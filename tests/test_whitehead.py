@@ -15,6 +15,7 @@ from oracles import (
     relabel_map,
     relabeled_graph,
     relabeling_map,
+    signed_permutations,
     whitehead_connected_by_vertex,
 )
 from traintrack.automaton import relabel_key
@@ -25,7 +26,6 @@ from traintrack.graphs import (
     compose_signed,
     gates,
     signed_images,
-    signed_permutations,
 )
 from traintrack.whitehead import (
     IdealWhiteheadGraph,
