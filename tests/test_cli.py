@@ -9,7 +9,7 @@ import pytest
 
 from oracles import pool_documents, print_map_document, rose_map_xyz
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
-from traintrack.cli import main
+from traintrack.cli import PARSER, main
 from traintrack.reports import certify_json
 
 
@@ -47,7 +47,7 @@ def test_certify_json_built_only_under_json_flag(reference_file, tmp_path, capsy
         calls.append(report)
         return certify_json(report)
 
-    monkeypatch.setattr("traintrack.cli.certify_json", counted)
+    monkeypatch.setattr("traintrack.reports.certify_json", counted)
     assert main(["certify", reference_file]) == 0
     assert calls == []
     out_json = tmp_path / "report.json"
@@ -338,7 +338,7 @@ def test_automaton_build_rejects_loop_bound_below_one(bound, capsys, monkeypatch
     def no_build(*args, **kwargs):
         raise AssertionError("the automaton was built")
 
-    monkeypatch.setattr("traintrack.cli.build_automaton", no_build)
+    monkeypatch.setattr("traintrack.automaton.build_automaton", no_build)
     with pytest.raises(SystemExit) as err:
         main(["automaton", "build", "--loop-bound", bound])
     assert err.value.code == 2
@@ -350,11 +350,44 @@ def test_jobs_below_one_rejected(jobs, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("traintrack.cli.single_fold_search", no_search)
+    monkeypatch.setattr("traintrack.search.single_fold_search", no_search)
     with pytest.raises(SystemExit) as err:
         main(["--jobs", jobs, "verify", "theorem-b", "--ranks", "3"])
     assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem-b", "--ranks", "3", "--jobs", "0"],
+    ["search", "single-fold", "--rank", "3", "--jobs", "0"],
+])
+def test_jobs_below_one_rejected_after_the_subcommand(argv, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("traintrack.search.single_fold_search", no_search)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_after_the_subcommand_runs_as_before_it(capsys):
+    assert main(["--jobs", "1", "verify", "theorem-b", "--ranks", "3,4,5"]) == 0
+    before = capsys.readouterr().out
+    assert main(["verify", "theorem-b", "--ranks", "3,4,5", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == before
+    assert before.endswith("theorem-b: PASS\n")
+
+
+@pytest.mark.parametrize("argv, jobs", [
+    (["verify", "theorem-a"], 1),
+    (["--jobs", "3", "verify", "theorem-a"], 3),
+    (["verify", "theorem-a", "--jobs", "2"], 2),
+    (["--jobs", "3", "search", "single-fold", "--rank", "3", "--jobs", "2"], 2),
+])
+def test_jobs_after_the_subcommand_overrides_the_global_value(argv, jobs):
+    assert PARSER.parse_args(argv).jobs == jobs
 
 
 def test_console_entry_point(reference_file):
@@ -446,7 +479,7 @@ def test_automaton_build_golden(tmp_path, capsys):
 
 
 def test_automaton_build_fails_without_the_reference_loop(capsys, monkeypatch):
-    monkeypatch.setattr("traintrack.cli.decomposition_to_loop", lambda automaton, seq: None)
+    monkeypatch.setattr("traintrack.automaton.decomposition_to_loop", lambda automaton, seq: None)
     assert main(["automaton", "build", "--loop-bound", "1"]) == 4
     out = capsys.readouterr().out
     # the residual loops pass, so the exit code comes from the cross-check

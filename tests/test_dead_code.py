@@ -15,8 +15,9 @@ name that happens to match, does not count.
 
 A use in ``tests/`` keeps a name alive but does not make it part of what the
 package runs.  So a second check collects uses only from the package modules
-and ``perfbench/``, skipping ``src/traintrack/__init__.py`` because its
-re-exports would count as uses of every exported name.  A name or field that
+and ``perfbench/``.  There ``src/traintrack/__init__.py`` counts only for
+the names it defines itself, since its table of public names would count as
+uses of every exported name.  A name or field that
 only tests reach must be listed, with its reason, in ``TEST_ONLY`` or
 ``TEST_ONLY_FIELDS``; a listed entry that the package does reach fails too.
 Oracles and fixtures that only tests need live in ``tests/oracles.py``, and
@@ -135,6 +136,10 @@ def _users(root: Path, package_only: bool) -> list[ast.Module]:
 def unused_definitions(root: Path, package_only: bool = False) -> set[str]:
     defined = set().union(*map(definitions, _trees(root, ["src/traintrack"])))
     used = set().union(*map(uses, _users(root, package_only)))
+    init = root / "src/traintrack/__init__.py"
+    if package_only and init.is_file():
+        tree = ast.parse(init.read_text(), str(init))
+        used |= uses(tree) & definitions(tree)
     return defined - used
 
 
@@ -257,6 +262,21 @@ def test_the_guard_separates_package_users_from_tests(tmp_path):
     assert unlisted_and_stale(found, {}) == (["exported"], [])
     assert unlisted_and_stale(found, {"exported": "an oracle"}) == ([], [])
     assert unlisted_and_stale(found, {"exported": "an oracle", "gone": "stale"}) == ([], ["gone"])
+
+
+def test_the_guard_counts_the_package_init_only_for_its_own_names(tmp_path):
+    package = tmp_path / "src" / "traintrack"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "_MODULE_OF = {'exported': 'mod'}\n"
+        "_UNUSED = 1\n"
+        "def __getattr__(name):\n"
+        "    return _MODULE_OF[name]\n"
+    )
+    (package / "mod.py").write_text("def exported():\n    pass\n")
+    # the table's strings name ``exported`` but do not use it for the package
+    assert unused_definitions(tmp_path) == {"_UNUSED"}
+    assert unused_definitions(tmp_path, package_only=True) == {"_UNUSED", "exported"}
 
 
 def test_the_guard_needs_oracles_used_outside_their_module(tmp_path):
