@@ -1,8 +1,9 @@
-"""End-to-end timings of the four verification commands, parent against change.
+"""End-to-end and per-layer timings of the verification commands, parent
+against change.
 
     python bench.py OUTPUT.json
 
-Runs ``verify theorem-a``, ``--jobs 1 verify theorem-b --ranks 3,4,5``,
+Runs ``verify theorem-a``, ``verify theorem-b --ranks 3,4,5``,
 ``automaton build --loop-bound 4`` and ``certify`` on the reference document,
 each as a fresh ``python -m traintrack`` process, three times per source
 tree.  For each command it records every wall time, their median, the exit
@@ -12,11 +13,15 @@ child's own resource usage (``os.wait4``; ``resource.getrusage`` with
 with ``--json`` give the exact invariants: the single-fold funnels at ranks
 3 to 5, the automaton counts and the reference map's verdict.
 
+Per layer, each tree runs its own ``perfbench/run.py --trace 1`` on every
+benchmark workload and records the last line's ``correct`` and per-layer
+``metrics``; ``LAYER_METRICS`` maps the seven timed layers onto them.
+
 The change is the working tree around this file.  The parent is the commit
 HEAD points to when ``src/`` has uncommitted changes, and its first parent
-otherwise, exported with ``git archive`` into a temporary directory; both
-trees run on the interpreter running this script.  Per-layer times are the
-benchmark's (``perfbench/run.py --trace 1``).
+otherwise, whose ``src`` and ``perfbench`` are exported together with
+``git archive`` into a temporary directory, since the benchmark runs only the
+package beside it; both trees run on the interpreter running this script.
 """
 
 from __future__ import annotations
@@ -35,11 +40,25 @@ ROOT = Path(__file__).resolve().parent
 REPEATS = 3
 COMMANDS = {
     "theorem_a": ["verify", "theorem-a"],
-    "theorem_b": ["--jobs", "1", "verify", "theorem-b", "--ranks", "3,4,5"],
+    "theorem_b": ["verify", "theorem-b", "--ranks", "3,4,5"],
     "automaton": ["automaton", "build", "--loop-bound", "4"],
     "certify": ["certify", "{doc}"],
 }
 FUNNEL_RANKS = (3, 4, 5)
+WORKLOADS = ("theorem_b", "automaton", "certify_batch")
+TRACE_SECONDS = 5.0
+# each timed layer and the benchmark's per-layer metrics that follow it
+LAYER_METRICS = {
+    "universe": ["search.universe_s"],
+    "isomorphisms": ["search.iso_s", "search.iso_calls"],
+    "train track": ["certify.tt_s"],
+    "characteristic polynomial and roots": ["spectral.char_poly_s", "spectral.root_s"],
+    "periodic Nielsen path search": ["certify.pnp_s"],
+    "fold transport": ["automaton.transport_s"],
+    "relabeling and keys": ["automaton.relabel_s"],
+}
+# one span times the universe build at every rank
+LAYERS_WITHOUT_RANK_SPLIT = ["universe"]
 
 
 def _run(tree: Path, argv: list[str], workdir: str) -> tuple[int, float, float]:
@@ -130,6 +149,21 @@ def invariants(tree: Path) -> dict:
     }
 
 
+def traced_layers(tree: Path, seconds: float = TRACE_SECONDS) -> dict[str, dict]:
+    """Per workload, ``correct`` and the per-layer ``metrics`` from the last
+    stdout line of ``tree``'s own traced benchmark run."""
+    layers = {}
+    for workload in WORKLOADS:
+        result = subprocess.run(
+            [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", "1", "--seconds", str(seconds), "--trace", "1"],
+            cwd=tree, capture_output=True, text=True, check=True,
+        )
+        last = json.loads(result.stdout.splitlines()[-1])
+        layers[workload] = {"correct": last["correct"], "metrics": last["metrics"]}
+    return layers
+
+
 def source_lines(tree: Path) -> int:
     return sum(
         len(path.read_text(encoding="utf-8").splitlines())
@@ -137,8 +171,13 @@ def source_lines(tree: Path) -> int:
     )
 
 
-def tree_record(tree: Path, commands: dict) -> dict:
-    return {"src_lines": source_lines(tree), "commands": commands, "invariants": invariants(tree)}
+def tree_record(tree: Path, commands: dict, trace_seconds: float = TRACE_SECONDS) -> dict:
+    return {
+        "src_lines": source_lines(tree),
+        "commands": commands,
+        "invariants": invariants(tree),
+        "layers": traced_layers(tree, trace_seconds),
+    }
 
 
 def _git(*args: str) -> bytes:
@@ -154,7 +193,7 @@ def parent_commit() -> str:
 def main(output: str) -> None:
     parent = parent_commit()
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        archive = _git("archive", "--format=tar", parent, "src")
+        archive = _git("archive", "--format=tar", parent, "src", "perfbench")
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         paths = {"parent": Path(tmp), "change": ROOT}
         commands = time_commands(paths)
@@ -169,6 +208,8 @@ def main(output: str) -> None:
             "cpus": os.cpu_count(),
         },
         "repeats": REPEATS,
+        "layer_metrics": LAYER_METRICS,
+        "layers_without_rank_split": LAYERS_WITHOUT_RANK_SPLIT,
         **trees,
     }
     Path(output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -3,13 +3,14 @@
 Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
 file (among them one that is not UTF-8 text), unwritable ``--json`` or
 ``--dot`` path, parse error or bad usage (among them a rank other than 3, 4
-or 5 for ``search single-fold --rank`` or ``verify theorem-b --ranks``, and a
-``--loop-bound`` below 1); 3 precondition violation (``decompose`` on a map
-it cannot fold, ``certify`` on a train track map that is not a homotopy
-equivalence, ``automaton build --rank`` other than 3); 4 verification failed
-(for ``certify``: any verdict other than PRINCIPAL; for ``automaton build``:
-a residual loop is irreducible, or the reference map's fold decomposition is
-not a loop through the reference node).
+or 5 for ``search single-fold --rank`` or ``verify theorem-b --ranks``, a
+``--loop-bound`` below 1, and a ``--jobs`` value other than 1); 3
+precondition violation (``decompose`` on a map it cannot fold, ``certify``
+on a train track map that is not a homotopy equivalence, ``automaton build
+--rank`` other than 3); 4 verification failed (for ``certify``: any verdict
+other than PRINCIPAL; for ``automaton build``: a residual loop is
+irreducible, or the reference map's fold decomposition is not a loop
+through the reference node).
 
 Each command imports only the layers it runs, in its handler: ``certify``
 and ``decompose`` load neither ``search`` nor ``automaton``.
@@ -162,7 +163,7 @@ def cmd_automaton_build(args) -> int:
 def cmd_search_single_fold(args) -> int:
     from .search import single_fold_search
 
-    summary = single_fold_search(args.rank, jobs=args.jobs)
+    summary = single_fold_search(args.rank)
     print(
         f"rank {summary.rank}: {summary.universe_size} graphs, "
         f"{summary.candidates} candidates, {summary.tt_count} train track, "
@@ -205,7 +206,7 @@ def cmd_verify(args) -> int:
         return 0 if report.passed else EXIT_VERIFICATION
     ok = True
     for rank in args.ranks:
-        summary = single_fold_search(rank, jobs=args.jobs)
+        summary = single_fold_search(rank)
         expected = EXPECTED_CLASSES[rank]
         good = summary.class_count == expected
         ok = ok and good
@@ -240,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train track maps: certification, fold decompositions, "
         "the rank-3 principal stratum automaton, and exhaustive searches.",
     )
-    jobs = dict(type=_positive_int, metavar="N", help="parallel workers for searches")
-    parser.add_argument("--jobs", default=1, **jobs)
+    # read by nothing; perfbench/workloads.py runs `--jobs 1 search single-fold ...` in-process
+    parser.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="full pipeline report for a map document")
@@ -268,15 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = ssub.add_parser("single-fold", help="single-fold uniqueness search")
     ps.add_argument("--rank", type=int, required=True, choices=EXPECTED_CLASSES)
     ps.add_argument("--json", metavar="PATH")
-    # after the subcommand too; unset there, the global value stands
-    ps.add_argument("--jobs", default=argparse.SUPPRESS, **jobs)
     ps.set_defaults(func=cmd_search_single_fold)
 
     p = sub.add_parser("verify", help="acceptance drivers")
     p.add_argument("target", choices=("theorem-a", "theorem-b"))
     p.add_argument("--ranks", type=_rank_list, default="3,4,5",
                    help="comma-separated ranks for theorem-b")
-    p.add_argument("--jobs", default=argparse.SUPPRESS, **jobs)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -28,16 +28,14 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _token_column(raw: str, token: str) -> int:
-    for m in re.finditer(r"\S+", raw):
-        if m.group() == token:
-            return m.start() + 1
-    return 1
+def _column(raw: str, k: int) -> int:
+    """The 1-based column of the k-th whitespace-separated token of ``raw``."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", raw)][k]
 
 
-def _check_name(kind: str, name: str, raw: str, lineno: int) -> None:
-    if name in ("->", "="):
-        raise ParseError(f"{kind} name {name!r} is document syntax", lineno, _token_column(raw, name))
+def _check_name(kind: str, parts: list[str], k: int, raw: str, lineno: int) -> None:
+    if parts[k] in ("->", "="):
+        raise ParseError(f"{kind} name {parts[k]!r} is document syntax", lineno, _column(raw, k))
 
 
 def parse_map_document(text: str) -> GraphMap:
@@ -47,7 +45,7 @@ def parse_map_document(text: str) -> GraphMap:
     edges: list[tuple[str, str, str, int]] = []
     images: dict[str, tuple[str, ...]] = {}
     image_lines: dict[str, int] = {}
-    image_columns: dict[str, list[int]] = {}
+    image_raw: dict[str, str] = {}
     in_map = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -64,27 +62,28 @@ def parse_map_document(text: str) -> GraphMap:
                 vertices = parts[1:]
                 vertices_line = lineno
                 for k, name in enumerate(vertices):
-                    _check_name("vertex", name, raw, lineno)
+                    _check_name("vertex", parts, k + 1, raw, lineno)
                     if name in vertices[:k]:
                         raise ParseError(f"duplicate vertex {name!r}", lineno)
             elif parts[0] == "edge":
                 if len(parts) != 6 or parts[2] != "=" or parts[4] != "->":
                     raise ParseError("expected: edge NAME = V -> W", lineno)
-                _check_name("edge", parts[1], raw, lineno)
+                _check_name("edge", parts, 1, raw, lineno)
                 if parts[1].startswith("~"):
                     raise ParseError(
-                        f"edge name {parts[1]!r} begins with '~'", lineno, _token_column(raw, parts[1])
+                        f"edge name {parts[1]!r} begins with '~'", lineno, _column(raw, 1)
                     )
                 if any(parts[1] == name for name, _, _, _ in edges):
                     raise ParseError(f"duplicate edge {parts[1]!r}", lineno)
                 edges.append((parts[1], parts[3], parts[5], lineno))
             elif parts[0] == "map":
                 if len(parts) > 1:
-                    column = [m.start() + 1 for m in re.finditer(r"\S+", raw)][1]
-                    raise ParseError(f"unexpected {parts[1]!r} after 'map'", lineno, column)
+                    raise ParseError(
+                        f"unexpected {parts[1]!r} after 'map'", lineno, _column(raw, 1)
+                    )
                 in_map = True
             else:
-                raise ParseError(f"unexpected directive {parts[0]!r}", lineno, _token_column(raw, parts[0]))
+                raise ParseError(f"unexpected directive {parts[0]!r}", lineno, _column(raw, 0))
         else:
             if len(parts) < 3 or parts[1] != "->":
                 raise ParseError("expected: EDGE -> PATH", lineno)
@@ -93,7 +92,7 @@ def parse_map_document(text: str) -> GraphMap:
                 raise ParseError(f"duplicate image for edge {name!r}", lineno)
             images[name] = tuple(parts[2:])
             image_lines[name] = lineno
-            image_columns[name] = [m.start() + 1 for m in re.finditer(r"\S+", raw)][2:]
+            image_raw[name] = raw
 
     if not vertices:
         raise ParseError("missing vertices line", 1)
@@ -122,13 +121,13 @@ def parse_map_document(text: str) -> GraphMap:
     dir_images = []
     for name in graph.edge_names:
         dirs = []
-        for token, column in zip(images[name], image_columns[name]):
+        for k, token in enumerate(images[name], start=2):
             stem = token[1:] if token.startswith("~") else token
             if stem not in edge_names:
                 raise ParseError(
                     f"undeclared edge {stem or token!r} in image of {name!r}",
                     image_lines[name],
-                    column,
+                    _column(image_raw[name], k),
                 )
             dirs.append(graph.direction_of(token))
         try:

@@ -402,12 +402,14 @@ def _fold_pairs(graph: OrientedGraph, vertices) -> list[tuple[int, int]]:
     return pairs
 
 
-def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateReport]]:
+def _search_one_graph(
+    gi: int, graph: OrientedGraph, pairs: list[tuple[int, int]]
+) -> tuple[tuple[int, int, int, int], list[CandidateReport]]:
     """Counts of candidates, train track, irreducible and fully irreducible
-    candidates on one graph, and its principal candidates.  ``args`` is
-    (graph index, graph, fold pairs), and the candidates are
-    sigma . fold(e1, e0) for each pair and each isomorphism sigma from the
-    fold's target back to the graph.
+    candidates on graph number ``gi``, and its principal candidates.  The
+    candidates are sigma . fold(e1, e0) for each fold pair (e1, e0) of
+    ``pairs`` and each isomorphism sigma from the fold's target back to
+    ``graph``.
 
     Precondition: Aut(G) maps the pair list onto itself, since a pair's
     whole orbit is counted at its first member; a list that is not closed
@@ -440,7 +442,6 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     of principal candidates must equal the number of survivors, which holds
     exactly when principality is constant on the orbits.  A failed check
     raises ``GraphStructureError``."""
-    gi, graph, pairs = args
     aut = graph_isomorphisms(graph, graph)
     tables = [direction_table(alpha) for alpha in aut]
     inverses: list[tuple[int, ...]] = []
@@ -508,7 +509,7 @@ def _search_one_graph(args) -> tuple[tuple[int, int, int, int], list[CandidateRe
     return tuple(counts), survivors
 
 
-def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
+def single_fold_search(rank: int) -> SearchSummary:
     """Classify every (graph, ordered fold pair at the valence-4 vertex,
     graph isomorphism back) candidate and group the principal survivors by
     relabeling conjugacy.
@@ -537,22 +538,15 @@ def single_fold_search(rank: int, jobs: int = 1) -> SearchSummary:
     ``_relabeling_classes`` checks every other survivor of the orbit as a
     conjugate of it through their witness automorphisms.
 
-    Results are independent of job count and of the order in which the
-    graphs are searched.
+    Results are independent of the order in which the graphs are searched.
     """
     universe = build_universe(rank)
-    tasks = [
-        (gi, graph, _fold_pairs(graph, [max(range(graph.n_vertices), key=graph.valence)]))
+    chunks = [
+        _search_one_graph(
+            gi, graph, _fold_pairs(graph, [max(range(graph.n_vertices), key=graph.valence)])
+        )
         for gi, graph in enumerate(universe.graphs)
     ]
-    if jobs > 1:
-        # multiprocessing is imported for a pool only, not with the package
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            chunks = pool.map(_search_one_graph, tasks)
-    else:
-        chunks = [_search_one_graph(t) for t in tasks]
     candidates, tt, irreducible, fic = map(sum, zip(*(counts for counts, _ in chunks)))
     survivors = sorted(
         (r for _, chunk in chunks for r in chunk),
@@ -702,7 +696,7 @@ def verify_minimal_stretch_argument() -> MinimalStretchReport:
                 top = max(folded.valence_profile())
                 complete_ok &= folded.n_edges <= 5 and top >= (4 if loopy else 5)
         # automorphisms send loops to loops, so the loop pairs are Aut(G)-invariant
-        loop_fold_chunks.append(_search_one_graph((gi, graph, loop_pairs)))
+        loop_fold_chunks.append(_search_one_graph(gi, graph, loop_pairs))
     steps.append(
         ArgumentStep(
             "fold bookkeeping on trivalent graphs",

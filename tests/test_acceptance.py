@@ -3,7 +3,6 @@ with its elapsed time and asserting the stated tolerances and budgets."""
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -114,8 +113,7 @@ def test_criterion_3_single_fold_uniqueness(gmap):
     assert t4 < 300.0
 
     start = time.perf_counter()
-    jobs = min(4, os.cpu_count() or 1)
-    summary5 = single_fold_search(5, jobs=jobs)
+    summary5 = single_fold_search(5)
     t5 = time.perf_counter() - start
     assert summary5.class_count == 0
     assert t5 < 1800.0

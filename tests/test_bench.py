@@ -1,6 +1,6 @@
-"""``bench.py`` at the repository root: one repeat of each command on this
-tree, and the committed ``BENCH_*.json`` files, checked for their keys and
-exact invariants."""
+"""``bench.py`` at the repository root: one repeat of each command and a
+short traced benchmark run of each workload on this tree, and the committed
+``BENCH_*.json`` files, checked for their keys and exact invariants."""
 
 from __future__ import annotations
 
@@ -35,6 +35,14 @@ def _bench():
     return bench
 
 
+def _assert_layers(layers: dict, bench) -> None:
+    assert set(layers) == set(bench.WORKLOADS)
+    mapped = [name for names in bench.LAYER_METRICS.values() for name in names]
+    for workload, record in layers.items():
+        assert record["correct"] is True, workload
+        assert [name for name in mapped if name not in record["metrics"]] == [], workload
+
+
 def _assert_tree(tree: dict, commands, repeats: int) -> None:
     assert tree["src_lines"] > 0
     assert set(tree["commands"]) == set(commands)
@@ -48,17 +56,28 @@ def _assert_tree(tree: dict, commands, repeats: int) -> None:
 
 def test_bench_measures_this_tree():
     bench = _bench()
-    tree = bench.tree_record(ROOT, bench.time_commands({"change": ROOT}, repeats=1)["change"])
-    assert set(tree) == {"src_lines", "commands", "invariants"}
+    commands = bench.time_commands({"change": ROOT}, repeats=1)["change"]
+    tree = bench.tree_record(ROOT, commands, trace_seconds=0.1)
+    assert set(tree) == {"src_lines", "commands", "invariants", "layers"}
     assert tree["src_lines"] == bench.source_lines(ROOT)
     _assert_tree(tree, bench.COMMANDS, 1)
+    _assert_layers(tree["layers"], bench)
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_files_hold_both_trees(path):
     bench = _bench()
     report = json.loads(path.read_text(encoding="utf-8"))
-    assert set(report) == {"schema", "host", "repeats", "parent", "change"}
+    # the files written before the per-layer half have no layer records
+    layered = "layer_metrics" in report
+    keys = {"schema", "host", "repeats", "parent", "change"}
+    assert set(report) == keys | ({"layer_metrics", "layers_without_rank_split"} if layered else set())
+    if layered:
+        assert report["layer_metrics"] == bench.LAYER_METRICS
+        assert report["layers_without_rank_split"] == bench.LAYERS_WITHOUT_RANK_SPLIT
     for side in ("parent", "change"):
-        assert set(report[side]) == {"commit", "src_lines", "commands", "invariants"}
+        tree_keys = {"commit", "src_lines", "commands", "invariants"}
+        assert set(report[side]) == tree_keys | ({"layers"} if layered else set())
         _assert_tree(report[side], bench.COMMANDS, report["repeats"])
+        if layered:
+            _assert_layers(report[side]["layers"], bench)

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import pool_documents, print_map_document, rose_map_xyz
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
-from traintrack.cli import PARSER, main
+from traintrack.cli import main
 from traintrack.reports import certify_json
 
 
@@ -372,22 +372,29 @@ def test_jobs_below_one_rejected_after_the_subcommand(argv, capsys, monkeypatch)
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_jobs_after_the_subcommand_runs_as_before_it(capsys):
-    assert main(["--jobs", "1", "verify", "theorem-b", "--ranks", "3,4,5"]) == 0
-    before = capsys.readouterr().out
-    assert main(["verify", "theorem-b", "--ranks", "3,4,5", "--jobs", "1"]) == 0
-    assert capsys.readouterr().out == before
-    assert before.endswith("theorem-b: PASS\n")
+def test_jobs_one_before_the_subcommand_changes_nothing(tmp_path, capsys):
+    # the benchmark's exact argv against the same command without --jobs
+    def run(*prefix):
+        path = tmp_path / "search.json"
+        code = main([*prefix, "search", "single-fold", "--rank", "3", "--json", str(path)])
+        return code, capsys.readouterr().out, path.read_bytes()
+
+    assert run("--jobs", "1") == run()
 
 
-@pytest.mark.parametrize("argv, jobs", [
-    (["verify", "theorem-a"], 1),
-    (["--jobs", "3", "verify", "theorem-a"], 3),
-    (["verify", "theorem-a", "--jobs", "2"], 2),
-    (["--jobs", "3", "search", "single-fold", "--rank", "3", "--jobs", "2"], 2),
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "2", "verify", "theorem-b", "--ranks", "3"],
+    ["verify", "theorem-b", "--ranks", "3", "--jobs", "1"],
 ])
-def test_jobs_after_the_subcommand_overrides_the_global_value(argv, jobs):
-    assert PARSER.parse_args(argv).jobs == jobs
+def test_jobs_rejected_unless_one_before_the_subcommand(argv, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("traintrack.search.single_fold_search", no_search)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_console_entry_point(reference_file):

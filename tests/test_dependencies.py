@@ -2,11 +2,11 @@
 ``pyproject.toml`` declares, so a dropped or an undeclared dependency fails
 here rather than at install time; it imports none of them at module level,
 so only the command that needs one (``certify --json``, which factors with
-sympy) pays for loading it, as only a search on several jobs pays for
-multiprocessing; ``import traintrack`` loads no module of the package, and
-each command loads only the layers it runs; and its modules import each
-other in one order, so no module reaches up past the modules it is built
-on."""
+sympy) pays for loading it; no module imports ``multiprocessing`` or
+``concurrent``, so every search runs in one process, and no command loads
+either; ``import traintrack`` loads no module of the package, and each
+command loads only the layers it runs; and its modules import each other in
+one order, so no module reaches up past the modules it is built on."""
 
 from __future__ import annotations
 
@@ -68,6 +68,11 @@ def module_level_imports(tree: ast.Module) -> set[str]:
     return modules
 
 
+def test_no_module_imports_a_process_or_thread_pool():
+    # the single-fold search has one code path, in one process
+    assert imported_top_level_modules() & {"multiprocessing", "concurrent"} == set()
+
+
 def test_modules_import_only_the_standard_library_at_module_level():
     third_party = {}
     for path in sorted((ROOT / "src" / "traintrack").glob("*.py")):
@@ -112,9 +117,9 @@ def _package_env() -> dict[str, str]:
 @pytest.fixture(scope="module")
 def import_probe(tmp_path_factory):
     """Each probe step, and which of sympy, multiprocessing and the
-    package's modules it had loaded: the commands that need neither
-    third-party module, then the sympy one, then a search on two jobs.
-    The module sets accumulate over the steps."""
+    package's modules it had loaded: the commands that need no third-party
+    module, then the sympy one.  The module sets accumulate over the
+    steps."""
     tmp_path = tmp_path_factory.mktemp("probe")
     doc = tmp_path / "g.map"
     doc.write_text(SINGLE_FOLD_DOCUMENT, encoding="utf-8")
@@ -127,8 +132,6 @@ def import_probe(tmp_path_factory):
         ["automaton", "build", "--loop-bound", "1"],
         # the minimal-polynomial degree of the JSON report factors with sympy
         ["certify", str(doc), "--json", str(tmp_path / "g.json")],
-        # a search on more than one job runs on a process pool
-        ["--jobs", "2", "search", "single-fold", "--rank", "3"],
     ]
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
@@ -141,12 +144,12 @@ def import_probe(tmp_path_factory):
 
 def test_only_certify_json_imports_sympy(import_probe):
     sympy = [loaded["sympy"] for _, loaded in import_probe]
-    assert sympy == [False] * 7 + [True, True], import_probe
+    assert sympy == [False] * 7 + [True], import_probe
 
 
-def test_only_a_search_on_several_jobs_imports_multiprocessing(import_probe):
+def test_no_step_imports_multiprocessing(import_probe):
     multiprocessing = [loaded["multiprocessing"] for _, loaded in import_probe]
-    assert multiprocessing == [False] * 8 + [True], import_probe
+    assert multiprocessing == [False] * 8, import_probe
 
 
 def test_each_command_loads_only_its_layers(import_probe):

@@ -84,6 +84,15 @@ def test_unknown_directive_position():
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("line, column", [(" edgy#note", 2), ("edgy#note a edgy", 1)])
+def test_unknown_directive_glued_to_a_comment_position(line, column):
+    # the column is the directive's own, not that of a later equal token
+    bad = f"vertices v\n{line}\n\nmap\na -> a\n"
+    with pytest.raises(ParseError, match="unexpected directive 'edgy'") as err:
+        parse_map_document(bad)
+    assert (err.value.line, err.value.column) == (2, column)
+
+
 @pytest.mark.parametrize("line, column", [("map extra tokens", 5), ("map   map", 7)])
 def test_map_directive_takes_no_tokens(line, column):
     # the column is the first extra token's, also when it repeats "map"

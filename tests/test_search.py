@@ -563,7 +563,7 @@ def test_orbit_classes_match_pairwise_conjugacy_on_the_rose(monkeypatch):
         "is_principal",
         lambda a: dataclasses.replace(principal(a), is_principal=True),
     )
-    _, survivors = _search_one_graph(_rose_task())
+    _, survivors = _search_one_graph(*_rose_task())
     survivors.sort(key=lambda r: (r.e1, r.e0, r.sigma.edge_images))
     classes = search_module._relabeling_classes(survivors)
     assert (len(survivors), len(classes)) == (336, 7)
@@ -575,9 +575,8 @@ def test_orbit_classes_check_every_witness(monkeypatch):
     # analysed candidate to its survivor, stops the grouping
     engine = search_module._search_one_graph
 
-    def corrupted(args):
-        counts, survivors = engine(args)
-        graph = args[1]
+    def corrupted(gi, graph, pairs):
+        counts, survivors = engine(gi, graph, pairs)
         identity = tuple(range(1, graph.n_edges + 1))
         return counts, [dataclasses.replace(r, witness=identity) for r in survivors]
 
@@ -627,7 +626,7 @@ def test_candidate_irreducible_iff_one_cycle(rank, graphs, candidates, irreducib
 
 @pytest.mark.parametrize("rank, graphs", [(3, None), (4, None), (5, 20)])
 def test_orbit_search_matches_per_candidate_oracle(rank, graphs):
-    chunks = [_search_one_graph(t) for t in search_tasks(build_universe(rank).graphs[:graphs])]
+    chunks = [_search_one_graph(*t) for t in search_tasks(build_universe(rank).graphs[:graphs])]
     counts = tuple(map(sum, zip(*(counts for counts, _ in chunks))))
     survivors = sorted(
         (r for _, chunk in chunks for r in chunk),
@@ -677,7 +676,7 @@ def test_orbit_search_matches_per_candidate_oracle_at_any_vertex(tasks, funnel):
     # verdicts, the irreducible count also against the expanding irreducible
     # one, and the principal survivors
     tasks = tasks()
-    chunks = [_search_one_graph(t) for t in tasks]
+    chunks = [_search_one_graph(*t) for t in tasks]
     candidates, tt, irreducible, fic = map(sum, zip(*(counts for counts, _ in chunks)))
     oracle = [r for t in tasks for r in search_one_graph_per_candidate(t)]
     assert (candidates, tt, irreducible, fic) == (
@@ -703,9 +702,9 @@ def test_fold_pair_lists_are_closed_under_automorphisms(monkeypatch):
     passed = []
     engine = search_module._search_one_graph
 
-    def recorded(args):
+    def recorded(*args):
         passed.append(args)
-        return engine(args)
+        return engine(*args)
 
     monkeypatch.setattr(search_module, "_search_one_graph", recorded)
     single_fold_search(3)
@@ -724,7 +723,7 @@ def test_orbit_search_rejects_pairs_not_closed_under_automorphisms():
     gi, graph, pairs = search_tasks(build_universe(3).graphs)[0]
     assert len(graph_isomorphisms(graph, graph)) > 1
     with pytest.raises(GraphStructureError, match="not closed under Aut"):
-        _search_one_graph((gi, graph, pairs[: len(pairs) // 2]))
+        _search_one_graph(gi, graph, pairs[: len(pairs) // 2])
 
 
 @pytest.mark.parametrize("source, irreducible", [(3, 16), (4, 0), ("loop folds", 0)])
@@ -930,11 +929,11 @@ def test_orbit_search_raises_when_principality_varies_on_an_orbit(monkeypatch):
         return lambda a: dataclasses.replace(principal(a), is_principal=a.map != exclude)
 
     monkeypatch.setattr(search_module, "is_principal", declared(None))
-    (_, _, irreducible, _), survivors = _search_one_graph((gi, rose, pairs))
+    (_, _, irreducible, _), survivors = _search_one_graph(gi, rose, pairs)
     assert irreducible == len(survivors) > 0
     monkeypatch.setattr(search_module, "is_principal", declared(excluded))
     with pytest.raises(GraphStructureError, match="principal candidates by weight"):
-        _search_one_graph((gi, rose, pairs))
+        _search_one_graph(gi, rose, pairs)
 
 
 def test_orbit_search_raises_when_the_analysis_rejects_a_train_track_verdict(monkeypatch):
@@ -942,13 +941,13 @@ def test_orbit_search_raises_when_the_analysis_rejects_a_train_track_verdict(mon
     # analysis rejects stops the search
     monkeypatch.setattr(search_module, "_single_fold_train_track", lambda table, e1, e0: True)
     with pytest.raises(GraphStructureError, match="is not a train track map"):
-        _search_one_graph(_rose_task())
+        _search_one_graph(*_rose_task())
 
 
 def test_orbit_search_funnel_rank6():
     # the rank-6 frontier of theorem B: no irreducible candidate
     graphs = _universe((4,) + (3,) * 8)
-    chunks = [_search_one_graph(t) for t in search_tasks(graphs)]
+    chunks = [_search_one_graph(*t) for t in search_tasks(graphs)]
     counts = tuple(map(sum, zip(*(counts for counts, _ in chunks))))
     assert (len(graphs), counts) == (1496, (112271, 60064, 0, 0))
     assert not any(survivors for _, survivors in chunks)
@@ -1046,23 +1045,6 @@ def test_search_determinism(gmap):
     assert [_survivor_key(r) for r in shuffled if r.principal] == [
         _survivor_key(r) for r in plain.survivors
     ]
-
-
-def _assert_parallel_agrees(rank):
-    serial = single_fold_search(rank)
-    parallel = single_fold_search(rank, jobs=2)
-    assert [r.map for r in serial.survivors] == [r.map for r in parallel.survivors]
-    for field in ("candidates", "tt_count", "irreducible_count", "fic_count",
-                  "principal_count", "class_count"):
-        assert getattr(serial, field) == getattr(parallel, field)
-
-
-def test_search_parallel_agrees():
-    _assert_parallel_agrees(3)
-
-
-def test_search_parallel_agrees_rank4():
-    _assert_parallel_agrees(4)
 
 
 def test_survivor_audits_and_roundtrip():
