@@ -60,14 +60,47 @@ its graph finds its universe graph G, one isomorphism alpha from G carries
 it back to a key over G, stored as ``tau . r_c`` with tau in Aut(G), and the
 node is ``(c, alpha tau)``.
 
-Residual loops share their fold walks: the loops of one walk differ only in
-the closing relabeling, and walks share prefixes.  ``node_one_analysis``
-owns a memo of composed fold prefixes for the length of one call and hands
-it to ``loop_to_map`` for each loop, so each prefix is folded and composed
-once per analysis, and each loop's closing is checked to be an isomorphism
-and applied as a relabeling of the composed walk's images, with no
-composition.  The memo is never module-level: two analyses of one
-automaton fold the same walks again.
+Residual loops are classified once per walk orbit.  A residual loop is a
+fold walk W from a class representative ``r_c`` to a node n of class c,
+closed by a relabeling sigma with ``sigma . n == r_c``; W's closings are the
+coset ``Stab(r_c) sigma``, so every walk from ``r_c`` has ``|Stab(r_c)|``.
+For alpha in ``Stab(r_c)``, ``alpha . W`` is the walk with nodes
+``alpha . n_i`` and folds ``(alpha e1, alpha e0)``.
+
+  Lemma.  (i) ``alpha . W`` is a fold walk from ``r_c``, and
+  ``sigma -> alpha sigma alpha^-1`` is a bijection from W's closings onto
+  those of ``alpha . W``.  (ii) The loops ``(W, sigma)`` and
+  ``(alpha . W, alpha sigma alpha^-1)`` compose to maps conjugate by the
+  automorphism alpha of the base graph, so their transition matrices are
+  ``M`` and ``P M P^-1`` for a permutation matrix P, and one is reducible
+  exactly when the other is.  (iii) The reducible residual loops from
+  ``r_c`` number the sum, over the ``Stab(r_c)``-orbits O of the walks, of
+  ``|O|`` times the reducible closings of O's first walk.
+
+  Proof.  (i) Fold transport commutes with relabelings and alpha fixes
+  ``r_c``, so ``alpha . W`` is a walk from ``r_c`` through the nodes
+  ``alpha . n_i``.  If ``sigma . n == r_c`` then ``alpha sigma alpha^-1``
+  sends ``alpha . n`` to ``alpha . r_c == r_c``, and conjugating by
+  ``alpha^-1`` undoes it.  (ii) Folding ``alpha e1`` over ``alpha e0`` in
+  ``alpha . G`` is folding e1 over e0 in G with every letter renamed by
+  alpha, so the composed walk of ``alpha . W`` is ``alpha f alpha^-1`` for
+  f that of W, and closing it by ``alpha sigma alpha^-1`` gives
+  ``alpha (sigma f) alpha^-1``.  Renaming letters by alpha permutes the
+  rows and columns of the edge counts alike.  (iii) The orbits partition
+  the walks from ``r_c``; by (i) each member of O has as many closings as
+  O's first walk, and by (ii) as many reducible ones.
+
+``node_one_analysis`` composes each orbit's first walk through a memo of
+fold prefixes that it owns for the length of one call (the memo is never
+module-level: two analyses of one automaton fold the same walks again), and
+decides each of the walk's closings on the composed walk's edge counts with
+the columns moved by the closing, which is exact because ``relabel_after``
+only renames letters.  Every premise the count uses is checked, raising
+``GraphStructureError``: each alpha is an automorphism of the base graph;
+every closing ``sigma'`` of every member ``alpha . W`` gives an isomorphism
+``sigma' alpha`` from W's end graph to the base; every member is a walk
+with as many closings as W; and the orbit sizes times the closings sum to
+the loops enumerated.
 """
 
 from __future__ import annotations
@@ -96,7 +129,7 @@ from .graphs import (
     signed_images,
 )
 from .search import SearchUniverse, build_universe, graph_isomorphisms
-from .spectral import is_irreducible, transition_matrix
+from .spectral import IntegerMatrix, edge_counts, is_irreducible
 from .whitehead import canonical_groups, ltt_structure
 
 RANK3_EDGE_NAMES = ("a", "b", "c", "d", "e")
@@ -589,21 +622,53 @@ def _loop_classes(automaton: Automaton, removed: int) -> tuple[int, ...]:
     )
 
 
+def closing_matrix(counts: tuple[tuple[int, ...], ...], closing: tuple[int, ...]) -> IntegerMatrix:
+    """The transition matrix of a fold walk closed by ``closing``, from the
+    ``edge_counts`` of its composed walk.  ``relabel_after`` renames each
+    letter of the walk's images through the closing and changes nothing
+    else, so the counts of end-graph edge i, 0-based, move to the column
+    of edge ``|closing[i]|``."""
+    inverse = invert_signed(closing)
+    return IntegerMatrix(tuple(tuple(row[abs(x) - 1] for x in inverse) for row in counts))
+
+
+def _walk_orbits(stabilizer: list[tuple[int, ...]], walks) -> list[tuple[tuple, dict]]:
+    """The orbits of ``stabilizer`` on fold walks from one start, each walk
+    given by its folds, in the order of their first walks: per orbit, its
+    first walk and a dict from each member to the first element carrying
+    the first walk onto it.  The members are not checked to be walks."""
+    tables = [(alpha, direction_table(alpha)) for alpha in stabilizer]
+    seen: set[tuple] = set()
+    orbits = []
+    for folds in walks:
+        if folds in seen:
+            continue
+        members: dict[tuple, tuple[int, ...]] = {}
+        for alpha, move in tables:
+            members.setdefault(tuple((move[e1], move[e0]) for e1, e0 in folds), alpha)
+        seen.update(members)
+        orbits.append((folds, members))
+    return orbits
+
+
 def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
     """Remove the reference node's relabeling class and study what remains.
 
-    Composes every directed loop of fold-length up to the bound confined to
-    the residual loop component and counts those with a reducible
-    transition matrix; ``obstruction_holds`` says only that all of them are
-    reducible up to ``loop_bound``, which the result records (at bound 5
-    some are not).  Also counts the folds entering the reference node and
-    reports the universe graphs underlying it and their sources: a class
-    lies over one universe graph, which stands for every relabeled copy.
+    Counts the directed loops of fold-length up to the bound confined to
+    the residual loop component and those with a reducible transition
+    matrix; ``obstruction_holds`` says only that all of them are reducible
+    up to ``loop_bound``, which the result records (at bound 5 some are
+    not).  Also counts the folds entering the reference node and reports
+    the universe graphs underlying it and their sources: a class lies over
+    one universe graph, which stands for every relabeled copy.
 
-    The loops are composed through one memo of fold prefixes that this call
-    creates and drops, so each shared prefix is folded once per call and a
-    repeated analysis does its work again.  Each loop's closing is applied
-    as a relabeling of its composed walk, not composed with it.
+    The loops are classified by the walk-orbit lemma of the module
+    docstring: one ``loop_to_map`` per ``Stab(r_c)``-orbit of fold walks,
+    through one memo of fold prefixes that this call creates and drops, so
+    a repeated analysis does its work again, and each closing of the
+    orbit's first walk decided by ``closing_matrix``, weighted by the
+    orbit's size.  A premise of the lemma that fails raises
+    ``GraphStructureError``.
     """
     node_one_class = automaton.node_one[0]
     removed_scc = tuple(sorted(c for ci in automaton.loop_sccs() for c in automaton.sccs[ci]))
@@ -614,13 +679,36 @@ def node_one_analysis(automaton: Automaton, loop_bound: int) -> NodeOneAnalysis:
         sorted(set(removed_scc) - set(residual_classes) - {node_one_class})
     )
 
-    # direct composition of all short loops within the residual component
     reps = [automaton.classes.node(c, _IDENTITY) for c in residual_classes]
     loops = enumerate_loops(automaton, loop_bound, reps, set(residual_classes))
+    closings: dict[Node, dict[tuple, list[DirectedLoop]]] = {}
+    for lp in loops:
+        closings.setdefault(lp.nodes[0], {}).setdefault(lp.folds, []).append(lp)
     walks: dict = {}
-    reducible = sum(
-        not is_irreducible(transition_matrix(loop_to_map(automaton, lp, walks))) for lp in loops
-    )
+    reducible = weight = 0
+    for start, of_walk in closings.items():
+        stabilizer = automaton.classes.stabilizers[start[0]]
+        base = graph_from_groups(automaton.classes.key(start)[0])
+        for alpha in stabilizer:
+            isomorphism_vertex_map(base, base, alpha)
+        for folds, members in _walk_orbits(stabilizer, of_walk):
+            first = of_walk[folds]
+            # composes the walk into the memo and checks its first closing
+            loop_to_map(automaton, first[0], walks)
+            _base, composed, end = walks[start][folds]
+            for image, alpha in members.items():
+                member = of_walk.get(image, ())
+                if len(member) != len(first):
+                    raise GraphStructureError("a walk orbit member has other closings")
+                for lp in member:
+                    isomorphism_vertex_map(end, base, compose_signed(lp.closing, alpha))
+            counts = edge_counts(composed)
+            reducible += len(members) * sum(
+                not is_irreducible(closing_matrix(counts, lp.closing)) for lp in first
+            )
+            weight += len(members) * len(first)
+    if weight != len(loops):
+        raise GraphStructureError("walk orbit weights do not sum to the loops")
 
     entering = automaton.folds_into(automaton.node_one)
     graph_of = automaton.classes.class_graph

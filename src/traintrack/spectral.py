@@ -109,21 +109,26 @@ class IntegerMatrix:
         return {i: [j for j, x in enumerate(row) if x > 0] for i, row in enumerate(self.rows)}
 
 
+def edge_counts(g: GraphMap) -> tuple[tuple[int, ...], ...]:
+    """Unsigned edge-occurrence counts of any graph map: entry (i, j)
+    counts target edge j in the image of source edge i."""
+    rows = []
+    for image in g.edge_images:
+        counts = [0] * g.target.n_edges
+        for d in image:
+            counts[abs(d) - 1] += 1
+        rows.append(tuple(counts))
+    return tuple(rows)
+
+
 def transition_matrix(g: GraphMap) -> IntegerMatrix:
-    """Unsigned edge-occurrence counts: entry (i, j) counts edge j in the
+    """The edge counts of a self-map: entry (i, j) counts edge j in the
     image of edge i.  (Rows index source edges; some displays elsewhere use
     the transposed convention, which has the same characteristic polynomial.)
     """
     if not g.is_self_map:
         raise GraphStructureError("transition matrix requires a self-map")
-    n = g.source.n_edges
-    rows = []
-    for i in range(n):
-        counts = [0] * n
-        for d in g.edge_images[i]:
-            counts[abs(d) - 1] += 1
-        rows.append(tuple(counts))
-    return IntegerMatrix(tuple(rows))
+    return IntegerMatrix(edge_counts(g))
 
 
 # -- integer polynomial arithmetic (coefficient lists, lowest degree first) -

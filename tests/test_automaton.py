@@ -21,6 +21,8 @@ from traintrack.automaton import (
     RANK3_EDGE_NAMES,
     DirectedLoop,
     _walk_decomposition,
+    _walk_orbits,
+    closing_matrix,
     decomposition_to_loop,
     enumerate_loops,
     enumerate_nodes,
@@ -43,10 +45,16 @@ from traintrack.graphs import (
     compose_signed,
     direction_table,
     invert_signed,
+    isomorphism_vertex_map,
     signed_images,
 )
 from traintrack.search import SearchUniverse, build_universe, graph_isomorphisms
-from traintrack.spectral import invariant_edge_set, is_irreducible, transition_matrix
+from traintrack.spectral import (
+    edge_counts,
+    invariant_edge_set,
+    is_irreducible,
+    transition_matrix,
+)
 from traintrack.whitehead import canonical_groups, is_principal, ltt_structure
 
 # frozen counts from the enumeration, cross-checked by the orbit sums below
@@ -522,11 +530,17 @@ def test_shared_walks_keep_start_nodes_apart(automaton, oracle):
 
 
 def test_node_one_analysis_folds_each_prefix_once(automaton, monkeypatch):
-    # 732 loops along 180 fold walks with 275 distinct prefixes: one fold per
-    # prefix, one composition per prefix beyond the first fold, and one
-    # closing relabeling per loop, no composition
+    # 732 loops along 180 fold walks in 103 walk orbits: one loop_to_map per
+    # orbit's first walk, whose 171 distinct prefixes are folded once each
+    # and composed beyond the first fold (153); isomorphism tests for the 32
+    # stabiliser elements at the 9 starts, the 103 first closings and the
+    # 732 closings of every member walk; one irreducibility test per closing
+    # of a first walk (368), and no relabeling map built
     calls = Counter()
-    names = ("loop_to_map", "apply_fold", "compose", "isomorphism_vertex_map", "relabeling")
+    names = (
+        "loop_to_map", "apply_fold", "compose", "isomorphism_vertex_map", "relabeling",
+        "is_irreducible",
+    )
     for name in names:
         fn = getattr(automaton_module, name)
 
@@ -537,10 +551,112 @@ def test_node_one_analysis_folds_each_prefix_once(automaton, monkeypatch):
         monkeypatch.setattr(automaton_module, name, counted)
     analysis = node_one_analysis(automaton, loop_bound=4)
     assert analysis.loops_checked == analysis.loops_reducible == 732
-    assert [calls[name] for name in names] == [732, 275, 254, 732, 0]
+    assert [calls[name] for name in names] == [103, 171, 153, 867, 0, 368]
     # a second analysis folds its walks again
     node_one_analysis(automaton, loop_bound=4)
-    assert [calls[name] for name in names] == [1464, 550, 508, 1464, 0]
+    assert [calls[name] for name in names] == [206, 342, 306, 1734, 0, 736]
+
+
+# residual loops checked and reducible, per loop bound
+RESIDUAL_COUNTS = {
+    1: (16, 16), 2: (96, 96), 3: (252, 252), 4: (732, 732), 5: (2352, 2092), 6: (7560, 6356),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(RESIDUAL_COUNTS))
+def test_orbit_weighted_counts_match_every_loop(automaton, bound):
+    # classifying one walk per stabiliser orbit, weighted by the orbit's
+    # size, counts what classifying every residual loop on its own map does
+    analysis = node_one_analysis(automaton, loop_bound=bound)
+    residual = analysis.residual_loop_classes
+    reps = [automaton.classes.node(c, IDENTITY) for c in residual]
+    loops = enumerate_loops(automaton, bound, start_nodes=reps, classes=set(residual))
+    walks: dict = {}
+    reducible = sum(
+        not is_irreducible(transition_matrix(loop_to_map(automaton, lp, walks))) for lp in loops
+    )
+    assert (len(loops), reducible) == RESIDUAL_COUNTS[bound]
+    assert (analysis.loops_checked, analysis.loops_reducible) == RESIDUAL_COUNTS[bound]
+
+
+@pytest.mark.parametrize("bound", [4, 5])
+def test_closing_matrices_are_the_loop_transition_matrices(automaton, bound):
+    # a walk's edge counts with the columns moved by a closing are the
+    # transition matrix of the loop it closes
+    walks: dict = {}
+    for loop in _residual_loops(automaton, bound):
+        loop_to_map(automaton, loop, walks)
+        composed = walks[loop.nodes[0]][loop.folds][1]
+        matrix = transition_matrix(loop_to_map(automaton, loop))
+        assert closing_matrix(edge_counts(composed), loop.closing) == matrix
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_stabiliser_missing_an_element_is_a_structure_error(automaton, monkeypatch, dropped):
+    # with the identity, or the last element, left out of every stabiliser,
+    # the orbits no longer partition the walks
+    walk_orbits = automaton_module._walk_orbits
+    monkeypatch.setattr(
+        automaton_module,
+        "_walk_orbits",
+        lambda stabilizer, walks: walk_orbits(
+            [s for i, s in enumerate(stabilizer) if i != dropped % len(stabilizer)], walks
+        ),
+    )
+    with pytest.raises(GraphStructureError, match="walk orbit weights do not sum"):
+        node_one_analysis(automaton, loop_bound=4)
+
+
+def test_wrong_walk_orbit_weight_is_a_structure_error(automaton, monkeypatch):
+    # one orbit a member short weighs one walk too little
+    walk_orbits = automaton_module._walk_orbits
+    dropped = []
+
+    def one_member_short(stabilizer, walks):
+        orbits = walk_orbits(stabilizer, walks)
+        for folds, members in orbits:
+            if not dropped and len(members) > 1:
+                image = next(m for m in members if m != folds)
+                dropped.append(members.pop(image))
+        return orbits
+
+    monkeypatch.setattr(automaton_module, "_walk_orbits", one_member_short)
+    with pytest.raises(GraphStructureError, match="walk orbit weights do not sum"):
+        node_one_analysis(automaton, loop_bound=4)
+    assert dropped
+
+
+def test_member_closing_that_is_no_isomorphism_is_rejected(automaton, monkeypatch):
+    # a closing that is no isomorphism on a walk that is not the first of
+    # its orbit: only the member check sees it, since that walk is never
+    # composed
+    loops = _residual_loops(automaton, 4)
+    closings = {}
+    for loop in loops:
+        closings.setdefault(loop.nodes[0], {}).setdefault(loop.folds, []).append(loop)
+    start, member = next(
+        (start, image)
+        for start, of_walk in closings.items()
+        for folds, members in _walk_orbits(automaton.classes.stabilizers[start[0]], of_walk)
+        for image in members
+        if image != folds
+    )
+    loop = closings[start][member][0]
+    end = graph_from_groups(automaton.classes.key(loop.nodes[-1])[0])
+    base = graph_from_groups(automaton.classes.key(start)[0])
+    flips = [tuple(-x if i == k else x for i, x in enumerate(loop.closing)) for k in range(5)]
+    bad = []
+    for closing in flips:
+        try:
+            isomorphism_vertex_map(end, base, closing)
+        except GraphStructureError:
+            bad.append(closing)
+    assert bad
+    i = loops.index(loop)
+    mutated = loops[:i] + [DirectedLoop(loop.nodes, loop.folds, bad[0])] + loops[i + 1:]
+    monkeypatch.setattr(automaton_module, "enumerate_loops", lambda *args: mutated)
+    with pytest.raises(GraphStructureError, match="not a graph isomorphism"):
+        node_one_analysis(automaton, loop_bound=4)
 
 
 def test_loop_maps_equal_their_composed_closings(automaton, gmap):
