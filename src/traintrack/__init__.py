@@ -9,14 +9,15 @@ import importlib
 _EXPORTS = {
     "graphs": "GraphMap GraphStructureError OrientedGraph compose direction_map gates iterate_map",
     "spectral": "IntegerMatrix IntPolynomial SpectralReport char_poly classify_matrix "
-                "is_perron_number minimal_perron_table trace_obstruction transition_matrix",
+                "is_perron_number transition_matrix",
     "certify": "FicReport MapAnalysis PnpSearchResult TtCertificate fic_check illegal_turns "
                "is_expanding is_train_track pnp_bounded_search taken_turn_closure",
     "whitehead": "IdealWhiteheadGraph WhiteheadGraph ideal_whitehead is_principal ltt_structure",
     "folds": "FoldMove FoldSequence apply_fold rotate stallings_decompose",
     "automaton": "Automaton DirectedLoop build_automaton decomposition_to_loop enumerate_loops "
                  "loop_to_map node_one_analysis",
-    "search": "SearchSummary build_universe single_fold_search verify_minimal_stretch_argument",
+    "search": "SearchSummary build_universe single_fold_search",
+    "theorems": "verify_minimal_stretch_argument verify_single_fold_uniqueness",
     "mapdoc": "ParseError parse_map_document",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

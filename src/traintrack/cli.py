@@ -1,5 +1,8 @@
 """Command-line front end.
 
+``verify`` prints each step of a ``theorems`` report as a PASS or FAIL
+line, then the verdict.
+
 Exit codes: 0 success (for ``certify``: the map is principal); 2 unreadable
 file (among them one that is not UTF-8 text), unwritable ``--json`` or
 ``--dot`` path, parse error or bad usage (among them a rank other than 3, 4
@@ -12,8 +15,10 @@ other than PRINCIPAL; for ``automaton build``: a residual loop is
 irreducible, or the reference map's fold decomposition is not a loop
 through the reference node).
 
-Each command imports only the layers it runs, in its handler: ``certify``
-and ``decompose`` load neither ``search`` nor ``automaton``.
+Each command imports only the layers it runs, in its handler or, for the
+rank options, their type functions: ``certify`` and ``decompose`` load
+neither ``search`` nor ``automaton``, and neither they nor ``automaton
+build`` load ``theorems``.
 """
 
 from __future__ import annotations
@@ -36,9 +41,6 @@ def __getattr__(name: str):
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
-
-# theorem B: relabeling classes of principal single-fold maps, by rank
-EXPECTED_CLASSES = {3: 1, 4: 0, 5: 0}
 
 
 def _read_map(path: str):
@@ -162,6 +164,7 @@ def cmd_automaton_build(args) -> int:
 
 def cmd_search_single_fold(args) -> int:
     from .search import single_fold_search
+    from .theorems import EXPECTED_CLASSES
 
     summary = single_fold_search(args.rank)
     print(
@@ -196,34 +199,30 @@ def cmd_search_single_fold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .search import single_fold_search, verify_minimal_stretch_argument
+    from .theorems import verify_minimal_stretch_argument, verify_single_fold_uniqueness
 
     if args.target == "theorem-a":
         report = verify_minimal_stretch_argument()
-        for step in report.steps:
-            print(("PASS " if step.passed else "FAIL ") + step.name + ": " + step.detail)
-        print("theorem-a: " + ("PASS" if report.passed else "FAIL"))
-        return 0 if report.passed else EXIT_VERIFICATION
-    ok = True
-    for rank in args.ranks:
-        summary = single_fold_search(rank)
-        expected = EXPECTED_CLASSES[rank]
-        good = summary.class_count == expected
-        ok = ok and good
-        print(
-            f"rank {rank}: {summary.class_count} class(es), expected {expected}: "
-            + ("PASS" if good else "FAIL")
-        )
-    print("theorem-b: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else EXIT_VERIFICATION
+    else:
+        report = verify_single_fold_uniqueness(args.ranks)
+    for step in report.steps:
+        print(("PASS " if step.passed else "FAIL ") + step.name + ": " + step.detail)
+    print(f"{args.target}: " + ("PASS" if report.passed else "FAIL"))
+    return 0 if report.passed else EXIT_VERIFICATION
+
+
+def _search_rank(text: str) -> int:
+    """A rank that the single-fold search covers: one of theorem B's."""
+    from .theorems import EXPECTED_CLASSES
+
+    if not (text.strip().isdigit() and int(text) in EXPECTED_CLASSES):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rank in {tuple(EXPECTED_CLASSES)}")
+    return int(text)
 
 
 def _rank_list(text: str) -> list[int]:
     """A comma-separated list of distinct search ranks."""
-    items = text.split(",")
-    if not all(item.strip().isdigit() and int(item) in EXPECTED_CLASSES for item in items):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of 3, 4, 5")
-    ranks = [int(item) for item in items]
+    ranks = [_search_rank(item) for item in text.split(",")]
     if len(set(ranks)) < len(ranks):
         raise argparse.ArgumentTypeError(f"{text!r} repeats a rank")
     return ranks
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive searches")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     ps = ssub.add_parser("single-fold", help="single-fold uniqueness search")
-    ps.add_argument("--rank", type=int, required=True, choices=EXPECTED_CLASSES)
+    ps.add_argument("--rank", type=_search_rank, required=True)
     ps.add_argument("--json", metavar="PATH")
     ps.set_defaults(func=cmd_search_single_fold)
 

@@ -1,17 +1,15 @@
-"""Exhaustive verification drivers.
+"""The single-fold search: graph universe, graph isomorphisms, orbit engine.
 
-Two independent computations back the headline facts: the single-fold search
-enumerates every map of the form (proper full fold at the valence-4 vertex,
-then graph isomorphism) over the rank-r universe of (4,3,...,3)-graphs and
-classifies them through the full pipeline; the minimal-stretch-factor driver
-re-verifies the arithmetic steps that pin the smallest stretch factor down to
-the largest root of x^5 - x - 1.  Both classify single-fold candidates
-sigma . fold(e1, e0) with one engine, ``_search_one_graph``: given a graph
-and a list of ordered fold pairs that the graph's automorphism group Aut(G)
-maps onto itself, it classifies the isomorphisms back at one pair per
-Aut(G)-orbit of pairs.  A single fold takes one turn, so the train track
-verdict follows that turn under sigma's direction table, and only an
-irreducible train track candidate is built as a map and analysed.
+The search enumerates every map of the form (proper full fold at the
+valence-4 vertex, then graph isomorphism) over the rank-r universe of
+(4,3,...,3)-graphs and classifies them through the full pipeline.  One
+engine, ``_search_one_graph``, which ``theorems`` also runs, classifies the
+candidates sigma . fold(e1, e0): given a graph and a list of ordered fold
+pairs that the graph's automorphism group Aut(G) maps onto itself, it
+classifies the isomorphisms back at one pair per Aut(G)-orbit of pairs.  A
+single fold takes one turn, so the train track verdict follows that turn
+under sigma's direction table, and only an irreducible train track
+candidate is built as a map and analysed.
 
 An irreducible candidate is expanding.  The fold has matrix I + E, E a
 single off-diagonal 1, so the candidate has P + PE, P the permutation matrix
@@ -24,10 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .catalog import single_fold_map
 from .certify import MapAnalysis
 from .digraph import connected_components
 from .folds import FoldMove, apply_fold
@@ -43,14 +39,6 @@ from .graphs import (
     make_turn,
     relabel_after,
     relabeling,
-)
-from .spectral import (
-    IntPolynomial,
-    char_poly,
-    largest_real_root_interval,
-    minimal_perron_table,
-    trace_obstruction,
-    transition_matrix,
 )
 from .whitehead import is_principal
 
@@ -331,10 +319,16 @@ class SearchSummary:
     tt_count: int
     irreducible_count: int
     fic_count: int
-    principal_count: int
     survivors: tuple[CandidateReport, ...]
-    class_count: int
     class_representatives: tuple[int, ...]  # indices into survivors
+
+    @property
+    def principal_count(self) -> int:
+        return len(self.survivors)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.class_representatives)
 
 
 def _conjugate(alpha: tuple[int, ...], alpha_inv: tuple[int, ...], sigma: tuple[int, ...]):
@@ -560,9 +554,7 @@ def single_fold_search(rank: int) -> SearchSummary:
         tt_count=tt,
         irreducible_count=irreducible,
         fic_count=fic,
-        principal_count=len(survivors),
         survivors=tuple(survivors),
-        class_count=len(classes),
         class_representatives=tuple(classes),
     )
 
@@ -588,137 +580,3 @@ def _relabeling_classes(survivors: list[CandidateReport]) -> list[int]:
                 "its survivors"
             )
     return classes
-
-
-# -- the minimal stretch factor driver ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArgumentStep:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class MinimalStretchReport:
-    steps: tuple[ArgumentStep, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.steps)
-
-
-def verify_minimal_stretch_argument() -> MinimalStretchReport:
-    """Re-verify the machine-checkable steps showing the reference map's
-    stretch factor is the smallest one possible:
-
-    1. its characteristic polynomial is exactly x^5 - x - 1;
-    2. its dominant root lies strictly below the smallest Perron numbers of
-       degrees 2, 3, and 4;
-    3. the trace obstruction rules out the one smaller degree-5 candidate;
-    4. on every 6-edge trivalent rank-3 graph, a proper full fold keeps 6
-       edges and creates a valence-4 vertex, while a complete fold drops to
-       5 edges and creates a valence-5 vertex (so 6-edge graphs never carry
-       a minimal example);
-    5. the folds over a loop, which keep the graph, carry no expanding
-       irreducible train track map, by ``_search_one_graph`` on their pairs.
-    """
-    steps = []
-    g = single_fold_map()
-    p = char_poly(transition_matrix(g))
-    target = IntPolynomial((-1, -1, 0, 0, 0, 1))
-    steps.append(
-        ArgumentStep(
-            "characteristic polynomial",
-            p == target,
-            f"char poly = {p.pretty()}",
-        )
-    )
-
-    # Step 1 ties the map to the target, which is irreducible of degree 5, so
-    # its root is no root of a table polynomial and the brackets separate.
-    lo, hi = largest_real_root_interval(target, Fraction(1, 10**9))
-    table = {entry.degree: entry for entry in minimal_perron_table() if entry.rank_within_degree == 1}
-    comparisons = []
-    ok = True
-    for degree in (4, 3, 2):
-        entry = table[degree]
-        width = Fraction(1, 10**9)
-        while True:
-            root = largest_real_root_interval(target, width)
-            bound = largest_real_root_interval(entry.polynomial, width)
-            if root[1] < bound[0] or bound[1] < root[0]:
-                break
-            width /= 2**10
-        good = root[1] < bound[0]
-        ok = ok and good
-        comparisons.append(f"root < {entry.approximate_root:.3f} (degree {degree}): {good}")
-    steps.append(
-        ArgumentStep(
-            "dominant root below smaller-degree minima",
-            ok,
-            f"root in [{float(lo):.10f}, {float(hi):.10f}]; " + "; ".join(comparisons),
-        )
-    )
-
-    rival = IntPolynomial((-1, -1, -1, 0, 1, 1))
-    steps.append(
-        ArgumentStep(
-            "trace obstruction",
-            trace_obstruction(rival, 5) and not trace_obstruction(p, 5),
-            "x^5 + x^4 - x^2 - x - 1 needs trace -1; x^5 - x - 1 has trace 0",
-        )
-    )
-
-    graphs = trivalent_universe()
-    proper_ok = complete_ok = True
-    proper_count = complete_count = 0
-    loop_proper = loop_complete = 0
-    loop_fold_chunks = []
-    for gi, graph in enumerate(graphs):
-        loop_pairs = []
-        for e1, e0 in _fold_pairs(graph, range(graph.n_vertices)):
-            e0_loop = graph.terminal_vertex(e0) == graph.initial_vertex(e0)
-            folded = apply_fold(graph, e1, e0, "proper_full").target
-            proper_count += 1
-            top = max(folded.valence_profile())
-            # folding over a loop keeps the graph trivalent
-            proper_ok &= folded.n_edges == 6 and (top == 3 if e0_loop else top >= 4)
-            if e0_loop:
-                loop_proper += 1
-                loop_pairs.append((e1, e0))
-            if graph.terminal_vertex(e1) != graph.terminal_vertex(e0):
-                loopy = e0_loop or graph.terminal_vertex(e1) == graph.initial_vertex(e1)
-                folded = apply_fold(graph, e1, e0, "complete").target
-                complete_count += 1
-                loop_complete += loopy
-                top = max(folded.valence_profile())
-                complete_ok &= folded.n_edges <= 5 and top >= (4 if loopy else 5)
-        # automorphisms send loops to loops, so the loop pairs are Aut(G)-invariant
-        loop_fold_chunks.append(_search_one_graph(gi, graph, loop_pairs))
-    steps.append(
-        ArgumentStep(
-            "fold bookkeeping on trivalent graphs",
-            proper_ok and complete_ok,
-            f"{len(graphs)} trivalent graphs; {proper_count} proper full folds keep 6 edges, "
-            f"reaching valence 4 except over a loop ({loop_proper} cases, graph unchanged); "
-            f"{complete_count} complete folds drop to 5 edges, reaching valence 5 except "
-            f"with a loop ({loop_complete} cases, valence 4)",
-        )
-    )
-
-    # Folding over a loop evades the valence count, so check exhaustively
-    # that no single (fold over a loop, isomorphism back) composition is an
-    # expanding irreducible train track map on these graphs.  An irreducible
-    # candidate is expanding (module docstring): the engine counts them.
-    loop_fold_maps, _, loop_fold_bad, _ = map(sum, zip(*(c for c, _ in loop_fold_chunks)))
-    steps.append(
-        ArgumentStep(
-            "loop folds carry no expanding irreducible map",
-            loop_fold_bad == 0,
-            f"{loop_fold_maps} (loop fold, isomorphism) compositions, "
-            f"{loop_fold_bad} expanding irreducible train track maps among them",
-        )
-    )
-    return MinimalStretchReport(tuple(steps))

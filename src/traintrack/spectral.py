@@ -16,7 +16,7 @@ S shifted to just below the top root squared (Descartes' rule of signs),
 else from the real roots of S.  Primitivity is read off the zero patterns of
 the powers, up to the first all-positive or repeated one.  sympy is imported
 only to factor over Z, for the minimal-polynomial degree that ``certify
---json`` reports.
+--json`` reports.  The Perron numbers that theorem A cites are in ``theorems``.
 """
 
 from __future__ import annotations
@@ -639,49 +639,3 @@ def classify_matrix(matrix: IntegerMatrix) -> SpectralReport:
         trace=matrix.trace(),
         positive_power=k,
     )
-
-
-def trace_obstruction(p: IntPolynomial, n: int) -> bool:
-    """True iff no n-by-n nonnegative matrix has ``p`` as its characteristic
-    polynomial because the implied trace is negative."""
-    if p.degree != n:
-        raise GraphStructureError("degree must match the matrix dimension")
-    trace = -p.coefficients[n - 1]
-    return trace < 0
-
-
-# -- the small-Perron-number table -------------------------------------------
-
-
-@dataclass(frozen=True)
-class PerronTableEntry:
-    degree: int
-    polynomial: IntPolynomial
-    approximate_root: float
-    rank_within_degree: int
-
-
-def minimal_perron_table() -> tuple[PerronTableEntry, ...]:
-    """Smallest known Perron numbers of degrees 2..5 (plus the degree-5
-    runner-up), re-verified on every call.
-
-    These are cited values; the table checks each entry is a Perron number
-    whose root matches the recorded approximation, but does not re-derive
-    minimality.
-    """
-    raw = [
-        (2, IntPolynomial((-1, -1, 1)), 1.618, 1),
-        (3, IntPolynomial((-1, -1, 0, 1)), 1.325, 1),
-        (4, IntPolynomial((-1, -1, 0, 0, 1)), 1.221, 1),
-        (5, IntPolynomial((-1, -1, -1, 0, 1, 1)), 1.124, 1),
-        (5, IntPolynomial((-1, -1, 0, 0, 0, 1)), 1.167, 2),
-    ]
-    entries = []
-    for degree, poly, approx, rank in raw:
-        if not is_perron_number(poly):
-            raise GraphStructureError(f"table entry of degree {degree} failed verification")
-        lo, hi = largest_real_root_interval(poly, Fraction(1, 10**9))
-        if abs(float((lo + hi) / 2) - approx) > 1e-3:
-            raise GraphStructureError(f"table entry of degree {degree} drifted from {approx}")
-        entries.append(PerronTableEntry(degree, poly, approx, rank))
-    return tuple(entries)

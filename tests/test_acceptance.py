@@ -29,11 +29,9 @@ from traintrack.folds import rotate, stallings_decompose
 from traintrack.graphs import iterate_map, make_turn
 from traintrack.mapdoc import parse_map_document
 from traintrack.reports import certify_map
-from traintrack.search import (
-    single_fold_search,
-    verify_minimal_stretch_argument,
-)
+from traintrack.search import single_fold_search
 from traintrack.spectral import char_poly, is_irreducible, transition_matrix
+from traintrack.theorems import verify_minimal_stretch_argument
 from traintrack.whitehead import ideal_whitehead, is_principal
 
 

@@ -11,6 +11,7 @@ from oracles import pool_documents, print_map_document, rose_map_xyz
 from traintrack.catalog import SINGLE_FOLD_DOCUMENT
 from traintrack.cli import main
 from traintrack.reports import certify_json
+from traintrack.theorems import SMALLEST_PERRON, TARGET
 
 
 @pytest.fixture()
@@ -318,6 +319,16 @@ def test_verify_theorem_a(capsys):
     assert capsys.readouterr().out == VERIFY_THEOREM_A_STDOUT
 
 
+def test_verify_theorem_a_prints_a_failed_step(capsys, monkeypatch):
+    # the target in the degree-5 rival's place: its trace is no obstruction
+    monkeypatch.setitem(SMALLEST_PERRON, 5, TARGET)
+    assert main(["verify", "theorem-a"]) == 4
+    assert capsys.readouterr().out == VERIFY_THEOREM_A_STDOUT.replace(
+        "PASS trace obstruction: x^5 + x^4 - x^2 - x - 1 needs trace -1;",
+        "FAIL trace obstruction: x^5 - x - 1 needs trace 0;",
+    ).replace("theorem-a: PASS", "theorem-a: FAIL")
+
+
 def test_verify_theorem_b_limited_ranks(capsys):
     code = main(["verify", "theorem-b", "--ranks", "3"])
     captured = capsys.readouterr().out
@@ -325,8 +336,54 @@ def test_verify_theorem_b_limited_ranks(capsys):
     assert "theorem-b: PASS" in captured
 
 
+VERIFY_THEOREM_B_STDOUT = """\
+PASS rank 3: 1 class(es), expected 1
+PASS rank 4: 0 class(es), expected 0
+PASS rank 5: 0 class(es), expected 0
+theorem-b: PASS
+"""
+
+
+def test_verify_theorem_b(capsys):
+    assert main(["verify", "theorem-b", "--ranks", "3,4,5"]) == 0
+    assert capsys.readouterr().out == VERIFY_THEOREM_B_STDOUT
+
+
+def test_verify_theorem_b_prints_a_failed_rank(capsys, monkeypatch):
+    monkeypatch.setattr("traintrack.theorems.EXPECTED_CLASSES", {3: 1, 4: 1, 5: 0})
+    assert main(["verify", "theorem-b", "--ranks", "3,4,5"]) == 4
+    assert capsys.readouterr().out == (
+        "PASS rank 3: 1 class(es), expected 1\n"
+        "FAIL rank 4: 0 class(es), expected 1\n"
+        "PASS rank 5: 0 class(es), expected 0\n"
+        "theorem-b: FAIL\n"
+    )
+
+
+def test_search_single_fold_exit_code_follows_theorem_b(capsys, monkeypatch):
+    monkeypatch.setattr("traintrack.theorems.EXPECTED_CLASSES", {3: 0, 4: 0, 5: 0})
+    assert main(["search", "single-fold", "--rank", "3"]) == 4
+    assert "1 relabeling class(es)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rank", ["6", "x", "2", "3,4", ""])
+def test_search_single_fold_rejects_bad_rank(rank, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("traintrack.search.single_fold_search", no_search)
+    with pytest.raises(SystemExit) as err:
+        main(["search", "single-fold", "--rank", rank])
+    assert err.value.code == 2
+    assert "--rank" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ranks", ["6", "x", "3,,4", "3,3"])
-def test_verify_theorem_b_rejects_bad_ranks(ranks, capsys):
+def test_verify_theorem_b_rejects_bad_ranks(ranks, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("traintrack.theorems.single_fold_search", no_search)
     with pytest.raises(SystemExit) as err:
         main(["verify", "theorem-b", "--ranks", ranks])
     assert err.value.code == 2

@@ -82,9 +82,9 @@ def test_modules_import_only_the_standard_library_at_module_level():
     assert third_party == {}
 
 
-# one interpreter imports the package, then runs each command in turn, and
-# reports after each step whether sympy and multiprocessing have been
-# imported, and which modules of the package
+# one interpreter imports the package, then runs one command, and reports
+# after each step whether sympy and multiprocessing have been imported, and
+# which modules of the package
 IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
     import traintrack
@@ -96,13 +96,13 @@ IMPORT_PROBE = textwrap.dedent("""
         return out
     steps = [["import traintrack", loaded()]]
     from traintrack.cli import main
-    for argv in json.loads(sys.argv[1]):
-        with contextlib.redirect_stdout(io.StringIO()):
-            try:
-                main(argv)
-            except SystemExit:
-                pass
-        steps.append([" ".join(argv), loaded()])
+    argv = json.loads(sys.argv[1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    steps.append([" ".join(argv), loaded()])
     print(json.dumps(steps))
 """)
 
@@ -116,10 +116,10 @@ def _package_env() -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def import_probe(tmp_path_factory):
-    """Each probe step, and which of sympy, multiprocessing and the
-    package's modules it had loaded: the commands that need no third-party
-    module, then the sympy one.  The module sets accumulate over the
-    steps."""
+    """Each command, and which of sympy, multiprocessing and the package's
+    modules it had loaded, each in a fresh interpreter: the commands that
+    need no third-party module, then the sympy one.  The first entry is
+    ``import traintrack`` alone."""
     tmp_path = tmp_path_factory.mktemp("probe")
     doc = tmp_path / "g.map"
     doc.write_text(SINGLE_FOLD_DOCUMENT, encoding="utf-8")
@@ -133,13 +133,14 @@ def import_probe(tmp_path_factory):
         # the minimal-polynomial degree of the JSON report factors with sympy
         ["certify", str(doc), "--json", str(tmp_path / "g.json")],
     ]
-    result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=_package_env(), check=True,
-    )
-    steps = json.loads(result.stdout)
-    assert len(steps) == 1 + len(commands)
-    return steps
+    runs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+            capture_output=True, text=True, env=_package_env(), check=True,
+        ).stdout)
+        for argv in commands
+    ]
+    return [runs[0][0]] + [step for _, step in runs]
 
 
 def test_only_certify_json_imports_sympy(import_probe):
@@ -155,11 +156,15 @@ def test_no_step_imports_multiprocessing(import_probe):
 def test_each_command_loads_only_its_layers(import_probe):
     layers = [set(loaded["traintrack"]) for _, loaded in import_probe]
     assert layers[0] == set(), import_probe
-    # certify and decompose
-    assert layers[2].isdisjoint({"automaton", "search"}), import_probe
+    # certify, decompose and certify --json
+    for k in (1, 2, 7):
+        assert layers[k].isdisjoint({"automaton", "search", "theorems"}), import_probe
     # search single-fold, verify theorem-a and verify theorem-b
-    assert "search" in layers[5] and "automaton" not in layers[5], import_probe
-    assert "automaton" in layers[6], import_probe
+    for k in (3, 4, 5):
+        assert {"search", "theorems"} <= layers[k], import_probe
+        assert "automaton" not in layers[k], import_probe
+    # automaton build
+    assert "automaton" in layers[6] and "theorems" not in layers[6], import_probe
 
 
 # the public names of ``traintrack``, each read from its module on first use
@@ -171,10 +176,10 @@ PUBLIC_NAMES = [
     "build_universe", "char_poly", "classify_matrix", "compose", "decomposition_to_loop",
     "direction_map", "enumerate_loops", "fic_check", "gates", "ideal_whitehead",
     "illegal_turns", "is_expanding", "is_perron_number", "is_principal", "is_train_track",
-    "iterate_map", "loop_to_map", "ltt_structure", "minimal_perron_table",
-    "node_one_analysis", "parse_map_document", "pnp_bounded_search", "rotate",
-    "single_fold_search", "stallings_decompose", "taken_turn_closure", "trace_obstruction",
-    "transition_matrix", "verify_minimal_stretch_argument",
+    "iterate_map", "loop_to_map", "ltt_structure", "node_one_analysis",
+    "parse_map_document", "pnp_bounded_search", "rotate", "single_fold_search",
+    "stallings_decompose", "taken_turn_closure", "transition_matrix",
+    "verify_minimal_stretch_argument", "verify_single_fold_uniqueness",
 ]
 
 
@@ -206,7 +211,7 @@ def test_one_public_name_loads_only_its_layers():
 # each module may import only the modules listed before it
 LAYERS = (
     "digraph", "graphs", "mapdoc", "catalog", "folds", "spectral", "certify",
-    "whitehead", "search", "automaton", "reports", "cli", "__main__",
+    "whitehead", "search", "theorems", "automaton", "reports", "cli", "__main__",
 )
 
 

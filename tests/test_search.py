@@ -24,6 +24,7 @@ from oracles import (
     _conjugate_by_relabeling,
 )
 from traintrack import search as search_module
+from traintrack import theorems
 from traintrack.certify import MapAnalysis
 from traintrack.digraph import connected_components
 from traintrack.folds import apply_fold, stallings_decompose
@@ -45,7 +46,6 @@ from traintrack.search import (
     graph_isomorphisms,
     single_fold_search,
     trivalent_universe,
-    verify_minimal_stretch_argument,
     _candidate,
     _canonical_multigraph,
     _conjugate,
@@ -58,6 +58,7 @@ from traintrack.search import (
     _universe,
 )
 from traintrack.spectral import is_irreducible, transition_matrix
+from traintrack.theorems import verify_minimal_stretch_argument
 
 # frozen universe sizes (rank: iso classes), cross-checked below with networkx
 GOLDEN_UNIVERSE_SIZES = {3: 5, 4: 30, 5: 193, 6: 1496}
@@ -520,6 +521,17 @@ def test_single_fold_search_rank3(gmap):
     assert _conjugate_by_relabeling(rep.map, gmap)
 
 
+def test_search_summary_counts_are_read_off_its_survivors():
+    # no stored count can disagree with the survivors or the representatives
+    summary = single_fold_search(3)
+    stored = {field.name for field in dataclasses.fields(summary)}
+    assert stored.isdisjoint({"principal_count", "class_count"})
+    fewer = dataclasses.replace(
+        summary, survivors=summary.survivors[:3], class_representatives=(0, 1)
+    )
+    assert (fewer.principal_count, fewer.class_count) == (3, 2)
+
+
 def _pairwise_classes(survivors) -> list[int]:
     """Reference: the survivors' indices that no earlier class member
     conjugates into, by trying every isomorphism between their graphs."""
@@ -707,6 +719,7 @@ def test_fold_pair_lists_are_closed_under_automorphisms(monkeypatch):
         return engine(*args)
 
     monkeypatch.setattr(search_module, "_search_one_graph", recorded)
+    monkeypatch.setattr(theorems, "_search_one_graph", recorded)
     single_fold_search(3)
     single_fold_search(4)
     assert verify_minimal_stretch_argument().passed

@@ -43,9 +43,7 @@ from traintrack.spectral import (
     is_irreducible,
     is_perron_number,
     largest_real_root_interval,
-    minimal_perron_table,
     minimal_polynomial_degree,
-    trace_obstruction,
     transition_matrix,
 )
 
@@ -242,8 +240,6 @@ def test_perron_checks():
     assert is_perron_number(IntPolynomial((-4, 4, -1, 1))) is False
     # (x^2 - x - 1)^2: a repeated root does not spoil dominance
     assert is_perron_number(IntPolynomial((1, 2, -1, -2, 1))) is True
-    for entry in minimal_perron_table():
-        assert is_perron_number(entry.polynomial) is True
 
 
 def test_perron_requires_positive_real_root():
@@ -405,32 +401,6 @@ def test_periodic_matrix_has_no_perron_root(matrix):
     # period h >= 2: the spectral radius times each h-th root of unity is a root
     assert first_positive_power(matrix) is None
     assert is_perron_number(char_poly(matrix)) is False
-
-
-def test_trace_obstruction():
-    assert trace_obstruction(RIVAL_POLY, 5)
-    assert not trace_obstruction(Q_POLY, 5)
-    cubed = IntPolynomial((-1, 3, -3, 1))  # (x - 1)^3
-    assert not trace_obstruction(cubed, 3)
-    with pytest.raises(GraphStructureError):
-        trace_obstruction(Q_POLY, 4)
-
-
-def test_minimal_perron_table():
-    table = minimal_perron_table()
-    by_degree = {}
-    for entry in table:
-        by_degree.setdefault(entry.degree, []).append(entry)
-    assert abs(by_degree[2][0].approximate_root - 1.618) < 1e-3
-    assert abs(by_degree[3][0].approximate_root - 1.325) < 1e-3
-    assert abs(by_degree[4][0].approximate_root - 1.221) < 1e-3
-    deg5 = sorted(by_degree[5], key=lambda e: e.rank_within_degree)
-    assert abs(deg5[0].approximate_root - 1.124) < 1e-3
-    assert abs(deg5[1].approximate_root - 1.167) < 1e-3
-    # re-check the tabulated roots against direct bisection
-    for entry in table:
-        lo, hi = largest_real_root_interval(entry.polynomial, Fraction(1, 10**9))
-        assert abs(float((lo + hi) / 2) - entry.approximate_root) < 1e-3
 
 
 def test_invariant_edge_set(block_map):
